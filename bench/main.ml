@@ -12,7 +12,7 @@
      dune exec bench/main.exe -- ablation
      dune exec bench/main.exe -- micro   -- bechamel microbenchmarks
      dune exec bench/main.exe -- serve-latency -- verdict-server round trips
-     dune exec bench/main.exe -- serve-throughput -- event-loop vs threaded
+     dune exec bench/main.exe -- serve-throughput -- reactor verdicts/s vs clients
      dune exec bench/main.exe -- precision -- Fig-7 lift from --precision on
      dune exec bench/main.exe -- attacks -- attack universes (mem, cond-flip,
                                             insn-skip) over the workloads, a
@@ -456,12 +456,11 @@ let serve_latency ~seed () =
       ("max_micros", J.Int max_m);
     ]
 
-(* ---------- serve-throughput: event loop vs thread-per-session ---------- *)
+(* ---------- serve-throughput: the reactor under concurrent clients ---------- *)
 
-(* The acceptance experiment for the event-loop rework: both server
-   implementations (identical wire behaviour) are driven by the same
-   lockstep load generator at 1/8/64/512 concurrent clients, each
-   connection pumping one pre-encoded balanced batch at a time.  The
+(* The event-loop server driven by a lockstep load generator at
+   1/8/64/512 concurrent clients, each connection pumping one
+   pre-encoded balanced batch at a time.  The
    batch is the workload's full recorded run ([Call main] ... [Ret]),
    tiled to >= 256 events: it enters and leaves a fresh activation, so
    the checker is in its base state after every batch and the replay
@@ -506,7 +505,7 @@ type serve_conn = {
 }
 
 let serve_throughput ~seed ~out () =
-  section "Serving throughput: event-loop reactor vs thread-per-session";
+  section "Serving throughput: event-loop reactor";
   let module P = Ipds_serve.Protocol in
   let fail fmt =
     Printf.ksprintf
@@ -597,15 +596,14 @@ let serve_throughput ~seed ~out () =
     | P.Scan_frame { tag; payload_len; _ } -> (tag, payload_len)
     | _ -> fail "could not scan the canonical empty-verdicts frame"
   in
-  let spawn_server ~impl ~sock ~jobs =
-    let stdin_r, stdin_w = Unix.pipe () in
-    let stdout_r, stdout_w = Unix.pipe () in
+  let spawn_server ~sock =
+    let stdin_r, stdin_w = Unix.pipe ~cloexec:true () in
+    let stdout_r, stdout_w = Unix.pipe ~cloexec:true () in
     let pid =
       Unix.create_process Sys.executable_name
         [|
-          Sys.executable_name; "serve-child"; "--serve-impl"; impl;
-          "--serve-socket"; sock; "--serve-store"; store_dir; "--serve-jobs";
-          string_of_int jobs;
+          Sys.executable_name; "serve-child"; "--serve-socket"; sock;
+          "--serve-store"; store_dir;
         |]
         stdin_r stdout_w Unix.stderr
     in
@@ -615,19 +613,19 @@ let serve_throughput ~seed ~out () =
     let deadline = Unix.gettimeofday () +. 20.0 in
     let rec await acc =
       if Unix.gettimeofday () > deadline then
-        fail "%s server child: no READY within 20s" impl;
+        fail "server child: no READY within 20s";
       match Unix.select [ stdout_r ] [] [] 0.5 with
       | [], _, _ -> await acc
       | _ -> (
           match Unix.read stdout_r buf 0 (Bytes.length buf) with
-          | 0 -> fail "%s server child exited before READY" impl
+          | 0 -> fail "server child exited before READY"
           | n ->
               let acc = acc ^ Bytes.sub_string buf 0 n in
               if String.contains acc '\n' then acc else await acc)
     in
     let line = await "" in
     if not (String.length line >= 5 && String.equal (String.sub line 0 5) "READY")
-    then fail "%s server child said %S, not READY" impl line;
+    then fail "server child said %S, not READY" line;
     Unix.close stdout_r;
     (pid, stdin_w)
   in
@@ -650,20 +648,14 @@ let serve_throughput ~seed ~out () =
     wait ()
   in
   let warmup = 0.3 and window = 1.2 in
-  let pump_level ~impl ~clients =
+  let pump_level ~clients =
     let sock =
       Filename.concat
         (Filename.get_temp_dir_name ())
-        (Printf.sprintf "ipds-bench-%d-%s-%d.sock" (Unix.getpid ()) impl
-           clients)
+        (Printf.sprintf "ipds-bench-%d-%d.sock" (Unix.getpid ()) clients)
     in
     if Sys.file_exists sock then Sys.remove sock;
-    (* the reactor multiplexes any client count on one domain; the
-       thread-per-session baseline needs a worker per concurrent
-       session, capped well under the OCaml domain limit *)
-    let jobs = if String.equal impl "reactor" then 1 else min clients 64 in
-    let expect_ready = if String.equal impl "reactor" then clients else min clients jobs in
-    let child = spawn_server ~impl ~sock ~jobs in
+    let child = spawn_server ~sock in
     let conns =
       Array.init clients (fun _ ->
           let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -711,7 +703,7 @@ let serve_throughput ~seed ~out () =
       with
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           ()
-      | 0 -> fail "%s/%d clients: server closed a bench connection" impl clients
+      | 0 -> fail "%d clients: server closed a bench connection" clients
       | n ->
           c.c_inlen <- c.c_inlen + n;
           let pos = ref 0 in
@@ -772,7 +764,7 @@ let serve_throughput ~seed ~out () =
          let ready =
            Array.fold_left (fun a c -> if c.c_ready then a + 1 else a) 0 conns
          in
-         if ready >= expect_ready then begin
+         if ready >= clients then begin
            t0 := now +. warmup;
            t1 := !t0 +. window
          end
@@ -781,7 +773,7 @@ let serve_throughput ~seed ~out () =
              t0 := now +. warmup;
              t1 := !t0 +. window
            end
-           else fail "%s/%d clients: no session reached pumping" impl clients);
+           else fail "%d clients: no session reached pumping" clients);
       if now > !t1 then running := false
       else begin
         let rds = Array.fold_left (fun acc c -> c.c_fd :: acc) [] conns in
@@ -830,31 +822,19 @@ let serve_throughput ~seed ~out () =
   Printf.printf
     "%s: %d-event balanced batches (%d runs of %d events, %d branches), \
      %.1fs window per level\n\
-     %8s  %12s %10s %23s  %12s %10s %23s  %7s\n"
+     %8s  %10s %23s\n"
     w.W.name batch_events copies run_len branch_reps window "clients"
-    "event-loop" "verdict/s" "p50/p99/p999 us" "threaded" "verdict/s"
-    "p50/p99/p999 us" "speedup";
+    "verdict/s" "p50/p99/p999 us";
   let levels = [ 1; 8; 64; 512 ] in
   let rows =
     List.map
       (fun clients ->
-        let el = pump_level ~impl:"reactor" ~clients in
-        let th = pump_level ~impl:"threaded" ~clients in
-        let speedup = if th.s_vps > 0. then el.s_vps /. th.s_vps else 0. in
-        Printf.printf
-          "%8d  %12s %10.0f %7d/%7d/%7d  %12s %10.0f %7d/%7d/%7d  %6.1fx\n%!"
-          clients "" el.s_vps el.s_p50 el.s_p99 el.s_p999 "" th.s_vps th.s_p50
-          th.s_p99 th.s_p999 speedup;
-        (clients, el, th, speedup))
+        let el = pump_level ~clients in
+        Printf.printf "%8d  %10.0f %7d/%7d/%7d\n%!" clients el.s_vps el.s_p50
+          el.s_p99 el.s_p999;
+        (clients, el))
       levels
   in
-  let speedup_at_64 =
-    match List.find_opt (fun (c, _, _, _) -> c = 64) rows with
-    | Some (_, _, _, s) -> s
-    | None -> 0.
-  in
-  Printf.printf "event-loop/threaded speedup at 64 clients: %.1fx\n"
-    speedup_at_64;
   ignore
     (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote store_dir)));
   let impl_json (s : serve_stat) =
@@ -883,16 +863,9 @@ let serve_throughput ~seed ~out () =
         ( "levels",
           J.List
             (List.map
-               (fun (clients, el, th, speedup) ->
-                 J.Obj
-                   [
-                     ("clients", J.Int clients);
-                     ("event_loop", impl_json el);
-                     ("threaded", impl_json th);
-                     ("speedup", J.Float speedup);
-                   ])
+               (fun (clients, el) ->
+                 J.Obj [ ("clients", J.Int clients); ("event_loop", impl_json el) ])
                rows) );
-        ("speedup_at_64", J.Float speedup_at_64);
       ]
   in
   (match out with
@@ -1772,25 +1745,20 @@ let write_report opts ~targets ~total_seconds path =
        ]);
   Printf.printf "\nwrote %s\n" path
 
-(* Hidden argv mode for serve-throughput: run one verdict server (the
-   event-loop reactor or the thread-per-session baseline) in this
+(* Hidden argv mode for serve-throughput: run one verdict server in this
    process, print READY once it is listening, and stop when stdin hits
    EOF — the parent's pipe end is the child's lifetime. *)
 let serve_child_main () =
-  let impl = ref "reactor" in
   let sock = ref "" in
   let store = ref None in
-  let jobs = ref 1 in
   let argc = Array.length Sys.argv in
   let rec parse i =
     if i < argc then begin
       (match
          (Sys.argv.(i), if i + 1 < argc then Some Sys.argv.(i + 1) else None)
        with
-      | "--serve-impl", Some v -> impl := v
       | "--serve-socket", Some v -> sock := v
       | "--serve-store", Some v -> store := Some v
-      | "--serve-jobs", Some v -> jobs := int_of_string v
       | a, _ ->
           Printf.eprintf "serve-child: bad argument %s\n" a;
           exit 2);
@@ -1802,33 +1770,15 @@ let serve_child_main () =
     prerr_endline "serve-child: --serve-socket is required";
     exit 2
   end;
-  let stop =
-    match !impl with
-    | "reactor" ->
-        let config =
-          {
-            Ipds_serve.Server.default_config with
-            Ipds_serve.Server.jobs = max 1 !jobs;
-            session_timeout = 0.;
-            store_dir = !store;
-          }
-        in
-        let t = Ipds_serve.Server.start ~config (`Unix !sock) in
-        fun () -> Ipds_serve.Server.stop t
-    | "threaded" ->
-        let config =
-          {
-            Ipds_serve.Server_threaded.default_config with
-            Ipds_serve.Server_threaded.jobs = max 1 !jobs;
-            session_timeout = 0.;
-            store_dir = !store;
-          }
-        in
-        let t = Ipds_serve.Server_threaded.start ~config (`Unix !sock) in
-        fun () -> Ipds_serve.Server_threaded.stop t
-    | other ->
-        Printf.eprintf "serve-child: unknown impl %s\n" other;
-        exit 2
+  let server =
+    Ipds_serve.Server.start
+      ~config:
+        {
+          Ipds_serve.Server.default_config with
+          session_timeout = 0.;
+          store_dir = !store;
+        }
+      (`Unix !sock)
   in
   print_string "READY\n";
   flush stdout;
@@ -1840,7 +1790,7 @@ let serve_child_main () =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
   in
   drain ();
-  stop ();
+  Ipds_serve.Server.stop server;
   exit 0
 
 let () =

@@ -929,22 +929,6 @@ let fleet_cmd =
       value & opt int 8
       & info [ "cache-slots" ] ~doc:"Artifact LRU slots per shard process.")
   in
-  let router_socket_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "router-socket" ] ~docv:"PATH"
-          ~doc:
-            "Also run the thin routing fallback on $(docv) so legacy \
-             single-address clients reach the fleet (one extra hop).")
-  in
-  let router_port_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "router-port" ] ~docv:"PORT"
-          ~doc:"TCP variant of $(b,--router-socket).")
-  in
   let share_artifacts_arg =
     Arg.(
       value & flag
@@ -954,8 +938,7 @@ let fleet_cmd =
              missing a key fetches the (verified) artifact from its ring \
              peers over the wire instead of answering unknown-artifact.")
   in
-  let run () obs socket port shards jobs timeout cache_slots router_socket
-      router_port share_artifacts =
+  let run () obs socket port shards jobs timeout cache_slots share_artifacts =
     obs_init ~command:"fleet"
       ~manifest:[ ("shards", Obs.Json.Int shards) ]
       obs;
@@ -1052,29 +1035,9 @@ let fleet_cmd =
       in
       wait ()
     done;
-    let router =
-      match (router_socket, router_port) with
-      | None, None -> None
-      | Some _, Some _ ->
-          Format.eprintf
-            "ipds fleet: --router-socket and --router-port are mutually \
-             exclusive@.";
-          exit 2
-      | Some path, None ->
-          Some (Serve.Router.start ~topology (`Unix path))
-      | None, Some p -> Some (Serve.Router.start ~topology (`Tcp p))
-    in
     List.iteri
       (fun i name -> Format.printf "ipds fleet: shard %d at %s@." i name)
       (Ipds_fleet.Topology.names topology);
-    (match router with
-    | Some r ->
-        Format.printf "ipds fleet: router at %s@."
-          (match (router_socket, Serve.Router.port r) with
-          | Some path, _ -> path
-          | None, Some p -> Printf.sprintf "127.0.0.1:%d" p
-          | None, None -> "?")
-    | None -> ());
     let stop_requested = Atomic.make false in
     let on_signal _ = Atomic.set stop_requested true in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
@@ -1097,7 +1060,6 @@ let fleet_cmd =
         pids
     done;
     Format.printf "ipds fleet: shutting down@.";
-    Option.iter Serve.Router.stop router;
     Array.iteri
       (fun i pid ->
         if alive.(i) then begin
@@ -1110,13 +1072,11 @@ let fleet_cmd =
     (Cmd.info "fleet"
        ~doc:
          "Launch N verdict-server processes sharded by artifact key.  \
-          Routing-aware clients (check-remote --shards) hash keys straight \
-          to the owning shard; --router-socket adds a thin proxy for legacy \
-          clients.")
+          Clients (check-remote --shards) hash keys straight to the owning \
+          shard.")
     Term.(
       const run $ cache_term $ obs_term $ socket_arg $ port_arg $ shards_arg
-      $ jobs_arg $ timeout_arg $ cache_slots_arg $ router_socket_arg
-      $ router_port_arg $ share_artifacts_arg)
+      $ jobs_arg $ timeout_arg $ cache_slots_arg $ share_artifacts_arg)
 
 (* ---------- servers ---------- *)
 

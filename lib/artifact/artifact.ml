@@ -334,8 +334,6 @@ let pp_inspection ppf t =
     i.Object_file.version i.Object_file.file_bytes;
   Format.fprintf ppf "  sha256 %s %s@." i.Object_file.digest_hex
     (if i.Object_file.digest_ok then "(ok)" else "(MISMATCH)");
-  Format.fprintf ppf "  md5    %s (legacy v2 address)@."
-    i.Object_file.legacy_md5_hex;
   List.iter
     (fun (s : Object_file.section_info) ->
       Format.fprintf ppf "  section %-8s  offset %6d  %7d bytes  crc 0x%08lx %s@."

@@ -1,4 +1,4 @@
-(** Versioned, checksummed IPDS object files ("[.ipds]"), format v2.
+(** Versioned, checksummed IPDS object files ("[.ipds]"), format v3.
 
     The paper's deployment model has the compiler attach the packed
     BSV/BCV/BAT images to the binary and the IPDS unit load them at run
@@ -18,9 +18,9 @@
     function's tables live in their own section keyed (via the index) by
     the {!Ipds_core.System.func_digest} content digest, and the same
     per-function encoding is reused for the standalone blobs of the
-    store's function tier ({!func_image}/{!func_of_image}).  The v1
-    monolithic-["tables"] layout is gone; v1 files fail the container
-    version check and load as a full cache miss.
+    store's function tier ({!func_image}/{!func_of_image}).  Older
+    containers (v1's monolithic ["tables"] section, v2's MD5 digest)
+    fail the container version check and load as a full cache miss.
 
     Loading rebuilds an {!Ipds_core.System.t} without running the MiniC
     front end or the correlation analysis: tables are decoded, the BAT

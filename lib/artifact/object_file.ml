@@ -29,7 +29,6 @@ type info = {
   file_bytes : int;
   digest_hex : string;
   digest_ok : bool;
-  legacy_md5_hex : string;
   sections : section_info list;
 }
 
@@ -125,9 +124,6 @@ let info_of_bytes buf =
     file_bytes = Bytes.length buf;
     digest_hex = Sha256.to_hex (Bytes.sub_string buf 16 digest_bytes);
     digest_ok = digest_ok buf;
-    legacy_md5_hex =
-      Digest.to_hex
-        (Digest.subbytes buf header_bytes (Bytes.length buf - header_bytes));
     sections =
       List.map
         (fun (name, offset, length, crc) ->

@@ -54,10 +54,6 @@ type info = {
   file_bytes : int;
   digest_hex : string;  (** SHA-256 digest stored in the header *)
   digest_ok : bool;
-  legacy_md5_hex : string;
-      (** computed MD5 of the same region — the address a v2 store
-          would have used, printed by [ipds inspect] so operators can
-          correlate entries across the format upgrade *)
   sections : section_info list;
 }
 

@@ -1,10 +1,11 @@
 (* Fleet topology: how N shards of one fleet are addressed.
 
    Derived purely from a base address, so the launcher
-   ([ipds fleet]), the routing clients and the legacy router agree on
-   shard addresses and ring names without any registry: shard [i] of a
-   Unix-domain fleet at [path] listens on [path ^ "." ^ i]; a TCP fleet
-   at [port] puts shard [i] on [port + i]. *)
+   ([ipds fleet]), the routing clients and the peer-sharing servers
+   agree on shard addresses and ring names without any registry:
+   shard [i] of a Unix-domain fleet at [path] listens on
+   [path ^ "." ^ i]; a TCP fleet at [port] puts shard [i] on
+   [port + i]. *)
 
 type address = [ `Unix of string | `Tcp of string * int ]
 

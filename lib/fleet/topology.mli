@@ -2,8 +2,9 @@
 
     Shard addresses derive purely from the base address — Unix path
     [p] → [p.0 … p.(N-1)], TCP port [q] → [q … q+N-1] — so the
-    launcher, the routing clients and the legacy router agree on the
-    topology (and on the ring node names) without a registry. *)
+    launcher, the routing clients and the peer-sharing servers agree
+    on the topology (and on the ring node names) without a
+    registry. *)
 
 type address = [ `Unix of string | `Tcp of string * int ]
 

@@ -117,25 +117,70 @@ let verdict_to_string (a : Ipds_core.Checker.alarm) =
     (if a.actual_taken then 'T' else 'N')
     a.sequence
 
-(* {2 Payload codec} *)
+(* {2 Payload codec}
+
+   Payloads are written with {!Bs.Writer} (LSB-first bit packing) and
+   read back with [Fast], a byte-refilled accumulator over the payload
+   span: one shift-mask per field instead of a loop per bit, and no copy
+   of the span.  Every field is at most 32 bits wide. *)
 
 exception Malformed_payload of string
 
 let fail m = raise (Malformed_payload m)
 
-(* Full-width int: 31 low bits + 32 high bits reconstructs every 63-bit
-   OCaml int exactly, negatives included (bit 62 is the sign bit). *)
+module Fast = struct
+  exception Short
+
+  type reader = {
+    buf : Bytes.t;
+    limit : int;  (** exclusive byte bound *)
+    mutable pos : int;  (** next byte to fold into [acc] *)
+    mutable acc : int;
+    mutable bits : int;  (** valid low bits of [acc] *)
+  }
+
+  let make buf ~pos ~len = { buf; limit = pos + len; pos; acc = 0; bits = 0 }
+
+  (* [width] <= 32, so [bits] stays < 40 and [acc] never nears bit 62. *)
+  let pull r width =
+    while r.bits < width do
+      if r.pos >= r.limit then raise Short;
+      r.acc <- r.acc lor (Char.code (Bytes.unsafe_get r.buf r.pos) lsl r.bits);
+      r.bits <- r.bits + 8;
+      r.pos <- r.pos + 1
+    done;
+    let v = r.acc land ((1 lsl width) - 1) in
+    r.acc <- r.acc lsr width;
+    r.bits <- r.bits - width;
+    v
+
+  (* Full-width int: 31 low bits + 32 high bits reconstructs every 63-bit
+     OCaml int exactly, negatives included (bit 62 is the sign bit). *)
+  let pull_int r =
+    let lo = pull r 31 in
+    let hi = pull r 32 in
+    (hi lsl 31) lor lo
+
+  let skip_chars r n =
+    for _ = 1 to n do
+      ignore (pull r 8)
+    done
+
+  let pull_chars r n =
+    let b = Bytes.create n in
+    for i = 0 to n - 1 do
+      Bytes.unsafe_set b i (Char.unsafe_chr (pull r 8))
+    done;
+    Bytes.unsafe_to_string b
+end
+
 let push_int w v =
   Bs.Writer.push w ~width:31 (v land 0x7FFF_FFFF);
   Bs.Writer.push w ~width:32 ((v lsr 31) land 0xFFFF_FFFF)
 
-let pull_int r =
-  let lo = Bs.Reader.pull r ~width:31 in
-  let hi = Bs.Reader.pull r ~width:32 in
-  (hi lsl 31) lor lo
-
+let pull_int = Fast.pull_int
 let push_bool w b = Bs.Writer.push w ~width:1 (if b then 1 else 0)
-let pull_bool r = Bs.Reader.pull r ~width:1 = 1
+let pull_bool r = Fast.pull r 1 = 1
 
 let push_string w s =
   let n = String.length s in
@@ -146,11 +191,13 @@ let push_string w s =
    [max_frame], not the compile-time default — a server started with a
    larger [--max-frame] must accept payloads that fill it.  The bound
    only rejects absurd lengths before allocation; genuine overruns of
-   the actual payload still surface as [Malformed] via the reader. *)
-let pull_string ~limit r =
+   the actual payload still surface as [Fast.Short]. *)
+let pull_length ~limit r =
   let n = pull_int r in
   if n < 0 || n > limit then fail "string length out of range";
-  String.init n (fun _ -> Char.chr (Bs.Reader.pull r ~width:8))
+  n
+
+let pull_string ~limit r = Fast.pull_chars r (pull_length ~limit r)
 
 let push_status w (s : Ipds_core.Status.t) =
   Bs.Writer.push w ~width:2
@@ -160,7 +207,7 @@ let push_status w (s : Ipds_core.Status.t) =
     | Ipds_core.Status.Unknown -> 2)
 
 let pull_status r : Ipds_core.Status.t =
-  match Bs.Reader.pull r ~width:2 with
+  match Fast.pull r 2 with
   | 0 -> Ipds_core.Status.Taken
   | 1 -> Ipds_core.Status.Not_taken
   | 2 -> Ipds_core.Status.Unknown
@@ -203,7 +250,7 @@ let pull_event ~limit r : Event.t =
   let iid = pull_int r in
   let pc = pull_int r in
   let kind =
-    match Bs.Reader.pull r ~width:4 with
+    match Fast.pull r 4 with
     | 0 -> Event.Alu
     | 1 -> Event.Load { addr = pull_int r }
     | 2 -> Event.Store { addr = pull_int r }
@@ -225,10 +272,12 @@ let push_list w push xs =
   push_int w (List.length xs);
   List.iter (push w) xs
 
-let pull_list ~limit r pull =
+let pull_count ~limit r =
   let n = pull_int r in
   if n < 0 || n > limit then fail "list length out of range";
-  List.init n (fun _ -> pull r)
+  n
+
+let pull_list ~limit r pull = List.init (pull_count ~limit r) (fun _ -> pull r)
 
 let push_verdict w (a : Ipds_core.Checker.alarm) =
   push_string w a.fname;
@@ -327,7 +376,7 @@ let decode_payload ~limit tag r =
       let stored = pull_bool r in
       Some (Artifact_pushed { key; stored })
   | 31 -> (
-      match error_code_of_int (Bs.Reader.pull r ~width:8) with
+      match error_code_of_int (Fast.pull r 8) with
       | Some code -> Some (Error { code; detail = pull_string ~limit r })
       | None -> fail "bad error code")
   | _ -> None
@@ -430,14 +479,13 @@ let scan_at ?(max_frame = default_max_frame) buf ~pos ~len =
 
 (* Decode a CRC-validated payload span into a frame value. *)
 let decode_span ?(max_frame = default_max_frame) tag buf ~pos ~len =
-  let payload = Bytes.sub buf pos len in
-  match decode_payload ~limit:max_frame tag (Bs.Reader.of_bytes payload) with
+  match decode_payload ~limit:max_frame tag (Fast.make buf ~pos ~len) with
   | Some f -> Ok f
   | None ->
       Error
         { code = Unknown_frame; detail = Printf.sprintf "unknown frame tag %d" tag }
   | exception Malformed_payload m -> Error { code = Malformed; detail = m }
-  | exception Invalid_argument _ ->
+  | exception Fast.Short ->
       Error { code = Malformed; detail = "payload ends prematurely" }
 
 let decode_at ?max_frame buf ~pos ~len =
@@ -465,65 +513,16 @@ let decode_string ?max_frame s =
 
 (* {2 Streaming batch decode}
 
-   [Branch_events] is the only frame on the serving hot path, and the
-   generic codec pays for it three times over: {!Bs.Reader.pull} loops
-   per *bit* (a div, a mod and a shift for every one of the ~300 bits an
-   event occupies), [pull_list] materializes an [Event.t list], and
-   every event allocates its [fname] string even though the checker
-   never reads it for branch/ret events.  [iter_branch_events] walks the
-   same bit layout with a byte-refilled accumulator (one shift-mask per
-   field), skips [fname]/[iid] wholesale, and hands call/ret/branch
-   straight to callbacks — no list, no event records, no strings except
-   callee names.  The event-loop server feeds the checker through this;
-   the wire format and its acceptance/rejection behaviour are identical
-   to [decode_payload] (same bounds checks, same error details), which
-   test_serve asserts differentially against random frames. *)
+   [Branch_events] is the only frame on the serving hot path.
+   [iter_branch_events] walks the same layout as [pull_event] with the
+   same reader, but skips [fname]/[iid] wholesale and hands
+   call/ret/branch straight to callbacks — no list, no event records,
+   no strings except callee names.  The server feeds the checker
+   through this; acceptance and rejection (bounds checks, error
+   details) match [decode_payload], which test_serve asserts
+   differentially against random frames. *)
 
 let branch_events_tag = 4
-
-module Fast = struct
-  exception Short
-
-  type reader = {
-    buf : Bytes.t;
-    limit : int;  (** exclusive byte bound *)
-    mutable pos : int;  (** next byte to fold into [acc] *)
-    mutable acc : int;
-    mutable bits : int;  (** valid low bits of [acc] *)
-  }
-
-  let make buf ~pos ~len = { buf; limit = pos + len; pos; acc = 0; bits = 0 }
-
-  (* [width] <= 32, so [bits] stays < 40 and [acc] never nears bit 62. *)
-  let pull r width =
-    while r.bits < width do
-      if r.pos >= r.limit then raise Short;
-      r.acc <- r.acc lor (Char.code (Bytes.unsafe_get r.buf r.pos) lsl r.bits);
-      r.bits <- r.bits + 8;
-      r.pos <- r.pos + 1
-    done;
-    let v = r.acc land ((1 lsl width) - 1) in
-    r.acc <- r.acc lsr width;
-    r.bits <- r.bits - width;
-    v
-
-  let pull_int r =
-    let lo = pull r 31 in
-    let hi = pull r 32 in
-    (hi lsl 31) lor lo
-
-  let skip_chars r n =
-    for _ = 1 to n do
-      ignore (pull r 8)
-    done
-
-  let pull_chars r n =
-    let b = Bytes.create n in
-    for i = 0 to n - 1 do
-      Bytes.unsafe_set b i (Char.unsafe_chr (pull r 8))
-    done;
-    Bytes.unsafe_to_string b
-end
 
 (* Walk one [Branch_events] payload span, dispatching checker-relevant
    events to the callbacks in order; returns the event count (all
@@ -532,12 +531,9 @@ end
 let iter_branch_events ?(limit = default_max_frame) buf ~pos ~len ~on_call
     ~on_ret ~on_branch ~on_other =
   let r = Fast.make buf ~pos ~len in
-  let n = Fast.pull_int r in
-  if n < 0 || n > limit then fail "list length out of range";
+  let n = pull_count ~limit r in
   for _ = 1 to n do
-    let fname_len = Fast.pull_int r in
-    if fname_len < 0 || fname_len > limit then fail "string length out of range";
-    Fast.skip_chars r fname_len;
+    Fast.skip_chars r (pull_length ~limit r);
     ignore (Fast.pull_int r) (* iid *);
     let pc = Fast.pull_int r in
     match Fast.pull r 4 with
@@ -552,10 +548,7 @@ let iter_branch_events ?(limit = default_max_frame) buf ~pos ~len ~on_call
     | 4 ->
         ignore (Fast.pull_int r) (* Jump target *);
         on_other ()
-    | 5 ->
-        let clen = Fast.pull_int r in
-        if clen < 0 || clen > limit then fail "string length out of range";
-        on_call (Fast.pull_chars r clen)
+    | 5 -> on_call (pull_string ~limit r)
     | 6 -> on_ret ()
     | 7 -> on_other () (* Input_read *)
     | 8 ->

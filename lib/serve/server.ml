@@ -4,24 +4,22 @@
    set of nonblocking connections: the accept domain distributes new
    sockets round-robin over reactor mailboxes and wakes the owner
    through its self-pipe.  Reads drive {!Protocol.scan_at} over a
-   compacting per-connection buffer; [Branch_events] spans stream
-   straight into the checker through {!Session.handle_events_span}
-   (no event list, no per-event allocation), rare control frames fall
-   back to the generic decoder.  Writes never block: replies go through
-   a bounded per-connection queue flushed opportunistically and on
-   writability, with a global in-flight byte cap on top — when either
-   bound would be exceeded the client gets one typed [Overloaded] error
-   frame and the connection drains and closes.  Backpressure, never
-   unbounded buffering.
+   compacting per-connection buffer and hand every frame span to
+   {!Session.handle_span}: [Branch_events] spans stream straight into
+   the checker (no event list, no per-event allocation), rare control
+   frames go through the generic decoder.  Writes never block: replies
+   go through a bounded per-connection queue flushed opportunistically
+   and on writability, with a global in-flight byte cap on top — when
+   either bound would be exceeded the client gets one typed
+   [Overloaded] error frame and the connection drains and closes.
+   Backpressure, never unbounded buffering.  Admission is bounded too:
+   [Unix.select] cannot watch an fd >= FD_SETSIZE, so past
+   {!max_connections} live connections a new socket gets one
+   [Overloaded] frame and is closed.
 
    Loaded systems live in an {!Ipds_fleet.Shard_cache}: N independently
    locked LRU shards keyed by artifact key, so concurrent loads only
-   contend when they actually race the same shard.
-
-   The observable protocol behaviour (replies, typed errors, stable
-   serve.* metrics) is identical to {!Server_threaded}, the preserved
-   PR-5 implementation — serve_smoke drives both paths and the
-   byte-identity phases hold across either. *)
+   contend when they actually race the same shard. *)
 
 module Store = Ipds_artifact.Store
 module Shard_cache = Ipds_fleet.Shard_cache
@@ -29,6 +27,11 @@ module Reg = Ipds_obs.Registry
 
 (* Overload shedding depends on timing, so the counter is unstable. *)
 let m_overloaded = Reg.counter ~stable:false "serve.overloaded"
+
+(* Live connections across all reactors, kept below FD_SETSIZE (1024):
+   the rest of the table holds stdio, the listener, the self-pipes
+   (two per reactor) and transient store and peer fds. *)
+let max_connections = 960
 
 (* Fleet artifact sharing: where this server may fetch verified
    artifacts from on a local-store miss, instead of answering
@@ -104,6 +107,7 @@ type t = {
   mutable reactor_domains : unit Domain.t array;
   mutable accept_domain : unit Domain.t option;
   inflight : int Atomic.t;  (** queued reply bytes across all connections *)
+  live : int Atomic.t;  (** admitted connections not yet killed *)
   rr : int Atomic.t;
 }
 
@@ -113,15 +117,6 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
    shared pre-encoded frame; queued chunks are write-only, so sharing
    the bytes across connections is safe. *)
 let empty_verdicts = lazy (Protocol.encode_frame (Protocol.Verdicts []))
-
-let cache_fetch t key load =
-  match
-    Shard_cache.fetch t.cache key (fun () ->
-        match load () with `Ok sys -> Ok sys | `Err e -> Error e)
-  with
-  | `Hit sys -> `Hit sys
-  | `Loaded sys -> `Loaded sys
-  | `Err e -> `Err e
 
 (* {2 Connection output} *)
 
@@ -135,7 +130,8 @@ let kill t conn =
     release t conn conn.out_bytes;
     Queue.clear conn.outq;
     Session.close conn.session;
-    close_quiet conn.fd
+    close_quiet conn.fd;
+    Atomic.decr t.live
   end
 
 let enqueue_raw t conn b =
@@ -234,23 +230,11 @@ let rec drain_frames t conn =
            [Scan_need], after the handler returns. *)
         conn.in_start <- next;
         conn.in_len <- conn.in_len - consumed;
-        let send = send t conn in
-        let verdict =
-          if tag = Protocol.branch_events_tag then
-            Session.handle_events_span conn.session ~send
-              ~max_frame:t.config.max_frame conn.inbuf ~pos:payload_pos
-              ~len:payload_len
-          else
-            match
-              Protocol.decode_span ~max_frame:t.config.max_frame tag conn.inbuf
-                ~pos:payload_pos ~len:payload_len
-            with
-            | Ok f -> Session.handle conn.session ~send f
-            | Error e ->
-                Session.send_error ~send e.Protocol.code e.Protocol.detail;
-                `Close
-        in
-        (match verdict with
+        (match
+           Session.handle_span conn.session ~send:(send t conn)
+             ~max_frame:t.config.max_frame tag conn.inbuf ~pos:payload_pos
+             ~len:payload_len
+         with
         | `Continue -> ()
         | `Close -> conn.closing <- true);
         if conn.in_len = 0 then conn.in_start <- 0;
@@ -312,7 +296,7 @@ let adopt t r =
           fd;
           session =
             Session.create ?peer_fetch:t.peer_fetch ~store:t.store
-              ~fetch:(cache_fetch t) ();
+              ~cache:t.cache ();
           inbuf = Bytes.create 65536;
           in_start = 0;
           in_len = 0;
@@ -410,13 +394,40 @@ let wake r =
       () (* a wake is already pending *)
   | exception Unix.Unix_error _ -> ()
 
+let overloaded_frame =
+  lazy
+    (Protocol.encode_frame
+       (Protocol.Error
+          {
+            Protocol.code = Protocol.Overloaded;
+            detail = "connection limit reached; closing";
+          }))
+
+(* Past the admission cap the socket never reaches a reactor: one
+   best-effort [Overloaded] frame (it fits an empty socket buffer), then
+   close. *)
+let refuse cfd =
+  Reg.incr m_overloaded;
+  (try
+     Unix.set_nonblock cfd;
+     let b = Lazy.force overloaded_frame in
+     ignore (Unix.single_write cfd b 0 (Bytes.length b))
+   with Unix.Unix_error _ -> ());
+  close_quiet cfd
+
 let dispatch t cfd =
-  let i = Atomic.fetch_and_add t.rr 1 mod Array.length t.reactors in
-  let r = t.reactors.(i) in
-  Mutex.lock r.inbox_mutex;
-  Queue.add cfd r.inbox;
-  Mutex.unlock r.inbox_mutex;
-  wake r
+  if Atomic.fetch_and_add t.live 1 >= max_connections then begin
+    Atomic.decr t.live;
+    refuse cfd
+  end
+  else begin
+    let i = Atomic.fetch_and_add t.rr 1 mod Array.length t.reactors in
+    let r = t.reactors.(i) in
+    Mutex.lock r.inbox_mutex;
+    Queue.add cfd r.inbox;
+    Mutex.unlock r.inbox_mutex;
+    wake r
+  end
 
 let accept_loop t =
   while not (Atomic.get t.stop_flag) do
@@ -539,6 +550,7 @@ let start ?(config = default_config) (addr : address) =
       reactor_domains = [||];
       accept_domain = None;
       inflight = Atomic.make 0;
+      live = Atomic.make 0;
       rr = Atomic.make 0;
     }
   in

@@ -11,8 +11,9 @@
     bounded per-connection queue under a global in-flight byte cap, and
     a client that outruns either bound gets one typed [Overloaded]
     error frame and a drained close — backpressure, never unbounded
-    buffering.  Loaded systems live in an {!Ipds_fleet.Shard_cache} of
-    independently locked LRU shards.
+    buffering.  Past {!max_connections} live connections a new socket
+    gets one [Overloaded] frame and is closed.  Loaded systems live in
+    an {!Ipds_fleet.Shard_cache} of independently locked LRU shards.
 
     Robustness is the contract: malformed, oversized, truncated,
     version-skewed or out-of-sequence frames produce one typed
@@ -23,11 +24,7 @@
     [serve.protocol_errors], [serve.state_errors]) sum per-session
     deterministic work, so their totals are independent of [jobs] and
     scheduling; timeout/cache/overload counters and the batch-latency
-    histogram are registered unstable.
-
-    The thread-per-session predecessor is preserved as
-    {!Server_threaded} (bench baseline); observable protocol behaviour
-    is identical. *)
+    histogram are registered unstable. *)
 
 type peer_sharing = {
   peer_topology : Ipds_fleet.Topology.t;
@@ -59,6 +56,13 @@ val default_config : config
 (** 1 reactor, 4 MiB frames, 30 s timeout, 8 cache slots over 4 shards,
     ambient store, 8 MiB per-connection reply bound, 64 MiB global, no
     peer sharing. *)
+
+val max_connections : int
+(** The admission cap: live connections across all reactors.  It stays
+    below FD_SETSIZE, the largest fd [Unix.select] can watch, with room
+    for the listener, the self-pipes and store fds.  Each refused
+    socket reads one [Overloaded] error frame, then EOF, and counts in
+    [serve.overloaded]. *)
 
 type address = [ `Unix of string | `Tcp of int ]
 (** [`Tcp port] binds the loopback interface; port 0 picks a free one

@@ -1,8 +1,8 @@
-(* Per-connection protocol logic, shared by both server implementations
-   (the {!Server} event-loop reactor and the {!Server_threaded} PR-5
-   baseline): the frame state machine, the serve.* metrics, the typed
-   error classification, and the zero-materialization fast path for
-   [Branch_events] spans.
+(* Per-connection protocol logic of the verdict {!Server}: the frame
+   state machine, the serve.* metrics, the typed error classification,
+   and the one feed loop that replays a [Branch_events] batch — decoded
+   as a list or streamed straight from its wire span — through the
+   checker.
 
    Stable counters are sums of per-session deterministic work, so their
    totals are independent of scheduling and job count — the concurrency
@@ -14,6 +14,7 @@ module Event = Ipds_machine.Event
 module System = Ipds_core.System
 module Checker = Ipds_core.Checker
 module Store = Ipds_artifact.Store
+module Shard_cache = Ipds_fleet.Shard_cache
 module Reg = Ipds_obs.Registry
 
 let m_sessions = Reg.counter "serve.sessions"
@@ -36,29 +37,18 @@ let now_micros () = int_of_float (Unix.gettimeofday () *. 1e6)
 
 exception State_violation of string
 
-(* Both servers cache loaded systems behind this shape; the reactor
-   plugs in the sharded {!Ipds_fleet.Shard_cache}, the threaded baseline
-   its original single-lock LRU. *)
-type fetch =
-  string ->
-  (unit -> [ `Ok of System.t | `Err of Protocol.error_code * string ]) ->
-  [ `Hit of System.t
-  | `Loaded of System.t
-  | `Err of Protocol.error_code * string ]
-
 type t = {
   store : Store.t option;
-  fetch : fetch;
+  cache : System.t Shard_cache.t;
   peer_fetch : (string -> (string, Protocol.err) result) option;
   mutable system : System.t option;
   mutable checker : Checker.t option;
   mutable tr_events : int;
   mutable tr_branches : int;
   mutable tr_alarms : int;
-  (* Staging for the fast path: a whole [Branch_events] span is decoded
-     into these flat arrays before any of it touches the checker, so a
-     payload that turns out malformed mid-batch mutates nothing — the
-     same all-or-nothing acceptance as the list decoder. *)
+  (* Staging for the feed loop: a whole [Branch_events] batch lands in
+     these flat arrays before any of it touches the checker, so a span
+     that turns out malformed mid-batch mutates nothing. *)
   mutable st_op : int array;  (* 0 call / 1 ret / 2 branch-taken / 3 branch-not *)
   mutable st_arg : int array;  (* branch pc, or index into [st_callee] *)
   mutable st_callee : string array;
@@ -66,11 +56,11 @@ type t = {
   mutable st_ncallees : int;
 }
 
-let create ?peer_fetch ~store ~fetch () =
+let create ?peer_fetch ~store ~cache () =
   Reg.incr m_sessions;
   {
     store;
-    fetch;
+    cache;
     peer_fetch;
     system = None;
     checker = None;
@@ -84,9 +74,9 @@ let create ?peer_fetch ~store ~fetch () =
     st_ncallees = 0;
   }
 
-(* The cache key of an inline image: servers, routing clients and the
-   legacy router must all derive it identically.  SHA-256 so the key is
-   a collision-resistant content address, like store keys. *)
+(* The cache key of an inline image: the server and routing clients
+   must derive it identically.  SHA-256 so the key is a
+   collision-resistant content address, like store keys. *)
 let image_key image = "img:" ^ Ipds_artifact.Sha256.hex_string image
 
 (* Full verification of untrusted container bytes (a pushed artifact or
@@ -122,27 +112,126 @@ let close t =
       t.checker <- None
   | None -> ()
 
-let feed_guarded sys ck t (e : Event.t) =
-  (match e.Event.kind with
-  | Event.Ret when Checker.depth ck = 0 ->
-      raise (State_violation "Ret with an empty checker stack")
-  | Event.Branch _ when Checker.depth ck = 0 ->
-      raise (State_violation "Branch with an empty checker stack")
-  | _ -> ());
-  (match e.Event.kind with
-  | Event.Branch _ -> t.tr_branches <- t.tr_branches + 1
-  | _ -> ());
-  Ipds_machine.Replay.feed ck ~defined:(System.mem sys) e
+(* Resolve [key] through the shared cache, running [load] on a miss. *)
+let load_system t ~send ~name key load =
+  let loaded ~cached sys =
+    t.system <- Some sys;
+    send (Protocol.Loaded { name; cached });
+    `Continue
+  in
+  match Shard_cache.fetch t.cache key load with
+  | `Hit sys -> loaded ~cached:true sys
+  | `Loaded sys -> loaded ~cached:false sys
+  | `Err (code, detail) ->
+      send_error ~send code detail;
+      `Close
 
-let loaded t ~send ~name sys = function
-  | `Hit ->
-      t.system <- Some sys;
-      send (Protocol.Loaded { name; cached = true });
+(* {2 The feed loop}
+
+   Both forms of a [Branch_events] batch — the decoded event list and
+   the CRC-validated wire span — are first staged into flat arrays
+   (the span through {!Protocol.iter_branch_events}, which validates
+   the whole payload first), then replay through one loop with one set
+   of guards, counters and verdict collection.  The span form never
+   builds the event list. *)
+
+let stage_grow t =
+  let cap = Array.length t.st_op in
+  if t.st_n = cap then begin
+    let op = Array.make (2 * cap) 0 and arg = Array.make (2 * cap) 0 in
+    Array.blit t.st_op 0 op 0 cap;
+    Array.blit t.st_arg 0 arg 0 cap;
+    t.st_op <- op;
+    t.st_arg <- arg
+  end
+
+let stage_push t op arg =
+  stage_grow t;
+  t.st_op.(t.st_n) <- op;
+  t.st_arg.(t.st_n) <- arg;
+  t.st_n <- t.st_n + 1
+
+let stage_callee t callee =
+  let cap = Array.length t.st_callee in
+  if t.st_ncallees = cap then begin
+    let cs = Array.make (2 * cap) "" in
+    Array.blit t.st_callee 0 cs 0 cap;
+    t.st_callee <- cs
+  end;
+  t.st_callee.(t.st_ncallees) <- callee;
+  stage_push t 0 t.st_ncallees;
+  t.st_ncallees <- t.st_ncallees + 1
+
+let stage_events t evs =
+  List.fold_left
+    (fun n (e : Event.t) ->
+      (match e.Event.kind with
+      | Event.Call { callee } -> stage_callee t callee
+      | Event.Ret -> stage_push t 1 0
+      | Event.Branch { taken; _ } ->
+          stage_push t (if taken then 2 else 3) e.Event.pc
+      | _ -> ());
+      n + 1)
+    0 evs
+
+let feed_staged t ~send sys ck n =
+  let t0 = now_micros () in
+  (* O(1) against the checker's running count — a long trace's batch
+     loop never rescans its alarm history, so framing cost amortizes
+     over arbitrarily large batches *)
+  let alarms_before = Checker.alarm_count ck in
+  let branches_before = t.tr_branches in
+  let feed () =
+    for i = 0 to t.st_n - 1 do
+      match t.st_op.(i) with
+      | 0 ->
+          let callee = t.st_callee.(t.st_arg.(i)) in
+          (* extern calls have no tables and no frame *)
+          if System.mem sys callee then ignore (Checker.on_call ck callee)
+      | 1 ->
+          if Checker.depth ck = 0 then
+            raise (State_violation "Ret with an empty checker stack");
+          ignore (Checker.on_return ck)
+      | _ ->
+          if Checker.depth ck = 0 then
+            raise (State_violation "Branch with an empty checker stack");
+          t.tr_branches <- t.tr_branches + 1;
+          ignore (Checker.on_branch ck ~pc:t.st_arg.(i) ~taken:(t.st_op.(i) = 2))
+    done
+  in
+  match feed () with
+  | () ->
+      t.tr_events <- t.tr_events + n;
+      Reg.add m_events n;
+      Reg.add m_branches (t.tr_branches - branches_before);
+      let fresh = Checker.alarms_since ck alarms_before in
+      let n_fresh = List.length fresh in
+      t.tr_alarms <- t.tr_alarms + n_fresh;
+      Reg.add m_alarms n_fresh;
+      Reg.observe m_batch_micros (now_micros () - t0);
+      send (Protocol.Verdicts fresh);
       `Continue
-  | `Loaded ->
-      t.system <- Some sys;
-      send (Protocol.Loaded { name; cached = false });
-      `Continue
+  | exception State_violation m ->
+      send_error ~send Protocol.Bad_state m;
+      `Close
+
+(* [stage] fills the staging arrays and returns the batch's event count
+   (all kinds), or a [Malformed] detail. *)
+let feed_batch t ~send stage =
+  match (t.system, t.checker) with
+  | Some sys, Some ck -> (
+      t.st_n <- 0;
+      t.st_ncallees <- 0;
+      match stage () with
+      | Ok n -> feed_staged t ~send sys ck n
+      | Error m ->
+          send_error ~send Protocol.Malformed m;
+          `Close)
+  | _ ->
+      send_error ~send Protocol.Bad_state "Branch_events outside an active trace";
+      `Close
+
+(* {2 The frame state machine} *)
 
 let handle t ~send (f : Protocol.frame) =
   let send_err = send_error ~send in
@@ -154,7 +243,7 @@ let handle t ~send (f : Protocol.frame) =
           `Close
       | Some store -> (
           let miss () =
-            `Err
+            Error
               (Protocol.Unknown_artifact, "no loadable artifact for key " ^ key)
           in
           (* local store first; a cold shard then warms itself from a
@@ -163,7 +252,7 @@ let handle t ~send (f : Protocol.frame) =
              the next miss is a plain store hit *)
           let load () =
             match Store.load_system store key with
-            | Some sys -> `Ok sys
+            | Some sys -> Ok sys
             | None -> (
                 match t.peer_fetch with
                 | None -> miss ()
@@ -175,34 +264,23 @@ let handle t ~send (f : Protocol.frame) =
                         match verify_image bytes with
                         | Error m ->
                             Reg.incr m_artifact_verify_rejects;
-                            `Err
+                            Error
                               ( Protocol.Corrupt_artifact,
                                 "peer artifact failed verification: " ^ m )
                         | Ok sys ->
                             Reg.incr m_artifact_peer_loads;
                             ignore (Store.publish_image store key bytes);
-                            `Ok sys)))
+                            Ok sys)))
           in
-          match t.fetch key load with
-          | `Hit sys -> loaded t ~send ~name:key sys `Hit
-          | `Loaded sys -> loaded t ~send ~name:key sys `Loaded
-          | `Err (code, detail) ->
-              send_err code detail;
-              `Close))
-  | Protocol.Load_image { name; image } -> (
-      let key = image_key image in
+          load_system t ~send ~name:key key load))
+  | Protocol.Load_image { name; image } ->
       let load () =
         match Ipds_artifact.Artifact.of_bytes (Bytes.of_string image) with
-        | sys -> `Ok sys
+        | sys -> Ok sys
         | exception Ipds_artifact.Artifact.Corrupt m ->
-            `Err (Protocol.Corrupt_artifact, m)
+            Error (Protocol.Corrupt_artifact, m)
       in
-      match t.fetch key load with
-      | `Hit sys -> loaded t ~send ~name sys `Hit
-      | `Loaded sys -> loaded t ~send ~name sys `Loaded
-      | `Err (code, detail) ->
-          send_err code detail;
-          `Close)
+      load_system t ~send ~name (image_key image) load
   | Protocol.Begin_trace -> (
       match (t.system, t.checker) with
       | None, _ ->
@@ -219,34 +297,8 @@ let handle t ~send (f : Protocol.frame) =
           Reg.incr m_traces;
           send Protocol.Trace_started;
           `Continue)
-  | Protocol.Branch_events evs -> (
-      match (t.system, t.checker) with
-      | Some sys, Some ck -> (
-          let t0 = now_micros () in
-          (* O(1) against the checker's running count — a long trace's
-             batch loop never rescans its alarm history, so framing cost
-             amortizes over arbitrarily large batches *)
-          let alarms_before = Checker.alarm_count ck in
-          let branches_before = t.tr_branches in
-          match List.iter (feed_guarded sys ck t) evs with
-          | () ->
-              let n = List.length evs in
-              t.tr_events <- t.tr_events + n;
-              Reg.add m_events n;
-              Reg.add m_branches (t.tr_branches - branches_before);
-              let fresh = Checker.alarms_since ck alarms_before in
-              let n_fresh = List.length fresh in
-              t.tr_alarms <- t.tr_alarms + n_fresh;
-              Reg.add m_alarms n_fresh;
-              Reg.observe m_batch_micros (now_micros () - t0);
-              send (Protocol.Verdicts fresh);
-              `Continue
-          | exception State_violation m ->
-              send_err Protocol.Bad_state m;
-              `Close)
-      | _ ->
-          send_err Protocol.Bad_state "Branch_events outside an active trace";
-          `Close)
+  | Protocol.Branch_events evs ->
+      feed_batch t ~send (fun () -> Ok (stage_events t evs))
   | Protocol.End_trace -> (
       match t.checker with
       | None ->
@@ -326,103 +378,28 @@ let handle t ~send (f : Protocol.frame) =
       send_err Protocol.Bad_state "server-to-client frame from a client";
       `Close
 
-(* {2 Fast path}
-
-   Feed a CRC-validated [Branch_events] payload span without building
-   the event list: {!Protocol.iter_branch_events} stages the
-   checker-relevant events into flat arrays (validating the whole
-   payload first), then the staged events replay through the same
-   guards, counters and verdict collection as {!handle}'s
-   [Branch_events] arm — observable behaviour (replies, typed errors,
-   stable metrics, alarms) is identical, which serve_smoke's
-   byte-identity phases pin down. *)
-
-let stage_grow t =
-  let cap = Array.length t.st_op in
-  if t.st_n = cap then begin
-    let op = Array.make (2 * cap) 0 and arg = Array.make (2 * cap) 0 in
-    Array.blit t.st_op 0 op 0 cap;
-    Array.blit t.st_arg 0 arg 0 cap;
-    t.st_op <- op;
-    t.st_arg <- arg
-  end
-
-let stage_push t op arg =
-  stage_grow t;
-  t.st_op.(t.st_n) <- op;
-  t.st_arg.(t.st_n) <- arg;
-  t.st_n <- t.st_n + 1
-
-let stage_callee t callee =
-  let cap = Array.length t.st_callee in
-  if t.st_ncallees = cap then begin
-    let cs = Array.make (2 * cap) "" in
-    Array.blit t.st_callee 0 cs 0 cap;
-    t.st_callee <- cs
-  end;
-  t.st_callee.(t.st_ncallees) <- callee;
-  stage_push t 0 t.st_ncallees;
-  t.st_ncallees <- t.st_ncallees + 1
-
 let handle_events_span t ~send ~max_frame buf ~pos ~len =
-  match (t.system, t.checker) with
-  | Some sys, Some ck -> (
-      t.st_n <- 0;
-      t.st_ncallees <- 0;
-      let decoded =
-        match
-          Protocol.iter_branch_events ~limit:max_frame buf ~pos ~len
-            ~on_call:(fun callee -> stage_callee t callee)
-            ~on_ret:(fun () -> stage_push t 1 0)
-            ~on_branch:(fun ~pc ~taken -> stage_push t (if taken then 2 else 3) pc)
-            ~on_other:(fun () -> ())
-        with
-        | n -> Ok n
-        | exception Protocol.Malformed_payload m -> Error m
-        | exception Protocol.Fast.Short -> Error "payload ends prematurely"
-      in
-      match decoded with
-      | Error m ->
-          send_error ~send Protocol.Malformed m;
-          `Close
-      | Ok n -> (
-          let t0 = now_micros () in
-          let alarms_before = Checker.alarm_count ck in
-          let branches_before = t.tr_branches in
-          let feed () =
-            for i = 0 to t.st_n - 1 do
-              match t.st_op.(i) with
-              | 0 ->
-                  let callee = t.st_callee.(t.st_arg.(i)) in
-                  if System.mem sys callee then ignore (Checker.on_call ck callee)
-              | 1 ->
-                  if Checker.depth ck = 0 then
-                    raise (State_violation "Ret with an empty checker stack");
-                  ignore (Checker.on_return ck)
-              | _ ->
-                  if Checker.depth ck = 0 then
-                    raise (State_violation "Branch with an empty checker stack");
-                  t.tr_branches <- t.tr_branches + 1;
-                  ignore
-                    (Checker.on_branch ck ~pc:t.st_arg.(i)
-                       ~taken:(t.st_op.(i) = 2))
-            done
-          in
-          match feed () with
-          | () ->
-              t.tr_events <- t.tr_events + n;
-              Reg.add m_events n;
-              Reg.add m_branches (t.tr_branches - branches_before);
-              let fresh = Checker.alarms_since ck alarms_before in
-              let n_fresh = List.length fresh in
-              t.tr_alarms <- t.tr_alarms + n_fresh;
-              Reg.add m_alarms n_fresh;
-              Reg.observe m_batch_micros (now_micros () - t0);
-              send (Protocol.Verdicts fresh);
-              `Continue
-          | exception State_violation m ->
-              send_error ~send Protocol.Bad_state m;
-              `Close))
-  | _ ->
-      send_error ~send Protocol.Bad_state "Branch_events outside an active trace";
-      `Close
+  feed_batch t ~send (fun () ->
+      match
+        Protocol.iter_branch_events ~limit:max_frame buf ~pos ~len
+          ~on_call:(fun callee -> stage_callee t callee)
+          ~on_ret:(fun () -> stage_push t 1 0)
+          ~on_branch:(fun ~pc ~taken -> stage_push t (if taken then 2 else 3) pc)
+          ~on_other:(fun () -> ())
+      with
+      | n -> Ok n
+      | exception Protocol.Malformed_payload m -> Error m
+      | exception Protocol.Fast.Short -> Error "payload ends prematurely")
+
+(* One entry point per CRC-validated frame span: [Branch_events] streams
+   into the feed loop, every other tag goes through the generic
+   decoder. *)
+let handle_span t ~send ~max_frame tag buf ~pos ~len =
+  if tag = Protocol.branch_events_tag then
+    handle_events_span t ~send ~max_frame buf ~pos ~len
+  else
+    match Protocol.decode_span ~max_frame tag buf ~pos ~len with
+    | Ok f -> handle t ~send f
+    | Error e ->
+        send_error ~send e.Protocol.code e.Protocol.detail;
+        `Close

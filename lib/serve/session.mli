@@ -1,16 +1,14 @@
-(** Per-connection protocol logic shared by the event-loop {!Server}
-    and the thread-per-session {!Server_threaded}: the frame state
-    machine, the [serve.*] metrics, typed-error classification, and the
-    zero-materialization fast path for [Branch_events] spans.  Keeping
-    one implementation of the session semantics is what makes the two
-    servers' observable behaviour (replies, typed errors, stable
-    metrics, alarms) provably the same thing. *)
+(** Per-connection protocol logic of the verdict {!Server}: the frame
+    state machine, the [serve.*] metrics, typed-error classification,
+    and the one feed loop behind both [Branch_events] entry points —
+    {!handle} on a decoded event list and {!handle_events_span} on a
+    wire span, which never builds the list. *)
 
 module Reg = Ipds_obs.Registry
 
 (** Stable counters (per-session deterministic work; byte-identical
-    across jobs/scheduling) — servers bump the frame counters
-    themselves since framing is transport-side. *)
+    across jobs/scheduling) — the server bumps the frame counters
+    itself since framing is transport-side. *)
 
 val m_sessions : Reg.counter
 val m_frames_in : Reg.counter
@@ -39,29 +37,16 @@ val m_artifact_peer_loads : Reg.counter
 val m_timeouts : Reg.counter
 (** Unstable (timing-dependent). *)
 
-exception State_violation of string
-(** A Ret/Branch event against an empty checker stack; the servers turn
-    it into a typed [Bad_state] error. *)
-
-type fetch =
-  string ->
-  (unit ->
-  [ `Ok of Ipds_core.System.t | `Err of Protocol.error_code * string ]) ->
-  [ `Hit of Ipds_core.System.t
-  | `Loaded of Ipds_core.System.t
-  | `Err of Protocol.error_code * string ]
-(** The system-cache shape both servers plug in: the reactor an
-    {!Ipds_fleet.Shard_cache}, the baseline its single-lock LRU. *)
-
 type t
 
 val create :
   ?peer_fetch:(string -> (string, Protocol.err) result) ->
   store:Ipds_artifact.Store.t option ->
-  fetch:fetch ->
+  cache:Ipds_core.System.t Ipds_fleet.Shard_cache.t ->
   unit ->
   t
-(** Counts [serve.sessions].  [peer_fetch] is the fleet hook consulted
+(** Counts [serve.sessions].  [cache] holds loaded systems, shared by
+    every session of a server.  [peer_fetch] is the fleet hook consulted
     on a [Load_key] local-store miss: it returns the raw container
     bytes of the key from a warm peer, which the session verifies
     ({!Ipds_artifact.Artifact.of_bytes} + {!Ipds_core.Image.validate})
@@ -70,15 +55,16 @@ val create :
 
 val image_key : string -> string
 (** The cache key of an inline [.ipds] image ("img:" ^ SHA-256 hex) —
-    servers, routing clients and the legacy router must derive it
-    identically, so it lives here. *)
+    the server and routing clients must derive it identically, so it
+    lives here. *)
 
 val send_error : send:(Protocol.frame -> unit) -> Protocol.error_code -> string -> unit
 (** Classify into the error counters and emit one [Error] frame. *)
 
 val handle :
   t -> send:(Protocol.frame -> unit) -> Protocol.frame -> [ `Close | `Continue ]
-(** The frame state machine (generic, list-decoded path). *)
+(** The frame state machine on a decoded frame.  A [Ret]/[Branch] event
+    against an empty checker stack is a typed [Bad_state] error. *)
 
 val handle_events_span :
   t ->
@@ -90,8 +76,23 @@ val handle_events_span :
   [ `Close | `Continue ]
 (** [handle] for a CRC-validated [Branch_events] payload span, fed
     through {!Protocol.iter_branch_events} with all-or-nothing staging:
-    a malformed payload mutates nothing.  Observable behaviour is
-    identical to [handle (Branch_events _)]. *)
+    a malformed payload mutates nothing.  Same feed loop, so the same
+    replies, summaries and counters as [handle (Branch_events _)]. *)
+
+val handle_span :
+  t ->
+  send:(Protocol.frame -> unit) ->
+  max_frame:int ->
+  int ->
+  Bytes.t ->
+  pos:int ->
+  len:int ->
+  [ `Close | `Continue ]
+(** [handle_span t ~send ~max_frame tag buf ~pos ~len]: one
+    CRC-validated frame span (from {!Protocol.scan_at}).
+    [Branch_events] goes to {!handle_events_span}; every other tag is
+    decoded and handed to {!handle}, a decode failure being one typed
+    error and [`Close]. *)
 
 val close : t -> unit
 (** Flush checker counter deltas of an abandoned trace.  Idempotent. *)

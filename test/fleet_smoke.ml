@@ -10,15 +10,13 @@
      (the store is shared, so failover costs a cache miss, not truth);
    - with the whole fleet down, connect_for_key is a typed
      [Unavailable] error, not an exception;
-   - the thin router serves legacy single-address clients byte-
-     identically, keeps routing around the dead shard, and answers a
-     dead fleet with one typed [Unavailable] error frame. *)
+   - a cold shard with its own store warms itself from a peer over the
+     fetch frame, with zero compiles. *)
 
 module P = Ipds_serve.Protocol
 module Server = Ipds_serve.Server
 module Client = Ipds_serve.Client
 module Fleet_client = Ipds_serve.Fleet_client
-module Router = Ipds_serve.Router
 module Topology = Ipds_fleet.Topology
 module Backoff = Ipds_fleet.Backoff
 module W = Ipds_workloads.Workloads
@@ -178,89 +176,58 @@ let () =
   Printf.printf "1 ok: %d workloads over %d shards, all byte-identical\n%!"
     (List.length cases) (Hashtbl.length used);
 
-  section "2: legacy client through the router, byte-identical";
-  let router_sock = temp_path "-router.sock" in
-  Router.with_router ~topology (`Unix router_sock) (fun _router ->
-      List.iter
-        (fun (name, key, run) ->
-          let c = Client.connect (`Unix router_sock) in
-          ignore (ok (Client.load_key c key));
-          assert_equivalent ~what:("router/" ^ name) run (remote_check c run);
-          Client.close c)
-        (List.filteri (fun i _ -> i < 3) cases);
-      Printf.printf "2 ok: routed sessions byte-identical through the proxy\n%!";
-
-      section "3: dead shard -> typed unavailable, re-route, identical verdicts";
-      let name0, key0, run0 = List.hd cases in
-      let owner = Fleet_client.shard_of_key fc key0 in
-      stop_shard owner;
-      (match Fleet_client.connect_for_key fc key0 with
-      | Error e -> fail "failover gave up: %s" e.P.detail
-      | Ok routed ->
-          (match routed.Fleet_client.skipped with
-          | [ (e : P.err) ] ->
-              if e.P.code <> P.Unavailable then
-                fail "skipped shard error is %s, not unavailable"
-                  (P.error_code_to_string e.P.code)
-          | skipped ->
-              fail "expected exactly one skipped shard, got %d"
-                (List.length skipped));
-          if routed.Fleet_client.shard = owner then
-            fail "re-route landed on the dead owner";
-          let c = routed.Fleet_client.client in
-          ignore (ok (Client.load_key c key0));
-          assert_equivalent ~what:(name0 ^ "/failover") run0 (remote_check c run0);
-          Client.close c);
-      (* keys owned by surviving shards are untouched *)
-      List.iter
-        (fun (name, key, run) ->
-          if Fleet_client.shard_of_key fc key <> owner then begin
-            match Fleet_client.connect_for_key fc key with
-            | Error e -> fail "%s: survivor unreachable: %s" name e.P.detail
-            | Ok routed ->
-                if routed.Fleet_client.skipped <> [] then
-                  fail "%s: survivor-owned key paid a failover" name;
-                let c = routed.Fleet_client.client in
-                ignore (ok (Client.load_key c key));
-                assert_equivalent ~what:(name ^ "/survivor") run
-                  (remote_check c run);
-                Client.close c
-          end)
-        (List.filteri (fun i _ -> i < 4) cases);
-      (* the router fails over around the dead shard too *)
-      let c = Client.connect (`Unix router_sock) in
-      ignore (ok (Client.load_key c key0));
-      assert_equivalent ~what:(name0 ^ "/router-failover") run0
-        (remote_check c run0);
-      Client.close c;
-      Printf.printf "3 ok: one skipped typed unavailable, verdicts identical after re-route\n%!";
-
-      section "4: whole fleet down -> typed unavailable, no exceptions";
-      Array.iteri (fun i _ -> stop_shard i) servers;
-      (match Fleet_client.connect_for_key fc key0 with
-      | Ok routed ->
-          Client.close routed.Fleet_client.client;
-          fail "connect_for_key succeeded against a dead fleet"
-      | Error e ->
+  section "2: dead shard -> typed unavailable, re-route, identical verdicts";
+  let name0, key0, run0 = List.hd cases in
+  let owner = Fleet_client.shard_of_key fc key0 in
+  stop_shard owner;
+  (match Fleet_client.connect_for_key fc key0 with
+  | Error e -> fail "failover gave up: %s" e.P.detail
+  | Ok routed ->
+      (match routed.Fleet_client.skipped with
+      | [ (e : P.err) ] ->
           if e.P.code <> P.Unavailable then
-            fail "dead fleet error is %s, not unavailable"
-              (P.error_code_to_string e.P.code));
-      (* a legacy client through the router gets one typed error frame *)
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX router_sock);
-      P.output_frame fd (P.Load_key key0);
-      let reader = P.reader fd in
-      (match P.input_frame reader with
-      | P.In_frame (P.Error e) when e.P.code = P.Unavailable -> ()
-      | P.In_frame _ -> fail "router replied with a non-error frame"
-      | P.In_eof -> fail "router hung up without a typed error"
-      | P.In_error e ->
-          fail "router transport error: %s" (P.error_code_to_string e.P.code));
-      Unix.close fd;
-      Printf.printf "4 ok: dead fleet surfaces as typed unavailable everywhere\n%!");
+            fail "skipped shard error is %s, not unavailable"
+              (P.error_code_to_string e.P.code)
+      | skipped ->
+          fail "expected exactly one skipped shard, got %d"
+            (List.length skipped));
+      if routed.Fleet_client.shard = owner then
+        fail "re-route landed on the dead owner";
+      let c = routed.Fleet_client.client in
+      ignore (ok (Client.load_key c key0));
+      assert_equivalent ~what:(name0 ^ "/failover") run0 (remote_check c run0);
+      Client.close c);
+  (* keys owned by surviving shards are untouched *)
+  List.iter
+    (fun (name, key, run) ->
+      if Fleet_client.shard_of_key fc key <> owner then begin
+        match Fleet_client.connect_for_key fc key with
+        | Error e -> fail "%s: survivor unreachable: %s" name e.P.detail
+        | Ok routed ->
+            if routed.Fleet_client.skipped <> [] then
+              fail "%s: survivor-owned key paid a failover" name;
+            let c = routed.Fleet_client.client in
+            ignore (ok (Client.load_key c key));
+            assert_equivalent ~what:(name ^ "/survivor") run (remote_check c run);
+            Client.close c
+      end)
+    (List.filteri (fun i _ -> i < 4) cases);
+  Printf.printf "2 ok: one skipped typed unavailable, verdicts identical after re-route\n%!";
 
-  section "5: artifact sharing -- cold shard warms itself from a peer";
-  (* Two fresh shards with SEPARATE stores (sections 1-4 share one
+  section "3: whole fleet down -> typed unavailable, no exceptions";
+  Array.iteri (fun i _ -> stop_shard i) servers;
+  (match Fleet_client.connect_for_key fc key0 with
+  | Ok routed ->
+      Client.close routed.Fleet_client.client;
+      fail "connect_for_key succeeded against a dead fleet"
+  | Error e ->
+      if e.P.code <> P.Unavailable then
+        fail "dead fleet error is %s, not unavailable"
+          (P.error_code_to_string e.P.code));
+  Printf.printf "3 ok: dead fleet surfaces as typed unavailable\n%!";
+
+  section "4: artifact sharing -- cold shard warms itself from a peer";
+  (* Two fresh shards with SEPARATE stores (sections 1-3 share one
      directory, which would hide the fetch): warm shard 0 holds the
      artifact, cold shard 1 must obtain it over the fetch frame, verify
      it, publish it into its own store and serve byte-identical
@@ -342,5 +309,5 @@ let () =
   | Ok _ -> fail "fetched bytes differ from the pushed image"
   | Error e -> fail "fetch after push failed: %s" e.P.detail);
   Printf.printf
-    "5 ok: cold shard warmed over the wire, zero compiles, verdicts identical\n%!";
+    "4 ok: cold shard warmed over the wire, zero compiles, verdicts identical\n%!";
   print_endline "fleet smoke OK"

@@ -20,7 +20,11 @@
    E. backpressure: a client that streams events without reading replies
       past the per-connection reply-queue bound (or the global in-flight
       cap) gets exactly one typed Overloaded error as the final frame
-      before EOF, and the server keeps serving other sessions. *)
+      before EOF, and the server keeps serving other sessions;
+   F. admission: against a server in a child process, every connection
+      past Server.max_connections reads exactly one typed Overloaded
+      error, then EOF, and once the held connections close a fresh
+      session still gets byte-identical verdicts. *)
 
 module P = Ipds_serve.Protocol
 module Server = Ipds_serve.Server
@@ -647,10 +651,117 @@ let phase_e () =
      %!"
     v1 v2
 
+(* ---------- phase F: connection admission cap ---------- *)
+
+(* The server runs in a re-exec of this binary (argv [serve-child SOCK])
+   so the test's own client fds never land in the server's fd table:
+   the cap must hold on the server's connection count alone.  The child
+   prints READY once listening and stops when its stdin hits EOF. *)
+let serve_child sock =
+  Server.with_server (`Unix sock) (fun _server ->
+      print_string "READY\n";
+      flush stdout;
+      let buf = Bytes.create 64 in
+      let rec drain () =
+        match Unix.read Unix.stdin buf 0 (Bytes.length buf) with
+        | 0 -> ()
+        | _ -> drain ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+      in
+      drain ());
+  exit 0
+
+let spawn_server_child sock =
+  let stdin_r, stdin_w = Unix.pipe ~cloexec:true () in
+  let stdout_r, stdout_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; "serve-child"; sock |]
+      stdin_r stdout_w Unix.stderr
+  in
+  Unix.close stdin_r;
+  Unix.close stdout_w;
+  let ic = Unix.in_channel_of_descr stdout_r in
+  (match In_channel.input_line ic with
+  | Some "READY" -> ()
+  | _ -> fail "F: server child did not report READY");
+  close_in ic;
+  (pid, stdin_w)
+
+(* A connection the server refused: one Overloaded frame, then EOF. *)
+let expect_refused what fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let reader = P.reader fd in
+  (match P.input_frame reader with
+  | P.In_frame (P.Error e) when e.P.code = P.Overloaded -> ()
+  | P.In_frame _ -> fail "%s: expected an Overloaded error frame" what
+  | P.In_eof -> fail "%s: closed without a typed Overloaded error" what
+  | P.In_error e ->
+      fail "%s: transport error %s instead of Overloaded" what
+        (P.error_code_to_string e.P.code));
+  match P.input_frame reader with
+  | P.In_eof -> ()
+  | _ -> fail "%s: expected EOF after the Overloaded frame" what
+
+(* Held connections close asynchronously on the server side; poll with
+   silent probes until one is admitted (no reply within the window
+   means the server is waiting for its first frame). *)
+let await_admission sock =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec probe () =
+    if Unix.gettimeofday () > deadline then
+      fail "F: no connection admitted 10s after the held ones closed";
+    let fd = raw_connect sock in
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.2;
+    let admitted =
+      match P.input_frame (P.reader fd) with
+      | P.In_error e -> e.P.code = P.Timeout
+      | P.In_frame _ | P.In_eof -> false
+    in
+    Unix.close fd;
+    if not admitted then probe ()
+  in
+  probe ()
+
+let phase_f () =
+  section "F: connections past the admission cap -> one typed Overloaded, then EOF";
+  let w = W.find "telnetd" in
+  let system = W.system w in
+  let image = A.to_bytes system in
+  let run = local_run system (W.program w) ~seed:2006 ~tamper:None in
+  let sock = temp_path "-f.sock" in
+  let pid, stdin_w = spawn_server_child sock in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close stdin_w;
+      ignore (Unix.waitpid [] pid))
+  @@ fun () ->
+  let held = Array.init Server.max_connections (fun _ -> raw_connect sock) in
+  let extra = 8 in
+  for i = 1 to extra do
+    let fd = raw_connect sock in
+    expect_refused (Printf.sprintf "F: extra connection %d" i) fd;
+    Unix.close fd
+  done;
+  Array.iter Unix.close held;
+  await_admission sock;
+  let c = Client.connect (`Unix sock) in
+  ignore (ok (Client.load_image c ~name:w.W.name image));
+  assert_equivalent ~what:"F: fresh session after refusals" run (remote_check c run);
+  Client.close c;
+  Printf.printf
+    "F ok: %d connections held, %d refused with a typed Overloaded, then \
+     verdicts identical\n\
+     %!"
+    Server.max_connections extra
+
 let () =
+  if Array.length Sys.argv = 3 && Sys.argv.(1) = "serve-child" then
+    serve_child Sys.argv.(2);
   phase_a ();
   phase_b ();
   phase_c ();
   phase_d ();
   phase_e ();
+  phase_f ();
   print_endline "serve smoke OK"

@@ -509,6 +509,125 @@ let test_fetch_typed_misses () =
             (Serve.Client.fetch_artifact client key)))
     [ "x"; ""; "../../etc/passwd"; ".hidden" ]
 
+(* ---------- one feed loop behind both Branch_events entry points ---------- *)
+
+(* [Session.handle (Branch_events evs)] and [Session.handle_events_span]
+   on the same batch's wire span must be indistinguishable: the same
+   reply frames (byte for byte, trace summary included) and the same
+   stable counter deltas.  Slices of a recorded benign telnetd run
+   start and stop mid-call, so Ret/Branch on an empty checker stack
+   (the typed Bad_state path) occur as well as clean batches. *)
+
+module Session = Ipds_serve.Session
+module Reg = Ipds_obs.Registry
+
+let telnetd_run =
+  lazy
+    (let w = W.find "telnetd" in
+     let events = ref [] in
+     ignore
+       (Ipds_machine.Interp.run (W.program w)
+          {
+            Ipds_machine.Interp.default_config with
+            max_steps = 20_000;
+            inputs = Ipds_machine.Input_script.random ~seed:2006 ();
+            record_trace = false;
+            sink = Some (fun e -> events := e :: !events);
+          });
+     let image = Bytes.to_string (Ipds_artifact.Artifact.to_bytes (W.system w)) in
+     (* one cache shared by every session, warmed here so each session's
+        Loaded reply is the same cache hit *)
+     let cache = Ipds_fleet.Shard_cache.create ~shards:1 ~slots_per_shard:1 () in
+     let warm = Session.create ~store:None ~cache () in
+     ignore
+       (Session.handle warm ~send:ignore (P.Load_image { name = "telnetd"; image }));
+     (Array.of_list (List.rev !events), image, cache))
+
+let stable_counters =
+  Session.
+    [
+      m_sessions; m_traces; m_events; m_branches; m_alarms; m_protocol_errors;
+      m_state_errors;
+    ]
+
+(* Replies and stable counter deltas of one session that feeds
+   [batches] through [feed], then ends the trace if it is still open. *)
+let feed_session batches feed =
+  let _, image, cache = Lazy.force telnetd_run in
+  let before = List.map Reg.counter_value stable_counters in
+  let replies = ref [] in
+  let send f = replies := Bytes.to_string (P.encode_frame f) :: !replies in
+  let s = Session.create ~store:None ~cache () in
+  ignore (Session.handle s ~send (P.Load_image { name = "telnetd"; image }));
+  ignore (Session.handle s ~send P.Begin_trace);
+  let rec go = function
+    | [] -> ignore (Session.handle s ~send P.End_trace)
+    | b :: rest -> (
+        match feed s ~send b with `Continue -> go rest | `Close -> ())
+  in
+  go batches;
+  Session.close s;
+  ( List.rev !replies,
+    List.map2 ( - ) (List.map Reg.counter_value stable_counters) before )
+
+let feed_list s ~send evs = Session.handle s ~send (P.Branch_events evs)
+
+let feed_span s ~send evs =
+  let buf, pos, len = payload_span evs in
+  Session.handle_events_span s ~send ~max_frame:P.default_max_frame buf ~pos ~len
+
+let same_feed batches = feed_session batches feed_list = feed_session batches feed_span
+
+let rec batches_of sizes evs =
+  match (sizes, evs) with
+  | _, [] -> []
+  | [], evs -> [ evs ]
+  | k :: sizes, evs ->
+      let batch = List.filteri (fun i _ -> i < k) evs in
+      batch :: batches_of sizes (List.filteri (fun i _ -> i >= k) evs)
+
+let prop_one_feed_loop =
+  QCheck2.Test.make ~name:"list and span batches: same replies and counters"
+    ~count:150
+    (let* a = Q.int_range 0 10_000 in
+     let* b = Q.int_range 0 10_000 in
+     let* la = Q.int_range 0 800 in
+     let* lb = Q.int_range 0 400 in
+     let* shape = Q.oneofl [ `Prefix; `Suffix; `Splice ] in
+     let* sizes = Q.list_size (Q.int_range 0 4) (Q.int_range 1 400) in
+     Q.return (a, b, la, lb, shape, sizes))
+    (fun (a, b, la, lb, shape, sizes) ->
+      let events, _, _ = Lazy.force telnetd_run in
+      let n = Array.length events in
+      let slice start len =
+        let start = start mod (n + 1) in
+        Array.to_list (Array.sub events start (min len (n - start)))
+      in
+      let evs =
+        match shape with
+        | `Prefix -> slice 0 la
+        | `Suffix -> slice (max 0 (n - la)) la
+        | `Splice -> slice a la @ slice b lb
+      in
+      same_feed (batches_of sizes evs))
+
+(* Pin that the property's space really contains the error path: a
+   slice opening on the run's first Ret hits the empty-stack guard. *)
+let test_empty_stack_slice () =
+  let events, _, _ = Lazy.force telnetd_run in
+  let rec first_ret i =
+    match events.(i).Ipds_machine.Event.kind with
+    | Ipds_machine.Event.Ret -> i
+    | _ -> first_ret (i + 1)
+  in
+  let i = first_ret 0 in
+  let evs = Array.to_list (Array.sub events i (min 50 (Array.length events - i))) in
+  let replies, _ = feed_session [ evs ] feed_span in
+  (match P.decode_string (List.nth replies (List.length replies - 1)) with
+  | Ok [ P.Error { P.code = P.Bad_state; _ } ] -> ()
+  | _ -> Alcotest.fail "expected a Bad_state reply");
+  check "list arm agrees" true (same_feed [ evs ])
+
 let () =
   Random.self_init ();
   Alcotest.run "serve-protocol"
@@ -531,6 +650,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_fast_path_rejects_identically;
           Alcotest.test_case "shared error vocabulary" `Quick
             test_fast_path_details;
+        ] );
+      ( "feed-loop",
+        [
+          QCheck_alcotest.to_alcotest prop_one_feed_loop;
+          Alcotest.test_case "empty-stack slice is Bad_state" `Quick
+            test_empty_stack_slice;
         ] );
       ( "artifact-sharing",
         [
