@@ -59,26 +59,6 @@ let section title = Printf.printf "\n=== %s ===\n%!" title
 (* ---------- experiment phases; each prints its table and returns the
    same numbers as JSON ---------- *)
 
-let attack_summary_json (s : H.Attack_experiment.summary) =
-  J.Obj
-    [
-      ( "rows",
-        J.List
-          (List.map
-             (fun (r : H.Attack_experiment.row) ->
-               J.Obj
-                 [
-                   ("workload", J.String r.workload);
-                   ("attacks", J.Int r.attacks);
-                   ("cf_changed", J.Int r.cf_changed);
-                   ("detected", J.Int r.detected);
-                 ])
-             s.H.Attack_experiment.rows) );
-      ("avg_cf_changed", J.Float s.H.Attack_experiment.avg_cf_changed);
-      ("avg_detected", J.Float s.H.Attack_experiment.avg_detected);
-      ("detected_given_cf", J.Float s.H.Attack_experiment.detected_given_cf);
-    ]
-
 let fig7 ~attacks ~seed ?pool () =
   section (Printf.sprintf "Figure 7: detection rate (%d attacks/server)" attacks);
   (* three independent campaigns: the first is the reported table, the
@@ -100,7 +80,7 @@ let fig7 ~attacks ~seed ?pool () =
      59.3% of control-flow-changing detected";
   J.Obj
     (List.map2
-       (fun seed s -> (Printf.sprintf "seed_%d" seed, attack_summary_json s))
+       (fun seed s -> (Printf.sprintf "seed_%d" seed, H.Attack_bench.summary_json s))
        seeds summaries)
 
 let fig8 () =
@@ -1433,8 +1413,8 @@ let precision ~attacks ~seed ?pool ~out () =
       [
         ("attacks", J.Int attacks);
         ("seed", J.Int seed);
-        ("off", attack_summary_json off);
-        ("on", attack_summary_json on);
+        ("off", H.Attack_bench.summary_json off);
+        ("on", H.Attack_bench.summary_json on);
         ( "lift",
           J.List
             (List.map
@@ -1586,7 +1566,7 @@ let smoke ~attacks ~seed ~jobs () =
     compiles builds workloads;
   J.Obj
     [
-      ("summary", attack_summary_json parallel);
+      ("summary", H.Attack_bench.summary_json parallel);
       ("compiles", J.Int compiles);
       ("builds", J.Int builds);
     ]

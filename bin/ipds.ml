@@ -6,7 +6,7 @@
      ipds attack   FILE          run a tamper campaign
      ipds perf     FILE          timing model, baseline vs IPDS
      ipds compile  FILE -o F     analyze and save a .ipds object file
-     ipds inspect  FILE          section/CRC report of a .ipds file or image
+     ipds inspect  FILE          section/CRC report of a .ipds file
      ipds serve                  run the streaming verdict server
      ipds fleet --shards N       run N servers sharded by artifact key
      ipds check-remote FILE      verify remote checking against in-process
@@ -468,7 +468,7 @@ let trace_cmd =
        ~doc:"Run the program and log every IPDS verify/update decision.")
     Term.(const run $ cache_term $ obs_term $ file_arg $ seed_arg $ limit_arg)
 
-(* ---------- compile / encode / inspect ---------- *)
+(* ---------- compile / inspect ---------- *)
 
 let compile_cmd =
   let out_arg =
@@ -503,58 +503,26 @@ let compile_cmd =
       const run $ cache_term $ obs_term $ file_arg $ out_arg $ build_jobs_arg
       $ precision_arg)
 
-let encode_cmd =
-  let out_arg =
-    Arg.(value & opt string "tables.img" & info [ "o"; "output" ] ~doc:"Output image file.")
-  in
-  let run () file out =
-    let system = load_system file in
-    let image = Core.Encode.program_image system in
-    let oc = open_out_bin out in
-    output_bytes oc image;
-    close_out oc;
-    Format.printf "wrote %d bytes (%d functions) to %s@." (Bytes.length image)
-      (List.length system.Core.System.funcs)
-      out
-  in
-  Cmd.v
-    (Cmd.info "encode"
-       ~doc:"Serialize the BSV/BCV/BAT tables into the binary image the compiler \
-             would attach to the executable.")
-    Term.(const run $ cache_term $ file_arg $ out_arg)
-
 let inspect_cmd =
   let image_arg =
     Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:".ipds object file or raw table image.")
+      required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:".ipds object file.")
   in
   let run path =
     if A.is_artifact_file path then
       Format.printf "%a@." A.pp_inspection (A.inspect_file path)
     else begin
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let image = Bytes.create n in
-      really_input ic image 0 n;
-      close_in ic;
-      List.iter
-        (fun (name, (entry_pc, tables)) ->
-          let s = Core.Tables.sizes tables in
-          Format.printf "%-16s entry 0x%x  %a  %d branches  BSV %d / BCV %d / BAT %d bits@."
-            name entry_pc Core.Hash.pp tables.Core.Tables.hash
-            tables.Core.Tables.n_branches s.Core.Tables.bsv_bits s.Core.Tables.bcv_bits
-            s.Core.Tables.bat_bits)
-        (Core.Encode.load_program image)
+      Format.eprintf "ipds inspect: %s: %s@." path
+        (if Sys.file_exists path then "not an .ipds object file" else "no such file");
+      exit 1
     end
   in
   Cmd.v
     (Cmd.info "inspect"
        ~doc:
          "Print the section/CRC report of a .ipds object file (flagging any \
-          corruption), or the function information table of a raw encoded \
-          image.")
+          corruption) and every function's entry, branches and BSV/BCV/BAT \
+          bits.")
     Term.(const run $ image_arg)
 
 (* ---------- serve / check-remote ---------- *)
@@ -1107,7 +1075,6 @@ let () =
             perf_cmd;
             trace_cmd;
             compile_cmd;
-            encode_cmd;
             inspect_cmd;
             serve_cmd;
             check_remote_cmd;

@@ -1,9 +1,10 @@
 (* The full deployment story, end to end (paper Figure 6):
 
    1. "compiler side": compile MiniC, run the correlation analysis, and
-      serialize BSV/BCV/BAT + the function information table into the
-      image the compiler attaches to the binary;
-   2. "loader": map the image back in;
+      serialize the code, BSV/BCV/BAT and the function information table
+      into the .ipds image the compiler attaches to the binary;
+   2. "loader": map the image back in (checksums and table structure
+      are verified on the way);
    3. "hardware": run with the checker built from the loaded image, with
       the trap-on-alarm behaviour of the real processor — execution stops
       at the infeasible branch, before the compromised path does damage.
@@ -44,23 +45,20 @@ let () =
   (* 1. compiler side *)
   let program = Ipds_minic.Minic.compile source in
   let system = Core.System.build program in
-  let image = Core.Encode.program_image system in
+  let image = Ipds_artifact.Artifact.to_bytes system in
   Printf.printf "compiler: analyzed %d functions, table image is %d bytes\n"
     (List.length system.Core.System.funcs)
     (Bytes.length image);
 
   (* 2. loader: only the image crosses the boundary *)
-  let loaded = Core.Encode.load_program image in
+  let loaded = Ipds_artifact.Artifact.of_bytes image in
   List.iter
-    (fun (name, (entry_pc, tables)) ->
-      let s = Core.Tables.sizes tables in
+    (fun (name, (info : Core.System.func_info)) ->
+      let s = Core.Tables.sizes info.Core.System.tables in
       Printf.printf "loader:   %s at 0x%x — BSV %d / BCV %d / BAT %d bits\n" name
-        entry_pc s.Core.Tables.bsv_bits s.Core.Tables.bcv_bits s.Core.Tables.bat_bits)
-    loaded;
-  let images =
-    List.map (fun (name, (_, t)) -> (name, Core.Image.of_tables t)) loaded
-  in
-  let lookup name = List.assoc name images in
+        info.Core.System.entry_pc s.Core.Tables.bsv_bits s.Core.Tables.bcv_bits
+        s.Core.Tables.bat_bits)
+    loaded.Core.System.funcs;
 
   (* 3. hardware: benign run, then a tamper with trap-on-alarm *)
   let run ?tamper () =
@@ -68,7 +66,7 @@ let () =
       {
         M.Interp.default_config with
         inputs = M.Input_script.of_lists [ (0, [ 2; 9; 9; 9; 9; 9; 9; 9 ]) ];
-        checker = Some (Core.Checker.create ~lookup);
+        checker = Some (Core.System.new_checker loaded);
         trap_on_alarm = true;
         tamper;
       }

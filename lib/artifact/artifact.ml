@@ -12,11 +12,16 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Object_file.Corrupt s)) fmt
 
 let push_str w s =
   W.push w ~width:16 (String.length s);
-  String.iter (fun c -> W.push w ~width:8 (Char.code c)) s
+  W.push_string w s
 
-let pull_str r =
-  let n = R.pull r ~width:16 in
-  String.init n (fun _ -> Char.chr (R.pull r ~width:8))
+let pull_str r = R.pull_string r (R.pull r ~width:16)
+
+(* Decode one section, turning a short or malformed read into
+   [Corrupt "<what> section: ..."]. *)
+let in_section what decode =
+  try decode () with
+  | Invalid_argument m -> corrupt "%s section: %s" what m
+  | Core.Bitstream.Past_end -> corrupt "%s section: past end of stream" what
 
 (* ---------- layout section ---------- *)
 
@@ -32,16 +37,15 @@ let encode_layout entries =
   W.contents w
 
 let decode_layout bytes =
-  try
-    let r = R.of_bytes bytes in
-    let n = R.pull r ~width:32 in
-    if n > 100_000 then corrupt "layout: implausible entry count %d" n;
-    List.init n (fun _ ->
-        let name = pull_str r in
-        let base = R.pull r ~width:32 in
-        let count = R.pull r ~width:32 in
-        (name, base, count))
-  with Invalid_argument m -> corrupt "layout section: %s" m
+  in_section "layout" (fun () ->
+      let r = R.of_bytes bytes in
+      let n = R.pull r ~width:32 in
+      if n > 100_000 then corrupt "layout: implausible entry count %d" n;
+      List.init n (fun _ ->
+          let name = pull_str r in
+          let base = R.pull r ~width:32 in
+          let count = R.pull r ~width:32 in
+          (name, base, count)))
 
 (* ---------- index section ---------- *)
 
@@ -78,11 +82,10 @@ let encode_index funcs =
   W.contents w
 
 let decode_index bytes =
-  try
-    let r = R.of_bytes bytes in
-    let n = R.pull r ~width:16 in
-    List.init n (fun _ -> decode_meta r)
-  with Invalid_argument m -> corrupt "index section: %s" m
+  in_section "index" (fun () ->
+      let r = R.of_bytes bytes in
+      let n = R.pull r ~width:16 in
+      List.init n (fun _ -> decode_meta r))
 
 (* ---------- save ---------- *)
 
@@ -205,8 +208,8 @@ let of_bytes bytes =
     List.mapi
       (fun i meta ->
         let tpc, tables, image =
-          try Core.Encode.decode_function_full (sect (fsect i))
-          with Invalid_argument m -> corrupt "section %s: %s" (fsect i) m
+          in_section (fsect i) (fun () ->
+              Core.Encode.decode_function (sect (fsect i)))
         in
         if not (String.equal meta.m_name tables.Core.Tables.fname) then
           corrupt "index/%s disagree on name (%s vs %s)" (fsect i) meta.m_name
@@ -249,14 +252,12 @@ let func_of_image ~digest ~layout (f : Mir.Func.t) bytes =
     | None -> corrupt "missing section %s" name
   in
   let meta =
-    try
-      let r = R.of_bytes (sect "meta") in
-      decode_meta r
-    with Invalid_argument m -> corrupt "meta section: %s" m
+    in_section "meta" (fun () ->
+        let r = R.of_bytes (sect "meta") in
+        decode_meta r)
   in
   let tpc, tables, image =
-    try Core.Encode.decode_function_full (sect "tables")
-    with Invalid_argument m -> corrupt "tables section: %s" m
+    in_section "tables" (fun () -> Core.Encode.decode_function (sect "tables"))
   in
   if not (String.equal meta.m_name f.Mir.Func.name) then
     corrupt "function blob is for %s, wanted %s" meta.m_name f.Mir.Func.name;

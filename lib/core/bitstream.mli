@@ -1,16 +1,27 @@
-(** Bit-granular serialization, for the packed table images the compiler
-    attaches to the binary.  Fields are written/read LSB-first within a
-    little-endian byte stream. *)
+(** Bit-granular serialization: the one codec behind the packed table
+    images, the [.ipds] artifact sections and every wire payload.
+    Fields are written/read LSB-first within a little-endian byte
+    stream, a whole byte at a time through an accumulator on each side. *)
+
+exception Past_end
+(** A read needed more bits than the stream or span has left.  Raised
+    before the field is consumed, by every reader operation. *)
 
 module Writer : sig
   type t
 
   val create : unit -> t
   val push : t -> width:int -> int -> unit
-  (** Append [width] bits (0 ≤ width ≤ 62); the value must fit. *)
+  (** Append [width] bits (0 ≤ width ≤ 62); the value must fit.
+      Raises [Invalid_argument] otherwise, before writing anything. *)
+
+  val push_string : t -> string -> unit
+  (** Append every byte as an 8-bit field (no length prefix). *)
 
   val align_byte : t -> unit
-  (** Pad with zero bits to the next byte boundary. *)
+  (** Pad with zero bits to the next byte boundary.  No format in the
+      tree pads mid-stream ({!contents} pads the last byte); only the
+      test schedules use it. *)
 
   val bits_written : t -> int
   val contents : t -> Bytes.t
@@ -20,9 +31,19 @@ module Reader : sig
   type t
 
   val of_bytes : Bytes.t -> t
+
+  val of_span : Bytes.t -> pos:int -> len:int -> t
+  (** A reader over [buf[pos, pos+len)], without copying it.  Raises
+      [Invalid_argument] when the span is not inside [buf]. *)
+
   val pull : t -> width:int -> int
-  (** Raises [Invalid_argument] when reading past the end. *)
+  (** Read [width] bits (0 ≤ width ≤ 62, else [Invalid_argument]). *)
+
+  val pull_string : t -> int -> string
+  (** [n] 8-bit fields as a string. *)
+
+  val skip_string : t -> int -> unit
 
   val align_byte : t -> unit
-  val bits_read : t -> int
+  (** Skip to the next byte boundary; only the test schedules use it. *)
 end

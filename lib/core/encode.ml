@@ -57,7 +57,7 @@ let payload_bits t =
 let write_function w ~entry_pc (t : Tables.t) =
   let name = t.fname in
   W.push w ~width:16 (String.length name);
-  String.iter (fun c -> W.push w ~width:8 (Char.code c)) name;
+  W.push_string w name;
   W.push w ~width:32 entry_pc;
   W.push w ~width:8 t.hash.Hash.shift1;
   W.push w ~width:8 t.hash.Hash.shift2;
@@ -74,16 +74,15 @@ let write_function w ~entry_pc (t : Tables.t) =
       W.push w ~width:slot_bits slot;
       W.push w ~width:2 (action_code action);
       W.push w ~width:ptr_bits next)
-    nodes;
-  W.align_byte w
+    nodes
 
 (* Decode straight into the flat {!Image.t}: one pass pulls the header
    and node pool into flat int arrays, then each linked row is chased
    once into the CSR arrays.  The list-view [Tables.t] is derived from
    the image (load-time only); no per-query bit-pulling remains. *)
-let read_function_full r =
+let read_function r =
   let name_len = R.pull r ~width:16 in
-  let name = String.init name_len (fun _ -> Char.chr (R.pull r ~width:8)) in
+  let name = R.pull_string r name_len in
   let entry_pc = R.pull r ~width:32 in
   let shift1 = R.pull r ~width:8 in
   let shift2 = R.pull r ~width:8 in
@@ -110,7 +109,6 @@ let read_function_full r =
     node_code.(i) <- Status.to_code (Status.of_action (action_of_code (R.pull r ~width:2)));
     node_next.(i) <- R.pull r ~width:ptr_bits
   done;
-  R.align_byte r;
   let row_off = Array.make ((2 * space) + 2) 0 in
   let nodes = Array.make n_nodes 0 in
   let pos = ref 0 in
@@ -136,33 +134,11 @@ let read_function_full r =
   let image = Image.make ~fname:name ~hash ~n_branches ~bcv ~row_off ~nodes in
   (entry_pc, image)
 
-let read_function r =
-  let entry_pc, image = read_function_full r in
-  (entry_pc, Image.to_tables image)
-
 let function_image ~entry_pc t =
   let w = W.create () in
   write_function w ~entry_pc t;
   W.contents w
 
-let decode_function bytes = read_function (R.of_bytes bytes)
-
-let decode_function_full bytes =
-  let entry_pc, image = read_function_full (R.of_bytes bytes) in
+let decode_function bytes =
+  let entry_pc, image = read_function (R.of_bytes bytes) in
   (entry_pc, Image.to_tables image, image)
-
-let program_image (sys : System.t) =
-  let w = W.create () in
-  W.push w ~width:16 (List.length sys.System.funcs);
-  List.iter
-    (fun (_, (info : System.func_info)) ->
-      write_function w ~entry_pc:info.System.entry_pc info.System.tables)
-    sys.System.funcs;
-  W.contents w
-
-let load_program bytes =
-  let r = R.of_bytes bytes in
-  let n = R.pull r ~width:16 in
-  List.init n (fun _ ->
-      let entry_pc, tables = read_function r in
-      (tables.Tables.fname, (entry_pc, tables)))

@@ -2,10 +2,11 @@
 
     The compiler "attaches BSVs, BCVs and BATs to the program binary" and
     conveys per-function metadata through a function information table
-    (paper §5.4, Figure 6).  This module serializes a {!System.t} into
-    that image and loads it back: per function, a byte-aligned metadata
+    (paper §5.4, Figure 6).  This module serializes one function's
+    tables into its image and loads it back: a byte-aligned metadata
     header (name, entry PC, hash parameters, node count) followed by the
-    bit-packed BCV and BAT.  The packed payload is exactly
+    bit-packed BCV and BAT.  The [.ipds] artifact
+    ([Ipds_artifact.Artifact]) carries one such image per function.  The packed payload is exactly
     {!Tables.sizes} minus the BSV (which is runtime state, initialized to
     all-unknown at activation).
 
@@ -13,22 +14,13 @@
     from the in-memory tables — tested property. *)
 
 val function_image : entry_pc:int -> Tables.t -> Bytes.t
-val decode_function : Bytes.t -> (int * Tables.t)
-(** Inverse of {!function_image} (the debug-only [slot_of_iid] field is
-    not serialized and comes back empty).  Raises [Invalid_argument] on a
-    malformed image. *)
-
-val decode_function_full : Bytes.t -> (int * Tables.t * Image.t)
-(** Like {!decode_function}, but also returns the flat checker image
-    the section decodes into (the tables are derived from it).  The
-    image is structurally identical to [Image.of_tables] of the decoded
-    tables. *)
-
-val program_image : System.t -> Bytes.t
-(** All functions, prefixed with a count. *)
-
-val load_program : Bytes.t -> (string * (int * Tables.t)) list
-(** [(fname, (entry_pc, tables))] for every function in the image. *)
+val decode_function : Bytes.t -> int * Tables.t * Image.t
+(** Inverse of {!function_image}: the entry PC, the tables (the
+    debug-only [slot_of_iid] field is not serialized and comes back
+    empty) and the flat checker image they were derived from,
+    structurally identical to [Image.of_tables] of the tables.  Raises
+    {!Bitstream.Past_end} on a truncated image and [Invalid_argument]
+    on a malformed one. *)
 
 val payload_bits : Tables.t -> int
 (** Packed BCV+BAT bits — must equal

@@ -1,7 +1,9 @@
 (* One stable hash for everything fleet-shaped: cache shard selection and
    ring point placement both need a hash that is identical across
-   processes and OCaml versions, which rules out [Hashtbl.hash].  MD5 is
-   already a hard dependency of the artifact store, so we reuse it: the
+   processes and OCaml versions, which rules out [Hashtbl.hash].  It only
+   spreads keys; it never names content (the artifact store addresses
+   content by SHA-256), so collision resistance buys nothing here and
+   Stdlib's [Digest] (MD5, no extra dependency, fast) is enough: the
    first eight digest bytes, folded little-endian and masked positive,
    give a uniform 62-bit point. *)
 

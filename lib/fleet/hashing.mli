@@ -3,9 +3,10 @@
     Cache shard selection (in-process) and ring placement (across
     processes) must agree on a hash that is identical across runs,
     processes and OCaml versions — [Hashtbl.hash] guarantees none of
-    that.  MD5 is already a hard dependency of the artifact store, so
-    the fleet folds the first eight digest bytes into a uniform
-    non-negative 62-bit integer. *)
+    that.  The hash only spreads keys and is never a content address
+    (that is the store's SHA-256), so the fleet folds the first eight
+    bytes of Stdlib's [Digest] (MD5) into a uniform non-negative 62-bit
+    integer. *)
 
 val stable_hash : string -> int
 (** Deterministic, uniform, non-negative. *)

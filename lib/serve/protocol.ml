@@ -119,85 +119,44 @@ let verdict_to_string (a : Ipds_core.Checker.alarm) =
 
 (* {2 Payload codec}
 
-   Payloads are written with {!Bs.Writer} (LSB-first bit packing) and
-   read back with [Fast], a byte-refilled accumulator over the payload
-   span: one shift-mask per field instead of a loop per bit, and no copy
-   of the span.  Every field is at most 32 bits wide. *)
+   Payloads are written and read with {!Bs}: a byte-refilled
+   accumulator per side, and readers over the payload span itself, so
+   decoding copies nothing but strings it returns.  Every field is at
+   most 32 bits wide. *)
 
 exception Malformed_payload of string
 
 let fail m = raise (Malformed_payload m)
 
-module Fast = struct
-  exception Short
-
-  type reader = {
-    buf : Bytes.t;
-    limit : int;  (** exclusive byte bound *)
-    mutable pos : int;  (** next byte to fold into [acc] *)
-    mutable acc : int;
-    mutable bits : int;  (** valid low bits of [acc] *)
-  }
-
-  let make buf ~pos ~len = { buf; limit = pos + len; pos; acc = 0; bits = 0 }
-
-  (* [width] <= 32, so [bits] stays < 40 and [acc] never nears bit 62. *)
-  let pull r width =
-    while r.bits < width do
-      if r.pos >= r.limit then raise Short;
-      r.acc <- r.acc lor (Char.code (Bytes.unsafe_get r.buf r.pos) lsl r.bits);
-      r.bits <- r.bits + 8;
-      r.pos <- r.pos + 1
-    done;
-    let v = r.acc land ((1 lsl width) - 1) in
-    r.acc <- r.acc lsr width;
-    r.bits <- r.bits - width;
-    v
-
-  (* Full-width int: 31 low bits + 32 high bits reconstructs every 63-bit
-     OCaml int exactly, negatives included (bit 62 is the sign bit). *)
-  let pull_int r =
-    let lo = pull r 31 in
-    let hi = pull r 32 in
-    (hi lsl 31) lor lo
-
-  let skip_chars r n =
-    for _ = 1 to n do
-      ignore (pull r 8)
-    done
-
-  let pull_chars r n =
-    let b = Bytes.create n in
-    for i = 0 to n - 1 do
-      Bytes.unsafe_set b i (Char.unsafe_chr (pull r 8))
-    done;
-    Bytes.unsafe_to_string b
-end
-
+(* Full-width int: 31 low bits + 32 high bits reconstructs every 63-bit
+   OCaml int exactly, negatives included (bit 62 is the sign bit). *)
 let push_int w v =
   Bs.Writer.push w ~width:31 (v land 0x7FFF_FFFF);
   Bs.Writer.push w ~width:32 ((v lsr 31) land 0xFFFF_FFFF)
 
-let pull_int = Fast.pull_int
+let pull_int r =
+  let lo = Bs.Reader.pull r ~width:31 in
+  let hi = Bs.Reader.pull r ~width:32 in
+  (hi lsl 31) lor lo
+
 let push_bool w b = Bs.Writer.push w ~width:1 (if b then 1 else 0)
-let pull_bool r = Fast.pull r 1 = 1
+let pull_bool r = Bs.Reader.pull r ~width:1 = 1
 
 let push_string w s =
-  let n = String.length s in
-  push_int w n;
-  String.iter (fun c -> Bs.Writer.push w ~width:8 (Char.code c)) s
+  push_int w (String.length s);
+  Bs.Writer.push_string w s
 
 (* String/list lengths are bounded by the decoder's effective
    [max_frame], not the compile-time default — a server started with a
    larger [--max-frame] must accept payloads that fill it.  The bound
    only rejects absurd lengths before allocation; genuine overruns of
-   the actual payload still surface as [Fast.Short]. *)
+   the actual payload still surface as [Bs.Past_end]. *)
 let pull_length ~limit r =
   let n = pull_int r in
   if n < 0 || n > limit then fail "string length out of range";
   n
 
-let pull_string ~limit r = Fast.pull_chars r (pull_length ~limit r)
+let pull_string ~limit r = Bs.Reader.pull_string r (pull_length ~limit r)
 
 let push_status w (s : Ipds_core.Status.t) =
   Bs.Writer.push w ~width:2
@@ -207,7 +166,7 @@ let push_status w (s : Ipds_core.Status.t) =
     | Ipds_core.Status.Unknown -> 2)
 
 let pull_status r : Ipds_core.Status.t =
-  match Fast.pull r 2 with
+  match Bs.Reader.pull r ~width:2 with
   | 0 -> Ipds_core.Status.Taken
   | 1 -> Ipds_core.Status.Not_taken
   | 2 -> Ipds_core.Status.Unknown
@@ -250,7 +209,7 @@ let pull_event ~limit r : Event.t =
   let iid = pull_int r in
   let pc = pull_int r in
   let kind =
-    match Fast.pull r 4 with
+    match Bs.Reader.pull r ~width:4 with
     | 0 -> Event.Alu
     | 1 -> Event.Load { addr = pull_int r }
     | 2 -> Event.Store { addr = pull_int r }
@@ -376,7 +335,7 @@ let decode_payload ~limit tag r =
       let stored = pull_bool r in
       Some (Artifact_pushed { key; stored })
   | 31 -> (
-      match error_code_of_int (Fast.pull r 8) with
+      match error_code_of_int (Bs.Reader.pull r ~width:8) with
       | Some code -> Some (Error { code; detail = pull_string ~limit r })
       | None -> fail "bad error code")
   | _ -> None
@@ -395,7 +354,6 @@ let get_u32_le b pos =
 let encode_frame f =
   let w = Bs.Writer.create () in
   encode_payload w f;
-  Bs.Writer.align_byte w;
   let payload = Bs.Writer.contents w in
   let plen = Bytes.length payload in
   let b = Bytes.create (header_bytes + plen + trailer_bytes) in
@@ -479,13 +437,13 @@ let scan_at ?(max_frame = default_max_frame) buf ~pos ~len =
 
 (* Decode a CRC-validated payload span into a frame value. *)
 let decode_span ?(max_frame = default_max_frame) tag buf ~pos ~len =
-  match decode_payload ~limit:max_frame tag (Fast.make buf ~pos ~len) with
+  match decode_payload ~limit:max_frame tag (Bs.Reader.of_span buf ~pos ~len) with
   | Some f -> Ok f
   | None ->
       Error
         { code = Unknown_frame; detail = Printf.sprintf "unknown frame tag %d" tag }
   | exception Malformed_payload m -> Error { code = Malformed; detail = m }
-  | exception Fast.Short ->
+  | exception Bs.Past_end ->
       Error { code = Malformed; detail = "payload ends prematurely" }
 
 let decode_at ?max_frame buf ~pos ~len =
@@ -526,36 +484,36 @@ let branch_events_tag = 4
 
 (* Walk one [Branch_events] payload span, dispatching checker-relevant
    events to the callbacks in order; returns the event count (all
-   kinds).  Raises [Fast.Short] on a payload that ends prematurely and
+   kinds).  Raises [Bs.Past_end] on a payload that ends prematurely and
    [Malformed_payload] exactly where [decode_payload] would. *)
 let iter_branch_events ?(limit = default_max_frame) buf ~pos ~len ~on_call
     ~on_ret ~on_branch ~on_other =
-  let r = Fast.make buf ~pos ~len in
+  let r = Bs.Reader.of_span buf ~pos ~len in
   let n = pull_count ~limit r in
   for _ = 1 to n do
-    Fast.skip_chars r (pull_length ~limit r);
-    ignore (Fast.pull_int r) (* iid *);
-    let pc = Fast.pull_int r in
-    match Fast.pull r 4 with
+    Bs.Reader.skip_string r (pull_length ~limit r);
+    ignore (pull_int r) (* iid *);
+    let pc = pull_int r in
+    match Bs.Reader.pull r ~width:4 with
     | 0 -> on_other () (* Alu *)
     | 1 | 2 ->
-        ignore (Fast.pull_int r) (* Load/Store addr *);
+        ignore (pull_int r) (* Load/Store addr *);
         on_other ()
     | 3 ->
-        let taken = Fast.pull r 1 = 1 in
-        ignore (Fast.pull_int r) (* target_pc, unused by the checker *);
+        let taken = pull_bool r in
+        ignore (pull_int r) (* target_pc, unused by the checker *);
         on_branch ~pc ~taken
     | 4 ->
-        ignore (Fast.pull_int r) (* Jump target *);
+        ignore (pull_int r) (* Jump target *);
         on_other ()
     | 5 -> on_call (pull_string ~limit r)
     | 6 -> on_ret ()
     | 7 -> on_other () (* Input_read *)
     | 8 ->
-        ignore (Fast.pull_int r) (* Output_write value *);
+        ignore (pull_int r) (* Output_write value *);
         on_other ()
     | 9 ->
-        ignore (Fast.pull r 1) (* Fault_inject skipped *);
+        ignore (pull_bool r) (* Fault_inject skipped *);
         on_other ()
     | k -> fail (Printf.sprintf "bad event kind %d" k)
   done;

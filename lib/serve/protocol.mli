@@ -1,6 +1,8 @@
 (** The verdict-server wire format: length-prefixed binary frames with a
     versioned magic and a CRC-32 trailer, payloads bit-packed with
-    {!Ipds_core.Bitstream}.
+    {!Ipds_core.Bitstream} — the same codec as the [.ipds] tables, for
+    writing and for reading (readers run over the payload span in the
+    receive buffer).
 
     Frame layout (integers little-endian):
     {v
@@ -144,14 +146,9 @@ val iter_branch_events :
 (** Stream one [Branch_events] payload span to the callbacks in event
     order, returning the total event count (all kinds).  Accepts and
     rejects byte-for-byte the same payloads as the generic decoder
-    (differentially tested): raises {!Fast.Short} where the generic
-    reader would overrun and {!Malformed_payload} with the same detail
-    strings for bad lengths / event kinds. *)
-
-module Fast : sig
-  exception Short
-  (** The payload span ended before the field being pulled. *)
-end
+    (differentially tested): raises {!Ipds_core.Bitstream.Past_end}
+    where the generic reader would overrun and {!Malformed_payload}
+    with the same detail strings for bad lengths / event kinds. *)
 
 (** {2 Socket transport} *)
 

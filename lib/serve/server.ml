@@ -33,6 +33,14 @@ let m_overloaded = Reg.counter ~stable:false "serve.overloaded"
    (two per reactor) and transient store and peer fds. *)
 let max_connections = 960
 
+(* When [accept] fails for want of a descriptor (EMFILE/ENFILE) the
+   pending connection keeps the listener readable, so retrying at once
+   would spin a CPU until an fd frees up.  Instead the accept loop
+   stops watching the listener for this long (still watching the stop
+   pipe), counting each pause. *)
+let accept_backoff_s = 0.05
+let m_accept_backoffs = Reg.counter ~stable:false "serve.accept_backoffs"
+
 (* Fleet artifact sharing: where this server may fetch verified
    artifacts from on a local-store miss, instead of answering
    [unknown-artifact] and forcing the client to recompile. *)
@@ -430,8 +438,13 @@ let dispatch t cfd =
   end
 
 let accept_loop t =
+  let backoff = ref false in
   while not (Atomic.get t.stop_flag) do
-    match Unix.select [ t.fd; t.stop_r ] [] [] (-1.) with
+    let watch, timeout =
+      if !backoff then ([ t.stop_r ], accept_backoff_s) else ([ t.fd; t.stop_r ], -1.)
+    in
+    backoff := false;
+    match Unix.select watch [] [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | rd, _, _ ->
         if List.mem t.stop_r rd then ()
@@ -444,6 +457,10 @@ let accept_loop t =
               ->
                 continue_ := false
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+            | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+                Reg.incr m_accept_backoffs;
+                backoff := true;
+                continue_ := false
             | exception Unix.Unix_error _ -> continue_ := false
           done
         end

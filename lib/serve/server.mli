@@ -12,7 +12,10 @@
     a client that outruns either bound gets one typed [Overloaded]
     error frame and a drained close — backpressure, never unbounded
     buffering.  Past {!max_connections} live connections a new socket
-    gets one [Overloaded] frame and is closed.  Loaded systems live in
+    gets one [Overloaded] frame and is closed.  When [accept] runs out
+    of descriptors (EMFILE/ENFILE) the accept loop stops watching the
+    listener for a fixed back-off instead of spinning, counted in the
+    unstable [serve.accept_backoffs].  Loaded systems live in
     an {!Ipds_fleet.Shard_cache} of independently locked LRU shards.
 
     Robustness is the contract: malformed, oversized, truncated,

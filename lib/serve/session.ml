@@ -389,7 +389,7 @@ let handle_events_span t ~send ~max_frame buf ~pos ~len =
       with
       | n -> Ok n
       | exception Protocol.Malformed_payload m -> Error m
-      | exception Protocol.Fast.Short -> Error "payload ends prematurely")
+      | exception Ipds_core.Bitstream.Past_end -> Error "payload ends prematurely")
 
 (* One entry point per CRC-validated frame span: [Branch_events] streams
    into the feed loop, every other tag goes through the generic

@@ -24,7 +24,11 @@
    F. admission: against a server in a child process, every connection
       past Server.max_connections reads exactly one typed Overloaded
       error, then EOF, and once the held connections close a fresh
-      session still gets byte-identical verdicts. *)
+      session still gets byte-identical verdicts;
+   G. descriptor exhaustion: against a child under [ulimit -n 32],
+      more pending connections than it has fds must not make the
+      accept loop spin (its CPU over 1 s stays under 0.2 s), and once
+      they close a fresh session gets byte-identical verdicts. *)
 
 module P = Ipds_serve.Protocol
 module Server = Ipds_serve.Server
@@ -671,20 +675,31 @@ let serve_child sock =
       drain ());
   exit 0
 
-let spawn_server_child sock =
+(* [fd_limit] starts the child under [ulimit -n] through /bin/sh; the
+   shell execs the child, so [pid] is the server's own. *)
+let spawn_server_child ?fd_limit sock =
   let stdin_r, stdin_w = Unix.pipe ~cloexec:true () in
   let stdout_r, stdout_w = Unix.pipe ~cloexec:true () in
-  let pid =
-    Unix.create_process Sys.executable_name
-      [| Sys.executable_name; "serve-child"; sock |]
-      stdin_r stdout_w Unix.stderr
+  let prog, argv =
+    match fd_limit with
+    | None -> (Sys.executable_name, [| Sys.executable_name; "serve-child"; sock |])
+    | Some n ->
+        ( "/bin/sh",
+          [|
+            "/bin/sh";
+            "-c";
+            Printf.sprintf "ulimit -n %d; exec \"$0\" serve-child \"$1\"" n;
+            Sys.executable_name;
+            sock;
+          |] )
   in
+  let pid = Unix.create_process prog argv stdin_r stdout_w Unix.stderr in
   Unix.close stdin_r;
   Unix.close stdout_w;
   let ic = Unix.in_channel_of_descr stdout_r in
   (match In_channel.input_line ic with
   | Some "READY" -> ()
-  | _ -> fail "F: server child did not report READY");
+  | _ -> fail "server child did not report READY");
   close_in ic;
   (pid, stdin_w)
 
@@ -710,7 +725,7 @@ let await_admission sock =
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec probe () =
     if Unix.gettimeofday () > deadline then
-      fail "F: no connection admitted 10s after the held ones closed";
+      fail "no connection admitted 10s after the held ones closed";
     let fd = raw_connect sock in
     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.2;
     let admitted =
@@ -755,6 +770,54 @@ let phase_f () =
      %!"
     Server.max_connections extra
 
+(* ---------- phase G: accept out of descriptors ---------- *)
+
+(* utime + stime of [pid] in seconds from /proc/<pid>/stat (USER_HZ is
+   100 on every Linux ABI).  The command name may hold spaces, so
+   fields are counted from the last ')': state is field 3, utime 14,
+   stime 15. *)
+let cpu_seconds pid =
+  let s =
+    In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all
+  in
+  let from = String.rindex s ')' + 2 in
+  let fields = String.split_on_char ' ' (String.sub s from (String.length s - from)) in
+  float_of_int (int_of_string (List.nth fields 11) + int_of_string (List.nth fields 12))
+  /. 100.
+
+let phase_g () =
+  section "G: accept out of descriptors -> back off instead of spinning";
+  let w = W.find "telnetd" in
+  let system = W.system w in
+  let image = A.to_bytes system in
+  let run = local_run system (W.program w) ~seed:2006 ~tamper:None in
+  let sock = temp_path "-g.sock" in
+  let pid, stdin_w = spawn_server_child ~fd_limit:32 sock in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close stdin_w;
+      ignore (Unix.waitpid [] pid))
+  @@ fun () ->
+  (* more than 32 fds can hold, fewer than the listen backlog can queue *)
+  let held = Array.init 80 (fun _ -> raw_connect sock) in
+  Unix.sleepf 0.2;
+  let before = cpu_seconds pid in
+  Unix.sleepf 1.0;
+  let burned = cpu_seconds pid -. before in
+  if burned >= 0.2 then
+    fail "G: server burned %.2f s of CPU in 1 s while out of descriptors" burned;
+  Array.iter Unix.close held;
+  await_admission sock;
+  let c = Client.connect (`Unix sock) in
+  ignore (ok (Client.load_image c ~name:w.W.name image));
+  assert_equivalent ~what:"G: fresh session after EMFILE" run (remote_check c run);
+  Client.close c;
+  Printf.printf
+    "G ok: 80 connections against ulimit -n 32, %.2f s CPU over 1 s, then \
+     verdicts identical\n\
+     %!"
+    burned
+
 let () =
   if Array.length Sys.argv = 3 && Sys.argv.(1) = "serve-child" then
     serve_child Sys.argv.(2);
@@ -764,4 +827,5 @@ let () =
   phase_d ();
   phase_e ();
   phase_f ();
+  phase_g ();
   print_endline "serve smoke OK"

@@ -1,0 +1,251 @@
+(* The bit codec against its reference, and the byte formats it writes
+   pinned as hashes.
+
+   [Bitstream_ref] is the original bit-at-a-time writer/reader, kept
+   as the oracle: the production [Ipds_core.Bitstream] must write the
+   same bytes, read the same values and run out of input at the same
+   field.  The golden hashes pin wire protocol v1 and artifact format
+   v3 byte for byte: one SHA-256 per frame kind of a fixed fixture and
+   one per built-in workload's [Artifact.to_bytes]. *)
+
+module Core = Ipds_core
+module Bs = Core.Bitstream
+module Ref = Bitstream_ref
+module P = Ipds_serve.Protocol
+module Event = Ipds_machine.Event
+module W = Ipds_workloads.Workloads
+
+let check = Alcotest.(check bool)
+let check_str = Alcotest.(check string)
+
+(* ---------- oracle property ---------- *)
+
+let write_new ops =
+  let w = Bs.Writer.create () in
+  List.iter
+    (function
+      | Gen.Bits_field (width, v) -> Bs.Writer.push w ~width v
+      | Gen.Bits_align -> Bs.Writer.align_byte w)
+    ops;
+  (Bs.Writer.contents w, Bs.Writer.bits_written w)
+
+let write_ref ops =
+  let w = Ref.Writer.create () in
+  List.iter
+    (function
+      | Gen.Bits_field (width, v) -> Ref.Writer.push w ~width v
+      | Gen.Bits_align -> Ref.Writer.align_byte w)
+    ops;
+  (Ref.Writer.contents w, Ref.Writer.bits_written w)
+
+(* Replay [ops] against a reader: [Ok values] when every field was
+   read, [Error i] when op [i] ran out of input. *)
+let replay ~pull ~align ~past_end ops =
+  let rec go i values = function
+    | [] -> Ok (List.rev values)
+    | Gen.Bits_align :: rest ->
+        align ();
+        go (i + 1) values rest
+    | Gen.Bits_field (width, _) :: rest -> (
+        match pull width with
+        | v -> go (i + 1) (v :: values) rest
+        | exception e when past_end e -> Error i)
+  in
+  go 0 [] ops
+
+let replay_new bytes ops =
+  let r = Bs.Reader.of_bytes bytes in
+  replay ops
+    ~pull:(fun width -> Bs.Reader.pull r ~width)
+    ~align:(fun () -> Bs.Reader.align_byte r)
+    ~past_end:(function Bs.Past_end -> true | _ -> false)
+
+let replay_ref bytes ops =
+  let r = Ref.Reader.of_bytes bytes in
+  replay ops
+    ~pull:(fun width -> Ref.Reader.pull r ~width)
+    ~align:(fun () -> Ref.Reader.align_byte r)
+    ~past_end:(function Invalid_argument _ -> true | _ -> false)
+
+let prop_matches_oracle =
+  QCheck2.Test.make ~name:"bitstream matches the bit-at-a-time oracle"
+    ~count:500
+    QCheck2.Gen.(pair Gen.bitstream_ops (int_bound 1000))
+    (fun (ops, cut) ->
+      let bytes, bits = write_new ops in
+      let ref_bytes, ref_bits = write_ref ops in
+      let same_write = Bytes.equal bytes ref_bytes && bits = ref_bits in
+      let same_read = replay_new bytes ops = replay_ref ref_bytes ops in
+      let short = Bytes.sub bytes 0 (cut mod (Bytes.length bytes + 1)) in
+      let same_cut = replay_new short ops = replay_ref short ops in
+      same_write && same_read && same_cut)
+
+let test_span_reader () =
+  (* a reader over a span inside a larger buffer reads the span's
+     values and runs out at the span's end, not the buffer's *)
+  let w = Bs.Writer.create () in
+  List.iter (fun v -> Bs.Writer.push w ~width:13 v) [ 1; 8191; 4097; 0; 77 ];
+  let payload = Bs.Writer.contents w in
+  let n = Bytes.length payload in
+  let buf = Bytes.make (n + 6) '\255' in
+  Bytes.blit payload 0 buf 3 n;
+  let r = Bs.Reader.of_span buf ~pos:3 ~len:n in
+  let values = List.init 5 (fun _ -> Bs.Reader.pull r ~width:13) in
+  check "span values" true (values = [ 1; 8191; 4097; 0; 77 ]);
+  check "span end" true
+    (match Bs.Reader.pull r ~width:13 with
+    | _ -> false
+    | exception Bs.Past_end -> true)
+
+let test_checks_kept () =
+  let w = Bs.Writer.create () in
+  let rejects f = match f () with () -> false | exception Invalid_argument _ -> true in
+  check "width 63 rejected" true (rejects (fun () -> Bs.Writer.push w ~width:63 0));
+  check "negative width rejected" true
+    (rejects (fun () -> Bs.Writer.push w ~width:(-1) 0));
+  check "value too wide rejected" true
+    (rejects (fun () -> Bs.Writer.push w ~width:3 8));
+  check "negative value rejected" true
+    (rejects (fun () -> Bs.Writer.push w ~width:8 (-1)));
+  check "writer untouched by rejects" true (Bs.Writer.bits_written w = 0);
+  let r = Bs.Reader.of_bytes (Bytes.make 16 '\000') in
+  check "reader width 63 rejected" true
+    (rejects (fun () -> ignore (Bs.Reader.pull r ~width:63)))
+
+(* ---------- golden hashes ---------- *)
+
+let ev fname iid pc kind = { Event.fname; iid; pc; kind }
+
+(* every event kind, negative and extreme ints, empty names *)
+let fixture_events =
+  [
+    ev "main" 0 4096 Event.Alu;
+    ev "" 1 (-4) (Event.Load { addr = -1 });
+    ev "aux" 2 max_int (Event.Store { addr = min_int });
+    ev "main" 3 0x1080 (Event.Branch { taken = true; target_pc = 0x10c0 });
+    ev "main" 4 0x10c0 (Event.Branch { taken = false; target_pc = -77 });
+    ev "main" 5 min_int (Event.Jump { target_pc = max_int });
+    ev "main" 6 0x2000 (Event.Call { callee = "helper" });
+    ev "helper" 7 0x3000 (Event.Call { callee = "" });
+    ev "helper" 8 0x3004 Event.Ret;
+    ev "a_function_with_a_long_name" 9 12 Event.Input_read;
+    ev "main" 10 13 (Event.Output_write (-123456789));
+    ev "main" 11 14 (Event.Fault_inject { skipped = true });
+    ev "main" 12 15 (Event.Fault_inject { skipped = false });
+  ]
+
+let binary = "\000\001\127\128\254\255 image bytes"
+
+let fixture_frames =
+  [
+    ("load_key", P.Load_key "telnetd-0123456789abcdef");
+    ("load_image", P.Load_image { name = "telnetd"; image = binary });
+    ("begin_trace", P.Begin_trace);
+    ("branch_events", P.Branch_events fixture_events);
+    ("end_trace", P.End_trace);
+    ("fetch_artifact", P.Fetch_artifact "");
+    ("push_artifact", P.Push_artifact { key = "k"; image = binary });
+    ("loaded", P.Loaded { name = ""; cached = true });
+    ("trace_started", P.Trace_started);
+    ( "verdicts",
+      P.Verdicts
+        [
+          {
+            Core.Checker.fname = "main";
+            branch_pc = 0x10c0;
+            expected = Core.Status.Taken;
+            actual_taken = false;
+            sequence = 3;
+          };
+          {
+            Core.Checker.fname = "";
+            branch_pc = -1;
+            expected = Core.Status.Unknown;
+            actual_taken = true;
+            sequence = max_int;
+          };
+          {
+            Core.Checker.fname = "aux";
+            branch_pc = min_int;
+            expected = Core.Status.Not_taken;
+            actual_taken = true;
+            sequence = 0;
+          };
+        ] );
+    ( "trace_summary",
+      P.Trace_summary { P.total_events = -5; total_branches = max_int; total_alarms = 0 } );
+    ("artifact_data", P.Artifact_data { key = "abc"; image = "" });
+    ("artifact_pushed", P.Artifact_pushed { key = "abc"; stored = false });
+    ("error", P.Error { P.code = P.Unavailable; detail = "shard 2 is down" });
+  ]
+
+let sha bytes = Ipds_artifact.Sha256.hex_bytes bytes
+
+(* Computed with the bit-at-a-time codec before it was replaced. *)
+let golden_frames =
+  [
+    ("load_key", "04247e9d8d53bb274767f50f27bbb2b218019e9e03313af5fd7f1086c68d714a");
+    ("load_image", "c37fca5b472fedd301b67ac076ddf41b88ec344ce8334fa436fcce1a5e9a9366");
+    ("begin_trace", "9e9b30fce6784ff24d195053154159f3ca0c1cf9a028dec49f1c39ea419f4c22");
+    ("branch_events", "19ac58d825083aafe83d730e0d73f4a5bc44733d25b94a1fa407dbdd103ef36c");
+    ("end_trace", "fd616e5cfd94ca58423346773ef679b3c95749859509b217e0dd69a5ff4a1750");
+    ("fetch_artifact", "3175d82f0baf0157751192cdade961ddc09427bf80ba5314b5e2582cd591c683");
+    ("push_artifact", "76c80861fe1dad0f6f8e1c3c1e42a75c345967087cfc5266316797151e1d70a0");
+    ("loaded", "bf1e823418d119d4755c36404f3025bb5b68f1d99ae14109404da15b4f9852a7");
+    ("trace_started", "498c5b07f3909f3294f21926fbbd8a99f412ac509ab6ba7fe692302a4c6f41b4");
+    ("verdicts", "f7beb4d2ca11b4abb07aa6f7f05ee2b92b0253a35f0810b2655890770e1dd92d");
+    ("trace_summary", "bdf9b0e7f42e78cb235dc3dc0e22be57d3e2a94d719b26e535757fbd281ebbea");
+    ("artifact_data", "dfc917baff9ff3849d1fb01f521c11db377e65a2183b01ebe292b0bbdf12469a");
+    ("artifact_pushed", "77d3bd02c972c05040761f241c787c566aeb6d34ab57ef0f449abd5f933c5cd0");
+    ("error", "62d2ec61cc906034b38fdfa2cd0ee75b0e0a1c962c4a9931454cbd62797edb5f");
+  ]
+
+let golden_artifacts =
+  [
+    ("telnetd", "5ff861347a0dd2323416323f7a681045024af35bf5849d68894b16d129e977d7");
+    ("wu-ftpd", "6c41d9fa40f7d9c5b42fabde3dd0eb3b24e85ce4bfd8ba6f20bf95e310f8ccd9");
+    ("xinetd", "d4214cfde3deb17670fb4fd6ae0f7abceaaa5077aa56e1c86f3f32919baff506");
+    ("crond", "458acda985cc27b4450859121264ec1446a6b428682c340427ba2a34e7345fce");
+    ("sysklogd", "136f3151b0f54862e5f1fb40a73d124271bd265933f839cedc53c2970cf2d59d");
+    ("atftpd", "2c1577f07fc2651b7980009b71f688fa68794b7eacdbc49e51c17a0ef7e77db7");
+    ("httpd", "c083b55558d2c652dda91317908ef3f708f38e0184d603b9337259464f48fc26");
+    ("sendmail", "df1d2adcd18529be39c6139fbb2d410ff34dd96c047aff43e43963b5133a8aad");
+    ("sshd", "b907fc580ab2689450811554bc4ecf98a8b4b10676c4167933ce8bb3b6769c75");
+    ("portmap", "b24d17e4eca28c4c1f5570d8807f90ef58da902a263a26b1546fd0bf3cd2e8fb");
+    ("fwpolicyd", "1a90890f70c71beda77529af62819feffea6039298221ace5bcd1c0f3ef3a06b");
+  ]
+
+let test_golden_frames () =
+  List.iter
+    (fun (name, f) ->
+      let got = sha (P.encode_frame f) in
+      match List.assoc_opt name golden_frames with
+      | Some want -> check_str ("frame " ^ name) want got
+      | None -> Alcotest.failf "no golden hash for frame %s (got %s)" name got)
+    fixture_frames
+
+let test_golden_artifacts () =
+  List.iter
+    (fun (w : W.t) ->
+      let sys = Core.System.cached_build (W.program w) in
+      let got = sha (Ipds_artifact.Artifact.to_bytes sys) in
+      match List.assoc_opt w.W.name golden_artifacts with
+      | Some want -> check_str ("artifact " ^ w.W.name) want got
+      | None -> Alcotest.failf "no golden hash for artifact %s (got %s)" w.W.name got)
+    W.all
+
+let () =
+  Alcotest.run "codec"
+    [
+      ( "bitstream",
+        [
+          QCheck_alcotest.to_alcotest prop_matches_oracle;
+          Alcotest.test_case "span reader" `Quick test_span_reader;
+          Alcotest.test_case "width and fit checks" `Quick test_checks_kept;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "wire v1 frames" `Quick test_golden_frames;
+          Alcotest.test_case "artifact v3 built-ins" `Quick test_golden_artifacts;
+        ] );
+    ]

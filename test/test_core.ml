@@ -4,6 +4,7 @@
 module Mir = Ipds_mir
 module Core = Ipds_core
 module Corr = Ipds_correlation
+module A = Ipds_artifact.Artifact
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -249,7 +250,7 @@ let test_encode_roundtrip_workloads () =
       List.iter
         (fun (_, (info : Core.System.func_info)) ->
           let img = Core.Encode.function_image ~entry_pc:info.entry_pc info.tables in
-          let entry_pc, decoded = Core.Encode.decode_function img in
+          let entry_pc, decoded, _ = Core.Encode.decode_function img in
           check "entry pc survives" true (entry_pc = info.entry_pc);
           check "tables survive" true (decoded = strip_debug info.tables))
         sys.Core.System.funcs)
@@ -274,12 +275,20 @@ let test_checker_from_image () =
   let w = Ipds_workloads.Workloads.find "telnetd" in
   let program = Ipds_workloads.Workloads.program w in
   let sys = Core.System.build program in
-  let image = Core.Encode.program_image sys in
-  let loaded = Core.Encode.load_program image in
+  (* each function through its own table image, straight to the flat
+     image the checker runs on *)
   let images =
-    List.map (fun (name, (_, t)) -> (name, Core.Image.of_tables t)) loaded
+    List.map
+      (fun (name, (info : Core.System.func_info)) ->
+        let _, _, image =
+          Core.Encode.decode_function
+            (Core.Encode.function_image ~entry_pc:info.entry_pc info.tables)
+        in
+        (name, image))
+      sys.Core.System.funcs
   in
   let lookup name = List.assoc name images in
+  let shipped = A.of_bytes (A.to_bytes sys) in
   let run checker =
     (Ipds_machine.Interp.run program
        {
@@ -300,7 +309,9 @@ let test_checker_from_image () =
   in
   let from_memory = run (Core.System.new_checker sys) in
   let from_image = run (Core.Checker.create ~lookup) in
-  check "identical alarms" true (from_memory = from_image)
+  let from_artifact = run (Core.System.new_checker shipped) in
+  check "identical alarms (function images)" true (from_memory = from_image);
+  check "identical alarms (artifact)" true (from_memory = from_artifact)
 
 let test_trace_log () =
   let sys = hand_tables () in
@@ -336,12 +347,12 @@ let test_encode_malformed () =
     (try
        ignore (Core.Encode.decode_function (Bytes.make 2 '\255'));
        false
-     with Invalid_argument _ -> true);
+     with Core.Bitstream.Past_end -> true);
   check "empty image rejected" true
     (try
        ignore (Core.Encode.decode_function Bytes.empty);
        false
-     with Invalid_argument _ -> true)
+     with Core.Bitstream.Past_end -> true)
 
 (* ---------- oracle equivalence ----------
 
@@ -420,15 +431,20 @@ let prop_encode_roundtrip_random =
   QCheck2.Test.make ~name:"binary image round trips on arbitrary programs"
     ~count:80 Gen.mir_program (fun p ->
       let sys = Core.System.build p in
-      let image = Core.Encode.program_image sys in
-      let loaded = Core.Encode.load_program image in
-      List.for_all
-        (fun (name, (info : Core.System.func_info)) ->
-          match List.assoc_opt name loaded with
-          | Some (pc, tables) ->
-              pc = info.entry_pc && tables = strip_debug info.tables
-          | None -> false)
-        sys.Core.System.funcs)
+      let shipped = A.of_bytes (A.to_bytes sys) in
+      List.length shipped.Core.System.funcs = List.length sys.Core.System.funcs
+      && List.for_all
+           (fun (name, (info : Core.System.func_info)) ->
+             let pc, tables, _ =
+               Core.Encode.decode_function
+                 (Core.Encode.function_image ~entry_pc:info.entry_pc info.tables)
+             in
+             let s = Core.System.info shipped name in
+             pc = info.entry_pc
+             && tables = strip_debug info.tables
+             && s.Core.System.entry_pc = info.entry_pc
+             && strip_debug s.Core.System.tables = strip_debug info.tables)
+           sys.Core.System.funcs)
 
 let prop_checker_matches_oracle =
   QCheck2.Test.make ~name:"table-driven checker matches the analysis oracle"

@@ -303,7 +303,7 @@ let iter_result ?limit buf ~pos ~len =
       ~on_other:(fun () -> acc := Op_other :: !acc)
   with
   | n -> Ok (n, List.rev !acc)
-  | exception P.Fast.Short -> Error "short"
+  | exception Core.Bitstream.Past_end -> Error "short"
   | exception P.Malformed_payload m -> Error m
 
 let payload_span evs =
