@@ -11,14 +11,15 @@
      dune exec bench/main.exe -- compile-time
      dune exec bench/main.exe -- ablation
      dune exec bench/main.exe -- micro   -- bechamel microbenchmarks
-     dune exec bench/main.exe -- serve-latency -- verdict-server round trips
-     dune exec bench/main.exe -- serve-throughput -- reactor verdicts/s vs clients
      dune exec bench/main.exe -- precision -- Fig-7 lift from --precision on
      dune exec bench/main.exe -- attacks -- attack universes (mem, cond-flip,
                                             insn-skip) over the workloads, a
                                             generated population, and the DME
                                             baseline; writes BENCH_attacks.json
      dune exec bench/main.exe -- smoke   -- tiny campaign + invariant checks
+
+   The verdict server is measured end to end by perfbench, not here:
+   python3 perfbench/run.py --workload serve-stream (or serve-session).
 
    Flags (defaults preserve the historical sizes):
 
@@ -322,538 +323,6 @@ let micro () =
         ols)
     tests;
   J.Obj (List.rev_map (fun (name, est) -> (name, J.Float est)) !estimates)
-
-(* ---------- serve-latency: verdict-server round trips ---------- *)
-
-let rec chunks n = function
-  | [] -> []
-  | xs ->
-      let rec take k acc = function
-        | rest when k = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | x :: tl -> take (k - 1) (x :: acc) tl
-      in
-      let batch, rest = take n [] xs in
-      batch :: chunks n rest
-
-let percentile sorted p =
-  match sorted with
-  | [||] -> 0
-  | a -> a.(min (Array.length a - 1) (p * Array.length a / 100))
-
-let serve_latency ~seed () =
-  section "Verdict-server latency (in-process server, Unix socket)";
-  let module Serve = Ipds_serve in
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ipds-bench-%d.sock" (Unix.getpid ()))
-  in
-  let w = W.find "telnetd" in
-  let system = W.system w in
-  let program = W.program w in
-  (* Record the event stream once; every trace then replays the same
-     batches, so the measurement is pure protocol + checking cost. *)
-  let events = ref [] in
-  ignore
-    (Ipds_machine.Interp.run program
-       {
-         Ipds_machine.Interp.default_config with
-         inputs = Ipds_machine.Input_script.random ~seed ();
-         record_trace = false;
-         sink =
-           Some
-             (fun (e : Ipds_machine.Event.t) ->
-               match e.Ipds_machine.Event.kind with
-               | Ipds_machine.Event.Call _ | Ipds_machine.Event.Ret
-               | Ipds_machine.Event.Branch _ ->
-                   events := e :: !events
-               | _ -> ());
-       });
-  let batch_size = 256 in
-  let batches = chunks batch_size (List.rev !events) in
-  let n_events = List.length !events in
-  let traces = 20 in
-  let fail msg =
-    Printf.eprintf "serve-latency: %s\n%!" msg;
-    exit 1
-  in
-  let ok = function
-    | Ok v -> v
-    | Error (e : Serve.Protocol.err) -> fail e.Serve.Protocol.detail
-  in
-  let config = { Serve.Server.default_config with jobs = 2 } in
-  let micros =
-    Serve.Server.with_server ~config (`Unix sock) (fun _server ->
-        let client = Serve.Client.connect (`Unix sock) in
-        Fun.protect
-          ~finally:(fun () -> Serve.Client.close client)
-          (fun () ->
-            ignore
-              (ok
-                 (Serve.Client.load_image client ~name:w.W.name
-                    (Ipds_artifact.Artifact.to_bytes system)));
-            let micros = ref [] in
-            for _ = 1 to traces do
-              ok (Serve.Client.begin_trace client);
-              List.iter
-                (fun batch ->
-                  let t0 = Unix.gettimeofday () in
-                  ignore (ok (Serve.Client.send_events client batch));
-                  micros :=
-                    int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)
-                    :: !micros)
-                batches;
-              ignore (ok (Serve.Client.end_trace client))
-            done;
-            !micros))
-  in
-  let sorted = Array.of_list (List.sort compare micros) in
-  let n = Array.length sorted in
-  let sum = Array.fold_left ( + ) 0 sorted in
-  let mean = if n = 0 then 0. else float_of_int sum /. float_of_int n in
-  let p50 = percentile sorted 50
-  and p95 = percentile sorted 95
-  and p99 = percentile sorted 99 in
-  let max_m = if n = 0 then 0 else sorted.(n - 1) in
-  Printf.printf
-    "%s: %d traces x %d events (%d batches of %d)\n\
-     round-trip per batch: mean %.0f us, p50 %d us, p95 %d us, p99 %d us, \
-     max %d us\n"
-    w.W.name traces n_events (List.length batches) batch_size mean p50 p95 p99
-    max_m;
-  J.Obj
-    [
-      ("workload", J.String w.W.name);
-      ("traces", J.Int traces);
-      ("events_per_trace", J.Int n_events);
-      ("batch_size", J.Int batch_size);
-      ("batches_per_trace", J.Int (List.length batches));
-      ("round_trips", J.Int n);
-      ("mean_micros", J.Float mean);
-      ("p50_micros", J.Int p50);
-      ("p95_micros", J.Int p95);
-      ("p99_micros", J.Int p99);
-      ("max_micros", J.Int max_m);
-    ]
-
-(* ---------- serve-throughput: the reactor under concurrent clients ---------- *)
-
-(* The event-loop server driven by a lockstep load generator at
-   1/8/64/512 concurrent clients, each connection pumping one
-   pre-encoded balanced batch at a time.  The
-   batch is the workload's full recorded run ([Call main] ... [Ret]),
-   tiled to >= 256 events: it enters and leaves a fresh activation, so
-   the checker is in its base state after every batch and the replay
-   is alarm-free forever (verified below before any socket is opened).
-   The server runs in a subprocess (the hidden [serve-child] argv mode
-   below) so the parent's 512 client sockets and the server's 512
-   session sockets never share one process's fd table — [Unix.select]
-   cannot represent fds >= 1024.
-
-   verdicts_per_sec counts branch verdicts acknowledged inside the
-   measurement window; the latency percentiles are per-batch lockstep
-   round trips. *)
-
-let permille sorted m =
-  match sorted with
-  | [||] -> 0
-  | a -> a.(min (Array.length a - 1) (m * Array.length a / 1000))
-
-type serve_stat = {
-  s_served : int;  (* clients that reached the pumping state *)
-  s_batches : int;  (* batches acknowledged inside the window *)
-  s_vps : float;  (* branch verdicts per second *)
-  s_mean : float;  (* per-batch round trip, microseconds *)
-  s_p50 : int;
-  s_p99 : int;
-  s_p999 : int;
-}
-
-type serve_conn_state = Conn_loading | Conn_starting | Conn_pumping
-
-type serve_conn = {
-  c_fd : Unix.file_descr;
-  mutable c_state : serve_conn_state;
-  mutable c_inbuf : Bytes.t;
-  mutable c_inlen : int;
-  mutable c_out : Bytes.t;  (* the frame being written, [] when idle *)
-  mutable c_outpos : int;
-  mutable c_sent : float;  (* when the in-flight batch was queued *)
-  mutable c_acked : int;
-  mutable c_rtts : int list;  (* microseconds, window only *)
-  mutable c_ready : bool;
-}
-
-let serve_throughput ~seed ~out () =
-  section "Serving throughput: event-loop reactor";
-  let module P = Ipds_serve.Protocol in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "serve-throughput: %s\n%!" m;
-        exit 1)
-      fmt
-  in
-  let w = W.find "telnetd" in
-  let system = W.system w in
-  let events = ref [] in
-  ignore
-    (Ipds_machine.Interp.run (W.program w)
-       {
-         Ipds_machine.Interp.default_config with
-         max_steps = 60_000;
-         inputs = Ipds_machine.Input_script.random ~seed ();
-         record_trace = false;
-         sink =
-           Some
-             (fun (e : Ipds_machine.Event.t) ->
-               match e.Ipds_machine.Event.kind with
-               | Ipds_machine.Event.Call _ | Ipds_machine.Event.Ret
-               | Ipds_machine.Event.Branch _ ->
-                   events := e :: !events
-               | _ -> ());
-       });
-  let run = List.rev !events in
-  let run_len = List.length run in
-  if run_len = 0 then fail "%s recorded an empty event stream" w.W.name;
-  (* verify that the run is balanced and alarm-free under repetition:
-     replies then stay identical and empty, and the server's alarm
-     list cannot grow over the window *)
-  let checker = Ipds_core.System.new_checker system in
-  let base_depth = Ipds_core.Checker.depth checker in
-  let run_branches = ref 0 in
-  for rep = 1 to 50 do
-    List.iter
-      (fun (e : Ipds_machine.Event.t) ->
-        match e.Ipds_machine.Event.kind with
-        | Ipds_machine.Event.Call { callee } ->
-            if Ipds_core.System.mem system callee then
-              ignore (Ipds_core.Checker.on_call checker callee)
-        | Ipds_machine.Event.Ret ->
-            ignore (Ipds_core.Checker.on_return checker)
-        | Ipds_machine.Event.Branch { taken; _ } ->
-            if rep = 1 then incr run_branches;
-            let v =
-              Ipds_core.Checker.on_branch checker
-                ~pc:e.Ipds_machine.Event.pc ~taken
-            in
-            if Ipds_core.Checker.verdict_violation v then
-              fail "%s: replay hit a checker protocol violation" w.W.name
-        | _ -> ())
-      run;
-    if Ipds_core.Checker.depth checker <> base_depth then
-      fail "%s: recorded run is not call-balanced" w.W.name
-  done;
-  if Ipds_core.Checker.alarm_count checker > 0 then
-    fail "%s: repeated replay raised %d alarms" w.W.name
-      (Ipds_core.Checker.alarm_count checker);
-  let copies = max 1 ((1024 + run_len - 1) / run_len) in
-  let batch = List.concat (List.init copies (fun _ -> run)) in
-  let batch_events = List.length batch in
-  let branch_reps = copies * !run_branches in
-  let key = "bench-serve" in
-  let store_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ipds-bench-serve-%d" (Unix.getpid ()))
-  in
-  let store = Ipds_artifact.Store.create ~dir:store_dir in
-  Ipds_artifact.Store.publish_system store key system;
-  let load_frame = P.encode_frame (P.Load_key key) in
-  let begin_frame = P.encode_frame P.Begin_trace in
-  let batch_frame = P.encode_frame (P.Branch_events batch) in
-  (* the expected ack: an empty [Verdicts] frame.  The driver matches
-     replies against its tag and payload length instead of decoding
-     each one — the load generator must not be the bottleneck — and
-     decodes only on mismatch to report what actually arrived. *)
-  let ack_tag, ack_payload_len =
-    match
-      P.scan_at
-        (P.encode_frame (P.Verdicts []))
-        ~pos:0
-        ~len:(Bytes.length (P.encode_frame (P.Verdicts [])))
-    with
-    | P.Scan_frame { tag; payload_len; _ } -> (tag, payload_len)
-    | _ -> fail "could not scan the canonical empty-verdicts frame"
-  in
-  let spawn_server ~sock =
-    let stdin_r, stdin_w = Unix.pipe ~cloexec:true () in
-    let stdout_r, stdout_w = Unix.pipe ~cloexec:true () in
-    let pid =
-      Unix.create_process Sys.executable_name
-        [|
-          Sys.executable_name; "serve-child"; "--serve-socket"; sock;
-          "--serve-store"; store_dir;
-        |]
-        stdin_r stdout_w Unix.stderr
-    in
-    Unix.close stdin_r;
-    Unix.close stdout_w;
-    let buf = Bytes.create 64 in
-    let deadline = Unix.gettimeofday () +. 20.0 in
-    let rec await acc =
-      if Unix.gettimeofday () > deadline then
-        fail "server child: no READY within 20s";
-      match Unix.select [ stdout_r ] [] [] 0.5 with
-      | [], _, _ -> await acc
-      | _ -> (
-          match Unix.read stdout_r buf 0 (Bytes.length buf) with
-          | 0 -> fail "server child exited before READY"
-          | n ->
-              let acc = acc ^ Bytes.sub_string buf 0 n in
-              if String.contains acc '\n' then acc else await acc)
-    in
-    let line = await "" in
-    if not (String.length line >= 5 && String.equal (String.sub line 0 5) "READY")
-    then fail "server child said %S, not READY" line;
-    Unix.close stdout_r;
-    (pid, stdin_w)
-  in
-  let stop_server (pid, stdin_w) =
-    (try Unix.close stdin_w with Unix.Unix_error _ -> ());
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    let rec wait () =
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ ->
-          if Unix.gettimeofday () > deadline then begin
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (Unix.waitpid [] pid)
-          end
-          else begin
-            ignore (Unix.select [] [] [] 0.05);
-            wait ()
-          end
-      | _ -> ()
-    in
-    wait ()
-  in
-  let warmup = 0.3 and window = 1.2 in
-  let pump_level ~clients =
-    let sock =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "ipds-bench-%d-%d.sock" (Unix.getpid ()) clients)
-    in
-    if Sys.file_exists sock then Sys.remove sock;
-    let child = spawn_server ~sock in
-    let conns =
-      Array.init clients (fun _ ->
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_UNIX sock);
-          Unix.set_nonblock fd;
-          {
-            c_fd = fd;
-            c_state = Conn_loading;
-            c_inbuf = Bytes.create 65536;
-            c_inlen = 0;
-            c_out = Bytes.empty;
-            c_outpos = 0;
-            c_sent = 0.;
-            c_acked = 0;
-            c_rtts = [];
-            c_ready = false;
-          })
-    in
-    let by_fd = Hashtbl.create (2 * clients) in
-    Array.iter (fun c -> Hashtbl.replace by_fd c.c_fd c) conns;
-    let flush_out c =
-      let len = Bytes.length c.c_out - c.c_outpos in
-      if len > 0 then
-        match Unix.write c.c_fd c.c_out c.c_outpos len with
-        | n -> c.c_outpos <- c.c_outpos + n
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-            ()
-    in
-    let queue c frame =
-      (* lockstep: at most one frame in flight per connection *)
-      c.c_out <- frame;
-      c.c_outpos <- 0;
-      flush_out c
-    in
-    let t0 = ref infinity and t1 = ref infinity in
-    let handle_read c =
-      (if Bytes.length c.c_inbuf - c.c_inlen < 4096 then begin
-         let nb = Bytes.create (2 * Bytes.length c.c_inbuf) in
-         Bytes.blit c.c_inbuf 0 nb 0 c.c_inlen;
-         c.c_inbuf <- nb
-       end);
-      match
-        Unix.read c.c_fd c.c_inbuf c.c_inlen (Bytes.length c.c_inbuf - c.c_inlen)
-      with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | 0 -> fail "%d clients: server closed a bench connection" clients
-      | n ->
-          c.c_inlen <- c.c_inlen + n;
-          let pos = ref 0 in
-          let scanning = ref true in
-          while !scanning do
-            match P.scan_at c.c_inbuf ~pos:!pos ~len:(c.c_inlen - !pos) with
-            | P.Scan_need _ -> scanning := false
-            | P.Scan_fail e -> fail "reply scan: %s" e.P.detail
-            | P.Scan_frame { tag; payload_pos; payload_len; next } ->
-                (if
-                   c.c_state = Conn_pumping && tag = ack_tag
-                   && payload_len = ack_payload_len
-                 then begin
-                   let now = Unix.gettimeofday () in
-                   if now >= !t0 && now <= !t1 then begin
-                     c.c_acked <- c.c_acked + 1;
-                     c.c_rtts <-
-                       int_of_float ((now -. c.c_sent) *. 1e6) :: c.c_rtts
-                   end;
-                   c.c_sent <- now;
-                   queue c batch_frame
-                 end
-                 else
-                   match
-                     P.decode_span tag c.c_inbuf ~pos:payload_pos
-                       ~len:payload_len
-                   with
-                   | Error e -> fail "reply decode: %s" e.P.detail
-                   | Ok (P.Error e) ->
-                       fail "server error %s: %s"
-                         (P.error_code_to_string e.P.code)
-                         e.P.detail
-                   | Ok (P.Loaded _) when c.c_state = Conn_loading ->
-                       c.c_state <- Conn_starting;
-                       queue c begin_frame
-                   | Ok P.Trace_started when c.c_state = Conn_starting ->
-                       c.c_state <- Conn_pumping;
-                       c.c_ready <- true;
-                       c.c_sent <- Unix.gettimeofday ();
-                       queue c batch_frame
-                   | Ok (P.Verdicts vs) when c.c_state = Conn_pumping ->
-                       fail "balanced batch raised %d alarms" (List.length vs)
-                   | Ok _ ->
-                       fail "unexpected reply frame for the session state");
-                pos := next
-          done;
-          if !pos > 0 then begin
-            Bytes.blit c.c_inbuf !pos c.c_inbuf 0 (c.c_inlen - !pos);
-            c.c_inlen <- c.c_inlen - !pos
-          end
-    in
-    Array.iter (fun c -> queue c load_frame) conns;
-    let setup_deadline = Unix.gettimeofday () +. 10.0 in
-    let running = ref true in
-    while !running do
-      let now = Unix.gettimeofday () in
-      (if !t0 = infinity then
-         let ready =
-           Array.fold_left (fun a c -> if c.c_ready then a + 1 else a) 0 conns
-         in
-         if ready >= clients then begin
-           t0 := now +. warmup;
-           t1 := !t0 +. window
-         end
-         else if now > setup_deadline then
-           if ready > 0 then begin
-             t0 := now +. warmup;
-             t1 := !t0 +. window
-           end
-           else fail "%d clients: no session reached pumping" clients);
-      if now > !t1 then running := false
-      else begin
-        let rds = Array.fold_left (fun acc c -> c.c_fd :: acc) [] conns in
-        let wrs =
-          Array.fold_left
-            (fun acc c ->
-              if Bytes.length c.c_out - c.c_outpos > 0 then c.c_fd :: acc
-              else acc)
-            [] conns
-        in
-        match Unix.select rds wrs [] 0.2 with
-        | rd, wr, _ ->
-            List.iter (fun fd -> flush_out (Hashtbl.find by_fd fd)) wr;
-            List.iter (fun fd -> handle_read (Hashtbl.find by_fd fd)) rd
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      end
-    done;
-    Array.iter
-      (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ())
-      conns;
-    stop_server child;
-    if Sys.file_exists sock then Sys.remove sock;
-    let served =
-      Array.fold_left (fun a c -> if c.c_ready then a + 1 else a) 0 conns
-    in
-    let batches = Array.fold_left (fun a c -> a + c.c_acked) 0 conns in
-    let rtts =
-      Array.fold_left (fun acc c -> List.rev_append c.c_rtts acc) [] conns
-    in
-    let sorted = Array.of_list (List.sort compare rtts) in
-    let n = Array.length sorted in
-    let mean =
-      if n = 0 then 0.
-      else float_of_int (Array.fold_left ( + ) 0 sorted) /. float_of_int n
-    in
-    {
-      s_served = served;
-      s_batches = batches;
-      s_vps = float_of_int (batches * branch_reps) /. window;
-      s_mean = mean;
-      s_p50 = percentile sorted 50;
-      s_p99 = percentile sorted 99;
-      s_p999 = permille sorted 999;
-    }
-  in
-  Printf.printf
-    "%s: %d-event balanced batches (%d runs of %d events, %d branches), \
-     %.1fs window per level\n\
-     %8s  %10s %23s\n"
-    w.W.name batch_events copies run_len branch_reps window "clients"
-    "verdict/s" "p50/p99/p999 us";
-  let levels = [ 1; 8; 64; 512 ] in
-  let rows =
-    List.map
-      (fun clients ->
-        let el = pump_level ~clients in
-        Printf.printf "%8d  %10.0f %7d/%7d/%7d\n%!" clients el.s_vps el.s_p50
-          el.s_p99 el.s_p999;
-        (clients, el))
-      levels
-  in
-  ignore
-    (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote store_dir)));
-  let impl_json (s : serve_stat) =
-    J.Obj
-      [
-        ("verdicts_per_sec", J.Float s.s_vps);
-        ("batches_acked", J.Int s.s_batches);
-        ("served_clients", J.Int s.s_served);
-        ( "latency_micros",
-          J.Obj
-            [
-              ("mean", J.Float s.s_mean);
-              ("p50", J.Int s.s_p50);
-              ("p99", J.Int s.s_p99);
-              ("p999", J.Int s.s_p999);
-            ] );
-      ]
-  in
-  let data =
-    J.Obj
-      [
-        ("workload", J.String w.W.name);
-        ("batch_events", J.Int batch_events);
-        ("branches_per_batch", J.Int branch_reps);
-        ("window_seconds", J.Float window);
-        ( "levels",
-          J.List
-            (List.map
-               (fun (clients, el) ->
-                 J.Obj [ ("clients", J.Int clients); ("event_loop", impl_json el) ])
-               rows) );
-      ]
-  in
-  (match out with
-  | None -> ()
-  | Some path ->
-      J.write_file path data;
-      Printf.printf "wrote %s\n" path);
-  data
 
 (* ---------- checker-throughput: flat image vs reference checker ---------- *)
 
@@ -1580,7 +1049,6 @@ type opts = {
   json : string option;
   reps : int;  (* checker-throughput replay repetitions *)
   checker_out : string option;  (* checker-throughput report file *)
-  serve_out : string option;  (* serve-throughput report file *)
   precision_out : string option;  (* precision-lift report file *)
   attacks_out : string option;  (* attack-universes report file *)
   universes : string list;  (* attack universes for the attacks target *)
@@ -1641,8 +1109,6 @@ let run_target opts pool name =
   | "ctx" -> go ctx
   | "models" -> go (models ~attacks:(att 100) ?pool)
   | "micro" -> go micro
-  | "serve-latency" -> go (serve_latency ~seed)
-  | "serve-throughput" -> go (serve_throughput ~seed ~out:opts.serve_out)
   | "checker-throughput" ->
       go (checker_throughput ~reps:opts.reps ~seed ~out:opts.checker_out)
   | "precision" ->
@@ -1660,7 +1126,7 @@ let default_targets =
   [
     "table1"; "fig8"; "fig7"; "fig9"; "latency"; "compile-time"; "ablation";
     "opt-levels"; "baseline"; "models"; "ctx"; "precision"; "attacks";
-    "checker-throughput"; "serve-throughput";
+    "checker-throughput";
   ]
 
 let full_targets = default_targets @ [ "micro" ]
@@ -1725,64 +1191,13 @@ let write_report opts ~targets ~total_seconds path =
        ]);
   Printf.printf "\nwrote %s\n" path
 
-(* Hidden argv mode for serve-throughput: run one verdict server in this
-   process, print READY once it is listening, and stop when stdin hits
-   EOF — the parent's pipe end is the child's lifetime. *)
-let serve_child_main () =
-  let sock = ref "" in
-  let store = ref None in
-  let argc = Array.length Sys.argv in
-  let rec parse i =
-    if i < argc then begin
-      (match
-         (Sys.argv.(i), if i + 1 < argc then Some Sys.argv.(i + 1) else None)
-       with
-      | "--serve-socket", Some v -> sock := v
-      | "--serve-store", Some v -> store := Some v
-      | a, _ ->
-          Printf.eprintf "serve-child: bad argument %s\n" a;
-          exit 2);
-      parse (i + 2)
-    end
-  in
-  parse 2;
-  if String.equal !sock "" then begin
-    prerr_endline "serve-child: --serve-socket is required";
-    exit 2
-  end;
-  let server =
-    Ipds_serve.Server.start
-      ~config:
-        {
-          Ipds_serve.Server.default_config with
-          session_timeout = 0.;
-          store_dir = !store;
-        }
-      (`Unix !sock)
-  in
-  print_string "READY\n";
-  flush stdout;
-  let buf = Bytes.create 256 in
-  let rec drain () =
-    match Unix.read Unix.stdin buf 0 (Bytes.length buf) with
-    | 0 -> ()
-    | _ -> drain ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-  in
-  drain ();
-  Ipds_serve.Server.stop server;
-  exit 0
-
 let () =
-  if Array.length Sys.argv > 1 && String.equal Sys.argv.(1) "serve-child" then
-    serve_child_main ();
   let attacks = ref None in
   let seed = ref 2006 in
   let jobs = ref (Pool.default_jobs ()) in
   let json = ref None in
   let reps = ref 5 in
   let checker_out = ref (Some "BENCH_checker.json") in
-  let serve_out = ref (Some "BENCH_serve.json") in
   let precision_out = ref (Some "BENCH_precision.json") in
   let attacks_out = ref (Some "BENCH_attacks.json") in
   let universes = ref [ "mem"; "cond-flip"; "insn-skip" ] in
@@ -1807,9 +1222,6 @@ let () =
         ( "--checker-out",
           Arg.String (fun f -> checker_out := Some f),
           "FILE Checker-throughput report (default BENCH_checker.json)" );
-        ( "--serve-out",
-          Arg.String (fun f -> serve_out := Some f),
-          "FILE Serve-throughput report (default BENCH_serve.json)" );
         ( "--precision-out",
           Arg.String (fun f -> precision_out := Some f),
           "FILE Precision-lift report (default BENCH_precision.json)" );
@@ -1858,7 +1270,6 @@ let () =
       json = !json;
       reps = max 1 !reps;
       checker_out = !checker_out;
-      serve_out = !serve_out;
       precision_out = !precision_out;
       attacks_out = !attacks_out;
       universes = !universes;

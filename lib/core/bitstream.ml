@@ -49,7 +49,6 @@ module Writer = struct
     reserve t (String.length s);
     String.iter (fun c -> put t 8 (Char.code c)) s
 
-  let align_byte t = if t.bits > 0 then push t ~width:(8 - t.bits) 0
   let bits_written t = (8 * t.len) + t.bits
 
   let contents t =
@@ -108,9 +107,4 @@ module Reader = struct
     for _ = 1 to n do
       ignore (take t 8)
     done
-
-  let align_byte t =
-    let drop = t.bits land 7 in
-    t.acc <- t.acc lsr drop;
-    t.bits <- t.bits - drop
 end

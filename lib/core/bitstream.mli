@@ -18,13 +18,9 @@ module Writer : sig
   val push_string : t -> string -> unit
   (** Append every byte as an 8-bit field (no length prefix). *)
 
-  val align_byte : t -> unit
-  (** Pad with zero bits to the next byte boundary.  No format in the
-      tree pads mid-stream ({!contents} pads the last byte); only the
-      test schedules use it. *)
-
   val bits_written : t -> int
   val contents : t -> Bytes.t
+  (** The bytes written so far; the last one is zero-padded. *)
 end
 
 module Reader : sig
@@ -43,7 +39,4 @@ module Reader : sig
   (** [n] 8-bit fields as a string. *)
 
   val skip_string : t -> int -> unit
-
-  val align_byte : t -> unit
-  (** Skip to the next byte boundary; only the test schedules use it. *)
 end

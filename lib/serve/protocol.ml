@@ -44,54 +44,34 @@ type error_code =
 
 type err = { code : error_code; detail : string }
 
-let error_code_to_string = function
-  | Bad_magic -> "bad-magic"
-  | Bad_version -> "bad-version"
-  | Bad_crc -> "bad-crc"
-  | Oversized -> "oversized"
-  | Truncated -> "truncated"
-  | Unknown_frame -> "unknown-frame"
-  | Malformed -> "malformed"
-  | Bad_state -> "bad-state"
-  | Unknown_artifact -> "unknown-artifact"
-  | Corrupt_artifact -> "corrupt-artifact"
-  | Timeout -> "timeout"
-  | Server_error -> "server-error"
-  | Overloaded -> "overloaded"
-  | Unavailable -> "unavailable"
+(* One row per code; a code's position is its wire byte. *)
+let error_codes =
+  [|
+    (Bad_magic, "bad-magic");
+    (Bad_version, "bad-version");
+    (Bad_crc, "bad-crc");
+    (Oversized, "oversized");
+    (Truncated, "truncated");
+    (Unknown_frame, "unknown-frame");
+    (Malformed, "malformed");
+    (Bad_state, "bad-state");
+    (Unknown_artifact, "unknown-artifact");
+    (Corrupt_artifact, "corrupt-artifact");
+    (Timeout, "timeout");
+    (Server_error, "server-error");
+    (Overloaded, "overloaded");
+    (Unavailable, "unavailable");
+  |]
 
-let error_code_to_int = function
-  | Bad_magic -> 0
-  | Bad_version -> 1
-  | Bad_crc -> 2
-  | Oversized -> 3
-  | Truncated -> 4
-  | Unknown_frame -> 5
-  | Malformed -> 6
-  | Bad_state -> 7
-  | Unknown_artifact -> 8
-  | Corrupt_artifact -> 9
-  | Timeout -> 10
-  | Server_error -> 11
-  | Overloaded -> 12
-  | Unavailable -> 13
+let error_code_to_int code =
+  let rec find i = if fst error_codes.(i) = code then i else find (i + 1) in
+  find 0
 
-let error_code_of_int = function
-  | 0 -> Some Bad_magic
-  | 1 -> Some Bad_version
-  | 2 -> Some Bad_crc
-  | 3 -> Some Oversized
-  | 4 -> Some Truncated
-  | 5 -> Some Unknown_frame
-  | 6 -> Some Malformed
-  | 7 -> Some Bad_state
-  | 8 -> Some Unknown_artifact
-  | 9 -> Some Corrupt_artifact
-  | 10 -> Some Timeout
-  | 11 -> Some Server_error
-  | 12 -> Some Overloaded
-  | 13 -> Some Unavailable
-  | _ -> None
+let error_code_to_string code = snd error_codes.(error_code_to_int code)
+
+let error_code_of_int n =
+  if n >= 0 && n < Array.length error_codes then Some (fst error_codes.(n))
+  else None
 
 type summary = { total_events : int; total_branches : int; total_alarms : int }
 
@@ -342,15 +322,6 @@ let decode_payload ~limit tag r =
 
 (* {2 Frame codec} *)
 
-let set_u32_le b pos v =
-  for i = 0 to 3 do
-    Bytes.set b (pos + i) (Char.chr ((v lsr (8 * i)) land 0xFF))
-  done
-
-let get_u32_le b pos =
-  let byte i = Char.code (Bytes.get b (pos + i)) in
-  byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
-
 let encode_frame f =
   let w = Bs.Writer.create () in
   encode_payload w f;
@@ -360,13 +331,10 @@ let encode_frame f =
   Bytes.blit_string magic 0 b 0 4;
   Bytes.set b 4 (Char.chr version);
   Bytes.set b 5 (Char.chr (tag_of_frame f));
-  set_u32_le b 6 plen;
+  Bytes.set_int32_le b 6 (Int32.of_int plen);
   Bytes.blit payload 0 b header_bytes plen;
-  let crc =
-    Int32.to_int (Ipds_artifact.Crc32.bytes b ~pos:0 ~len:(header_bytes + plen))
-    land 0xFFFF_FFFF
-  in
-  set_u32_le b (header_bytes + plen) crc;
+  Bytes.set_int32_le b (header_bytes + plen)
+    (Ipds_artifact.Crc32.bytes b ~pos:0 ~len:(header_bytes + plen));
   b
 
 type decoded =
@@ -408,7 +376,8 @@ let scan_at ?(max_frame = default_max_frame) buf ~pos ~len =
       }
   else
     let tag = Char.code (Bytes.get buf (pos + 5)) in
-    let plen = get_u32_le buf (pos + 6) in
+    (* unsigned: a length >= 2^31 must not read as negative *)
+    let plen = Int32.to_int (Bytes.get_int32_le buf (pos + 6)) land 0xFFFF_FFFF in
     if plen > max_frame then
       Scan_fail
         {
@@ -418,13 +387,9 @@ let scan_at ?(max_frame = default_max_frame) buf ~pos ~len =
     else if len < header_bytes + plen + trailer_bytes then
       Scan_need (header_bytes + plen + trailer_bytes)
     else
-      let stored = get_u32_le buf (pos + header_bytes + plen) in
-      let crc =
-        Int32.to_int
-          (Ipds_artifact.Crc32.bytes buf ~pos ~len:(header_bytes + plen))
-        land 0xFFFF_FFFF
-      in
-      if stored <> crc then
+      let crc = Ipds_artifact.Crc32.bytes buf ~pos ~len:(header_bytes + plen) in
+      if not (Int32.equal crc (Bytes.get_int32_le buf (pos + header_bytes + plen)))
+      then
         Scan_fail { code = Bad_crc; detail = "frame CRC mismatch" }
       else
         Scan_frame

@@ -33,8 +33,6 @@ module Writer = struct
     done;
     t.bit <- t.bit + width
 
-  let align_byte t = t.bit <- (t.bit + 7) / 8 * 8
-
   let bits_written t = t.bit
   let contents t = Bytes.sub t.buf 0 ((t.bit + 7) / 8)
 end
@@ -60,6 +58,4 @@ module Reader = struct
     t.bit <- t.bit + width;
     !v
 
-  let align_byte t = t.bit <- (t.bit + 7) / 8 * 8
-  let bits_read t = t.bit
 end

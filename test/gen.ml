@@ -158,11 +158,10 @@ let minic_program : Mir.Program.t Q.t =
 
 (* A serialization schedule for Core.Bitstream: fields of any legal
    width (0–62 inclusive, both endpoints weighted so every run hits
-   them) interleaved with byte-alignment points.  The reader must replay
-   the same schedule, which is how the artifact codecs use the API. *)
-type bits_op =
-  | Bits_field of int * int  (* width, value fitting in width *)
-  | Bits_align
+   them), packed back to back with no padding between them, as every
+   format in the tree writes them.  The reader replays the same
+   schedule. *)
+type bits_op = Bits_field of int * int  (* width, value fitting in width *)
 
 let bitstream_ops : bits_op list Q.t =
   let field =
@@ -173,8 +172,7 @@ let bitstream_ops : bits_op list Q.t =
     let mask = if width = 0 then 0 else (1 lsl width) - 1 in
     Q.return (Bits_field (width, (lo lor (hi lsl 30)) land mask))
   in
-  Q.list_size (Q.int_range 1 80)
-    (Q.frequency [ (8, field); (2, Q.return Bits_align) ])
+  Q.list_size (Q.int_range 1 80) field
 
 (* ---------- machine event generator ---------- *)
 

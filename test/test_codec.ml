@@ -22,30 +22,19 @@ let check_str = Alcotest.(check string)
 
 let write_new ops =
   let w = Bs.Writer.create () in
-  List.iter
-    (function
-      | Gen.Bits_field (width, v) -> Bs.Writer.push w ~width v
-      | Gen.Bits_align -> Bs.Writer.align_byte w)
-    ops;
+  List.iter (fun (Gen.Bits_field (width, v)) -> Bs.Writer.push w ~width v) ops;
   (Bs.Writer.contents w, Bs.Writer.bits_written w)
 
 let write_ref ops =
   let w = Ref.Writer.create () in
-  List.iter
-    (function
-      | Gen.Bits_field (width, v) -> Ref.Writer.push w ~width v
-      | Gen.Bits_align -> Ref.Writer.align_byte w)
-    ops;
+  List.iter (fun (Gen.Bits_field (width, v)) -> Ref.Writer.push w ~width v) ops;
   (Ref.Writer.contents w, Ref.Writer.bits_written w)
 
 (* Replay [ops] against a reader: [Ok values] when every field was
    read, [Error i] when op [i] ran out of input. *)
-let replay ~pull ~align ~past_end ops =
+let replay ~pull ~past_end ops =
   let rec go i values = function
     | [] -> Ok (List.rev values)
-    | Gen.Bits_align :: rest ->
-        align ();
-        go (i + 1) values rest
     | Gen.Bits_field (width, _) :: rest -> (
         match pull width with
         | v -> go (i + 1) (v :: values) rest
@@ -57,14 +46,12 @@ let replay_new bytes ops =
   let r = Bs.Reader.of_bytes bytes in
   replay ops
     ~pull:(fun width -> Bs.Reader.pull r ~width)
-    ~align:(fun () -> Bs.Reader.align_byte r)
     ~past_end:(function Bs.Past_end -> true | _ -> false)
 
 let replay_ref bytes ops =
   let r = Ref.Reader.of_bytes bytes in
   replay ops
     ~pull:(fun width -> Ref.Reader.pull r ~width)
-    ~align:(fun () -> Ref.Reader.align_byte r)
     ~past_end:(function Invalid_argument _ -> true | _ -> false)
 
 let prop_matches_oracle =
@@ -224,6 +211,74 @@ let test_golden_frames () =
       | None -> Alcotest.failf "no golden hash for frame %s (got %s)" name got)
     fixture_frames
 
+(* Every error code with its wire byte and its name, written out: a
+   permutation of the codes' wire ints would still round-trip, so the
+   ints themselves are pinned here. *)
+let golden_error_codes =
+  [
+    (P.Bad_magic, 0, "bad-magic");
+    (P.Bad_version, 1, "bad-version");
+    (P.Bad_crc, 2, "bad-crc");
+    (P.Oversized, 3, "oversized");
+    (P.Truncated, 4, "truncated");
+    (P.Unknown_frame, 5, "unknown-frame");
+    (P.Malformed, 6, "malformed");
+    (P.Bad_state, 7, "bad-state");
+    (P.Unknown_artifact, 8, "unknown-artifact");
+    (P.Corrupt_artifact, 9, "corrupt-artifact");
+    (P.Timeout, 10, "timeout");
+    (P.Server_error, 11, "server-error");
+    (P.Overloaded, 12, "overloaded");
+    (P.Unavailable, 13, "unavailable");
+  ]
+
+(* Re-seal a frame's CRC after its bytes were edited. *)
+let reseal b =
+  let body = Bytes.length b - P.trailer_bytes in
+  Bytes.set_int32_le b body (Ipds_artifact.Crc32.bytes b ~pos:0 ~len:body)
+
+let test_golden_error_codes () =
+  List.iter
+    (fun (code, wire, name) ->
+      check_str "code name" name (P.error_code_to_string code);
+      let b = P.encode_frame (P.Error { P.code; detail = "d" }) in
+      (* the code is the payload's first byte *)
+      Alcotest.(check int) (name ^ " wire byte") wire (Bytes.get_uint8 b P.header_bytes);
+      match P.decode_string (Bytes.to_string b) with
+      | Ok [ P.Error e ] -> check (name ^ " decodes") true (e.P.code = code)
+      | _ -> Alcotest.failf "%s: error frame did not decode" name)
+    golden_error_codes;
+  List.iter
+    (fun byte ->
+      let b = P.encode_frame (P.Error { P.code = P.Unavailable; detail = "d" }) in
+      Bytes.set_uint8 b P.header_bytes byte;
+      reseal b;
+      match P.decode_string (Bytes.to_string b) with
+      | Error e ->
+          check_str "out-of-range code" "malformed" (P.error_code_to_string e.P.code);
+          check_str "out-of-range detail" "bad error code" e.P.detail
+      | Ok _ -> Alcotest.failf "error code byte %d decoded Ok" byte)
+    [ List.length golden_error_codes; 255 ]
+
+let test_huge_length_oversized () =
+  (* a length field >= 2^31 is a large unsigned length, never a
+     negative one *)
+  List.iter
+    (fun plen ->
+      let b = P.encode_frame P.Begin_trace in
+      Bytes.set_int32_le b 6 (Int32.of_int plen);
+      match P.scan_at b ~pos:0 ~len:(Bytes.length b) with
+      | P.Scan_fail { P.code = P.Oversized; detail } ->
+          check_str "oversized detail"
+            (Printf.sprintf "payload of %d bytes exceeds limit %d" plen
+               P.default_max_frame)
+            detail
+      | P.Scan_fail e ->
+          Alcotest.failf "length %d: %s" plen (P.error_code_to_string e.P.code)
+      | P.Scan_need n -> Alcotest.failf "length %d: asked for %d bytes" plen n
+      | P.Scan_frame _ -> Alcotest.failf "length %d: scanned a frame" plen)
+    [ 0x8000_0000; 0xFFFF_FFFF ]
+
 let test_golden_artifacts () =
   List.iter
     (fun (w : W.t) ->
@@ -247,5 +302,8 @@ let () =
         [
           Alcotest.test_case "wire v1 frames" `Quick test_golden_frames;
           Alcotest.test_case "artifact v3 built-ins" `Quick test_golden_artifacts;
+          Alcotest.test_case "wire v1 error codes" `Quick test_golden_error_codes;
+          Alcotest.test_case "length >= 2^31 is oversized" `Quick
+            test_huge_length_oversized;
         ] );
     ]
