@@ -53,7 +53,7 @@
 module H = Ipds_harness
 module W = Ipds_workloads.Workloads
 module Pool = Ipds_parallel.Pool
-module J = H.Json
+module J = Ipds_obs.Json
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
 
@@ -750,7 +750,7 @@ let checker_throughput ~reps ~seed ~out () =
   (match out with
   | None -> ()
   | Some path ->
-      J.write_file path data;
+      J.write_file ~indent:2 path data;
       Printf.printf "wrote %s\n" path);
   data
 
@@ -924,7 +924,7 @@ let precision ~attacks ~seed ?pool ~out () =
   (match out with
   | None -> ()
   | Some path ->
-      J.write_file path data;
+      J.write_file ~indent:2 path data;
       Printf.printf "wrote %s\n" path);
   data
 
@@ -998,7 +998,7 @@ let attacks_bench ~attacks ~seed ~universes ?pool ~out () =
   (match out with
   | None -> ()
   | Some path ->
-      J.write_file path data;
+      J.write_file ~indent:2 path data;
       Printf.printf "wrote %s\n" path);
   data
 
@@ -1169,7 +1169,7 @@ let write_report opts ~targets ~total_seconds path =
           [ ("name", J.String name); ("wall_seconds", J.Float dt); ("data", data) ])
       !report
   in
-  J.write_file path
+  J.write_file ~indent:2 path
     (J.Obj
        [
          ("date", J.String date);
@@ -1182,7 +1182,7 @@ let write_report opts ~targets ~total_seconds path =
          ("minic_compiles", J.Int (W.compile_count ()));
          ("system_builds", J.Int (Ipds_core.System.build_count ()));
          ("cache", cache_json ());
-         ("manifest", H.Obs_report.manifest_json ());
+         ("manifest", Ipds_obs.Manifest.to_json ());
          (* deterministic: byte-identical across --jobs values *)
          ("metrics", H.Obs_report.metrics_json ());
          (* scheduling/wall-clock dependent: pool activity, span timers *)

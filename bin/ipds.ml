@@ -576,14 +576,6 @@ let serve_cmd =
       & info [ "cache-slots" ]
           ~doc:"Loaded artifacts kept resident in the server's LRU.")
   in
-  let cache_shards_arg =
-    Arg.(
-      value & opt int Serve.Server.default_config.Serve.Server.cache_shards
-      & info [ "cache-shards" ]
-          ~doc:
-            "Lock shards of the server's artifact cache; higher values \
-             reduce contention between concurrent cold loads.")
-  in
   let peer_socket_arg =
     Arg.(
       value
@@ -619,11 +611,16 @@ let serve_cmd =
             "This server's own shard index in the peer fleet (never asked \
              during a peer fetch).")
   in
-  let run () obs socket port jobs timeout max_frame cache_slots cache_shards
-      peer_socket peer_port peer_shards peer_self =
+  let run () obs socket port jobs timeout max_frame cache_slots peer_socket
+      peer_port peer_shards peer_self =
     obs_init ~command:"serve"
       ~manifest:[ ("jobs", Obs.Json.Int jobs) ]
       obs;
+    if cache_slots < 1 then begin
+      Format.eprintf "ipds serve: --cache-slots must be >= 1 (got %d)@."
+        cache_slots;
+      exit 2
+    end;
     let addr =
       match (socket, port) with
       | Some path, None -> `Unix path
@@ -684,7 +681,6 @@ let serve_cmd =
         max_frame;
         session_timeout = timeout;
         cache_slots;
-        cache_shards = max 1 cache_shards;
         store_dir = None;
         peers;
       }
@@ -725,7 +721,7 @@ let serve_cmd =
           IPDS verdicts back.")
     Term.(
       const run $ cache_term $ obs_term $ socket_arg $ port_arg $ jobs_arg
-      $ timeout_arg $ max_frame_arg $ cache_slots_arg $ cache_shards_arg
+      $ timeout_arg $ max_frame_arg $ cache_slots_arg
       $ peer_socket_arg $ peer_port_arg $ peer_shards_arg $ peer_self_arg)
 
 let check_remote_cmd =
@@ -912,6 +908,11 @@ let fleet_cmd =
       obs;
     if shards < 1 then begin
       Format.eprintf "ipds fleet: --shards must be >= 1 (got %d)@." shards;
+      exit 2
+    end;
+    if cache_slots < 1 then begin
+      Format.eprintf "ipds fleet: --cache-slots must be >= 1 (got %d)@."
+        cache_slots;
       exit 2
     end;
     let base =

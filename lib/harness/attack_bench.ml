@@ -1,4 +1,5 @@
 module A = Attack_experiment
+module Json = Ipds_obs.Json
 module Pool = Ipds_parallel.Pool
 
 type config = {

@@ -50,6 +50,6 @@ val injected_total : result -> int
 (** Total injected attacks across all campaigns — the denominator for
     throughput reporting. *)
 
-val summary_json : Attack_experiment.summary -> Json.t
-val stable_json : result -> Json.t
+val summary_json : Attack_experiment.summary -> Ipds_obs.Json.t
+val stable_json : result -> Ipds_obs.Json.t
 (** The deterministic report object (byte-identical across job counts). *)

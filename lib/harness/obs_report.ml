@@ -1,22 +1,8 @@
-module O = Ipds_obs.Json
-
-let rec of_obs = function
-  | O.Null -> Json.Null
-  | O.Bool b -> Json.Bool b
-  | O.Int n -> Json.Int n
-  | O.Float f -> Json.Float f
-  | O.String s -> Json.String s
-  | O.List xs -> Json.List (List.map of_obs xs)
-  | O.Obj fields -> Json.Obj (List.map (fun (k, v) -> (k, of_obs v)) fields)
-
-let metrics_json () =
-  of_obs (Ipds_obs.Registry.snapshot_json ~stability:`Stable ())
+let metrics_json () = Ipds_obs.Registry.snapshot_json ~stability:`Stable ()
 
 let runtime_json () =
-  Json.Obj
+  Ipds_obs.Json.Obj
     [
-      ("metrics", of_obs (Ipds_obs.Registry.snapshot_json ~stability:`Unstable ()));
-      ("spans", of_obs (Ipds_obs.Span.snapshot_json ()));
+      ("metrics", Ipds_obs.Registry.snapshot_json ~stability:`Unstable ());
+      ("spans", Ipds_obs.Span.snapshot_json ());
     ]
-
-let manifest_json () = of_obs (Ipds_obs.Manifest.to_json ())

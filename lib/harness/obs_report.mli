@@ -1,19 +1,13 @@
-(** Bridge from the observability layer to harness JSON reports.
+(** The observability sections of a harness JSON report.
 
-    [Ipds_obs] sits below the harness and has its own compact JSON type;
-    this module converts its snapshots into {!Json.t} so bench reports
-    can embed them.  [metrics_json] carries only stable metrics — the
-    deterministic object that must be byte-identical across job counts —
-    while [runtime_json] carries unstable metrics and span timers, which
+    [metrics_json] carries only stable metrics — the deterministic
+    object that must be byte-identical across job counts — while
+    [runtime_json] carries unstable metrics and span timers, which
     legitimately vary run to run. *)
 
-val of_obs : Ipds_obs.Json.t -> Json.t
-
-val metrics_json : unit -> Json.t
+val metrics_json : unit -> Ipds_obs.Json.t
 (** Stable-metric snapshot: identical for [--jobs 1] and [--jobs N]. *)
 
-val runtime_json : unit -> Json.t
+val runtime_json : unit -> Ipds_obs.Json.t
 (** [{"metrics":{…unstable…},"spans":{…}}] — scheduling and wall-clock
     dependent, excluded from the determinism guarantee. *)
-
-val manifest_json : unit -> Json.t

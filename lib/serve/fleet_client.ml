@@ -29,7 +29,7 @@ let create ?max_frame ?(backoff = Backoff.default) topology =
   }
 
 let topology t = t.topology
-let shard_of_key t key = Ring.route t.ring key
+let owner t key = Ring.route t.ring key
 
 let image_key = Session.image_key
 

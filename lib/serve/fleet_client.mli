@@ -13,7 +13,7 @@ val create :
 
 val topology : t -> Ipds_fleet.Topology.t
 
-val shard_of_key : t -> string -> int
+val owner : t -> string -> int
 (** The ring owner of [key]. *)
 
 val image_key : string -> string

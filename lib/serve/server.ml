@@ -17,12 +17,12 @@
    {!max_connections} live connections a new socket gets one
    [Overloaded] frame and is closed.
 
-   Loaded systems live in an {!Ipds_fleet.Shard_cache}: N independently
-   locked LRU shards keyed by artifact key, so concurrent loads only
-   contend when they actually race the same shard. *)
+   Loaded systems live in one {!Ipds_parallel.Memo} bounded to
+   [config.cache_slots] entries, keyed by artifact key: loads run
+   outside its lock, so cold loads of distinct keys proceed in parallel
+   across reactors while racing loads of one key collapse to one. *)
 
 module Store = Ipds_artifact.Store
-module Shard_cache = Ipds_fleet.Shard_cache
 module Reg = Ipds_obs.Registry
 
 (* Overload shedding depends on timing, so the counter is unstable. *)
@@ -54,8 +54,7 @@ type config = {
   jobs : int;  (** reactor domains (≥ 1) *)
   max_frame : int;  (** payload-size limit, bytes *)
   session_timeout : float;  (** seconds a session may sit idle; 0 = none *)
-  cache_slots : int;  (** loaded [System.t]s kept across all cache shards *)
-  cache_shards : int;  (** independently locked cache shards (≥ 1) *)
+  cache_slots : int;  (** loaded [System.t]s kept in the LRU (≥ 1) *)
   store_dir : string option;
       (** artifact store for [Load_key]; [None] uses the ambient store *)
   reply_queue_bytes : int;  (** per-connection reply-queue bound *)
@@ -69,7 +68,6 @@ let default_config =
     max_frame = Protocol.default_max_frame;
     session_timeout = 30.;
     cache_slots = 8;
-    cache_shards = 4;
     store_dir = None;
     reply_queue_bytes = 8 * 1024 * 1024;
     inflight_bytes = 64 * 1024 * 1024;
@@ -105,7 +103,7 @@ type t = {
   config : config;
   store : Store.t option;
   peer_fetch : (string -> (string, Protocol.err) result) option;
-  cache : Ipds_core.System.t Shard_cache.t;
+  cache : (string, Ipds_core.System.t) Ipds_parallel.Memo.t;
   fd : Unix.file_descr;
   sock_path : string option;
   stop_flag : bool Atomic.t;
@@ -494,6 +492,11 @@ let nonblock_pipe () =
   (r, w)
 
 let start ?(config = default_config) (addr : address) =
+  (* First, so a bad [cache_slots] raises before any fd is open. *)
+  let cache =
+    Ipds_parallel.Memo.create ~capacity:config.cache_slots
+      ~metrics_prefix:"serve.cache" ()
+  in
   Protocol.ignore_sigpipe ();
   let fd, sock_path =
     match addr with
@@ -532,12 +535,6 @@ let start ?(config = default_config) (addr : address) =
           | Ok bytes -> Ok (Bytes.to_string bytes)
           | Error e -> Error e)
       config.peers
-  in
-  let shards = max 1 config.cache_shards in
-  let cache =
-    Shard_cache.create ~metrics_prefix:"serve.cache" ~shards
-      ~slots_per_shard:(max 1 ((max 1 config.cache_slots + shards - 1) / shards))
-      ()
   in
   let jobs = max 1 config.jobs in
   let reactors =

@@ -16,7 +16,7 @@
     of descriptors (EMFILE/ENFILE) the accept loop stops watching the
     listener for a fixed back-off instead of spinning, counted in the
     unstable [serve.accept_backoffs].  Loaded systems live in
-    an {!Ipds_fleet.Shard_cache} of independently locked LRU shards.
+    one {!Ipds_parallel.Memo} LRU of [config.cache_slots] entries.
 
     Robustness is the contract: malformed, oversized, truncated,
     version-skewed or out-of-sequence frames produce one typed
@@ -46,8 +46,7 @@ type config = {
   jobs : int;  (** reactor domains (≥ 1) *)
   max_frame : int;  (** payload-size limit, bytes *)
   session_timeout : float;  (** seconds a session may sit idle; 0 = none *)
-  cache_slots : int;  (** loaded systems kept across all cache shards *)
-  cache_shards : int;  (** independently locked cache shards (≥ 1) *)
+  cache_slots : int;  (** loaded systems kept in the LRU (≥ 1) *)
   store_dir : string option;
       (** artifact store for [Load_key]; [None] uses the ambient store *)
   reply_queue_bytes : int;  (** per-connection reply-queue bound *)
@@ -56,7 +55,7 @@ type config = {
 }
 
 val default_config : config
-(** 1 reactor, 4 MiB frames, 30 s timeout, 8 cache slots over 4 shards,
+(** 1 reactor, 4 MiB frames, 30 s timeout, 8 cache slots,
     ambient store, 8 MiB per-connection reply bound, 64 MiB global, no
     peer sharing. *)
 
@@ -80,7 +79,8 @@ val start : ?config:config -> address -> t
     socket file (one no server answers on) at a [`Unix] path is
     unlinked first; a live server's socket or a non-socket file raises
     [Unix_error (EADDRINUSE, _, _)].  Raises [Unix_error] if the
-    address cannot be bound. *)
+    address cannot be bound, and [Invalid_argument] before binding if
+    [config.cache_slots < 1]. *)
 
 val port : t -> int option
 (** The bound TCP port ([None] for Unix-domain servers). *)

@@ -14,7 +14,7 @@ module Event = Ipds_machine.Event
 module System = Ipds_core.System
 module Checker = Ipds_core.Checker
 module Store = Ipds_artifact.Store
-module Shard_cache = Ipds_fleet.Shard_cache
+module Memo = Ipds_parallel.Memo
 module Reg = Ipds_obs.Registry
 
 let m_sessions = Reg.counter "serve.sessions"
@@ -39,7 +39,7 @@ exception State_violation of string
 
 type t = {
   store : Store.t option;
-  cache : System.t Shard_cache.t;
+  cache : (string, System.t) Memo.t;
   peer_fetch : (string -> (string, Protocol.err) result) option;
   mutable system : System.t option;
   mutable checker : Checker.t option;
@@ -119,7 +119,7 @@ let load_system t ~send ~name key load =
     send (Protocol.Loaded { name; cached });
     `Continue
   in
-  match Shard_cache.fetch t.cache key load with
+  match Memo.fetch t.cache key load with
   | `Hit sys -> loaded ~cached:true sys
   | `Loaded sys -> loaded ~cached:false sys
   | `Err (code, detail) ->

@@ -42,7 +42,7 @@ type t
 val create :
   ?peer_fetch:(string -> (string, Protocol.err) result) ->
   store:Ipds_artifact.Store.t option ->
-  cache:Ipds_core.System.t Ipds_fleet.Shard_cache.t ->
+  cache:(string, Ipds_core.System.t) Ipds_parallel.Memo.t ->
   unit ->
   t
 (** Counts [serve.sessions].  [cache] holds loaded systems, shared by

@@ -14,7 +14,7 @@
 module H = Ipds_harness
 module Pool = Ipds_parallel.Pool
 module R = Ipds_obs.Registry
-module J = H.Json
+module J = Ipds_obs.Json
 
 let fail fmt =
   Printf.ksprintf

@@ -162,7 +162,7 @@ let () =
       | Ok routed ->
           if routed.Fleet_client.skipped <> [] then
             fail "%s: healthy fleet produced skipped shards" name;
-          if routed.Fleet_client.shard <> Fleet_client.shard_of_key fc key then
+          if routed.Fleet_client.shard <> Fleet_client.owner fc key then
             fail "%s: connected shard is not the ring owner" name;
           Hashtbl.replace used routed.Fleet_client.shard ();
           let c = routed.Fleet_client.client in
@@ -178,7 +178,7 @@ let () =
 
   section "2: dead shard -> typed unavailable, re-route, identical verdicts";
   let name0, key0, run0 = List.hd cases in
-  let owner = Fleet_client.shard_of_key fc key0 in
+  let owner = Fleet_client.owner fc key0 in
   stop_shard owner;
   (match Fleet_client.connect_for_key fc key0 with
   | Error e -> fail "failover gave up: %s" e.P.detail
@@ -200,7 +200,7 @@ let () =
   (* keys owned by surviving shards are untouched *)
   List.iter
     (fun (name, key, run) ->
-      if Fleet_client.shard_of_key fc key <> owner then begin
+      if Fleet_client.owner fc key <> owner then begin
         match Fleet_client.connect_for_key fc key with
         | Error e -> fail "%s: survivor unreachable: %s" name e.P.detail
         | Ok routed ->

@@ -10,7 +10,7 @@
      - the runtime section carries the unstable metrics instead. *)
 
 module H = Ipds_harness
-module J = H.Json
+module J = Ipds_obs.Json
 module Obs = Ipds_obs
 
 let failures = ref 0

@@ -1,22 +1,13 @@
-(* Property tests for the fleet subsystem: the consistent-hash ring
-   (stability, balance, failover order, minimal remapping on node
-   loss), the bounded backoff schedule, topology addressing, and the
-   sharded LRU cache — differentially against a reference model over
-   random load/evict interleavings, then hammered from 8 domains with
-   exact counter reconciliation.  The cache's structural contract
-   (key→shard stability, capacity bound, no cross-shard aliasing) is
-   asserted through the predicates the library itself exports. *)
+(* Property tests for the fleet subsystem: the stable hash, the
+   consistent-hash ring (stability, balance, failover order, minimal
+   remapping on node loss), the bounded backoff schedule and topology
+   addressing. *)
 
 module F = Ipds_fleet
 module Ring = F.Ring
 module Backoff = F.Backoff
 module Topology = F.Topology
-module Cache = F.Shard_cache
 module Hashing = F.Hashing
-module Reg = Ipds_obs.Registry
-module Q = QCheck2.Gen
-
-let ( let* ) = Q.bind
 let check = Alcotest.(check bool)
 
 (* ---------- hashing ---------- *)
@@ -26,15 +17,11 @@ let test_hashing () =
     let k = Printf.sprintf "key-%d" i in
     let h = Hashing.stable_hash k in
     check "non-negative" true (h >= 0);
-    check "deterministic" true (h = Hashing.stable_hash k);
-    let s = Hashing.shard_of ~shards:7 k in
-    check "in range" true (s >= 0 && s < 7)
+    check "deterministic" true (h = Hashing.stable_hash k)
   done;
-  (* a fixed anchor: the hash must be stable across runs and processes,
-     or ring placement and shard caches silently disagree after restart *)
-  check "anchored" true
-    (Hashing.shard_of ~shards:1000 "anchor"
-    = Hashing.shard_of ~shards:1000 "anchor")
+  (* a literal anchor: the hash must be stable across runs, processes
+     and builds, or ring placement silently disagrees after a restart *)
+  check "anchored" true (Hashing.stable_hash "anchor" = 1336047093657022023)
 
 (* ---------- ring ---------- *)
 
@@ -150,188 +137,6 @@ let test_topology () =
       check "ring routes into the topology" true (s >= 0 && s < 4))
     (keys 100)
 
-(* ---------- shard cache: differential model check ---------- *)
-
-(* A reference implementation of the contract: per-shard MRU lists with
-   the same promote-on-hit / insert-evict-on-load / don't-cache-errors
-   semantics, trivially correct by inspection. *)
-type model = { rings : string list array; slots : int }
-
-let model_create cache =
-  {
-    rings = Array.make (Cache.shards cache) [];
-    slots = Cache.slots_per_shard cache;
-  }
-
-let model_fetch m cache key ok =
-  let sh = Cache.shard_of_key cache key in
-  let ring = m.rings.(sh) in
-  if List.mem key ring then begin
-    m.rings.(sh) <- key :: List.filter (fun k -> k <> key) ring;
-    `Hit
-  end
-  else if not ok then `Err
-  else begin
-    let r = key :: ring in
-    m.rings.(sh) <-
-      (if List.length r > m.slots then List.filteri (fun i _ -> i < m.slots) r
-       else r);
-    `Loaded
-  end
-
-let model_mem m cache key =
-  List.mem key m.rings.(Cache.shard_of_key cache key)
-
-let assert_invariants what cache =
-  List.iter
-    (fun (name, holds) ->
-      if not holds then Alcotest.failf "%s: invariant %s violated" what name)
-    (Cache.check_invariants cache)
-
-(* An op is (key index, loader succeeds?). *)
-let ops_gen : (int * bool) list Q.t =
-  Q.list_size (Q.int_range 1 400)
-    (let* k = Q.int_range 0 11 in
-     let* ok = Q.frequency [ (9, Q.return true); (1, Q.return false) ] in
-     Q.return (k, ok))
-
-let prop_cache_matches_model =
-  QCheck2.Test.make
-    ~name:"sharded cache = reference LRU model over load/evict interleavings"
-    ~count:200 ops_gen (fun ops ->
-      let cache = Cache.create ~shards:3 ~slots_per_shard:2 () in
-      let model = model_create cache in
-      let universe = List.init 12 (Printf.sprintf "k%d") in
-      List.iteri
-        (fun step (ki, ok) ->
-          let key = List.nth universe ki in
-          let expected = model_fetch model cache key ok in
-          let got =
-            Cache.fetch cache key (fun () ->
-                if ok then Ok ("v:" ^ key) else Error "load failed")
-          in
-          (match (expected, got) with
-          | `Hit, `Hit v | `Loaded, `Loaded v ->
-              if v <> "v:" ^ key then
-                QCheck2.Test.fail_reportf "step %d: wrong value %S" step v
-          | `Err, `Err e ->
-              if e <> "load failed" then
-                QCheck2.Test.fail_reportf "step %d: wrong error" step
-          | _ ->
-              QCheck2.Test.fail_reportf "step %d: outcome diverged from model"
-                step);
-          assert_invariants "model check" cache)
-        ops;
-      (* residency agrees everywhere, and the counters reconcile *)
-      List.iter
-        (fun key ->
-          if Cache.mem cache key <> model_mem model cache key then
-            QCheck2.Test.fail_reportf "residency of %s diverged" key)
-        universe;
-      let s = Cache.stats cache in
-      let fetches = List.length ops in
-      let loads = List.length (List.filter snd ops) in
-      ignore loads;
-      s.Cache.hits + s.Cache.misses = fetches
-      && s.Cache.size = Cache.length cache
-      && s.Cache.size <= Cache.shards cache * Cache.slots_per_shard cache)
-
-(* ---------- shard cache: 8-domain hammer ---------- *)
-
-let test_cache_hammer () =
-  let cache =
-    Cache.create ~metrics_prefix:"testfleet.cache" ~shards:8 ~slots_per_shard:4
-      ()
-  in
-  let domains = 8 and per_domain = 2000 in
-  let failing_every = 97 in
-  let worker d =
-    Domain.spawn (fun () ->
-        let st = Random.State.make [| 0xf1ee7; d |] in
-        let errs = ref 0 in
-        for i = 1 to per_domain do
-          let key = Printf.sprintf "obj-%d" (Random.State.int st 64) in
-          let fails = i mod failing_every = 0 in
-          match
-            Cache.fetch cache key (fun () ->
-                if fails then Error `Load_failed else Ok (key ^ "!"))
-          with
-          | `Hit v | `Loaded v ->
-              if v <> key ^ "!" then failwith ("wrong value for " ^ key)
-          | `Err `Load_failed -> incr errs
-        done;
-        !errs)
-  in
-  let errs =
-    List.init domains worker |> List.map Domain.join
-    |> List.fold_left ( + ) 0
-  in
-  assert_invariants "hammer" cache;
-  let s = Cache.stats cache in
-  (* exact reconciliation: every fetch is a hit or a miss; every
-     resident entry is a successful load that has not been evicted *)
-  check "hits+misses = fetches" true
-    (s.Cache.hits + s.Cache.misses = domains * per_domain);
-  check "size = successful loads - evictions" true
-    (s.Cache.size = s.Cache.misses - errs - s.Cache.evictions);
-  check "size within capacity" true
-    (s.Cache.size <= Cache.shards cache * Cache.slots_per_shard cache);
-  check "cache saw real contention" true (s.Cache.hits > 0 && s.Cache.misses > 0);
-  (* per-shard stats sum to the aggregate *)
-  let sum =
-    List.init (Cache.shards cache) (Cache.shard_stats cache)
-    |> List.fold_left
-         (fun (h, m, e, sz) (st : Cache.stats) ->
-           (h + st.Cache.hits, m + st.Cache.misses, e + st.Cache.evictions,
-            sz + st.Cache.size))
-         (0, 0, 0, 0)
-  in
-  check "per-shard stats sum to aggregate" true
-    (sum
-    = (s.Cache.hits, s.Cache.misses, s.Cache.evictions, s.Cache.size));
-  (* the obs counters mirror the internal stats exactly *)
-  let cval name = Reg.counter_value (Reg.counter ~stable:false name) in
-  check "obs hits reconcile" true (cval "testfleet.cache_hits" = s.Cache.hits);
-  check "obs misses reconcile" true
-    (cval "testfleet.cache_misses" = s.Cache.misses);
-  check "obs evictions reconcile" true
-    (cval "testfleet.cache_evictions" = s.Cache.evictions);
-  let shard_sum suffix =
-    List.init (Cache.shards cache) (fun i ->
-        cval (Printf.sprintf "testfleet.cache_shard%d%s" i suffix))
-    |> List.fold_left ( + ) 0
-  in
-  check "per-shard obs counters reconcile" true
-    (shard_sum "_hits" = s.Cache.hits
-    && shard_sum "_misses" = s.Cache.misses
-    && shard_sum "_evictions" = s.Cache.evictions)
-
-(* Same-key fetches serialize on the shard lock: a key is loaded once
-   no matter how many domains race it. *)
-let test_cache_single_load () =
-  let cache = Cache.create ~shards:4 ~slots_per_shard:8 () in
-  let loads = Atomic.make 0 in
-  let barrier = Atomic.make 0 in
-  let worker () =
-    Domain.spawn (fun () ->
-        Atomic.incr barrier;
-        while Atomic.get barrier < 8 do
-          Domain.cpu_relax ()
-        done;
-        for _ = 1 to 50 do
-          match
-            Cache.fetch cache "the-one-key" (fun () ->
-                Atomic.incr loads;
-                Ok 42)
-          with
-          | `Hit 42 | `Loaded 42 -> ()
-          | _ -> failwith "wrong value"
-        done)
-  in
-  List.init 8 (fun _ -> worker ()) |> List.iter Domain.join;
-  check "one load for one key" true (Atomic.get loads = 1);
-  assert_invariants "single load" cache
-
 let () =
   Alcotest.run "fleet"
     [
@@ -349,12 +154,4 @@ let () =
         [ Alcotest.test_case "bounded schedule" `Quick test_backoff ] );
       ( "topology",
         [ Alcotest.test_case "addressing" `Quick test_topology ] );
-      ( "shard-cache",
-        [
-          QCheck_alcotest.to_alcotest prop_cache_matches_model;
-          Alcotest.test_case "8-domain hammer + counter reconciliation" `Quick
-            test_cache_hammer;
-          Alcotest.test_case "racing loads collapse to one" `Quick
-            test_cache_single_load;
-        ] );
     ]

@@ -3,6 +3,7 @@
 
 module H = Ipds_harness
 module W = Ipds_workloads.Workloads
+module J = Ipds_obs.Json
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -47,32 +48,32 @@ let test_empty_sample_rendering () =
 
 let test_json_parser () =
   let doc =
-    H.Json.Obj
+    J.Obj
       [
-        ("int", H.Json.Int (-42));
-        ("float", H.Json.Float 1.5);
-        ("str", H.Json.String "a\"b\\c\n\t\xe2\x82\xac");
-        ("list", H.Json.List [ H.Json.Bool true; H.Json.Bool false; H.Json.Null ]);
-        ("nested", H.Json.Obj [ ("k", H.Json.Int 0) ]);
+        ("int", J.Int (-42));
+        ("float", J.Float 1.5);
+        ("str", J.String "a\"b\\c\n\t\xe2\x82\xac");
+        ("list", J.List [ J.Bool true; J.Bool false; J.Null ]);
+        ("nested", J.Obj [ ("k", J.Int 0) ]);
       ]
   in
-  check "roundtrips" true (H.Json.of_string (H.Json.to_string doc) = doc);
-  check "ints stay ints" true (H.Json.of_string "7" = H.Json.Int 7);
+  check "roundtrips" true (J.of_string (J.to_string doc) = doc);
+  check "ints stay ints" true (J.of_string "7" = J.Int 7);
   check "exponents parse as floats" true
-    (match H.Json.of_string "1e3" with H.Json.Float f -> f = 1000. | _ -> false);
+    (match J.of_string "1e3" with J.Float f -> f = 1000. | _ -> false);
   check "unicode escapes decode to UTF-8" true
-    (H.Json.of_string "\"\\u20ac\"" = H.Json.String "\xe2\x82\xac");
+    (J.of_string "\"\\u20ac\"" = J.String "\xe2\x82\xac");
   check "member" true
-    (H.Json.member "int" doc = Some (H.Json.Int (-42))
-    && H.Json.member "absent" doc = None
-    && H.Json.member "k" (H.Json.Int 3) = None);
+    (J.member "int" doc = Some (J.Int (-42))
+    && J.member "absent" doc = None
+    && J.member "k" (J.Int 3) = None);
   check "trailing garbage rejected" true
-    (match H.Json.of_string "{} x" with
-    | exception H.Json.Parse_error _ -> true
+    (match J.of_string "{} x" with
+    | exception J.Parse_error _ -> true
     | _ -> false);
   check "malformed rejected" true
-    (match H.Json.of_string "{\"a\":" with
-    | exception H.Json.Parse_error _ -> true
+    (match J.of_string "{\"a\":" with
+    | exception J.Parse_error _ -> true
     | _ -> false)
 
 let test_concurrent_write_file () =
@@ -86,11 +87,11 @@ let test_concurrent_write_file () =
       (* A large-ish document per writer makes torn writes detectable:
          a mixed file would fail to parse or carry an inconsistent pair. *)
       let doc tag =
-        H.Json.Obj
+        J.Obj
           [
-            ("writer", H.Json.Int tag);
-            ("check", H.Json.Int (tag * 1000));
-            ("pad", H.Json.List (List.init 200 (fun i -> H.Json.Int (tag + i))));
+            ("writer", J.Int tag);
+            ("check", J.Int (tag * 1000));
+            ("pad", J.List (List.init 200 (fun i -> J.Int (tag + i))));
           ]
       in
       let writers = 8 and rounds = 25 in
@@ -98,7 +99,7 @@ let test_concurrent_write_file () =
         List.init writers (fun tag ->
             Domain.spawn (fun () ->
                 for _ = 1 to rounds do
-                  H.Json.write_file path (doc tag)
+                  J.write_file path (doc tag)
                 done))
       in
       List.iter Domain.join domains;
@@ -107,10 +108,10 @@ let test_concurrent_write_file () =
       let n = in_channel_length ic in
       let contents = really_input_string ic n in
       close_in ic;
-      let parsed = H.Json.of_string contents in
+      let parsed = J.of_string contents in
       let tag =
-        match H.Json.member "writer" parsed with
-        | Some (H.Json.Int t) -> t
+        match J.member "writer" parsed with
+        | Some (J.Int t) -> t
         | _ -> Alcotest.fail "no writer field"
       in
       check "consistent document" true

@@ -1,6 +1,6 @@
 (* The observability layer: registry semantics (idempotent registration,
    deterministic merge across domains, stability filtering), span timers,
-   manifests, the JSONL event sink, and the compact JSON encoder. *)
+   manifests, the JSONL event sink, and the JSON printer and parser. *)
 
 module R = Ipds_obs.Registry
 module J = Ipds_obs.Json
@@ -154,19 +154,18 @@ let test_events_stream () =
       let lines = read_lines path in
       check_int "manifest + 2 events" 3 (List.length lines);
       (* every line must be one complete JSON object *)
-      let docs = List.map Ipds_harness.Json.of_string lines in
-      let member k d = Ipds_harness.Json.member k d in
+      let docs = List.map J.of_string lines in
+      let member k d = J.member k d in
       let kind d =
         match member "kind" d with
-        | Some (Ipds_harness.Json.String s) -> s
+        | Some (J.String s) -> s
         | _ -> "?"
       in
       check "kinds in order" true
         (List.map kind docs = [ "manifest"; "alpha"; "beta" ]);
       List.iteri
         (fun i d ->
-          check "seq increments" true
-            (member "seq" d = Some (Ipds_harness.Json.Int i));
+          check "seq increments" true (member "seq" d = Some (J.Int i));
           check "has ts" true (member "ts" d <> None))
         docs;
       (match List.hd docs with
@@ -174,8 +173,7 @@ let test_events_stream () =
           match member "manifest" d with
           | Some m ->
               check "manifest embedded" true
-                (Ipds_harness.Json.member "tool" m
-                = Some (Ipds_harness.Json.String "test-events"))
+                (J.member "tool" m = Some (J.String "test-events"))
           | None -> Alcotest.fail "first line lacks manifest"));
       Ipds_obs.Manifest.reset ())
 
@@ -196,10 +194,91 @@ let test_obs_json () =
   check "single line" true (not (String.contains s '\n'));
   check "escapes quote" true (contains s "a\\\"b");
   check "non-finite floats are null" true (contains s "\"nan\":null");
-  (* compact form must be readable back by the harness parser *)
-  let back = Ipds_harness.Json.of_string s in
-  check "roundtrips through the harness parser" true
-    (Ipds_harness.Json.member "i" back = Some (Ipds_harness.Json.Int (-3)))
+  (* compact form must be readable back by the parser *)
+  let back = J.of_string s in
+  check "roundtrips through the parser" true
+    (J.member "i" back = Some (J.Int (-3)))
+
+(* Every report, JSONL line and metrics file is rendered by these two
+   printers, so their bytes are pinned literally: nesting, empty
+   containers, escapes, control bytes, non-finite floats and [-0.]. *)
+let golden_doc =
+  J.Obj
+    [
+      ("name", J.String "q\"b\\s\n\r\t\x01\x1f/\xe2\x82\xac");
+      ("ints", J.List [ J.Int 0; J.Int (-42); J.Int max_int ]);
+      ( "floats",
+        J.List
+          [
+            J.Float 1.5; J.Float (-0.); J.Float 0.1; J.Float (0.1 +. 0.2);
+            J.Float 1e300; J.Float Float.nan; J.Float Float.infinity;
+            J.Float Float.neg_infinity;
+          ] );
+      ("empty", J.Obj [ ("l", J.List []); ("o", J.Obj []) ]);
+      ( "nested",
+        J.List
+          [
+            J.Obj [ ("k", J.Bool true); ("v", J.Null) ];
+            J.List [ J.List []; J.Bool false ];
+          ] );
+    ]
+
+let golden_compact =
+  {|{"name":"q\"b\\s\n\r\t\u0001\u001f/€","ints":[0,-42,4611686018427387903],"floats":[1.5,-0,0.1,0.30000000000000004,1e+300,null,null,null],"empty":{"l":[],"o":{}},"nested":[{"k":true,"v":null},[[],false]]}|}
+
+let golden_indented =
+  {|{
+  "name": "q\"b\\s\n\r\t\u0001\u001f/€",
+  "ints": [
+    0,
+    -42,
+    4611686018427387903
+  ],
+  "floats": [
+    1.5,
+    -0,
+    0.1,
+    0.30000000000000004,
+    1e+300,
+    null,
+    null,
+    null
+  ],
+  "empty": {
+    "l": [],
+    "o": {}
+  },
+  "nested": [
+    {
+      "k": true,
+      "v": null
+    },
+    [
+      [],
+      false
+    ]
+  ]
+}|}
+
+let test_json_golden () =
+  check_str "compact" golden_compact (J.to_string golden_doc);
+  check_str "indented" golden_indented (J.to_string ~indent:2 golden_doc);
+  let written write =
+    let path =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "ipds-obs-golden-%d.json" (Unix.getpid ()))
+    in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        write path;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  check_str "compact file" (golden_compact ^ "\n")
+    (written (fun p -> J.write_file p golden_doc));
+  check_str "indented file" (golden_indented ^ "\n")
+    (written (fun p -> J.write_file ~indent:2 p golden_doc))
 
 let () =
   Alcotest.run "obs"
@@ -221,5 +300,8 @@ let () =
       ( "events",
         [ Alcotest.test_case "jsonl stream" `Quick test_events_stream ] );
       ( "json",
-        [ Alcotest.test_case "compact encoder" `Quick test_obs_json ] );
+        [
+          Alcotest.test_case "compact encoder" `Quick test_obs_json;
+          Alcotest.test_case "golden rendering" `Quick test_json_golden;
+        ] );
     ]

@@ -509,6 +509,36 @@ let test_fetch_typed_misses () =
             (Serve.Client.fetch_artifact client key)))
     [ "x"; ""; "../../etc/passwd"; ".hidden" ]
 
+(* ---------- the server's LRU holds exactly cache_slots systems ---------- *)
+
+let test_cache_slots_exact () =
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ipds-serve-slots-%d-%d" (Unix.getpid ()) (Random.bits ()))
+  in
+  Serve.Server.with_server
+    ~config:{ Serve.Server.default_config with cache_slots = 1 }
+    (`Unix sock)
+    (fun _server ->
+      let load w =
+        let image =
+          Ipds_artifact.Artifact.to_bytes
+            (Core.System.cached_build (W.program (W.find w)))
+        in
+        let client = Serve.Client.connect (`Unix sock) in
+        Fun.protect
+          ~finally:(fun () -> Serve.Client.close client)
+          (fun () ->
+            match Serve.Client.load_image client ~name:w image with
+            | Ok cached -> cached
+            | Error e -> Alcotest.failf "load %s: %s" w e.P.detail)
+      in
+      check "telnetd cold" false (load "telnetd");
+      check "telnetd resident" true (load "telnetd");
+      check "crond cold" false (load "crond");
+      check "crond evicted telnetd" false (load "telnetd"))
+
 (* ---------- one feed loop behind both Branch_events entry points ---------- *)
 
 (* [Session.handle (Branch_events evs)] and [Session.handle_events_span]
@@ -537,7 +567,7 @@ let telnetd_run =
      let image = Bytes.to_string (Ipds_artifact.Artifact.to_bytes (W.system w)) in
      (* one cache shared by every session, warmed here so each session's
         Loaded reply is the same cache hit *)
-     let cache = Ipds_fleet.Shard_cache.create ~shards:1 ~slots_per_shard:1 () in
+     let cache = Ipds_parallel.Memo.create ~capacity:1 () in
      let warm = Session.create ~store:None ~cache () in
      ignore
        (Session.handle warm ~send:ignore (P.Load_image { name = "telnetd"; image }));
@@ -666,5 +696,10 @@ let () =
           Alcotest.test_case "garbage + collision rejected" `Quick
             test_push_rejects_garbage_and_collision;
           Alcotest.test_case "typed fetch misses" `Quick test_fetch_typed_misses;
+        ] );
+      ( "server-cache",
+        [
+          Alcotest.test_case "cache_slots = 1 keeps one system" `Quick
+            test_cache_slots_exact;
         ] );
     ]
