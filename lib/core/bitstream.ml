@@ -94,17 +94,8 @@ module Reader = struct
       let lo = take t 32 in
       lo lor (take t (width - 32) lsl 32)
 
-  let check_string t n =
-    if n < 0 then invalid_arg "Bitstream: negative string length";
-    if n > bits_left t / 8 then raise Past_end
-
   let pull_string t n =
-    check_string t n;
+    if n < 0 then invalid_arg "Bitstream: negative string length";
+    if n > bits_left t / 8 then raise Past_end;
     String.init n (fun _ -> Char.unsafe_chr (take t 8))
-
-  let skip_string t n =
-    check_string t n;
-    for _ = 1 to n do
-      ignore (take t 8)
-    done
 end

@@ -32,11 +32,12 @@ module Reader : sig
   (** A reader over [buf[pos, pos+len)], without copying it.  Raises
       [Invalid_argument] when the span is not inside [buf]. *)
 
+  val bits_left : t -> int
+  (** Bits not yet read. *)
+
   val pull : t -> width:int -> int
   (** Read [width] bits (0 ≤ width ≤ 62, else [Invalid_argument]). *)
 
   val pull_string : t -> int -> string
   (** [n] 8-bit fields as a string. *)
-
-  val skip_string : t -> int -> unit
 end

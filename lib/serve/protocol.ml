@@ -21,7 +21,7 @@ module Bs = Ipds_core.Bitstream
 module Event = Ipds_machine.Event
 
 let magic = "IPSV"
-let version = 1
+let version = 2
 let header_bytes = 10
 let trailer_bytes = 4
 let default_max_frame = 4 * 1024 * 1024
@@ -152,61 +152,6 @@ let pull_status r : Ipds_core.Status.t =
   | 2 -> Ipds_core.Status.Unknown
   | _ -> fail "bad status"
 
-let push_event w (e : Event.t) =
-  push_string w e.Event.fname;
-  push_int w e.Event.iid;
-  push_int w e.Event.pc;
-  let tag n = Bs.Writer.push w ~width:4 n in
-  match e.Event.kind with
-  | Event.Alu -> tag 0
-  | Event.Load { addr } ->
-      tag 1;
-      push_int w addr
-  | Event.Store { addr } ->
-      tag 2;
-      push_int w addr
-  | Event.Branch { taken; target_pc } ->
-      tag 3;
-      push_bool w taken;
-      push_int w target_pc
-  | Event.Jump { target_pc } ->
-      tag 4;
-      push_int w target_pc
-  | Event.Call { callee } ->
-      tag 5;
-      push_string w callee
-  | Event.Ret -> tag 6
-  | Event.Input_read -> tag 7
-  | Event.Output_write v ->
-      tag 8;
-      push_int w v
-  | Event.Fault_inject { skipped } ->
-      tag 9;
-      push_bool w skipped
-
-let pull_event ~limit r : Event.t =
-  let fname = pull_string ~limit r in
-  let iid = pull_int r in
-  let pc = pull_int r in
-  let kind =
-    match Bs.Reader.pull r ~width:4 with
-    | 0 -> Event.Alu
-    | 1 -> Event.Load { addr = pull_int r }
-    | 2 -> Event.Store { addr = pull_int r }
-    | 3 ->
-        let taken = pull_bool r in
-        let target_pc = pull_int r in
-        Event.Branch { taken; target_pc }
-    | 4 -> Event.Jump { target_pc = pull_int r }
-    | 5 -> Event.Call { callee = pull_string ~limit r }
-    | 6 -> Event.Ret
-    | 7 -> Event.Input_read
-    | 8 -> Event.Output_write (pull_int r)
-    | 9 -> Event.Fault_inject { skipped = pull_bool r }
-    | n -> fail (Printf.sprintf "bad event kind %d" n)
-  in
-  { Event.fname; iid; pc; kind }
-
 let push_list w push xs =
   push_int w (List.length xs);
   List.iter (push w) xs
@@ -233,6 +178,101 @@ let pull_verdict ~limit r : Ipds_core.Checker.alarm =
   let sequence = pull_int r in
   { fname; branch_pc; expected; actual_taken; sequence }
 
+(* {2 [Branch_events], wire v2}
+
+   Only the checker's call/ret/branch stream; the layout and the wire
+   normal form of a decoded event are in protocol.mli.  The varint
+   helpers recurse at top level, not as closures over [w]/[r]: they run
+   per event and must not allocate. *)
+let rec push_varint w v =
+  if v lsr 7 = 0 then Bs.Writer.push w ~width:8 v
+  else begin
+    Bs.Writer.push w ~width:8 (v land 0x7F lor 0x80);
+    push_varint w (v lsr 7)
+  end
+
+let rec pull_varint_from r acc shift =
+  let g = Bs.Reader.pull r ~width:8 in
+  let acc = acc lor ((g land 0x7F) lsl shift) in
+  if g land 0x80 = 0 then acc
+  else if shift = 56 then fail "varint too long"
+  else pull_varint_from r acc (shift + 7)
+
+let pull_varint r = pull_varint_from r 0 0
+
+(* Signed deltas as small unsigned varints: 0, -1, 1, -2, ... *)
+let zigzag d = (d lsl 1) lxor (d asr 62)
+let unzigzag z = (z lsr 1) lxor -(z land 1)
+
+let push_branch_events w evs =
+  let index = Hashtbl.create 16 and names = ref [] and n = ref 0 in
+  List.iter
+    (fun (e : Event.t) ->
+      match e.Event.kind with
+      | Event.Call { callee } ->
+          incr n;
+          if not (Hashtbl.mem index callee) then begin
+            Hashtbl.add index callee (Hashtbl.length index);
+            names := callee :: !names
+          end
+      | Event.Ret | Event.Branch _ -> incr n
+      | _ -> ())
+    evs;
+  push_varint w !n;
+  push_varint w (Hashtbl.length index);
+  List.iter
+    (fun s ->
+      push_varint w (String.length s);
+      Bs.Writer.push_string w s)
+    (List.rev !names);
+  let prev = ref 0 in
+  List.iter
+    (fun (e : Event.t) ->
+      match e.Event.kind with
+      | Event.Call { callee } ->
+          Bs.Writer.push w ~width:2 0;
+          push_varint w (Hashtbl.find index callee)
+      | Event.Ret -> Bs.Writer.push w ~width:2 1
+      | Event.Branch { taken; _ } ->
+          Bs.Writer.push w ~width:2 (if taken then 2 else 3);
+          push_varint w (zigzag (e.Event.pc - !prev));
+          prev := e.Event.pc
+      | _ -> ())
+    evs
+
+(* The one [Branch_events] decoder.  Counts are bounded by the bits
+   left before anything count-sized is allocated: an event takes at
+   least 2 bits, a name at least an 8-bit length. *)
+let walk_branch_events r ~on_call ~on_ret ~on_branch =
+  let n = pull_varint r in
+  if n < 0 || n > Bs.Reader.bits_left r / 2 then fail "list length out of range";
+  let k = pull_varint r in
+  if k < 0 || k > Bs.Reader.bits_left r / 8 then fail "list length out of range";
+  let names = Array.make k "" in
+  for i = 0 to k - 1 do
+    let len = pull_varint r in
+    if len < 0 then fail "string length out of range";
+    names.(i) <- Bs.Reader.pull_string r len
+  done;
+  let prev = ref 0 in
+  for _ = 1 to n do
+    match Bs.Reader.pull r ~width:2 with
+    | 0 ->
+        let i = pull_varint r in
+        if i < 0 || i >= k then fail "bad callee index";
+        on_call names.(i)
+    | 1 -> on_ret ()
+    | op ->
+        prev := !prev + unzigzag (pull_varint r);
+        on_branch ~pc:!prev ~taken:(op = 2)
+  done;
+  n
+
+let branch_events_tag = 4
+
+let iter_branch_events buf ~pos ~len ~on_call ~on_ret ~on_branch ~on_other:_ =
+  walk_branch_events (Bs.Reader.of_span buf ~pos ~len) ~on_call ~on_ret ~on_branch
+
 let tag_of_frame = function
   | Load_key _ -> 1
   | Load_image _ -> 2
@@ -255,7 +295,7 @@ let encode_payload w = function
       push_string w name;
       push_string w image
   | Begin_trace -> ()
-  | Branch_events evs -> push_list w push_event evs
+  | Branch_events evs -> push_branch_events w evs
   | End_trace -> ()
   | Fetch_artifact key -> push_string w key
   | Push_artifact { key; image } ->
@@ -288,7 +328,15 @@ let decode_payload ~limit tag r =
       let image = pull_string ~limit r in
       Some (Load_image { name; image })
   | 3 -> Some Begin_trace
-  | 4 -> Some (Branch_events (pull_list ~limit r (pull_event ~limit)))
+  | 4 ->
+      let evs = ref [] in
+      let ev pc kind = evs := { Event.fname = ""; iid = 0; pc; kind } :: !evs in
+      let on_branch ~pc ~taken = ev pc (Event.Branch { taken; target_pc = 0 }) in
+      ignore
+        (walk_branch_events r ~on_branch
+           ~on_call:(fun callee -> ev 0 (Event.Call { callee }))
+           ~on_ret:(fun () -> ev 0 Event.Ret));
+      Some (Branch_events (List.rev !evs))
   | 5 -> Some End_trace
   | 6 -> Some (Fetch_artifact (pull_string ~limit r))
   | 7 ->
@@ -433,56 +481,6 @@ let decode_string ?max_frame s =
       | Fail e -> Error e
   in
   go 0 []
-
-(* {2 Streaming batch decode}
-
-   [Branch_events] is the only frame on the serving hot path.
-   [iter_branch_events] walks the same layout as [pull_event] with the
-   same reader, but skips [fname]/[iid] wholesale and hands
-   call/ret/branch straight to callbacks — no list, no event records,
-   no strings except callee names.  The server feeds the checker
-   through this; acceptance and rejection (bounds checks, error
-   details) match [decode_payload], which test_serve asserts
-   differentially against random frames. *)
-
-let branch_events_tag = 4
-
-(* Walk one [Branch_events] payload span, dispatching checker-relevant
-   events to the callbacks in order; returns the event count (all
-   kinds).  Raises [Bs.Past_end] on a payload that ends prematurely and
-   [Malformed_payload] exactly where [decode_payload] would. *)
-let iter_branch_events ?(limit = default_max_frame) buf ~pos ~len ~on_call
-    ~on_ret ~on_branch ~on_other =
-  let r = Bs.Reader.of_span buf ~pos ~len in
-  let n = pull_count ~limit r in
-  for _ = 1 to n do
-    Bs.Reader.skip_string r (pull_length ~limit r);
-    ignore (pull_int r) (* iid *);
-    let pc = pull_int r in
-    match Bs.Reader.pull r ~width:4 with
-    | 0 -> on_other () (* Alu *)
-    | 1 | 2 ->
-        ignore (pull_int r) (* Load/Store addr *);
-        on_other ()
-    | 3 ->
-        let taken = pull_bool r in
-        ignore (pull_int r) (* target_pc, unused by the checker *);
-        on_branch ~pc ~taken
-    | 4 ->
-        ignore (pull_int r) (* Jump target *);
-        on_other ()
-    | 5 -> on_call (pull_string ~limit r)
-    | 6 -> on_ret ()
-    | 7 -> on_other () (* Input_read *)
-    | 8 ->
-        ignore (pull_int r) (* Output_write value *);
-        on_other ()
-    | 9 ->
-        ignore (pull_bool r) (* Fault_inject skipped *);
-        on_other ()
-    | k -> fail (Printf.sprintf "bad event kind %d" k)
-  done;
-  n
 
 (* {2 Socket transport} *)
 

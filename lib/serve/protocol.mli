@@ -18,7 +18,25 @@
     typed {!error_code}.  Magic and version are checked before the CRC
     (wrong-protocol streams get a precise error); the CRC covers the
     header too, so a flipped bit anywhere in a frame — including its
-    length field — is detected. *)
+    length field — is detected.
+
+    Version 2 changed only the [Branch_events] payload; every other
+    frame kind keeps its version-1 payload bytes.  A [Branch_events]
+    payload carries only the checker's call/ret/branch stream (the
+    committed-branch interface of the paper's §5):
+    {v
+    varint      event count n
+    varint      callee-name count k, then k × (varint length, bytes)
+    n × event   2-bit op: 0 call, 1 ret, 2 branch taken, 3 not taken
+                call:   varint index into the names
+                branch: zigzag varint of pc − previous branch pc
+                        (0 before the first), modulo 2^63
+    v}
+    A varint is 7-bit groups, low first, each in an 8-bit field whose
+    top bit marks a following group; at most nine groups.  The encoder
+    drops every other event kind, so a decoded event is in the wire
+    normal form: [fname = ""], [iid = 0], [target_pc = 0], and
+    [pc = 0] except on a branch. *)
 
 val magic : string
 val version : int
@@ -134,7 +152,6 @@ val branch_events_tag : int
 exception Malformed_payload of string
 
 val iter_branch_events :
-  ?limit:int ->
   Bytes.t ->
   pos:int ->
   len:int ->
@@ -144,11 +161,13 @@ val iter_branch_events :
   on_other:(unit -> unit) ->
   int
 (** Stream one [Branch_events] payload span to the callbacks in event
-    order, returning the total event count (all kinds).  Accepts and
-    rejects byte-for-byte the same payloads as the generic decoder
-    (differentially tested): raises {!Ipds_core.Bitstream.Past_end}
-    where the generic reader would overrun and {!Malformed_payload}
-    with the same detail strings for bad lengths / event kinds. *)
+    order, returning the event count.  The one [Branch_events] decoder:
+    {!decode_span} builds its list through the same walk.  [on_other]
+    is never called (v2 carries no other kind).  Counts are bounded by
+    the span's bits before any count-sized allocation.  Raises
+    {!Ipds_core.Bitstream.Past_end} on a short payload and
+    {!Malformed_payload} for a bad count or length, a callee index
+    outside the name table or a varint over nine groups. *)
 
 (** {2 Socket transport} *)
 

@@ -163,18 +163,17 @@ let stage_callee t callee =
   t.st_ncallees <- t.st_ncallees + 1
 
 let stage_events t evs =
-  List.fold_left
-    (fun n (e : Event.t) ->
-      (match e.Event.kind with
+  List.iter
+    (fun (e : Event.t) ->
+      match e.Event.kind with
       | Event.Call { callee } -> stage_callee t callee
       | Event.Ret -> stage_push t 1 0
       | Event.Branch { taken; _ } ->
           stage_push t (if taken then 2 else 3) e.Event.pc
-      | _ -> ());
-      n + 1)
-    0 evs
+      | _ -> ())
+    evs
 
-let feed_staged t ~send sys ck n =
+let feed_staged t ~send sys ck =
   let t0 = now_micros () in
   (* O(1) against the checker's running count — a long trace's batch
      loop never rescans its alarm history, so framing cost amortizes
@@ -201,8 +200,8 @@ let feed_staged t ~send sys ck n =
   in
   match feed () with
   | () ->
-      t.tr_events <- t.tr_events + n;
-      Reg.add m_events n;
+      t.tr_events <- t.tr_events + t.st_n;
+      Reg.add m_events t.st_n;
       Reg.add m_branches (t.tr_branches - branches_before);
       let fresh = Checker.alarms_since ck alarms_before in
       let n_fresh = List.length fresh in
@@ -215,15 +214,15 @@ let feed_staged t ~send sys ck n =
       send_error ~send Protocol.Bad_state m;
       `Close
 
-(* [stage] fills the staging arrays and returns the batch's event count
-   (all kinds), or a [Malformed] detail. *)
+(* [stage] fills the staging arrays (call/ret/branch only: the staged
+   count is the batch's event count) or returns a [Malformed] detail. *)
 let feed_batch t ~send stage =
   match (t.system, t.checker) with
   | Some sys, Some ck -> (
       t.st_n <- 0;
       t.st_ncallees <- 0;
       match stage () with
-      | Ok n -> feed_staged t ~send sys ck n
+      | Ok () -> feed_staged t ~send sys ck
       | Error m ->
           send_error ~send Protocol.Malformed m;
           `Close)
@@ -378,16 +377,16 @@ let handle t ~send (f : Protocol.frame) =
       send_err Protocol.Bad_state "server-to-client frame from a client";
       `Close
 
-let handle_events_span t ~send ~max_frame buf ~pos ~len =
+let handle_events_span t ~send buf ~pos ~len =
   feed_batch t ~send (fun () ->
       match
-        Protocol.iter_branch_events ~limit:max_frame buf ~pos ~len
+        Protocol.iter_branch_events buf ~pos ~len
           ~on_call:(fun callee -> stage_callee t callee)
           ~on_ret:(fun () -> stage_push t 1 0)
           ~on_branch:(fun ~pc ~taken -> stage_push t (if taken then 2 else 3) pc)
-          ~on_other:(fun () -> ())
+          ~on_other:ignore
       with
-      | n -> Ok n
+      | (_ : int) -> Ok ()
       | exception Protocol.Malformed_payload m -> Error m
       | exception Ipds_core.Bitstream.Past_end -> Error "payload ends prematurely")
 
@@ -396,7 +395,7 @@ let handle_events_span t ~send ~max_frame buf ~pos ~len =
    decoder. *)
 let handle_span t ~send ~max_frame tag buf ~pos ~len =
   if tag = Protocol.branch_events_tag then
-    handle_events_span t ~send ~max_frame buf ~pos ~len
+    handle_events_span t ~send buf ~pos ~len
   else
     match Protocol.decode_span ~max_frame tag buf ~pos ~len with
     | Ok f -> handle t ~send f

@@ -69,7 +69,6 @@ val handle :
 val handle_events_span :
   t ->
   send:(Protocol.frame -> unit) ->
-  max_frame:int ->
   Bytes.t ->
   pos:int ->
   len:int ->
@@ -77,7 +76,8 @@ val handle_events_span :
 (** [handle] for a CRC-validated [Branch_events] payload span, fed
     through {!Protocol.iter_branch_events} with all-or-nothing staging:
     a malformed payload mutates nothing.  Same feed loop, so the same
-    replies, summaries and counters as [handle (Branch_events _)]. *)
+    replies, summaries and counters as [handle (Branch_events _)]; both
+    count only call/ret/branch events, the kinds the wire carries. *)
 
 val handle_span :
   t ->

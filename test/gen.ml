@@ -217,6 +217,20 @@ let event : Ipds_machine.Event.t Q.t =
   in
   Q.return { fname; iid; pc; kind }
 
+(* What a [Branch_events] list decodes to on wire v2: only the
+   checker's call/ret/branch events, with every field the checker does
+   not read zeroed. *)
+let wire_normal (evs : Ipds_machine.Event.t list) =
+  let open Ipds_machine.Event in
+  List.filter_map
+    (fun e ->
+      match e.kind with
+      | Call _ | Ret -> Some { fname = ""; iid = 0; pc = 0; kind = e.kind }
+      | Branch { taken; _ } ->
+          Some { fname = ""; iid = 0; pc = e.pc; kind = Branch { taken; target_pc = 0 } }
+      | _ -> None)
+    evs
+
 (* ---------- raw MIR generator ---------- *)
 
 type mir_plan = {

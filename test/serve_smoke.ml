@@ -296,6 +296,12 @@ let phase_b () =
       let skewed = Bytes.of_string whole in
       Bytes.set skewed 4 (Char.chr (P.version + 1));
       expect_error "version skew" sock (Bytes.to_string skewed) P.Bad_version;
+      (* a whole, CRC-valid frame of protocol version 1 *)
+      let v1 = P.encode_frame P.Begin_trace in
+      Bytes.set v1 4 (Char.chr 1);
+      Bytes.set_int32_le v1 P.header_bytes
+        (Ipds_artifact.Crc32.bytes v1 ~pos:0 ~len:P.header_bytes);
+      expect_error "v1 frame" sock (Bytes.to_string v1) P.Bad_version;
       (* payload larger than the server's max_frame *)
       let big =
         P.encode_frame
@@ -360,9 +366,9 @@ let phase_b () =
   let proto = cval "serve.protocol_errors" - proto0
   and state = cval "serve.state_errors" - state0
   and timeouts = cval "serve.timeouts" - timeouts0 in
-  (* garbage, truncated, bad-crc, version-skew, oversized, unknown-key,
-     corrupt-image *)
-  if proto <> 7 then fail "protocol_errors: %d, expected 7" proto;
+  (* garbage, truncated, bad-crc, version-skew, v1 frame, oversized,
+     unknown-key, corrupt-image *)
+  if proto <> 8 then fail "protocol_errors: %d, expected 8" proto;
   if state <> 3 then fail "state_errors: %d, expected 3" state;
   if timeouts <> 1 then fail "timeouts: %d, expected 1" timeouts;
   Printf.printf "B ok: %d protocol errors, %d state errors, %d timeout — all typed\n%!"

@@ -4,9 +4,10 @@
    [Bitstream_ref] is the original bit-at-a-time writer/reader, kept
    as the oracle: the production [Ipds_core.Bitstream] must write the
    same bytes, read the same values and run out of input at the same
-   field.  The golden hashes pin wire protocol v1 and artifact format
-   v3 byte for byte: one SHA-256 per frame kind of a fixed fixture and
-   one per built-in workload's [Artifact.to_bytes]. *)
+   field.  The golden hashes pin wire protocol v2 and artifact format
+   v3 byte for byte: one SHA-256 per frame kind of a fixed fixture
+   (whole frame, and payload alone) and one per built-in workload's
+   [Artifact.to_bytes]. *)
 
 module Core = Ipds_core
 module Bs = Core.Bitstream
@@ -168,23 +169,23 @@ let fixture_frames =
 
 let sha bytes = Ipds_artifact.Sha256.hex_bytes bytes
 
-(* Computed with the bit-at-a-time codec before it was replaced. *)
+(* Wire v2 whole frames, header and CRC included. *)
 let golden_frames =
   [
-    ("load_key", "04247e9d8d53bb274767f50f27bbb2b218019e9e03313af5fd7f1086c68d714a");
-    ("load_image", "c37fca5b472fedd301b67ac076ddf41b88ec344ce8334fa436fcce1a5e9a9366");
-    ("begin_trace", "9e9b30fce6784ff24d195053154159f3ca0c1cf9a028dec49f1c39ea419f4c22");
-    ("branch_events", "19ac58d825083aafe83d730e0d73f4a5bc44733d25b94a1fa407dbdd103ef36c");
-    ("end_trace", "fd616e5cfd94ca58423346773ef679b3c95749859509b217e0dd69a5ff4a1750");
-    ("fetch_artifact", "3175d82f0baf0157751192cdade961ddc09427bf80ba5314b5e2582cd591c683");
-    ("push_artifact", "76c80861fe1dad0f6f8e1c3c1e42a75c345967087cfc5266316797151e1d70a0");
-    ("loaded", "bf1e823418d119d4755c36404f3025bb5b68f1d99ae14109404da15b4f9852a7");
-    ("trace_started", "498c5b07f3909f3294f21926fbbd8a99f412ac509ab6ba7fe692302a4c6f41b4");
-    ("verdicts", "f7beb4d2ca11b4abb07aa6f7f05ee2b92b0253a35f0810b2655890770e1dd92d");
-    ("trace_summary", "bdf9b0e7f42e78cb235dc3dc0e22be57d3e2a94d719b26e535757fbd281ebbea");
-    ("artifact_data", "dfc917baff9ff3849d1fb01f521c11db377e65a2183b01ebe292b0bbdf12469a");
-    ("artifact_pushed", "77d3bd02c972c05040761f241c787c566aeb6d34ab57ef0f449abd5f933c5cd0");
-    ("error", "62d2ec61cc906034b38fdfa2cd0ee75b0e0a1c962c4a9931454cbd62797edb5f");
+    ("load_key", "bc227ea9ca52360c91069e2ed8e6b8bfe44d7da5c8857579597ddc959f1a10d9");
+    ("load_image", "dbe42d93df9709fbbbd99fc6b11b88d3a0a02afa488cbf8488f1b7503015da92");
+    ("begin_trace", "44f122a2b4a5b1f6f206a672e4d57e5f4b24b655015701d4afcab0ff6b729dba");
+    ("branch_events", "0a014b9ad942105898f73eb9dd7950d76ac32e7a792a09614fc8c1b51e081e20");
+    ("end_trace", "ac423ef89ff5f5932eb5d48c57485973cf5205ed445fa9e544e8d0404b47547f");
+    ("fetch_artifact", "8856e19077e8fd331db676ab25fe0fb7fab384e146565700e294b0708427c3b2");
+    ("push_artifact", "8df3bcaf6c8447e689d3cfb45674fa964753aed2663aa69a55f808aef7d9b7c9");
+    ("loaded", "f2a0d274c96c1f8f13a609426cb970382048a5eaae77c830857e802c91b8a349");
+    ("trace_started", "f044199fb544d1157df7c9d01174cc418594e48add9949c630e2e374d09085b2");
+    ("verdicts", "8af5efbdbee1202d512d2d1f04fe8c52b9e1ceec1c84c8d2bf9c5375acfe154d");
+    ("trace_summary", "4f32e8a53a47543e23cad64a0eaa6bcb79b18878827882f71e4bf19c99e38fcd");
+    ("artifact_data", "23d54d122eb7c20f92c9db978921b16be8496cb1e71c4414d22d6519b859aff4");
+    ("artifact_pushed", "aef298cb6968b19fb2f0c60461bedc0675186f8a6e352c1b8e7f7e8f4e9c285c");
+    ("error", "6b387c074a4c03ea98f5f0a49a5daac2a4c8c576c964e280389ef6910d1feba7");
   ]
 
 let golden_artifacts =
@@ -209,6 +210,42 @@ let test_golden_frames () =
       match List.assoc_opt name golden_frames with
       | Some want -> check_str ("frame " ^ name) want got
       | None -> Alcotest.failf "no golden hash for frame %s (got %s)" name got)
+    fixture_frames
+
+(* The payload span of every fixture frame, without header or CRC:
+   the version byte sits inside the CRC, so a version bump changes
+   every full-frame hash above; these show which payload layouts
+   really changed.  Computed at wire v1; v2 changed only
+   [branch_events]. *)
+let golden_payloads =
+  [
+    ("load_key", "32a3d4e42101c54ecfe24fae18278c7e72fb5aa3121fdc597925f9d01cc317ac");
+    ("load_image", "db7f59392457ee861abedca0a6be8a9da7ddd3efc25c7e9e2b72454aef6de107");
+    ("begin_trace", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    ("branch_events", "7f5660c94a2541c568375bd9fe834a8852dcc25ff9c0b37e429ef2948b9f1e74");
+    ("end_trace", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    ("fetch_artifact", "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc");
+    ("push_artifact", "9a25f4d672d336e9e1cdbe26d00e8edf48b7acefb8bc1ddfcb4d7eedae07a1de");
+    ("loaded", "e6ad6c9a3a3b7658c35bacf6553fcb8ffe34387534a648fe18f875b8f7a86ddb");
+    ("trace_started", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    ("verdicts", "c4038d78101a6c22652faae5b8bc2b83485f57e7f16faec846471cc0a644421b");
+    ("trace_summary", "069104dc85b4c50a7334169aaad0e390ea181443965f7ec1514b8dfc07b73c00");
+    ("artifact_data", "fea81d2fc4039c12e726ee3b849e6de60ed040b23e019abbd2281f0b2ad348bf");
+    ("artifact_pushed", "b36f3498c15c381220d59e5b0809a033129144cebd17977b12375ee351b9f936");
+    ("error", "69baadf2dd51dd75f63e3df352c267f4f5e7a21edf670585650aaa38fe278c79");
+  ]
+
+let payload_span f =
+  let b = P.encode_frame f in
+  Bytes.sub b P.header_bytes (Bytes.length b - P.header_bytes - P.trailer_bytes)
+
+let test_golden_payloads () =
+  List.iter
+    (fun (name, f) ->
+      let got = sha (payload_span f) in
+      match List.assoc_opt name golden_payloads with
+      | Some want -> check_str ("payload " ^ name) want got
+      | None -> Alcotest.failf "no golden hash for payload %s (got %s)" name got)
     fixture_frames
 
 (* Every error code with its wire byte and its name, written out: a
@@ -300,7 +337,8 @@ let () =
         ] );
       ( "golden",
         [
-          Alcotest.test_case "wire v1 frames" `Quick test_golden_frames;
+          Alcotest.test_case "wire v2 frames" `Quick test_golden_frames;
+          Alcotest.test_case "wire payloads" `Quick test_golden_payloads;
           Alcotest.test_case "artifact v3 built-ins" `Quick test_golden_artifacts;
           Alcotest.test_case "wire v1 error codes" `Quick test_golden_error_codes;
           Alcotest.test_case "length >= 2^31 is oversized" `Quick

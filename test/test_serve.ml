@@ -79,13 +79,18 @@ let frames : P.frame list Q.t = Q.list_size (Q.int_range 1 8) frame
 let encode_stream fs =
   String.concat "" (List.map (fun f -> Bytes.to_string (P.encode_frame f)) fs)
 
+(* A frame as it decodes: event batches in the wire normal form. *)
+let normal = function
+  | P.Branch_events evs -> P.Branch_events (Gen.wire_normal evs)
+  | f -> f
+
 (* ---------- round trip ---------- *)
 
 let prop_roundtrip =
   QCheck2.Test.make ~name:"frame stream encode/decode round trip" ~count:300
     frames (fun fs ->
       match P.decode_string (encode_stream fs) with
-      | Ok fs' -> fs' = fs
+      | Ok fs' -> fs' = List.map normal fs
       | Error _ -> false)
 
 (* ---------- corruption: every byte flip is a typed error ---------- *)
@@ -203,7 +208,7 @@ let test_every_truncation_is_typed () =
         check
           (Printf.sprintf "boundary cut at %d decodes the whole frames" len)
           true
-          (fs' = List.filteri (fun i _ -> i < complete) fs)
+          (fs' = List.filteri (fun i _ -> i < complete) (List.map normal fs))
     | Error e ->
         if List.mem len boundaries then
           Alcotest.failf "cut at %d (boundary) errored: %s" len
@@ -273,108 +278,75 @@ let test_crafted_damage () =
    Bytes.set s 4 (Char.chr (P.version + 1));
    expect_code "version skew" P.Bad_version (Bytes.to_string s))
 
-(* ---------- streaming fast path = generic decoder ---------- *)
+(* ---------- the one Branch_events decoder ---------- *)
 
-(* The event-loop server streams Branch_events payloads through
-   {!P.iter_branch_events} instead of materializing an event list; the
-   two decoders must accept and reject byte-for-byte the same payloads
-   and agree on every checker-relevant field. *)
+(* The server streams Branch_events spans through {!P.iter_branch_events};
+   {!P.decode_span} builds its event list through the same walk.  Damage
+   behind a valid CRC must end in a typed rejection or a decode. *)
 
-type op = Op_call of string | Op_ret | Op_branch of int * bool | Op_other
-
-let project (evs : Ipds_machine.Event.t list) =
-  List.map
-    (fun (e : Ipds_machine.Event.t) ->
-      match e.Ipds_machine.Event.kind with
-      | Ipds_machine.Event.Call { callee } -> Op_call callee
-      | Ipds_machine.Event.Ret -> Op_ret
-      | Ipds_machine.Event.Branch { taken; _ } ->
-          Op_branch (e.Ipds_machine.Event.pc, taken)
-      | _ -> Op_other)
-    evs
-
-let iter_result ?limit buf ~pos ~len =
-  let acc = ref [] in
+let iter_result buf ~pos ~len =
   match
-    P.iter_branch_events ?limit buf ~pos ~len
-      ~on_call:(fun c -> acc := Op_call c :: !acc)
-      ~on_ret:(fun () -> acc := Op_ret :: !acc)
-      ~on_branch:(fun ~pc ~taken -> acc := Op_branch (pc, taken) :: !acc)
-      ~on_other:(fun () -> acc := Op_other :: !acc)
+    P.iter_branch_events buf ~pos ~len ~on_call:ignore ~on_ret:ignore
+      ~on_branch:(fun ~pc:_ ~taken:_ -> ())
+      ~on_other:(fun () -> failwith "on_other called")
   with
-  | n -> Ok (n, List.rev !acc)
-  | exception Core.Bitstream.Past_end -> Error "short"
+  | n -> Ok n
+  | exception Core.Bitstream.Past_end -> Error "payload ends prematurely"
   | exception P.Malformed_payload m -> Error m
 
 let payload_span evs =
   let b = P.encode_frame (P.Branch_events evs) in
   (b, P.header_bytes, Bytes.length b - P.header_bytes - P.trailer_bytes)
 
-let prop_fast_path_matches_decode =
+let prop_damaged_payload_typed =
   QCheck2.Test.make
-    ~name:"streaming batch decode = generic decode (fields and count)"
-    ~count:300
-    (Q.list_size (Q.int_range 0 40) Gen.event)
-    (fun evs ->
-      let buf, pos, len = payload_span evs in
-      match iter_result buf ~pos ~len with
-      | Ok (n, ops) -> n = List.length evs && ops = project evs
-      | Error m -> QCheck2.Test.fail_reportf "fast path rejected: %s" m)
-
-let prop_fast_path_rejects_identically =
-  QCheck2.Test.make
-    ~name:"streaming batch decode rejects exactly what generic decode rejects"
+    ~name:"damaged Branch_events payload: typed error or a decode"
     ~count:400
-    (let* evs = Q.list_size (Q.int_range 0 20) Gen.event in
-     let* flip = Q.option (Q.int_range 0 1000) in
+    (let* evs = Q.list_size (Q.int_range 0 40) Gen.event in
+     let* flips = Q.list_size (Q.int_range 0 3) (Q.int_range 0 1000) in
      let* cut = Q.option (Q.int_range 0 1000) in
-     Q.return (evs, flip, cut))
-    (fun (evs, flip, cut) ->
+     Q.return (evs, flips, cut))
+    (fun (evs, flips, cut) ->
       let buf, pos, len = payload_span evs in
-      (* damage the payload: truncate and/or flip one byte *)
       let len =
-        match cut with Some c when len > 0 -> min len (c mod (len + 1)) | _ -> len
+        match cut with Some c -> min len (c mod (len + 1)) | None -> len
       in
-      (match flip with
-      | Some f when len > 0 ->
-          let i = pos + (f mod len) in
-          Bytes.set buf i (Char.chr (Char.code (Bytes.get buf i) lxor 0x81))
-      | _ -> ());
-      let generic =
-        P.decode_span P.branch_events_tag buf ~pos ~len
-      in
-      match (generic, iter_result buf ~pos ~len) with
-      | Ok (P.Branch_events evs'), Ok (n, ops) ->
-          (* both accept: they must agree on what they decoded *)
-          n = List.length evs' && ops = project evs'
-      | Ok _, Ok _ -> false
-      | Error _, Error _ -> true
-      | Ok _, Error m ->
-          QCheck2.Test.fail_reportf "generic accepted, fast rejected: %s" m
-      | Error e, Ok _ ->
-          QCheck2.Test.fail_reportf "generic rejected (%s), fast accepted"
-            e.P.detail)
+      if len > 0 then
+        List.iter
+          (fun f ->
+            let i = pos + (f mod len) in
+            Bytes.set buf i (Char.chr (Char.code (Bytes.get buf i) lxor (1 + (f land 0x7F)))))
+          flips;
+      match (iter_result buf ~pos ~len, P.decode_span P.branch_events_tag buf ~pos ~len) with
+      | Ok n, Ok (P.Branch_events evs') -> n = List.length evs'
+      | Error m, Error { P.code = P.Malformed; detail } -> String.equal m detail
+      | _ -> false
+      | exception e ->
+          QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
-(* The detail strings for structurally bad payloads must match the
-   generic decoder's exactly — clients see one vocabulary of typed
-   errors no matter which server path decoded them. *)
+(* Structurally bad payloads are rejected with the one vocabulary of
+   detail strings, on the streaming and the list path alike. *)
 let test_fast_path_details () =
-  let reject payload =
+  let reject name payload want =
     let b = Bytes.of_string payload in
-    let generic =
-      match P.decode_span P.branch_events_tag b ~pos:0 ~len:(Bytes.length b) with
-      | Ok _ -> Alcotest.fail "generic decoder accepted a bad payload"
-      | Error e -> e.P.detail
-    in
-    match iter_result b ~pos:0 ~len:(Bytes.length b) with
-    | Ok _ -> Alcotest.fail "fast path accepted a bad payload"
-    | Error m -> (generic, m)
+    let len = Bytes.length b in
+    (match P.decode_span P.branch_events_tag b ~pos:0 ~len with
+    | Ok _ -> Alcotest.failf "%s: decode_span accepted a bad payload" name
+    | Error e -> Alcotest.(check string) (name ^ " (list)") want e.P.detail);
+    match iter_result b ~pos:0 ~len with
+    | Ok _ -> Alcotest.failf "%s: iter_branch_events accepted a bad payload" name
+    | Error m -> Alcotest.(check string) (name ^ " (stream)") want m
   in
-  (* list length out of range: 8 bytes of 0xff parse as a huge count *)
-  let g, f = reject "\xff\xff\xff\xff\xff\xff\xff\xff" in
-  Alcotest.(check string) "list length detail" g f;
-  check "list length is the shared vocabulary" true
-    (g = "list length out of range")
+  (* a count of 2^21 - 1 events with no bits left for them: rejected
+     before anything count-sized is allocated *)
+  reject "event count" "\xff\xff\x7f" "list length out of range";
+  (* one event, no names; the count fits but 200 names cannot *)
+  reject "name count" "\x01\xc8\x01\x00\x00" "list length out of range";
+  (* one event, no names, then a call (op 0) to name index 0 *)
+  reject "callee index" "\x01\x00\x00\x00" "bad callee index";
+  (* a count whose ninth 7-bit group still says another follows *)
+  reject "varint length" (String.make 9 '\xff' ^ "\x01") "varint too long";
+  reject "short payload" "\x02\x00\x01" "payload ends prematurely"
 
 (* A decoder configured with a limit above the default must accept
    frames that fill it: string/list length bounds follow the effective
@@ -604,7 +576,7 @@ let feed_list s ~send evs = Session.handle s ~send (P.Branch_events evs)
 
 let feed_span s ~send evs =
   let buf, pos, len = payload_span evs in
-  Session.handle_events_span s ~send ~max_frame:P.default_max_frame buf ~pos ~len
+  Session.handle_events_span s ~send buf ~pos ~len
 
 let same_feed batches = feed_session batches feed_list = feed_session batches feed_span
 
@@ -658,6 +630,60 @@ let test_empty_stack_slice () =
   | _ -> Alcotest.fail "expected a Bad_state reply");
   check "list arm agrees" true (same_feed [ evs ])
 
+(* ---------- wire v2 on a real run ---------- *)
+
+(* The first [n] checker events of the benign telnetd run replayed
+   back to back (it enters and leaves [main], so copies chain as in
+   perfbench's serve-stream). *)
+let compact_slice n =
+  let events, _, _ = Lazy.force telnetd_run in
+  let run = Gen.wire_normal (Array.to_list events) in
+  let copies = (n + List.length run - 1) / List.length run in
+  List.filteri (fun i _ -> i < n) (List.concat (List.init copies (fun _ -> run)))
+
+let branches evs =
+  List.length
+    (List.filter
+       (fun (e : Ipds_machine.Event.t) ->
+         match e.Ipds_machine.Event.kind with
+         | Ipds_machine.Event.Branch _ -> true
+         | _ -> false)
+       evs)
+
+(* Minor words one [handle_events_span] of [evs] allocates, on a fresh
+   trace of a session whose staging arrays already hold the batch. *)
+let span_words s evs =
+  let buf, pos, len = payload_span evs in
+  ignore (Session.handle s ~send:ignore P.Begin_trace);
+  let w0 = Gc.minor_words () in
+  let r = Session.handle_events_span s ~send:ignore buf ~pos ~len in
+  let w = Gc.minor_words () -. w0 in
+  ignore (Session.handle s ~send:ignore P.End_trace);
+  if r <> `Continue then Alcotest.fail "the slice was refused";
+  w
+
+let test_compact_batch () =
+  let n = Serve.Client.default_batch in
+  let evs = compact_slice n in
+  Alcotest.(check int) "slice length" n (List.length evs);
+  let bytes = Bytes.length (P.encode_frame (P.Branch_events evs)) in
+  check (Printf.sprintf "%d-byte frame is at most 4 bytes per event" bytes) true
+    (bytes <= 4 * n);
+  let _, image, cache = Lazy.force telnetd_run in
+  let s = Session.create ~store:None ~cache () in
+  ignore (Session.handle s ~send:ignore (P.Load_image { name = "telnetd"; image }));
+  ignore (span_words s evs);
+  let small = compact_slice (n / 4) in
+  let extra = branches evs - branches small in
+  check "the full slice has many more branches" true (extra >= 500);
+  let w_small = span_words s small and w_full = span_words s evs in
+  (* any per-branch allocation is at least one word a branch *)
+  check
+    (Printf.sprintf "%g then %g minor words for %d more branches" w_small w_full extra)
+    true
+    (w_full -. w_small < float_of_int extra /. 8.);
+  Session.close s
+
 let () =
   Random.self_init ();
   Alcotest.run "serve-protocol"
@@ -676,8 +702,7 @@ let () =
         ] );
       ( "fast-path",
         [
-          QCheck_alcotest.to_alcotest prop_fast_path_matches_decode;
-          QCheck_alcotest.to_alcotest prop_fast_path_rejects_identically;
+          QCheck_alcotest.to_alcotest prop_damaged_payload_typed;
           Alcotest.test_case "shared error vocabulary" `Quick
             test_fast_path_details;
         ] );
@@ -686,6 +711,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_one_feed_loop;
           Alcotest.test_case "empty-stack slice is Bad_state" `Quick
             test_empty_stack_slice;
+          Alcotest.test_case "default_batch slice: compact, flat allocation"
+            `Quick test_compact_batch;
         ] );
       ( "artifact-sharing",
         [
