@@ -1,16 +1,14 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§6), plus bechamel microbenchmarks of the compile-side and
-   runtime-side machinery.
+   evaluation (§6), plus the extension experiments built on them.
 
      dune exec bench/main.exe            -- everything (default sizes)
      dune exec bench/main.exe -- fig7    -- detection rates (Figure 7)
      dune exec bench/main.exe -- fig8    -- table sizes (Figure 8)
      dune exec bench/main.exe -- fig9    -- normalized performance (Figure 9)
+                                            and detection latency (paper §6)
      dune exec bench/main.exe -- table1  -- simulated processor parameters
-     dune exec bench/main.exe -- latency -- detection latency (paper §6)
      dune exec bench/main.exe -- compile-time
      dune exec bench/main.exe -- ablation
-     dune exec bench/main.exe -- micro   -- bechamel microbenchmarks
      dune exec bench/main.exe -- precision -- Fig-7 lift from --precision on
      dune exec bench/main.exe -- attacks -- attack universes (mem, cond-flip,
                                             insn-skip) over the workloads, a
@@ -18,8 +16,9 @@
                                             baseline; writes BENCH_attacks.json
      dune exec bench/main.exe -- smoke   -- tiny campaign + invariant checks
 
-   The verdict server is measured end to end by perfbench, not here:
-   python3 perfbench/run.py --workload serve-stream (or serve-session).
+   The verdict server and the flat checker are measured by perfbench, not
+   here: python3 perfbench/run.py --workload serve-stream (or
+   serve-session, or compile-population for the per-pass compile costs).
 
    Flags (defaults preserve the historical sizes):
 
@@ -44,6 +43,7 @@
      --attacks-out F  attack-universes report file (the "stable" section
                    is byte-identical across --jobs; throughput is under
                    "throughput_unstable")
+     --precision-out F  precision-lift report file
 
    The --json report embeds the run manifest plus two metric sections:
    "metrics" (stable counters/gauges/histograms — byte-identical across
@@ -123,38 +123,13 @@ let fig9 ?pool () =
   let rows = H.Perf_experiment.run_all ?pool () in
   print_endline (H.Perf_experiment.render rows);
   print_endline "paper: average degradation 0.79%";
+  print_endline "paper: average detection latency 11.7 cycles";
   perf_rows_json rows
 
 let table1 () =
   section "Table 1: simulated processor parameters";
   Format.printf "%a@." Ipds_pipeline.Config.pp Ipds_pipeline.Config.default;
   J.Null
-
-let latency ?pool () =
-  section "Detection latency (cycles from branch commit to IPDS verdict)";
-  let rows = H.Perf_experiment.run_all ?pool () in
-  List.iter
-    (fun (r : H.Perf_experiment.row) ->
-      Printf.printf "%-10s %6.1f cycles\n" r.workload r.avg_detection_latency)
-    rows;
-  let avg =
-    H.Stats.mean
-      (List.map (fun (r : H.Perf_experiment.row) -> r.avg_detection_latency) rows)
-  in
-  (match avg with
-  | Some avg -> Printf.printf "AVERAGE    %6.1f cycles   (paper: 11.7)\n" avg
-  | None -> print_endline "AVERAGE    n/a (no workloads ran)");
-  J.Obj
-    [
-      ( "avg_detection_latency",
-        match avg with Some avg -> J.Float avg | None -> J.Null );
-      ( "per_workload",
-        J.Obj
-          (List.map
-             (fun (r : H.Perf_experiment.row) ->
-               (r.workload, J.Float r.avg_detection_latency))
-             rows) );
-    ]
 
 let compile_time () =
   section "Compile time per benchmark (paper: up to a few seconds)";
@@ -263,496 +238,6 @@ let ctx () =
              ("overhead", J.Float r.overhead);
            ])
        rows)
-
-(* ---------- bechamel microbenchmarks ---------- *)
-
-let micro () =
-  section "Microbenchmarks (bechamel, ns/run)";
-  let open Bechamel in
-  let telnetd = W.find "telnetd" in
-  let program = W.program telnetd in
-  let system = Ipds_core.System.cached_build program in
-  let estimates = ref [] in
-  let tests =
-    [
-      Test.make ~name:"minic-compile:telnetd"
-        (Staged.stage (fun () -> ignore (Ipds_minic.Minic.compile telnetd.W.source)));
-      Test.make ~name:"analyze:telnetd"
-        (Staged.stage (fun () ->
-             ignore (Ipds_correlation.Analysis.analyze_program program)));
-      Test.make ~name:"system-build:telnetd"
-        (Staged.stage (fun () -> ignore (Ipds_core.System.build program)));
-      Test.make ~name:"run+check:telnetd"
-        (Staged.stage (fun () ->
-             let checker = Ipds_core.System.new_checker system in
-             ignore
-               (Ipds_machine.Interp.run program
-                  {
-                    Ipds_machine.Interp.default_config with
-                    inputs = Ipds_machine.Input_script.random ~seed:1 ();
-                    checker = Some checker;
-                    record_trace = false;
-                  })));
-      (let layout = system.Ipds_core.System.layout in
-       let f = Ipds_mir.Program.find_func_exn program "main" in
-       let pcs = Ipds_mir.Layout.branch_pcs layout f in
-       Test.make ~name:"hash-search:telnetd-main"
-         (Staged.stage (fun () -> ignore (Ipds_core.Hash.find pcs))));
-    ]
-  in
-  List.iter
-    (fun t ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ())
-          Toolkit.Instance.[ monotonic_clock ]
-          t
-      in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some (est :: _) ->
-              estimates := (name, est) :: !estimates;
-              Printf.printf "%-28s %12.0f ns/run\n" name est
-          | Some [] | None -> Printf.printf "%-28s (no estimate)\n" name)
-        ols)
-    tests;
-  J.Obj (List.rev_map (fun (name, est) -> (name, J.Float est)) !estimates)
-
-(* ---------- checker-throughput: flat image vs reference checker ---------- *)
-
-(* A workload's call/return/branch stream, recorded once into flat arrays
-   so replay cost is pure checker cost (no interp, no event records). *)
-type recorded = {
-  r_names : string array;  (* call operands index into this *)
-  r_ops : int array;  (* 0 = call, 1 = ret, 2 = branch taken, 3 = not taken *)
-  r_args : int array;  (* call: name index; branch: pc; ret: unused *)
-  r_events : int;
-  r_branches : int;
-}
-
-let record_events ~seed ~system w =
-  let program = W.program w in
-  let cap = ref 4096 in
-  let ops = ref (Array.make !cap 0) and args = ref (Array.make !cap 0) in
-  let n = ref 0 in
-  let names = ref [] and n_names = ref 0 in
-  let name_idx = Hashtbl.create 16 in
-  let intern s =
-    match Hashtbl.find_opt name_idx s with
-    | Some i -> i
-    | None ->
-        let i = !n_names in
-        Hashtbl.add name_idx s i;
-        names := s :: !names;
-        incr n_names;
-        i
-  in
-  let push op arg =
-    if !n = !cap then begin
-      cap := !cap * 2;
-      let grow a =
-        let b = Array.make !cap 0 in
-        Array.blit a 0 b 0 !n;
-        b
-      in
-      ops := grow !ops;
-      args := grow !args
-    end;
-    !ops.(!n) <- op;
-    !args.(!n) <- arg;
-    incr n
-  in
-  let branches = ref 0 in
-  ignore
-    (Ipds_machine.Interp.run program
-       {
-         Ipds_machine.Interp.default_config with
-         inputs = Ipds_machine.Input_script.random ~seed ();
-         record_trace = false;
-         sink =
-           Some
-             (fun (e : Ipds_machine.Event.t) ->
-               match e.Ipds_machine.Event.kind with
-               | Ipds_machine.Event.Call { callee } ->
-                   (* extern calls have no tables and no matching Ret;
-                      the inline checker never sees them either *)
-                   if Ipds_core.System.mem system callee then
-                     push 0 (intern callee)
-               | Ipds_machine.Event.Ret -> push 1 0
-               | Ipds_machine.Event.Branch { taken; _ } ->
-                   incr branches;
-                   push (if taken then 2 else 3) e.Ipds_machine.Event.pc
-               | _ -> ());
-       });
-  {
-    r_names = Array.of_list (List.rev !names);
-    r_ops = Array.sub !ops 0 !n;
-    r_args = Array.sub !args 0 !n;
-    r_events = !n;
-    r_branches = !branches;
-  }
-
-(* Each timed repetition replays the recorded stream [rounds] times
-   through one checker, so creation cost amortizes away and the rates
-   are steady-state (including minor-GC pressure, which is the point). *)
-let replay_flat system r ~rounds =
-  let c = Ipds_core.System.new_checker system in
-  let ops = r.r_ops and args = r.r_args in
-  (* resolve name indices to image handles once; the hot loop then uses
-     [on_call_img], the handle-passing entry the flat design adds *)
-  let imgs = Array.map (Ipds_core.System.image system) r.r_names in
-  let n = r.r_events in
-  let acc = ref 0 in
-  for _ = 1 to rounds do
-    for i = 0 to n - 1 do
-      match Array.unsafe_get ops i with
-      | 0 ->
-          ignore
-            (Ipds_core.Checker.on_call_img c
-               (Array.unsafe_get imgs (Array.unsafe_get args i)))
-      | 1 -> ignore (Ipds_core.Checker.on_return c)
-      | op ->
-          acc :=
-            !acc
-            lor Ipds_core.Checker.on_branch c ~pc:(Array.unsafe_get args i)
-                  ~taken:(op = 2)
-    done
-  done;
-  Ipds_core.Checker.flush c;
-  Sys.opaque_identity !acc
-
-let replay_reference system r ~rounds =
-  let c = Ipds_core.System.new_ref_checker system in
-  let ops = r.r_ops and args = r.r_args and names = r.r_names in
-  let n = r.r_events in
-  let acc = ref 0 in
-  for _ = 1 to rounds do
-    for i = 0 to n - 1 do
-      match Array.unsafe_get ops i with
-      | 0 ->
-          ignore
-            (Ipds_core.Checker_ref.on_call c
-               (Array.unsafe_get names (Array.unsafe_get args i)))
-      | 1 ->
-          if Ipds_core.Checker_ref.depth c > 0 then
-            Ipds_core.Checker_ref.on_return c
-      | op ->
-          let i' =
-            Ipds_core.Checker_ref.on_branch c
-              ~pc:(Array.unsafe_get args i) ~taken:(op = 2)
-          in
-          acc := !acc + i'.Ipds_core.Checker_ref.bat_nodes
-    done
-  done;
-  Sys.opaque_identity !acc
-
-type rate_stats = { mean : float; p50 : float; p99 : float }
-
-let rate_stats ~reps ~branches f =
-  ignore (f ());  (* warmup: grows the frame arena, faults in the tables *)
-  let rates =
-    Array.init reps (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (f ());
-        let dt = Unix.gettimeofday () -. t0 in
-        float_of_int branches /. (if dt <= 0. then 1e-9 else dt))
-  in
-  let sorted = Array.copy rates in
-  Array.sort compare sorted;
-  let n = Array.length sorted in
-  let pct p = sorted.(min (n - 1) (p * n / 100)) in
-  {
-    mean = Array.fold_left ( +. ) 0. rates /. float_of_int n;
-    p50 = pct 50;
-    p99 = pct 99;
-  }
-
-(* A (function, checked branch pc, direction) triple that keeps
-   verifying ok when re-committed in one frame — the steady state the
-   allocation probe and the branch-path microbench both need. *)
-let steady_candidate system program =
-  let layout = system.Ipds_core.System.layout in
-  (* every (function, checked pc, direction) that keeps verifying ok
-     when re-committed; three commits skip any BAT self-update
-     transient *)
-  let all =
-    List.concat_map
-      (fun (fname, _) ->
-        let f = Ipds_mir.Program.find_func_exn program fname in
-        let img = Ipds_core.System.image system fname in
-        List.concat_map
-          (fun pc ->
-            if Ipds_core.Image.checked img (Ipds_core.Image.slot_of_pc img pc)
-            then
-              List.filter_map
-                (fun taken ->
-                  let c = Ipds_core.System.new_checker system in
-                  ignore (Ipds_core.Checker.on_call c fname);
-                  let ok v =
-                    Ipds_core.Checker.verdict_checked v
-                    && Ipds_core.Checker.verdict_ok v
-                  in
-                  let v1 = Ipds_core.Checker.on_branch c ~pc ~taken in
-                  if
-                    ok v1
-                    && ok (Ipds_core.Checker.on_branch c ~pc ~taken)
-                    && ok (Ipds_core.Checker.on_branch c ~pc ~taken)
-                  then
-                    Some
-                      (fname, pc, taken, Ipds_core.Checker.verdict_bat_nodes v1)
-                  else None)
-                [ true; false ]
-            else [])
-          (Ipds_mir.Layout.branch_pcs layout f))
-      system.Ipds_core.System.funcs
-  in
-  (* prefer the lightest update row — across the ten workloads the
-     steady candidates carry 1-5 BAT nodes and a single node is by far
-     the most common shape, so that is what the microbench should time *)
-  match
-    List.sort (fun (_, _, _, a) (_, _, _, b) -> compare a b) all
-  with
-  | c :: _ -> c
-  | [] -> failwith "checker-throughput: no steadily-checked branch"
-
-(* Search every workload for the microbench branch, taking the lightest
-   steady update row found anywhere (no workload has an empty-row steady
-   candidate — every checked branch is also a correlation source). *)
-let microbench_candidate () =
-  let cands =
-    List.filter_map
-      (fun w ->
-        match steady_candidate (W.system w) (W.program w) with
-        | c -> Some (w, c)
-        | exception Failure _ -> None)
-      W.all
-  in
-  match
-    List.sort
-      (fun (_, (_, _, _, a)) (_, (_, _, _, b)) -> compare a b)
-      cands
-  with
-  | wc :: _ -> wc
-  | [] -> failwith "checker-throughput: no steadily-checked branch"
-
-(* Steady-state allocation probe: a warm call/branch/return cycle through
-   a checked branch must not touch the minor heap at all. *)
-let zero_alloc_probe () =
-  let w, (fname, pc, taken, _) = microbench_candidate () in
-  let system = W.system w in
-  let c = Ipds_core.System.new_checker system in
-  for _ = 1 to 1_000 do
-    ignore (Ipds_core.Checker.on_call c fname);
-    ignore (Ipds_core.Checker.on_branch c ~pc ~taken);
-    ignore (Ipds_core.Checker.on_return c)
-  done;
-  let iters = 200_000 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    ignore (Ipds_core.Checker.on_call c fname);
-    ignore (Ipds_core.Checker.on_branch c ~pc ~taken);
-    ignore (Ipds_core.Checker.on_return c)
-  done;
-  let delta = Gc.minor_words () -. w0 in
-  (* a few words of slack for the Gc.minor_words float boxes *)
-  if delta > 64. then begin
-    Printf.eprintf
-      "checker-throughput FAIL: steady-state checked branch allocated \
-       %.0f minor words over %d cycles (%s pc 0x%x)\n%!"
-      delta iters fname pc;
-    exit 1
-  end;
-  Printf.printf
-    "zero-alloc probe: %d call/branch/return cycles through %s pc 0x%x: \
-     %.0f minor words\n"
-    iters fname pc delta;
-  (fname, pc, iters, delta)
-
-(* The per-branch hot path in isolation: one warm frame, millions of
-   verify+update commits on a checked branch.  This is exactly the code
-   the flat image replaces — per-branch allocation plus 3-4 atomic
-   registry hits — so it is the headline speedup.  Peak of several
-   windows, which is robust against scheduler preemption. *)
-let branch_path_bench () =
-  let w, (fname, pc, taken, bat_nodes) = microbench_candidate () in
-  let system = W.system w in
-  let windows = 15 and iters = 1_000_000 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f iters;
-    let dt = Unix.gettimeofday () -. t0 in
-    float_of_int iters /. (if dt <= 0. then 1e-9 else dt)
-  in
-  (* one warm frame per impl; each window consumes the verdict the way
-     the interp does (an alarm test) *)
-  let cf = Ipds_core.System.new_checker system in
-  ignore (Ipds_core.Checker.on_call cf fname);
-  let flat_alarms = ref 0 in
-  let run_flat n =
-    for _ = 1 to n do
-      if
-        Ipds_core.Checker.verdict_alarm
-          (Ipds_core.Checker.on_branch cf ~pc ~taken)
-      then incr flat_alarms
-    done
-  in
-  let cr = Ipds_core.System.new_ref_checker system in
-  ignore (Ipds_core.Checker_ref.on_call cr fname);
-  let ref_alarms = ref 0 in
-  let run_ref n =
-    for _ = 1 to n do
-      let i = Ipds_core.Checker_ref.on_branch cr ~pc ~taken in
-      match i.Ipds_core.Checker_ref.alarm with
-      | Some _ -> incr ref_alarms
-      | None -> ()
-    done
-  in
-  run_flat 10_000;
-  run_ref 10_000;
-  (* interleave the windows so a load spike on the (shared) host hits
-     both implementations, not whichever happened to run second; take
-     the per-impl peak *)
-  let best_flat = ref 0. and best_ref = ref 0. in
-  for _ = 1 to windows do
-    let rf = time run_flat in
-    if rf > !best_flat then best_flat := rf;
-    let rr = time run_ref in
-    if rr > !best_ref then best_ref := rr
-  done;
-  ignore (Sys.opaque_identity (!flat_alarms + !ref_alarms));
-  ignore (Ipds_core.Checker.on_return cf);
-  Ipds_core.Checker.flush cf;
-  Ipds_core.Checker_ref.on_return cr;
-  let flat_rate = !best_flat and ref_rate = !best_ref in
-  let speedup = flat_rate /. ref_rate in
-  Printf.printf
-    "branch path (%s pc 0x%x, %d update nodes, peak of %d x %dk commits):\n\
-    \  flat %10.0f branches/s (%5.2f ns)   ref %10.0f branches/s (%5.2f \
-     ns)   speedup %5.2fx\n"
-    fname pc bat_nodes windows (iters / 1000) flat_rate
-    (1e9 /. flat_rate)
-    ref_rate
-    (1e9 /. ref_rate)
-    speedup;
-  (fname, pc, bat_nodes, flat_rate, ref_rate, speedup)
-
-let checker_throughput ~reps ~seed ~out () =
-  section
-    (Printf.sprintf "Checker throughput: flat image vs reference (%d reps)" reps);
-  let rows =
-    List.map
-      (fun w ->
-        let system = W.system w in
-        let r = record_events ~seed ~system w in
-        (* enough rounds per rep that each measurement covers ~200k
-           branches; the recorded traces themselves are short *)
-        let rounds = max 1 (200_000 / max 1 r.r_branches) in
-        let branches = rounds * r.r_branches in
-        let flat =
-          rate_stats ~reps ~branches (fun () -> replay_flat system r ~rounds)
-        in
-        let reference =
-          rate_stats ~reps ~branches (fun () ->
-              replay_reference system r ~rounds)
-        in
-        let speedup = if reference.mean > 0. then flat.mean /. reference.mean else 0. in
-        Printf.printf
-          "%-10s %7d branches  flat %10.0f/s (p50 %10.0f, p99 %10.0f)  ref \
-           %10.0f/s  speedup %5.2fx\n"
-          w.W.name r.r_branches flat.mean flat.p50 flat.p99 reference.mean
-          speedup;
-        (w.W.name, r, flat, reference, speedup))
-      W.all
-  in
-  (* aggregate rate: total branches over total mean-rate time, per impl *)
-  let total_branches =
-    List.fold_left (fun acc (_, r, _, _, _) -> acc + r.r_branches) 0 rows
-  in
-  let total_time stat_of =
-    List.fold_left
-      (fun acc (_, r, flat, reference, _) ->
-        let s : rate_stats = stat_of flat reference in
-        acc +. (float_of_int r.r_branches /. s.mean))
-      0. rows
-  in
-  let flat_rate = float_of_int total_branches /. total_time (fun f _ -> f) in
-  let ref_rate = float_of_int total_branches /. total_time (fun _ r -> r) in
-  let overall_speedup = flat_rate /. ref_rate in
-  Printf.printf
-    "OVERALL    %7d branches  flat %10.0f/s  ref %10.0f/s  speedup %5.2fx\n"
-    total_branches flat_rate ref_rate overall_speedup;
-  let bp_fn, bp_pc, bp_nodes, bp_flat, bp_ref, bp_speedup =
-    branch_path_bench ()
-  in
-  let probe_fn, probe_pc, probe_iters, probe_delta = zero_alloc_probe () in
-  let stats_json (s : rate_stats) =
-    J.Obj
-      [
-        ("mean_branches_per_sec", J.Float s.mean);
-        ("p50_branches_per_sec", J.Float s.p50);
-        ("p99_branches_per_sec", J.Float s.p99);
-      ]
-  in
-  let data =
-    J.Obj
-      [
-        ("reps", J.Int reps);
-        ( "workloads",
-          J.List
-            (List.map
-               (fun (name, r, flat, reference, speedup) ->
-                 J.Obj
-                   [
-                     ("workload", J.String name);
-                     ("events", J.Int r.r_events);
-                     ("branches", J.Int r.r_branches);
-                     ("flat", stats_json flat);
-                     ("reference", stats_json reference);
-                     ("speedup", J.Float speedup);
-                   ])
-               rows) );
-        ( "overall",
-          J.Obj
-            [
-              ("branches", J.Int total_branches);
-              ("flat_branches_per_sec", J.Float flat_rate);
-              ("reference_branches_per_sec", J.Float ref_rate);
-              ("speedup", J.Float overall_speedup);
-            ] );
-        ( "branch_path",
-          J.Obj
-            [
-              ("function", J.String bp_fn);
-              ("branch_pc", J.Int bp_pc);
-              ("bat_nodes_per_commit", J.Int bp_nodes);
-              ("flat_branches_per_sec", J.Float bp_flat);
-              ("reference_branches_per_sec", J.Float bp_ref);
-              ("flat_ns_per_branch", J.Float (1e9 /. bp_flat));
-              ("reference_ns_per_branch", J.Float (1e9 /. bp_ref));
-              ("speedup", J.Float bp_speedup);
-            ] );
-        ( "zero_alloc",
-          J.Obj
-            [
-              ("function", J.String probe_fn);
-              ("branch_pc", J.Int probe_pc);
-              ("cycles", J.Int probe_iters);
-              ("minor_words_delta", J.Float probe_delta);
-            ] );
-      ]
-  in
-  (match out with
-  | None -> ()
-  | Some path ->
-      J.write_file ~indent:2 path data;
-      Printf.printf "wrote %s\n" path);
-  data
 
 (* ---------- precision: Fig-7 lift from feasible-path refinement ---------- *)
 
@@ -933,20 +418,8 @@ let precision ~attacks ~seed ?pool ~out () =
 let attacks_bench ~attacks ~seed ~universes ?pool ~out () =
   section
     (Printf.sprintf "Attack universes (%d attacks/server, universes: %s)"
-       attacks (String.concat "," universes));
-  let universes =
-    List.map
-      (fun name ->
-        match H.Attack_experiment.universe_of_name name with
-        | Some u -> u
-        | None ->
-            Printf.eprintf
-              "unknown attack universe: %s (expected mem, cond-flip or \
-               insn-skip)\n"
-              name;
-            exit 2)
-      universes
-  in
+       attacks
+       (String.concat "," (List.map H.Attack_experiment.universe_name universes)));
   let config =
     {
       H.Attack_bench.default_config with
@@ -1047,12 +520,58 @@ type opts = {
   seed : int;
   jobs : int;
   json : string option;
-  reps : int;  (* checker-throughput replay repetitions *)
-  checker_out : string option;  (* checker-throughput report file *)
   precision_out : string option;  (* precision-lift report file *)
   attacks_out : string option;  (* attack-universes report file *)
-  universes : string list;  (* attack universes for the attacks target *)
+  universes : H.Attack_experiment.universe list;  (* for the attacks target *)
 }
+
+let opt_levels ~attacks ~seed ?pool () =
+  section
+    (Printf.sprintf
+       "Optimization levels (paper: \"compiler optimizations can remove \
+        some correlations\"; %d attacks/server)"
+       attacks);
+  let rows = H.Opt_experiment.run_all ~attacks ~seed ?pool () in
+  print_endline (H.Opt_experiment.render rows);
+  J.List
+    (List.map
+       (fun (r : H.Opt_experiment.row) ->
+         J.Obj
+           [
+             ("level", J.String r.level);
+             ("avg_detected", J.Float r.avg_detected);
+             ("detected_given_cf", J.Float r.detected_given_cf);
+             ("avg_cf_changed", J.Float r.avg_cf_changed);
+             ("checked_branches", J.Int r.checked_branches);
+             ("total_branches", J.Int r.total_branches);
+           ])
+       rows)
+
+(* Every target, by name: the one table that both argument validation
+   and dispatch read. *)
+let target_table : (string * (opts -> Pool.t option -> unit -> J.t)) list =
+  let att o default = Option.value o.attacks ~default in
+  [
+    ("fig7", fun o pool -> fig7 ~attacks:(att o 100) ~seed:o.seed ?pool);
+    ("fig8", fun _ _ -> fig8);
+    ("fig9", fun _ pool -> fig9 ?pool);
+    ("table1", fun _ _ -> table1);
+    ("compile-time", fun _ _ -> compile_time);
+    ("ablation", fun o pool -> ablation ~attacks:(att o 40) ?pool);
+    ( "opt-levels",
+      fun o pool -> opt_levels ~attacks:(att o 40) ~seed:o.seed ?pool );
+    ("baseline", fun o pool -> baseline ~attacks:(att o 100) ?pool);
+    ("ctx", fun _ _ -> ctx);
+    ("models", fun o pool -> models ~attacks:(att o 100) ?pool);
+    ( "precision",
+      fun o pool ->
+        precision ~attacks:(att o 100) ~seed:o.seed ?pool ~out:o.precision_out );
+    ( "attacks",
+      fun o pool ->
+        attacks_bench ~attacks:(att o 40) ~seed:o.seed ~universes:o.universes
+          ?pool ~out:o.attacks_out );
+    ("smoke", fun o _ -> smoke ~attacks:(att o 5) ~seed:o.seed ~jobs:o.jobs);
+  ]
 
 let report = ref []  (* (target, wall seconds, data), reverse order *)
 
@@ -1072,64 +591,13 @@ let timed name f =
   report := (name, dt, data) :: !report
 
 let run_target opts pool name =
-  let att default = Option.value opts.attacks ~default in
-  let seed = opts.seed in
-  let go = timed name in
-  match name with
-  | "fig7" -> go (fig7 ~attacks:(att 100) ~seed ?pool)
-  | "fig8" -> go fig8
-  | "fig9" -> go (fig9 ?pool)
-  | "table1" -> go table1
-  | "latency" -> go (latency ?pool)
-  | "compile-time" -> go compile_time
-  | "ablation" -> go (ablation ~attacks:(att 40) ?pool)
-  | "opt-levels" ->
-      go (fun () ->
-          section
-            (Printf.sprintf
-               "Optimization levels (paper: \"compiler optimizations can remove \
-                some correlations\"; %d attacks/server)"
-               (att 40));
-          let rows = H.Opt_experiment.run_all ~attacks:(att 40) ~seed ?pool () in
-          print_endline (H.Opt_experiment.render rows);
-          J.List
-            (List.map
-               (fun (r : H.Opt_experiment.row) ->
-                 J.Obj
-                   [
-                     ("level", J.String r.level);
-                     ("avg_detected", J.Float r.avg_detected);
-                     ("detected_given_cf", J.Float r.detected_given_cf);
-                     ("avg_cf_changed", J.Float r.avg_cf_changed);
-                     ("checked_branches", J.Int r.checked_branches);
-                     ("total_branches", J.Int r.total_branches);
-                   ])
-               rows))
-  | "baseline" -> go (baseline ~attacks:(att 100) ?pool)
-  | "ctx" -> go ctx
-  | "models" -> go (models ~attacks:(att 100) ?pool)
-  | "micro" -> go micro
-  | "checker-throughput" ->
-      go (checker_throughput ~reps:opts.reps ~seed ~out:opts.checker_out)
-  | "precision" ->
-      go (precision ~attacks:(att 100) ~seed ?pool ~out:opts.precision_out)
-  | "attacks" ->
-      go
-        (attacks_bench ~attacks:(att 40) ~seed ~universes:opts.universes ?pool
-           ~out:opts.attacks_out)
-  | "smoke" -> go (smoke ~attacks:(att 5) ~seed ~jobs:opts.jobs)
-  | other ->
-      Printf.eprintf "unknown bench target: %s\n" other;
-      exit 2
+  timed name (List.assoc name target_table opts pool)
 
 let default_targets =
   [
-    "table1"; "fig8"; "fig7"; "fig9"; "latency"; "compile-time"; "ablation";
+    "table1"; "fig8"; "fig7"; "fig9"; "compile-time"; "ablation";
     "opt-levels"; "baseline"; "models"; "ctx"; "precision"; "attacks";
-    "checker-throughput";
   ]
-
-let full_targets = default_targets @ [ "micro" ]
 
 let cache_json () =
   match Ipds_artifact.Store.ambient () with
@@ -1196,8 +664,6 @@ let () =
   let seed = ref 2006 in
   let jobs = ref (Pool.default_jobs ()) in
   let json = ref None in
-  let reps = ref 5 in
-  let checker_out = ref (Some "BENCH_checker.json") in
   let precision_out = ref (Some "BENCH_precision.json") in
   let attacks_out = ref (Some "BENCH_attacks.json") in
   let universes = ref [ "mem"; "cond-flip"; "insn-skip" ] in
@@ -1216,12 +682,6 @@ let () =
         ( "--json",
           Arg.String (fun f -> json := Some f),
           "FILE Write a machine-readable report" );
-        ( "--reps",
-          Arg.Set_int reps,
-          "N Replay repetitions for checker-throughput (default 5)" );
-        ( "--checker-out",
-          Arg.String (fun f -> checker_out := Some f),
-          "FILE Checker-throughput report (default BENCH_checker.json)" );
         ( "--precision-out",
           Arg.String (fun f -> precision_out := Some f),
           "FILE Precision-lift report (default BENCH_precision.json)" );
@@ -1262,24 +722,38 @@ let () =
   | Arg.Help msg ->
       print_string msg;
       exit 0);
+  (* reject every bad name before the first (possibly long) target runs *)
+  let bad fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt in
+  let universes =
+    List.map
+      (fun name ->
+        match H.Attack_experiment.universe_of_name name with
+        | Some u -> u
+        | None ->
+            bad "unknown attack universe: %s (expected mem, cond-flip or \
+                 insn-skip)"
+              name)
+      !universes
+  in
+  let targets =
+    match List.rev !targets_rev with
+    | [] | [ "full" ] -> default_targets
+    | ts -> ts
+  in
+  List.iter
+    (fun t ->
+      if not (List.mem_assoc t target_table) then bad "unknown bench target: %s" t)
+    targets;
   let opts =
     {
       attacks = !attacks;
       seed = !seed;
       jobs = max 1 !jobs;
       json = !json;
-      reps = max 1 !reps;
-      checker_out = !checker_out;
       precision_out = !precision_out;
       attacks_out = !attacks_out;
-      universes = !universes;
+      universes;
     }
-  in
-  let targets =
-    match List.rev !targets_rev with
-    | [] -> default_targets
-    | [ "full" ] -> full_targets
-    | ts -> ts
   in
   (* the manifest must be complete before the event sink opens: the
      sink's first line embeds it *)

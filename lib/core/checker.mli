@@ -56,11 +56,6 @@ val create : lookup:(string -> Image.t) -> t
 val on_call : t -> string -> int
 (** Push an activation; returns the number of entry actions applied. *)
 
-val on_call_img : t -> Image.t -> int
-(** {!on_call} with the image handle already resolved — skips the name
-    lookup for callers that cache handles (the bench replay harness, or
-    a loader that resolves call sites once). *)
-
 val on_return : t -> bool
 (** Pop an activation.  [false] — and no state change — when the stack
     is empty (the typed replacement for the old [Invalid_argument]). *)

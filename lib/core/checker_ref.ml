@@ -3,9 +3,8 @@
    and — exactly like the code it preserves — 3-4 atomic registry hits
    per committed branch.  The differential property tests pin the arena
    checker's verdicts, alarms and counter totals against this
-   implementation, and the checker-throughput bench uses it as the
-   speedup baseline, so both the allocation behaviour and the registry
-   traffic of the original must survive here.
+   implementation, so the behaviour of the original, registry traffic
+   included, must survive here.
 
    The counters are additionally mirrored in plain fields (read them
    with {!counts}) so tests can compare totals without reading the

@@ -4,17 +4,15 @@
 
     Differential property tests pin {!Checker} against this on random
     programs and every workload (verdicts, alarms and counter totals
-    must agree exactly), and [bench checker-throughput] measures the
-    flat checker's speedup over it.
+    must agree exactly).
 
     Faithful to the original's observability too: it performs the same
     3-4 atomic {!Ipds_obs.Registry} hits per committed branch the
-    pre-flat checker did (the speedup baseline must keep that cost),
-    and additionally mirrors the totals in plain fields — read them
-    with {!counts} without touching the registry.  The registry names
-    dedup onto the live checker's cells, so tests asserting registry
-    deltas must snapshot around the flat run before replaying this
-    reference. *)
+    pre-flat checker did, and additionally mirrors the totals in plain
+    fields — read them with {!counts} without touching the registry.
+    The registry names dedup onto the live checker's cells, so tests
+    asserting registry deltas must snapshot around the flat run before
+    replaying this reference. *)
 
 type check_info = {
   alarm : Checker.alarm option;

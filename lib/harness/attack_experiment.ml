@@ -45,6 +45,19 @@ type attempt_outcome =
       alarmed : bool;
     }
 
+(* Applied to every evaluated attempt, even past a campaign's cutoff — a
+   false positive must never be masked by a chunk boundary. *)
+let check_sound ~name = function
+  | Benign_alarm ->
+      raise (False_positive (Printf.sprintf "%s: alarm on benign run" name))
+  | Injected { changed = false; alarmed = true } ->
+      (* An alarm without a control-flow divergence would be a false
+         positive in disguise. *)
+      raise
+        (False_positive
+           (Printf.sprintf "%s: alarm without control-flow change" name))
+  | Too_short | No_injection | Injected _ -> ()
+
 (* The attack universes, each a concrete [Tamper.site] builder.  [`Mem]
    resolves per-workload (its vulnerability class); the branch-fault
    universes are workload-independent. *)
@@ -147,19 +160,7 @@ let campaign ?options ?system ?pool ?(attacks = 100) ?(seed = 2006) ~model
     in
     List.iter
       (fun outcome ->
-        (* Soundness checks apply to every evaluated attempt, even past
-           the cutoff — a false positive must never be masked by the
-           chunk boundary. *)
-        (match outcome with
-        | Benign_alarm ->
-            raise (False_positive (Printf.sprintf "%s: alarm on benign run" name))
-        | Injected { changed = false; alarmed = true } ->
-            (* An alarm without a control-flow divergence would be a
-               false positive in disguise. *)
-            raise
-              (False_positive
-                 (Printf.sprintf "%s: alarm without control-flow change" name))
-        | Too_short | No_injection | Injected _ -> ());
+        check_sound ~name outcome;
         if !injected < attacks then begin
           Ipds_obs.Registry.incr m_attempts;
           match outcome with

@@ -35,7 +35,24 @@ type summary = {
 }
 
 exception False_positive of string
-(** Raised if a benign run raises an alarm — a soundness violation. *)
+(** Raised if a benign run raises an alarm, or an attacked run alarms
+    without changing control flow — a soundness violation. *)
+
+(** What one attack attempt came to. *)
+type attempt_outcome =
+  | Benign_alarm  (** the un-tampered run alarmed *)
+  | Too_short  (** benign run too short to place an attack window *)
+  | No_injection  (** the tamper changed nothing *)
+  | Injected of { changed : bool; alarmed : bool }
+      (** [changed]: control flow diverged from the benign run;
+          [alarmed]: IPDS raised at least one alarm *)
+
+val check_sound : name:string -> attempt_outcome -> unit
+(** The zero-false-positive rule every campaign loop (this one,
+    {!Baseline_experiment} and {!Dme_experiment}) applies to each
+    evaluated attempt: raises {!False_positive}, labelled with [name],
+    on [Benign_alarm] and on an alarmed injection whose control flow did
+    not change. *)
 
 type universe = [ `Mem | `Cond_flip | `Insn_skip ]
 (** The attack universes.  [`Mem] is the paper's memory-tamper scenario

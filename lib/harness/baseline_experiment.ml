@@ -57,6 +57,8 @@ let run ?(n = 3) ?(train_runs = 40) ?(holdout_runs = 50) ?(attacks = 100)
     let benign =
       M.Interp.run program (config_for ~checker:benign_checker ~input_seed ())
     in
+    if benign.M.Interp.alarms <> [] then
+      Attack_experiment.check_sound ~name:w.W.name Benign_alarm;
     if benign.M.Interp.steps > 2 then begin
       let lo = max 1 (benign.M.Interp.steps / 5) in
       let at_step = lo + Random.State.int rng (max 1 (benign.M.Interp.steps - lo)) in
@@ -96,8 +98,12 @@ let run ?(n = 3) ?(train_runs = 40) ?(holdout_runs = 50) ?(attacks = 100)
       | None -> ()
       | Some _ ->
           incr injected;
-          if M.Interp.control_flow_changed benign attacked then incr cf;
-          if attacked.M.Interp.alarms <> [] then incr ipds_det;
+          let changed = M.Interp.control_flow_changed benign attacked
+          and alarmed = attacked.M.Interp.alarms <> [] in
+          Attack_experiment.check_sound ~name:w.W.name
+            (Injected { changed; alarmed });
+          if changed then incr cf;
+          if alarmed then incr ipds_det;
           let terminal =
             match attacked.M.Interp.reason with
             | M.Interp.Exited _ -> "exit"

@@ -81,8 +81,12 @@ let run ?(attacks = 100) ?(holdout = 30) ?(seed = 2006) (w : W.t) =
       | None | Some (M.Tamper.Flipped_branch _ | M.Tamper.Skipped_branch _) -> ()
       | Some (M.Tamper.Tampered_cell cell) ->
           incr injected;
-          if M.Interp.control_flow_changed benign attacked then incr cf;
-          if attacked.M.Interp.alarms <> [] then incr ipds_det;
+          let changed = M.Interp.control_flow_changed benign attacked
+          and alarmed = attacked.M.Interp.alarms <> [] in
+          Attack_experiment.check_sound ~name:w.W.name
+            (Injected { changed; alarmed });
+          if changed then incr cf;
+          if alarmed then incr ipds_det;
           (* the same physical write, replayed in the other layout *)
           let replica =
             M.Interp.run variant

@@ -248,48 +248,34 @@ let test_workloads_differential () =
 
 (* ---------- zero minor allocation on the warm path ---------- *)
 
-(* Replay a recorded workload stream through a warm checker: the second
-   pass reuses the grown arena and resolved image handles, so an
-   alarm-free replay must allocate no minor words. *)
+(* Replay a recorded workload stream through a warm checker, calling
+   by name as the interpreter and the server do: the second pass reuses
+   the grown arena, so an alarm-free replay must allocate no minor
+   words. *)
 let test_zero_minor_allocation () =
   let w = List.hd W.all in
   let sys = W.system w in
   let evs = record_events ~max_steps:20_000 ~seed:7 (W.program w) in
   let n = List.length evs in
   let ops = Array.make (max 1 n) (-1) and args = Array.make (max 1 n) 0 in
-  let names = Hashtbl.create 8 in
-  let imgs = ref [] and n_imgs = ref 0 in
-  let intern f =
-    match Hashtbl.find_opt names f with
-    | Some i -> i
-    | None ->
-        let i = !n_imgs in
-        Hashtbl.add names f i;
-        imgs := Core.System.image sys f :: !imgs;
-        incr n_imgs;
-        i
-  in
+  let callees = Array.make (max 1 n) "" in
   List.iteri
     (fun i ev ->
       match ev with
       | Call f when Core.System.mem sys f ->
           ops.(i) <- 0;
-          args.(i) <- intern f
+          callees.(i) <- f
       | Call _ -> ()
       | Ret -> ops.(i) <- 1
       | Branch (pc, taken) ->
           ops.(i) <- 2;
           args.(i) <- (pc lsl 1) lor Bool.to_int taken)
     evs;
-  let img_arr = Array.of_list (List.rev !imgs) in
   let c = Core.System.new_checker sys in
   let replay () =
     for i = 0 to n - 1 do
       match Array.unsafe_get ops i with
-      | 0 ->
-          ignore
-            (Core.Checker.on_call_img c
-               (Array.unsafe_get img_arr (Array.unsafe_get args i)))
+      | 0 -> ignore (Core.Checker.on_call c (Array.unsafe_get callees i))
       | 1 -> ignore (Core.Checker.on_return c)
       | 2 ->
           let a = Array.unsafe_get args i in
@@ -299,11 +285,17 @@ let test_zero_minor_allocation () =
   in
   replay ();
   check_int "warm-up replay raised no alarms" 0 (Core.Checker.alarm_count c);
+  (* enough warm replays that even one word per call or branch would
+     blow the bound (the stream holds only a handful of calls) *)
+  let rounds = 64 in
   let before = Gc.minor_words () in
-  replay ();
+  for _ = 1 to rounds do
+    replay ()
+  done;
   let words = int_of_float (Gc.minor_words () -. before) in
   check
-    (Printf.sprintf "warm replay of %d events allocated %d minor words" n words)
+    (Printf.sprintf "%d warm replays of %d events allocated %d minor words"
+       rounds n words)
     true (words <= 64)
 
 (* ---------- typed protocol violations and O(1) depth ---------- *)

@@ -238,6 +238,23 @@ let test_summarize () =
   let rendered = H.Attack_experiment.render s in
   check "renders average row" true (contains rendered "AVERAGE")
 
+(* The one zero-false-positive rule shared by the Fig. 7, baseline and
+   DME campaign loops. *)
+let test_check_sound () =
+  let raises outcome =
+    match H.Attack_experiment.check_sound ~name:"w" outcome with
+    | () -> false
+    | exception H.Attack_experiment.False_positive _ -> true
+  in
+  check "benign alarm" true (raises Benign_alarm);
+  check "alarm without control-flow change" true
+    (raises (Injected { changed = false; alarmed = true }));
+  check "detected attack" false (raises (Injected { changed = true; alarmed = true }));
+  check "missed attack" false (raises (Injected { changed = true; alarmed = false }));
+  check "silent no-op" false (raises (Injected { changed = false; alarmed = false }));
+  check "too short" false (raises Too_short);
+  check "no injection" false (raises No_injection)
+
 let test_size_census () =
   let row = H.Size_census.run (W.find "sysklogd") in
   check "bsv positive" true (row.H.Size_census.avg_bsv_bits > 0.);
@@ -309,6 +326,7 @@ let () =
           Alcotest.test_case "deterministic across jobs" `Slow
             test_run_all_jobs_deterministic;
           Alcotest.test_case "summarize" `Quick test_summarize;
+          Alcotest.test_case "zero-false-positive rule" `Quick test_check_sound;
         ] );
       ( "others",
         [
