@@ -36,9 +36,8 @@ let encode_layout entries =
     entries;
   W.contents w
 
-let decode_layout bytes =
+let decode_layout r =
   in_section "layout" (fun () ->
-      let r = R.of_bytes bytes in
       let n = R.pull r ~width:32 in
       if n > 100_000 then corrupt "layout: implausible entry count %d" n;
       List.init n (fun _ ->
@@ -81,9 +80,8 @@ let encode_index funcs =
   List.iter (fun (name, info) -> encode_meta w name info) funcs;
   W.contents w
 
-let decode_index bytes =
+let decode_index r =
   in_section "index" (fun () ->
-      let r = R.of_bytes bytes in
       let n = R.pull r ~width:16 in
       List.init n (fun _ -> decode_meta r))
 
@@ -186,36 +184,65 @@ let reconstruct ~layout (f : Mir.Func.t) ~entry_pc ~digest
     refine = None;
   }
 
-let of_bytes bytes =
-  let sections = Object_file.of_bytes bytes in
-  let sect name =
-    match List.assoc_opt name sections with
-    | Some b -> b
+(* The index and the per-function flat images, decoded in place from a
+   container whose digest and every section CRC (code included) have
+   been verified; each image is assembled through [Image.make], which
+   runs [Image.validate].  Both loads start here.  Returns a reader over
+   any section, and each function's index entry with its image. *)
+let decode_images bytes =
+  let spans = Object_file.spans_of_bytes bytes in
+  let section name =
+    match List.find_opt (fun (n, _, _) -> String.equal n name) spans with
+    | Some (_, pos, len) -> (pos, len)
     | None -> corrupt "missing section %s" name
   in
+  let metas =
+    let pos, len = section "index" in
+    decode_index (R.of_span bytes ~pos ~len)
+  in
+  let seen = Hashtbl.create 16 in
+  ( section,
+    List.mapi
+      (fun i meta ->
+        if Hashtbl.mem seen meta.m_name then
+          corrupt "index names %s twice" meta.m_name;
+        Hashtbl.add seen meta.m_name ();
+        let pos, len = section (fsect i) in
+        let tpc, image =
+          in_section (fsect i) (fun () -> Core.Encode.decode_image bytes ~pos ~len)
+        in
+        if not (String.equal meta.m_name image.Core.Image.fname) then
+          corrupt "index/%s disagree on name (%s vs %s)" (fsect i) meta.m_name
+            image.Core.Image.fname;
+        if meta.m_entry_pc <> tpc then
+          corrupt "%s: index/tables disagree on entry pc" meta.m_name;
+        if meta.m_branches <> image.Core.Image.n_branches then
+          corrupt "%s: index/tables disagree on branch count" meta.m_name;
+        (meta, image))
+      metas )
+
+(* The checker's view, as the IPDS unit loads it (§5): the code
+   section's parse and the cross-checks against it are skipped. *)
+let images_of_bytes bytes =
+  List.map (fun (meta, image) -> (meta.m_name, image)) (snd (decode_images bytes))
+
+let of_bytes bytes =
+  let section, funcs = decode_images bytes in
   let program =
-    try Mir.Parser.program_of_string (Bytes.to_string (sect "code")) with
+    let pos, len = section "code" in
+    try Mir.Parser.program_of_string (Bytes.sub_string bytes pos len) with
     | Mir.Parser.Parse_error m -> corrupt "code section: %s" m
     | Invalid_argument m -> corrupt "code section: %s" m
   in
   let layout = Mir.Layout.make program in
-  if decode_layout (sect "layout") <> Mir.Layout.entries layout then
-    corrupt "layout section disagrees with code section";
-  let metas = decode_index (sect "index") in
-  if List.length metas <> List.length program.Mir.Program.funcs then
+  (let pos, len = section "layout" in
+   if decode_layout (R.of_span bytes ~pos ~len) <> Mir.Layout.entries layout then
+     corrupt "layout section disagrees with code section");
+  if List.length funcs <> List.length program.Mir.Program.funcs then
     corrupt "index disagrees with code section on function count";
   let funcs =
-    List.mapi
-      (fun i meta ->
-        let tpc, tables, image =
-          in_section (fsect i) (fun () ->
-              Core.Encode.decode_function (sect (fsect i)))
-        in
-        if not (String.equal meta.m_name tables.Core.Tables.fname) then
-          corrupt "index/%s disagree on name (%s vs %s)" (fsect i) meta.m_name
-            tables.Core.Tables.fname;
-        if meta.m_entry_pc <> tpc then
-          corrupt "%s: index/tables disagree on entry pc" meta.m_name;
+    List.map
+      (fun (meta, image) ->
         let f =
           match Mir.Program.find_func program meta.m_name with
           | Some f -> f
@@ -225,8 +252,9 @@ let of_bytes bytes =
           corrupt "%s: entry pc disagrees with layout" meta.m_name;
         ( meta.m_name,
           reconstruct ~layout f ~entry_pc:meta.m_entry_pc ~digest:meta.m_digest
-            ~tables ~image ~checked:meta.m_checked ~n_branches:meta.m_branches ))
-      metas
+            ~tables:(Core.Image.to_tables image) ~image ~checked:meta.m_checked
+            ~n_branches:meta.m_branches ))
+      funcs
   in
   Core.System.make ~program ~layout ~funcs
 

@@ -42,6 +42,16 @@ exception Corrupt of string
 val to_bytes : Ipds_core.System.t -> Bytes.t
 val of_bytes : Bytes.t -> Ipds_core.System.t
 
+val images_of_bytes : Bytes.t -> (string * Ipds_core.Image.t) list
+(** The checker-only load: each function's name and flat image, in
+    program order, decoded from the [index] and [f0], [f1], …
+    sections alone.  It verifies the container digest and every section
+    CRC, and every image passes {!Ipds_core.Image.validate}.  The
+    [code] and [layout] sections are never decoded, so the cross-checks
+    {!of_bytes} makes against the program are not made; for bytes that
+    {!of_bytes} accepts, the images are structurally equal to the
+    [image] fields of its functions.  Raises {!Corrupt}. *)
+
 val save_file : string -> Ipds_core.System.t -> unit
 (** Atomic: temp file + rename. *)
 

@@ -29,4 +29,5 @@ let bytes buf ~pos ~len =
   Int32.of_int (!c lxor 0xFFFF_FFFF)
 
 let all buf = bytes buf ~pos:0 ~len:(Bytes.length buf)
-let string s = all (Bytes.of_string s)
+(* [bytes] only reads its input, so a string is checked in place *)
+let string s = all (Bytes.unsafe_of_string s)

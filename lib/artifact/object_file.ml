@@ -107,15 +107,20 @@ let digest_ok buf =
   in
   String.equal stored actual
 
-let of_bytes buf =
+let spans_of_bytes buf =
   let entries = read_table buf in
   if not (digest_ok buf) then corrupt "whole-file digest mismatch";
   List.map
     (fun (name, offset, length, crc) ->
       if Crc32.bytes buf ~pos:offset ~len:length <> crc then
         corrupt "CRC mismatch in section %s" name;
-      (name, Bytes.sub buf offset length))
+      (name, offset, length))
     entries
+
+let of_bytes buf =
+  List.map
+    (fun (name, offset, length) -> (name, Bytes.sub buf offset length))
+    (spans_of_bytes buf)
 
 let info_of_bytes buf =
   let entries = read_table buf in

@@ -41,6 +41,10 @@ val to_bytes : sections:(string * Bytes.t) list -> Bytes.t
 val of_bytes : Bytes.t -> (string * Bytes.t) list
 (** Fully verified sections in file order; raises {!Corrupt}. *)
 
+val spans_of_bytes : Bytes.t -> (string * int * int) list
+(** {!of_bytes} without the copies: the same checks, then each
+    section's [(name, offset, length)] inside the given buffer. *)
+
 type section_info = {
   s_name : string;
   s_offset : int;

@@ -107,7 +107,8 @@ let bytes buf ~pos ~len =
       Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xFF))
 
 let all buf = bytes buf ~pos:0 ~len:(Bytes.length buf)
-let string s = all (Bytes.of_string s)
+(* [bytes] only reads its input, so a string is hashed in place *)
+let string s = all (Bytes.unsafe_of_string s)
 
 let to_hex d =
   let hex = "0123456789abcdef" in

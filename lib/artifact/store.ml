@@ -169,7 +169,7 @@ let load_entry path ~decode ~m_hit ~m_miss ~m_bad ~corrupt_kind =
           emit_corrupt ~kind:corrupt_kind path reason;
           `Corrupt reason)
 
-let load_system t key =
+let load_decoded t key decode =
   if not (valid_key key) then begin
     Ipds_obs.Registry.incr m_misses;
     None
@@ -178,11 +178,14 @@ let load_system t key =
     let path = path_of_key t key in
     Ipds_obs.Span.time span_load (fun () ->
         match
-          load_entry path ~decode:Artifact.of_bytes ~m_hit:m_hits
-            ~m_miss:m_misses ~m_bad:m_corrupt ~corrupt_kind:"store.corrupt"
+          load_entry path ~decode ~m_hit:m_hits ~m_miss:m_misses
+            ~m_bad:m_corrupt ~corrupt_kind:"store.corrupt"
         with
-        | `Hit sys -> Some sys
+        | `Hit v -> Some v
         | `Miss | `Corrupt _ -> None)
+
+let load_system t key = load_decoded t key Artifact.of_bytes
+let load_images t key = load_decoded t key Artifact.images_of_bytes
 
 let fetch_image t key =
   if not (valid_key key) then `Miss

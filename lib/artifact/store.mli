@@ -56,6 +56,10 @@ val load_system : t -> string -> Ipds_core.System.t option
     [store.corrupt] event carrying the errno — an unreadable cache is
     damage to surface, not a cold miss to recompile forever. *)
 
+val load_images : t -> string -> (string * Ipds_core.Image.t) list option
+(** {!load_system} through {!Artifact.images_of_bytes}: the checker's
+    images only, same counters and the same [None] cases. *)
+
 val publish_system : t -> string -> Ipds_core.System.t -> unit
 (** Atomic; IO errors (read-only dir, disk full) are counted as
     [publish_failed] and emitted as [store.publish_failed] events but

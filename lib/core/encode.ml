@@ -139,6 +139,8 @@ let function_image ~entry_pc t =
   write_function w ~entry_pc t;
   W.contents w
 
+let decode_image buf ~pos ~len = read_function (R.of_span buf ~pos ~len)
+
 let decode_function bytes =
-  let entry_pc, image = read_function (R.of_bytes bytes) in
+  let entry_pc, image = decode_image bytes ~pos:0 ~len:(Bytes.length bytes) in
   (entry_pc, Image.to_tables image, image)

@@ -22,6 +22,11 @@ val decode_function : Bytes.t -> int * Tables.t * Image.t
     {!Bitstream.Past_end} on a truncated image and [Invalid_argument]
     on a malformed one. *)
 
+val decode_image : Bytes.t -> pos:int -> len:int -> int * Image.t
+(** {!decode_function} of the image in [len] bytes at [pos], without
+    deriving the list-view tables: the entry PC and the flat image the
+    checker runs on.  Same exceptions. *)
+
 val payload_bits : Tables.t -> int
 (** Packed BCV+BAT bits — must equal
     [sizes.bcv_bits + sizes.bat_bits] (tested). *)

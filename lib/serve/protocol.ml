@@ -511,8 +511,11 @@ type reader = {
   mutable len : int;
 }
 
+(* Replies are small, so the buffer starts small enough to live in the
+   minor heap (below its 256-word limit) and grows only for a frame
+   that does not fit. *)
 let reader ?(max_frame = default_max_frame) fd =
-  { fd; max_frame; buf = Bytes.create 65536; start = 0; len = 0 }
+  { fd; max_frame; buf = Bytes.create 1024; start = 0; len = 0 }
 
 type input = In_frame of frame | In_eof | In_error of err
 

@@ -3,11 +3,14 @@
    One [Unix.select] reactor per [config.jobs], each owning a disjoint
    set of nonblocking connections: the accept domain distributes new
    sockets round-robin over reactor mailboxes and wakes the owner
-   through its self-pipe.  Reads drive {!Protocol.scan_at} over a
-   compacting per-connection buffer and hand every frame span to
-   {!Session.handle_span}: [Branch_events] spans stream straight into
-   the checker (no event list, no per-event allocation), rare control
-   frames go through the generic decoder.  Writes never block: replies
+   through its self-pipe.  Each reactor owns one read buffer that every
+   connection it serves reads into; reads drive {!Protocol.scan_at}
+   over it and hand every frame span to {!Session.handle_span}:
+   [Branch_events] spans stream straight into the checker (no event
+   list, no per-event allocation), rare control frames go through the
+   generic decoder.  Between reads a connection keeps only the leftover
+   bytes of a frame split across reads — none in lockstep traffic — so
+   an idle connection holds no input buffer.  Writes never block: replies
    go through a bounded per-connection queue flushed opportunistically
    and on writability, with a global in-flight byte cap on top — when
    either bound would be exceeded the client gets one typed
@@ -17,10 +20,11 @@
    {!max_connections} live connections a new socket gets one
    [Overloaded] frame and is closed.
 
-   Loaded systems live in one {!Ipds_parallel.Memo} bounded to
-   [config.cache_slots] entries, keyed by artifact key: loads run
-   outside its lock, so cold loads of distinct keys proceed in parallel
-   across reactors while racing loads of one key collapse to one. *)
+   Loaded artifacts live in one {!Ipds_parallel.Memo} bounded to
+   [config.cache_slots] entries, keyed by artifact key, as the image
+   sets the checker reads ({!Session.images}): loads run outside its
+   lock, so cold loads of distinct keys proceed in parallel across
+   reactors while racing loads of one key collapse to one. *)
 
 module Store = Ipds_artifact.Store
 module Reg = Ipds_obs.Registry
@@ -54,7 +58,7 @@ type config = {
   jobs : int;  (** reactor domains (≥ 1) *)
   max_frame : int;  (** payload-size limit, bytes *)
   session_timeout : float;  (** seconds a session may sit idle; 0 = none *)
-  cache_slots : int;  (** loaded [System.t]s kept in the LRU (≥ 1) *)
+  cache_slots : int;  (** loaded artifacts' image sets kept in the LRU (≥ 1) *)
   store_dir : string option;
       (** artifact store for [Load_key]; [None] uses the ambient store *)
   reply_queue_bytes : int;  (** per-connection reply-queue bound *)
@@ -82,6 +86,9 @@ type conn = {
   fd : Unix.file_descr;
   session : Session.t;
   mutable inbuf : Bytes.t;
+      (** while the reactor reads this connection, usually its read
+          buffer; between reads, the leftover of a split frame, and
+          empty when there is none *)
   mutable in_start : int;
   mutable in_len : int;
   outq : out_chunk Queue.t;
@@ -92,6 +99,7 @@ type conn = {
 }
 
 type reactor = {
+  rbuf : Bytes.t;  (** the one read buffer of every connection below *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   inbox_mutex : Mutex.t;
@@ -102,8 +110,8 @@ type reactor = {
 type t = {
   config : config;
   store : Store.t option;
-  peer_fetch : (string -> (string, Protocol.err) result) option;
-  cache : (string, Ipds_core.System.t) Ipds_parallel.Memo.t;
+  peer_fetch : (string -> (Bytes.t, Protocol.err) result) option;
+  cache : (string, Session.images) Ipds_parallel.Memo.t;
   fd : Unix.file_descr;
   sock_path : string option;
   stop_flag : bool Atomic.t;
@@ -246,7 +254,32 @@ let rec drain_frames t conn =
         if conn.in_len = 0 then conn.in_start <- 0;
         drain_frames t conn
 
-let on_readable t conn =
+(* A connection's input moves into the reactor's buffer for the length
+   of one read pass, and only a split frame's leftover moves back out.
+   A leftover at least as large as the reactor buffer is already in a
+   buffer grown for its frame, which the pass then reads into directly,
+   so a large frame arriving in pieces is copied a bounded number of
+   times. *)
+let take_input r conn =
+  if conn.in_len < Bytes.length r.rbuf then begin
+    Bytes.blit conn.inbuf conn.in_start r.rbuf 0 conn.in_len;
+    conn.inbuf <- r.rbuf;
+    conn.in_start <- 0
+  end
+
+let release_input r conn =
+  if conn.in_len = 0 || conn.dead || conn.closing then begin
+    conn.inbuf <- Bytes.empty;
+    conn.in_start <- 0;
+    conn.in_len <- 0
+  end
+  else if conn.inbuf == r.rbuf then begin
+    conn.inbuf <- Bytes.sub r.rbuf conn.in_start conn.in_len;
+    conn.in_start <- 0
+  end
+
+let on_readable t r conn =
+  take_input r conn;
   (* Read until EAGAIN (or a modest per-wake budget, for fairness),
      draining complete frames as they appear. *)
   let budget = ref (256 * 1024) in
@@ -274,7 +307,8 @@ let on_readable t conn =
         continue_ := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error _ -> kill t conn
-  done
+  done;
+  release_input r conn
 
 (* {2 Reactor} *)
 
@@ -303,7 +337,7 @@ let adopt t r =
           session =
             Session.create ?peer_fetch:t.peer_fetch ~store:t.store
               ~cache:t.cache ();
-          inbuf = Bytes.create 65536;
+          inbuf = Bytes.empty;
           in_start = 0;
           in_len = 0;
           outq = Queue.create ();
@@ -362,7 +396,7 @@ let reactor_loop t r =
           (fun c -> if (not c.dead) && List.mem c.fd wr then flush_conn t c)
           r.conns;
         List.iter
-          (fun c -> if (not c.dead) && List.mem c.fd rd then on_readable t c)
+          (fun c -> if (not c.dead) && List.mem c.fd rd then on_readable t r c)
           r.conns;
         (* Optimistic flush: most replies fit the socket buffer and
            never wait for a writability round-trip. *)
@@ -530,10 +564,7 @@ let start ?(config = default_config) (addr : address) =
           Fleet_client.create ~max_frame:config.max_frame
             ~backoff:p.peer_backoff p.peer_topology
         in
-        fun key ->
-          match Fleet_client.fetch_artifact ~exclude:p.peer_self fc key with
-          | Ok bytes -> Ok (Bytes.to_string bytes)
-          | Error e -> Error e)
+        Fleet_client.fetch_artifact ~exclude:p.peer_self fc)
       config.peers
   in
   let jobs = max 1 config.jobs in
@@ -541,6 +572,7 @@ let start ?(config = default_config) (addr : address) =
     Array.init jobs (fun _ ->
         let wake_r, wake_w = nonblock_pipe () in
         {
+          rbuf = Bytes.create 65536;
           wake_r;
           wake_w;
           inbox_mutex = Mutex.create ();

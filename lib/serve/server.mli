@@ -15,8 +15,14 @@
     gets one [Overloaded] frame and is closed.  When [accept] runs out
     of descriptors (EMFILE/ENFILE) the accept loop stops watching the
     listener for a fixed back-off instead of spinning, counted in the
-    unstable [serve.accept_backoffs].  Loaded systems live in
-    one {!Ipds_parallel.Memo} LRU of [config.cache_slots] entries.
+    unstable [serve.accept_backoffs].  Loaded artifacts live in one
+    {!Ipds_parallel.Memo} LRU of [config.cache_slots] entries, each as
+    the image set the checker reads ({!Session.images}); a
+    [Load_image] or store load decodes only those images, never the
+    code section.  Each reactor reads every connection it owns into one
+    shared buffer, and between reads a connection keeps only the
+    leftover of a frame split across reads, so an idle connection
+    holds no input buffer.
 
     Robustness is the contract: malformed, oversized, truncated,
     version-skewed or out-of-sequence frames produce one typed
@@ -46,7 +52,7 @@ type config = {
   jobs : int;  (** reactor domains (≥ 1) *)
   max_frame : int;  (** payload-size limit, bytes *)
   session_timeout : float;  (** seconds a session may sit idle; 0 = none *)
-  cache_slots : int;  (** loaded systems kept in the LRU (≥ 1) *)
+  cache_slots : int;  (** loaded artifacts' image sets kept in the LRU (≥ 1) *)
   store_dir : string option;
       (** artifact store for [Load_key]; [None] uses the ambient store *)
   reply_queue_bytes : int;  (** per-connection reply-queue bound *)

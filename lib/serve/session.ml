@@ -4,6 +4,10 @@
    as a list or streamed straight from its wire span — through the
    checker.
 
+   A session holds what the checker reads and nothing more: the flat
+   images of the loaded artifact, by function name.  Every load path
+   ([Load_image], [Load_key], a peer fetch) ends in that one set.
+
    Stable counters are sums of per-session deterministic work, so their
    totals are independent of scheduling and job count — the concurrency
    determinism test relies on that.  Timeouts and cache traffic depend
@@ -12,7 +16,9 @@
 
 module Event = Ipds_machine.Event
 module System = Ipds_core.System
+module Image = Ipds_core.Image
 module Checker = Ipds_core.Checker
+module Artifact = Ipds_artifact.Artifact
 module Store = Ipds_artifact.Store
 module Memo = Ipds_parallel.Memo
 module Reg = Ipds_obs.Registry
@@ -37,23 +43,23 @@ let now_micros () = int_of_float (Unix.gettimeofday () *. 1e6)
 
 exception State_violation of string
 
+(* Built once per load, then only read, from any reactor domain. *)
+type images = (string, Image.t) Hashtbl.t
+
+let images_of_list l =
+  let tbl = Hashtbl.create (List.length l) in
+  List.iter (fun (name, img) -> Hashtbl.replace tbl name img) l;
+  tbl
+
 type t = {
   store : Store.t option;
-  cache : (string, System.t) Memo.t;
-  peer_fetch : (string -> (string, Protocol.err) result) option;
-  mutable system : System.t option;
+  cache : (string, images) Memo.t;
+  peer_fetch : (string -> (Bytes.t, Protocol.err) result) option;
+  mutable images : images option;
   mutable checker : Checker.t option;
   mutable tr_events : int;
   mutable tr_branches : int;
   mutable tr_alarms : int;
-  (* Staging for the feed loop: a whole [Branch_events] batch lands in
-     these flat arrays before any of it touches the checker, so a span
-     that turns out malformed mid-batch mutates nothing. *)
-  mutable st_op : int array;  (* 0 call / 1 ret / 2 branch-taken / 3 branch-not *)
-  mutable st_arg : int array;  (* branch pc, or index into [st_callee] *)
-  mutable st_callee : string array;
-  mutable st_n : int;
-  mutable st_ncallees : int;
 }
 
 let create ?peer_fetch ~store ~cache () =
@@ -62,16 +68,11 @@ let create ?peer_fetch ~store ~cache () =
     store;
     cache;
     peer_fetch;
-    system = None;
+    images = None;
     checker = None;
     tr_events = 0;
     tr_branches = 0;
     tr_alarms = 0;
-    st_op = Array.make 1024 0;
-    st_arg = Array.make 1024 0;
-    st_callee = Array.make 64 "";
-    st_n = 0;
-    st_ncallees = 0;
   }
 
 (* The cache key of an inline image: the server and routing clients
@@ -79,22 +80,26 @@ let create ?peer_fetch ~store ~cache () =
    collision-resistant content address, like store keys. *)
 let image_key image = "img:" ^ Ipds_artifact.Sha256.hex_string image
 
-(* Full verification of untrusted container bytes (a pushed artifact or
-   one fetched from a peer): container digest, section CRCs, complete
-   decode and structural validation of every flat image.  Anything less
-   would let a forged frame publish unservable — or wrong — tables. *)
+(* Full verification of untrusted container bytes before they are
+   published to the store (a pushed artifact or one fetched from a
+   peer): container digest, section CRCs, the complete decode with its
+   cross-checks against the code section, and structural validation of
+   every flat image.  Anything less would let a forged frame publish
+   unservable — or wrong — artifacts for [ipds inspect] and every other
+   store reader. *)
 let verify_image bytes =
-  match Ipds_artifact.Artifact.of_bytes bytes with
+  match Artifact.of_bytes bytes with
   | sys -> (
       match
-        List.iter
-          (fun (_, (i : System.func_info)) ->
-            Ipds_core.Image.validate i.System.image)
+        List.map
+          (fun (name, (i : System.func_info)) ->
+            Image.validate i.System.image;
+            (name, i.System.image))
           sys.System.funcs
       with
-      | () -> Ok sys
+      | images -> Ok images
       | exception Invalid_argument m -> Error m)
-  | exception Ipds_artifact.Artifact.Corrupt m -> Error m
+  | exception Artifact.Corrupt m -> Error m
 
 let send_error ~send code detail =
   (match code with
@@ -113,15 +118,15 @@ let close t =
   | None -> ()
 
 (* Resolve [key] through the shared cache, running [load] on a miss. *)
-let load_system t ~send ~name key load =
-  let loaded ~cached sys =
-    t.system <- Some sys;
+let load_images t ~send ~name key load =
+  let loaded ~cached imgs =
+    t.images <- Some imgs;
     send (Protocol.Loaded { name; cached });
     `Continue
   in
   match Memo.fetch t.cache key load with
-  | `Hit sys -> loaded ~cached:true sys
-  | `Loaded sys -> loaded ~cached:false sys
+  | `Hit imgs -> loaded ~cached:true imgs
+  | `Loaded imgs -> loaded ~cached:false imgs
   | `Err (code, detail) ->
       send_error ~send code detail;
       `Close
@@ -133,47 +138,71 @@ let load_system t ~send ~name key load =
    (the span through {!Protocol.iter_branch_events}, which validates
    the whole payload first), then replay through one loop with one set
    of guards, counters and verdict collection.  The span form never
-   builds the event list. *)
+   builds the event list.
 
-let stage_grow t =
-  let cap = Array.length t.st_op in
-  if t.st_n = cap then begin
+   A whole batch lands in the staging arrays before any of it touches
+   the checker, so a span that turns out malformed mid-batch mutates
+   nothing.  A batch is staged and fed without yielding, so one set of
+   arrays per domain serves every session that domain runs; a session
+   allocates none. *)
+
+type stage = {
+  mutable op : int array;  (* 0 call / 1 ret / 2 branch-taken / 3 branch-not *)
+  mutable arg : int array;  (* branch pc, or index into [callee] *)
+  mutable callee : string array;
+  mutable n : int;
+  mutable ncallees : int;
+}
+
+let stage_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        op = Array.make 1024 0;
+        arg = Array.make 1024 0;
+        callee = Array.make 64 "";
+        n = 0;
+        ncallees = 0;
+      })
+
+let stage_grow st =
+  let cap = Array.length st.op in
+  if st.n = cap then begin
     let op = Array.make (2 * cap) 0 and arg = Array.make (2 * cap) 0 in
-    Array.blit t.st_op 0 op 0 cap;
-    Array.blit t.st_arg 0 arg 0 cap;
-    t.st_op <- op;
-    t.st_arg <- arg
+    Array.blit st.op 0 op 0 cap;
+    Array.blit st.arg 0 arg 0 cap;
+    st.op <- op;
+    st.arg <- arg
   end
 
-let stage_push t op arg =
-  stage_grow t;
-  t.st_op.(t.st_n) <- op;
-  t.st_arg.(t.st_n) <- arg;
-  t.st_n <- t.st_n + 1
+let stage_push st op arg =
+  stage_grow st;
+  st.op.(st.n) <- op;
+  st.arg.(st.n) <- arg;
+  st.n <- st.n + 1
 
-let stage_callee t callee =
-  let cap = Array.length t.st_callee in
-  if t.st_ncallees = cap then begin
+let stage_callee st callee =
+  let cap = Array.length st.callee in
+  if st.ncallees = cap then begin
     let cs = Array.make (2 * cap) "" in
-    Array.blit t.st_callee 0 cs 0 cap;
-    t.st_callee <- cs
+    Array.blit st.callee 0 cs 0 cap;
+    st.callee <- cs
   end;
-  t.st_callee.(t.st_ncallees) <- callee;
-  stage_push t 0 t.st_ncallees;
-  t.st_ncallees <- t.st_ncallees + 1
+  st.callee.(st.ncallees) <- callee;
+  stage_push st 0 st.ncallees;
+  st.ncallees <- st.ncallees + 1
 
-let stage_events t evs =
+let stage_events st evs =
   List.iter
     (fun (e : Event.t) ->
       match e.Event.kind with
-      | Event.Call { callee } -> stage_callee t callee
-      | Event.Ret -> stage_push t 1 0
+      | Event.Call { callee } -> stage_callee st callee
+      | Event.Ret -> stage_push st 1 0
       | Event.Branch { taken; _ } ->
-          stage_push t (if taken then 2 else 3) e.Event.pc
+          stage_push st (if taken then 2 else 3) e.Event.pc
       | _ -> ())
     evs
 
-let feed_staged t ~send sys ck =
+let feed_staged t ~send st imgs ck =
   let t0 = now_micros () in
   (* O(1) against the checker's running count — a long trace's batch
      loop never rescans its alarm history, so framing cost amortizes
@@ -181,12 +210,12 @@ let feed_staged t ~send sys ck =
   let alarms_before = Checker.alarm_count ck in
   let branches_before = t.tr_branches in
   let feed () =
-    for i = 0 to t.st_n - 1 do
-      match t.st_op.(i) with
+    for i = 0 to st.n - 1 do
+      match st.op.(i) with
       | 0 ->
-          let callee = t.st_callee.(t.st_arg.(i)) in
+          let callee = st.callee.(st.arg.(i)) in
           (* extern calls have no tables and no frame *)
-          if System.mem sys callee then ignore (Checker.on_call ck callee)
+          if Hashtbl.mem imgs callee then ignore (Checker.on_call ck callee)
       | 1 ->
           if Checker.depth ck = 0 then
             raise (State_violation "Ret with an empty checker stack");
@@ -195,13 +224,13 @@ let feed_staged t ~send sys ck =
           if Checker.depth ck = 0 then
             raise (State_violation "Branch with an empty checker stack");
           t.tr_branches <- t.tr_branches + 1;
-          ignore (Checker.on_branch ck ~pc:t.st_arg.(i) ~taken:(t.st_op.(i) = 2))
+          ignore (Checker.on_branch ck ~pc:st.arg.(i) ~taken:(st.op.(i) = 2))
     done
   in
   match feed () with
   | () ->
-      t.tr_events <- t.tr_events + t.st_n;
-      Reg.add m_events t.st_n;
+      t.tr_events <- t.tr_events + st.n;
+      Reg.add m_events st.n;
       Reg.add m_branches (t.tr_branches - branches_before);
       let fresh = Checker.alarms_since ck alarms_before in
       let n_fresh = List.length fresh in
@@ -214,15 +243,17 @@ let feed_staged t ~send sys ck =
       send_error ~send Protocol.Bad_state m;
       `Close
 
-(* [stage] fills the staging arrays (call/ret/branch only: the staged
-   count is the batch's event count) or returns a [Malformed] detail. *)
+(* [stage] fills the domain's staging arrays (call/ret/branch only: the
+   staged count is the batch's event count) or returns a [Malformed]
+   detail. *)
 let feed_batch t ~send stage =
-  match (t.system, t.checker) with
-  | Some sys, Some ck -> (
-      t.st_n <- 0;
-      t.st_ncallees <- 0;
-      match stage () with
-      | Ok () -> feed_staged t ~send sys ck
+  match (t.images, t.checker) with
+  | Some imgs, Some ck -> (
+      let st = Domain.DLS.get stage_key in
+      st.n <- 0;
+      st.ncallees <- 0;
+      match stage st with
+      | Ok () -> feed_staged t ~send st imgs ck
       | Error m ->
           send_error ~send Protocol.Malformed m;
           `Close)
@@ -250,46 +281,47 @@ let handle t ~send (f : Protocol.frame) =
              [verify_image] passes, and only then published locally so
              the next miss is a plain store hit *)
           let load () =
-            match Store.load_system store key with
-            | Some sys -> Ok sys
+            match Store.load_images store key with
+            | Some l -> Ok (images_of_list l)
             | None -> (
                 match t.peer_fetch with
                 | None -> miss ()
                 | Some peer -> (
                     match peer key with
                     | Error (_ : Protocol.err) -> miss ()
-                    | Ok image -> (
-                        let bytes = Bytes.of_string image in
+                    | Ok bytes -> (
                         match verify_image bytes with
                         | Error m ->
                             Reg.incr m_artifact_verify_rejects;
                             Error
                               ( Protocol.Corrupt_artifact,
                                 "peer artifact failed verification: " ^ m )
-                        | Ok sys ->
+                        | Ok l ->
                             Reg.incr m_artifact_peer_loads;
                             ignore (Store.publish_image store key bytes);
-                            Ok sys)))
+                            Ok (images_of_list l))))
           in
-          load_system t ~send ~name:key key load))
+          load_images t ~send ~name:key key load))
   | Protocol.Load_image { name; image } ->
+      (* the checker-only load: nothing is published, so the code
+         section the checker never reads is not decoded either; the
+         payload is only read, so it is decoded in place *)
       let load () =
-        match Ipds_artifact.Artifact.of_bytes (Bytes.of_string image) with
-        | sys -> Ok sys
-        | exception Ipds_artifact.Artifact.Corrupt m ->
-            Error (Protocol.Corrupt_artifact, m)
+        match Artifact.images_of_bytes (Bytes.unsafe_of_string image) with
+        | l -> Ok (images_of_list l)
+        | exception Artifact.Corrupt m -> Error (Protocol.Corrupt_artifact, m)
       in
-      load_system t ~send ~name (image_key image) load
+      load_images t ~send ~name (image_key image) load
   | Protocol.Begin_trace -> (
-      match (t.system, t.checker) with
+      match (t.images, t.checker) with
       | None, _ ->
           send_err Protocol.Bad_state "Begin_trace before an artifact is loaded";
           `Close
       | Some _, Some _ ->
           send_err Protocol.Bad_state "a trace is already active";
           `Close
-      | Some sys, None ->
-          t.checker <- Some (System.new_checker sys);
+      | Some imgs, None ->
+          t.checker <- Some (Checker.create ~lookup:(Hashtbl.find imgs));
           t.tr_events <- 0;
           t.tr_branches <- 0;
           t.tr_alarms <- 0;
@@ -297,7 +329,7 @@ let handle t ~send (f : Protocol.frame) =
           send Protocol.Trace_started;
           `Continue)
   | Protocol.Branch_events evs ->
-      feed_batch t ~send (fun () -> Ok (stage_events t evs))
+      feed_batch t ~send (fun st -> Ok (stage_events st evs))
   | Protocol.End_trace -> (
       match t.checker with
       | None ->
@@ -354,7 +386,7 @@ let handle t ~send (f : Protocol.frame) =
               send_err Protocol.Corrupt_artifact
                 ("pushed artifact failed verification: " ^ m);
               `Close
-          | Ok (_ : System.t) -> (
+          | Ok (_ : (string * Image.t) list) -> (
               match Store.publish_image store key bytes with
               | `Stored ->
                   Reg.incr m_artifact_pushes;
@@ -378,12 +410,12 @@ let handle t ~send (f : Protocol.frame) =
       `Close
 
 let handle_events_span t ~send buf ~pos ~len =
-  feed_batch t ~send (fun () ->
+  feed_batch t ~send (fun st ->
       match
         Protocol.iter_branch_events buf ~pos ~len
-          ~on_call:(fun callee -> stage_callee t callee)
-          ~on_ret:(fun () -> stage_push t 1 0)
-          ~on_branch:(fun ~pc ~taken -> stage_push t (if taken then 2 else 3) pc)
+          ~on_call:(fun callee -> stage_callee st callee)
+          ~on_ret:(fun () -> stage_push st 1 0)
+          ~on_branch:(fun ~pc ~taken -> stage_push st (if taken then 2 else 3) pc)
           ~on_other:ignore
       with
       | (_ : int) -> Ok ()

@@ -39,19 +39,29 @@ val m_timeouts : Reg.counter
 
 type t
 
+type images = (string, Ipds_core.Image.t) Hashtbl.t
+(** What a session checks against: the flat image of each function of
+    one loaded artifact, by name.  Built once per load and only read
+    after that, so one set is shared by every session and domain. *)
+
 val create :
-  ?peer_fetch:(string -> (string, Protocol.err) result) ->
+  ?peer_fetch:(string -> (Bytes.t, Protocol.err) result) ->
   store:Ipds_artifact.Store.t option ->
-  cache:(string, Ipds_core.System.t) Ipds_parallel.Memo.t ->
+  cache:(string, images) Ipds_parallel.Memo.t ->
   unit ->
   t
-(** Counts [serve.sessions].  [cache] holds loaded systems, shared by
-    every session of a server.  [peer_fetch] is the fleet hook consulted
-    on a [Load_key] local-store miss: it returns the raw container
-    bytes of the key from a warm peer, which the session verifies
-    ({!Ipds_artifact.Artifact.of_bytes} + {!Ipds_core.Image.validate})
-    and publishes locally before serving — a cold shard warms itself
-    instead of answering [unknown-artifact]. *)
+(** Counts [serve.sessions].  [cache] holds the image sets of loaded
+    artifacts, shared by every session of a server and keyed by
+    {!image_key} for [Load_image] and by the store key for [Load_key].
+    Every load path ends in an image set: [Load_image] and a local
+    store hit decode only the checker's sections
+    ({!Ipds_artifact.Artifact.images_of_bytes}).  [peer_fetch] is the
+    fleet hook consulted on a [Load_key] local-store miss: it returns
+    the raw container bytes of the key from a warm peer.  Those bytes
+    are published to the local store, so the session first verifies
+    them in full ({!Ipds_artifact.Artifact.of_bytes} +
+    {!Ipds_core.Image.validate}), as it does a [Push_artifact]; a cold
+    shard then warms itself instead of answering [unknown-artifact]. *)
 
 val image_key : string -> string
 (** The cache key of an inline [.ipds] image ("img:" ^ SHA-256 hex) —

@@ -132,35 +132,177 @@ let test_sha256_fips_vectors () =
 
 (* ---------- corruption ---------- *)
 
+(* Both decoders: the full [of_bytes] and the checker-only
+   [images_of_bytes] the server loads with. *)
+let decoders =
+  [
+    ("of_bytes", fun b -> ignore (A.of_bytes b : Core.System.t));
+    ( "images_of_bytes",
+      fun b -> ignore (A.images_of_bytes b : (string * Core.Image.t) list) );
+  ]
+
 let test_every_byte_flip_detected () =
   let sys = system_of (W.find "telnetd") in
   let good = A.to_bytes sys in
-  let undetected = ref [] in
-  for i = 0 to Bytes.length good - 1 do
-    let bad = Bytes.copy good in
-    Bytes.set bad i (Char.chr (Char.code (Bytes.get bad i) lxor 0x40));
-    match A.of_bytes bad with
-    | _ -> undetected := i :: !undetected
-    | exception A.Corrupt _ -> ()
-    (* decoding must never escape with anything but Corrupt *)
-    | exception e ->
-        Alcotest.failf "byte %d: unexpected exception %s" i (Printexc.to_string e)
-  done;
-  check "every byte flip detected" true (!undetected = [])
+  List.iter
+    (fun (what, decode) ->
+      let undetected = ref [] in
+      for i = 0 to Bytes.length good - 1 do
+        let bad = Bytes.copy good in
+        Bytes.set bad i (Char.chr (Char.code (Bytes.get bad i) lxor 0x40));
+        match decode bad with
+        | () -> undetected := i :: !undetected
+        | exception A.Corrupt _ -> ()
+        (* decoding must never escape with anything but Corrupt *)
+        | exception e ->
+            Alcotest.failf "%s, byte %d: unexpected exception %s" what i
+              (Printexc.to_string e)
+      done;
+      check (what ^ ": every byte flip detected") true (!undetected = []))
+    decoders
 
 let test_truncation_detected () =
   let sys = system_of (W.find "crond") in
   let good = A.to_bytes sys in
   List.iter
-    (fun len ->
-      let bad = Bytes.sub good 0 len in
-      check
-        (Printf.sprintf "truncation to %d detected" len)
-        true
-        (match A.of_bytes bad with
-        | _ -> false
-        | exception A.Corrupt _ -> true))
-    [ 0; 4; Obj.header_bytes - 1; Obj.header_bytes; Bytes.length good - 1 ]
+    (fun (what, decode) ->
+      List.iter
+        (fun len ->
+          let bad = Bytes.sub good 0 len in
+          check
+            (Printf.sprintf "%s: truncation to %d detected" what len)
+            true
+            (match decode bad with
+            | () -> false
+            | exception A.Corrupt _ -> true
+            | exception e ->
+                Alcotest.failf "%s, truncation to %d: unexpected exception %s"
+                  what len (Printexc.to_string e)))
+        [ 0; 4; Obj.header_bytes - 1; Obj.header_bytes; Bytes.length good - 1 ])
+    decoders
+
+(* ---------- the checker-only load ---------- *)
+
+(* [images_of_bytes] against [of_bytes] on the same bytes: the same
+   names and structurally equal images in program order, and a checker
+   over those images raises the same alarms as one over the decoded
+   system, on a benign run and under tamper plans that do raise some. *)
+let test_images_differential () =
+  let alarms_seen = ref 0 in
+  let compare_on name ~model program =
+    let sys = Core.System.build program in
+    let bytes = A.to_bytes sys in
+    let full = A.of_bytes bytes in
+    let imgs = A.images_of_bytes bytes in
+    check (name ^ ": same images as of_bytes") true
+      (imgs
+      = List.map
+          (fun (n, (i : Core.System.func_info)) -> (n, i.Core.System.image))
+          full.Core.System.funcs);
+    let tbl = Hashtbl.create 16 in
+    List.iter (fun (n, i) -> Hashtbl.replace tbl n i) imgs;
+    let run ~checker tamper =
+      ignore
+        (M.Interp.run program
+           {
+             M.Interp.default_config with
+             max_steps = 30_000;
+             inputs = M.Input_script.random ~seed:11 ();
+             checker = Some checker;
+             tamper;
+             record_trace = false;
+           });
+      Core.Checker.alarms checker
+    in
+    let plans =
+      None
+      :: List.concat_map
+           (fun at_step ->
+             [
+               Some { M.Tamper.at_step; site = M.Tamper.Cond_flip; seed = at_step };
+               Some
+                 {
+                   M.Tamper.at_step;
+                   site = M.Tamper.Mem_write { model; value = 255 };
+                   seed = at_step;
+                 };
+             ])
+           [ 40; 150; 400; 900 ]
+    in
+    List.iter
+      (fun tamper ->
+        let want = run ~checker:(Core.System.new_checker full) tamper in
+        let got = run ~checker:(Core.Checker.create ~lookup:(Hashtbl.find tbl)) tamper in
+        if tamper = None then check (name ^ ": benign run is clean") true (want = []);
+        alarms_seen := !alarms_seen + List.length want;
+        check (name ^ ": same alarms") true (got = want))
+      plans
+  in
+  List.iter
+    (fun w ->
+      let model =
+        match W.tamper_model w with
+        | `Stack_overflow -> M.Tamper.Stack_overflow
+        | `Arbitrary_write -> M.Tamper.Arbitrary_write
+      in
+      compare_on w.W.name ~model (W.program w))
+    W.all;
+  for index = 0 to 5 do
+    compare_on
+      (Printf.sprintf "gen member %d" index)
+      ~model:M.Tamper.Arbitrary_write
+      (Ipds_gen.Gen.compile ~seed:19 ~index ())
+  done;
+  check "the tamper plans raised alarms to compare" true (!alarms_seen > 0)
+
+(* The deliberate split between the two load paths.  A container whose
+   code section is rewritten and re-digested still loads for checking
+   through [Load_image], which never reads code; the same bytes are
+   refused by [Push_artifact], which verifies fully before publishing
+   them to the store. *)
+let test_code_section_split () =
+  let good = A.to_bytes (system_of (W.find "telnetd")) in
+  let rewritten =
+    Obj.to_bytes
+      ~sections:
+        (List.map
+           (fun (name, payload) ->
+             if String.equal name "code" then (name, Bytes.of_string "not a program")
+             else (name, payload))
+           (Obj.of_bytes good))
+  in
+  check "of_bytes rejects the rewritten code" true
+    (match A.of_bytes rewritten with
+    | _ -> false
+    | exception A.Corrupt _ -> true);
+  check "images_of_bytes still loads it" true
+    (A.images_of_bytes rewritten = A.images_of_bytes good);
+  let module P = Ipds_serve.Protocol in
+  let module Session = Ipds_serve.Session in
+  with_temp_dir (fun dir ->
+      let replies = ref [] in
+      let send f = replies := f :: !replies in
+      let session () =
+        Session.create ~store:(Some (Store.create ~dir))
+          ~cache:(Ipds_parallel.Memo.create ~capacity:1 ())
+          ()
+      in
+      let image = Bytes.to_string rewritten in
+      let s = session () in
+      check "Load_image continues" true
+        (Session.handle s ~send (P.Load_image { name = "telnetd"; image })
+        = `Continue);
+      (match !replies with
+      | [ P.Loaded { name = "telnetd"; cached = false } ] -> ()
+      | _ -> Alcotest.fail "Load_image: expected one Loaded reply");
+      replies := [];
+      let s = session () in
+      check "Push_artifact closes" true
+        (Session.handle s ~send (P.Push_artifact { key = "split-probe"; image })
+        = `Close);
+      match !replies with
+      | [ P.Error { P.code = P.Corrupt_artifact; _ } ] -> ()
+      | _ -> Alcotest.fail "Push_artifact: expected one corrupt-artifact error")
 
 let test_inspect_reports_damage () =
   let sys = system_of (W.find "telnetd") in
@@ -470,6 +612,13 @@ let () =
           Alcotest.test_case "inspect reports damage" `Quick test_inspect_reports_damage;
           Alcotest.test_case "v2 version skew is a clean miss" `Quick
             test_version_skew_clean_miss;
+        ] );
+      ( "checker-only load",
+        [
+          Alcotest.test_case "images equal of_bytes, same alarms" `Quick
+            test_images_differential;
+          Alcotest.test_case "rewritten code: Load_image yes, push no" `Quick
+            test_code_section_split;
         ] );
       ( "store",
         [

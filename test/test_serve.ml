@@ -481,7 +481,7 @@ let test_fetch_typed_misses () =
             (Serve.Client.fetch_artifact client key)))
     [ "x"; ""; "../../etc/passwd"; ".hidden" ]
 
-(* ---------- the server's LRU holds exactly cache_slots systems ---------- *)
+(* ---------- the server's LRU holds exactly cache_slots image sets ---------- *)
 
 let test_cache_slots_exact () =
   let sock =
@@ -651,7 +651,7 @@ let branches evs =
        evs)
 
 (* Minor words one [handle_events_span] of [evs] allocates, on a fresh
-   trace of a session whose staging arrays already hold the batch. *)
+   trace in a domain whose staging arrays already hold the batch. *)
 let span_words s evs =
   let buf, pos, len = payload_span evs in
   ignore (Session.handle s ~send:ignore P.Begin_trace);
@@ -684,6 +684,173 @@ let test_compact_batch () =
     (w_full -. w_small < float_of_int extra /. 8.);
   Session.close s
 
+(* ---------- a session allocates nothing large ---------- *)
+
+(* Words the test's domain allocates straight into the major heap
+   (large blocks, not promotions) while [f] runs. *)
+let direct_major_words f =
+  let _, p0, m0 = Gc.counters () in
+  f ();
+  let _, p1, m1 = Gc.counters () in
+  m1 -. m0 -. (p1 -. p0)
+
+(* One warm session as the reactor drives it: every frame through
+   [Session.handle_span], in the test's domain. *)
+let span_session stream =
+  let _, _, cache = Lazy.force telnetd_run in
+  let s = Session.create ~store:None ~cache () in
+  let rec go pos =
+    if pos < Bytes.length stream then
+      match P.scan_at stream ~pos ~len:(Bytes.length stream - pos) with
+      | P.Scan_frame { tag; payload_pos; payload_len; next } -> (
+          match
+            Session.handle_span s ~send:ignore ~max_frame:P.default_max_frame tag
+              stream ~pos:payload_pos ~len:payload_len
+          with
+          | `Continue -> go next
+          | `Close -> Alcotest.fail "the session was closed")
+      | P.Scan_need _ | P.Scan_fail _ -> Alcotest.fail "bad frame stream"
+  in
+  go 0;
+  Session.close s
+
+let test_session_major_words () =
+  let _, image, _ = Lazy.force telnetd_run in
+  let stream =
+    Bytes.concat Bytes.empty
+      (List.map P.encode_frame
+         [
+           P.Load_image { name = "telnetd"; image };
+           P.Begin_trace;
+           P.Branch_events (compact_slice Serve.Client.default_batch);
+           P.End_trace;
+         ])
+  in
+  (* the first session in this domain may size its staging arrays *)
+  span_session stream;
+  let words = direct_major_words (fun () -> span_session stream) in
+  (* the [Load_image] payload decodes to one string of the image's
+     size; the cache hit, the trace and the batch add no large block *)
+  let payload = float_of_int ((String.length image / 8) + 2) in
+  check
+    (Printf.sprintf "%g major words for a %g-word payload" words payload)
+    true
+    (words <= payload +. 64.)
+
+(* ---------- frames split across reads ---------- *)
+
+let tmp_sock name =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "ipds-serve-%s-%d-%d" name (Unix.getpid ()) (Random.bits ()))
+
+(* Write [stream] to a fresh connection in the pieces [cuts] gives
+   (offsets), pausing between writes so the server reads each piece on
+   its own, then half-close and return every reply byte. *)
+let exchange sock stream cuts =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      let total = Bytes.length stream in
+      let rec send_from pos = function
+        | [] -> P.write_all fd stream pos (total - pos)
+        | cut :: rest ->
+            P.write_all fd stream pos (cut - pos);
+            Unix.sleepf 0.0002;
+            send_from cut rest
+      in
+      send_from 0 cuts;
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let out = Buffer.create 256 and chunk = Bytes.create 4096 in
+      let rec recv () =
+        match Unix.read fd chunk 0 4096 with
+        | 0 -> Buffer.contents out
+        | n ->
+            Buffer.add_subbytes out chunk 0 n;
+            recv ()
+      in
+      recv ())
+
+let small_program =
+  Ipds_minic.Minic.compile
+    {|
+int pick(int x) {
+  if (x > 3) { return 1; }
+  return 0;
+}
+
+int main() {
+  int i;
+  int s;
+  s = 0;
+  i = 0;
+  while (i < 6) {
+    if (i % 2) { s = s + pick(i); }
+    i = i + 1;
+  }
+  output(s);
+  return 0;
+}
+|}
+
+let test_split_frames () =
+  let sys = Core.System.build small_program in
+  let image = Bytes.to_string (Ipds_artifact.Artifact.to_bytes sys) in
+  let events = ref [] in
+  ignore
+    (Ipds_machine.Interp.run small_program
+       {
+         Ipds_machine.Interp.default_config with
+         record_trace = false;
+         sink = Some (fun e -> events := e :: !events);
+       });
+  let stream =
+    Bytes.concat Bytes.empty
+      (List.map P.encode_frame
+         [
+           P.Load_image { name = "small"; image };
+           P.Begin_trace;
+           P.Branch_events (List.rev !events);
+           P.End_trace;
+         ])
+  in
+  (* a frame past the reactor's read buffer: a garbage image, refused
+     once whole *)
+  let big =
+    P.encode_frame (P.Load_image { name = "big"; image = String.make 150_000 'z' })
+  in
+  let sock = tmp_sock "split" in
+  Serve.Server.with_server (`Unix sock) (fun _ ->
+      (* the first load misses the cache; every later one hits *)
+      ignore (exchange sock stream []);
+      let want = exchange sock stream [] in
+      check "the whole stream is answered" true
+        (match P.decode_string want with
+        | Ok [ P.Loaded _; P.Trace_started; P.Verdicts _; P.Trace_summary _ ] -> true
+        | _ -> false);
+      for cut = 1 to Bytes.length stream - 1 do
+        if exchange sock stream [ cut ] <> want then
+          Alcotest.failf "split at byte %d of %d: different replies" cut
+            (Bytes.length stream)
+      done;
+      let want_big = exchange sock big [] in
+      check "the big frame is refused" true
+        (match P.decode_string want_big with
+        | Ok [ P.Error { P.code = P.Corrupt_artifact; _ } ] -> true
+        | _ -> false);
+      let n = Bytes.length big in
+      List.iter
+        (fun cuts ->
+          check
+            (Printf.sprintf "big frame in %d pieces" (List.length cuts + 1))
+            true
+            (exchange sock big cuts = want_big))
+        [
+          [ 1 ]; [ n - 1 ]; [ 70_000 ]; List.init 37 (fun i -> (i + 1) * 4000);
+        ])
+
 let () =
   Random.self_init ();
   Alcotest.run "serve-protocol"
@@ -713,6 +880,13 @@ let () =
             test_empty_stack_slice;
           Alcotest.test_case "default_batch slice: compact, flat allocation"
             `Quick test_compact_batch;
+          Alcotest.test_case "warm session: no large allocation" `Quick
+            test_session_major_words;
+        ] );
+      ( "reactor-input",
+        [
+          Alcotest.test_case "frames split at every byte: same replies" `Quick
+            test_split_frames;
         ] );
       ( "artifact-sharing",
         [
