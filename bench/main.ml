@@ -183,13 +183,13 @@ let ablation ~attacks ?pool () =
            ])
        rows)
 
-let baseline ~attacks ?pool () =
+let baseline ~attacks ~seed ?pool () =
   section
     (Printf.sprintf
        "Baseline comparison: 3-gram syscall-trace detector vs IPDS (%d \
         attacks/server)"
        attacks);
-  let rows = H.Baseline_experiment.run_all ~attacks ?pool () in
+  let rows = H.Baseline_experiment.run_all ~attacks ~seed ?pool () in
   print_endline (H.Baseline_experiment.render rows);
   J.List
     (List.map
@@ -205,11 +205,11 @@ let baseline ~attacks ?pool () =
            ])
        rows)
 
-let models ~attacks ?pool () =
+let models ~attacks ~seed ?pool () =
   section
     (Printf.sprintf "Attack models (paper §3): overflow vs arbitrary write (%d \
                      attacks/server)" attacks);
-  let rows = H.Model_experiment.run_all ~attacks ?pool () in
+  let rows = H.Model_experiment.run_all ~attacks ~seed ?pool () in
   print_endline (H.Model_experiment.render rows);
   J.List
     (List.map
@@ -560,9 +560,10 @@ let target_table : (string * (opts -> Pool.t option -> unit -> J.t)) list =
     ("ablation", fun o pool -> ablation ~attacks:(att o 40) ?pool);
     ( "opt-levels",
       fun o pool -> opt_levels ~attacks:(att o 40) ~seed:o.seed ?pool );
-    ("baseline", fun o pool -> baseline ~attacks:(att o 100) ?pool);
+    ( "baseline",
+      fun o pool -> baseline ~attacks:(att o 100) ~seed:o.seed ?pool );
     ("ctx", fun _ _ -> ctx);
-    ("models", fun o pool -> models ~attacks:(att o 100) ?pool);
+    ("models", fun o pool -> models ~attacks:(att o 100) ~seed:o.seed ?pool);
     ( "precision",
       fun o pool ->
         precision ~attacks:(att o 100) ~seed:o.seed ?pool ~out:o.precision_out );

@@ -3,9 +3,16 @@
     ended.  This is the granularity classic host-based anomaly detectors
     monitor — far coarser than IPDS's per-branch view. *)
 
+val recorder :
+  Ipds_mir.Program.t ->
+  (Ipds_machine.Event.t -> unit) * (Ipds_machine.Interp.outcome -> string list)
+(** [recorder program] is a fresh [(observe, trace)] pair: install
+    [observe] as the observer of one run of [program], then [trace
+    outcome] is that run's extern-call name sequence plus a terminal
+    symbol for how it stopped ("exit", "halt", "fault", "steps",
+    "trap"). *)
+
 val collect :
   Ipds_mir.Program.t -> config:Ipds_machine.Interp.config -> string list
-(** Runs the program (forcing a fresh observer; any observer already in
-    [config] is composed with the collector) and returns the extern-call
-    name sequence plus a terminal symbol ("exit", "halt", "fault",
-    "steps"). *)
+(** Runs the program under a fresh {!recorder} (any observer already in
+    [config] is composed with it) and returns the run's trace. *)

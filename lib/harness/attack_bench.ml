@@ -31,10 +31,6 @@ type result = {
   dme : Dme_experiment.row list;
 }
 
-let model_for = function
-  | `Mem -> `Arbitrary_write
-  | (`Cond_flip | `Insn_skip) as u -> u
-
 let run ?(config = default_config) ?pool () =
   let workload_universes =
     List.map
@@ -60,7 +56,7 @@ let run ?(config = default_config) ?pool () =
           List.map
             (fun (name, p) ->
               A.campaign ?pool ~attacks:config.pop_attacks ~seed:config.seed
-                ~model:(model_for u) ~name p)
+                ~model:(A.model_of_universe u) ~name p)
             programs
         in
         (u, A.summarize rows))

@@ -64,6 +64,8 @@ let check_sound ~name = function
 type universe =
   [ `Mem | `Cond_flip | `Insn_skip ]
 
+type model = [ `Stack_overflow | `Arbitrary_write | `Cond_flip | `Insn_skip ]
+
 let universe_name = function
   | `Mem -> "mem"
   | `Cond_flip -> "cond-flip"
@@ -75,63 +77,89 @@ let universe_of_name = function
   | "insn-skip" -> Some `Insn_skip
   | _ -> None
 
-let run_attempt ~system ~program ~model ~seed ~name attempt =
-  let rng = attempt_rng ~seed ~name ~attempt in
+let model_of_universe ?workload = function
+  | `Mem -> (
+      match workload with
+      | Some w -> (W.tamper_model w :> model)
+      | None -> `Arbitrary_write)
+  | (`Cond_flip | `Insn_skip) as u -> u
+
+let run_config ~input_seed =
+  {
+    M.Interp.default_config with
+    inputs = M.Input_script.random ~seed:input_seed ();
+    (* control_flow_changed compares trace digests, so no run needs to
+       materialize its O(steps) branch trace *)
+    record_trace = false;
+  }
+
+type attempt = {
+  input_seed : int;
+  benign : M.Interp.outcome;
+  attack : (M.Tamper.plan * M.Interp.outcome) option;
+}
+
+let attempt ?observer ~system ~model program rng =
   let input_seed = Random.State.bits rng land 0xffffff in
-  let run_once ~tamper ~checker =
+  let run ?observer tamper =
     M.Interp.run program
       {
-        M.Interp.default_config with
-        inputs = M.Input_script.random ~seed:input_seed ();
-        checker;
+        (run_config ~input_seed) with
+        checker = Some (Core.System.new_checker system);
         tamper;
-        (* control_flow_changed compares trace digests, so neither run
-           needs to materialize its O(steps) branch trace *)
-        record_trace = false;
+        observer;
       }
   in
-  let benign_checker = Core.System.new_checker system in
-  let benign = run_once ~tamper:None ~checker:(Some benign_checker) in
-  if benign.M.Interp.alarms <> [] then Benign_alarm
-  else if benign.M.Interp.steps <= 2 then Too_short
-  else begin
-    (* The vulnerability fires on attacker input, i.e. once the session
-       is up: strike in the [20%, 100%) window of the benign run. *)
-    let lo = max 1 (benign.M.Interp.steps / 5) in
-    let at_step = lo + Random.State.int rng (max 1 (benign.M.Interp.steps - lo)) in
-    (* Attackers pick meaningful values: small protocol constants about
-       half the time, arbitrary bytes otherwise.  Drawn for every
-       universe (branch faults ignore them) so the attempt schedule of
-       the memory universe is byte-identical to the historical one. *)
-    let value =
-      if Random.State.bool rng then Random.State.int rng 8
-      else Random.State.int rng 256
-    in
-    let tamper_seed = Random.State.bits rng land 0xffffff in
-    let site =
-      match model with
-      | `Stack_overflow ->
-          M.Tamper.Mem_write { model = M.Tamper.Stack_overflow; value }
-      | `Arbitrary_write ->
-          M.Tamper.Mem_write { model = M.Tamper.Arbitrary_write; value }
-      | `Cond_flip -> M.Tamper.Cond_flip
-      | `Insn_skip -> M.Tamper.Insn_skip
-    in
-    let checker = Core.System.new_checker system in
-    let attacked =
-      run_once
-        ~tamper:(Some { M.Tamper.at_step; site; seed = tamper_seed })
-        ~checker:(Some checker)
-    in
-    match attacked.M.Interp.injection with
-    | None -> No_injection
-    | Some _ ->
-        Injected
-          {
-            changed = M.Interp.control_flow_changed benign attacked;
-            alarmed = attacked.M.Interp.alarms <> [];
-          }
-  end
+  let benign = run None in
+  let attack =
+    if benign.M.Interp.alarms <> [] || benign.M.Interp.steps <= 2 then None
+    else begin
+      (* The vulnerability fires on attacker input, i.e. once the session
+         is up: strike in the [20%, 100%) window of the benign run. *)
+      let lo = max 1 (benign.M.Interp.steps / 5) in
+      let at_step =
+        lo + Random.State.int rng (max 1 (benign.M.Interp.steps - lo))
+      in
+      (* Attackers pick meaningful values: small protocol constants about
+         half the time, arbitrary bytes otherwise.  Drawn for every
+         universe (branch faults ignore them) so the attempt schedule of
+         the memory universe is byte-identical to the historical one. *)
+      let value =
+        if Random.State.bool rng then Random.State.int rng 8
+        else Random.State.int rng 256
+      in
+      let seed = Random.State.bits rng land 0xffffff in
+      let site =
+        match model with
+        | `Stack_overflow ->
+            M.Tamper.Mem_write { model = M.Tamper.Stack_overflow; value }
+        | `Arbitrary_write ->
+            M.Tamper.Mem_write { model = M.Tamper.Arbitrary_write; value }
+        | `Cond_flip -> M.Tamper.Cond_flip
+        | `Insn_skip -> M.Tamper.Insn_skip
+      in
+      let plan = { M.Tamper.at_step; site; seed } in
+      Some (plan, run ?observer (Some plan))
+    end
+  in
+  { input_seed; benign; attack }
+
+let classify a =
+  match a.attack with
+  | _ when a.benign.M.Interp.alarms <> [] -> Benign_alarm
+  | None -> Too_short
+  | Some (_, attacked) -> (
+      match attacked.M.Interp.injection with
+      | None -> No_injection
+      | Some _ ->
+          Injected
+            {
+              changed = M.Interp.control_flow_changed a.benign attacked;
+              alarmed = attacked.M.Interp.alarms <> [];
+            })
+
+let run_attempt ~system ~program ~model ~seed ~name i =
+  classify (attempt ~system ~model program (attempt_rng ~seed ~name ~attempt:i))
 
 let campaign ?options ?system ?pool ?(attacks = 100) ?(seed = 2006) ~model
     ~name program =
@@ -200,14 +228,7 @@ let campaign ?options ?system ?pool ?(attacks = 100) ?(seed = 2006) ~model
 
 let run ?options ?promote ?pool ?prepare ?(universe = `Mem) ?attacks ?seed
     (w : W.t) =
-  let model =
-    match universe with
-    | `Mem ->
-        (W.tamper_model w
-          :> [ `Stack_overflow | `Arbitrary_write | `Cond_flip | `Insn_skip ])
-    | `Cond_flip -> `Cond_flip
-    | `Insn_skip -> `Insn_skip
-  in
+  let model = model_of_universe ~workload:w universe in
   match prepare with
   | Some prepare ->
       campaign ?options ?pool ?attacks ?seed ~model ~name:w.W.name (prepare w)

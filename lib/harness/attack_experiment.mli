@@ -2,9 +2,10 @@
 
     Each server is attacked [attacks] times independently.  One attack:
     run the benign server under a seeded input script, pick a uniformly
-    random dynamic step and victim cell (restricted by the workload's
-    vulnerability class) and a random replacement value, re-run the same
-    inputs with the tamper injected, and compare.  Reported per server:
+    random dynamic step in the [20%, 100%) window of that run, a victim
+    cell (restricted by the workload's vulnerability class) and a random
+    replacement value, re-run the same inputs with the tamper injected,
+    and compare.  Reported per server:
 
     - how many tamperings changed control flow (the branch trace or the
       termination state differs), and
@@ -60,10 +61,55 @@ type universe = [ `Mem | `Cond_flip | `Insn_skip ]
     [`Cond_flip] and [`Insn_skip] are the branch-fault models of the
     fault-attack literature, landing at branch commit. *)
 
+type model = [ `Stack_overflow | `Arbitrary_write | `Cond_flip | `Insn_skip ]
+(** What one attempt tampers with: a memory write of either
+    vulnerability class, or a branch fault. *)
+
 val universe_name : universe -> string
 (** ["mem"], ["cond-flip"], ["insn-skip"] — the CLI/bench spelling. *)
 
 val universe_of_name : string -> universe option
+
+val model_of_universe :
+  ?workload:Ipds_workloads.Workloads.t -> universe -> model
+(** The model a universe attacks with.  [`Mem] takes [workload]'s own
+    vulnerability class, or arbitrary writes for a program without one
+    (a generated population member). *)
+
+(** {2 One attack attempt}
+
+    The Figure 7 procedure every campaign runs — this module's, and the
+    sequential ones of {!Baseline_experiment} and {!Dme_experiment}. *)
+
+val run_config : input_seed:int -> Ipds_machine.Interp.config
+(** The configuration every campaign run starts from: inputs from
+    {!Ipds_machine.Input_script.random} at [input_seed], branch-trace
+    recording off. *)
+
+type attempt = {
+  input_seed : int;  (** the inputs both passes ran on *)
+  benign : Ipds_machine.Interp.outcome;
+  attack : (Ipds_machine.Tamper.plan * Ipds_machine.Interp.outcome) option;
+      (** the tamper plan and the attacked run; [None] when the benign
+          run alarmed or was too short to place an attack window *)
+}
+
+val attempt :
+  ?observer:(Ipds_machine.Event.t -> unit) ->
+  system:Ipds_core.System.t ->
+  model:model ->
+  Ipds_mir.Program.t ->
+  Random.State.t ->
+  attempt
+(** Run [program] benign on a seeded input script, then, unless that
+    run alarmed or took at most two steps, strike at a random step in
+    the [20%, 100%) window of it and rerun the same inputs tampered.
+    Draws from the RNG, in order: the input seed, the step, the value
+    (drawn for every model; branch faults ignore it) and the tamper
+    seed.  Both passes run under a fresh checker from [system];
+    [observer] watches the attacked pass only. *)
+
+val classify : attempt -> attempt_outcome
 
 val campaign :
   ?options:Ipds_correlation.Analysis.options ->
@@ -71,7 +117,7 @@ val campaign :
   ?pool:Ipds_parallel.Pool.t ->
   ?attacks:int ->
   ?seed:int ->
-  model:[ `Stack_overflow | `Arbitrary_write | `Cond_flip | `Insn_skip ] ->
+  model:model ->
   name:string ->
   Ipds_mir.Program.t ->
   row
@@ -109,9 +155,9 @@ val run_all :
   ?pool:Ipds_parallel.Pool.t ->
   unit ->
   summary
-(** Fans the ten workloads out across domains; each workload's attack
-    attempts fan out in turn (the waiting parent helps, see
-    {!Ipds_parallel.Pool}).  [pool] reuses a caller's pool; otherwise a
+(** Fans every workload of {!Ipds_workloads.Workloads.all} out across
+    domains; each workload's attack attempts fan out in turn (the
+    waiting parent helps, see {!Ipds_parallel.Pool}).  [pool] reuses a caller's pool; otherwise a
     pool of [jobs] (default {!Ipds_parallel.Pool.default_jobs}) is
     created for the call.  [~jobs:1] is strictly sequential. *)
 

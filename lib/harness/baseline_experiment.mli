@@ -2,8 +2,10 @@
     an N-gram model over system-call (extern-call) traces.
 
     For each server: train the model on benign sessions, measure its
-    false-positive rate on held-out benign sessions, then run the same
-    attack campaign IPDS faces and compare detection.  IPDS's selling
+    false-positive rate on held-out benign sessions, then run the
+    memory-universe attempts of {!Attack_experiment.attempt} from one
+    [(seed, workload-name)]-salted RNG, with the N-gram model scoring
+    the syscall trace of each attacked run IPDS checks.  IPDS's selling
     points — zero false positives by construction, and detection of
     attacks whose damage never reaches the syscall pattern — show up as
     the two right-hand columns. *)

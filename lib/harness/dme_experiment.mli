@@ -1,25 +1,24 @@
 (** The DME-baseline experiment: layout-diversified replicas as a
     detector, reported Fig-7-style next to IPDS.
 
-    One attempt mirrors {!Attack_experiment}: run the benign server
-    under a seeded input script, pick a random step and a random
-    victim through the workload's own vulnerability class, and re-run
-    tampered — once in the original layout (watched by the IPDS
-    checker) and once replayed {e physically}, at the tampered cell's
-    absolute address, in the decorrelated variant
-    ({!Ipds_baseline.Dme.decorrelate}).  DME flags the attack when the
-    two tampered variants disagree on canonical behaviour
-    ({!Ipds_baseline.Dme.diverged}).
+    Each attempt is {!Attack_experiment.attempt} in the memory universe
+    (the workload's own vulnerability class), benign pass and IPDS
+    checker included.  Every injected tamper is then replayed
+    {e physically}, at the tampered cell's absolute address, in the
+    decorrelated variant ({!Ipds_baseline.Dme.decorrelate}).  DME flags
+    the attack when the two tampered variants disagree on canonical
+    behaviour ({!Ipds_baseline.Dme.diverged}).
 
     Reported per workload: DME coverage and IPDS detection over the
     same injected attacks, DME false positives over held-out benign
     variant pairs (zero by construction — benign runs are
-    layout-oblivious), and DME's runtime overhead (the variant pair's
-    step total over the single-run baseline, ~2x).
+    layout-oblivious), and DME's replica cost (the variant pair's step
+    total over the single-run baseline, 2.00 by construction: a step
+    ratio, not a wall-clock measurement).
 
-    Campaigns draw from a [(seed, workload-name)]-salted RNG, so
-    {!run_all}'s workload-level pool fan-out is deterministic for any
-    job count. *)
+    Campaigns draw sequentially from one [(seed, workload-name)]-salted
+    RNG, so {!run_all}'s workload-level pool fan-out is deterministic
+    for any job count. *)
 
 type row = {
   workload : string;

@@ -7,7 +7,8 @@
      summary totals (the detection deltas are counter-asserted),
    - branch faults change committed traces and memory campaigns stay
      free of benign false positives,
-   - DME holdout pairs never diverge and price the ~2x replica overhead.
+   - DME holdout pairs never diverge and price the ~2x replica overhead,
+   - the N-gram baseline's rows are identical for --jobs 1 vs 4.
 
    Runs under test/smoke_timeout.sh via the @attack-smoke alias. *)
 
@@ -67,8 +68,19 @@ let counter_reconciliation () =
       | `Mem -> ())
     [ `Mem; `Cond_flip; `Insn_skip ]
 
+(* Baseline_experiment's campaigns each draw from one (seed, name)-salted
+   RNG, so fanning workloads out across domains must not move a row. *)
+let baseline_jobs () =
+  let rows jobs =
+    H.Baseline_experiment.run_all ~attacks:2 ~train_runs:3 ~holdout_runs:3
+      ~jobs ()
+  in
+  if rows 1 <> rows 4 then
+    fail "baseline rows differ between --jobs 1 and --jobs 4"
+
 let () =
   counter_reconciliation ();
+  baseline_jobs ();
   let config =
     {
       H.Attack_bench.default_config with

@@ -52,7 +52,7 @@ let test_syscall_trace_collects () =
     (List.for_all
        (fun s ->
          List.mem_assoc s Ipds_mir.Extern.default_table
-         || List.mem s [ "exit"; "halt"; "fault"; "steps" ])
+         || List.mem s [ "exit"; "halt"; "fault"; "steps"; "trap" ])
        trace)
 
 let test_syscall_trace_deterministic () =
@@ -204,27 +204,50 @@ let test_dme_physical_replay_matches_logical () =
       | _ -> Alcotest.fail "physical replay did not inject")
   | _ -> Alcotest.fail "original attack did not inject"
 
+(* Golden rows, every field: a change in the attack attempt's RNG draw
+   order or in either detector shows up here. *)
 let test_dme_experiment_row () =
-  let row = Ipds_harness.Dme_experiment.run ~attacks:20 ~holdout:8 (W.find "sshd") in
-  let open Ipds_harness.Dme_experiment in
-  check_int "attacks injected" 20 row.attacks;
-  check_int "zero benign diffs" 0 row.benign_diffs;
-  check "overhead about 2x" true (row.overhead > 1.9 && row.overhead < 2.1);
-  check "coverage within injected" true
-    (row.dme_detected >= 0 && row.dme_detected <= row.attacks)
+  let module D = Ipds_harness.Dme_experiment in
+  let row = D.run ~attacks:20 ~holdout:8 (W.find "sshd") in
+  let pp ppf (r : D.row) =
+    Format.fprintf ppf
+      "{%s attacks=%d cf=%d dme=%d ipds=%d diffs=%d holdout=%d overhead=%h}"
+      r.workload r.attacks r.cf_changed r.dme_detected r.ipds_detected
+      r.benign_diffs r.holdout r.overhead
+  in
+  Alcotest.check (Alcotest.testable pp ( = )) "sshd DME row"
+    {
+      D.workload = "sshd";
+      attacks = 20;
+      cf_changed = 7;
+      dme_detected = 10;
+      ipds_detected = 6;
+      benign_diffs = 0;
+      holdout = 8;
+      overhead = 2.0;
+    }
+    row
 
 let test_experiment_row () =
+  let module E = Ipds_harness.Baseline_experiment in
   let row =
-    Ipds_harness.Baseline_experiment.run ~train_runs:20 ~holdout_runs:20
-      ~attacks:20 (W.find "httpd")
+    E.run ~train_runs:20 ~holdout_runs:20 ~attacks:20 (W.find "httpd")
   in
-  check_int "attacks injected" 20 row.Ipds_harness.Baseline_experiment.attacks;
-  check "fp rate in range" true
-    (row.Ipds_harness.Baseline_experiment.ngram_fp >= 0.
-    && row.Ipds_harness.Baseline_experiment.ngram_fp <= 1.);
-  check "ipds detects at least as implied by cf" true
-    (row.Ipds_harness.Baseline_experiment.ipds_detected
-    <= row.Ipds_harness.Baseline_experiment.cf_changed)
+  let pp ppf (r : E.row) =
+    Format.fprintf ppf "{%s fp=%h ngram=%d ipds=%d cf=%d attacks=%d}"
+      r.workload r.ngram_fp r.ngram_detected r.ipds_detected r.cf_changed
+      r.attacks
+  in
+  Alcotest.check (Alcotest.testable pp ( = )) "httpd baseline row"
+    {
+      E.workload = "httpd";
+      ngram_fp = 0.0;
+      ngram_detected = 0;
+      ipds_detected = 4;
+      cf_changed = 9;
+      attacks = 20;
+    }
+    row
 
 let () =
   Alcotest.run "baseline"
