@@ -133,7 +133,7 @@ let table1 () =
 
 let compile_time () =
   section "Compile time per benchmark (paper: up to a few seconds)";
-  let rows, passes = H.Compile_time.run_all_with_passes () in
+  let rows, passes = H.Compile_time.(with_passes run_all) in
   print_endline (H.Compile_time.render rows);
   print_endline "Per-pass breakdown (pipeline order):";
   print_endline (H.Compile_time.render_passes passes);
@@ -254,21 +254,13 @@ let precision ~attacks ~seed ?pool ~out () =
   section
     (Printf.sprintf "Feasible-path refinement: detection lift (%d attacks/server)"
        attacks);
-  let pass_snapshot () =
-    List.map
-      (fun (r : Ipds_pass.Pass.report_row) ->
-        (r.Ipds_pass.Pass.r_name, (r.Ipds_pass.Pass.r_units, r.Ipds_pass.Pass.r_seconds)))
-      (Ipds_pass.Pass.report ())
-  in
-  let pass_delta before after =
-    List.filter_map
-      (fun (name, (u1, s1)) ->
-        let u0, s0 =
-          match List.assoc_opt name before with Some v -> v | None -> (0, 0.)
-        in
-        if u1 = u0 && s1 -. s0 < 1e-9 then None
-        else Some (name, u1 - u0, s1 -. s0))
-      after
+  (* only the passes the campaign moved *)
+  let campaign_cost f =
+    let result, passes = H.Compile_time.with_passes f in
+    ( result,
+      List.filter
+        (fun (p : H.Compile_time.pass_row) -> p.units <> 0 || p.seconds >= 1e-9)
+        passes )
   in
   let refine_names =
     [ "refine.iterations"; "refine.edges_pruned"; "refine.correlations_gained" ]
@@ -278,14 +270,15 @@ let precision ~attacks ~seed ?pool ~out () =
       (fun n -> (n, Ipds_obs.Registry.counter_value (Ipds_obs.Registry.counter n)))
       refine_names
   in
-  let p0 = pass_snapshot () in
-  let off = H.Attack_experiment.run_all ~attacks ~seed ?pool () in
-  let p1 = pass_snapshot () in
-  let r0 = refine_snapshot () in
-  let on =
-    H.Attack_experiment.run_all ~options:precision_options ~attacks ~seed ?pool ()
+  let off, cost_off =
+    campaign_cost (fun () -> H.Attack_experiment.run_all ~attacks ~seed ?pool ())
   in
-  let p2 = pass_snapshot () in
+  let r0 = refine_snapshot () in
+  let on, cost_on =
+    campaign_cost (fun () ->
+        H.Attack_experiment.run_all ~options:precision_options ~attacks ~seed
+          ?pool ())
+  in
   let r1 = refine_snapshot () in
   let refine_counters =
     List.map2 (fun (n, v0) (_, v1) -> (n, v1 - v0)) r0 r1
@@ -312,11 +305,10 @@ let precision ~attacks ~seed ?pool ~out () =
     (100. *. off.H.Attack_experiment.avg_detected)
     (100. *. on.H.Attack_experiment.avg_detected);
   List.iter (fun (n, v) -> Printf.printf "  %s: %d\n" n v) refine_counters;
-  let cost_on = pass_delta p1 p2 in
   print_endline "per-pass cost of the precision build:";
   List.iter
-    (fun (name, units, seconds) ->
-      Printf.printf "  %-24s %6d units  %8.3fs\n" name units seconds)
+    (fun (p : H.Compile_time.pass_row) ->
+      Printf.printf "  %-24s %6d units  %8.3fs\n" p.pass p.units p.seconds)
     cost_on;
   (* per-function refinement stats: the systems are memoised, so this
      reuses the builds the on-campaign already did *)
@@ -350,17 +342,17 @@ let precision ~attacks ~seed ?pool ~out () =
             Printf.sprintf "  %d iteration%s x %d functions"
               it (if it = 1 then "" else "s") n)
           hist));
-  let pass_cost_json delta =
+  let pass_cost_json passes =
     J.List
       (List.map
-         (fun (name, units, seconds) ->
+         (fun (p : H.Compile_time.pass_row) ->
            J.Obj
              [
-               ("pass", J.String name);
-               ("units", J.Int units);
-               ("wall_seconds", J.Float seconds);
+               ("pass", J.String p.pass);
+               ("units", J.Int p.units);
+               ("wall_seconds", J.Float p.seconds);
              ])
-         delta)
+         passes)
   in
   let data =
     J.Obj
@@ -402,7 +394,7 @@ let precision ~attacks ~seed ?pool ~out () =
                        J.Int s.Ipds_correlation.Refine.correlations_after );
                    ])
                fn_stats) );
-        ("pass_cost_off", pass_cost_json (pass_delta p0 p1));
+        ("pass_cost_off", pass_cost_json cost_off);
         ("pass_cost_on", pass_cost_json cost_on);
       ]
   in

@@ -100,9 +100,9 @@ let address_taken t = t.address_taken
 
 (* The slice of the whole-program solution that one function's analysis
    can observe: its own register points-to sets plus the program-wide
-   escape set and address-taken set.  Digested for content-addressed
-   per-function caching — two programs whose slices agree give the
-   function identical alias answers. *)
+   escape set and address-taken set, rendered as a preimage for
+   content-addressed per-function caching — two programs whose slices
+   agree give the function identical alias answers. *)
 let func_fingerprint t ~fname =
   let buf = Buffer.create 256 in
   (match Hashtbl.find_opt t.regs fname with
@@ -121,4 +121,4 @@ let func_fingerprint t ~fname =
       Buffer.add_string buf (string_of_int v.Mir.Var.id);
       Buffer.add_char buf ',')
     t.address_taken;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Buffer.contents buf

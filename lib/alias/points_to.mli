@@ -23,7 +23,8 @@ val address_taken : t -> Ipds_mir.Var.Set.t
     unknown dereference. *)
 
 val func_fingerprint : t -> fname:string -> string
-(** Hex digest of the slice of the solution observable from one
-    function: its register points-to sets, the program-wide escape set
-    and the address-taken set.  Part of the per-function content digest
-    that keys the incremental artifact cache. *)
+(** The slice of the solution observable from one function, rendered
+    as a string: its register points-to sets, the program-wide escape
+    set and the address-taken set.  Part of the preimage of the
+    per-function content digest that keys the incremental artifact
+    cache. *)

@@ -1,4 +1,4 @@
-(** Versioned, checksummed IPDS object files ("[.ipds]"), format v3.
+(** Versioned, checksummed IPDS object files ("[.ipds]"), format v4.
 
     The paper's deployment model has the compiler attach the packed
     BSV/BCV/BAT images to the binary and the IPDS unit load them at run
@@ -10,7 +10,7 @@
     - ["layout"]: the code layout ({!Ipds_mir.Layout.entries}),
       bit-packed with {!Ipds_core.Bitstream};
     - ["index"]: per-function metadata (name, entry PC, branch count,
-      content digest, checked-branch ids), bit-packed;
+      SHA-256 content digest, checked-branch ids), bit-packed;
     - ["f0"], ["f1"], …: one packed table image per function, from
       {!Ipds_core.Encode.function_image}, in program order.
 
@@ -19,8 +19,9 @@
     the {!Ipds_core.System.func_digest} content digest, and the same
     per-function encoding is reused for the standalone blobs of the
     store's function tier ({!func_image}/{!func_of_image}).  Older
-    containers (v1's monolithic ["tables"] section, v2's MD5 digest)
-    fail the container version check and load as a full cache miss.
+    containers (v1's monolithic ["tables"] section, v2's MD5 whole-file
+    digest, v3's MD5 function digests in ["index"]) fail the container
+    version check and load as a full cache miss.
 
     Loading rebuilds an {!Ipds_core.System.t} without running the MiniC
     front end or the correlation analysis: tables are decoded, the BAT

@@ -4,17 +4,22 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 let magic = "IPDSOBJF"
 
-(* v3: the whole-file digest is SHA-256 (collision-resistant content
-   addressing, a prerequisite for trusting artifacts fetched from fleet
-   peers), growing the header from 32 to 48 bytes.  v2 files (16-byte
-   MD5 digest at offset 16) and v1 files (monolithic "tables" section)
-   fail the version check and load as a clean miss. *)
-let format_version = 3
+(* v4: the function digests in the "index" section are SHA-256 names
+   ({!Ipds_core.Sha256.name}).  v3 files carried MD5 function digests
+   there, v2 files a 16-byte MD5 whole-file digest at offset 16 and v1
+   files a monolithic "tables" section; all fail the version check and
+   load as a clean miss. *)
+let format_version = 4
 let header_bytes = 48
-let digest_bytes = Sha256.digest_length
+let digest_bytes = Ipds_core.Sha256.digest_length
 let entry_bytes = 20
 let name_bytes = 8
 let max_sections = 4096
+
+(* the whole-file digest covers everything after the header *)
+let body_digest buf =
+  Ipds_core.Sha256.bytes buf ~pos:header_bytes
+    ~len:(Bytes.length buf - header_bytes)
 
 type section_info = {
   s_name : string;
@@ -65,10 +70,7 @@ let to_bytes ~sections =
       Bytes.blit payload 0 buf !off (Bytes.length payload);
       off := !off + Bytes.length payload)
     sections;
-  let digest =
-    Sha256.bytes buf ~pos:header_bytes ~len:(Bytes.length buf - header_bytes)
-  in
-  Bytes.blit_string digest 0 buf 16 digest_bytes;
+  Bytes.blit_string (body_digest buf) 0 buf 16 digest_bytes;
   buf
 
 (* header + section table, shared by the strict and forgiving readers *)
@@ -101,11 +103,7 @@ let read_table buf =
       (name, offset, length, crc))
 
 let digest_ok buf =
-  let stored = Bytes.sub_string buf 16 digest_bytes in
-  let actual =
-    Sha256.bytes buf ~pos:header_bytes ~len:(Bytes.length buf - header_bytes)
-  in
-  String.equal stored actual
+  String.equal (Bytes.sub_string buf 16 digest_bytes) (body_digest buf)
 
 let spans_of_bytes buf =
   let entries = read_table buf in
@@ -127,7 +125,8 @@ let info_of_bytes buf =
   {
     version = Int32.to_int (Bytes.get_int32_le buf 8);
     file_bytes = Bytes.length buf;
-    digest_hex = Sha256.to_hex (Bytes.sub_string buf 16 digest_bytes);
+    digest_hex =
+      Ipds_core.Sha256.to_hex (Bytes.sub_string buf 16 digest_bytes);
     digest_ok = digest_ok buf;
     sections =
       List.map

@@ -14,8 +14,10 @@
 
     The digest is the file's content address: collision-resistant, so a
     byte-identical digest from an untrusted peer names byte-identical
-    content.  v2 files carried a 16-byte MD5 there; they fail the
-    version check and load as a clean miss (the store rebuilds them).
+    content.  Version 4 is current.  v2 files carried a 16-byte MD5
+    there and v3 files MD5 function digests inside the artifact's
+    ["index"] section; both fail the version check and load as a clean
+    miss (the store rebuilds them).
 
     {!of_bytes} verifies the magic, version, whole-file digest and every
     section CRC; any mismatch raises {!Corrupt}, which the store layer
@@ -30,9 +32,6 @@ val format_version : int
 
 val header_bytes : int
 (** Fixed header size (everything before the section table). *)
-
-val digest_bytes : int
-(** Size of the whole-file digest stored at offset 16 (32: SHA-256). *)
 
 val to_bytes : sections:(string * Bytes.t) list -> Bytes.t
 (** Section names must be 1–8 bytes and unique; raises

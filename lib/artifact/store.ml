@@ -81,18 +81,15 @@ let reset_counters () =
 
 (* ---------- keys & paths ---------- *)
 
-let options_fingerprint = Corr.Analysis.options_fingerprint
-
 let key ~source ~promote ~options =
-  Sha256.hex_string
-    (String.concat "\x00"
-       [
-         "ipds-artifact";
-         string_of_int Object_file.format_version;
-         Printf.sprintf "promote=%b" promote;
-         options_fingerprint options;
-         source;
-       ])
+  Ipds_core.Sha256.name
+    [
+      "ipds-artifact";
+      string_of_int Object_file.format_version;
+      Printf.sprintf "promote=%b" promote;
+      Corr.Analysis.options_fingerprint options;
+      source;
+    ]
 
 (* Keys reach this layer over the wire (artifact fetch/push frames), so
    their shape is validated here at the path boundary instead of letting
@@ -275,9 +272,8 @@ let publish_system t key sys =
 
 let fn_path t digest =
   let key =
-    Sha256.hex_string
-      (String.concat "\x00"
-         [ "ipds-fn"; string_of_int Object_file.format_version; digest ])
+    Ipds_core.Sha256.name
+      [ "ipds-fn"; string_of_int Object_file.format_version; digest ]
   in
   Filename.concat t.dir
     (Filename.concat "fn"

@@ -1,7 +1,8 @@
 (** Content-addressed on-disk cache of IPDS artifacts.
 
-    Entries are keyed by the SHA-256 digest of (MiniC/MIR source text,
-    compile options, analysis options, artifact format version) and live
+    Entries are keyed by the {!Ipds_core.Sha256.name} of (artifact
+    format version, compile options, analysis options, MiniC/MIR source
+    text) and live
     at [<dir>/<k₀k₁>/<key>.ipds].  Publishing is atomic (temp file +
     rename), so concurrent processes sharing a directory can only ever
     observe complete files; a truncated, CRC-mismatched or
@@ -88,27 +89,18 @@ val publish_image :
 
 (** {2 Function tier}
 
-    Single-function blobs under [<dir>/fn/], addressed by the content
-    digest {!Ipds_core.System.func_digest} assigns each function (plus
-    the artifact format version).  This is what makes rebuilds
-    incremental at function granularity: a whole-program miss still
-    hits here for every function whose digest is unchanged. *)
-
-val load_func :
-  t ->
-  digest:string ->
-  layout:Ipds_mir.Layout.t ->
-  Ipds_mir.Func.t ->
-  Ipds_core.System.func_info option
-(** [None] on absent or corrupt blobs (counted as [fn_misses]; read
-    faults on existing blobs count as [fn_corrupt] like
-    {!load_system}). *)
-
-val publish_func : t -> digest:string -> Ipds_core.System.func_info -> unit
+    Single-function blobs under [<dir>/fn/], addressed by the
+    {!Ipds_core.Sha256.name} of the artifact format version and the
+    digest {!Ipds_core.System.func_digest} assigns each function.  This
+    is what makes rebuilds incremental at function granularity: a
+    whole-program miss still hits here for every function whose digest
+    is unchanged. *)
 
 val func_cache : ?precision:bool -> t -> Ipds_core.System.func_cache
-(** The two hooks above packaged for
-    [Ipds_core.System.build ~func_cache].  With [~precision:true] every
+(** The tier as [Ipds_core.System.build ~func_cache] hooks.  A lookup
+    misses on an absent or corrupt blob (counted as [fn_misses]; a
+    damaged, version-skewed or unreadable blob also counts as
+    [fn_corrupt], like {!load_system}).  With [~precision:true] every
     function-tier miss additionally counts as [fn_precision_misses]:
     since precision is part of {!Ipds_core.System.func_digest}, flipping
     the precision config shows up as a clean sweep of these misses

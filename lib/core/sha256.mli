@@ -1,0 +1,32 @@
+(** SHA-256 (FIPS 180-4), pure OCaml over [Bytes].
+
+    The one content hash of the tree.  It names every function
+    ({!System.func_digest}), every store entry and function-tier blob,
+    every inline image on the wire, and is the whole-file digest of
+    each object-file container, which is also the identity an artifact
+    fetched from a fleet peer is verified against.  CRC-32 guards
+    section payloads against bit-rot; MD5 remains only in the fleet's
+    ring placement, which spreads keys and never names content.
+
+    Domain-safe and allocation-free per compression round; digests of
+    the same bytes are identical across processes and platforms. *)
+
+val digest_length : int
+(** 32. *)
+
+val bytes : Bytes.t -> pos:int -> len:int -> string
+(** Raw 32-byte digest of [len] bytes starting at [pos]; raises
+    [Invalid_argument] when the range is out of bounds. *)
+
+val to_hex : string -> string
+(** Lowercase hex of a raw digest (or any string). *)
+
+val hex_bytes : Bytes.t -> string
+val hex_string : string -> string
+
+val name : string list -> string
+(** Lowercase hex SHA-256 of the parts, each prefixed by its length as
+    8 big-endian bytes.  The encoding is injective, so two part lists
+    share a name only through a SHA-256 collision: [name ["ab"; "c"]],
+    [name ["a"; "bc"]] and [name ["abc"]] all differ, as do [name []]
+    and [name [""]].  Every content name in the tree is built here. *)

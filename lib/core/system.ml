@@ -38,21 +38,19 @@ let pass_prepare =
     (fun ((options : Corr.Analysis.options), program) ->
       Corr.Context.prepare ~mode:options.Corr.Analysis.summary_mode program)
 
-(* Everything the per-function stage can observe, folded into one hex
-   digest: the printed body (instructions, var ids), the base PC (table
-   hashes key absolute branch PCs, so layout shifts must invalidate),
-   the program-wide slice the function reads, and the option set. *)
+(* Everything the per-function stage can observe, named by one hash:
+   the printed body (instructions, var ids), the base PC (table hashes
+   key absolute branch PCs, so layout shifts must invalidate), the
+   program-wide slice the function reads, and the option set. *)
 let func_digest ~options ~layout pw (f : Mir.Func.t) =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          [
-            "ipds-func";
-            Corr.Analysis.options_fingerprint options;
-            string_of_int (Mir.Layout.func_base layout f.Mir.Func.name);
-            Corr.Context.slice_fingerprint pw f;
-            Mir.Printer.func_to_string f;
-          ]))
+  Sha256.name
+    [
+      "ipds-func";
+      Corr.Analysis.options_fingerprint options;
+      string_of_int (Mir.Layout.func_base layout f.Mir.Func.name);
+      Corr.Context.slice_fingerprint pw f;
+      Mir.Printer.func_to_string f;
+    ]
 
 let pass_digest =
   Pass.v ~name:"digest" ~scope:Pass.Function
@@ -129,18 +127,18 @@ let build ?options ?pool ?func_cache program =
       in
       make ~program ~layout ~funcs)
 
-(* The memo is keyed by a content digest of the printed program and the
-   option fingerprint — not by the structural [(Program.t, options)]
-   pair, whose deep compare walked the whole IR on every lookup and
-   whose closure-bearing [options] made hashing fragile. *)
+(* The memo is keyed by the option fingerprint and the printed program
+   themselves — not by the structural [(Program.t, options)] pair, whose
+   deep compare walked the whole IR on every lookup and whose
+   closure-bearing [options] made hashing fragile.  The key never leaves
+   the process, so it is not hashed and cannot collide: the fingerprint
+   holds no NUL, so the first NUL ends it. *)
 let cache : (string, t) Ipds_parallel.Memo.t = Ipds_parallel.Memo.create ()
 
 let build_key ~options program =
-  Digest.to_hex
-    (Digest.string
-       (Corr.Analysis.options_fingerprint options
-       ^ "\x00"
-       ^ Mir.Printer.program_to_string program))
+  Corr.Analysis.options_fingerprint options
+  ^ "\x00"
+  ^ Mir.Printer.program_to_string program
 
 let cached_build ?options ?pool program =
   let options = Option.value options ~default:Corr.Analysis.default_options in

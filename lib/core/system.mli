@@ -11,8 +11,8 @@
 type func_info = {
   entry_pc : int;
   digest : string;
-      (** hex content digest of everything the per-function stage can
-          observe; keys the incremental per-function artifact cache *)
+      (** 64-char hex SHA-256 name of everything the per-function stage
+          can observe; keys the incremental per-function artifact cache *)
   tables : Tables.t;
   image : Image.t;
       (** compiled flat checker image; built once here (or decoded
@@ -49,9 +49,10 @@ val func_digest :
   Ipds_correlation.Context.program_wide ->
   Ipds_mir.Func.t ->
   string
-(** Content digest of (printed body, base PC, program-wide slice,
-    options).  Two builds assign a function the same digest exactly
-    when its analysis and tables are guaranteed byte-identical. *)
+(** {!Sha256.name} of (printed body, base PC, program-wide slice
+    preimage, options).  Two builds assign a function the same digest
+    exactly when its analysis and tables are guaranteed byte-identical,
+    unless SHA-256 collides. *)
 
 type func_cache = {
   lookup :
@@ -84,9 +85,9 @@ val cached_build :
   t
 (** Like {!build} but memoised — domain-safe and exactly-once, so every
     experiment in a bench run shares one analysis + table construction
-    per configuration.  The memo key is a content digest of the printed
-    program and the option fingerprint, so omitted [options] and
-    explicit default options share an entry. *)
+    per configuration.  The memo key is the option fingerprint and the
+    printed program themselves, unhashed, so omitted [options] and
+    explicit default options share an entry and no two programs can. *)
 
 val build_count : unit -> int
 (** How many (non-cached) builds have actually run in this process. *)

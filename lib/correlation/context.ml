@@ -44,7 +44,9 @@ let for_func ?feas pw (func : Mir.Func.t) =
    its callees (the only summaries [Access] consults for it).  Also
    covers the program-wide variable numbering, which cell identity
    depends on.  Editing a function without disturbing any of these
-   leaves every other function's digest — and cached analysis — valid. *)
+   leaves every other function's digest — and cached analysis — valid.
+   The result is the preimage itself, NUL-separated (no part holds a
+   NUL); {!Ipds_core.System.func_digest} hashes it once. *)
 let slice_fingerprint pw (func : Mir.Func.t) =
   let callees = ref [] in
   Mir.Func.iter_instrs func (fun _ op ->
@@ -60,12 +62,10 @@ let slice_fingerprint pw (func : Mir.Func.t) =
       (fun c -> c ^ "=" ^ Alias.Summary.fingerprint (pw.summaries c))
       (List.sort String.compare !callees)
   in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00"
-          (Alias.Points_to.func_fingerprint pw.points_to ~fname:func.Mir.Func.name
-          :: string_of_int pw.prog.Mir.Program.var_count
-          :: callee_part)))
+  String.concat "\x00"
+    (Alias.Points_to.func_fingerprint pw.points_to ~fname:func.Mir.Func.name
+    :: string_of_int pw.prog.Mir.Program.var_count
+    :: callee_part)
 
 let kills_of_cell t cell =
   let out = ref [] in

@@ -29,11 +29,12 @@ val for_func :
     feasible paths only.  Default: the unpruned function. *)
 
 val slice_fingerprint : program_wide -> Ipds_mir.Func.t -> string
-(** Hex digest of the program-wide state one function's analysis can
-    observe: its points-to slice, the summaries of its callees and the
-    program-wide variable numbering.  Combined with the function body,
-    base PC and analysis options it forms the content digest that keys
-    per-function incremental caching. *)
+(** The program-wide state one function's analysis can observe, as a
+    string: its points-to slice, the summaries of its callees and the
+    program-wide variable numbering.  Not a hash but the preimage;
+    combined with the function body, base PC and analysis options it is
+    named by the one content hash that keys per-function incremental
+    caching. *)
 
 val kills_of_cell : t -> Ipds_alias.Cell.t -> int list
 (** Instruction ids that may overwrite the cell. *)

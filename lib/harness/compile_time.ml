@@ -65,8 +65,6 @@ let with_passes f =
   in
   (result, passes)
 
-let run_all_with_passes () = with_passes run_all
-
 let render_passes passes =
   Table.render
     ~header:[ "pass"; "scope"; "units"; "wall seconds (unstable)" ]

@@ -21,9 +21,10 @@ type pass_row = {
   seconds : float;  (** unstable: accumulated wall-clock *)
 }
 
-val run_all_with_passes : unit -> row list * pass_row list
-(** {!run_all} plus the delta of every pipeline pass across it, in
-    pipeline order — the per-pass compile-time breakdown the bench
-    [compile-time] target reports. *)
+val with_passes : (unit -> 'a) -> 'a * pass_row list
+(** [f ()] plus the delta of every pipeline pass across it, in pipeline
+    order — the per-pass breakdown the bench [compile-time] target
+    reports over {!run_all} and the [precision] target over each
+    campaign. *)
 
 val render_passes : pass_row list -> string

@@ -78,7 +78,7 @@ let create ?peer_fetch ~store ~cache () =
 (* The cache key of an inline image: the server and routing clients
    must derive it identically.  SHA-256 so the key is a
    collision-resistant content address, like store keys. *)
-let image_key image = "img:" ^ Ipds_artifact.Sha256.hex_string image
+let image_key image = "img:" ^ Ipds_core.Sha256.hex_string image
 
 (* Full verification of untrusted container bytes before they are
    published to the store (a pushed artifact or one fetched from a

@@ -2,13 +2,17 @@
    wired into runtest).  One executable, two roles:
 
    - driver (no --phase): makes a fresh cache directory and re-executes
-     itself three times — a cold run that must populate the cache, a
+     itself four times — a cold run that must populate the cache, a
      warm run that must perform zero MiniC compiles and zero analyses,
-     and, after flipping one byte in a published artifact, a corrupt run
-     that must detect the damage, miss, and rebuild.  All three phases
-     must produce byte-identical Fig. 7/Fig. 8 reports (they also use
-     different --jobs, so determinism across domain counts rides along).
-   - phase child (--phase cold|warm|corrupt): runs the experiments
+     after flipping one byte in a published artifact a corrupt run
+     that must detect the damage, miss, and rebuild, and after
+     stamping that artifact and every function-tier blob with the
+     previous format version (3) a skew run that must count each as a
+     miss and rebuild the artifact byte-identical to the cold one.  All
+     four phases must produce byte-identical Fig. 7/Fig. 8 reports
+     (they also use different --jobs, so determinism across domain
+     counts rides along).
+   - phase child (--phase cold|warm|corrupt|skew): runs the experiments
      against the given cache dir, writes the rendered reports to --out,
      and asserts the phase's expected compile/build/store counters. *)
 
@@ -85,6 +89,23 @@ let run_phase () =
         fail "corrupt run: %d hits, want %d" c.Store.hits (n - 1);
       if compiles <> 1 then fail "corrupt run: %d compiles, want 1" compiles;
       if builds <> 1 then fail "corrupt run: %d analyses, want 1" builds
+  | "skew" ->
+      (* one whole-program entry and every fn/ blob are previous-format
+         leftovers at paths this format reads: each lookup of one is a
+         counted corrupt miss, and only that one program is rebuilt *)
+      if c.Store.corrupt <> 1 then
+        fail "skew run: corrupt=%d, want 1" c.Store.corrupt;
+      if c.Store.misses <> 1 then
+        fail "skew run: %d misses, want 1" c.Store.misses;
+      if c.Store.hits <> n - 1 then
+        fail "skew run: %d hits, want %d" c.Store.hits (n - 1);
+      if c.Store.fn_hits <> 0 then
+        fail "skew run: %d hits on stale fn blobs" c.Store.fn_hits;
+      if c.Store.fn_misses = 0 || c.Store.fn_corrupt <> c.Store.fn_misses then
+        fail "skew run: fn_corrupt=%d of %d fn misses, want all of them"
+          c.Store.fn_corrupt c.Store.fn_misses;
+      if compiles <> 1 then fail "skew run: %d compiles, want 1" compiles;
+      if builds <> 1 then fail "skew run: %d analyses, want 1" builds
   | p -> fail "unknown phase %S" p);
   exit 0
 
@@ -131,35 +152,54 @@ let driver () =
   in
   let cold_s = run "cold" 2 in
   let warm_s = run "warm" 1 in
-  (match published_artifacts dir with
-  | [] -> fail "cold run left no artifacts in %s" dir
-  | victim :: _ ->
-      (* flip one byte in the middle of a published artifact *)
-      let buf = Bytes.of_string (read_file victim) in
-      let i = Bytes.length buf / 2 in
-      Bytes.set buf i (Char.chr (Char.code (Bytes.get buf i) lxor 0x20));
-      write_file victim (Bytes.to_string buf);
-      let ins = A.inspect_file victim in
-      if ins.A.file.Obj.digest_ok then
-        fail "inspect missed the flipped byte in %s" victim;
-      if List.for_all (fun s -> s.Obj.s_crc_ok) ins.A.file.Obj.sections then
-        fail "inspect reports no bad section CRC in %s" victim);
+  let victim =
+    match published_artifacts dir with
+    | [] -> fail "cold run left no artifacts in %s" dir
+    | victim :: _ -> victim
+  in
+  let cold_artifact = read_file victim in
+  (* flip one byte in the middle of a published artifact *)
+  let buf = Bytes.of_string cold_artifact in
+  let i = Bytes.length buf / 2 in
+  Bytes.set buf i (Char.chr (Char.code (Bytes.get buf i) lxor 0x20));
+  write_file victim (Bytes.to_string buf);
+  let ins = A.inspect_file victim in
+  if ins.A.file.Obj.digest_ok then
+    fail "inspect missed the flipped byte in %s" victim;
+  if List.for_all (fun s -> s.Obj.s_crc_ok) ins.A.file.Obj.sections then
+    fail "inspect reports no bad section CRC in %s" victim;
   let corrupt_s = run "corrupt" 3 in
+  (* stamp the previous format version (u32 LE at offset 8) on the same
+     artifact and on every function-tier blob *)
+  let stamp_v3 path =
+    let buf = Bytes.of_string (read_file path) in
+    Bytes.set_int32_le buf 8 3l;
+    write_file path (Bytes.to_string buf)
+  in
+  stamp_v3 victim;
+  (match published_artifacts (Filename.concat dir "fn") with
+  | [] -> fail "cold run left no function-tier blobs"
+  | blobs -> List.iter stamp_v3 blobs);
+  let skew_s = run "skew" 2 in
+  if read_file victim <> cold_artifact then
+    fail "skew rebuild of %s differs from the cold artifact" victim;
   let cold = read_file (out "cold") in
   if cold = "" then fail "cold run produced an empty report";
   if cold <> read_file (out "warm") then
     fail "warm results differ from cold (artifact load is not equivalent)";
   if cold <> read_file (out "corrupt") then
     fail "post-corruption results differ from cold (rebuild is not equivalent)";
+  if cold <> read_file (out "skew") then
+    fail "post-skew results differ from cold (rebuild is not equivalent)";
   Printf.printf
-    "cache-smoke OK: identical figures cold/warm/corrupt (cold %.2fs, warm \
-     %.2fs, corrupt-rebuild %.2fs)\n"
-    cold_s warm_s corrupt_s
+    "cache-smoke OK: identical figures cold/warm/corrupt/skew (cold %.2fs, \
+     warm %.2fs, corrupt-rebuild %.2fs, skew-rebuild %.2fs)\n"
+    cold_s warm_s corrupt_s skew_s
 
 let () =
   let spec =
     [
-      ("--phase", Arg.Set_string phase, "PHASE cold|warm|corrupt (internal)");
+      ("--phase", Arg.Set_string phase, "PHASE cold|warm|corrupt|skew (internal)");
       ("--cache-dir", Arg.Set_string cache_dir, "DIR artifact cache directory");
       ("--out", Arg.Set_string out, "FILE where the phase writes its report");
       ("--jobs", Arg.Set_int jobs, "N worker domains");

@@ -113,7 +113,7 @@ let test_checker_equivalence () =
    object-file digest both stand on this implementation, so it is
    pinned to the published vectors, not just to self-consistency. *)
 let test_sha256_fips_vectors () =
-  let module H = Ipds_artifact.Sha256 in
+  let module H = Ipds_core.Sha256 in
   check_str "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     (H.hex_string "");
   check_str "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
@@ -128,7 +128,47 @@ let test_sha256_fips_vectors () =
   let buf = Bytes.of_string "xxabcyy" in
   check_str "pos/len window" (H.hex_string "abc")
     (H.to_hex (H.bytes buf ~pos:2 ~len:3));
-  check_int "digest length" 32 (String.length (H.all (Bytes.create 0)))
+  check_int "digest length" 32
+    (String.length (H.bytes (Bytes.create 0) ~pos:0 ~len:0))
+
+(* [Sha256.name] length-prefixes every part, so part boundaries are
+   part of the preimage: regrouping the same bytes, hiding a separator
+   inside a part, or adding an empty part all give a different name. *)
+let test_sha256_name_injective () =
+  let module H = Ipds_core.Sha256 in
+  let differ what a b = check what false (String.equal (H.name a) (H.name b)) in
+  differ "regrouped parts" [ "ab"; "c" ] [ "a"; "bc" ];
+  differ "NUL inside a part" [ "a\x00b" ] [ "a"; "b" ];
+  differ "no part vs one empty part" [] [ "" ];
+  (* the encoding itself: 8-byte big-endian length, then the bytes *)
+  check_str "name [] hashes the empty string" (H.hex_string "") (H.name []);
+  check_str "name [\"abc\"]"
+    "c3494ca1a2cf8eeb8a11ded316fb55b83c3bbbedb6313cd50415251e5d09e12f"
+    (H.name [ "abc" ])
+
+(* Every function is named by SHA-256, both as built and as loaded back
+   from its artifact. *)
+let test_func_digests_sha256 () =
+  let is_hex64 d =
+    String.length d = 64
+    && String.for_all
+         (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
+         d
+  in
+  List.iter
+    (fun w ->
+      let sys = system_of w in
+      let loaded = A.of_bytes (A.to_bytes sys) in
+      List.iter
+        (fun (fname, (info : Core.System.func_info)) ->
+          let what = w.W.name ^ "." ^ fname in
+          check (what ^ " digest is 64 lowercase hex") true
+            (is_hex64 info.Core.System.digest);
+          check_str (what ^ " digest survives the artifact")
+            info.Core.System.digest
+            (Core.System.info loaded fname).Core.System.digest)
+        sys.Core.System.funcs)
+    W.all
 
 (* ---------- corruption ---------- *)
 
@@ -391,43 +431,48 @@ let write_file path buf =
   output_bytes oc buf;
   close_out oc
 
-(* A v2 (or any older-format) entry left over from a previous release
-   must read as a clean miss — counted corrupt, rebuilt, never a crash
-   and never a silent misparse. *)
+(* An entry in any older format left over from a previous release —
+   v1's monolithic tables, v2's MD5 container digest, v3's MD5 function
+   digests — must read as a clean miss: counted corrupt, rebuilt, never
+   a crash and never a silent misparse. *)
 let test_version_skew_clean_miss () =
-  with_temp_dir (fun dir ->
-      Store.reset_counters ();
-      let store = Store.create ~dir in
-      let w = W.find "telnetd" in
-      let key =
-        Store.key ~source:w.W.source ~promote:true
-          ~options:Ipds_correlation.Analysis.default_options
-      in
-      Store.publish_system store key (system_of w);
-      let path = Store.path_of_key store key in
-      let buf = read_file path in
-      (* rewrite the format-version field (u32 LE at offset 8) to v2 *)
-      Bytes.set_int32_le buf 8 2l;
-      write_file path buf;
-      check "v2 entry decodes as Corrupt" true
-        (match A.of_bytes buf with
-        | _ -> false
-        | exception A.Corrupt msg ->
-            (* the reason names the version skew, not a generic failure *)
-            let has_sub s sub =
-              let n = String.length sub in
-              let rec go i =
-                i + n <= String.length s
-                && (String.sub s i n = sub || go (i + 1))
-              in
-              go 0
-            in
-            has_sub msg "version");
-      check "v2 entry is a clean store miss" true
-        (Store.load_system store key = None);
-      let c = Store.counters () in
-      check_int "skew counted corrupt" 1 c.Store.corrupt;
-      check_int "skew counted miss" 1 c.Store.misses)
+  let has_sub s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun version ->
+      with_temp_dir (fun dir ->
+          Store.reset_counters ();
+          let store = Store.create ~dir in
+          let w = W.find "telnetd" in
+          let key =
+            Store.key ~source:w.W.source ~promote:true
+              ~options:Ipds_correlation.Analysis.default_options
+          in
+          Store.publish_system store key (system_of w);
+          let path = Store.path_of_key store key in
+          let buf = read_file path in
+          (* rewrite the format-version field (u32 LE at offset 8) *)
+          Bytes.set_int32_le buf 8 (Int32.of_int version);
+          write_file path buf;
+          let v = Printf.sprintf "v%d " version in
+          check (v ^ "entry decodes as Corrupt") true
+            (match A.of_bytes buf with
+            | _ -> false
+            | exception A.Corrupt msg ->
+                (* the reason names the version skew, not a generic
+                   failure *)
+                has_sub msg "version");
+          check (v ^ "entry is a clean store miss") true
+            (Store.load_system store key = None);
+          let c = Store.counters () in
+          check_int (v ^ "skew counted corrupt") 1 c.Store.corrupt;
+          check_int (v ^ "skew counted miss") 1 c.Store.misses))
+    [ 1; 2; 3 ]
 
 (* The collision-detection table: an occupied key is byte-compared on
    every publish; different valid content is counted and refused, a
@@ -604,7 +649,12 @@ let () =
           Alcotest.test_case "checker equivalence" `Quick test_checker_equivalence;
         ] );
       ( "sha256",
-        [ Alcotest.test_case "FIPS 180-4 vectors" `Quick test_sha256_fips_vectors ] );
+        [
+          Alcotest.test_case "FIPS 180-4 vectors" `Quick test_sha256_fips_vectors;
+          Alcotest.test_case "name is injective" `Quick test_sha256_name_injective;
+          Alcotest.test_case "function digests are SHA-256" `Quick
+            test_func_digests_sha256;
+        ] );
       ( "corruption",
         [
           Alcotest.test_case "every byte flip" `Quick test_every_byte_flip_detected;

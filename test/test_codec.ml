@@ -5,7 +5,7 @@
    as the oracle: the production [Ipds_core.Bitstream] must write the
    same bytes, read the same values and run out of input at the same
    field.  The golden hashes pin wire protocol v2 and artifact format
-   v3 byte for byte: one SHA-256 per frame kind of a fixed fixture
+   v4 byte for byte: one SHA-256 per frame kind of a fixed fixture
    (whole frame, and payload alone) and one per built-in workload's
    [Artifact.to_bytes]. *)
 
@@ -167,7 +167,7 @@ let fixture_frames =
     ("error", P.Error { P.code = P.Unavailable; detail = "shard 2 is down" });
   ]
 
-let sha bytes = Ipds_artifact.Sha256.hex_bytes bytes
+let sha bytes = Ipds_core.Sha256.hex_bytes bytes
 
 (* Wire v2 whole frames, header and CRC included. *)
 let golden_frames =
@@ -190,17 +190,17 @@ let golden_frames =
 
 let golden_artifacts =
   [
-    ("telnetd", "5ff861347a0dd2323416323f7a681045024af35bf5849d68894b16d129e977d7");
-    ("wu-ftpd", "6c41d9fa40f7d9c5b42fabde3dd0eb3b24e85ce4bfd8ba6f20bf95e310f8ccd9");
-    ("xinetd", "d4214cfde3deb17670fb4fd6ae0f7abceaaa5077aa56e1c86f3f32919baff506");
-    ("crond", "458acda985cc27b4450859121264ec1446a6b428682c340427ba2a34e7345fce");
-    ("sysklogd", "136f3151b0f54862e5f1fb40a73d124271bd265933f839cedc53c2970cf2d59d");
-    ("atftpd", "2c1577f07fc2651b7980009b71f688fa68794b7eacdbc49e51c17a0ef7e77db7");
-    ("httpd", "c083b55558d2c652dda91317908ef3f708f38e0184d603b9337259464f48fc26");
-    ("sendmail", "df1d2adcd18529be39c6139fbb2d410ff34dd96c047aff43e43963b5133a8aad");
-    ("sshd", "b907fc580ab2689450811554bc4ecf98a8b4b10676c4167933ce8bb3b6769c75");
-    ("portmap", "b24d17e4eca28c4c1f5570d8807f90ef58da902a263a26b1546fd0bf3cd2e8fb");
-    ("fwpolicyd", "1a90890f70c71beda77529af62819feffea6039298221ace5bcd1c0f3ef3a06b");
+    ("telnetd", "34d9ff92b87c8a293d6d04c1434a286a15c234110f9f5da22c4aca052a72b51c");
+    ("wu-ftpd", "a8850d6384c4cbc33a84ab0e86fb3d838ec44c48d6ed5bfd48ef896d26f6dbfd");
+    ("xinetd", "f30979335bd952d9848a11f0acb2864902b72aefa47480b620505747dc835d7b");
+    ("crond", "423fa2920579501c68ad09b437ecf90e53d120a4b61b612c67393684bc52f923");
+    ("sysklogd", "1665225019f0e9d781bf0d54e6dfe3824e6632771f732c916eb64c6173c3492a");
+    ("atftpd", "d2a2bfca6a96fad8431cc902bf04f4a5a5196aeff1491adc23ac9a1166b04d03");
+    ("httpd", "849655c3fbd5aea58b91a2efef0efe4398724da5d3c46937bb91cb6d781d14ba");
+    ("sendmail", "54b7abce5e3a1557f5b5bbc729cbd4257df63f8fb210c6d6a3fa87d60d639a5d");
+    ("sshd", "d5905c66548bbd040297a40ee45b3a7708b3ad7301fd60c833a118620c3eef46");
+    ("portmap", "eaccfe6672f61a65c943aaba2af2e27a3b3f7b61c333dc96560df7eaf0f0b6aa");
+    ("fwpolicyd", "f1407d64813ef03caa0e7f6ea4345d3f3ffc7a3e793489af07f4acd9ff6c416b");
   ]
 
 let test_golden_frames () =
@@ -339,7 +339,7 @@ let () =
         [
           Alcotest.test_case "wire v2 frames" `Quick test_golden_frames;
           Alcotest.test_case "wire payloads" `Quick test_golden_payloads;
-          Alcotest.test_case "artifact v3 built-ins" `Quick test_golden_artifacts;
+          Alcotest.test_case "artifact v4 built-ins" `Quick test_golden_artifacts;
           Alcotest.test_case "wire v1 error codes" `Quick test_golden_error_codes;
           Alcotest.test_case "length >= 2^31 is oversized" `Quick
             test_huge_length_oversized;
