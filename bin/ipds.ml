@@ -791,7 +791,8 @@ let check_remote_cmd =
               | `Tcp (h, p) -> `Tcp (h, p))
           in
           let fc = Serve.Fleet_client.create topology in
-          let key = Serve.Fleet_client.image_key image in
+          (* a container built here always has a header to key by *)
+          let key = Option.get (Serve.Fleet_client.image_key image) in
           match Serve.Fleet_client.connect_for_key fc key with
           | Ok routed ->
               Format.printf "routed to shard %d/%d%s@."

@@ -1,4 +1,5 @@
-(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over byte ranges.
+(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over byte ranges,
+    eight bytes per step (slice-by-8), on little- and big-endian hosts.
 
     Every section of an IPDS object file carries its CRC in the section
     table so a flipped bit anywhere in the payload is detected at load

@@ -73,6 +73,13 @@ let to_bytes ~sections =
   Bytes.blit_string (body_digest buf) 0 buf 16 digest_bytes;
   buf
 
+(* the raw digest the header claims, at offset 16 *)
+let claimed_digest buf = Bytes.sub_string buf 16 digest_bytes
+
+let header_digest s =
+  if String.length s < header_bytes then None
+  else Some (Ipds_core.Sha256.to_hex (claimed_digest (Bytes.unsafe_of_string s)))
+
 (* header + section table, shared by the strict and forgiving readers *)
 let read_table buf =
   let len = Bytes.length buf in
@@ -103,7 +110,7 @@ let read_table buf =
       (name, offset, length, crc))
 
 let digest_ok buf =
-  String.equal (Bytes.sub_string buf 16 digest_bytes) (body_digest buf)
+  String.equal (claimed_digest buf) (body_digest buf)
 
 let spans_of_bytes buf =
   let entries = read_table buf in
@@ -125,8 +132,7 @@ let info_of_bytes buf =
   {
     version = Int32.to_int (Bytes.get_int32_le buf 8);
     file_bytes = Bytes.length buf;
-    digest_hex =
-      Ipds_core.Sha256.to_hex (Bytes.sub_string buf 16 digest_bytes);
+    digest_hex = Ipds_core.Sha256.to_hex (claimed_digest buf);
     digest_ok = digest_ok buf;
     sections =
       List.map

@@ -37,6 +37,11 @@ val to_bytes : sections:(string * Bytes.t) list -> Bytes.t
 (** Section names must be 1–8 bytes and unique; raises
     [Invalid_argument] otherwise. *)
 
+val header_digest : string -> string option
+(** The lowercase hex of the whole-file digest at offset 16, as the
+    header claims it: read, neither computed nor verified.  [None] for
+    a payload shorter than {!header_bytes}. *)
+
 val of_bytes : Bytes.t -> (string * Bytes.t) list
 (** Fully verified sections in file order; raises {!Corrupt}. *)
 

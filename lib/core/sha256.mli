@@ -2,9 +2,12 @@
 
     The one content hash of the tree.  It names every function
     ({!System.func_digest}), every store entry and function-tier blob,
-    every inline image on the wire, and is the whole-file digest of
-    each object-file container, which is also the identity an artifact
-    fetched from a fleet peer is verified against.  CRC-32 guards
+    and is the whole-file digest of each object-file container, which
+    is also the identity an artifact fetched from a fleet peer is
+    verified against.  An inline image on the wire is named by that
+    header digest as the container claims it; the verdict server
+    hashes the image only on a cache miss, when it verifies the
+    claim.  CRC-32 guards
     section payloads against bit-rot; MD5 remains only in the fleet's
     ring placement, which spreads keys and never names content.
 

@@ -85,9 +85,11 @@ let load_key t key =
     | Protocol.Loaded { cached; _ } -> Some cached
     | _ -> None)
 
+(* [output_frame] encodes and writes the frame before [rpc] returns and
+   keeps no reference to it, so the caller's bytes are sent uncopied *)
 let load_image t ~name image =
   rpc t
-    (Protocol.Load_image { name; image = Bytes.to_string image })
+    (Protocol.Load_image { name; image = Bytes.unsafe_to_string image })
     (function Protocol.Loaded { cached; _ } -> Some cached | _ -> None)
 
 let begin_trace t =

@@ -21,7 +21,11 @@ val load_key : t -> string -> (bool, Protocol.err) result
     it was already resident in the server's LRU. *)
 
 val load_image : t -> name:string -> Bytes.t -> (bool, Protocol.err) result
-(** Ship inline [.ipds] bytes. *)
+(** Ship inline [.ipds] bytes; [Ok cached] as for {!load_key}.  The
+    bytes are aliased, not copied: they are encoded into the frame and
+    written before the call returns and never referenced after it, so
+    the caller may reuse them once it returns, but must not mutate them
+    from another domain while it runs. *)
 
 val begin_trace : t -> (unit, Protocol.err) result
 

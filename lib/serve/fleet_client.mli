@@ -16,9 +16,10 @@ val topology : t -> Ipds_fleet.Topology.t
 val owner : t -> string -> int
 (** The ring owner of [key]. *)
 
-val image_key : string -> string
+val image_key : string -> string option
 (** {!Session.image_key}: route inline images by the same key the
-    servers cache them under. *)
+    servers cache them under.  It reads the container header's digest,
+    so routing hashes nothing. *)
 
 type routed = {
   client : Client.t;

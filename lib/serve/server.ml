@@ -22,7 +22,7 @@
 
    Loaded artifacts live in one {!Ipds_parallel.Memo} bounded to
    [config.cache_slots] entries, keyed by artifact key, as the image
-   sets the checker reads ({!Session.images}): loads run outside its
+   sets the checker reads ({!Session.entry}): loads run outside its
    lock, so cold loads of distinct keys proceed in parallel across
    reactors while racing loads of one key collapse to one. *)
 
@@ -111,7 +111,7 @@ type t = {
   config : config;
   store : Store.t option;
   peer_fetch : (string -> (Bytes.t, Protocol.err) result) option;
-  cache : (string, Session.images) Ipds_parallel.Memo.t;
+  cache : (string, Session.entry) Ipds_parallel.Memo.t;
   fd : Unix.file_descr;
   sock_path : string option;
   stop_flag : bool Atomic.t;

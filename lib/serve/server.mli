@@ -17,9 +17,10 @@
     listener for a fixed back-off instead of spinning, counted in the
     unstable [serve.accept_backoffs].  Loaded artifacts live in one
     {!Ipds_parallel.Memo} LRU of [config.cache_slots] entries, each as
-    the image set the checker reads ({!Session.images}); a
+    the image set the checker reads ({!Session.entry}); a
     [Load_image] or store load decodes only those images, never the
-    code section.  Each reactor reads every connection it owns into one
+    code section, and a warm [Load_image] hashes nothing
+    ({!Session.create} states the contract).  Each reactor reads every connection it owns into one
     shared buffer, and between reads a connection keeps only the
     leftover of a frame split across reads, so an idle connection
     holds no input buffer.

@@ -36,6 +36,8 @@ let m_artifact_fetches = Reg.counter "serve.artifact_fetches"
 let m_artifact_pushes = Reg.counter "serve.artifact_pushes"
 let m_artifact_verify_rejects = Reg.counter "serve.artifact_verify_rejects"
 let m_artifact_peer_loads = Reg.counter ~stable:false "serve.artifact_peer_loads"
+let m_image_digest_mismatches =
+  Reg.counter ~stable:false "serve.image_digest_mismatches"
 let m_timeouts = Reg.counter ~stable:false "serve.timeouts"
 let m_batch_micros = Reg.histogram ~stable:false "serve.batch_micros"
 
@@ -51,9 +53,13 @@ let images_of_list l =
   List.iter (fun (name, img) -> Hashtbl.replace tbl name img) l;
   tbl
 
+(* [payload] is the verified container an inline image was decoded
+   from; a [Load_image] hit must present exactly these bytes. *)
+type entry = { images : images; payload : string option }
+
 type t = {
   store : Store.t option;
-  cache : (string, images) Memo.t;
+  cache : (string, entry) Memo.t;
   peer_fetch : (string -> (Bytes.t, Protocol.err) result) option;
   mutable images : images option;
   mutable checker : Checker.t option;
@@ -76,9 +82,13 @@ let create ?peer_fetch ~store ~cache () =
   }
 
 (* The cache key of an inline image: the server and routing clients
-   must derive it identically.  SHA-256 so the key is a
-   collision-resistant content address, like store keys. *)
-let image_key image = "img:" ^ Ipds_core.Sha256.hex_string image
+   must derive it identically.  It is the SHA-256 the container's
+   header claims for its body, read, not computed: an entry only
+   enters the cache once [images_of_bytes] has verified that claim,
+   and a hit must present the entry's exact bytes, so a forged header
+   can never be served another image's tables. *)
+let image_key image =
+  Option.map (fun d -> "img:" ^ d) (Ipds_artifact.Object_file.header_digest image)
 
 (* Full verification of untrusted container bytes before they are
    published to the store (a pushed artifact or one fetched from a
@@ -117,19 +127,30 @@ let close t =
       t.checker <- None
   | None -> ()
 
-(* Resolve [key] through the shared cache, running [load] on a miss. *)
-let load_images t ~send ~name key load =
-  let loaded ~cached imgs =
-    t.images <- Some imgs;
-    send (Protocol.Loaded { name; cached });
-    `Continue
-  in
-  match Memo.fetch t.cache key load with
-  | `Hit imgs -> loaded ~cached:true imgs
-  | `Loaded imgs -> loaded ~cached:false imgs
-  | `Err (code, detail) ->
+let loaded t ~send ~name ~cached = function
+  | Ok imgs ->
+      t.images <- Some imgs;
+      send (Protocol.Loaded { name; cached });
+      `Continue
+  | Error (code, detail) ->
       send_error ~send code detail;
       `Close
+
+(* Resolve [key] through the shared cache, running [load] on a miss;
+   [hit] serves a resident entry. *)
+let load_cached t ~send ~name key load ~hit =
+  match Memo.fetch t.cache key load with
+  | `Hit e -> hit e
+  | `Loaded e -> loaded t ~send ~name ~cached:false (Ok e.images)
+  | `Err err -> loaded t ~send ~name ~cached:false (Error err)
+
+(* The checker-only load of an inline image: nothing is published, so
+   the code section the checker never reads is not decoded either; the
+   payload is only read, so it is decoded in place. *)
+let decode_image image =
+  match Artifact.images_of_bytes (Bytes.unsafe_of_string image) with
+  | l -> Ok (images_of_list l)
+  | exception Artifact.Corrupt m -> Error (Protocol.Corrupt_artifact, m)
 
 (* {2 The feed loop}
 
@@ -301,17 +322,29 @@ let handle t ~send (f : Protocol.frame) =
                             ignore (Store.publish_image store key bytes);
                             Ok (images_of_list l))))
           in
-          load_images t ~send ~name:key key load))
-  | Protocol.Load_image { name; image } ->
-      (* the checker-only load: nothing is published, so the code
-         section the checker never reads is not decoded either; the
-         payload is only read, so it is decoded in place *)
-      let load () =
-        match Artifact.images_of_bytes (Bytes.unsafe_of_string image) with
-        | l -> Ok (images_of_list l)
-        | exception Artifact.Corrupt m -> Error (Protocol.Corrupt_artifact, m)
-      in
-      load_images t ~send ~name (image_key image) load
+          load_cached t ~send ~name:key key
+            (fun () ->
+              Result.map (fun images -> { images; payload = None }) (load ()))
+            ~hit:(fun e -> loaded t ~send ~name:key ~cached:true (Ok e.images))))
+  | Protocol.Load_image { name; image } -> (
+      (* a miss's one SHA-256 is [images_of_bytes]'s body check; a hit
+         hashes nothing, it compares bytes *)
+      match image_key image with
+      | None -> loaded t ~send ~name ~cached:false (decode_image image)
+      | Some key ->
+          load_cached t ~send ~name key
+            (fun () ->
+              Result.map
+                (fun images -> { images; payload = Some image })
+                (decode_image image))
+            ~hit:(function
+              | { images; payload = Some p } when String.equal p image ->
+                  loaded t ~send ~name ~cached:true (Ok images)
+              | _ ->
+                  (* the claimed digest of other bytes: this frame stands
+                     on its own verification and is never cached *)
+                  Reg.incr m_image_digest_mismatches;
+                  loaded t ~send ~name ~cached:false (decode_image image)))
   | Protocol.Begin_trace -> (
       match (t.images, t.checker) with
       | None, _ ->

@@ -34,6 +34,11 @@ val m_artifact_peer_loads : Reg.counter
 (** Local-store misses satisfied by fetching a verified artifact from a
     fleet peer.  Unstable: depends on which shard warmed first. *)
 
+val m_image_digest_mismatches : Reg.counter
+(** [Load_image] frames whose header digest named a cached entry but
+    whose bytes differed from it; each was decoded and verified on its
+    own.  Unstable: whether an entry is resident depends on timing. *)
+
 val m_timeouts : Reg.counter
 (** Unstable (timing-dependent). *)
 
@@ -44,10 +49,14 @@ type images = (string, Ipds_core.Image.t) Hashtbl.t
     one loaded artifact, by name.  Built once per load and only read
     after that, so one set is shared by every session and domain. *)
 
+type entry
+(** A cache entry: an image set, plus, for an inline image, the exact
+    container bytes it was verified from. *)
+
 val create :
   ?peer_fetch:(string -> (Bytes.t, Protocol.err) result) ->
   store:Ipds_artifact.Store.t option ->
-  cache:(string, images) Ipds_parallel.Memo.t ->
+  cache:(string, entry) Ipds_parallel.Memo.t ->
   unit ->
   t
 (** Counts [serve.sessions].  [cache] holds the image sets of loaded
@@ -55,7 +64,18 @@ val create :
     {!image_key} for [Load_image] and by the store key for [Load_key].
     Every load path ends in an image set: [Load_image] and a local
     store hit decode only the checker's sections
-    ({!Ipds_artifact.Artifact.images_of_bytes}).  [peer_fetch] is the
+    ({!Ipds_artifact.Artifact.images_of_bytes}).
+
+    The [Load_image] contract: a miss runs that decode, whose check
+    of the body against the header digest is the load's one SHA-256,
+    and caches the image set with the verified payload.  A hit hashes
+    nothing: it is served ([cached = true]) only when the frame's bytes
+    are [String.equal] to the stored payload.  Other bytes under the
+    same header digest are decoded and verified on their own, served
+    uncached ([cached = false]) or refused as [corrupt-artifact], and
+    counted in {!m_image_digest_mismatches}; they never get another
+    image's tables.  A payload shorter than the container header has no
+    key and goes straight to the decode, which refuses it.  [peer_fetch] is the
     fleet hook consulted on a [Load_key] local-store miss: it returns
     the raw container bytes of the key from a warm peer.  Those bytes
     are published to the local store, so the session first verifies
@@ -63,10 +83,12 @@ val create :
     {!Ipds_core.Image.validate}), as it does a [Push_artifact]; a cold
     shard then warms itself instead of answering [unknown-artifact]. *)
 
-val image_key : string -> string
-(** The cache key of an inline [.ipds] image ("img:" ^ SHA-256 hex) —
-    the server and routing clients must derive it identically, so it
-    lives here. *)
+val image_key : string -> string option
+(** The cache key of an inline [.ipds] image: "img:" ^ the hex of the
+    SHA-256 its {!Ipds_artifact.Object_file} header claims for the
+    body, read at offset 16 and not recomputed, so deriving it costs no
+    hash.  [None] for a payload shorter than the header.  The server
+    and routing clients must derive it identically, so it lives here. *)
 
 val send_error : send:(Protocol.frame -> unit) -> Protocol.error_code -> string -> unit
 (** Classify into the error counters and emit one [Error] frame. *)

@@ -6,7 +6,9 @@
       exercised cold and warm (LRU + store key path);
    B. robustness: garbage, truncated, oversized, corrupt, out-of-state
       and silent sessions all get typed error replies, are counted in
-      the metrics, and leave the server serving;
+      the metrics, and leave the server serving; a forged body under a
+      cached image's header digest is refused, not served from the
+      cache, and the honest image still hits;
    C. concurrency determinism: N concurrent client domains against
       --jobs 1 vs --jobs 4 produce identical per-session verdicts and an
       identical stable metrics section;
@@ -24,7 +26,9 @@
    F. admission: against a server in a child process, every connection
       past Server.max_connections reads exactly one typed Overloaded
       error, then EOF, and once the held connections close a fresh
-      session still gets byte-identical verdicts;
+      session still gets byte-identical verdicts; that child then
+      refuses a forged body under the cached image's digest and still
+      serves the honest image as a hit;
    G. descriptor exhaustion: against a child under [ulimit -n 32],
       more pending connections than it has fds must not make the
       accept loop spin (its CPU over 1 s stays under 0.2 s), and once
@@ -262,6 +266,14 @@ let expect_error what sock bytes code =
       (P.error_code_to_string got);
   Unix.close fd
 
+(* [image] with one body byte flipped: same header, same claimed
+   digest, so the same cache key. *)
+let flip_body_byte image =
+  let b = Bytes.copy image in
+  let i = Bytes.length b / 2 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+  b
+
 let phase_b () =
   section "B: malformed/oversized/stale input -> typed errors, no crash";
   let sock = temp_path "-b.sock" in
@@ -344,10 +356,7 @@ let phase_b () =
       expect_rpc_error "unknown key" (Client.load_key c "no-such-key")
         P.Unknown_artifact;
       Client.close c;
-      let corrupt = Bytes.copy image in
-      Bytes.set corrupt
-        (Bytes.length corrupt / 2)
-        (Char.chr (Char.code (Bytes.get corrupt (Bytes.length corrupt / 2)) lxor 0x40));
+      let corrupt = flip_body_byte image in
       let c = Client.connect (`Unix sock) in
       expect_rpc_error "corrupt image" (Client.load_image c ~name:"bad" corrupt)
         P.Corrupt_artifact;
@@ -362,13 +371,28 @@ let phase_b () =
       if ok (Client.load_image c ~name:w.W.name image) then
         fail "post-abuse: expected a cold load";
       assert_equivalent ~what:"post-abuse" run (remote_check c run);
+      Client.close c;
+      (* a forged body under the cached image's header digest: the
+         cache key matches, the bytes do not, so the frame is verified
+         on its own and refused — never served the cached tables *)
+      let mismatches0 = cval "serve.image_digest_mismatches" in
+      let c = Client.connect (`Unix sock) in
+      expect_rpc_error "forged header digest"
+        (Client.load_image c ~name:"forged" corrupt)
+        P.Corrupt_artifact;
+      Client.close c;
+      if cval "serve.image_digest_mismatches" - mismatches0 <> 1 then
+        fail "forged header digest: the mismatch was not counted";
+      let c = Client.connect (`Unix sock) in
+      if not (ok (Client.load_image c ~name:w.W.name image)) then
+        fail "after the forged frame: expected the honest image to hit";
       Client.close c);
   let proto = cval "serve.protocol_errors" - proto0
   and state = cval "serve.state_errors" - state0
   and timeouts = cval "serve.timeouts" - timeouts0 in
   (* garbage, truncated, bad-crc, version-skew, v1 frame, oversized,
-     unknown-key, corrupt-image *)
-  if proto <> 8 then fail "protocol_errors: %d, expected 8" proto;
+     unknown-key, corrupt-image, forged-header *)
+  if proto <> 9 then fail "protocol_errors: %d, expected 9" proto;
   if state <> 3 then fail "state_errors: %d, expected 3" state;
   if timeouts <> 1 then fail "timeouts: %d, expected 1" timeouts;
   Printf.printf "B ok: %d protocol errors, %d state errors, %d timeout — all typed\n%!"
@@ -769,6 +793,17 @@ let phase_f () =
   let c = Client.connect (`Unix sock) in
   ignore (ok (Client.load_image c ~name:w.W.name image));
   assert_equivalent ~what:"F: fresh session after refusals" run (remote_check c run);
+  Client.close c;
+  (* a forged body under the now-cached digest, against a server in
+     its own process: refused, and the honest image still hits *)
+  let c = Client.connect (`Unix sock) in
+  (match Client.load_image c ~name:"forged" (flip_body_byte image) with
+  | Error e when e.P.code = P.Corrupt_artifact -> ()
+  | _ -> fail "F: forged header digest: expected corrupt-artifact");
+  Client.close c;
+  let c = Client.connect (`Unix sock) in
+  if not (ok (Client.load_image c ~name:w.W.name image)) then
+    fail "F: after the forged frame: expected the honest image to hit";
   Client.close c;
   Printf.printf
     "F ok: %d connections held, %d refused with a typed Overloaded, then \

@@ -737,6 +737,148 @@ let test_session_major_words () =
     true
     (words <= payload +. 64.)
 
+(* ---------- inline images: keyed by header digest, hits compare bytes ---------- *)
+
+module Object_file = Ipds_artifact.Object_file
+
+(* One [Load_image] of [image] in a fresh session over [cache]. *)
+let load_inline cache image =
+  let s = Session.create ~store:None ~cache () in
+  let replies = ref [] in
+  ignore
+    (Session.handle s
+       ~send:(fun f -> replies := f :: !replies)
+       (P.Load_image { name = "img"; image }));
+  Session.close s;
+  match !replies with
+  | [ P.Loaded { cached; _ } ] -> `Cached cached
+  | [ P.Error { P.code; _ } ] -> `Error code
+  | _ -> Alcotest.fail "expected exactly one Loaded or Error reply"
+
+let telnetd_image () =
+  Bytes.to_string (Ipds_artifact.Artifact.to_bytes (W.system (W.find "telnetd")))
+
+(* The telnetd container with one more section, [pad], last in its
+   table. *)
+let padded_image pad =
+  let sections =
+    Object_file.of_bytes (Bytes.of_string (telnetd_image ())) @ [ ("pad", pad) ]
+  in
+  Bytes.to_string (Object_file.to_bytes ~sections)
+
+let loaded_as what want got =
+  check what true (got = want)
+
+let test_image_hit () =
+  let cache = Ipds_parallel.Memo.create ~capacity:4 () in
+  let image = telnetd_image () in
+  loaded_as "first load is cold" (`Cached false) (load_inline cache image);
+  (* a fresh copy: equal bytes, not the same string *)
+  loaded_as "same bytes again hit" (`Cached true)
+    (load_inline cache (Bytes.to_string (Bytes.of_string image)))
+
+let mismatches () = Reg.counter_value Session.m_image_digest_mismatches
+let protocol_errors () = Reg.counter_value Session.m_protocol_errors
+
+let test_forged_body () =
+  let cache = Ipds_parallel.Memo.create ~capacity:4 () in
+  let image = telnetd_image () in
+  loaded_as "honest load" (`Cached false) (load_inline cache image);
+  let forged = Bytes.of_string image in
+  let last = Bytes.length forged - 1 in
+  Bytes.set forged last (Char.chr (Char.code (Bytes.get forged last) lxor 1));
+  let forged = Bytes.to_string forged in
+  check "same header digest" true
+    (Session.image_key forged = Session.image_key image);
+  let m0 = mismatches () and p0 = protocol_errors () in
+  loaded_as "forged body refused" (`Error P.Corrupt_artifact)
+    (load_inline cache forged);
+  Alcotest.(check int) "mismatch counted" 1 (mismatches () - m0);
+  Alcotest.(check int) "error counted" 1 (protocol_errors () - p0);
+  loaded_as "honest image still hits" (`Cached true) (load_inline cache image)
+
+(* The section count sits outside the digested body, so a container
+   that drops its last table entry keeps the digest and still verifies:
+   other bytes under a cached key are served, but never from the
+   cache. *)
+let test_valid_mismatch_uncached () =
+  let cache = Ipds_parallel.Memo.create ~capacity:4 () in
+  let image = padded_image (Bytes.make 64 'p') in
+  let variant = Bytes.of_string image in
+  Bytes.set_int32_le variant 12 (Int32.pred (Bytes.get_int32_le variant 12));
+  let variant = Bytes.to_string variant in
+  check "same header digest" true
+    (Session.image_key variant = Session.image_key image);
+  loaded_as "padded load" (`Cached false) (load_inline cache image);
+  let m0 = mismatches () in
+  loaded_as "variant served uncached" (`Cached false) (load_inline cache variant);
+  loaded_as "and never cached" (`Cached false) (load_inline cache variant);
+  Alcotest.(check int) "both mismatches counted" 2 (mismatches () - m0);
+  loaded_as "padded still hits" (`Cached true) (load_inline cache image)
+
+let test_short_payload () =
+  let cache = Ipds_parallel.Memo.create ~capacity:4 () in
+  let image = telnetd_image () in
+  loaded_as "honest load" (`Cached false) (load_inline cache image);
+  for n = 0 to Object_file.header_bytes - 1 do
+    check (Printf.sprintf "%d bytes: no key" n) true
+      (Session.image_key (String.sub image 0 n) = None);
+    loaded_as
+      (Printf.sprintf "%d-byte prefix refused" n)
+      (`Error P.Corrupt_artifact)
+      (load_inline cache (String.sub image 0 n))
+  done
+
+(* Best of [n] wall-clock timings of [f], in seconds. *)
+let best_of n f =
+  let best = ref infinity in
+  for _ = 1 to n do
+    let t0 = Unix.gettimeofday () in
+    f ();
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
+
+(* A warm hit costs a byte compare, not a hash: on a container padded
+   with a 1 MB section it must take under a quarter of one SHA-256 over
+   the same bytes. *)
+let test_warm_hit_cost () =
+  let cache = Ipds_parallel.Memo.create ~capacity:4 () in
+  let image =
+    padded_image (Bytes.init 1_048_576 (fun i -> Char.chr ((i * 131) land 0xFF)))
+  in
+  loaded_as "padded load" (`Cached false) (load_inline cache image);
+  let copies = Array.init 5 (fun _ -> Bytes.to_string (Bytes.of_string image)) in
+  let k = ref 0 in
+  let hit =
+    best_of 5 (fun () ->
+        loaded_as "warm hit" (`Cached true) (load_inline cache copies.(!k));
+        incr k)
+  in
+  let buf = Bytes.of_string image in
+  let sha =
+    best_of 5 (fun () ->
+        ignore (Ipds_core.Sha256.bytes buf ~pos:0 ~len:(Bytes.length buf)))
+  in
+  check
+    (Printf.sprintf "warm hit %.0f us vs SHA-256 %.0f us over %d bytes"
+       (hit *. 1e6) (sha *. 1e6) (String.length image))
+    true
+    (hit < sha /. 4.)
+
+(* ---------- slice-by-8 CRC-32 against the byte-at-a-time reference ---------- *)
+
+let test_crc32_differential () =
+  let module Crc32 = Ipds_artifact.Crc32 in
+  Alcotest.(check int32) "check value" 0xCBF43926l (Crc32.string "123456789");
+  let buf = Bytes.init (2048 + 8) (fun i -> Char.chr ((i * 7919) lxor (i lsr 3) land 0xFF)) in
+  for pos = 0 to 7 do
+    for len = 0 to 2048 do
+      if Crc32.bytes buf ~pos ~len <> Crc32_ref.bytes buf ~pos ~len then
+        Alcotest.failf "CRC-32 differs from the reference at pos %d len %d" pos len
+    done
+  done
+
 (* ---------- frames split across reads ---------- *)
 
 let tmp_sock name =
@@ -902,5 +1044,22 @@ let () =
         [
           Alcotest.test_case "cache_slots = 1 keeps one system" `Quick
             test_cache_slots_exact;
+        ] );
+      ( "image-cache",
+        [
+          Alcotest.test_case "same bytes: cold, then a hit" `Quick test_image_hit;
+          Alcotest.test_case "forged body under a cached digest refused" `Quick
+            test_forged_body;
+          Alcotest.test_case "valid bytes under a cached digest: uncached"
+            `Quick test_valid_mismatch_uncached;
+          Alcotest.test_case "payload shorter than a header refused" `Quick
+            test_short_payload;
+          Alcotest.test_case "warm hit under a quarter of one SHA-256" `Quick
+            test_warm_hit_cost;
+        ] );
+      ( "crc32",
+        [
+          Alcotest.test_case "slice-by-8 = byte-at-a-time" `Quick
+            test_crc32_differential;
         ] );
     ]
