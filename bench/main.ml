@@ -8,13 +8,22 @@
                                             and detection latency (paper §6)
      dune exec bench/main.exe -- table1  -- simulated processor parameters
      dune exec bench/main.exe -- compile-time
-     dune exec bench/main.exe -- ablation
+     dune exec bench/main.exe -- ablation    -- correlation families on/off
+     dune exec bench/main.exe -- opt-levels  -- O0 / promotion / scalar opts
+     dune exec bench/main.exe -- models  -- overflow vs arbitrary-write attacker
      dune exec bench/main.exe -- precision -- Fig-7 lift from --precision on
+     dune exec bench/main.exe -- baseline -- 3-gram syscall detector vs IPDS
+     dune exec bench/main.exe -- ctx     -- context-switch save/restore cost
      dune exec bench/main.exe -- attacks -- attack universes (mem, cond-flip,
                                             insn-skip) over the workloads, a
                                             generated population, and the DME
                                             baseline; writes BENCH_attacks.json
      dune exec bench/main.exe -- smoke   -- tiny campaign + invariant checks
+
+   ablation, opt-levels, models and precision are variant lists over one
+   driver (Ipds_harness.Sweep): one Fig-7 campaign per variant.  The first
+   three share one table and one JSON shape; precision adds its refine
+   counters, per-function stats and per-pass cost.
 
    The verdict server and the flat checker are measured by perfbench, not
    here: python3 perfbench/run.py --workload serve-stream (or
@@ -166,22 +175,35 @@ let compile_time () =
              passes) );
     ]
 
-let ablation ~attacks ?pool () =
-  section (Printf.sprintf "Ablation (%d attacks/server)" attacks);
-  let rows = H.Ablation.run_all ~attacks ?pool () in
-  print_endline (H.Ablation.render rows);
+(* ---------- sweeps: one campaign per variant, one table, one JSON ---------- *)
+
+let sweep_json rows =
   J.List
     (List.map
-       (fun (r : H.Ablation.row) ->
+       (fun (r : H.Sweep.row) ->
          J.Obj
            [
              ("variant", J.String r.label);
-             ("avg_detected", J.Float r.avg_detected);
-             ("detected_given_cf", J.Float r.detected_given_cf);
+             ("summary", H.Attack_bench.summary_json r.summary);
              ("checked_branches", J.Int r.checked_branches);
-             ("avg_bat_bits", J.Float r.avg_bat_bits);
+             ("total_branches", J.Int r.total_branches);
+             ( "avg_bat_bits",
+               Option.fold ~none:J.Null ~some:(fun b -> J.Float b) r.avg_bat_bits
+             );
            ])
        rows)
+
+let sweep ~title ?(per_variant = false) variants ~attacks ~seed ?pool () =
+  section (Printf.sprintf "%s (%d attacks/server)" title attacks);
+  let rows = H.Sweep.run ~attacks ~seed ?pool variants in
+  print_endline (H.Sweep.render rows);
+  if per_variant then
+    List.iter
+      (fun (r : H.Sweep.row) ->
+        Printf.printf "\n-- %s --\n%s\n" r.label
+          (H.Attack_experiment.render r.summary))
+      rows;
+  sweep_json rows
 
 let baseline ~attacks ~seed ?pool () =
   section
@@ -205,25 +227,6 @@ let baseline ~attacks ~seed ?pool () =
            ])
        rows)
 
-let models ~attacks ~seed ?pool () =
-  section
-    (Printf.sprintf "Attack models (paper §3): overflow vs arbitrary write (%d \
-                     attacks/server)" attacks);
-  let rows = H.Model_experiment.run_all ~attacks ~seed ?pool () in
-  print_endline (H.Model_experiment.render rows);
-  J.List
-    (List.map
-       (fun (r : H.Model_experiment.row) ->
-         J.Obj
-           [
-             ("workload", J.String r.workload);
-             ("overflow_cf", J.Float r.overflow_cf);
-             ("overflow_detected", J.Float r.overflow_detected);
-             ("arbitrary_cf", J.Float r.arbitrary_cf);
-             ("arbitrary_detected", J.Float r.arbitrary_detected);
-           ])
-       rows)
-
 let ctx () =
   section "Context switches: save/restore cost vs switch period (sshd)";
   let rows = H.Ctx_experiment.run (W.find "sshd") in
@@ -241,23 +244,26 @@ let ctx () =
 
 (* ---------- precision: Fig-7 lift from feasible-path refinement ---------- *)
 
-let precision_options =
-  {
-    Ipds_correlation.Analysis.default_options with
-    Ipds_correlation.Analysis.precision = Ipds_correlation.Analysis.precision_on;
-  }
-
-(* Same campaign twice — default options, then with the refine pass on —
-   and report the per-workload detection delta plus what the refinement
-   actually did (obs counters) and what it cost (per-pass deltas). *)
+(* The two variants of [Sweep.precision] — default options, then with the
+   refine pass on — one campaign each, and report the per-workload
+   detection delta plus what the refinement actually did (obs counters)
+   and what it cost (per-pass deltas). *)
 let precision ~attacks ~seed ?pool ~out () =
   section
     (Printf.sprintf "Feasible-path refinement: detection lift (%d attacks/server)"
        attacks);
-  (* only the passes the campaign moved *)
-  let campaign_cost f =
-    let result, passes = H.Compile_time.with_passes f in
-    ( result,
+  let off_variant, on_variant =
+    match H.Sweep.precision with
+    | [ off; on ] -> (off, on)
+    | _ -> invalid_arg "Sweep.precision is not an off/on pair"
+  in
+  (* the campaign's summary, and only the passes it moved *)
+  let campaign v =
+    let rows, passes =
+      H.Compile_time.with_passes (fun () ->
+          H.Sweep.run ~attacks ~seed ?pool [ v ])
+    in
+    ( (List.hd rows).H.Sweep.summary,
       List.filter
         (fun (p : H.Compile_time.pass_row) -> p.units <> 0 || p.seconds >= 1e-9)
         passes )
@@ -270,15 +276,9 @@ let precision ~attacks ~seed ?pool ~out () =
       (fun n -> (n, Ipds_obs.Registry.counter_value (Ipds_obs.Registry.counter n)))
       refine_names
   in
-  let off, cost_off =
-    campaign_cost (fun () -> H.Attack_experiment.run_all ~attacks ~seed ?pool ())
-  in
+  let off, cost_off = campaign off_variant in
   let r0 = refine_snapshot () in
-  let on, cost_on =
-    campaign_cost (fun () ->
-        H.Attack_experiment.run_all ~options:precision_options ~attacks ~seed
-          ?pool ())
-  in
+  let on, cost_on = campaign on_variant in
   let r1 = refine_snapshot () in
   let refine_counters =
     List.map2 (fun (n, v0) (_, v1) -> (n, v1 - v0)) r0 r1
@@ -315,7 +315,7 @@ let precision ~attacks ~seed ?pool ~out () =
   let fn_stats =
     List.concat_map
       (fun w ->
-        let sys = W.system ~options:precision_options ?pool w in
+        let sys = on_variant.H.Sweep.system w in
         List.filter_map
           (fun (fname, (info : Ipds_core.System.func_info)) ->
             Option.map
@@ -517,28 +517,6 @@ type opts = {
   universes : H.Attack_experiment.universe list;  (* for the attacks target *)
 }
 
-let opt_levels ~attacks ~seed ?pool () =
-  section
-    (Printf.sprintf
-       "Optimization levels (paper: \"compiler optimizations can remove \
-        some correlations\"; %d attacks/server)"
-       attacks);
-  let rows = H.Opt_experiment.run_all ~attacks ~seed ?pool () in
-  print_endline (H.Opt_experiment.render rows);
-  J.List
-    (List.map
-       (fun (r : H.Opt_experiment.row) ->
-         J.Obj
-           [
-             ("level", J.String r.level);
-             ("avg_detected", J.Float r.avg_detected);
-             ("detected_given_cf", J.Float r.detected_given_cf);
-             ("avg_cf_changed", J.Float r.avg_cf_changed);
-             ("checked_branches", J.Int r.checked_branches);
-             ("total_branches", J.Int r.total_branches);
-           ])
-       rows)
-
 (* Every target, by name: the one table that both argument validation
    and dispatch read. *)
 let target_table : (string * (opts -> Pool.t option -> unit -> J.t)) list =
@@ -549,13 +527,25 @@ let target_table : (string * (opts -> Pool.t option -> unit -> J.t)) list =
     ("fig9", fun _ pool -> fig9 ?pool);
     ("table1", fun _ _ -> table1);
     ("compile-time", fun _ _ -> compile_time);
-    ("ablation", fun o pool -> ablation ~attacks:(att o 40) ?pool);
+    ( "ablation",
+      fun o pool ->
+        sweep ~title:"Ablation" H.Sweep.ablation ~attacks:(att o 40)
+          ~seed:o.seed ?pool );
     ( "opt-levels",
-      fun o pool -> opt_levels ~attacks:(att o 40) ~seed:o.seed ?pool );
+      fun o pool ->
+        sweep
+          ~title:
+            "Optimization levels (paper: \"compiler optimizations can remove \
+             some correlations\")"
+          H.Sweep.opt_levels ~attacks:(att o 40) ~seed:o.seed ?pool );
     ( "baseline",
       fun o pool -> baseline ~attacks:(att o 100) ~seed:o.seed ?pool );
     ("ctx", fun _ _ -> ctx);
-    ("models", fun o pool -> models ~attacks:(att o 100) ~seed:o.seed ?pool);
+    ( "models",
+      fun o pool ->
+        sweep ~title:"Attack models (paper §3): overflow vs arbitrary write"
+          ~per_variant:true H.Sweep.models ~attacks:(att o 100) ~seed:o.seed
+          ?pool );
     ( "precision",
       fun o pool ->
         precision ~attacks:(att o 100) ~seed:o.seed ?pool ~out:o.precision_out );

@@ -393,23 +393,9 @@ let perf_cmd =
       ~manifest:
         [ ("file", Obs.Json.String file); ("seed", Obs.Json.Int seed) ]
       obs;
-    let system = load_system file in
-    let program = system.Core.System.program in
-    let drive cpu =
-      ignore
-        (M.Interp.run program
-           {
-             M.Interp.default_config with
-             inputs = M.Input_script.random ~seed ();
-             observer = Some (P.Cpu.observer cpu);
-           })
+    let base, ipds =
+      Ipds_harness.Perf_experiment.measure ~seed ~repeats:1 (load_system file)
     in
-    let base_cpu = P.Cpu.create ~system:None () in
-    let ipds_cpu = P.Cpu.create ~system:(Some system) () in
-    drive base_cpu;
-    drive ipds_cpu;
-    let base = P.Cpu.finish base_cpu in
-    let ipds = P.Cpu.finish ipds_cpu in
     Format.printf "baseline:@.%a@.@.with IPDS:@.%a@." P.Cpu.pp_report base
       P.Cpu.pp_report ipds;
     Format.printf "@.normalized: %.4f@." (ipds.P.Cpu.cycles /. base.P.Cpu.cycles)
@@ -440,7 +426,7 @@ let trace_cmd =
           else if !log_lines = limit then print_endline "... (truncated)";
           incr log_lines)
     in
-    let observer (e : M.Event.t) =
+    let sink (e : M.Event.t) =
       match e.M.Event.kind with
       | M.Event.Call { callee } ->
           if Mir.Program.is_defined program callee then Core.Trace_log.on_call log callee
@@ -456,7 +442,7 @@ let trace_cmd =
         {
           M.Interp.default_config with
           inputs = M.Input_script.random ~seed ();
-          observer = Some observer;
+          sink = Some sink;
         }
     in
     Core.Checker.flush (Core.Trace_log.checker log);

@@ -44,7 +44,7 @@ let () =
          {
            M.Interp.default_config with
            inputs = M.Input_script.random ~seed:2006 ();
-           observer = Some (P.Cpu.observer cpu);
+           sink = Some (P.Cpu.observer cpu);
          })
   in
   drive base_cpu;

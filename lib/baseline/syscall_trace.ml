@@ -27,12 +27,12 @@ let recorder program =
 
 let collect program ~(config : M.Interp.config) =
   let observe, trace = recorder program in
-  let observer =
-    match config.M.Interp.observer with
+  let sink =
+    match config.M.Interp.sink with
     | None -> observe
     | Some f ->
         fun e ->
           observe e;
           f e
   in
-  trace (M.Interp.run program { config with M.Interp.observer = Some observer })
+  trace (M.Interp.run program { config with M.Interp.sink = Some sink })

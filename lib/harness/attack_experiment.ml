@@ -99,15 +99,15 @@ type attempt = {
   attack : (M.Tamper.plan * M.Interp.outcome) option;
 }
 
-let attempt ?observer ~system ~model program rng =
+let attempt ?sink ~system ~model program rng =
   let input_seed = Random.State.bits rng land 0xffffff in
-  let run ?observer tamper =
+  let run ?sink tamper =
     M.Interp.run program
       {
         (run_config ~input_seed) with
         checker = Some (Core.System.new_checker system);
         tamper;
-        observer;
+        sink;
       }
   in
   let benign = run None in
@@ -139,7 +139,7 @@ let attempt ?observer ~system ~model program rng =
         | `Insn_skip -> M.Tamper.Insn_skip
       in
       let plan = { M.Tamper.at_step; site; seed } in
-      Some (plan, run ?observer (Some plan))
+      Some (plan, run ?sink (Some plan))
     end
   in
   { input_seed; benign; attack }
@@ -161,12 +161,12 @@ let classify a =
 let run_attempt ~system ~program ~model ~seed ~name i =
   classify (attempt ~system ~model program (attempt_rng ~seed ~name ~attempt:i))
 
-let campaign ?options ?system ?pool ?(attacks = 100) ?(seed = 2006) ~model
-    ~name program =
+let campaign ?system ?pool ?(attacks = 100) ?(seed = 2006) ~model ~name
+    program =
   let system =
     match system with
     | Some s -> s
-    | None -> Core.System.cached_build ?options program
+    | None -> Core.System.cached_build program
   in
   (* Some attempts pick a victim whose old value equals the attack value
      (no-op); keep evaluating fresh attempts until [attacks] real
@@ -226,17 +226,12 @@ let campaign ?options ?system ?pool ?(attacks = 100) ?(seed = 2006) ~model
   { workload = name; attacks = !injected; cf_changed = !cf_changed;
     detected = !detected }
 
-let run ?options ?promote ?pool ?prepare ?(universe = `Mem) ?attacks ?seed
-    (w : W.t) =
-  let model = model_of_universe ~workload:w universe in
-  match prepare with
-  | Some prepare ->
-      campaign ?options ?pool ?attacks ?seed ~model ~name:w.W.name (prepare w)
-  | None ->
-      (* artifact-aware: on a warm cache this skips compile + analysis *)
-      let system = W.system ?promote ?options w in
-      campaign ?options ~system ?pool ?attacks ?seed ~model ~name:w.W.name
-        system.Core.System.program
+let run ?pool ?(universe = `Mem) ?attacks ?seed (w : W.t) =
+  (* artifact-aware: on a warm cache this skips compile + analysis *)
+  let system = W.system w in
+  campaign ~system ?pool ?attacks ?seed
+    ~model:(model_of_universe ~workload:w universe)
+    ~name:w.W.name system.Core.System.program
 
 let summarize rows =
   let frac num den = if den = 0 then 0. else float_of_int num /. float_of_int den in
@@ -254,12 +249,9 @@ let summarize rows =
     detected_given_cf = mean (fun r -> frac r.detected (max 1 r.cf_changed));
   }
 
-let run_all ?options ?promote ?prepare ?universe ?attacks ?seed ?jobs ?pool () =
+let run_all ?universe ?attacks ?seed ?jobs ?pool () =
   Pool.with_opt ?jobs ?pool (fun pool ->
-      summarize
-        (Pool.map' pool
-           (run ?options ?promote ?pool ?prepare ?universe ?attacks ?seed)
-           W.all))
+      summarize (Pool.map' pool (run ?pool ?universe ?attacks ?seed) W.all))
 
 let render s =
   let rows =
@@ -274,13 +266,15 @@ let render s =
         ])
       s.rows
   in
+  (* an empty summary has no measured average to show *)
+  let mean x = if s.rows = [] then "n/a" else Table.pct x in
   let avg =
     [
       "AVERAGE";
       "";
-      Table.pct s.avg_cf_changed;
-      Table.pct s.avg_detected;
-      Table.pct s.detected_given_cf;
+      mean s.avg_cf_changed;
+      mean s.avg_detected;
+      mean s.detected_given_cf;
     ]
   in
   Table.render

@@ -95,7 +95,7 @@ type attempt = {
 }
 
 val attempt :
-  ?observer:(Ipds_machine.Event.t -> unit) ->
+  ?sink:(Ipds_machine.Event.t -> unit) ->
   system:Ipds_core.System.t ->
   model:model ->
   Ipds_mir.Program.t ->
@@ -106,13 +106,12 @@ val attempt :
     the [20%, 100%) window of it and rerun the same inputs tampered.
     Draws from the RNG, in order: the input seed, the step, the value
     (drawn for every model; branch faults ignore it) and the tamper
-    seed.  Both passes run under a fresh checker from [system];
-    [observer] watches the attacked pass only. *)
+    seed.  Both passes run under a fresh checker from [system]; [sink]
+    receives the attacked pass's committed events only. *)
 
 val classify : attempt -> attempt_outcome
 
 val campaign :
-  ?options:Ipds_correlation.Analysis.options ->
   ?system:Ipds_core.System.t ->
   ?pool:Ipds_parallel.Pool.t ->
   ?attacks:int ->
@@ -124,30 +123,23 @@ val campaign :
 (** Attack campaign against an explicit program under an explicit tamper
     model.  [name] labels the row and salts the attack RNG.  The
     program's IPDS tables come from [system] when given (e.g. loaded
-    from an on-disk artifact) and {!Ipds_core.System.cached_build}
-    otherwise. *)
+    from an on-disk artifact, or built another way by a {!Sweep}
+    variant) and from {!Ipds_core.System.cached_build} with the default
+    analysis options otherwise. *)
 
 val run :
-  ?options:Ipds_correlation.Analysis.options ->
-  ?promote:bool ->
   ?pool:Ipds_parallel.Pool.t ->
-  ?prepare:(Ipds_workloads.Workloads.t -> Ipds_mir.Program.t) ->
   ?universe:universe ->
   ?attacks:int ->
   ?seed:int ->
   Ipds_workloads.Workloads.t ->
   row
-(** By default the program and tables come from
-    {!Ipds_workloads.Workloads.system} — two-tier cached, so a warm
-    process skips both the MiniC compile and the analysis.  [promote]
-    (default true) selects register promotion on that path.  [prepare]
-    overrides the compilation pipeline entirely (the tables then come
-    from {!Ipds_core.System.cached_build} and [promote] is ignored). *)
+(** The workload's default build from {!Ipds_workloads.Workloads.system}
+    — two-tier cached, so a warm process skips both the MiniC compile
+    and the analysis — attacked in [universe] (default [`Mem]).  Other
+    builds or attackers go through {!Sweep}. *)
 
 val run_all :
-  ?options:Ipds_correlation.Analysis.options ->
-  ?promote:bool ->
-  ?prepare:(Ipds_workloads.Workloads.t -> Ipds_mir.Program.t) ->
   ?universe:universe ->
   ?attacks:int ->
   ?seed:int ->
@@ -163,3 +155,5 @@ val run_all :
 
 val summarize : row list -> summary
 val render : summary -> string
+(** One row per workload plus an AVERAGE row ("n/a" for an empty
+    summary). *)

@@ -38,8 +38,8 @@ let run ?(n = 3) ?(train_runs = 40) ?(holdout_runs = 50) ?(attacks = 100)
   let attempts = ref 0 in
   while !injected < attacks && !attempts < attacks * 4 do
     incr attempts;
-    let observer, trace = B.Syscall_trace.recorder program in
-    let a = A.attempt ~observer ~system ~model program rng in
+    let sink, trace = B.Syscall_trace.recorder program in
+    let a = A.attempt ~sink ~system ~model program rng in
     let outcome = A.classify a in
     A.check_sound ~name:w.W.name outcome;
     match (outcome, a.A.attack) with

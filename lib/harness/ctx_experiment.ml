@@ -11,19 +11,18 @@ type row = {
   overhead : float;
 }
 
-let run ?(config = P.Config.default) ?(seed = 42)
-    ?(periods = [ 2_000; 5_000; 10_000; 25_000 ]) (w : W.t) =
+let run (w : W.t) =
   let system = W.system w in
   let program = system.Core.System.program in
   let measure ?ctx_switch_period () =
-    let cpu = P.Cpu.create ~config ?ctx_switch_period ~system:(Some system) () in
+    let cpu = P.Cpu.create ?ctx_switch_period ~system:(Some system) () in
     for i = 0 to 39 do
       ignore
         (M.Interp.run program
            {
              M.Interp.default_config with
-             inputs = M.Input_script.random ~seed:(seed + i) ();
-             observer = Some (P.Cpu.observer cpu);
+             inputs = M.Input_script.random ~seed:(42 + i) ();
+             sink = Some (P.Cpu.observer cpu);
              record_trace = false;
            })
     done;
@@ -45,7 +44,7 @@ let run ?(config = P.Config.default) ?(seed = 42)
         plain_ipds_cycles = plain.P.Cpu.cycles;
         overhead = r.P.Cpu.cycles /. plain.P.Cpu.cycles;
       })
-    periods
+    [ 2_000; 5_000; 10_000; 25_000 ]
 
 let render rows =
   Table.render

@@ -12,13 +12,9 @@ type row = {
   overhead : float;  (** ipds_cycles / plain_ipds_cycles *)
 }
 
-val run :
-  ?config:Ipds_pipeline.Config.t ->
-  ?seed:int ->
-  ?periods:int list ->
-  Ipds_workloads.Workloads.t ->
-  row list
-(** Default periods: 2k, 5k, 10k, 25k cycles (a real OS quantum
-    at 1 GHz is on the order of a million cycles). *)
+val run : Ipds_workloads.Workloads.t -> row list
+(** Periods of 2k, 5k, 10k and 25k cycles (a real OS quantum at 1 GHz
+    is on the order of a million cycles), over 40 benign runs seeded
+    from 42. *)
 
 val render : row list -> string

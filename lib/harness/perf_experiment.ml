@@ -15,11 +15,10 @@ type row = {
   stall_cycles : float;
 }
 
-let run ?(config = P.Config.default) ?(seed = 42) ?(repeats = 5) (w : W.t) =
-  let system = W.system w in
+let measure ~seed ~repeats system =
   let program = system.Core.System.program in
-  let base_cpu = P.Cpu.create ~config ~system:None () in
-  let ipds_cpu = P.Cpu.create ~config ~system:(Some system) () in
+  let base_cpu = P.Cpu.create ~system:None () in
+  let ipds_cpu = P.Cpu.create ~system:(Some system) () in
   for i = 0 to repeats - 1 do
     let run_with cpu =
       ignore
@@ -27,15 +26,17 @@ let run ?(config = P.Config.default) ?(seed = 42) ?(repeats = 5) (w : W.t) =
            {
              M.Interp.default_config with
              inputs = M.Input_script.random ~seed:(seed + i) ();
-             observer = Some (P.Cpu.observer cpu);
+             sink = Some (P.Cpu.observer cpu);
              record_trace = false;
            })
     in
     run_with base_cpu;
     run_with ipds_cpu
   done;
-  let base = P.Cpu.finish base_cpu in
-  let ipds = P.Cpu.finish ipds_cpu in
+  (P.Cpu.finish base_cpu, P.Cpu.finish ipds_cpu)
+
+let run ?(seed = 42) ?(repeats = 5) (w : W.t) =
+  let base, ipds = measure ~seed ~repeats (W.system w) in
   let stats =
     match ipds.P.Cpu.ipds with
     | Some s -> s
@@ -56,9 +57,9 @@ let run ?(config = P.Config.default) ?(seed = 42) ?(repeats = 5) (w : W.t) =
 
 (* Simulated cycle counts are deterministic per workload, so the fan-out
    is safe for any job count. *)
-let run_all ?config ?seed ?repeats ?jobs ?pool () =
+let run_all ?seed ?repeats ?jobs ?pool () =
   Pool.with_opt ?jobs ?pool (fun pool ->
-      Pool.map' pool (run ?config ?seed ?repeats) W.all)
+      Pool.map' pool (run ?seed ?repeats) W.all)
 
 let render rows =
   let mean fmt f =

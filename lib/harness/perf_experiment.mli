@@ -13,17 +13,22 @@ type row = {
   stall_cycles : float;
 }
 
-val run :
-  ?config:Ipds_pipeline.Config.t ->
-  ?seed:int ->
-  ?repeats:int ->
-  Ipds_workloads.Workloads.t ->
-  row
-(** [repeats] runs of the benign driver are concatenated into one trace
+val measure :
+  seed:int ->
+  repeats:int ->
+  Ipds_core.System.t ->
+  Ipds_pipeline.Cpu.report * Ipds_pipeline.Cpu.report
+(** [(base, ipds)]: the timing model ({!Ipds_pipeline.Config.default})
+    without and with the IPDS engine over the same [repeats] benign runs
+    of the system's program, run [i] on inputs seeded [seed + i].  The
+    [ipds perf] command is [~repeats:1]. *)
+
+val run : ?seed:int -> ?repeats:int -> Ipds_workloads.Workloads.t -> row
+(** {!measure} on the workload's default build, seed 42 by default;
+    [repeats] runs of the benign driver are concatenated into one trace
     (default 5) to smooth the timing. *)
 
 val run_all :
-  ?config:Ipds_pipeline.Config.t ->
   ?seed:int ->
   ?repeats:int ->
   ?jobs:int ->

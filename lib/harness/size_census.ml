@@ -9,8 +9,8 @@ type row = {
   avg_bat_bits : float;
 }
 
-let run ?options (w : W.t) =
-  let system = W.system ?options w in
+let run (w : W.t) =
+  let system = W.system w in
   let stats = Core.System.size_stats system in
   {
     workload = w.W.name;
@@ -20,7 +20,7 @@ let run ?options (w : W.t) =
     avg_bat_bits = stats.Core.System.avg_bat_bits;
   }
 
-let run_all ?options () = List.map (run ?options) W.all
+let run_all () = List.map run W.all
 
 let render rows =
   let mean f =

@@ -9,6 +9,6 @@ type row = {
   avg_bat_bits : float;
 }
 
-val run : ?options:Ipds_correlation.Analysis.options -> Ipds_workloads.Workloads.t -> row
-val run_all : ?options:Ipds_correlation.Analysis.options -> unit -> row list
+val run : Ipds_workloads.Workloads.t -> row
+val run_all : unit -> row list
 val render : row list -> string

@@ -23,13 +23,10 @@ type config = {
   inputs : Input_script.t;
   checker : Ipds_core.Checker.t option;
   trap_on_alarm : bool;
-  observer : (Event.t -> unit) option;
   sink : (Event.t -> unit) option;
-      (* Second event tap, independent of [observer], so a run can feed a
-         timing model and stream its events to a remote checker at the
-         same time.  Events arrive strictly in commit order: an event is
-         emitted only after its instruction's effects (including the
-         callee frame push for calls) have been applied, so replaying
+      (* The one event tap.  Events arrive strictly in commit order: an
+         event is emitted only after its instruction's effects (including
+         the callee frame push for calls) have been applied, so replaying
          the stream through {!Ipds_core.Checker} is equivalent to inline
          checking even when the run faults or traps mid-block. *)
   record_trace : bool;
@@ -42,7 +39,6 @@ let default_config =
     inputs = Input_script.constant 0;
     checker = None;
     trap_on_alarm = false;
-    observer = None;
     sink = None;
     record_trace = true;
     tamper = None;
@@ -245,15 +241,11 @@ let exec_extern st name (args : Value.t list) =
 
 (* ---------- the main loop ---------- *)
 
-let dispatch st (e : Event.t) =
-  (match st.config.observer with Some f -> f e | None -> ());
-  match st.config.sink with Some f -> f e | None -> ()
-
 let emit st (a : act) iid kind =
-  match st.config.observer, st.config.sink with
-  | None, None -> ()
-  | _ ->
-      dispatch st
+  match st.config.sink with
+  | None -> ()
+  | Some f ->
+      f
         {
           Event.fname = a.func.Mir.Func.name;
           iid;
@@ -525,15 +517,15 @@ let run program config =
     }
   in
   try
-    (* Observers and sinks see the initial activation as a call event,
+    (* The sink sees the initial activation as a call event,
        so external models (the IPDS checker in the timing model, the
        remote verdict server) can push main's tables.  Emitted after the
        frame commits, like every other call event. *)
     push_function st program.Mir.Program.main [] None;
-    (match config.observer, config.sink with
-    | None, None -> ()
-    | _ ->
-        dispatch st
+    (match config.sink with
+    | None -> ()
+    | Some f ->
+        f
           {
             Event.fname = program.Mir.Program.main;
             iid = 0;

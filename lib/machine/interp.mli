@@ -36,20 +36,21 @@ type config = {
       (** abort execution at the first alarm, like the hardware (default
           false: record alarms and keep running, convenient for
           experiments) *)
-  observer : (Event.t -> unit) option;
   sink : (Event.t -> unit) option;
-      (** like [observer], but with a commit-order guarantee: events are
-          emitted only after the action they describe has taken effect
-          (a call that faults pushing its frame is never emitted), so a
-          checker replaying the sink stream — locally via
+      (** the run's one event tap (timing model, syscall recorder,
+          trace log, remote checker).  Events arrive in commit order:
+          each is emitted only after the action it describes has taken
+          effect (a call that faults pushing its frame is never
+          emitted), so a checker replaying the sink stream — locally via
           {!Replay.feed} or remotely over the verdict server — reaches
-          exactly the same verdicts as an inline [checker]. *)
+          exactly the same verdicts as an inline [checker].  The initial
+          activation of [main] arrives as a call event. *)
   record_trace : bool;
   tamper : Tamper.plan option;
 }
 
 val default_config : config
-(** 500k steps, constant-0 inputs, no checker/observer/tamper, trace
+(** 500k steps, constant-0 inputs, no checker/sink/tamper, trace
     recording on. *)
 
 val run : Ipds_mir.Program.t -> config -> outcome

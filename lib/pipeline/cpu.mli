@@ -9,7 +9,7 @@
     {[
       let cpu = Cpu.create ~config ~system:(Some sys) program in
       let _ = Interp.run program
-        { config with observer = Some (Cpu.observer cpu) } in
+        { config with sink = Some (Cpu.observer cpu) } in
       let r = Cpu.finish cpu in ...
     ]} *)
 

@@ -477,7 +477,7 @@ let prop_checker_matches_oracle =
       in
       (* oracle run, driven by events *)
       let oracle = Oracle.create program in
-      let observer (e : Ipds_machine.Event.t) =
+      let sink (e : Ipds_machine.Event.t) =
         match e.Ipds_machine.Event.kind with
         | Ipds_machine.Event.Call { callee } ->
             if Mir.Program.is_defined program callee then Oracle.on_call oracle callee
@@ -496,7 +496,7 @@ let prop_checker_matches_oracle =
             Ipds_machine.Interp.default_config with
             max_steps = 3000;
             inputs = Ipds_machine.Input_script.random ~seed ();
-            observer = Some observer;
+            sink = Some sink;
           }
       in
       ignore tamper;
@@ -521,7 +521,7 @@ let prop_checker_matches_oracle =
               (Core.Checker.alarms checker2)
           in
           let oracle2 = Oracle.create program in
-          let observer2 (e : Ipds_machine.Event.t) =
+          let sink2 (e : Ipds_machine.Event.t) =
             match e.Ipds_machine.Event.kind with
             | Ipds_machine.Event.Call { callee } ->
                 if Mir.Program.is_defined program callee then
@@ -541,7 +541,7 @@ let prop_checker_matches_oracle =
                 Ipds_machine.Interp.default_config with
                 max_steps = 3000;
                 inputs = Ipds_machine.Input_script.random ~seed ();
-                observer = Some observer2;
+                sink = Some sink2;
                 tamper = Some plan;
               }
           in

@@ -38,7 +38,23 @@ let test_stats () =
 (* Empty-sample rendering: a table over zero rows must show "n/a" in its
    AVERAGE cells, never "0.0%" (which would read as a measured value). *)
 let test_empty_sample_rendering () =
-  check "model render n/a" true (contains (H.Model_experiment.render []) "n/a");
+  let empty = H.Attack_experiment.summarize [] in
+  check "attack render n/a" true
+    (contains (H.Attack_experiment.render empty) "n/a"
+    && not (contains (H.Attack_experiment.render empty) "0.0%"));
+  check "sweep render n/a" true
+    (contains
+       (H.Sweep.render
+          [
+            {
+              H.Sweep.label = "none";
+              summary = empty;
+              checked_branches = 0;
+              total_branches = 0;
+              avg_bat_bits = None;
+            };
+          ])
+       "n/a");
   check "perf render n/a" true (contains (H.Perf_experiment.render []) "n/a");
   check "census render n/a" true (contains (H.Size_census.render []) "n/a");
   check "baseline render n/a" true
@@ -274,26 +290,75 @@ let test_compile_time () =
   check "compile under a second" true (row.H.Compile_time.seconds < 1.0);
   check "hash search did some work" true (row.H.Compile_time.hash_attempts > 0)
 
+let ablation_variant label =
+  List.find (fun (v : H.Sweep.variant) -> v.label = label) H.Sweep.ablation
+
 let test_ablation_variants () =
-  check_int "five variants" 5 (List.length H.Ablation.variants);
-  let labels = List.map (fun (v : H.Ablation.variant) -> v.H.Ablation.label) H.Ablation.variants in
+  check_int "five variants" 5 (List.length H.Sweep.ablation);
+  let labels = List.map (fun (v : H.Sweep.variant) -> v.label) H.Sweep.ablation in
   check "has full" true (List.mem "full" labels);
   check "has no-affine" true (List.mem "no-affine" labels)
 
 let test_ablation_monotonic () =
   (* Disabling correlation families cannot check MORE branches. *)
-  let full = List.find (fun (v : H.Ablation.variant) -> v.H.Ablation.label = "full") H.Ablation.variants in
-  let noll = List.find (fun (v : H.Ablation.variant) -> v.H.Ablation.label = "no-load-load") H.Ablation.variants in
-  let count options =
+  let count (v : H.Sweep.variant) =
     List.fold_left
-      (fun acc w ->
-        acc
-        + Ipds_core.System.checked_branch_count
-            (Ipds_core.System.build ~options (W.program w)))
+      (fun acc w -> acc + Ipds_core.System.checked_branch_count (v.system w))
       0 W.all
   in
   check "fewer checks without load-load" true
-    (count noll.H.Ablation.options <= count full.H.Ablation.options)
+    (count (ablation_variant "no-load-load") <= count (ablation_variant "full"))
+
+(* Every variant of the four sweeps at 8 attacks/server, seed 2006:
+   summed attacks, cf_changed and detected, checked/total branches and
+   the mean per-server BAT size.  The figures were taken from the
+   per-comparison modules the sweep replaced (ablation, optimization
+   levels, attack models, precision off/on), so they pin that every
+   variant still builds and attacks exactly as before. *)
+let test_sweep_golden () =
+  let expect variants golden =
+    let rows = H.Sweep.run ~attacks:8 ~seed:2006 variants in
+    List.iter2
+      (fun (r : H.Sweep.row) (label, attacks, cf, det, checked, total, bat) ->
+        let sum f = List.fold_left (fun a row -> a + f row) 0 r.summary.rows in
+        Alcotest.(check string) "label" label r.label;
+        check_int (label ^ " attacks") attacks
+          (sum (fun row -> row.H.Attack_experiment.attacks));
+        check_int (label ^ " cf_changed") cf
+          (sum (fun row -> row.H.Attack_experiment.cf_changed));
+        check_int (label ^ " detected") det
+          (sum (fun row -> row.H.Attack_experiment.detected));
+        check_int (label ^ " checked") checked r.checked_branches;
+        check_int (label ^ " total") total r.total_branches;
+        Alcotest.(check string)
+          (label ^ " avg BAT bits") bat
+          (Option.fold ~none:"n/a" ~some:(Printf.sprintf "%.1f") r.avg_bat_bits))
+      rows golden
+  in
+  expect H.Sweep.ablation
+    [
+      ("full", 88, 23, 16, 105, 240, "699.8");
+      ("no-load-load", 88, 23, 10, 68, 240, "337.0");
+      ("no-store-load", 88, 23, 14, 105, 240, "699.8");
+      ("no-affine", 88, 23, 16, 105, 240, "699.8");
+      ("precise-globals", 88, 23, 16, 105, 240, "699.8");
+    ];
+  expect H.Sweep.opt_levels
+    [
+      ("O0 (all memory)", 88, 23, 9, 190, 240, "1167.0");
+      ("O1 (promotion)", 88, 23, 16, 105, 240, "699.8");
+      ("O2 (opt+promotion)", 88, 27, 18, 104, 240, "647.6");
+    ];
+  expect H.Sweep.models
+    [
+      ("overflow", 88, 23, 16, 105, 240, "699.8");
+      ("arbitrary", 88, 22, 14, 105, 240, "699.8");
+    ];
+  expect H.Sweep.precision
+    [
+      ("off", 88, 23, 16, 105, 240, "699.8");
+      ("on", 88, 23, 19, 117, 240, "717.9");
+    ]
 
 let () =
   Alcotest.run "harness"
@@ -335,5 +400,6 @@ let () =
           Alcotest.test_case "compile time" `Quick test_compile_time;
           Alcotest.test_case "ablation variants" `Quick test_ablation_variants;
           Alcotest.test_case "ablation monotonic" `Slow test_ablation_monotonic;
+          Alcotest.test_case "sweep golden" `Slow test_sweep_golden;
         ] );
     ]

@@ -580,7 +580,6 @@ let sink_replay_agrees ?tamper ?(trap_on_alarm = false) ~seed p =
   let o =
     M.Interp.run p
       {
-        M.Interp.default_config with
         max_steps = 2000;
         inputs = M.Input_script.random ~seed ();
         checker = Some checker;

@@ -141,7 +141,7 @@ exit:
     let cpu = P.Cpu.create ?ctx_switch_period:period ~system:(Some system) () in
     ignore
       (M.Interp.run p
-         { M.Interp.default_config with observer = Some (P.Cpu.observer cpu) });
+         { M.Interp.default_config with sink = Some (P.Cpu.observer cpu) });
     (P.Cpu.finish cpu).P.Cpu.cycles
   in
   let none = run None in
@@ -175,7 +175,7 @@ let run_cpu ~with_ipds =
   let cpu = P.Cpu.create ~system () in
   ignore
     (M.Interp.run p
-       { M.Interp.default_config with observer = Some (P.Cpu.observer cpu) });
+       { M.Interp.default_config with sink = Some (P.Cpu.observer cpu) });
   P.Cpu.finish cpu
 
 let test_cpu_baseline () =

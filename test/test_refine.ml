@@ -90,7 +90,7 @@ let pruned_by_func p =
 let benign_avoids_pruned ~seed p =
   let pruned = pruned_by_func p in
   let violated = ref false in
-  let observer (e : M.Event.t) =
+  let sink (e : M.Event.t) =
     match e.M.Event.kind with
     | M.Event.Branch { taken; _ } -> (
         match List.assoc_opt e.M.Event.fname pruned with
@@ -105,7 +105,7 @@ let benign_avoids_pruned ~seed p =
         M.Interp.default_config with
         max_steps = 5000;
         inputs = M.Input_script.random ~seed ();
-        observer = Some observer;
+        sink = Some sink;
       }
   in
   not !violated
@@ -221,13 +221,16 @@ let test_workloads_no_false_positives () =
 (* ---------- determinism across job counts ---------- *)
 
 let test_jobs_deterministic () =
-  let run jobs =
-    H.Attack_experiment.run_all ~options:on_options ~attacks:4 ~seed:11 ~jobs ()
+  let on =
+    List.filter (fun (v : H.Sweep.variant) -> v.label = "on") H.Sweep.precision
   in
-  check "precision-on campaign identical for jobs 1 vs 4" true
-    (String.equal
-       (H.Attack_experiment.render (run 1))
-       (H.Attack_experiment.render (run 4)))
+  let run jobs =
+    Ipds_parallel.Pool.with_opt ~jobs (fun pool ->
+        H.Sweep.run ~attacks:4 ~seed:11 ?pool on)
+  in
+  (* whole rows: per-workload counts, averages and census *)
+  check "precision-on sweep rows identical for jobs 1 vs 4" true
+    (run 1 = run 4)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
