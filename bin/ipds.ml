@@ -156,14 +156,8 @@ let obs_init ?(manifest = []) ~command obs =
             (Obs.Json.Obj
                [
                  ("manifest", Obs.Manifest.to_json ());
-                 ("metrics", Obs.Registry.snapshot_json ~stability:`Stable ());
-                 ( "runtime",
-                   Obs.Json.Obj
-                     [
-                       ( "metrics",
-                         Obs.Registry.snapshot_json ~stability:`Unstable () );
-                       ("spans", Obs.Span.snapshot_json ());
-                     ] );
+                 ("metrics", Ipds_harness.Obs_report.metrics_json ());
+                 ("runtime", Ipds_harness.Obs_report.runtime_json ());
                ]))
 
 let seed_arg =
@@ -239,7 +233,7 @@ let print_feasibility_summary (system : Core.System.t) =
   end
 
 let print_pass_report () =
-  Format.printf "per-pass breakdown (units stable, seconds wall-clock):@.%s"
+  Format.printf "per-pass breakdown (units stable, seconds wall-clock):@.%s@."
     (Ipds_pass.Pass.render_report (Ipds_pass.Pass.report ()))
 
 let analyze_cmd =
@@ -325,16 +319,13 @@ let attack_cmd =
       value
       & opt
           (enum
-             [
-               ("overflow", `Stack_overflow);
-               ("arbitrary", `Arbitrary_write);
-               (* "mem" is the universe spelling of the memory scenario;
-                  with no per-workload vulnerability class attached to a
-                  FILE it means an arbitrary write *)
-               ("mem", `Arbitrary_write);
-               ("cond-flip", `Cond_flip);
-               ("insn-skip", `Insn_skip);
-             ])
+             (List.concat_map
+                (fun ((_, m) as model) ->
+                  (* "mem" is the universe spelling of the memory
+                     scenario; with no per-workload vulnerability class
+                     attached to a FILE it means an arbitrary write *)
+                  if m = `Arbitrary_write then [ model; ("mem", m) ] else [ model ])
+                Ipds_harness.Attack_experiment.models))
           `Arbitrary_write
       & info [ "model" ]
           ~doc:

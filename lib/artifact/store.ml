@@ -337,3 +337,47 @@ let ambient () =
   in
   Mutex.unlock ambient_mutex;
   v
+
+let ambient_json () =
+  let module J = Ipds_obs.Json in
+  match ambient () with
+  | None -> J.Obj [ ("enabled", J.Bool false) ]
+  | Some store ->
+      let c = counters () in
+      J.Obj
+        [
+          ("enabled", J.Bool true);
+          ("dir", J.String store.dir);
+          ("artifact_hits", J.Int c.hits);
+          ("artifact_misses", J.Int c.misses);
+          ("corrupt_entries", J.Int c.corrupt);
+          ("fn_hits", J.Int c.fn_hits);
+          ("fn_misses", J.Int c.fn_misses);
+          ("fn_precision_misses", J.Int c.fn_precision_misses);
+          ("fn_corrupt_entries", J.Int c.fn_corrupt);
+          ("collisions", J.Int c.collisions);
+          ("publish_failures", J.Int c.publish_failed);
+          ("bytes_read", J.Int c.bytes_read);
+          ("bytes_written", J.Int c.bytes_written);
+          ("load_wall_seconds", J.Float c.load_seconds);
+          ("store_wall_seconds", J.Float c.store_seconds);
+        ]
+
+let ambient_summary () =
+  Option.map
+    (fun store ->
+      let c = counters () in
+      Printf.sprintf
+        "artifact cache %s: %d hits, %d misses (%d corrupt), fn tier %d hits, \
+         %d misses (%d corrupt), %d KiB read, %d KiB written, load %.3fs, \
+         store %.3fs%s"
+        store.dir c.hits c.misses c.corrupt c.fn_hits c.fn_misses c.fn_corrupt
+        (c.bytes_read / 1024) (c.bytes_written / 1024) c.load_seconds
+        c.store_seconds
+        (* faults are rare enough that a healthy run shows none *)
+        (if c.collisions > 0 || c.publish_failed > 0 then
+           Printf.sprintf
+             "\nartifact cache faults: %d collisions, %d failed publishes"
+             c.collisions c.publish_failed
+         else ""))
+    (ambient ())

@@ -139,3 +139,12 @@ type counters = {
 
 val counters : unit -> counters
 val reset_counters : unit -> unit
+
+val ambient_json : unit -> Ipds_obs.Json.t
+(** The ambient store's counters as a report section:
+    [{"enabled":false}] without an ambient store, else its [dir] and
+    every counter. *)
+
+val ambient_summary : unit -> string option
+(** One line of the ambient store's counters, plus a line of faults when
+    there were any; [None] without an ambient store. *)

@@ -117,8 +117,8 @@ val new_checker : t -> Checker.t
 (** A fresh checker over this system's flat images. *)
 
 val new_ref_checker : t -> Checker_ref.t
-(** A fresh reference (list-based) checker — differential tests and the
-    throughput bench baseline. *)
+(** A fresh reference (list-based) checker — the differential oracle
+    of the flat checker's tests. *)
 
 type size_stats = {
   per_func : (string * Tables.sizes) list;

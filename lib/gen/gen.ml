@@ -386,14 +386,13 @@ let ast ?(spec = default_spec) ~seed ~index () =
 let source ?spec ~seed ~index () = Printer.program (ast ?spec ~seed ~index ())
 let compile ?spec ~seed ~index () = Ipds_minic.Minic.compile (source ?spec ~seed ~index ())
 
-let population ?spec ?jobs ?pool ~seed ~count () =
+let population ?spec ?pool ~seed ~count () =
   let chunk = 32 in
   let nchunks = (count + chunk - 1) / chunk in
-  Pool.with_opt ?jobs ?pool (fun pool ->
-      Pool.map' pool
-        (fun ci ->
-          List.init
-            (min chunk (count - (ci * chunk)))
-            (fun j -> source ?spec ~seed ~index:((ci * chunk) + j) ()))
-        (List.init nchunks Fun.id))
+  Pool.map' pool
+    (fun ci ->
+      List.init
+        (min chunk (count - (ci * chunk)))
+        (fun j -> source ?spec ~seed ~index:((ci * chunk) + j) ()))
+    (List.init nchunks Fun.id)
   |> List.concat

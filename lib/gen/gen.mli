@@ -50,12 +50,11 @@ val compile : ?spec:spec -> seed:int -> index:int -> unit -> Ipds_mir.Program.t
 
 val population :
   ?spec:spec ->
-  ?jobs:int ->
   ?pool:Ipds_parallel.Pool.t ->
   seed:int ->
   count:int ->
   unit ->
   string list
 (** Sources for indices [0 .. count-1], generated in fixed-size chunks
-    over the pool and reassembled in index order — the result is
-    byte-identical for any [jobs] value (including [~jobs:1]). *)
+    over [pool] (none: sequential) and reassembled in index order — the
+    result is byte-identical with or without a pool, of any size. *)

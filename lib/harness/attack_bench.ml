@@ -29,14 +29,17 @@ type result = {
   pop_distinct : int;
   pop_universes : (A.universe * A.summary) list;
   dme : Dme_experiment.row list;
+  wall_seconds : float;
 }
 
 let run ?(config = default_config) ?pool () =
+  let t0 = Unix.gettimeofday () in
   let workload_universes =
-    List.map
-      (fun u ->
-        (u, A.run_all ~universe:u ~attacks:config.attacks ~seed:config.seed ?pool ()))
+    List.map2
+      (fun u (row : Sweep.row) -> (u, row.Sweep.summary))
       config.universes
+      (Sweep.run ~attacks:config.attacks ~seed:config.seed ?pool
+         (List.map Sweep.universe config.universes))
   in
   let members =
     Ipds_gen.Gen.population ?pool ~seed:config.seed ~count:config.pop_members ()
@@ -66,40 +69,21 @@ let run ?(config = default_config) ?pool () =
     Dme_experiment.run_all ~attacks:config.dme_attacks
       ~holdout:config.dme_holdout ~seed:config.seed ?pool ()
   in
-  { config; workload_universes; pop_distinct; pop_universes; dme }
+  {
+    config;
+    workload_universes;
+    pop_distinct;
+    pop_universes;
+    dme;
+    wall_seconds = Unix.gettimeofday () -. t0;
+  }
 
 let injected_total r =
-  let of_summaries l =
-    List.fold_left
-      (fun acc (_, (s : A.summary)) ->
-        List.fold_left (fun acc (row : A.row) -> acc + row.A.attacks) acc s.A.rows)
-      0 l
-  in
-  of_summaries r.workload_universes
-  + of_summaries r.pop_universes
-  + List.fold_left
-      (fun acc (row : Dme_experiment.row) -> acc + row.Dme_experiment.attacks)
-      0 r.dme
-
-let summary_json (s : A.summary) =
-  Json.Obj
-    [
-      ( "rows",
-        Json.List
-          (List.map
-             (fun (r : A.row) ->
-               Json.Obj
-                 [
-                   ("workload", Json.String r.A.workload);
-                   ("attacks", Json.Int r.A.attacks);
-                   ("cf_changed", Json.Int r.A.cf_changed);
-                   ("detected", Json.Int r.A.detected);
-                 ])
-             s.A.rows) );
-      ("avg_cf_changed", Json.Float s.A.avg_cf_changed);
-      ("avg_detected", Json.Float s.A.avg_detected);
-      ("detected_given_cf", Json.Float s.A.detected_given_cf);
-    ]
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  sum
+    (fun (_, (s : A.summary)) -> sum (fun (row : A.row) -> row.A.attacks) s.A.rows)
+    (r.workload_universes @ r.pop_universes)
+  + sum (fun (row : Dme_experiment.row) -> row.Dme_experiment.attacks) r.dme
 
 let universe_json (u, s) =
   Json.Obj
@@ -108,26 +92,22 @@ let universe_json (u, s) =
       (* campaigns raise False_positive on any benign alarm, so a report
          that exists at all certifies a clean benign sweep *)
       ("false_positives", Json.Int 0);
-      ("summary", summary_json s);
+      ("summary", A.summary_json s);
     ]
 
-let dme_json rows =
-  Json.List
-    (List.map
-       (fun (r : Dme_experiment.row) ->
-         let open Dme_experiment in
-         Json.Obj
-           [
-             ("workload", Json.String r.workload);
-             ("attacks", Json.Int r.attacks);
-             ("cf_changed", Json.Int r.cf_changed);
-             ("dme_detected", Json.Int r.dme_detected);
-             ("ipds_detected", Json.Int r.ipds_detected);
-             ("benign_diffs", Json.Int r.benign_diffs);
-             ("holdout", Json.Int r.holdout);
-             ("overhead", Json.Float r.overhead);
-           ])
-       rows)
+let dme_json =
+  Table.rows_json (fun (r : Dme_experiment.row) ->
+      let open Dme_experiment in
+      [
+        ("workload", Json.String r.workload);
+        ("attacks", Json.Int r.attacks);
+        ("cf_changed", Json.Int r.cf_changed);
+        ("dme_detected", Json.Int r.dme_detected);
+        ("ipds_detected", Json.Int r.ipds_detected);
+        ("benign_diffs", Json.Int r.benign_diffs);
+        ("holdout", Json.Int r.holdout);
+        ("overhead", Json.Float r.overhead);
+      ])
 
 let stable_json r =
   Json.Obj
@@ -150,5 +130,40 @@ let stable_json r =
             ("attacks_per_workload", Json.Int r.config.dme_attacks);
             ("holdout", Json.Int r.config.dme_holdout);
             ("rows", dme_json r.dme);
+          ] );
+    ]
+
+let attacks_per_second r =
+  float_of_int (injected_total r) /. Float.max r.wall_seconds 1e-9
+
+let render r =
+  let b = Buffer.create 4096 in
+  let universes family =
+    List.iter
+      (fun (u, s) ->
+        Printf.bprintf b "\n-- %s, universe %s --\n%s\n" family (A.universe_name u)
+          (A.render s))
+  in
+  universes "workloads" r.workload_universes;
+  Printf.bprintf b "\n-- generated population: %d members (%d distinct), seed %d --\n"
+    r.config.pop_members r.pop_distinct r.config.seed;
+  universes "population" r.pop_universes;
+  Printf.bprintf b "\n-- DME baseline (%d attacks/server, %d holdout pairs) --\n%s\n"
+    r.config.dme_attacks r.config.dme_holdout (Dme_experiment.render r.dme);
+  Printf.bprintf b "campaign throughput: %d injected attacks in %.2fs (%.1f/s)"
+    (injected_total r) r.wall_seconds (attacks_per_second r);
+  Buffer.contents b
+
+let to_json r =
+  Json.Obj
+    [
+      (* byte-identical across --jobs values *)
+      ("stable", stable_json r);
+      ( "throughput_unstable",
+        Json.Obj
+          [
+            ("wall_seconds", Json.Float r.wall_seconds);
+            ("injected_attacks", Json.Int (injected_total r));
+            ("attacks_per_second", Json.Float (attacks_per_second r));
           ] );
     ]

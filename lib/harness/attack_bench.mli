@@ -13,12 +13,13 @@
     - {b DME} — the layout-diversity baseline ({!Dme_experiment}),
       coverage and overhead next to IPDS.
 
-    Everything in {!stable_json} is deterministic: campaigns use
-    splittable or name-salted seeding, the generator is pure in
-    [(seed, index)], and fan-out preserves fold order — so the stable
-    report is byte-identical for any job count.  Wall-clock throughput
-    is the caller's to measure and must be reported separately (the
-    bench driver labels it unstable). *)
+    The workload universes are one {!Sweep} variant each
+    ({!Sweep.universe}).  Everything in {!stable_json} is deterministic:
+    campaigns use splittable or name-salted seeding, the generator is
+    pure in [(seed, index)], and fan-out preserves fold order — so the
+    stable report is byte-identical for any job count.  The run's
+    wall-clock throughput sits apart from it, in {!to_json}'s
+    ["throughput_unstable"] section. *)
 
 type config = {
   universes : Attack_experiment.universe list;
@@ -40,16 +41,21 @@ type result = {
   pop_distinct : int;  (** distinct sources in the generated population *)
   pop_universes : (Attack_experiment.universe * Attack_experiment.summary) list;
   dme : Dme_experiment.row list;
+  wall_seconds : float;  (** the whole run; unstable *)
 }
 
 val run : ?config:config -> ?pool:Ipds_parallel.Pool.t -> unit -> result
 (** Raises {!Attack_experiment.False_positive} if any benign run of any
     campaign raises an alarm. *)
 
-val injected_total : result -> int
-(** Total injected attacks across all campaigns — the denominator for
-    throughput reporting. *)
-
-val summary_json : Attack_experiment.summary -> Ipds_obs.Json.t
 val stable_json : result -> Ipds_obs.Json.t
 (** The deterministic report object (byte-identical across job counts). *)
+
+val render : result -> string
+(** Every table — workloads and population per universe, the DME
+    baseline — and the campaign throughput line. *)
+
+val to_json : result -> Ipds_obs.Json.t
+(** [{"stable": stable_json, "throughput_unstable": {wall_seconds,
+    injected_attacks, attacks_per_second}}] — the [BENCH_attacks.json]
+    document. *)

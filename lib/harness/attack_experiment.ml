@@ -66,16 +66,26 @@ type universe =
 
 type model = [ `Stack_overflow | `Arbitrary_write | `Cond_flip | `Insn_skip ]
 
+(* The one spelling of every model: CLI flags, event fields and sweep
+   labels all read it. *)
+let models : (string * model) list =
+  [
+    ("overflow", `Stack_overflow);
+    ("arbitrary", `Arbitrary_write);
+    ("cond-flip", `Cond_flip);
+    ("insn-skip", `Insn_skip);
+  ]
+
+let model_name m = fst (List.find (fun (_, m') -> m' = m) models)
+
 let universe_name = function
   | `Mem -> "mem"
-  | `Cond_flip -> "cond-flip"
-  | `Insn_skip -> "insn-skip"
+  | (`Cond_flip | `Insn_skip) as m -> model_name m
 
-let universe_of_name = function
-  | "mem" -> Some `Mem
-  | "cond-flip" -> Some `Cond_flip
-  | "insn-skip" -> Some `Insn_skip
-  | _ -> None
+let universe_of_name name =
+  List.find_opt
+    (fun u -> String.equal (universe_name u) name)
+    [ `Mem; `Cond_flip; `Insn_skip ]
 
 let model_of_universe ?workload = function
   | `Mem -> (
@@ -212,13 +222,7 @@ let campaign ?system ?pool ?(attacks = 100) ?(seed = 2006) ~model ~name
     Ipds_obs.Events.emit ~kind:"attack.campaign"
       [
         ("workload", Ipds_obs.Json.String name);
-        ( "model",
-          Ipds_obs.Json.String
-            (match model with
-            | `Stack_overflow -> "overflow"
-            | `Arbitrary_write -> "arbitrary"
-            | `Cond_flip -> "cond-flip"
-            | `Insn_skip -> "insn-skip") );
+        ("model", Ipds_obs.Json.String (model_name model));
         ("attacks", Ipds_obs.Json.Int !injected);
         ("cf_changed", Ipds_obs.Json.Int !cf_changed);
         ("detected", Ipds_obs.Json.Int !detected);
@@ -249,9 +253,24 @@ let summarize rows =
     detected_given_cf = mean (fun r -> frac r.detected (max 1 r.cf_changed));
   }
 
-let run_all ?universe ?attacks ?seed ?jobs ?pool () =
-  Pool.with_opt ?jobs ?pool (fun pool ->
-      summarize (Pool.map' pool (run ?pool ?universe ?attacks ?seed) W.all))
+let summary_json s =
+  let module J = Ipds_obs.Json in
+  J.Obj
+    [
+      ( "rows",
+        Table.rows_json
+          (fun r ->
+            [
+              ("workload", J.String r.workload);
+              ("attacks", J.Int r.attacks);
+              ("cf_changed", J.Int r.cf_changed);
+              ("detected", J.Int r.detected);
+            ])
+          s.rows );
+      ("avg_cf_changed", J.Float s.avg_cf_changed);
+      ("avg_detected", J.Float s.avg_detected);
+      ("detected_given_cf", J.Float s.detected_given_cf);
+    ]
 
 let render s =
   let rows =

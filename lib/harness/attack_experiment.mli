@@ -19,7 +19,7 @@
     sequential draws from one state), so attempts are independent tasks;
     campaigns fan them out across an {!Ipds_parallel.Pool} and fold the
     outcomes in attempt order.  Results are bit-for-bit identical for
-    any [jobs] value, including [~jobs:1] (no domains spawned). *)
+    any pool size, and without a pool (no domains spawned). *)
 
 type row = {
   workload : string;
@@ -65,8 +65,14 @@ type model = [ `Stack_overflow | `Arbitrary_write | `Cond_flip | `Insn_skip ]
 (** What one attempt tampers with: a memory write of either
     vulnerability class, or a branch fault. *)
 
+val models : (string * model) list
+(** Every model under its one spelling — ["overflow"], ["arbitrary"],
+    ["cond-flip"], ["insn-skip"] — which the [ipds attack --model] flag,
+    the [attack.campaign] event and the {!Sweep} labels all read. *)
+
 val universe_name : universe -> string
-(** ["mem"], ["cond-flip"], ["insn-skip"] — the CLI/bench spelling. *)
+(** ["mem"], or the branch-fault model's own name — the CLI/bench
+    spelling. *)
 
 val universe_of_name : string -> universe option
 
@@ -134,26 +140,18 @@ val run :
   ?seed:int ->
   Ipds_workloads.Workloads.t ->
   row
-(** The workload's default build from {!Ipds_workloads.Workloads.system}
-    — two-tier cached, so a warm process skips both the MiniC compile
-    and the analysis — attacked in [universe] (default [`Mem]).  Other
-    builds or attackers go through {!Sweep}. *)
-
-val run_all :
-  ?universe:universe ->
-  ?attacks:int ->
-  ?seed:int ->
-  ?jobs:int ->
-  ?pool:Ipds_parallel.Pool.t ->
-  unit ->
-  summary
-(** Fans every workload of {!Ipds_workloads.Workloads.all} out across
-    domains; each workload's attack attempts fan out in turn (the
-    waiting parent helps, see {!Ipds_parallel.Pool}).  [pool] reuses a caller's pool; otherwise a
-    pool of [jobs] (default {!Ipds_parallel.Pool.default_jobs}) is
-    created for the call.  [~jobs:1] is strictly sequential. *)
+(** One workload's campaign: its default build from
+    {!Ipds_workloads.Workloads.system} — two-tier cached, so a warm
+    process skips both the MiniC compile and the analysis — attacked in
+    [universe] (default [`Mem]).  Every workload at once, or other
+    builds and attackers, go through {!Sweep}. *)
 
 val summarize : row list -> summary
+val summary_json : summary -> Ipds_obs.Json.t
+(** [{"rows":[{workload, attacks, cf_changed, detected}…],
+    "avg_cf_changed", "avg_detected", "detected_given_cf"}] — the shape
+    of every report that carries a summary. *)
+
 val render : summary -> string
 (** One row per workload plus an AVERAGE row ("n/a" for an empty
     summary). *)

@@ -62,9 +62,8 @@ let run ?(n = 3) ?(train_runs = 40) ?(holdout_runs = 50) ?(attacks = 100)
 (* Each workload's campaign draws from its own (seed, name)-salted RNG,
    so fanning whole workloads out across domains keeps run_all
    deterministic for any job count. *)
-let run_all ?n ?train_runs ?holdout_runs ?attacks ?seed ?jobs ?pool () =
-  Pool.with_opt ?jobs ?pool (fun pool ->
-      Pool.map' pool (run ?n ?train_runs ?holdout_runs ?attacks ?seed) W.all)
+let run_all ?n ?train_runs ?holdout_runs ?attacks ?seed ?pool () =
+  Pool.map' pool (run ?n ?train_runs ?holdout_runs ?attacks ?seed) W.all
 
 let render rows =
   let mean f =
@@ -97,3 +96,15 @@ let render rows =
     ~header:
       [ "benchmark"; "ngram FP rate"; "ngram detected"; "IPDS FP rate"; "IPDS detected" ]
     (body @ [ avg ])
+
+let to_json =
+  let module J = Ipds_obs.Json in
+  Table.rows_json (fun r ->
+      [
+        ("workload", J.String r.workload);
+        ("ngram_fp", J.Float r.ngram_fp);
+        ("ngram_detected", J.Int r.ngram_detected);
+        ("ipds_detected", J.Int r.ipds_detected);
+        ("cf_changed", J.Int r.cf_changed);
+        ("attacks", J.Int r.attacks);
+      ])

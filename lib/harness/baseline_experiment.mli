@@ -35,9 +35,10 @@ val run_all :
   ?holdout_runs:int ->
   ?attacks:int ->
   ?seed:int ->
-  ?jobs:int ->
   ?pool:Ipds_parallel.Pool.t ->
   unit ->
   row list
+(** {!run} on every workload, fanned out over [pool] (none: sequential). *)
 
 val render : row list -> string
+val to_json : row list -> Ipds_obs.Json.t

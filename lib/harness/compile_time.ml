@@ -24,54 +24,27 @@ let run (w : W.t) =
 
 let run_all () = List.map run W.all
 
-(* ---------- per-pass breakdown ---------- *)
-
-type pass_row = {
-  pass : string;
-  scope : string;
-  units : int;
-  seconds : float;
-}
-
 (* Deltas of the process-wide pass metrics across [f ()], so builds run
    by other bench targets in the same process don't pollute the
    breakdown.  Unit counts are stable (fixed by the build set); wall
    seconds are scheduling-dependent and reported as unstable. *)
 let with_passes f =
-  let snapshot () = Ipds_pass.Pass.report () in
-  let before = snapshot () in
+  let module Pass = Ipds_pass.Pass in
+  let before = List.map (fun r -> (r.Pass.r_name, r)) (Pass.report ()) in
   let result = f () in
-  let units_before name =
-    match
-      List.find_opt (fun r -> String.equal r.Ipds_pass.Pass.r_name name) before
-    with
-    | Some r -> (r.Ipds_pass.Pass.r_units, r.Ipds_pass.Pass.r_seconds)
-    | None -> (0, 0.)
-  in
-  let passes =
+  ( result,
     List.map
-      (fun (r : Ipds_pass.Pass.report_row) ->
-        let u0, s0 = units_before r.Ipds_pass.Pass.r_name in
-        {
-          pass = r.Ipds_pass.Pass.r_name;
-          scope =
-            (match r.Ipds_pass.Pass.r_scope with
-            | Ipds_pass.Pass.Program -> "program"
-            | Ipds_pass.Pass.Function -> "function");
-          units = r.Ipds_pass.Pass.r_units - u0;
-          seconds = r.Ipds_pass.Pass.r_seconds -. s0;
-        })
-      (snapshot ())
-  in
-  (result, passes)
-
-let render_passes passes =
-  Table.render
-    ~header:[ "pass"; "scope"; "units"; "wall seconds (unstable)" ]
-    (List.map
-       (fun p ->
-         [ p.pass; p.scope; string_of_int p.units; Printf.sprintf "%.4f" p.seconds ])
-       passes)
+      (fun (r : Pass.report_row) ->
+        match List.assoc_opt r.Pass.r_name before with
+        | None -> r
+        | Some b ->
+            {
+              r with
+              Pass.r_units = r.Pass.r_units - b.Pass.r_units;
+              r_runs = r.Pass.r_runs - b.Pass.r_runs;
+              r_seconds = r.Pass.r_seconds -. b.Pass.r_seconds;
+            })
+      (Pass.report ()) )
 
 let render rows =
   Table.render
@@ -80,3 +53,31 @@ let render rows =
        (fun r ->
          [ r.workload; Printf.sprintf "%.4f" r.seconds; string_of_int r.hash_attempts ])
        rows)
+
+let to_json rows passes =
+  let module J = Ipds_obs.Json in
+  let module Pass = Ipds_pass.Pass in
+  J.Obj
+    [
+      ( "per_workload",
+        Table.rows_json
+          (fun r ->
+            [
+              ("workload", J.String r.workload);
+              ("seconds", J.Float r.seconds);
+              ("hash_attempts", J.Int r.hash_attempts);
+            ])
+          rows );
+      (* pass names and unit counts are stable across --jobs; wall
+         seconds are scheduling-dependent, hence the explicit suffix. *)
+      ( "passes",
+        Table.rows_json
+          (fun (p : Pass.report_row) ->
+            [
+              ("name", J.String p.Pass.r_name);
+              ("scope", J.String (Pass.scope_name p.Pass.r_scope));
+              ("units", J.Int p.Pass.r_units);
+              ("wall_seconds_unstable", J.Float p.Pass.r_seconds);
+            ])
+          passes );
+    ]

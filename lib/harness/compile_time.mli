@@ -14,17 +14,13 @@ val render : row list -> string
 
 (** {2 Per-pass breakdown} *)
 
-type pass_row = {
-  pass : string;  (** stable pipeline name ({!Ipds_pass.Pass}) *)
-  scope : string;  (** ["program"] or ["function"] *)
-  units : int;  (** stable: units processed (fixed by the build set) *)
-  seconds : float;  (** unstable: accumulated wall-clock *)
-}
-
-val with_passes : (unit -> 'a) -> 'a * pass_row list
+val with_passes : (unit -> 'a) -> 'a * Ipds_pass.Pass.report_row list
 (** [f ()] plus the delta of every pipeline pass across it, in pipeline
     order — the per-pass breakdown the bench [compile-time] target
-    reports over {!run_all} and the [precision] target over each
-    campaign. *)
+    reports over {!run_all} (rendered by
+    {!Ipds_pass.Pass.render_report}) and {!Precision_experiment} over
+    each campaign. *)
 
-val render_passes : pass_row list -> string
+val to_json : row list -> Ipds_pass.Pass.report_row list -> Ipds_obs.Json.t
+(** [{"per_workload":[…], "passes":[{name, scope, units,
+    wall_seconds_unstable}…]}]. *)

@@ -58,3 +58,12 @@ let render rows =
            Printf.sprintf "%.4f" r.overhead;
          ])
        rows)
+
+let to_json =
+  let module J = Ipds_obs.Json in
+  Table.rows_json (fun r ->
+      [
+        ("period_cycles", J.Int r.period_cycles);
+        ("switches", J.Int r.switches);
+        ("overhead", J.Float r.overhead);
+      ])

@@ -18,3 +18,6 @@ val run : Ipds_workloads.Workloads.t -> row list
     from 42. *)
 
 val render : row list -> string
+
+val to_json : row list -> Ipds_obs.Json.t
+(** Period, switches and overhead of each row. *)

@@ -79,9 +79,8 @@ let run ?(attacks = 100) ?(holdout = 30) ?(seed = 2006) (w : W.t) =
     overhead = !overhead_sum /. float_of_int (max 1 holdout);
   }
 
-let run_all ?attacks ?holdout ?seed ?jobs ?pool () =
-  Pool.with_opt ?jobs ?pool (fun pool ->
-      Pool.map' pool (run ?attacks ?holdout ?seed) W.all)
+let run_all ?attacks ?holdout ?seed ?pool () =
+  Pool.map' pool (run ?attacks ?holdout ?seed) W.all
 
 let render rows =
   let frac num den = float_of_int num /. float_of_int (max 1 den) in

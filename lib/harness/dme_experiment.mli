@@ -37,9 +37,9 @@ val run_all :
   ?attacks:int ->
   ?holdout:int ->
   ?seed:int ->
-  ?jobs:int ->
   ?pool:Ipds_parallel.Pool.t ->
   unit ->
   row list
+(** {!run} on every workload, fanned out over [pool] (none: sequential). *)
 
 val render : row list -> string

@@ -57,9 +57,7 @@ let run ?(seed = 42) ?(repeats = 5) (w : W.t) =
 
 (* Simulated cycle counts are deterministic per workload, so the fan-out
    is safe for any job count. *)
-let run_all ?seed ?repeats ?jobs ?pool () =
-  Pool.with_opt ?jobs ?pool (fun pool ->
-      Pool.map' pool (run ?seed ?repeats) W.all)
+let run_all ?seed ?repeats ?pool () = Pool.map' pool (run ?seed ?repeats) W.all
 
 let render rows =
   let mean fmt f =
@@ -99,3 +97,16 @@ let render rows =
         "latency"; "spills";
       ]
     (body @ [ avg ])
+
+let to_json =
+  let module J = Ipds_obs.Json in
+  Table.rows_json (fun r ->
+      [
+        ("workload", J.String r.workload);
+        ("instructions", J.Int r.instructions);
+        ("base_cycles", J.Float r.base_cycles);
+        ("ipds_cycles", J.Float r.ipds_cycles);
+        ("normalized", J.Float r.normalized);
+        ("avg_detection_latency", J.Float r.avg_detection_latency);
+        ("spills", J.Int r.spills);
+      ])

@@ -29,11 +29,10 @@ val run : ?seed:int -> ?repeats:int -> Ipds_workloads.Workloads.t -> row
     (default 5) to smooth the timing. *)
 
 val run_all :
-  ?seed:int ->
-  ?repeats:int ->
-  ?jobs:int ->
-  ?pool:Ipds_parallel.Pool.t ->
-  unit ->
-  row list
+  ?seed:int -> ?repeats:int -> ?pool:Ipds_parallel.Pool.t -> unit -> row list
+(** {!run} on every workload, fanned out over [pool] (none: sequential). *)
 
 val render : row list -> string
+
+val to_json : row list -> Ipds_obs.Json.t
+(** Every field but [stall_cycles]. *)

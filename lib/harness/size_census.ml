@@ -52,3 +52,14 @@ let render rows =
   Table.render
     ~header:[ "benchmark"; "funcs"; "BSV bits"; "BCV bits"; "BAT bits" ]
     (body @ [ avg ])
+
+let to_json =
+  let module J = Ipds_obs.Json in
+  Table.rows_json (fun r ->
+      [
+        ("workload", J.String r.workload);
+        ("functions", J.Int r.functions);
+        ("avg_bsv_bits", J.Float r.avg_bsv_bits);
+        ("avg_bcv_bits", J.Float r.avg_bcv_bits);
+        ("avg_bat_bits", J.Float r.avg_bat_bits);
+      ])

@@ -12,3 +12,4 @@ type row = {
 val run : Ipds_workloads.Workloads.t -> row
 val run_all : unit -> row list
 val render : row list -> string
+val to_json : row list -> Ipds_obs.Json.t

@@ -44,6 +44,13 @@ let run_variant ?attacks ?seed ?pool (v : variant) =
 let run ?attacks ?seed ?pool variants =
   List.map (run_variant ?attacks ?seed ?pool) variants
 
+let universe u =
+  {
+    label = Attack_experiment.universe_name u;
+    system = (fun w -> W.system w);
+    model = (fun w -> Attack_experiment.model_of_universe ~workload:w u);
+  }
+
 let own_class w = Attack_experiment.model_of_universe ~workload:w `Mem
 let variant label system = { label; system; model = own_class }
 let with_options label options = variant label (fun w -> W.system ~options w)
@@ -80,10 +87,13 @@ let opt_levels =
   ]
 
 let models =
-  List.map
+  List.filter_map
     (fun (label, model) ->
-      { label; system = (fun w -> W.system w); model = (fun _ -> model) })
-    [ ("overflow", `Stack_overflow); ("arbitrary", `Arbitrary_write) ]
+      match model with
+      | `Stack_overflow | `Arbitrary_write ->
+          Some { label; system = (fun w -> W.system w); model = (fun _ -> model) }
+      | `Cond_flip | `Insn_skip -> None)
+    Attack_experiment.models
 
 let precision =
   [
@@ -114,3 +124,14 @@ let render rows =
            Option.fold ~none:"n/a" ~some:Table.f1 r.avg_bat_bits;
          ])
        rows)
+
+let to_json =
+  let module J = Ipds_obs.Json in
+  Table.rows_json (fun r ->
+      [
+        ("variant", J.String r.label);
+        ("summary", Attack_experiment.summary_json r.summary);
+        ("checked_branches", J.Int r.checked_branches);
+        ("total_branches", J.Int r.total_branches);
+        ("avg_bat_bits", Option.fold ~none:J.Null ~some:(fun b -> J.Float b) r.avg_bat_bits);
+      ])

@@ -1,7 +1,10 @@
-(** One Figure 7 campaign per configuration: every comparison the
-    evaluation draws across builds or attackers is a list of variants
-    over this one driver.
+(** One Figure 7 campaign per configuration: the harness's one campaign
+    driver.  Every comparison the evaluation draws across builds or
+    attackers is a list of variants over it, and so is every plain
+    campaign over the built-in workloads ({!universe}).
 
+    - {!universe}: the default build attacked in one attack universe
+      (Figure 7 is [universe `Mem]);
     - {!ablation}: which correlation families and precision knobs carry
       detection and table cost (§4: load–load vs store–load);
     - {!opt_levels}: the paper's note that "compiler optimizations can
@@ -33,8 +36,14 @@ type row = {
 val run :
   ?attacks:int -> ?seed:int -> ?pool:Ipds_parallel.Pool.t -> variant list ->
   row list
-(** One row per variant, in order.  Workloads fan out over [pool]; rows
-    are identical for every job count. *)
+(** One row per variant, in order.  Workloads fan out over [pool] (none:
+    sequential); rows are identical for every pool size. *)
+
+val universe : Attack_experiment.universe -> variant
+(** Labelled {!Attack_experiment.universe_name}: each workload's default
+    build ({!Ipds_workloads.Workloads.system}) attacked with
+    {!Attack_experiment.model_of_universe}.  [universe `Mem] is the
+    Figure 7 campaign. *)
 
 val ablation : variant list
 (** full, no-load-load, no-store-load, no-affine, precise-globals; all
@@ -46,7 +55,8 @@ val opt_levels : variant list
     elimination, then promotion). *)
 
 val models : variant list
-(** overflow and arbitrary write, both on the default build. *)
+(** The memory-write models of {!Attack_experiment.models} (overflow and
+    arbitrary write), both on the default build. *)
 
 val precision : variant list
 (** [[off; on]]: the default build, then the same with feasible-path
@@ -55,3 +65,8 @@ val precision : variant list
 val render : row list -> string
 (** variant | cf-changed | detected | detected|cf | checked/total | avg
     BAT bits.  A variant without samples renders "n/a". *)
+
+val to_json : row list -> Ipds_obs.Json.t
+(** One object per row: variant, summary
+    ({!Attack_experiment.summary_json}), checked/total branches, avg BAT
+    bits ([null] for none). *)

@@ -25,6 +25,9 @@ let render ~header rows =
   in
   String.concat "\n" (render_row header :: rule :: List.map render_row rows)
 
+let rows_json fields rows =
+  Ipds_obs.Json.List (List.map (fun r -> Ipds_obs.Json.Obj (fields r)) rows)
+
 let pct x = Printf.sprintf "%.1f%%" (100. *. x)
 let f1 x = Printf.sprintf "%.1f" x
 let f2 x = Printf.sprintf "%.2f" x

@@ -126,22 +126,6 @@ let map' pool f xs =
   | None -> List.map f xs
   | Some t -> map t f xs
 
-(* Fire-and-forget submission: the task runs on a worker domain as soon
-   as one is free.  Unlike [map] the caller does not help, so a pool
-   used this way needs at least one worker (jobs >= 2) for the task to
-   ever run; the verdict server sizes its pool accordingly. *)
-let async t task =
-  Mutex.lock t.mutex;
-  if t.closed then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Pool.async: pool is shut down"
-  end
-  else begin
-    Queue.push task t.queue;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mutex
-  end
-
 let shutdown t =
   Mutex.lock t.mutex;
   if t.closed then Mutex.unlock t.mutex
@@ -157,10 +141,5 @@ let with_pool ?jobs f =
   let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let with_opt ?jobs ?pool f =
-  match pool with
-  | Some _ -> f pool
-  | None -> (
-      match jobs with
-      | Some 1 -> f None
-      | _ -> with_pool ?jobs (fun t -> f (Some t)))
+let with_opt ~jobs f =
+  if jobs <= 1 then f None else with_pool ~jobs (fun t -> f (Some t))

@@ -28,12 +28,6 @@ val map' : t option -> ('a -> 'b) -> 'a list -> 'b list
 (** [map' None] is [List.map] (no pool anywhere in scope);
     [map' (Some t)] is [map t]. *)
 
-val async : t -> (unit -> unit) -> unit
-(** Fire-and-forget submission: the task runs on a worker domain as
-    soon as one is free.  Unlike {!map} the caller does not help, so a
-    pool used this way needs at least one worker ([jobs >= 2]) for the
-    task to ever run.  Raises [Invalid_argument] after {!shutdown}. *)
-
 val shutdown : t -> unit
 (** Drains nothing (all maps have returned by construction), stops the
     workers and joins them.  Idempotent. *)
@@ -41,11 +35,10 @@ val shutdown : t -> unit
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exception). *)
 
-val with_opt : ?jobs:int -> ?pool:t -> (t option -> 'a) -> 'a
-(** The harness entry-point convention: reuse [pool] if the caller
-    passed one, otherwise create a pool of [jobs] for the duration of
-    [f] — except [~jobs:1], which passes [None] so {!map'} degenerates
-    to [List.map] without spawning anything. *)
+val with_opt : jobs:int -> (t option -> 'a) -> 'a
+(** Turn a job count into the optional pool every harness driver takes:
+    a pool of [jobs] for the duration of [f], or [None] for [jobs <= 1],
+    so {!map'} degenerates to [List.map] without spawning anything. *)
 
 val default_jobs : unit -> int
 (** [IPDS_JOBS] from the environment if set to a positive integer,

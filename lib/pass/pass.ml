@@ -37,6 +37,7 @@ let v ~name ~scope f =
     span = "pass." ^ name;
   }
 
+let scope_name = function Program -> "program" | Function -> "function"
 let name t = t.name
 let scope t = t.scope
 
@@ -74,14 +75,10 @@ let report () =
     entries
 
 let render_report rows =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-12s %-8s %8s %12s\n" "pass" "scope" "units" "seconds");
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-12s %-8s %8d %12.4f\n" r.r_name
-           (match r.r_scope with Program -> "program" | Function -> "function")
-           r.r_units r.r_seconds))
-    rows;
-  Buffer.contents buf
+  String.concat "\n"
+    (Printf.sprintf "%-12s %-8s %8s %12s" "pass" "scope" "units" "seconds"
+    :: List.map
+         (fun r ->
+           Printf.sprintf "%-12s %-8s %8d %12.4f" r.r_name (scope_name r.r_scope)
+             r.r_units r.r_seconds)
+         rows)

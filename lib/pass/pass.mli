@@ -27,6 +27,9 @@ val v : name:string -> scope:scope -> ('a -> 'b) -> ('a, 'b) t
 (** Registers the pass name (idempotent per name; re-registration with a
     different scope raises [Invalid_argument]). *)
 
+val scope_name : scope -> string
+(** ["program"] or ["function"]. *)
+
 val name : ('a, 'b) t -> string
 val scope : ('a, 'b) t -> scope
 
@@ -58,4 +61,6 @@ val units : string -> int
     incremental tests assert on. *)
 
 val render_report : report_row list -> string
-(** Plain-text table: name, scope, units, wall seconds. *)
+(** Plain-text table: name, scope, units, wall seconds — the one per-pass
+    table, printed by [ipds analyze]/[compile] and the bench
+    [compile-time] target alike. *)

@@ -1,8 +1,7 @@
 (* Per-connection protocol logic of the verdict {!Server}: the frame
    state machine, the serve.* metrics, the typed error classification,
-   and the one feed loop that replays a [Branch_events] batch — decoded
-   as a list or streamed straight from its wire span — through the
-   checker.
+   and the feed loop that streams a [Branch_events] batch straight from
+   its wire span through the checker.
 
    A session holds what the checker reads and nothing more: the flat
    images of the loaded artifact, by function name.  Every load path
@@ -14,7 +13,6 @@
    on timing and session interleaving (LRU eviction order), so they are
    unstable; so is the latency histogram. *)
 
-module Event = Ipds_machine.Event
 module System = Ipds_core.System
 module Image = Ipds_core.Image
 module Checker = Ipds_core.Checker
@@ -154,12 +152,11 @@ let decode_image image =
 
 (* {2 The feed loop}
 
-   Both forms of a [Branch_events] batch — the decoded event list and
-   the CRC-validated wire span — are first staged into flat arrays
-   (the span through {!Protocol.iter_branch_events}, which validates
-   the whole payload first), then replay through one loop with one set
-   of guards, counters and verdict collection.  The span form never
-   builds the event list.
+   A [Branch_events] batch arrives as a CRC-validated wire span.  It is
+   first staged into flat arrays through {!Protocol.iter_branch_events},
+   which validates the whole payload first, then replays through one
+   loop with one set of guards, counters and verdict collection.  The
+   event list is never built.
 
    A whole batch lands in the staging arrays before any of it touches
    the checker, so a span that turns out malformed mid-batch mutates
@@ -212,17 +209,6 @@ let stage_callee st callee =
   stage_push st 0 st.ncallees;
   st.ncallees <- st.ncallees + 1
 
-let stage_events st evs =
-  List.iter
-    (fun (e : Event.t) ->
-      match e.Event.kind with
-      | Event.Call { callee } -> stage_callee st callee
-      | Event.Ret -> stage_push st 1 0
-      | Event.Branch { taken; _ } ->
-          stage_push st (if taken then 2 else 3) e.Event.pc
-      | _ -> ())
-    evs
-
 let feed_staged t ~send st imgs ck =
   let t0 = now_micros () in
   (* O(1) against the checker's running count — a long trace's batch
@@ -264,20 +250,29 @@ let feed_staged t ~send st imgs ck =
       send_error ~send Protocol.Bad_state m;
       `Close
 
-(* [stage] fills the domain's staging arrays (call/ret/branch only: the
-   staged count is the batch's event count) or returns a [Malformed]
-   detail. *)
-let feed_batch t ~send stage =
+(* The span is staged whole (call/ret/branch only: the staged count is
+   the batch's event count) before any of it is fed, so a malformed one
+   is refused untouched. *)
+let handle_events_span t ~send buf ~pos ~len =
   match (t.images, t.checker) with
   | Some imgs, Some ck -> (
       let st = Domain.DLS.get stage_key in
       st.n <- 0;
       st.ncallees <- 0;
-      match stage st with
-      | Ok () -> feed_staged t ~send st imgs ck
-      | Error m ->
-          send_error ~send Protocol.Malformed m;
-          `Close)
+      let malformed m =
+        send_error ~send Protocol.Malformed m;
+        `Close
+      in
+      match
+        Protocol.iter_branch_events buf ~pos ~len
+          ~on_call:(fun callee -> stage_callee st callee)
+          ~on_ret:(fun () -> stage_push st 1 0)
+          ~on_branch:(fun ~pc ~taken -> stage_push st (if taken then 2 else 3) pc)
+          ~on_other:ignore
+      with
+      | (_ : int) -> feed_staged t ~send st imgs ck
+      | exception Protocol.Malformed_payload m -> malformed m
+      | exception Ipds_core.Bitstream.Past_end -> malformed "payload ends prematurely")
   | _ ->
       send_error ~send Protocol.Bad_state "Branch_events outside an active trace";
       `Close
@@ -361,8 +356,10 @@ let handle t ~send (f : Protocol.frame) =
           Reg.incr m_traces;
           send Protocol.Trace_started;
           `Continue)
-  | Protocol.Branch_events evs ->
-      feed_batch t ~send (fun st -> Ok (stage_events st evs))
+  | Protocol.Branch_events _ ->
+      (* the server streams every batch from its span *)
+      send_err Protocol.Bad_state "Branch_events must arrive as a wire span";
+      `Close
   | Protocol.End_trace -> (
       match t.checker with
       | None ->
@@ -441,19 +438,6 @@ let handle t ~send (f : Protocol.frame) =
   | Protocol.Artifact_pushed _ | Protocol.Error _ ->
       send_err Protocol.Bad_state "server-to-client frame from a client";
       `Close
-
-let handle_events_span t ~send buf ~pos ~len =
-  feed_batch t ~send (fun st ->
-      match
-        Protocol.iter_branch_events buf ~pos ~len
-          ~on_call:(fun callee -> stage_callee st callee)
-          ~on_ret:(fun () -> stage_push st 1 0)
-          ~on_branch:(fun ~pc ~taken -> stage_push st (if taken then 2 else 3) pc)
-          ~on_other:ignore
-      with
-      | (_ : int) -> Ok ()
-      | exception Protocol.Malformed_payload m -> Error m
-      | exception Ipds_core.Bitstream.Past_end -> Error "payload ends prematurely")
 
 (* One entry point per CRC-validated frame span: [Branch_events] streams
    into the feed loop, every other tag goes through the generic

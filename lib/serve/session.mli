@@ -1,8 +1,8 @@
 (** Per-connection protocol logic of the verdict {!Server}: the frame
     state machine, the [serve.*] metrics, typed-error classification,
-    and the one feed loop behind both [Branch_events] entry points —
-    {!handle} on a decoded event list and {!handle_events_span} on a
-    wire span, which never builds the list. *)
+    and the feed loop behind {!handle_events_span}, which checks a
+    [Branch_events] batch straight from its wire span without building
+    the event list. *)
 
 module Reg = Ipds_obs.Registry
 
@@ -95,8 +95,9 @@ val send_error : send:(Protocol.frame -> unit) -> Protocol.error_code -> string 
 
 val handle :
   t -> send:(Protocol.frame -> unit) -> Protocol.frame -> [ `Close | `Continue ]
-(** The frame state machine on a decoded frame.  A [Ret]/[Branch] event
-    against an empty checker stack is a typed [Bad_state] error. *)
+(** The frame state machine on a decoded frame.  A decoded
+    [Branch_events] is a typed [Bad_state] error: batches go through
+    {!handle_events_span}. *)
 
 val handle_events_span :
   t ->
@@ -105,11 +106,11 @@ val handle_events_span :
   pos:int ->
   len:int ->
   [ `Close | `Continue ]
-(** [handle] for a CRC-validated [Branch_events] payload span, fed
-    through {!Protocol.iter_branch_events} with all-or-nothing staging:
-    a malformed payload mutates nothing.  Same feed loop, so the same
-    replies, summaries and counters as [handle (Branch_events _)]; both
-    count only call/ret/branch events, the kinds the wire carries. *)
+(** One CRC-validated [Branch_events] payload span, fed through
+    {!Protocol.iter_branch_events} with all-or-nothing staging: a
+    malformed payload mutates nothing.  Counts only call/ret/branch
+    events, the kinds the wire carries.  A [Ret]/[Branch] event against
+    an empty checker stack is a typed [Bad_state] error. *)
 
 val handle_span :
   t ->

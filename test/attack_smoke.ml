@@ -36,7 +36,10 @@ let counter_reconciliation () =
         (counter "attack.injected", counter "attack.cf_changed",
          counter "attack.detected")
       in
-      let s = H.Attack_experiment.run_all ~universe:u ~attacks:3 ~seed:5 ~jobs:1 () in
+      let s =
+        (List.hd (H.Sweep.run ~attacks:3 ~seed:5 [ H.Sweep.universe u ]))
+          .H.Sweep.summary
+      in
       let total f =
         List.fold_left (fun acc r -> acc + f r) 0 s.H.Attack_experiment.rows
       in
@@ -72,8 +75,9 @@ let counter_reconciliation () =
    RNG, so fanning workloads out across domains must not move a row. *)
 let baseline_jobs () =
   let rows jobs =
-    H.Baseline_experiment.run_all ~attacks:2 ~train_runs:3 ~holdout_runs:3
-      ~jobs ()
+    Pool.with_opt ~jobs (fun pool ->
+        H.Baseline_experiment.run_all ~attacks:2 ~train_runs:3 ~holdout_runs:3
+          ?pool ())
   in
   if rows 1 <> rows 4 then
     fail "baseline rows differ between --jobs 1 and --jobs 4"

@@ -49,8 +49,11 @@ let read_file path =
 (* ---------- phase child ---------- *)
 
 let results ~jobs =
+  let module Sweep = Ipds_harness.Sweep in
   let summary =
-    Ipds_harness.Attack_experiment.run_all ~attacks:4 ~seed:11 ~jobs ()
+    Ipds_parallel.Pool.with_opt ~jobs (fun pool ->
+        (List.hd (Sweep.run ~attacks:4 ~seed:11 ?pool [ Sweep.universe `Mem ]))
+          .Sweep.summary)
   in
   let census = Ipds_harness.Size_census.run_all () in
   Ipds_harness.Attack_experiment.render summary

@@ -1,0 +1,180 @@
+(* CLI smoke test (the @cli-smoke alias, wired into runtest): drive the
+   ipds executable, whose path is the first argument, through every
+   subcommand a user reaches first, and check what it prints and how
+   it exits.
+
+     - servers lists every built-in workload;
+     - analyze prints the per-pass table; compile -o writes an object
+       file that inspect reports on;
+     - run gives the same output on @telnetd and on its .ipds file;
+     - attack (jobs 2; mem is the alias of arbitrary), perf and trace;
+     - --metrics-out writes {manifest, metrics, runtime} and --events
+       names the attack model;
+     - serve --socket in the background answers check-remote --socket
+       with matching verdicts;
+     - bad flag values exit with a usage code, not a crash. *)
+
+module J = Ipds_obs.Json
+
+let exe = Sys.argv.(1)
+let failures = ref 0
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      incr failures;
+      Printf.eprintf "CLI-SMOKE FAIL: %s\n%!" msg)
+    fmt
+
+let expect cond fmt =
+  Printf.ksprintf (fun msg -> if not cond then fail "%s" msg) fmt
+
+let dir =
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ipds-cli-smoke-%d" (Unix.getpid ()))
+  in
+  Unix.mkdir d 0o700;
+  d
+
+let path name = Filename.concat dir name
+
+(* The child sees none of the ambient knobs, so it runs in memory at
+   the CLI's defaults whatever the caller's environment. *)
+let env =
+  Unix.environment ()
+  |> Array.to_list
+  |> List.filter (fun kv ->
+         not
+           (List.exists
+              (fun p -> String.starts_with ~prefix:p kv)
+              [ "IPDS_CACHE_DIR="; "IPDS_EVENTS="; "IPDS_JOBS=" ]))
+  |> Array.of_list
+
+let read_file p = In_channel.with_open_bin p In_channel.input_all
+
+let spawn ?(out = "/dev/null") args =
+  let fd_out = Unix.openfile out [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o600 in
+  let fd_err =
+    Unix.openfile (path "stderr") [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o600
+  in
+  let pid =
+    Unix.create_process_env exe
+      (Array.of_list (exe :: args))
+      env Unix.stdin fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  pid
+
+let wait pid =
+  match snd (Unix.waitpid [] pid) with
+  | Unix.WEXITED c -> c
+  | Unix.WSIGNALED s | Unix.WSTOPPED s -> 128 + s
+
+(* [args] run to completion: exit code and stdout. *)
+let run args =
+  let out = path "stdout" in
+  let code = wait (spawn ~out args) in
+  (code, read_file out)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.equal (String.sub s i n) sub || go (i + 1))
+  in
+  go 0
+
+let ok what args =
+  let code, out = run args in
+  expect (code = 0) "%s: exit %d (stderr: %s)" what code (read_file (path "stderr"));
+  out
+
+let expect_in what out sub = expect (contains out sub) "%s: no %S in output" what sub
+
+let () =
+  let out = ok "servers" [ "servers" ] in
+  List.iter
+    (fun (w : Ipds_workloads.Workloads.t) -> expect_in "servers" out ("@" ^ w.name))
+    Ipds_workloads.Workloads.all;
+  let out = ok "analyze" [ "analyze"; "@telnetd" ] in
+  expect_in "analyze" out "checked 7 of 18 branches";
+  expect_in "analyze" out "per-pass breakdown";
+  List.iter (expect_in "analyze pass table" out)
+    [ "layout"; "prepare"; "digest"; "analyze"; "refine"; "tables" ];
+  let obj = path "telnetd.ipds" in
+  let out = ok "compile" [ "compile"; "@telnetd"; "-o"; obj ] in
+  expect_in "compile" out "(2 functions, 7/18 branches checked)";
+  expect_in "compile" out "per-pass breakdown";
+  let out = ok "inspect" [ "inspect"; obj ] in
+  expect_in "inspect" out "IPDS object file";
+  expect_in "inspect" out "func main";
+  let from_source = ok "run @telnetd" [ "run"; "@telnetd" ] in
+  let from_object = ok "run .ipds" [ "run"; obj ] in
+  expect_in "run" from_source "alarms: none";
+  expect (String.equal from_source from_object)
+    "run: @telnetd and its .ipds file print different output";
+  let events = path "attack.jsonl" in
+  let attack =
+    ok "attack"
+      [ "attack"; "@telnetd"; "-n"; "5"; "--jobs"; "2"; "--events"; events ]
+  in
+  expect
+    (String.equal attack
+       "attacks injected: 5\nchanged control flow: 2\ndetected by IPDS: 2\n")
+    "attack: unexpected output %S" attack;
+  expect_in "attack events" (read_file events)
+    {|"workload":"@telnetd","model":"arbitrary","attacks":5|};
+  let mem =
+    ok "attack --model mem" [ "attack"; "@telnetd"; "-n"; "5"; "--model"; "mem" ]
+  in
+  expect (String.equal mem attack) "attack: mem and arbitrary differ";
+  expect_in "perf" (ok "perf" [ "perf"; "@telnetd" ]) "normalized: 1.0000";
+  let out = ok "trace" [ "trace"; "@telnetd"; "--limit"; "3" ] in
+  expect_in "trace" out "... (truncated)";
+  expect_in "trace" out "(158 branches, 0 alarms)";
+  let metrics = path "metrics.json" in
+  ignore (ok "analyze --metrics-out" [ "analyze"; "@telnetd"; "--metrics-out"; metrics ]);
+  (match J.of_string (read_file metrics) with
+  | doc ->
+      List.iter
+        (fun k -> expect (J.member k doc <> None) "metrics-out: no %s section" k)
+        [ "manifest"; "metrics"; "runtime" ];
+      expect
+        (J.member "command" (Option.value (J.member "manifest" doc) ~default:J.Null)
+        = Some (J.String "analyze"))
+        "metrics-out: manifest does not name the command"
+  | exception J.Parse_error msg -> fail "metrics-out does not parse: %s" msg);
+  (* a server in the background, checked against in-process verdicts *)
+  let sock = path "s.sock" in
+  let server = spawn [ "serve"; "--socket"; sock; "--jobs"; "1" ] in
+  let rec await n =
+    if Sys.file_exists sock then true
+    else if n = 0 then false
+    else (Unix.sleepf 0.05; await (n - 1))
+  in
+  if await 200 then begin
+    let out = ok "check-remote" [ "check-remote"; "@telnetd"; "--socket"; sock ] in
+    expect_in "check-remote" out "remote verdicts match"
+  end
+  else fail "serve: socket %s never appeared" sock;
+  Unix.kill server Sys.sigterm;
+  expect (wait server = 0) "serve: did not stop cleanly on SIGTERM";
+  (* bad values: the CLI's own checks exit 2, cmdliner's parse errors 124 *)
+  List.iter
+    (fun (code, args) ->
+      let got, _ = run args in
+      expect (got = code) "%s: exit %d, expected %d" (String.concat " " args) got
+        code)
+    [
+      (2, [ "serve"; "--socket"; path "never.sock"; "--cache-slots"; "0" ]);
+      (2, [ "check-remote"; "@telnetd"; "--socket"; sock; "--batch"; "0" ]);
+      (124, [ "attack"; "@telnetd"; "--model"; "bogus" ]);
+    ];
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
+  if !failures > 0 then begin
+    Printf.eprintf "cli smoke: %d failure(s)\n%!" !failures;
+    exit 1
+  end;
+  print_endline "cli smoke OK"

@@ -184,7 +184,12 @@ let () =
       Obs.Manifest.set_int "seed" 11;
       Obs.Manifest.set_int "jobs" 2;
       Obs.Events.set_path (Some events_path);
-      let summary = H.Attack_experiment.run_all ~attacks:2 ~seed:11 ~jobs:2 () in
+      let summary =
+        Ipds_parallel.Pool.with_opt ~jobs:2 (fun pool ->
+            (List.hd
+               (H.Sweep.run ~attacks:2 ~seed:11 ?pool [ H.Sweep.universe `Mem ]))
+              .H.Sweep.summary)
+      in
       Obs.Events.close ();
       check_events events_path summary;
       check_metrics summary;

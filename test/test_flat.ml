@@ -329,7 +329,9 @@ let test_protocol_and_depth () =
 let test_jobs_stable_metrics () =
   let snap jobs =
     Ipds_obs.Registry.reset ();
-    ignore (Ipds_harness.Attack_experiment.run_all ~attacks:2 ~seed:13 ~jobs ());
+    Ipds_parallel.Pool.with_opt ~jobs (fun pool ->
+        let module Sweep = Ipds_harness.Sweep in
+        ignore (Sweep.run ~attacks:2 ~seed:13 ?pool [ Sweep.universe `Mem ]));
     Ipds_obs.Registry.snapshot ~stability:`Stable ()
   in
   let s1 = snap 1 in

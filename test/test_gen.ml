@@ -56,8 +56,11 @@ let prop_generation_pure =
       String.equal (G.source ~seed ~index ()) (G.source ~seed ~index ()))
 
 let test_population_jobs_identical () =
-  let p1 = G.population ~jobs:1 ~seed:11 ~count:100 () in
-  let p4 = G.population ~jobs:4 ~seed:11 ~count:100 () in
+  let p1 = G.population ~seed:11 ~count:100 () in
+  let p4 =
+    Ipds_parallel.Pool.with_opt ~jobs:4 (fun pool ->
+        G.population ?pool ~seed:11 ~count:100 ())
+  in
   check_int "population size (jobs 1)" 100 (List.length p1);
   check "jobs 1 vs jobs 4 byte-identical" true (p1 = p4);
   (* fan-out matches direct generation at every index *)

@@ -144,14 +144,20 @@ let test_concurrent_write_file () =
 
 (* ---------- metrics determinism across job counts ---------- *)
 
+(* The Fig-7 campaign over every workload, on a pool of [jobs]. *)
+let fig7 ~attacks ~seed ~jobs =
+  Ipds_parallel.Pool.with_opt ~jobs (fun pool ->
+      (List.hd (H.Sweep.run ~attacks ~seed ?pool [ H.Sweep.universe `Mem ]))
+        .H.Sweep.summary)
+
 let test_metrics_jobs_deterministic () =
   (* Warm every per-process cache first: memo hits/computed are stable
      but depend on the process's warm/cold state, so both measured runs
      must start from the same (warm) state. *)
-  ignore (H.Attack_experiment.run_all ~attacks:3 ~seed:13 ~jobs:2 ());
+  ignore (fig7 ~attacks:3 ~seed:13 ~jobs:2);
   let snap jobs =
     Ipds_obs.Registry.reset ();
-    ignore (H.Attack_experiment.run_all ~attacks:3 ~seed:13 ~jobs ());
+    ignore (fig7 ~attacks:3 ~seed:13 ~jobs);
     Ipds_obs.Json.to_string
       (Ipds_obs.Registry.snapshot_json ~stability:`Stable ())
   in
@@ -187,8 +193,8 @@ let test_attack_experiment_deterministic () =
 let test_run_all_jobs_deterministic () =
   (* The tentpole guarantee: per-attempt splittable seeding makes the
      campaign bit-for-bit identical for any domain count. *)
-  let sequential = H.Attack_experiment.run_all ~attacks:5 ~seed:11 ~jobs:1 () in
-  let parallel = H.Attack_experiment.run_all ~attacks:5 ~seed:11 ~jobs:4 () in
+  let sequential = fig7 ~attacks:5 ~seed:11 ~jobs:1 in
+  let parallel = fig7 ~attacks:5 ~seed:11 ~jobs:4 in
   check "jobs=1 equals jobs=4" true (sequential = parallel)
 
 let test_golden_campaign_rows () =
@@ -289,6 +295,104 @@ let test_compile_time () =
   let row = H.Compile_time.run (W.find "httpd") in
   check "compile under a second" true (row.H.Compile_time.seconds < 1.0);
   check "hash search did some work" true (row.H.Compile_time.hash_attempts > 0)
+
+(* ---------- report JSON golden strings ---------- *)
+
+(* Each report's JSON, pinned at a small size: real rows where the
+   experiment is deterministic and cheap, hand-built rows where a field
+   is wall-clock.  These are the objects `bench --json` and the
+   BENCH_*.json files carry, so keys and their order must not move. *)
+let test_report_json () =
+  let pin what golden json = Alcotest.(check string) what golden (J.to_string json) in
+  let telnetd = W.find "telnetd" in
+  pin "fig8"
+    {|[{"workload":"telnetd","functions":2,"avg_bsv_bits":34,"avg_bcv_bits":17,"avg_bat_bits":457.5}]|}
+    (H.Size_census.to_json [ H.Size_census.run telnetd ]);
+  pin "fig9"
+    {|[{"workload":"telnetd","instructions":3436,"base_cycles":4401.5,"ipds_cycles":4401.5,"normalized":1,"avg_detection_latency":10.204009433962264,"spills":0}]|}
+    (H.Perf_experiment.to_json [ H.Perf_experiment.run telnetd ]);
+  pin "baseline"
+    {|[{"workload":"telnetd","ngram_fp":0.02,"ngram_detected":0,"ipds_detected":1,"cf_changed":2,"attacks":2}]|}
+    (H.Baseline_experiment.to_json
+       [ H.Baseline_experiment.run ~attacks:2 ~seed:2006 telnetd ]);
+  pin "ctx"
+    {|[{"period_cycles":2000,"switches":19,"overhead":1.2729001755077187},{"period_cycles":5000,"switches":7,"overhead":1.1042551667323328},{"period_cycles":10000,"switches":3,"overhead":1.0439091658010673},{"period_cycles":25000,"switches":1,"overhead":1.0118700526523157}]|}
+    (H.Ctx_experiment.to_json (H.Ctx_experiment.run (W.find "sshd")));
+  pin "sweep"
+    {|[{"variant":"overflow","summary":{"rows":[{"workload":"telnetd","attacks":2,"cf_changed":0,"detected":0},{"workload":"wu-ftpd","attacks":2,"cf_changed":0,"detected":0},{"workload":"xinetd","attacks":2,"cf_changed":0,"detected":0},{"workload":"crond","attacks":2,"cf_changed":0,"detected":0},{"workload":"sysklogd","attacks":2,"cf_changed":0,"detected":0},{"workload":"atftpd","attacks":2,"cf_changed":0,"detected":0},{"workload":"httpd","attacks":2,"cf_changed":2,"detected":1},{"workload":"sendmail","attacks":2,"cf_changed":0,"detected":0},{"workload":"sshd","attacks":2,"cf_changed":1,"detected":1},{"workload":"portmap","attacks":2,"cf_changed":1,"detected":0},{"workload":"fwpolicyd","attacks":2,"cf_changed":0,"detected":0}],"avg_cf_changed":0.18181818181818182,"avg_detected":0.090909090909090912,"detected_given_cf":0.13636363636363635},"checked_branches":105,"total_branches":240,"avg_bat_bits":699.80303030303037}]|}
+    (H.Sweep.to_json
+       (H.Sweep.run ~attacks:2 ~seed:2006 [ List.hd H.Sweep.models ]));
+  let pass name scope units seconds =
+    {
+      Ipds_pass.Pass.r_name = name;
+      r_scope = scope;
+      r_units = units;
+      r_runs = units;
+      r_seconds = seconds;
+    }
+  in
+  pin "compile-time"
+    {|{"per_workload":[{"workload":"telnetd","seconds":0.0030620098114013672,"hash_attempts":38}],"passes":[{"name":"layout","scope":"program","units":11,"wall_seconds_unstable":2.86102294921875e-06},{"name":"refine","scope":"function","units":0,"wall_seconds_unstable":0}]}|}
+    (H.Compile_time.to_json
+       [ { H.Compile_time.workload = "telnetd"; seconds = 0.0030620098114013672; hash_attempts = 38 } ]
+       [
+         pass "layout" Ipds_pass.Pass.Program 11 2.86102294921875e-06;
+         pass "refine" Ipds_pass.Pass.Function 0 0.;
+       ]);
+  let summary cf detected =
+    H.Attack_experiment.summarize
+      [ { H.Attack_experiment.workload = "telnetd"; attacks = 2; cf_changed = cf; detected } ]
+  in
+  pin "precision"
+    {|{"attacks":2,"seed":2006,"off":{"rows":[{"workload":"telnetd","attacks":2,"cf_changed":1,"detected":0}],"avg_cf_changed":0.5,"avg_detected":0,"detected_given_cf":0},"on":{"rows":[{"workload":"telnetd","attacks":2,"cf_changed":1,"detected":1}],"avg_cf_changed":0.5,"avg_detected":0.5,"detected_given_cf":1},"lift":[{"workload":"telnetd","attacks":2,"detected_off":0,"detected_on":1,"lift":1}],"workloads_lifted":1,"refine":{"refine.iterations":30,"refine.edges_pruned":10,"refine.correlations_gained":24},"functions":[{"workload":"telnetd","function":"main","iterations":2,"edges_pruned":2,"total_directions":34,"correlations_before":38,"correlations_after":44}],"pass_cost_off":[],"pass_cost_on":[{"pass":"refine","units":24,"wall_seconds":0.024869680404663086}]}|}
+    (H.Precision_experiment.to_json
+       {
+         H.Precision_experiment.attacks = 2;
+         seed = 2006;
+         off = summary 1 0;
+         on = summary 1 1;
+         lift =
+           [
+             {
+               H.Precision_experiment.workload = "telnetd";
+               attacks = 2;
+               detected_off = 0;
+               detected_on = 1;
+             };
+           ];
+         refine =
+           [
+             ("refine.iterations", 30);
+             ("refine.edges_pruned", 10);
+             ("refine.correlations_gained", 24);
+           ];
+         functions =
+           [
+             ( "telnetd",
+               "main",
+               {
+                 Ipds_correlation.Refine.iterations = 2;
+                 edges_pruned = 2;
+                 total_directions = 34;
+                 correlations_before = 38;
+                 correlations_after = 44;
+                 pruned = [];
+               } );
+           ];
+         pass_cost_off = [];
+         pass_cost_on = [ pass "refine" Ipds_pass.Pass.Function 24 0.024869680404663086 ];
+       });
+  pin "attacks"
+    {|{"stable":{"seed":2006,"attacks_per_workload":40,"universes":[{"universe":"mem","false_positives":0,"summary":{"rows":[{"workload":"telnetd","attacks":2,"cf_changed":1,"detected":1}],"avg_cf_changed":0.5,"avg_detected":0.5,"detected_given_cf":1}}],"population":{"seed":2006,"members":8,"distinct":0,"attacks_per_member":6,"universes":[]},"dme":{"attacks_per_workload":40,"holdout":12,"rows":[]}},"throughput_unstable":{"wall_seconds":0.5,"injected_attacks":2,"attacks_per_second":4}}|}
+    (H.Attack_bench.to_json
+       {
+         H.Attack_bench.config = H.Attack_bench.default_config;
+         workload_universes = [ (`Mem, summary 1 1) ];
+         pop_distinct = 0;
+         pop_universes = [];
+         dme = [];
+         wall_seconds = 0.5;
+       })
 
 let ablation_variant label =
   List.find (fun (v : H.Sweep.variant) -> v.label = label) H.Sweep.ablation
@@ -402,4 +506,6 @@ let () =
           Alcotest.test_case "ablation monotonic" `Slow test_ablation_monotonic;
           Alcotest.test_case "sweep golden" `Slow test_sweep_golden;
         ] );
+      ( "reports",
+        [ Alcotest.test_case "json golden strings" `Slow test_report_json ] );
     ]

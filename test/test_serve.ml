@@ -511,14 +511,15 @@ let test_cache_slots_exact () =
       check "crond cold" false (load "crond");
       check "crond evicted telnetd" false (load "telnetd"))
 
-(* ---------- one feed loop behind both Branch_events entry points ---------- *)
+(* ---------- the span feed loop against an in-process checker ---------- *)
 
-(* [Session.handle (Branch_events evs)] and [Session.handle_events_span]
-   on the same batch's wire span must be indistinguishable: the same
-   reply frames (byte for byte, trace summary included) and the same
-   stable counter deltas.  Slices of a recorded benign telnetd run
-   start and stop mid-call, so Ret/Branch on an empty checker stack
-   (the typed Bad_state path) occur as well as clean batches. *)
+(* [Session.handle_events_span] must answer each batch exactly as one
+   in-process checker fed the same call/ret/branch events would: the
+   alarms the batch raised, then a trace summary — or, at the first
+   Ret/Branch on an empty checker stack, a typed Bad_state error instead
+   of that batch's verdicts.  Slices of a recorded benign telnetd run
+   start and stop mid-call, so the error path occurs as well as clean
+   batches. *)
 
 module Session = Ipds_serve.Session
 module Reg = Ipds_obs.Registry
@@ -572,13 +573,75 @@ let feed_session batches feed =
   ( List.rev !replies,
     List.map2 ( - ) (List.map Reg.counter_value stable_counters) before )
 
-let feed_list s ~send evs = Session.handle s ~send (P.Branch_events evs)
-
 let feed_span s ~send evs =
   let buf, pos, len = payload_span evs in
   Session.handle_events_span s ~send buf ~pos ~len
 
-let same_feed batches = feed_session batches feed_list = feed_session batches feed_span
+let reply_frame bytes =
+  match P.decode_string bytes with
+  | Ok [ f ] -> f
+  | _ -> Alcotest.fail "a reply is not exactly one frame"
+
+(* What a session over the telnetd image owes [batches] after
+   Begin_trace, and the stable counter deltas that go with it, from one
+   in-process checker over the same images. *)
+let checker_feed batches =
+  let _, image, _ = Lazy.force telnetd_run in
+  let imgs = Ipds_artifact.Artifact.images_of_bytes (Bytes.of_string image) in
+  let ck = Core.Checker.create ~lookup:(fun f -> List.assoc f imgs) in
+  let events = ref 0 and branches = ref 0 and alarms = ref 0 in
+  let feed n b (e : Ipds_machine.Event.t) =
+    let nonempty what =
+      if Core.Checker.depth ck = 0 then
+        raise (Failure (what ^ " with an empty checker stack"))
+    in
+    match e.Ipds_machine.Event.kind with
+    | Ipds_machine.Event.Call { callee } ->
+        incr n;
+        if List.mem_assoc callee imgs then ignore (Core.Checker.on_call ck callee)
+    | Ipds_machine.Event.Ret ->
+        incr n;
+        nonempty "Ret";
+        ignore (Core.Checker.on_return ck)
+    | Ipds_machine.Event.Branch { taken; _ } ->
+        incr n;
+        nonempty "Branch";
+        incr b;
+        ignore (Core.Checker.on_branch ck ~pc:e.Ipds_machine.Event.pc ~taken)
+    | _ -> ()
+  in
+  let rec go acc = function
+    | [] ->
+        ( P.Trace_summary
+            {
+              P.total_events = !events;
+              total_branches = !branches;
+              total_alarms = !alarms;
+            }
+          :: acc,
+          0 )
+    | batch :: rest -> (
+        let before = Core.Checker.alarm_count ck in
+        let n = ref 0 and b = ref 0 in
+        match List.iter (feed n b) batch with
+        | () ->
+            let fresh = Core.Checker.alarms_since ck before in
+            events := !events + !n;
+            branches := !branches + !b;
+            alarms := !alarms + List.length fresh;
+            go (P.Verdicts fresh :: acc) rest
+        | exception Failure detail ->
+            (P.Error { P.code = P.Bad_state; detail } :: acc, 1))
+  in
+  let frames, state_errors = go [] batches in
+  ( List.rev_map (fun f -> reply_frame (Bytes.to_string (P.encode_frame f))) frames,
+    [ 1; 1; !events; !branches; !alarms; 0; state_errors ] )
+
+let same_as_checker batches =
+  let replies, deltas = feed_session batches feed_span in
+  (* past the cached Loaded and Trace_started *)
+  let replies = List.filteri (fun i _ -> i >= 2) replies in
+  (List.map reply_frame replies, deltas) = checker_feed batches
 
 let rec batches_of sizes evs =
   match (sizes, evs) with
@@ -588,8 +651,8 @@ let rec batches_of sizes evs =
       let batch = List.filteri (fun i _ -> i < k) evs in
       batch :: batches_of sizes (List.filteri (fun i _ -> i >= k) evs)
 
-let prop_one_feed_loop =
-  QCheck2.Test.make ~name:"list and span batches: same replies and counters"
+let prop_span_feed_loop =
+  QCheck2.Test.make ~name:"span batches: in-process checker's replies"
     ~count:150
     (let* a = Q.int_range 0 10_000 in
      let* b = Q.int_range 0 10_000 in
@@ -611,7 +674,7 @@ let prop_one_feed_loop =
         | `Suffix -> slice (max 0 (n - la)) la
         | `Splice -> slice a la @ slice b lb
       in
-      same_feed (batches_of sizes evs))
+      same_as_checker (batches_of sizes evs))
 
 (* Pin that the property's space really contains the error path: a
    slice opening on the run's first Ret hits the empty-stack guard. *)
@@ -628,7 +691,26 @@ let test_empty_stack_slice () =
   (match P.decode_string (List.nth replies (List.length replies - 1)) with
   | Ok [ P.Error { P.code = P.Bad_state; _ } ] -> ()
   | _ -> Alcotest.fail "expected a Bad_state reply");
-  check "list arm agrees" true (same_feed [ evs ])
+  check "the in-process checker agrees" true (same_as_checker [ evs ])
+
+(* The server hands every batch to [handle_events_span]; a decoded one
+   reaching [handle] is a client-visible state error, not a second feed
+   path. *)
+let test_decoded_batch_refused () =
+  let events, image, cache = Lazy.force telnetd_run in
+  let s = Session.create ~store:None ~cache () in
+  let replies = ref [] in
+  let send f = replies := f :: !replies in
+  ignore (Session.handle s ~send (P.Load_image { name = "telnetd"; image }));
+  ignore (Session.handle s ~send P.Begin_trace);
+  let r =
+    Session.handle s ~send (P.Branch_events (Array.to_list (Array.sub events 0 20)))
+  in
+  Session.close s;
+  check "the session closes" true (r = `Close);
+  match !replies with
+  | P.Error { P.code = P.Bad_state; _ } :: _ -> ()
+  | _ -> Alcotest.fail "expected a Bad_state reply"
 
 (* ---------- wire v2 on a real run ---------- *)
 
@@ -1017,9 +1099,11 @@ let () =
         ] );
       ( "feed-loop",
         [
-          QCheck_alcotest.to_alcotest prop_one_feed_loop;
+          QCheck_alcotest.to_alcotest prop_span_feed_loop;
           Alcotest.test_case "empty-stack slice is Bad_state" `Quick
             test_empty_stack_slice;
+          Alcotest.test_case "decoded batch is Bad_state" `Quick
+            test_decoded_batch_refused;
           Alcotest.test_case "default_batch slice: compact, flat allocation"
             `Quick test_compact_batch;
           Alcotest.test_case "warm session: no large allocation" `Quick
