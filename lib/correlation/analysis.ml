@@ -86,6 +86,11 @@ type st = {
   reach_cache : (int * int, bool array) Hashtbl.t;
   (* co_reachable_to p avoiding a: keyed (p, a) *)
   coreach_cache : (int * int, bool array) Hashtbl.t;
+  (* reachable_from (succs d) avoiding d and s: keyed (d, s) *)
+  intercept_cache : (int * int, bool array) Hashtbl.t;
+  (* every exact-target store (s, cell, traced stored operand), in
+     instruction order: traced once per function, not per edge *)
+  stores : (int * Cell.t * Trace.source) list Lazy.t;
 }
 
 let kills_of st cell =
@@ -106,6 +111,17 @@ let reach_from_after st p ~avoid =
           (Pg.succs st.ctx.Context.pgraph p)
       in
       Hashtbl.replace st.reach_cache (p, avoid) a;
+      a
+
+let reach_from_def st d ~avoid =
+  match Hashtbl.find_opt st.intercept_cache (d, avoid) with
+  | Some a -> a
+  | None ->
+      let pg = st.ctx.Context.pgraph in
+      let a =
+        Pg.reachable_from pg ~avoid:(fun q -> q = avoid || q = d) (Pg.succs pg d)
+      in
+      Hashtbl.replace st.intercept_cache (d, avoid) a;
       a
 
 let coreach_to st p ~avoid =
@@ -196,53 +212,36 @@ let store_facts st ~bs pin =
     match pin with
     | None -> []
     | Some pin ->
-        let f = st.ctx.Context.func in
-        let facts = ref [] in
-        Mir.Func.iter_instrs f (fun s op ->
-            match op with
-            | Mir.Op.Store (a, o) -> (
-                match Alias.Access.addr_target st.ctx.Context.access a with
-                | Alias.Access.Exact c_s -> (
-                    match Trace.operand st.ctx ~at:s o with
-                    | Trace.Val { def_iid = d; affine = a_s }
-                      when d = pin.pin_def && usable_affine st a_s ->
-                        (* (a) every pin-def-free path from the def to the
-                           branch passes the store; *)
-                        let reach_d =
-                          Pg.reachable_from st.ctx.Context.pgraph
-                            ~avoid:(fun q -> q = s || q = pin.pin_def)
-                            (Pg.succs st.ctx.Context.pgraph pin.pin_def)
-                        in
-                        let intercepts = not reach_d.(bs) in
-                        (* (b) the def does not re-execute strictly between
-                           the store and the branch; *)
-                        let reach_s = reach_from_after st s ~avoid:s in
-                        let coreach_bs = coreach_to st bs ~avoid:s in
-                        let def_quiet =
-                          s = pin.pin_def
-                          || not (reach_s.(pin.pin_def) && coreach_bs.(pin.pin_def))
-                        in
-                        (* (c) nothing overwrites the cell between store
-                           and branch. *)
-                        let quiet =
-                          kill_free st ~cell:c_s ~src:s ~dst:bs ~exempt:s
-                        in
-                        if intercepts && def_quiet && quiet then
-                          facts :=
-                            ( c_s,
-                              {
-                                pred = Range.Cond.apply a_s (pin_pred pin);
-                                anchor = bs;
-                                written = false;
-                              } )
-                            :: !facts
-                    | Trace.Val _ | Trace.Const _ | Trace.Opaque -> ())
-                | Alias.Access.No_target | Alias.Access.Within _ -> ())
-            | Mir.Op.Const _ | Mir.Op.Move _ | Mir.Op.Binop _ | Mir.Op.Load _
-            | Mir.Op.Addr_of _ | Mir.Op.Call _ | Mir.Op.Input _ | Mir.Op.Output _
-            | Mir.Op.Nop ->
-                ());
-        !facts
+        List.fold_left
+          (fun facts (s, c_s, src) ->
+            match src with
+            | Trace.Val { def_iid = d; affine = a_s }
+              when d = pin.pin_def && usable_affine st a_s ->
+                (* (a) every pin-def-free path from the def to the
+                   branch passes the store; *)
+                let intercepts = not (reach_from_def st pin.pin_def ~avoid:s).(bs) in
+                (* (b) the def does not re-execute strictly between
+                   the store and the branch; *)
+                let reach_s = reach_from_after st s ~avoid:s in
+                let coreach_bs = coreach_to st bs ~avoid:s in
+                let def_quiet =
+                  s = pin.pin_def
+                  || not (reach_s.(pin.pin_def) && coreach_bs.(pin.pin_def))
+                in
+                (* (c) nothing overwrites the cell between store
+                   and branch. *)
+                let quiet = kill_free st ~cell:c_s ~src:s ~dst:bs ~exempt:s in
+                if intercepts && def_quiet && quiet then
+                  ( c_s,
+                    {
+                      pred = Range.Cond.apply a_s (pin_pred pin);
+                      anchor = bs;
+                      written = false;
+                    } )
+                  :: facts
+                else facts
+            | Trace.Val _ | Trace.Const _ | Trace.Opaque -> facts)
+          [] (Lazy.force st.stores)
 
 (* ---------- Region walk ---------- *)
 
@@ -418,6 +417,21 @@ let analyze_with st =
     entry_actions = List.filter keep entry_actions;
   }
 
+let exact_stores ctx =
+  let out = ref [] in
+  Mir.Func.iter_instrs ctx.Context.func (fun s op ->
+      match op with
+      | Mir.Op.Store (a, o) -> (
+          match Alias.Access.addr_target ctx.Context.access a with
+          | Alias.Access.Exact c_s ->
+              out := (s, c_s, Trace.operand ctx ~at:s o) :: !out
+          | Alias.Access.No_target | Alias.Access.Within _ -> ())
+      | Mir.Op.Const _ | Mir.Op.Move _ | Mir.Op.Binop _ | Mir.Op.Load _
+      | Mir.Op.Addr_of _ | Mir.Op.Call _ | Mir.Op.Input _ | Mir.Op.Output _
+      | Mir.Op.Nop ->
+          ());
+  List.rev !out
+
 let st_of ctx options =
   {
     ctx;
@@ -425,6 +439,8 @@ let st_of ctx options =
     kills_cache = Cell.Map.empty;
     reach_cache = Hashtbl.create 64;
     coreach_cache = Hashtbl.create 64;
+    intercept_cache = Hashtbl.create 64;
+    stores = lazy (exact_stores ctx);
   }
 
 let analyze_ctx ?(options = default_options) ctx = analyze_with (st_of ctx options)

@@ -5,7 +5,13 @@
     value at function entry (parameter or uninitialised).  The correlation
     analysis relies on {!unique_def} to trace branch operands back through
     affine chains: only registers with exactly one reaching definition can
-    be traced. *)
+    be traced.
+
+    Solved as one bit vector per block over definition ids (each
+    register's [Entry], then every defining instruction).  A query
+    scans the block prefix backwards for the register's last definition
+    and only then reads the block-in bits of that register's
+    definitions, so it copies nothing. *)
 
 type def =
   | Entry

@@ -49,6 +49,12 @@ type config = {
   tamper : Tamper.plan option;
 }
 
+val max_call_depth : int
+(** Activations a run may hold at once: the call that would push one
+    more faults with "call stack overflow", so no trace nests deeper.
+    The verdict server refuses a [Branch_events] batch past the same
+    depth. *)
+
 val default_config : config
 (** 500k steps, constant-0 inputs, no checker/sink/tamper, trace
     recording on. *)

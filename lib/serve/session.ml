@@ -30,6 +30,7 @@ let m_branches = Reg.counter "serve.branches"
 let m_alarms = Reg.counter "serve.alarms"
 let m_protocol_errors = Reg.counter "serve.protocol_errors"
 let m_state_errors = Reg.counter "serve.state_errors"
+let m_call_depth_refusals = Reg.counter "serve.call_depth_refusals"
 let m_artifact_fetches = Reg.counter "serve.artifact_fetches"
 let m_artifact_pushes = Reg.counter "serve.artifact_pushes"
 let m_artifact_verify_rejects = Reg.counter "serve.artifact_verify_rejects"
@@ -222,7 +223,18 @@ let feed_staged t ~send st imgs ck =
       | 0 ->
           let callee = st.callee.(st.arg.(i)) in
           (* extern calls have no tables and no frame *)
-          if Hashtbl.mem imgs callee then ignore (Checker.on_call ck callee)
+          if Hashtbl.mem imgs callee then begin
+            (* no run nests deeper than the interpreter allows, and
+               each checker frame costs server memory *)
+            if Checker.depth ck >= Ipds_machine.Interp.max_call_depth then begin
+              Reg.incr m_call_depth_refusals;
+              raise
+                (State_violation
+                   (Printf.sprintf "call past the maximum depth %d"
+                      Ipds_machine.Interp.max_call_depth))
+            end;
+            ignore (Checker.on_call ck callee)
+          end
       | 1 ->
           if Checker.depth ck = 0 then
             raise (State_violation "Ret with an empty checker stack");

@@ -20,6 +20,11 @@ val m_alarms : Reg.counter
 val m_protocol_errors : Reg.counter
 val m_state_errors : Reg.counter
 
+val m_call_depth_refusals : Reg.counter
+(** [Branch_events] batches refused with [bad-state] because a call
+    would push the checker past {!Ipds_machine.Interp.max_call_depth}
+    frames; the session closes.  Bounds a session's checker stack. *)
+
 val m_artifact_fetches : Reg.counter
 (** [Fetch_artifact] frames answered with verified artifact bytes. *)
 
@@ -110,7 +115,9 @@ val handle_events_span :
     {!Protocol.iter_branch_events} with all-or-nothing staging: a
     malformed payload mutates nothing.  Counts only call/ret/branch
     events, the kinds the wire carries.  A [Ret]/[Branch] event against
-    an empty checker stack is a typed [Bad_state] error. *)
+    an empty checker stack, or a call that would nest deeper than
+    {!Ipds_machine.Interp.max_call_depth}, is a typed [Bad_state]
+    error and closes the session. *)
 
 val handle_span :
   t ->

@@ -6,8 +6,10 @@
    same bytes, read the same values and run out of input at the same
    field.  The golden hashes pin wire protocol v2 and artifact format
    v4 byte for byte: one SHA-256 per frame kind of a fixed fixture
-   (whole frame, and payload alone) and one per built-in workload's
-   [Artifact.to_bytes]. *)
+   (whole frame, and payload alone), one per built-in workload's
+   [Artifact.to_bytes] at each precision, and one over the first
+   seed-2006 generated members at each precision.  The compile
+   pipeline may get faster; these bytes may not move. *)
 
 module Core = Ipds_core
 module Bs = Core.Bitstream
@@ -316,15 +318,67 @@ let test_huge_length_oversized () =
       | P.Scan_frame _ -> Alcotest.failf "length %d: scanned a frame" plen)
     [ 0x8000_0000; 0xFFFF_FFFF ]
 
-let test_golden_artifacts () =
+let on_options =
+  let module An = Ipds_correlation.Analysis in
+  { An.default_options with An.precision = An.precision_on }
+
+(* The same built-ins with feasible-path refinement on. *)
+let golden_artifacts_on =
+  [
+    ("telnetd", "31b3e96470541a41a4f764c21d42c6fd22338919d0d1d9076dbb5905c050d5a8");
+    ("wu-ftpd", "09c6c3986f57a4f1d47f5db474d50c7477bee1571e0599b7e27581ac241307d8");
+    ("xinetd", "0714c14860dc554e31416e815ab1ce37d5a3e1f9fc6cec684bc4312a2803ce7d");
+    ("crond", "1aea77dc89d36f8fb34fbfae1da0fdc5caef580a8c9a25cd31b72fc237d35a8a");
+    ("sysklogd", "9facca8d6540471e43d469d04f752bc7132c0f010a9c0a15e4b50d04290b7c9c");
+    ("atftpd", "e53bc5778694e20a9a8d6efdec9e9df996f60ef22a4b1e2ebf3f134914832227");
+    ("httpd", "dd7e33148830608ce2d931bfa52cf73f574dd035d0da20900c9f755dfd97bb81");
+    ("sendmail", "76abaa534b58b3d1ffa89fc94935f4466500e9dcfe12d1e4a377d2a312de9258");
+    ("sshd", "44ff182c228986c42f778d5e99dd778d2719233cc6dffbedb8cff28fffef6e0a");
+    ("portmap", "8e40db15ccd69ab0a6027ea54796988e9599a9dc11d366ba03d4608e68d457e6");
+    ("fwpolicyd", "a0dec57bde610296ab4ca153725a768c26cb70e576e72b3be8e1c6107a97ab0d");
+  ]
+
+let check_artifacts ?options ~label golden =
   List.iter
     (fun (w : W.t) ->
-      let sys = Core.System.cached_build (W.program w) in
+      let sys = Core.System.cached_build ?options (W.program w) in
       let got = sha (Ipds_artifact.Artifact.to_bytes sys) in
-      match List.assoc_opt w.W.name golden_artifacts with
-      | Some want -> check_str ("artifact " ^ w.W.name) want got
-      | None -> Alcotest.failf "no golden hash for artifact %s (got %s)" w.W.name got)
+      match List.assoc_opt w.W.name golden with
+      | Some want -> check_str (label ^ " " ^ w.W.name) want got
+      | None -> Alcotest.failf "no golden hash for %s %s (got %s)" label w.W.name got)
     W.all
+
+let test_golden_artifacts () = check_artifacts ~label:"artifact" golden_artifacts
+
+let test_golden_artifacts_on () =
+  check_artifacts ~options:on_options ~label:"precision-on artifact"
+    golden_artifacts_on
+
+(* Generated members reach analysis shapes the built-ins do not: one
+   SHA-256 over the artifact hashes of the first [gen_members] seed-2006
+   members, per precision. *)
+let gen_members = 64
+
+let golden_gen =
+  [
+    ("off", "0b3b205156d39c9a4e013e072d36c320917b4a9fb4b660fd3d73593d63590943");
+    ("on", "10c4f9e7f4d508e9d38df403eed4ef469d9123fb6d6255549b6fa128a636da1e");
+  ]
+
+let test_golden_gen () =
+  List.iter
+    (fun (label, options) ->
+      let b = Buffer.create (64 * gen_members) in
+      for index = 0 to gen_members - 1 do
+        let sys =
+          Core.System.build ~options (Ipds_gen.Gen.compile ~seed:2006 ~index ())
+        in
+        Buffer.add_string b (sha (Ipds_artifact.Artifact.to_bytes sys))
+      done;
+      check_str ("generated members, precision " ^ label)
+        (List.assoc label golden_gen)
+        (Ipds_core.Sha256.hex_string (Buffer.contents b)))
+    [ ("off", Ipds_correlation.Analysis.default_options); ("on", on_options) ]
 
 let () =
   Alcotest.run "codec"
@@ -340,6 +394,9 @@ let () =
           Alcotest.test_case "wire v2 frames" `Quick test_golden_frames;
           Alcotest.test_case "wire payloads" `Quick test_golden_payloads;
           Alcotest.test_case "artifact v4 built-ins" `Quick test_golden_artifacts;
+          Alcotest.test_case "artifact v4 built-ins, precision on" `Quick
+            test_golden_artifacts_on;
+          Alcotest.test_case "artifact v4 generated members" `Quick test_golden_gen;
           Alcotest.test_case "wire v1 error codes" `Quick test_golden_error_codes;
           Alcotest.test_case "length >= 2^31 is oversized" `Quick
             test_huge_length_oversized;

@@ -1,5 +1,9 @@
 (* Tests for the dataflow framework instantiations: register reaching
-   definitions and liveness. *)
+   definitions and liveness.  The bit-vector reaching definitions are
+   also checked against [Reaching_defs_ref], the per-register set
+   solver they replaced, on every (iid, register) of the built-ins and
+   of a generated population, over the full and the refine-pruned
+   views. *)
 
 module Mir = Ipds_mir
 module Cfg = Ipds_cfg.Cfg
@@ -289,6 +293,91 @@ let test_pruned_view_tightens_rdefs () =
        (Rd.before rd ~iid:6 (Mir.Reg.make 0))
        (Rd.before rd0 ~iid:6 (Mir.Reg.make 0)))
 
+(* ---------- differential check against the reference solver ---------- *)
+
+module Ref = Reaching_defs_ref
+module Ctx = Ipds_correlation.Context
+module An = Ipds_correlation.Analysis
+module Refine = Ipds_correlation.Refine
+module W = Ipds_workloads.Workloads
+module Reg = Ipds_obs.Registry
+
+let m_visits = Reg.counter "dataflow.block_visits"
+
+(* [solve ()] and the block visits it took. *)
+let counted solve =
+  let v0 = Reg.counter_value m_visits in
+  let r = solve () in
+  (r, Reg.counter_value m_visits - v0)
+
+(* Both solvers on one view: the same visit count, and the same
+   [before] and [unique_def] at every (iid, register).  The reference
+   side walks each block once from its block-in state, which is what
+   [Ref.before] replays per query. *)
+let diff_view ~label ?feas cfg =
+  let f = Cfg.func cfg in
+  let rd, visits = counted (fun () -> Rd.compute ?feas cfg) in
+  let rf, ref_visits = counted (fun () -> Ref.compute ?feas cfg) in
+  if visits <> ref_visits then
+    Alcotest.failf "%s: %d block visits, reference %d" label visits ref_visits;
+  let check_point state iid =
+    Array.iteri
+      (fun r (want : Ref.Def_set.t) ->
+        let reg = Mir.Reg.make r in
+        if Rd.Def_set.elements (Rd.before rd ~iid reg) <> Ref.Def_set.elements want
+        then Alcotest.failf "%s: before iid %d r%d differs" label iid r;
+        let unique =
+          if Ref.Def_set.cardinal want = 1 then Some (Ref.Def_set.choose want)
+          else None
+        in
+        if Rd.unique_def rd ~iid reg <> unique then
+          Alcotest.failf "%s: unique_def iid %d r%d differs" label iid r)
+      state
+  in
+  Array.iteri
+    (fun b (blk : Mir.Block.t) ->
+      let state =
+        Array.fold_left
+          (fun state (i : Mir.Instr.t) ->
+            check_point state i.Mir.Instr.iid;
+            Ref.transfer_instr state i)
+          rf.Ref.block_in.(b) blk.Mir.Block.body
+      in
+      check_point state blk.Mir.Block.term_iid)
+    f.Mir.Func.blocks
+
+(* Every function of [prog] on the full view and on the view its
+   precision-on refinement pruned. *)
+let diff_program ~label prog =
+  let pw = Ctx.prepare prog in
+  let on = { An.default_options with An.precision = An.precision_on } in
+  List.iter
+    (fun (f : Mir.Func.t) ->
+      let label = label ^ "/" ^ f.Mir.Func.name in
+      let cfg = Cfg.make f in
+      diff_view ~label:(label ^ " full") cfg;
+      let _, stats = Refine.analyze ~options:on pw f in
+      let feas = Feas.prune (Feas.full cfg) stats.Refine.pruned in
+      diff_view ~label:(label ^ " pruned") ~feas cfg)
+    prog.Mir.Program.funcs
+
+(* Seed-2006 members checked; [IPDS_RDEFS_MEMBERS] raises the count
+   for the opt-in [@rdefs-diff] alias. *)
+let diff_members =
+  match Sys.getenv_opt "IPDS_RDEFS_MEMBERS" with
+  | Some n -> int_of_string n
+  | None -> 200
+
+let test_diff_builtins () =
+  List.iter (fun (w : W.t) -> diff_program ~label:w.W.name (W.program w)) W.all
+
+let test_diff_generated () =
+  for index = 0 to diff_members - 1 do
+    diff_program
+      ~label:(Printf.sprintf "gen 2006/%d" index)
+      (Ipds_gen.Gen.compile ~seed:2006 ~index ())
+  done
+
 let test_liveness () =
   let f = merge_func () in
   let live = Live.compute (Cfg.make f) in
@@ -311,6 +400,11 @@ let () =
           Alcotest.test_case "entry def" `Quick test_entry_def;
           Alcotest.test_case "intra-block kill" `Quick test_def_killed_in_block;
           Alcotest.test_case "loop carried" `Quick test_loop_carried;
+        ] );
+      ( "rdefs-oracle",
+        [
+          Alcotest.test_case "built-ins" `Quick test_diff_builtins;
+          Alcotest.test_case "generated members" `Slow test_diff_generated;
         ] );
       ("liveness", [ Alcotest.test_case "liveness" `Quick test_liveness ]);
       ( "framework",

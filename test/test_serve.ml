@@ -1075,6 +1075,80 @@ let test_split_frames () =
           [ 1 ]; [ n - 1 ]; [ 70_000 ]; List.init 37 (fun i -> (i + 1) * 4000);
         ])
 
+(* ---------- the checker's call depth is bounded ---------- *)
+
+(* No run nests deeper than [Interp.max_call_depth], so a deeper call
+   is a hostile stream: refused with Bad_state, counted, and the
+   session closed, before its checker frames exhaust server memory. *)
+
+let call_main =
+  {
+    Ipds_machine.Event.fname = "main";
+    iid = 0;
+    pc = 0;
+    kind = Ipds_machine.Event.Call { callee = "main" };
+  }
+
+let depth_refusals () = Reg.counter_value Session.m_call_depth_refusals
+
+let test_call_depth_bound () =
+  let r0 = depth_refusals () in
+  let deepest = List.init Ipds_machine.Interp.max_call_depth (fun _ -> call_main) in
+  let replies, _ = feed_session [ deepest; [ call_main ] ] feed_span in
+  check "the deepest call is served, one more is Bad_state" true
+    (match List.map reply_frame replies with
+    | [ P.Loaded _; P.Trace_started; P.Verdicts []; P.Error { P.code = P.Bad_state; _ } ]
+      ->
+        true
+    | _ -> false);
+  Alcotest.(check int) "one refusal counted" 1 (depth_refusals () - r0)
+
+(* A client that sends only calls into [main]: up to twenty frames of
+   200 000 calls (about 250 KB each).  The first frame is refused, once,
+   and the same server then serves a clean session. *)
+let test_call_flood () =
+  let events, image, _ = Lazy.force telnetd_run in
+  let flood = List.init 200_000 (fun _ -> call_main) in
+  let sock = tmp_sock "flood" in
+  Serve.Server.with_server (`Unix sock) (fun _ ->
+      let session f =
+        let c = Serve.Client.connect (`Unix sock) in
+        Fun.protect
+          ~finally:(fun () -> Serve.Client.close c)
+          (fun () ->
+            (match Serve.Client.load_image c ~name:"telnetd" (Bytes.of_string image) with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "load: %s" e.P.detail);
+            f c)
+      in
+      let r0 = depth_refusals () in
+      session (fun c ->
+          (match Serve.Client.begin_trace c with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "begin: %s" e.P.detail);
+          let rec flood_from frame =
+            if frame > 20 then Alcotest.fail "twenty call frames accepted"
+            else
+              match Serve.Client.send_events c flood with
+              | Ok _ -> flood_from (frame + 1)
+              | Error e -> (frame, e.P.code)
+          in
+          let frame, code = flood_from 1 in
+          Alcotest.(check int) "refused at the first frame" 1 frame;
+          Alcotest.(check string) "typed refusal" "bad-state" (P.error_code_to_string code));
+      Alcotest.(check int) "one refusal counted" 1 (depth_refusals () - r0);
+      session (fun c ->
+          match Serve.Client.trace c with
+          | Error e -> Alcotest.failf "trace: %s" e.P.detail
+          | Ok tr -> (
+              Array.iter tr.Serve.Client.sink events;
+              match tr.Serve.Client.finish () with
+              | Ok (alarms, summary) ->
+                  check "clean session: no alarms" true (alarms = []);
+                  check "clean session: events checked" true
+                    (summary.P.total_branches > 0)
+              | Error e -> Alcotest.failf "clean session: %s" e.P.detail)))
+
 let () =
   Random.self_init ();
   Alcotest.run "serve-protocol"
@@ -1113,6 +1187,13 @@ let () =
         [
           Alcotest.test_case "frames split at every byte: same replies" `Quick
             test_split_frames;
+        ] );
+      ( "call-depth",
+        [
+          Alcotest.test_case "max_call_depth served, one more refused" `Quick
+            test_call_depth_bound;
+          Alcotest.test_case "call flood refused once, server still serves"
+            `Quick test_call_flood;
         ] );
       ( "artifact-sharing",
         [
