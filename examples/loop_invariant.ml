@@ -40,7 +40,7 @@ exit:
 let () =
   let program = Mir.Parser.program_of_string source in
   print_endline "The Figure 4 loop:";
-  Format.printf "%a@." Mir.Program.pp program;
+  print_string (Mir.Printer.program_to_string program);
 
   let system = Core.System.build program in
   let info = List.assoc "main" system.Core.System.funcs in

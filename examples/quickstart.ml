@@ -23,7 +23,7 @@ int main() {
 let () =
   print_endline "1. Compile MiniC to MIR:";
   let program = Ipds_minic.Minic.compile source in
-  Format.printf "%a@." Mir.Program.pp program;
+  print_string (Mir.Printer.program_to_string program);
 
   print_endline "2. Run the IPDS compile-side analysis:";
   let system = Core.System.build program in

@@ -4,9 +4,17 @@
    is eagerly initialised plain-[int] arithmetic (no [lazy], no boxed
    [Int32] in the compression loop), so the module is domain-safe for
    any [--jobs > 1] build or artifact path and allocation-free per
-   round.  Native
-   63-bit ints hold every 32-bit intermediate exactly; results are
-   masked back to 32 bits after each addition. *)
+   block.  Native 63-bit ints hold every 32-bit intermediate exactly;
+   sums are masked back to 32 bits where they feed a later step.
+
+   Message words come in as big-endian 32-bit loads.  A 32-bit rotate
+   right by [n] is bits [n .. n + 31] of the word duplicated into the
+   upper half, [x lor (x lsl 32)]: for the largest rotation used (25)
+   the top bit read is 56, well inside the 63-bit int.  The 64 rounds
+   run as 8 iterations of 8 let-bound rounds; each round only rebinds
+   [d] and [h] of its (a .. h), and the next round reads the same eight
+   names rotated by one, so after 8 rounds every name is back in its
+   role and the loop carries the state in eight mutable locals. *)
 
 let digest_length = 32
 let mask = 0xFFFF_FFFF
@@ -28,56 +36,116 @@ let k =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
 
-(* one 64-byte block at [pos]; [w] is caller-provided scratch so a
-   multi-block message reuses one schedule array *)
+(* Unchecked big-endian u32 load: callers stay inside a range that
+   [bytes] has bounds-checked. *)
+let get_u32_be buf i =
+  let v = get32u buf i in
+  Int32.to_int (if Sys.big_endian then v else swap32 v) land mask
+
+let[@inline] sigma0 a =
+  let x = a lor (a lsl 32) in
+  ((x lsr 2) lxor (x lsr 13) lxor (x lsr 22)) land mask
+
+let[@inline] sigma1 e =
+  let x = e lor (e lsl 32) in
+  ((x lsr 6) lxor (x lsr 11) lxor (x lsr 25)) land mask
+
+(* one 64-byte block at [pos]; [h] is the chaining state and [w] is
+   caller-provided scratch so a multi-block message reuses one
+   schedule array *)
 let process h w buf pos =
   for t = 0 to 15 do
-    w.(t) <-
-      (Bytes.get_uint8 buf (pos + (4 * t)) lsl 24)
-      lor (Bytes.get_uint8 buf (pos + (4 * t) + 1) lsl 16)
-      lor (Bytes.get_uint8 buf (pos + (4 * t) + 2) lsl 8)
-      lor Bytes.get_uint8 buf (pos + (4 * t) + 3)
+    Array.unsafe_set w t (get_u32_be buf (pos + (4 * t)))
   done;
   for t = 16 to 63 do
-    let x = w.(t - 15) and y = w.(t - 2) in
-    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
-    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let dx = x lor (x lsl 32) and dy = y lor (y lsl 32) in
+    let s0 = ((dx lsr 7) lxor (dx lsr 18)) land mask lxor (x lsr 3) in
+    let s1 = ((dy lsr 17) lxor (dy lsr 19)) land mask lxor (y lsr 10) in
+    Array.unsafe_set w t
+      ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
+      land mask)
   done;
-  let a = ref h.(0)
-  and b = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
-  for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask
+  let ra = ref h.(0)
+  and rb = ref h.(1)
+  and rc = ref h.(2)
+  and rd = ref h.(3)
+  and re = ref h.(4)
+  and rf = ref h.(5)
+  and rg = ref h.(6)
+  and rh = ref h.(7) in
+  for i = 0 to 7 do
+    let t = 8 * i in
+    let a = !ra and b = !rb and c = !rc and d = !rd in
+    let e = !re and f = !rf and g = !rg and h = !rh in
+    let t1 =
+      h + sigma1 e + (g lxor (e land (f lxor g)))
+      + Array.unsafe_get k t + Array.unsafe_get w t
+    in
+    let d = (d + t1) land mask in
+    let h = (t1 + sigma0 a + ((a land b) lor (c land (a lor b)))) land mask in
+    let t1 =
+      g + sigma1 d + (f lxor (d land (e lxor f)))
+      + Array.unsafe_get k (t + 1) + Array.unsafe_get w (t + 1)
+    in
+    let c = (c + t1) land mask in
+    let g = (t1 + sigma0 h + ((h land a) lor (b land (h lor a)))) land mask in
+    let t1 =
+      f + sigma1 c + (e lxor (c land (d lxor e)))
+      + Array.unsafe_get k (t + 2) + Array.unsafe_get w (t + 2)
+    in
+    let b = (b + t1) land mask in
+    let f = (t1 + sigma0 g + ((g land h) lor (a land (g lor h)))) land mask in
+    let t1 =
+      e + sigma1 b + (d lxor (b land (c lxor d)))
+      + Array.unsafe_get k (t + 3) + Array.unsafe_get w (t + 3)
+    in
+    let a = (a + t1) land mask in
+    let e = (t1 + sigma0 f + ((f land g) lor (h land (f lor g)))) land mask in
+    let t1 =
+      d + sigma1 a + (c lxor (a land (b lxor c)))
+      + Array.unsafe_get k (t + 4) + Array.unsafe_get w (t + 4)
+    in
+    let h = (h + t1) land mask in
+    let d = (t1 + sigma0 e + ((e land f) lor (g land (e lor f)))) land mask in
+    let t1 =
+      c + sigma1 h + (b lxor (h land (a lxor b)))
+      + Array.unsafe_get k (t + 5) + Array.unsafe_get w (t + 5)
+    in
+    let g = (g + t1) land mask in
+    let c = (t1 + sigma0 d + ((d land e) lor (f land (d lor e)))) land mask in
+    let t1 =
+      b + sigma1 g + (a lxor (g land (h lxor a)))
+      + Array.unsafe_get k (t + 6) + Array.unsafe_get w (t + 6)
+    in
+    let f = (f + t1) land mask in
+    let b = (t1 + sigma0 c + ((c land d) lor (e land (c lor d)))) land mask in
+    let t1 =
+      a + sigma1 f + (h lxor (f land (g lxor h)))
+      + Array.unsafe_get k (t + 7) + Array.unsafe_get w (t + 7)
+    in
+    let e = (e + t1) land mask in
+    let a = (t1 + sigma0 b + ((b land c) lor (d land (b lor c)))) land mask in
+    ra := a;
+    rb := b;
+    rc := c;
+    rd := d;
+    re := e;
+    rf := f;
+    rg := g;
+    rh := h
   done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  h.(0) <- (h.(0) + !ra) land mask;
+  h.(1) <- (h.(1) + !rb) land mask;
+  h.(2) <- (h.(2) + !rc) land mask;
+  h.(3) <- (h.(3) + !rd) land mask;
+  h.(4) <- (h.(4) + !re) land mask;
+  h.(5) <- (h.(5) + !rf) land mask;
+  h.(6) <- (h.(6) + !rg) land mask;
+  h.(7) <- (h.(7) + !rh) land mask
 
 let bytes buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then

@@ -47,7 +47,7 @@ let taken_pred t ~taken = Range.Cond.value_pred t.affine t.cmp t.konst ~taken
 let forced_direction t pred = Range.Cond.forced_direction t.affine t.cmp t.konst pred
 
 let pp ppf t =
-  Format.fprintf ppf "br@%d on %a (load@%d, %+d%s) %a %d" t.branch_iid
+  Format.fprintf ppf "br@%d on %a (load@%d, %+d%s) %s %d" t.branch_iid
     Ipds_alias.Cell.pp t.cell t.load_iid t.affine.Range.Cond.offset
     (if t.affine.Range.Cond.scale < 0 then ", negated" else "")
-    Mir.Cmp.pp t.cmp t.konst
+    (Mir.Cmp.to_string t.cmp) t.konst

@@ -11,8 +11,3 @@ let regs = function
   | Direct _ -> []
   | Index (_, i) -> Operand.regs i
   | Indirect r -> [ r ]
-
-let pp ppf = function
-  | Direct v -> Format.fprintf ppf "%s" v.Var.name
-  | Index (v, i) -> Format.fprintf ppf "%s[%a]" v.Var.name Operand.pp i
-  | Indirect r -> Format.fprintf ppf "[%a]" Reg.pp r

@@ -20,5 +20,3 @@ val base_var : t -> Var.t option
 
 val regs : t -> Reg.t list
 (** Registers read when computing the address. *)
-
-val pp : Format.formatter -> t -> unit

@@ -20,4 +20,3 @@ val eval : t -> int -> int -> int
 val all : t list
 val to_string : t -> string
 val of_string : string -> t option
-val pp : Format.formatter -> t -> unit

@@ -7,8 +7,3 @@ type t = {
 }
 
 let successors t = Terminator.successors t.term
-
-let pp ~labels ppf t =
-  Format.fprintf ppf "@[<v 2>%s:" t.label;
-  Array.iter (fun i -> Format.fprintf ppf "@,%a" Instr.pp i) t.body;
-  Format.fprintf ppf "@,%a@]" (Terminator.pp ~labels) t.term

@@ -12,4 +12,3 @@ type t = {
 }
 
 val successors : t -> int list
-val pp : labels:(int -> string) -> Format.formatter -> t -> unit

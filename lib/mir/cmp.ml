@@ -43,5 +43,3 @@ let to_string = function
 
 let of_string s =
   List.find_opt (fun c -> String.equal (to_string c) s) all
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -18,4 +18,3 @@ val swap : t -> t
 val all : t list
 val to_string : t -> string
 val of_string : string -> t option
-val pp : Format.formatter -> t -> unit

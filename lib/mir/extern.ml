@@ -9,14 +9,6 @@ let equal a b =
   | Writes_args xs, Writes_args ys -> List.equal Int.equal xs ys
   | (Pure | Writes_args _ | Writes_anything), _ -> false
 
-let pp ppf = function
-  | Pure -> Format.pp_print_string ppf "pure"
-  | Writes_args args ->
-      Format.fprintf ppf "writes(%a)"
-        Format.(pp_print_list ~pp_sep:(fun f () -> pp_print_string f ",") pp_print_int)
-        args
-  | Writes_anything -> Format.pp_print_string ppf "writes_all"
-
 (* The interpreter in Ipds_machine.Interp gives these executable semantics;
    the summaries here are what the correlation analysis relies on. *)
 let default_table =

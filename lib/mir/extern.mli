@@ -15,7 +15,6 @@ type summary =
       (** may modify any memory-resident variable (unknown library code) *)
 
 val equal : summary -> summary -> bool
-val pp : Format.formatter -> summary -> unit
 
 val default_table : (string * summary) list
 (** Summaries for the MiniC runtime / libc-like externals used by the

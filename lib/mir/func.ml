@@ -46,15 +46,3 @@ let iter_instrs t f =
     t.blocks
 
 let label_of_block t idx = t.blocks.(idx).label
-
-let pp ppf t =
-  let labels idx = label_of_block t idx in
-  let pp_params =
-    Format.pp_print_list
-      ~pp_sep:(fun f () -> Format.pp_print_string f ", ")
-      Reg.pp
-  in
-  Format.fprintf ppf "@[<v 1>func %s(%a) {" t.name pp_params t.params;
-  List.iter (fun v -> Format.fprintf ppf "@, var %a" Var.pp v) t.locals;
-  Array.iter (fun b -> Format.fprintf ppf "@,%a" (Block.pp ~labels) b) t.blocks;
-  Format.fprintf ppf "@]@,}"

@@ -32,4 +32,3 @@ val iter_instrs : t -> (int -> Op.t -> unit) -> unit
 (** Iterate body instructions (not terminators) in block order. *)
 
 val label_of_block : t -> int -> string
-val pp : Format.formatter -> t -> unit

@@ -2,5 +2,3 @@ type t = {
   iid : int;
   op : Op.t;
 }
-
-let pp ppf t = Op.pp ppf t.op

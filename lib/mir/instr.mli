@@ -9,5 +9,3 @@ type t = {
   iid : int;
   op : Op.t;
 }
-
-val pp : Format.formatter -> t -> unit

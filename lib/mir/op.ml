@@ -29,26 +29,3 @@ let uses = function
   | Store (a, o) -> Addr.regs a @ Operand.regs o
   | Addr_of (_, _, i) -> Operand.regs i
   | Call { args; _ } -> List.concat_map Operand.regs args
-
-let pp ppf = function
-  | Const (r, n) -> Format.fprintf ppf "%a = %d" Reg.pp r n
-  | Move (r, o) -> Format.fprintf ppf "%a = %a" Reg.pp r Operand.pp o
-  | Binop (r, op, a, b) ->
-      Format.fprintf ppf "%a = %a %a, %a" Reg.pp r Binop.pp op Operand.pp a
-        Operand.pp b
-  | Load (r, a) -> Format.fprintf ppf "%a = load %a" Reg.pp r Addr.pp a
-  | Store (a, o) -> Format.fprintf ppf "store %a, %a" Addr.pp a Operand.pp o
-  | Addr_of (r, v, i) ->
-      Format.fprintf ppf "%a = addr %s[%a]" Reg.pp r v.Var.name Operand.pp i
-  | Call { dst; callee; args } ->
-      let pp_args =
-        Format.pp_print_list
-          ~pp_sep:(fun f () -> Format.pp_print_string f ", ")
-          Operand.pp
-      in
-      (match dst with
-      | Some r -> Format.fprintf ppf "%a = call %s(%a)" Reg.pp r callee pp_args args
-      | None -> Format.fprintf ppf "call %s(%a)" callee pp_args args)
-  | Input (r, ch) -> Format.fprintf ppf "%a = input %d" Reg.pp r ch
-  | Output o -> Format.fprintf ppf "output %a" Operand.pp o
-  | Nop -> Format.pp_print_string ppf "nop"

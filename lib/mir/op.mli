@@ -17,5 +17,3 @@ val def : t -> Reg.t option
 
 val uses : t -> Reg.t list
 (** Registers read by the instruction. *)
-
-val pp : Format.formatter -> t -> unit

@@ -11,10 +11,6 @@ let equal a b =
   | Imm n1, Imm n2 -> Int.equal n1 n2
   | Reg _, Imm _ | Imm _, Reg _ -> false
 
-let pp ppf = function
-  | Reg r -> Reg.pp ppf r
-  | Imm n -> Format.fprintf ppf "%d" n
-
 let regs = function
   | Reg r -> [ r ]
   | Imm _ -> []

@@ -7,7 +7,6 @@ type t =
 val reg : Reg.t -> t
 val imm : int -> t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val regs : t -> Reg.t list
 (** Registers read by the operand ([[]] for immediates). *)

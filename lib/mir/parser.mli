@@ -21,7 +21,9 @@
     v} *)
 
 exception Parse_error of string
-(** Carries a ["line N: message"] description. *)
+(** Carries a ["line N: message"] description.  An integer literal
+    outside [[min_int, max_int]] is one: ["line N: integer literal out
+    of range"]. *)
 
 val program_of_string : string -> Program.t
 (** Raises {!Parse_error} on malformed input and [Invalid_argument] when

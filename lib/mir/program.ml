@@ -22,14 +22,3 @@ let find_var t id =
 
 let extern_summary t name = Extern.lookup t.externs name
 let is_defined t name = Option.is_some (find_func t name)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun v -> Format.fprintf ppf "global %a@," Var.pp v) t.globals;
-  List.iter
-    (fun (name, s) -> Format.fprintf ppf "extern %s %a@," name Extern.pp s)
-    t.externs;
-  Format.pp_print_list
-    ~pp_sep:(fun f () -> Format.fprintf f "@,@,")
-    Func.pp ppf t.funcs;
-  Format.fprintf ppf "@]"

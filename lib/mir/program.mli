@@ -19,4 +19,3 @@ val extern_summary : t -> string -> Extern.summary
     [Writes_anything] if undeclared). *)
 
 val is_defined : t -> string -> bool
-val pp : Format.formatter -> t -> unit

@@ -8,5 +8,3 @@ let index t = t
 let equal = Int.equal
 let compare = Int.compare
 let hash t = t
-let pp ppf t = Format.fprintf ppf "r%d" t
-let to_string t = Printf.sprintf "r%d" t

@@ -15,5 +15,3 @@ val index : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

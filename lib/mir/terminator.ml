@@ -23,12 +23,3 @@ let uses = function
 let is_branch = function
   | Branch _ -> true
   | Jump _ | Return _ | Halt -> false
-
-let pp ~labels ppf = function
-  | Jump b -> Format.fprintf ppf "jmp %s" (labels b)
-  | Branch { cmp; lhs; rhs; if_true; if_false } ->
-      Format.fprintf ppf "br %a %a, %a, %s, %s" Cmp.pp cmp Reg.pp lhs
-        Operand.pp rhs (labels if_true) (labels if_false)
-  | Return None -> Format.pp_print_string ppf "ret"
-  | Return (Some o) -> Format.fprintf ppf "ret %a" Operand.pp o
-  | Halt -> Format.pp_print_string ppf "halt"

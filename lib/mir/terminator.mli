@@ -16,5 +16,3 @@ type t =
 val successors : t -> int list
 val uses : t -> Reg.t list
 val is_branch : t -> bool
-
-val pp : labels:(int -> string) -> Format.formatter -> t -> unit

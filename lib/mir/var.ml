@@ -19,10 +19,6 @@ let equal a b = Int.equal a.id b.id
 let compare a b = Int.compare a.id b.id
 let hash t = t.id
 
-let pp ppf t =
-  if t.size = 1 then Format.fprintf ppf "%s" t.name
-  else Format.fprintf ppf "%s[%d]" t.name t.size
-
 module Ord = struct
   type nonrec t = t
 

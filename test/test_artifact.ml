@@ -146,6 +146,29 @@ let test_sha256_name_injective () =
     "c3494ca1a2cf8eeb8a11ded316fb55b83c3bbbedb6313cd50415251e5d09e12f"
     (H.name [ "abc" ])
 
+(* The word-loading, unrolled compression against the byte-at-a-time
+   reference: every length 0..1100 at every offset 0..7 covers each
+   padding boundary (55/56/63/64 mod 64) and every load alignment. *)
+let test_sha256_differential () =
+  let module H = Ipds_core.Sha256 in
+  let rng = Random.State.make [| 180; 4 |] in
+  let buf = Bytes.init 1108 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for pos = 0 to 7 do
+    for len = 0 to 1100 do
+      let got = H.bytes buf ~pos ~len and want = Sha256_ref.bytes buf ~pos ~len in
+      if not (String.equal got want) then
+        Alcotest.failf "Sha256.bytes ~pos:%d ~len:%d differs from the reference" pos len
+    done
+  done;
+  List.iter
+    (fun parts -> check_str "name" (Sha256_ref.name parts) (H.name parts))
+    [
+      [];
+      [ "" ];
+      [ "ipds-func"; "abc"; String.make 200 'x' ];
+      List.init 40 (fun i -> String.make i (Char.chr (65 + (i mod 26))));
+    ]
+
 (* Every function is named by SHA-256, both as built and as loaded back
    from its artifact. *)
 let test_func_digests_sha256 () =
@@ -295,6 +318,18 @@ let test_images_differential () =
   done;
   check "the tamper plans raised alarms to compare" true (!alarms_seen > 0)
 
+(* [image] re-sealed with [code] as its code section: every CRC and the
+   container digest are recomputed, so the result passes every check
+   but the parse. *)
+let with_code code image =
+  Obj.to_bytes
+    ~sections:
+      (List.map
+         (fun (name, payload) ->
+           if String.equal name "code" then (name, Bytes.of_string code)
+           else (name, payload))
+         (Obj.of_bytes image))
+
 (* The deliberate split between the two load paths.  A container whose
    code section is rewritten and re-digested still loads for checking
    through [Load_image], which never reads code; the same bytes are
@@ -302,15 +337,7 @@ let test_images_differential () =
    them to the store. *)
 let test_code_section_split () =
   let good = A.to_bytes (system_of (W.find "telnetd")) in
-  let rewritten =
-    Obj.to_bytes
-      ~sections:
-        (List.map
-           (fun (name, payload) ->
-             if String.equal name "code" then (name, Bytes.of_string "not a program")
-             else (name, payload))
-           (Obj.of_bytes good))
-  in
+  let rewritten = with_code "not a program" good in
   check "of_bytes rejects the rewritten code" true
     (match A.of_bytes rewritten with
     | _ -> false
@@ -343,6 +370,32 @@ let test_code_section_split () =
       match !replies with
       | [ P.Error { P.code = P.Corrupt_artifact; _ } ] -> ()
       | _ -> Alcotest.fail "Push_artifact: expected one corrupt-artifact error")
+
+(* A code section whose integer literal does not fit an int must be
+   refused as [Corrupt] (a typed store miss), not as an escaping
+   [Failure]. *)
+let overlong_literal_code = "func main() {\n e:\n  r0 = 99999999999999999999999\n  halt\n}\n"
+
+let test_overlong_literal_is_corrupt () =
+  let bad = with_code overlong_literal_code (A.to_bytes (system_of (W.find "telnetd"))) in
+  check_str "of_bytes raises Corrupt"
+    "code section: line 3: integer literal out of range"
+    (match A.of_bytes bad with
+    | _ -> "decoded"
+    | exception A.Corrupt m -> m);
+  with_temp_dir (fun dir ->
+      Store.reset_counters ();
+      let store = Store.create ~dir in
+      let key = "overlong-literal-probe" in
+      check "publish_image stores it" true (Store.publish_image store key bad = `Stored);
+      check "load_system misses" true (Store.load_system store key = None);
+      check "fetch_image is typed corrupt" true
+        (match Store.fetch_image store key with
+        | `Corrupt _ -> true
+        | `Image _ | `Miss -> false);
+      let c = Store.counters () in
+      check_int "counted corrupt" 2 c.Store.corrupt;
+      check_int "counted misses" 2 c.Store.misses)
 
 let test_inspect_reports_damage () =
   let sys = system_of (W.find "telnetd") in
@@ -652,6 +705,7 @@ let () =
         [
           Alcotest.test_case "FIPS 180-4 vectors" `Quick test_sha256_fips_vectors;
           Alcotest.test_case "name is injective" `Quick test_sha256_name_injective;
+          Alcotest.test_case "matches the reference" `Quick test_sha256_differential;
           Alcotest.test_case "function digests are SHA-256" `Quick
             test_func_digests_sha256;
         ] );
@@ -669,6 +723,8 @@ let () =
             test_images_differential;
           Alcotest.test_case "rewritten code: Load_image yes, push no" `Quick
             test_code_section_split;
+          Alcotest.test_case "overlong literal is Corrupt" `Quick
+            test_overlong_literal_is_corrupt;
         ] );
       ( "store",
         [

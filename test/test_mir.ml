@@ -390,6 +390,256 @@ let prop_validate_random =
   QCheck2.Test.make ~name:"random programs validate" ~count:100 Gen.mir_program
     (fun p -> Mir.Validate.check p = [])
 
+(* ---------- MIR text against the reference printer and parser ---------- *)
+
+module Ref = Mir_text_ref
+
+(* One parse, reduced to what must agree: the re-printed text, or the
+   exception and its message. *)
+let outcome parse print src =
+  match parse src with
+  | p -> Ok (print p)
+  | exception Mir.Parser.Parse_error m -> Error ("Parse_error", m)
+  | exception Ref.Parse_error m -> Error ("Parse_error", m)
+  | exception Invalid_argument m -> Error ("Invalid_argument", m)
+  | exception Failure m -> Error ("Failure", m)
+
+let show = function
+  | Ok s -> "Ok " ^ String.escaped s
+  | Error (e, m) -> e ^ " " ^ m
+
+(* The reference lexer fails on an integer literal outside the int
+   range with [int_of_string]'s [Failure]; the library refuses it with
+   a located [Parse_error].  That is the one permitted difference. *)
+let parse_agrees ~label src =
+  let got = outcome Mir.Parser.program_of_string Mir.Printer.program_to_string src in
+  let want = outcome Ref.program_of_string Ref.program_to_string src in
+  let same =
+    match want, got with
+    | Error ("Failure", "int_of_string"), Error ("Parse_error", m) ->
+        String.ends_with ~suffix:": integer literal out of range" m
+    | _ -> want = got
+  in
+  if not same then
+    Alcotest.failf "%s: parse differs from the reference\n want %s\n got  %s" label
+      (show want) (show got)
+
+let text_agrees ~label (p : Mir.Program.t) =
+  let text = Mir.Printer.program_to_string p in
+  check_str (label ^ ": program text") (Ref.program_to_string p) text;
+  List.iter
+    (fun (f : Mir.Func.t) ->
+      check_str
+        (label ^ "/" ^ f.Mir.Func.name ^ ": function text")
+        (Ref.func_to_string f) (Mir.Printer.func_to_string f))
+    p.Mir.Program.funcs;
+  (* printed text parses back to itself, through either parser *)
+  parse_agrees ~label text;
+  check_str (label ^ ": re-print")
+    text
+    (Mir.Printer.program_to_string (Mir.Parser.program_of_string text))
+
+let hand_programs =
+  let many = String.concat ", " (List.init 30 (fun i -> Printf.sprintf "r%d" i)) in
+  [
+    ( "wide call",
+      Printf.sprintf
+        {|extern sink pure
+func main() {
+e:
+  r0 = 1
+  r31 = call sink(%s, -4611686018427387904, 4611686018427387903)
+  call sink(%s)
+  ret r31
+}
+|}
+        many many );
+    ( "negatives",
+      {|func main() {
+e:
+  r0 = -7
+  r1 = sub r0, -3
+  store [r0], -1
+  br lt r1, -100, a, b
+a:
+  ret -1
+b:
+  output -2
+  ret
+}
+|} );
+    ( "arrays and externs",
+      {|global buf[16]
+global g
+extern memcpy writes(0,2,5)
+extern strlen pure
+extern syscall writes_all
+func helper(r0, r1, r2) {
+ var tmp[8]
+ var s
+e:
+  r3 = addr tmp[r0]
+  call memcpy(r3, r1, r2)
+  store tmp[3], r2
+  r4 = load tmp[r1]
+  store buf[r4], 9
+  r5 = load buf[0]
+  store s, r5
+  r6 = call strlen(r3)
+  r7 = call syscall()
+  ret r6
+}
+
+func main() {
+e:
+  r0 = call helper(1, 2, 3)
+  r1 = input 2
+  nop
+  halt
+}
+|} );
+    ( "long names",
+      Printf.sprintf
+        {|func %s() {
+ var %s
+%s:
+  r0 = load %s
+  br ge r0, 0, %s, %s
+%s:
+  ret
+}
+func main() {
+e:
+  call %s()
+  halt
+}
+|}
+        (String.make 90 'f') (String.make 80 'v') (String.make 85 'l')
+        (String.make 80 'v') (String.make 85 'l') (String.make 70 'm')
+        (String.make 70 'm') (String.make 90 'f') );
+  ]
+
+let test_text_hand_cases () =
+  List.iter
+    (fun (label, src) ->
+      text_agrees ~label (Mir.Parser.program_of_string src);
+      parse_agrees ~label src)
+    hand_programs
+
+let test_text_builtins () =
+  List.iter
+    (fun (w : Ipds_workloads.Workloads.t) ->
+      text_agrees ~label:w.name (Ipds_workloads.Workloads.program w))
+    Ipds_workloads.Workloads.all
+
+(* Seed-2006 members checked; [IPDS_MIR_TEXT_MEMBERS] raises the count
+   for the opt-in [@mir-text-diff] alias. *)
+let text_members =
+  match Sys.getenv_opt "IPDS_MIR_TEXT_MEMBERS" with
+  | Some n -> int_of_string n
+  | None -> 200
+
+let test_text_generated () =
+  for index = 0 to text_members - 1 do
+    text_agrees
+      ~label:(Printf.sprintf "gen 2006/%d" index)
+      (Ipds_gen.Gen.compile ~seed:2006 ~index ())
+  done
+
+let prop_text_random =
+  QCheck2.Test.make ~name:"printer and parser match the reference (random MIR)"
+    ~count:100 Gen.mir_program (fun p ->
+      text_agrees ~label:"random" p;
+      true)
+
+(* Malformed text: every prefix of two programs, one-byte substitutions
+   and hand-written errors raise what the reference raises, with the
+   same message. *)
+let test_text_malformed () =
+  let srcs =
+    List.map snd hand_programs
+    @ [ Mir.Printer.program_to_string
+          (Ipds_workloads.Workloads.program (Ipds_workloads.Workloads.find "telnetd")) ]
+  in
+  List.iteri
+    (fun k src ->
+      for cut = 0 to String.length src - 1 do
+        parse_agrees ~label:(Printf.sprintf "program %d cut at %d" k cut)
+          (String.sub src 0 cut)
+      done)
+    srcs;
+  let rng = Random.State.make [| 2006 |] in
+  let junk = "(){}[],:=#- \n0129rxz_-" in
+  List.iteri
+    (fun k src ->
+      for trial = 0 to 299 do
+        let b = Bytes.of_string src in
+        let at = Random.State.int rng (Bytes.length b) in
+        Bytes.set b at junk.[Random.State.int rng (String.length junk)];
+        parse_agrees
+          ~label:(Printf.sprintf "program %d, substitution %d at %d" k trial at)
+          (Bytes.to_string b)
+      done)
+    srcs;
+  List.iter
+    (fun src -> parse_agrees ~label:(String.escaped src) src)
+    [
+      "";
+      "func ???";
+      "func main() {\ne:\n r0 = load nope\n ret\n}";
+      "func main() {\ne:\n br zz r0, 1, e, e\n}";
+      "func main() {\ne:\n ret";
+      "func main() {\ne:\n r0 = 5 $\n}";
+      "func main() {\ne:\n r0 = -\n halt\n}";
+      "func main() {\ne:\n r0 = 12ab\n halt\n}";
+      "func main() {\ne:\n r0 = 4611686018427387904\n halt\n}";
+      "func main() {\ne:\n r0 = -4611686018427387905\n halt\n}";
+      "global\n";
+      "extern f writes(\n";
+      "func main(r0, {\n";
+      "# only a comment";
+      "func main() {\ne:\n r0x1f = 5\n r1_0 = add r0x1f, r007\n ret r0b11\n}";
+      "func main() {\ne:\n r4611686018427387904 = 5\n halt\n}";
+      "func main() {\ne:\n r0 = 5\n ret r\n}";
+    ]
+
+(* ---------- integer literals ---------- *)
+
+let test_int_literal_range () =
+  Alcotest.check_raises "overlong literal"
+    (Mir.Parser.Parse_error "line 3: integer literal out of range") (fun () ->
+      ignore
+        (Mir.Parser.program_of_string
+           "func main() {\n e:\n  r0 = 99999999999999999999999\n  halt\n}\n"));
+  Alcotest.check_raises "one past max_int"
+    (Mir.Parser.Parse_error "line 2: integer literal out of range") (fun () ->
+      ignore (Mir.Parser.program_of_string "func main() {\ne: r0 = 4611686018427387904\n halt\n}"));
+  Alcotest.check_raises "one past min_int"
+    (Mir.Parser.Parse_error "line 1: integer literal out of range") (fun () ->
+      ignore (Mir.Parser.program_of_string "func main() { e: r0 = -4611686018427387905 halt }"));
+  let module B = Mir.Builder in
+  let b = B.create () in
+  B.func b "main" ~nparams:0 (fun fb _ ->
+      let lo = B.const fb min_int in
+      let hi = B.const fb max_int in
+      B.output fb (Mir.Operand.imm min_int);
+      B.output fb (Mir.Operand.imm max_int);
+      let r = B.binop fb Mir.Binop.Sub (Mir.Operand.reg hi) (Mir.Operand.reg lo) in
+      B.ret fb (Some (Mir.Operand.reg r)));
+  let p = B.finish b in
+  let text = Mir.Printer.program_to_string p in
+  check "extremes printed" true
+    (List.for_all
+       (fun n ->
+         let needle = string_of_int n in
+         let rec has i =
+           i + String.length needle <= String.length text
+           && (String.sub text i (String.length needle) = needle || has (i + 1))
+         in
+         has 0)
+       [ min_int; max_int ]);
+  check "min_int/max_int round trip" true (structural_roundtrip p)
+
 let () =
   Alcotest.run "mir"
     [
@@ -428,6 +678,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_validate_random;
           QCheck_alcotest.to_alcotest prop_layout_inverse;
           Alcotest.test_case "negatives and empties" `Quick test_printer_negative_and_empty;
+          Alcotest.test_case "integer literal range" `Quick test_int_literal_range;
+        ] );
+      ( "text-ref",
+        [
+          Alcotest.test_case "hand cases" `Quick test_text_hand_cases;
+          Alcotest.test_case "built-ins" `Quick test_text_builtins;
+          Alcotest.test_case "malformed input" `Quick test_text_malformed;
+          QCheck_alcotest.to_alcotest prop_text_random;
+          Alcotest.test_case "generated members" `Slow test_text_generated;
         ] );
       ( "program",
         [

@@ -379,6 +379,7 @@ let test_raised_max_frame () =
 module Serve = Ipds_serve
 module W = Ipds_workloads.Workloads
 
+(* [f] gets one client connected to a live server over a fresh store. *)
 let with_store_server f =
   let tmp name =
     Filename.concat
@@ -399,7 +400,7 @@ let with_store_server f =
           let client = Serve.Client.connect (`Unix sock) in
           Fun.protect
             ~finally:(fun () -> Serve.Client.close client)
-            (fun () -> f client)))
+            (fun () -> f client (`Unix sock))))
 
 let expect_err name code = function
   | Error (e : P.err) ->
@@ -410,7 +411,7 @@ let expect_err name code = function
   | Ok _ -> Alcotest.failf "%s: expected %s, got Ok" name (P.error_code_to_string code)
 
 let test_push_fetch_roundtrip () =
-  with_store_server (fun client ->
+  with_store_server (fun client _ ->
       let image =
         Ipds_artifact.Artifact.to_bytes
           (Core.System.cached_build (W.program (W.find "telnetd")))
@@ -431,7 +432,7 @@ let test_push_fetch_roundtrip () =
       | Error e -> Alcotest.failf "load_key after push failed: %s" e.P.detail)
 
 let test_push_rejects_forgery () =
-  with_store_server (fun client ->
+  with_store_server (fun client _ ->
       let image =
         Ipds_artifact.Artifact.to_bytes
           (Core.System.cached_build (W.program (W.find "crond")))
@@ -450,11 +451,11 @@ let test_push_rejects_forgery () =
       ())
 
 let test_push_rejects_garbage_and_collision () =
-  with_store_server (fun client ->
+  with_store_server (fun client _ ->
       expect_err "garbage push rejected" P.Corrupt_artifact
         (Serve.Client.push_artifact client ~key:"e2e-garbage-key"
            (Bytes.of_string "not a container at all")));
-  with_store_server (fun client ->
+  with_store_server (fun client _ ->
       let img w =
         Ipds_artifact.Artifact.to_bytes
           (Core.System.cached_build (W.program (W.find w)))
@@ -466,15 +467,55 @@ let test_push_rejects_garbage_and_collision () =
       expect_err "colliding push rejected" P.Corrupt_artifact
         (Serve.Client.push_artifact client ~key (img "httpd")))
 
+(* A pushed container whose code section holds an integer literal past
+   the int range: refused as a typed corrupt-artifact, counted once as
+   a verification reject, and the server goes on serving. *)
+let test_push_rejects_overlong_literal () =
+  let module Obj = Ipds_artifact.Object_file in
+  let good =
+    Ipds_artifact.Artifact.to_bytes
+      (Core.System.cached_build (W.program (W.find "telnetd")))
+  in
+  let bad =
+    Obj.to_bytes
+      ~sections:
+        (List.map
+           (fun (name, payload) ->
+             if String.equal name "code" then
+               ( name,
+                 Bytes.of_string
+                   "func main() {\n e:\n  r0 = 99999999999999999999999\n  halt\n}\n" )
+             else (name, payload))
+           (Obj.of_bytes good))
+  in
+  let rejects () =
+    Ipds_obs.Registry.counter_value Ipds_serve.Session.m_artifact_verify_rejects
+  in
+  with_store_server (fun client addr ->
+      let r0 = rejects () in
+      expect_err "overlong literal push rejected" P.Corrupt_artifact
+        (Serve.Client.push_artifact client ~key:"e2e-overlong-key" bad);
+      Alcotest.(check int) "one verification reject" 1 (rejects () - r0);
+      let c = Serve.Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          (match Serve.Client.push_artifact c ~key:"e2e-overlong-key" good with
+          | Ok stored -> check "a clean push then stores" true stored
+          | Error e -> Alcotest.failf "clean push failed: %s" e.P.detail);
+          match Serve.Client.load_key c "e2e-overlong-key" with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "load_key after the reject: %s" e.P.detail))
+
 let test_fetch_typed_misses () =
-  with_store_server (fun client ->
+  with_store_server (fun client _ ->
       expect_err "unknown key" P.Unknown_artifact
         (Serve.Client.fetch_artifact client "e2e-absent-key"));
   (* a malformed key must be a typed error from the boundary check,
      never an Invalid_argument escaping path construction *)
   List.iter
     (fun key ->
-      with_store_server (fun client ->
+      with_store_server (fun client _ ->
           expect_err
             (Printf.sprintf "malformed key %S" key)
             P.Unknown_artifact
@@ -1204,6 +1245,8 @@ let () =
           Alcotest.test_case "garbage + collision rejected" `Quick
             test_push_rejects_garbage_and_collision;
           Alcotest.test_case "typed fetch misses" `Quick test_fetch_typed_misses;
+          Alcotest.test_case "overlong literal push rejected" `Quick
+            test_push_rejects_overlong_literal;
         ] );
       ( "server-cache",
         [
