@@ -3,7 +3,50 @@ exception Past_end
 (* Both sides hold pending bits in an int accumulator and move whole
    bytes between it and the buffer.  A field wider than 55 bits goes
    through as two pieces (32 low bits, then the rest), so the
-   accumulator never holds more than 62 bits and stays non-negative. *)
+   accumulator never holds more than 62 bits and stays non-negative.
+   Between calls it holds fewer than 8 bits: the stream's bit offset.
+
+   A string is a run of 8-bit fields, so it moves as a copy shifted by
+   that offset [b]: output byte i is the carried [b] bits below the
+   low [8 - b] bits of input byte i, and the input byte's top [b] bits
+   carry on.  At offset 0 that is a blit; otherwise the copy loads a
+   64-bit word, shifts its low 7 bytes and stores 8, of which the next
+   store overwrites the last; bytes go one at a time only for the last
+   few. *)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* Unchecked little-endian 64-bit load and store: callers stay inside
+   ranges they have checked. *)
+let get_le buf i =
+  let v = get64u buf i in
+  Int64.to_int (if Sys.big_endian then swap64 v else v)
+
+let set_le buf i v =
+  let v = Int64.of_int v in
+  set64u buf i (if Sys.big_endian then swap64 v else v)
+
+(* Copy [n] bytes of [src] from [si] into [dst] from [di], shifted up
+   by [b] (1 ≤ b ≤ 7) bits with [acc] (< 2^b) carried in below the
+   first; returns the [b] bits carried out of the last.  Touches no
+   byte outside either range. *)
+let shifted_copy src si dst di n b acc =
+  let acc = ref acc and i = ref 0 in
+  while !i + 8 <= n do
+    let w = get_le src (si + !i) land 0xFF_FFFF_FFFF_FFFF in
+    set_le dst (di + !i) (!acc lor (w lsl b));
+    acc := w lsr (56 - b);
+    i := !i + 7
+  done;
+  while !i < n do
+    let c = Char.code (Bytes.unsafe_get src (si + !i)) in
+    Bytes.unsafe_set dst (di + !i) (Char.unsafe_chr ((!acc lor (c lsl b)) land 0xFF));
+    acc := c lsr (8 - b);
+    incr i
+  done;
+  !acc
 
 module Writer = struct
   type t = {
@@ -46,15 +89,26 @@ module Writer = struct
     end
 
   let push_string t s =
-    reserve t (String.length s);
-    String.iter (fun c -> put t 8 (Char.code c)) s
+    let n = String.length s in
+    reserve t n;
+    if t.bits = 0 then Bytes.blit_string s 0 t.buf t.len n
+    else
+      t.acc <- shifted_copy (Bytes.unsafe_of_string s) 0 t.buf t.len n t.bits t.acc;
+    t.len <- t.len + n
 
   let bits_written t = (8 * t.len) + t.bits
 
+  let blit_contents t dst pos =
+    let n = (bits_written t + 7) / 8 in
+    if pos < 0 || pos > Bytes.length dst - n then
+      invalid_arg "Bitstream.Writer.blit_contents: no room";
+    Bytes.blit t.buf 0 dst pos t.len;
+    if t.bits > 0 then Bytes.unsafe_set dst (pos + t.len) (Char.unsafe_chr t.acc)
+
   let contents t =
-    reserve t 1;
-    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr t.acc);
-    Bytes.sub t.buf 0 ((bits_written t + 7) / 8)
+    let b = Bytes.create ((bits_written t + 7) / 8) in
+    blit_contents t b 0;
+    b
 end
 
 module Reader = struct
@@ -97,5 +151,16 @@ module Reader = struct
   let pull_string t n =
     if n < 0 then invalid_arg "Bitstream: negative string length";
     if n > bits_left t / 8 then raise Past_end;
-    String.init n (fun _ -> Char.unsafe_chr (take t 8))
+    (* the offset's [bits] are in [acc], so the string's bytes are the
+       next [n] of [buf] *)
+    let s =
+      if t.bits = 0 then Bytes.sub_string t.buf t.pos n
+      else begin
+        let dst = Bytes.create n in
+        t.acc <- shifted_copy t.buf t.pos dst 0 n t.bits t.acc;
+        Bytes.unsafe_to_string dst
+      end
+    in
+    t.pos <- t.pos + n;
+    s
 end

@@ -20,7 +20,10 @@ module Worklist = struct
   module S = Set.Make (struct
     type t = int * int  (* priority, block *)
 
-    let compare = compare
+    (* lexicographic, as polymorphic [compare] orders int pairs, but
+       without its C call *)
+    let compare ((p1, b1) : t) ((p2, b2) : t) =
+      if p1 <> p2 then Int.compare p1 p2 else Int.compare b1 b2
   end)
 
   type t = {

@@ -380,6 +380,236 @@ let test_golden_gen () =
         (Ipds_core.Sha256.hex_string (Buffer.contents b)))
     [ ("off", Ipds_correlation.Analysis.default_options); ("on", on_options) ]
 
+(* ---------- strings against the reference ---------- *)
+
+(* [Writer.push_string] and [Reader.pull_string] move whole words
+   shifted by the stream's bit offset: every offset 0–7, lengths 0–100
+   and 4 KB, bytes identical to the reference's one 8-bit field per
+   byte, read back through a span with foreign bytes on both sides. *)
+let test_strings_vs_ref () =
+  let lens = List.init 101 Fun.id @ [ 4096 ] in
+  List.iter
+    (fun n ->
+      let s = String.init n (fun i -> Char.chr (((i * 131) + n) land 0xFF)) in
+      for off = 0 to 7 do
+        let lead = 0x5A land ((1 lsl off) - 1) in
+        let w = Bs.Writer.create () and rw = Ref.Writer.create () in
+        Bs.Writer.push w ~width:off lead;
+        Ref.Writer.push rw ~width:off lead;
+        Bs.Writer.push_string w s;
+        String.iter (fun c -> Ref.Writer.push rw ~width:8 (Char.code c)) s;
+        Bs.Writer.push w ~width:5 21;
+        Ref.Writer.push rw ~width:5 21;
+        let bytes = Bs.Writer.contents w in
+        let label = Printf.sprintf "length %d at offset %d" n off in
+        check (label ^ ": bytes") true (Bytes.equal bytes (Ref.Writer.contents rw));
+        check (label ^ ": bits") true
+          (Bs.Writer.bits_written w = Ref.Writer.bits_written rw);
+        let blitted = Bytes.make (Bytes.length bytes + 4) '\xee' in
+        Bs.Writer.blit_contents w blitted 2;
+        check (label ^ ": blit_contents") true
+          (Bytes.equal (Bytes.sub blitted 2 (Bytes.length bytes)) bytes
+          && Bytes.get blitted 1 = '\xee'
+          && Bytes.get blitted (Bytes.length bytes + 2) = '\xee');
+        let len = Bytes.length bytes in
+        let buf = Bytes.make (len + 11) '\xa5' in
+        Bytes.blit bytes 0 buf 3 len;
+        let r = Bs.Reader.of_span buf ~pos:3 ~len in
+        check (label ^ ": lead") true (Bs.Reader.pull r ~width:off = lead);
+        check_str (label ^ ": string") s (Bs.Reader.pull_string r n);
+        check (label ^ ": trailer") true (Bs.Reader.pull r ~width:5 = 21);
+        (* one bit short of the string: refused before anything is read *)
+        if n > 0 then begin
+          let r = Bs.Reader.of_span buf ~pos:3 ~len:((off + (8 * n) - 1) / 8) in
+          ignore (Bs.Reader.pull r ~width:off);
+          let left = Bs.Reader.bits_left r in
+          check (label ^ ": short is Past_end") true
+            (match Bs.Reader.pull_string r n with
+            | _ -> false
+            | exception Bs.Past_end -> Bs.Reader.bits_left r = left)
+        end
+      done)
+    lens;
+  check "negative length" true
+    (match Bs.Reader.pull_string (Bs.Reader.of_bytes (Bytes.make 4 'x')) (-1) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* ---------- Branch_events against the reference codec ---------- *)
+
+(* [Wire_ref] is the two-walk encoder and the closure-per-event walker
+   the fused codec replaced.  Payload bytes must be identical, and the
+   new decoder — through [decode_span]'s list and through
+   [iter_branch_events] — must give the reference's events or the same
+   refusal detail on any span. *)
+
+let events_payload evs =
+  let b = P.encode_frame (P.Branch_events evs) in
+  Bytes.sub b P.header_bytes (Bytes.length b - P.header_bytes - P.trailer_bytes)
+
+let decode_list buf ~pos ~len =
+  match P.decode_span P.branch_events_tag buf ~pos ~len with
+  | Ok (P.Branch_events evs) -> Ok evs
+  | Ok _ -> Error "decoded to another frame kind"
+  | Error e -> Error e.P.detail
+
+let decode_iter buf ~pos ~len =
+  let evs = ref [] in
+  let ev pc kind = evs := { Event.fname = ""; iid = 0; pc; kind } :: !evs in
+  match
+    P.iter_branch_events buf ~pos ~len
+      ~on_call:(fun callee -> ev 0 (Event.Call { callee }))
+      ~on_ret:(fun () -> ev 0 Event.Ret)
+      ~on_branch:(fun ~pc ~taken -> ev pc (Event.Branch { taken; target_pc = 0 }))
+      ~on_other:(fun () -> failwith "on_other called")
+  with
+  | n when n = List.length !evs -> Ok (List.rev !evs)
+  | n -> Error (Printf.sprintf "count %d for %d events" n (List.length !evs))
+  | exception Core.Bitstream.Past_end -> Error "payload ends prematurely"
+  | exception P.Malformed_payload m -> Error m
+
+(* Both decoders on [payload] placed inside foreign bytes, against the
+   reference on the same span. *)
+let decoders_agree payload =
+  let len = Bytes.length payload in
+  let buf = Bytes.make (len + 16) '\xff' in
+  Bytes.blit payload 0 buf 5 len;
+  let want = Wire_ref.decode buf ~pos:5 ~len in
+  decode_list buf ~pos:5 ~len = want && decode_iter buf ~pos:5 ~len = want
+
+let codecs_agree evs =
+  let payload = events_payload evs in
+  Bytes.equal payload (Wire_ref.payload evs)
+  && decoders_agree payload
+  && Wire_ref.decode payload ~pos:0 ~len:(Bytes.length payload)
+     = Ok (Gen.wire_normal evs)
+
+let prop_wire_ref =
+  QCheck2.Test.make ~name:"Branch_events: reference bytes and events" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 200) Gen.event)
+    codecs_agree
+
+(* Seeded batches for the [@wire-diff] alias ([IPDS_WIRE_BATCHES]
+   raises the count): empty ones, up to 40 distinct callees with empty
+   and repeated names and separately allocated copies of one name,
+   extreme pcs and deltas, and event kinds the wire drops. *)
+let wire_batches =
+  match Sys.getenv_opt "IPDS_WIRE_BATCHES" with
+  | Some n -> int_of_string n
+  | None -> 2000
+
+let callee_pool = Array.init 40 (fun i -> if i = 0 then "" else Printf.sprintf "f%d" i)
+
+let random_batch st =
+  let int = Random.State.int st in
+  let n = match int 8 with 0 -> 0 | 1 -> int 2000 | _ -> int 64 in
+  let names = 1 + int (Array.length callee_pool) in
+  let pc () =
+    match int 6 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | 2 -> Int64.to_int (Random.State.bits64 st)
+    | 3 -> -int 100_000
+    | _ -> 0x1000 + (4 * int 64)
+  in
+  List.init n (fun _ ->
+      let kind =
+        match int 10 with
+        | 0 | 1 ->
+            let s = callee_pool.(int names) in
+            Event.Call { callee = (if int 2 = 0 then s else String.sub s 0 (String.length s)) }
+        | 2 | 3 -> Event.Ret
+        | 4 | 5 | 6 | 7 -> Event.Branch { taken = int 2 = 0; target_pc = pc () }
+        | 8 -> Event.Alu
+        | _ -> Event.Store { addr = pc () }
+      in
+      { Event.fname = "f"; iid = int 100; pc = pc (); kind })
+
+let test_wire_random () =
+  let st = Random.State.make [| 2006; 29 |] in
+  for i = 1 to wire_batches do
+    let evs = random_batch st in
+    if not (codecs_agree evs) then
+      Alcotest.failf "batch %d (%d events) differs from the reference" i (List.length evs)
+  done
+
+(* A benign run of a built-in: every event its interpreter commits. *)
+let recorded_run ?(max_steps = 20_000) (w : W.t) =
+  let events = ref [] in
+  ignore
+    (Ipds_machine.Interp.run (W.program w)
+       {
+         Ipds_machine.Interp.default_config with
+         max_steps;
+         inputs = Ipds_machine.Input_script.random ~seed:2006 ();
+         record_trace = false;
+         sink = Some (fun e -> events := e :: !events);
+       });
+  List.rev !events
+
+let rec chunks n = function
+  | [] -> []
+  | l ->
+      let rec take i acc = function
+        | x :: rest when i < n -> take (i + 1) (x :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let c, rest = take 0 [] l in
+      c :: chunks n rest
+
+let test_wire_builtins () =
+  List.iter
+    (fun (w : W.t) ->
+      let run = recorded_run w in
+      check (w.W.name ^ ": the run commits branches") true
+        (List.exists
+           (fun (e : Event.t) ->
+             match e.Event.kind with Event.Branch _ -> true | _ -> false)
+           run);
+      List.iteri
+        (fun i batch ->
+          if not (codecs_agree batch) then
+            Alcotest.failf "%s batch %d differs from the reference" w.W.name i)
+        (run :: chunks Ipds_serve.Client.default_batch run))
+    W.all
+
+(* Every truncation prefix and 400 seeded one-byte edits of three
+   payloads: the fixture (every kind, extreme ints, empty names), a
+   [default_batch] slice of a telnetd run, and a seeded batch with many
+   callees. *)
+let test_wire_damage () =
+  let telnetd = recorded_run (W.find "telnetd") in
+  let wire = Gen.wire_normal telnetd in
+  let slice =
+    List.filteri (fun i _ -> i < Ipds_serve.Client.default_batch) wire
+  in
+  let many =
+    let st = Random.State.make [| 29 |] in
+    let rec find () =
+      let b = random_batch st in
+      if List.length b >= 40 then b else find ()
+    in
+    find ()
+  in
+  let st = Random.State.make [| 2006 |] in
+  List.iter
+    (fun (label, evs) ->
+      let payload = events_payload evs in
+      let len = Bytes.length payload in
+      for cut = 0 to len do
+        if not (decoders_agree (Bytes.sub payload 0 cut)) then
+          Alcotest.failf "%s: the %d-byte prefix decodes unlike the reference" label cut
+      done;
+      for _ = 1 to 400 do
+        let edited = Bytes.copy payload in
+        let i = Random.State.int st len in
+        let v = Random.State.int st 256 in
+        Bytes.set_uint8 edited i v;
+        if not (decoders_agree edited) then
+          Alcotest.failf "%s: byte %d set to %d decodes unlike the reference" label i v
+      done)
+    [ ("fixture", fixture_events); ("telnetd slice", slice); ("many callees", many) ]
+
 let () =
   Alcotest.run "codec"
     [
@@ -388,6 +618,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_matches_oracle;
           Alcotest.test_case "span reader" `Quick test_span_reader;
           Alcotest.test_case "width and fit checks" `Quick test_checks_kept;
+          Alcotest.test_case "strings at every offset" `Quick test_strings_vs_ref;
+        ] );
+      ( "wire-ref",
+        [
+          QCheck_alcotest.to_alcotest prop_wire_ref;
+          Alcotest.test_case "seeded batches" `Quick test_wire_random;
+          Alcotest.test_case "built-in runs" `Quick test_wire_builtins;
+          Alcotest.test_case "truncations and edits" `Quick test_wire_damage;
         ] );
       ( "golden",
         [
