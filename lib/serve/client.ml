@@ -132,7 +132,7 @@ type trace = {
    batch and replies with the alarms it raised, one Verdicts frame per
    batch.  A transport or protocol error mid-trace latches: the sink
    goes quiet and [finish] reports the first error. *)
-let default_batch = 1024
+let default_batch = Protocol.default_batch
 
 let trace ?(batch = default_batch) t =
   if batch < 1 then

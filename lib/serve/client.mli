@@ -65,7 +65,8 @@ type trace = {
 }
 
 val default_batch : int
-(** 1024 events per wire frame. *)
+(** 1024 events per wire frame: {!Protocol.default_batch}, the size
+    the server's staging starts at. *)
 
 val trace : ?batch:int -> t -> (trace, Protocol.err) result
 (** Begin a trace on an already-loaded artifact.  [batch] defaults to
