@@ -9,6 +9,13 @@ val cell_bytes : int
 val globals_base : int
 val stack_top : int
 
+val offsets : Ipds_mir.Var.t list -> int list
+(** Offset of each variable's first cell in a segment laid out in list
+    order: the program's globals from {!globals_base}, a function's
+    locals from its frame's base.  {!global_address} and
+    {!local_offset} read it, and {!Memory} precomputes its addresses
+    from it once per run. *)
+
 val global_address : Ipds_mir.Program.t -> Ipds_mir.Var.t -> int -> int
 (** Address of cell [index] of a global. *)
 

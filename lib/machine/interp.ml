@@ -60,9 +60,21 @@ let m_run_steps =
   Ipds_obs.Registry.histogram "interp.run_steps"
     ~bounds:[| 10; 100; 1_000; 10_000; 100_000; 1_000_000 |]
 
-type act = {
-  frame_id : int;
+(* A defined function as a run resolves it, once: its base pc, where
+   its locals live, and (only when a sink will read them) each block's
+   first pc.  An event's pc is then [base + iid * instr_bytes]. *)
+type fn = {
   func : Mir.Func.t;
+  base : int;
+  shape : Memory.shape;
+  block_pcs : int array;  (* [[||]] when the run has no sink *)
+}
+
+module Names = Hashtbl.Make (String)
+
+type act = {
+  fn : fn;
+  frame_id : int;
   regs : Value.t array;
   mutable blk : int;
   mutable pos : int;
@@ -70,11 +82,12 @@ type act = {
 }
 
 type state = {
-  program : Mir.Program.t;
-  layout : Mir.Layout.t;
+  funcs : fn Names.t;  (* the first definition of each name *)
   memory : Memory.t;
   config : config;
+  tracing : bool;  (* a sink is installed: build event payloads *)
   mutable stack : act list;
+  mutable depth : int;  (* [List.length stack] *)
   mutable steps : int;
   mutable branches : int;
   mutable outputs_rev : int list;
@@ -92,6 +105,33 @@ let digest_branch digest ~pc ~taken =
   (digest * 1_000_003) lxor ((pc lsl 1) lor Bool.to_int taken)
 
 let max_call_depth = 4096
+
+let first_iid (f : Mir.Func.t) blk_idx =
+  let blk = f.blocks.(blk_idx) in
+  if Array.length blk.Mir.Block.body > 0 then blk.Mir.Block.body.(0).Mir.Instr.iid
+  else blk.Mir.Block.term_iid
+
+let resolve_funcs (program : Mir.Program.t) ~tracing =
+  let funcs = Names.create 16 in
+  List.iter2
+    (fun (f : Mir.Func.t) (_, base, _) ->
+      if not (Names.mem funcs f.name) then
+        Names.add funcs f.name
+          {
+            func = f;
+            base;
+            shape = Memory.shape f;
+            block_pcs =
+              (if tracing then
+                 Array.init (Array.length f.blocks) (fun b ->
+                     base + (first_iid f b * Mir.Layout.instr_bytes))
+               else [||]);
+          })
+    program.funcs
+    (Mir.Layout.entries (Mir.Layout.make program));
+  funcs
+
+let pc (a : act) iid = a.fn.base + (iid * Mir.Layout.instr_bytes)
 
 let to_num st = function
   | Value.Int n -> n
@@ -119,37 +159,30 @@ let eval_binop st op va vb =
       _ ) ->
       Value.Int (Mir.Binop.eval op (to_num st va) (to_num st vb))
 
-(* Resolve an addressing mode to a concrete (frame, var, index) triple. *)
-let resolve st (a : act) = function
-  | Mir.Addr.Direct v ->
-      let frame = if v.Mir.Var.storage = Mir.Var.Global then 0 else a.frame_id in
-      (frame, v, 0)
-  | Mir.Addr.Index (v, o) -> (
-      let frame = if v.Mir.Var.storage = Mir.Var.Global then 0 else a.frame_id in
-      match operand a o with
-      | Value.Int i -> (frame, v, i)
-      | Value.Ptr _ as p -> (frame, v, to_num st p))
-  | Mir.Addr.Indirect r -> (
-      match a.regs.(Mir.Reg.index r) with
-      | Value.Ptr p ->
-          if Memory.frame_alive st.memory p.Value.frame then
-            (p.Value.frame, p.Value.var, p.Value.index)
-          else raise (Machine_fault "dangling pointer dereference")
-      | Value.Int _ -> raise (Machine_fault "dereference of non-pointer"))
+let var_frame (a : act) (v : Mir.Var.t) =
+  if v.storage = Mir.Var.Global then 0 else a.frame_id
 
-let mem_load st triple =
-  let frame, v, i = triple in
-  match Memory.load st.memory ~frame v i with
-  | Some value -> value
-  | None -> raise (Machine_fault "load from dead memory")
+let index st (a : act) o =
+  match operand a o with
+  | Value.Int i -> i
+  | Value.Ptr _ as p -> to_num st p
 
-let mem_store st triple value =
-  let frame, v, i = triple in
-  if not (Memory.store st.memory ~frame v i value) then
-    raise (Machine_fault "store to dead memory")
+let deref st (a : act) r =
+  match a.regs.(Mir.Reg.index r) with
+  | Value.Ptr p ->
+      if Memory.frame_alive st.memory p.Value.frame then p
+      else raise (Machine_fault "dangling pointer dereference")
+  | Value.Int _ -> raise (Machine_fault "dereference of non-pointer")
 
-let output st v =
-  st.outputs_rev <- to_num st v :: st.outputs_rev
+let mem_load st ~frame v i =
+  let cells = Memory.cells st.memory ~frame v in
+  if Array.length cells = 0 then raise (Machine_fault "load from dead memory");
+  cells.(Memory.wrap v i)
+
+let mem_store st ~frame v i value =
+  let cells = Memory.cells st.memory ~frame v in
+  if Array.length cells = 0 then raise (Machine_fault "store to dead memory");
+  cells.(Memory.wrap v i) <- value
 
 (* ---------- external functions ---------- *)
 
@@ -160,36 +193,44 @@ let as_ptr = function
       else p
   | Value.Int _ -> raise (Machine_fault "extern: expected pointer argument")
 
-let ptr_cells (p : Value.pointer) n =
-  (* indices [p.index, p.index + n) clamped to the variable *)
+(* indices [p.index, p.index + n) clamped to the variable *)
+let ptr_range (p : Value.pointer) n =
   let lo = max 0 p.Value.index in
   let hi = min p.Value.var.Mir.Var.size (p.Value.index + max 0 n) in
-  List.init (max 0 (hi - lo)) (fun k ->
-      (p.Value.frame, p.Value.var, lo + k))
+  (lo, max 0 (hi - lo))
+
+let load_cells st (p : Value.pointer) n =
+  let lo, len = ptr_range p n in
+  List.init len (fun k -> mem_load st ~frame:p.Value.frame p.Value.var (lo + k))
+
+let store_cells st (p : Value.pointer) n value =
+  let lo, len = ptr_range p n in
+  for k = 0 to len - 1 do
+    mem_store st ~frame:p.Value.frame p.Value.var (lo + k) (value k)
+  done;
+  len
 
 let exec_extern st name (args : Value.t list) =
   let num = to_num st in
   match name, args with
   | "memset", [ p; v; n ] ->
       let p = as_ptr p in
-      List.iter (fun c -> mem_store st c (Value.Int (num v))) (ptr_cells p (num n));
+      ignore (store_cells st p (num n) (fun _ -> Value.Int (num v)));
       Value.Int 0
   | "memcpy", [ dst; src; n ] ->
+      (* every source cell is read before the first write, so an
+         overlapping copy moves the old contents *)
       let dst = as_ptr dst and src = as_ptr src in
       let n = num n in
-      let values = List.map (mem_load st) (ptr_cells src n) in
-      let cells = ptr_cells dst n in
-      List.iteri
-        (fun i c -> match List.nth_opt values i with
-          | Some v -> mem_store st c v
-          | None -> ())
-        cells;
+      let values = Array.of_list (load_cells st src n) in
+      let _, len = ptr_range dst n in
+      ignore (store_cells st dst (min len (Array.length values)) (Array.get values));
       Value.Int 0
   | "strcmp", [ a; b ] ->
       let a = as_ptr a and b = as_ptr b in
       let cell (p : Value.pointer) i =
         if p.Value.index + i < p.Value.var.Mir.Var.size then
-          num (mem_load st (p.Value.frame, p.Value.var, p.Value.index + i))
+          num (mem_load st ~frame:p.Value.frame p.Value.var (p.Value.index + i))
         else 0
       in
       let rec cmp i =
@@ -205,23 +246,19 @@ let exec_extern st name (args : Value.t list) =
       let p = as_ptr p in
       let rec len i =
         if p.Value.index + i >= p.Value.var.Mir.Var.size then i
-        else if num (mem_load st (p.Value.frame, p.Value.var, p.Value.index + i)) = 0
+        else if num (mem_load st ~frame:p.Value.frame p.Value.var (p.Value.index + i)) = 0
         then i
         else len (i + 1)
       in
       Value.Int (len 0)
   | "checksum", [ p; n ] ->
       let p = as_ptr p in
-      let sum =
-        List.fold_left (fun acc c -> acc + num (mem_load st c)) 0 (ptr_cells p (num n))
-      in
+      let sum = List.fold_left (fun acc v -> acc + num v) 0 (load_cells st p (num n)) in
       Value.Int sum
   | "hash_pw", [ p; n ] ->
       let p = as_ptr p in
       let h =
-        List.fold_left
-          (fun acc c -> (acc * 31) + num (mem_load st c))
-          17 (ptr_cells p (num n))
+        List.fold_left (fun acc v -> (acc * 31) + num v) 17 (load_cells st p (num n))
       in
       Value.Int (h land 0xffffff)
   | "log_msg", [ _; _ ] -> Value.Int 0
@@ -229,12 +266,11 @@ let exec_extern st name (args : Value.t list) =
   | ("recv" | "read_line"), [ p; n ] ->
       let p = as_ptr p in
       let channel = if String.equal name "recv" then 1 else 0 in
-      let cells = ptr_cells p (num n) in
-      List.iter
-        (fun c ->
-          mem_store st c (Value.Int (Input_script.next st.config.inputs ~channel)))
-        cells;
-      Value.Int (List.length cells)
+      let stored =
+        store_cells st p (num n) (fun _ ->
+            Value.Int (Input_script.next st.config.inputs ~channel))
+      in
+      Value.Int stored
   | "syscall", _ -> Value.Int 0
   | _, _ ->
       raise (Machine_fault (Printf.sprintf "extern %s: bad arity or unknown" name))
@@ -244,27 +280,18 @@ let exec_extern st name (args : Value.t list) =
 let emit st (a : act) iid kind =
   match st.config.sink with
   | None -> ()
-  | Some f ->
-      f
-        {
-          Event.fname = a.func.Mir.Func.name;
-          iid;
-          pc = Mir.Layout.pc st.layout ~fname:a.func.Mir.Func.name ~iid;
-          kind;
-        }
+  | Some f -> f { Event.fname = a.fn.func.Mir.Func.name; iid; pc = pc a iid; kind }
 
-let push_function st callee (args : Value.t list) ret_dst =
-  let f = Mir.Program.find_func_exn st.program callee in
-  if List.length st.stack >= max_call_depth then
-    raise (Machine_fault "call stack overflow");
-  let frame_id = Memory.push_frame st.memory f in
-  let regs = Array.make (max 1 f.Mir.Func.reg_count) Value.zero in
-  List.iteri (fun i v -> if i < f.Mir.Func.reg_count then regs.(i) <- v) args;
-  let a = { frame_id; func = f; regs; blk = 0; pos = 0; ret_dst } in
-  st.stack <- a :: st.stack;
-  (match st.config.checker with
-  | Some c -> ignore (Ipds_core.Checker.on_call c callee)
-  | None -> ())
+let push_function st (fn : fn) regs ret_dst =
+  if st.depth >= max_call_depth then raise (Machine_fault "call stack overflow");
+  let frame_id = Memory.enter st.memory fn.shape in
+  st.stack <- { fn; frame_id; regs; blk = 0; pos = 0; ret_dst } :: st.stack;
+  st.depth <- st.depth + 1;
+  match st.config.checker with
+  | Some c -> ignore (Ipds_core.Checker.on_call c fn.func.Mir.Func.name)
+  | None -> ()
+
+let new_regs (f : Mir.Func.t) = Array.make (max 1 f.Mir.Func.reg_count) Value.zero
 
 let pop_function st (ret : Value.t) =
   match st.stack with
@@ -277,6 +304,7 @@ let pop_function st (ret : Value.t) =
             raise (Machine_fault "checker protocol violation: return with no frame")
       | None -> ());
       st.stack <- rest;
+      st.depth <- st.depth - 1;
       (match rest with
       | [] -> st.stop <- Some (Exited ret)
       | caller :: _ -> (
@@ -284,16 +312,12 @@ let pop_function st (ret : Value.t) =
           | Some r -> caller.regs.(Mir.Reg.index r) <- ret
           | None -> ()))
 
-let first_iid (f : Mir.Func.t) blk_idx =
-  let blk = f.blocks.(blk_idx) in
-  if Array.length blk.Mir.Block.body > 0 then blk.Mir.Block.body.(0).Mir.Instr.iid
-  else blk.Mir.Block.term_iid
-
 let step st =
   match st.stack with
   | [] -> ()
   | a :: _ -> (
-      let blk = a.func.Mir.Func.blocks.(a.blk) in
+      let f = a.fn.func in
+      let blk = f.Mir.Func.blocks.(a.blk) in
       let body = blk.Mir.Block.body in
       if a.pos < Array.length body then begin
         let instr = body.(a.pos) in
@@ -311,71 +335,78 @@ let step st =
               eval_binop st op (operand a x) (operand a y);
             emit st a iid Event.Alu
         | Mir.Op.Load (r, addr) ->
-            let triple = resolve st a addr in
-            a.regs.(Mir.Reg.index r) <- mem_load st triple;
-            let frame, v, i = triple in
-            emit st a iid (Event.Load { addr = Memory.address st.memory ~frame v i })
-        | Mir.Op.Store (addr, o) ->
-            let triple = resolve st a addr in
-            mem_store st triple (operand a o);
-            let frame, v, i = triple in
-            emit st a iid (Event.Store { addr = Memory.address st.memory ~frame v i })
-        | Mir.Op.Addr_of (r, v, o) ->
-            let index =
-              match operand a o with
-              | Value.Int n -> n
-              | Value.Ptr _ as p -> to_num st p
+            (* the cell is resolved before [r] is written, and bound by
+               a let over the match, which allocates no tuple *)
+            let frame, v, i =
+              match addr with
+              | Mir.Addr.Direct v -> (var_frame a v, v, 0)
+              | Mir.Addr.Index (v, o) -> (var_frame a v, v, index st a o)
+              | Mir.Addr.Indirect r ->
+                  let p = deref st a r in
+                  (p.Value.frame, p.Value.var, p.Value.index)
             in
-            let frame = if v.Mir.Var.storage = Mir.Var.Global then 0 else a.frame_id in
-            a.regs.(Mir.Reg.index r) <- Value.Ptr { Value.frame; var = v; index };
+            a.regs.(Mir.Reg.index r) <- mem_load st ~frame v i;
+            if st.tracing then
+              emit st a iid (Event.Load { addr = Memory.address st.memory ~frame v i })
+        | Mir.Op.Store (addr, o) ->
+            let frame, v, i =
+              match addr with
+              | Mir.Addr.Direct v -> (var_frame a v, v, 0)
+              | Mir.Addr.Index (v, o) -> (var_frame a v, v, index st a o)
+              | Mir.Addr.Indirect r ->
+                  let p = deref st a r in
+                  (p.Value.frame, p.Value.var, p.Value.index)
+            in
+            mem_store st ~frame v i (operand a o);
+            if st.tracing then
+              emit st a iid (Event.Store { addr = Memory.address st.memory ~frame v i })
+        | Mir.Op.Addr_of (r, v, o) ->
+            a.regs.(Mir.Reg.index r) <-
+              Value.Ptr { Value.frame = var_frame a v; var = v; index = index st a o };
             emit st a iid Event.Alu
         | Mir.Op.Input (r, channel) ->
             a.regs.(Mir.Reg.index r) <-
               Value.Int (Input_script.next st.config.inputs ~channel);
             emit st a iid Event.Input_read
         | Mir.Op.Output o ->
-            let v = operand a o in
-            output st v;
-            emit st a iid (Event.Output_write (to_num st v))
+            let n = to_num st (operand a o) in
+            st.outputs_rev <- n :: st.outputs_rev;
+            if st.tracing then emit st a iid (Event.Output_write n)
         | Mir.Op.Nop -> emit st a iid Event.Alu
-        | Mir.Op.Call { dst; callee; args } ->
+        | Mir.Op.Call { dst; callee; args } -> (
             (* The event is emitted only once the call has committed
                (frame pushed, or the extern executed): a stack-overflow
                or extern fault aborts the instruction, and a sink that
                replays calls into a checker must not see a frame the
                inline checker never pushed. *)
-            let argv = List.map (operand a) args in
-            if Mir.Program.is_defined st.program callee then begin
-              push_function st callee argv dst;
-              emit st a iid (Event.Call { callee })
-            end
-            else begin
-              let result = exec_extern st callee argv in
-              emit st a iid (Event.Call { callee });
-              match dst with
-              | Some r -> a.regs.(Mir.Reg.index r) <- result
-              | None -> ()
-            end
+            match Names.find st.funcs callee with
+            | fn ->
+                let regs = new_regs fn.func in
+                let reg_count = fn.func.Mir.Func.reg_count in
+                List.iteri (fun i o -> if i < reg_count then regs.(i) <- operand a o) args;
+                push_function st fn regs dst;
+                if st.tracing then emit st a iid (Event.Call { callee })
+            | exception Not_found -> (
+                let result = exec_extern st callee (List.map (operand a) args) in
+                if st.tracing then emit st a iid (Event.Call { callee });
+                match dst with
+                | Some r -> a.regs.(Mir.Reg.index r) <- result
+                | None -> ()))
       end
       else begin
         (* terminator *)
         let iid = blk.Mir.Block.term_iid in
         match blk.Mir.Block.term with
         | Mir.Terminator.Jump target ->
-            emit st a iid
-              (Event.Jump
-                 {
-                   target_pc =
-                     Mir.Layout.pc st.layout ~fname:a.func.Mir.Func.name
-                       ~iid:(first_iid a.func target);
-                 });
+            if st.tracing then
+              emit st a iid (Event.Jump { target_pc = a.fn.block_pcs.(target) });
             a.blk <- target;
             a.pos <- 0
         | Mir.Terminator.Branch { cmp; lhs; rhs; if_true; if_false } -> (
             let x = to_num st a.regs.(Mir.Reg.index lhs) in
             let y = to_num st (operand a rhs) in
             let orig_taken = Mir.Cmp.eval cmp x y in
-            let pc = Mir.Layout.pc st.layout ~fname:a.func.Mir.Func.name ~iid in
+            let pc = pc a iid in
             (* An armed branch fault lands on the first branch commit
                at/after its step; memory faults never reach this point
                (they fire in the run loop).  Exactly one fault per run. *)
@@ -413,14 +444,8 @@ let step st =
             st.trace_digest <- digest_branch st.trace_digest ~pc ~taken;
             if st.config.record_trace then
               st.trace_rev <- (pc, taken) :: st.trace_rev;
-            emit st a iid
-              (Event.Branch
-                 {
-                   taken;
-                   target_pc =
-                     Mir.Layout.pc st.layout ~fname:a.func.Mir.Func.name
-                       ~iid:(first_iid a.func target);
-                 });
+            if st.tracing then
+              emit st a iid (Event.Branch { taken; target_pc = a.fn.block_pcs.(target) });
             (match st.config.checker with
             | Some c ->
                 let v = Ipds_core.Checker.on_branch c ~pc ~taken in
@@ -449,13 +474,15 @@ let step st =
       end)
 
 let run program config =
+  let tracing = Option.is_some config.sink in
   let st =
     {
-      program;
-      layout = Mir.Layout.make program;
+      funcs = resolve_funcs program ~tracing;
       memory = Memory.create program;
       config;
+      tracing;
       stack = [];
+      depth = 0;
       steps = 0;
       branches = 0;
       outputs_rev = [];
@@ -521,7 +548,15 @@ let run program config =
        so external models (the IPDS checker in the timing model, the
        remote verdict server) can push main's tables.  Emitted after the
        frame commits, like every other call event. *)
-    push_function st program.Mir.Program.main [] None;
+    let main =
+      match Names.find_opt st.funcs program.Mir.Program.main with
+      | Some fn -> fn
+      | None ->
+          (* raises Invalid_argument, as it always has *)
+          ignore (Mir.Program.find_func_exn program program.Mir.Program.main);
+          assert false
+    in
+    push_function st main (new_regs main.func) None;
     (match config.sink with
     | None -> ()
     | Some f ->
@@ -529,7 +564,7 @@ let run program config =
           {
             Event.fname = program.Mir.Program.main;
             iid = 0;
-            pc = Mir.Layout.func_base st.layout program.Mir.Program.main;
+            pc = main.base;
             kind = Event.Call { callee = program.Mir.Program.main };
           });
     let continue = ref true in

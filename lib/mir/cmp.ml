@@ -6,7 +6,9 @@ type t =
   | Gt
   | Ge
 
-let eval t a b =
+(* [a] is typed so the comparisons compile to integer instructions, not
+   calls to the polymorphic compare. *)
+let eval t (a : int) b =
   match t with
   | Eq -> a = b
   | Ne -> a <> b
