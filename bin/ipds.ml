@@ -593,6 +593,10 @@ let serve_cmd =
     obs_init ~command:"serve"
       ~manifest:[ ("jobs", Obs.Json.Int jobs) ]
       obs;
+    if jobs < 1 then begin
+      Format.eprintf "ipds serve: --jobs must be >= 1 (got %d)@." jobs;
+      exit 2
+    end;
     if cache_slots < 1 then begin
       Format.eprintf "ipds serve: --cache-slots must be >= 1 (got %d)@."
         cache_slots;
@@ -654,7 +658,7 @@ let serve_cmd =
     let config =
       {
         Serve.Server.default_config with
-        Serve.Server.jobs = max 1 jobs;
+        Serve.Server.jobs;
         max_frame;
         session_timeout = timeout;
         cache_slots;
@@ -886,6 +890,10 @@ let fleet_cmd =
       obs;
     if shards < 1 then begin
       Format.eprintf "ipds fleet: --shards must be >= 1 (got %d)@." shards;
+      exit 2
+    end;
+    if jobs < 1 then begin
+      Format.eprintf "ipds fleet: --jobs must be >= 1 (got %d)@." jobs;
       exit 2
     end;
     if cache_slots < 1 then begin

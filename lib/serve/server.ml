@@ -1,9 +1,10 @@
 (* The event-loop verdict server.
 
-   One [Unix.select] reactor per [config.jobs], each owning a disjoint
-   set of nonblocking connections: the accept domain distributes new
-   sockets round-robin over reactor mailboxes and wakes the owner
-   through its self-pipe.  Each reactor owns one read buffer that every
+   [config.jobs] [Unix.select] reactor domains, each owning a disjoint
+   set of nonblocking connections.  Every reactor watches the listener
+   and the server's stop pipe in its own select and accepts for itself,
+   one socket per wake-up, so a burst spreads over the reactors that
+   are awake.  Each reactor owns one read buffer that every
    connection it serves reads into; reads drive {!Protocol.scan_at}
    over it and hand every frame span to {!Session.handle_span}:
    [Branch_events] spans are staged into flat arrays and fed to the
@@ -34,15 +35,16 @@ module Reg = Ipds_obs.Registry
 let m_overloaded = Reg.counter ~stable:false "serve.overloaded"
 
 (* Live connections across all reactors, kept below FD_SETSIZE (1024):
-   the rest of the table holds stdio, the listener, the self-pipes
-   (two per reactor) and transient store and peer fds. *)
+   the rest of the table holds stdio, the listener, the stop pipe and
+   transient store and peer fds. *)
 let max_connections = 960
 
 (* When [accept] fails for want of a descriptor (EMFILE/ENFILE) the
    pending connection keeps the listener readable, so retrying at once
-   would spin a CPU until an fd frees up.  Instead the accept loop
-   stops watching the listener for this long (still watching the stop
-   pipe), counting each pause. *)
+   would spin a CPU until an fd frees up.  Instead the reactor that hit
+   it leaves the listener out of its select for this long (still
+   serving its connections and watching the stop pipe), counting each
+   pause. *)
 let accept_backoff_s = 0.05
 let m_accept_backoffs = Reg.counter ~stable:false "serve.accept_backoffs"
 
@@ -101,11 +103,10 @@ type conn = {
 
 type reactor = {
   rbuf : Bytes.t;  (** the one read buffer of every connection below *)
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  inbox_mutex : Mutex.t;
-  inbox : Unix.file_descr Queue.t;
   mutable conns : conn list;
+  mutable listen_after : float;
+      (** accept back-off: the listener stays out of this reactor's
+          select until then *)
 }
 
 type t = {
@@ -118,12 +119,9 @@ type t = {
   stop_flag : bool Atomic.t;
   stop_r : Unix.file_descr;
   stop_w : Unix.file_descr;
-  reactors : reactor array;
   mutable reactor_domains : unit Domain.t array;
-  mutable accept_domain : unit Domain.t option;
   inflight : int Atomic.t;  (** queued reply bytes across all connections *)
   live : int Atomic.t;  (** admitted connections not yet killed *)
-  rr : int Atomic.t;
 }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -313,43 +311,60 @@ let on_readable t r conn =
 
 (* {2 Reactor} *)
 
-let drain_wake fd =
-  let junk = Bytes.create 64 in
-  let rec go () =
-    match Unix.read fd junk 0 64 with
-    | 64 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
+(* The connection of a freshly accepted socket. *)
+let adopt t fd =
+  (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
+  {
+    fd;
+    session =
+      Session.create ?peer_fetch:t.peer_fetch ~store:t.store ~cache:t.cache ();
+    inbuf = Bytes.empty;
+    in_start = 0;
+    in_len = 0;
+    outq = Queue.create ();
+    out_bytes = 0;
+    last_active = Unix.gettimeofday ();
+    closing = false;
+    dead = false;
+  }
 
-let adopt t r =
-  Mutex.lock r.inbox_mutex;
-  let fresh = Queue.fold (fun acc fd -> fd :: acc) [] r.inbox in
-  Queue.clear r.inbox;
-  Mutex.unlock r.inbox_mutex;
-  List.iter
-    (fun fd ->
-      (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
-      let conn =
-        {
-          fd;
-          session =
-            Session.create ?peer_fetch:t.peer_fetch ~store:t.store
-              ~cache:t.cache ();
-          inbuf = Bytes.empty;
-          in_start = 0;
-          in_len = 0;
-          outq = Queue.create ();
-          out_bytes = 0;
-          last_active = Unix.gettimeofday ();
-          closing = false;
-          dead = false;
-        }
-      in
-      r.conns <- conn :: r.conns)
-    fresh
+let overloaded_frame =
+  lazy
+    (Protocol.encode_frame
+       (Protocol.Error
+          {
+            Protocol.code = Protocol.Overloaded;
+            detail = "connection limit reached; closing";
+          }))
+
+(* Past the admission cap the socket never joins a reactor: one
+   best-effort [Overloaded] frame (it fits an empty socket buffer), then
+   close. *)
+let refuse cfd =
+  Reg.incr m_overloaded;
+  (try
+     Unix.set_nonblock cfd;
+     let b = Lazy.force overloaded_frame in
+     ignore (Unix.single_write cfd b 0 (Bytes.length b))
+   with Unix.Unix_error _ -> ());
+  close_quiet cfd
+
+(* One socket per wake-up.  Every reactor watching the listener wakes
+   for a pending connection; one wins it and the others see EAGAIN,
+   as they do after EINTR or a connection aborted before [accept]: the
+   next wake-up retries. *)
+let accept_one t r =
+  match Unix.accept t.fd with
+  | cfd, _ ->
+      if Atomic.fetch_and_add t.live 1 >= max_connections then begin
+        Atomic.decr t.live;
+        refuse cfd
+      end
+      else r.conns <- adopt t cfd :: r.conns
+  | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+      Reg.incr m_accept_backoffs;
+      r.listen_after <- Unix.gettimeofday () +. accept_backoff_s
+  | exception Unix.Unix_error _ -> ()
 
 let scan_timeouts t r =
   if t.config.session_timeout > 0. then begin
@@ -369,11 +384,11 @@ let scan_timeouts t r =
       r.conns
   end
 
-let reactor_loop t r =
+let reactor_loop t =
+  let r = { rbuf = Bytes.create 65536; conns = []; listen_after = 0. } in
   while not (Atomic.get t.stop_flag) do
-    adopt t r;
     let rds =
-      r.wake_r
+      t.stop_r
       :: List.filter_map
            (fun c -> if c.dead || c.closing then None else Some c.fd)
            r.conns
@@ -383,16 +398,22 @@ let reactor_loop t r =
         (fun c -> if (not c.dead) && c.out_bytes > 0 then Some c.fd else None)
         r.conns
     in
-    (* With no idle timeout to police, sleep long: [stop] (and new
-       work) wakes the select through the self-pipe, so the period only
-       bounds how often a completely idle reactor spins. *)
+    (* With no idle timeout to police, sleep long: [stop] wakes the
+       select through the stop pipe, so the period only bounds how often
+       a completely idle reactor spins. *)
     let tmo = if t.config.session_timeout > 0. then 0.25 else 30. in
+    let backoff_left = r.listen_after -. Unix.gettimeofday () in
+    let rds, tmo =
+      if backoff_left > 0. then (rds, Float.min tmo backoff_left)
+      else (t.fd :: rds, tmo)
+    in
     (match Unix.select rds wrs [] tmo with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
     | rd, wr, _ ->
-        if List.mem r.wake_r rd then drain_wake r.wake_r;
-        adopt t r;
+        (* Before any connection is killed in this pass, so the new fd
+           cannot reuse a number [rd] or [wr] holds. *)
+        if List.mem t.fd rd then accept_one t r;
         List.iter
           (fun c -> if (not c.dead) && List.mem c.fd wr then flush_conn t c)
           r.conns;
@@ -419,85 +440,7 @@ let reactor_loop t r =
   (* Shutdown: one best-effort flush so already-queued replies reach
      well-behaved clients, then close everything. *)
   List.iter (fun c -> flush_conn t c) r.conns;
-  List.iter (fun c -> kill t c) r.conns;
-  r.conns <- [];
-  adopt t r;
-  List.iter (fun c -> kill t c) r.conns;
-  r.conns <- []
-
-(* {2 Accept loop} *)
-
-let wake r =
-  let b = Bytes.make 1 '!' in
-  match Unix.write r.wake_w b 0 1 with
-  | _ -> ()
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      () (* a wake is already pending *)
-  | exception Unix.Unix_error _ -> ()
-
-let overloaded_frame =
-  lazy
-    (Protocol.encode_frame
-       (Protocol.Error
-          {
-            Protocol.code = Protocol.Overloaded;
-            detail = "connection limit reached; closing";
-          }))
-
-(* Past the admission cap the socket never reaches a reactor: one
-   best-effort [Overloaded] frame (it fits an empty socket buffer), then
-   close. *)
-let refuse cfd =
-  Reg.incr m_overloaded;
-  (try
-     Unix.set_nonblock cfd;
-     let b = Lazy.force overloaded_frame in
-     ignore (Unix.single_write cfd b 0 (Bytes.length b))
-   with Unix.Unix_error _ -> ());
-  close_quiet cfd
-
-let dispatch t cfd =
-  if Atomic.fetch_and_add t.live 1 >= max_connections then begin
-    Atomic.decr t.live;
-    refuse cfd
-  end
-  else begin
-    let i = Atomic.fetch_and_add t.rr 1 mod Array.length t.reactors in
-    let r = t.reactors.(i) in
-    Mutex.lock r.inbox_mutex;
-    Queue.add cfd r.inbox;
-    Mutex.unlock r.inbox_mutex;
-    wake r
-  end
-
-let accept_loop t =
-  let backoff = ref false in
-  while not (Atomic.get t.stop_flag) do
-    let watch, timeout =
-      if !backoff then ([ t.stop_r ], accept_backoff_s) else ([ t.fd; t.stop_r ], -1.)
-    in
-    backoff := false;
-    match Unix.select watch [] [] timeout with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | rd, _, _ ->
-        if List.mem t.stop_r rd then ()
-        else if List.mem t.fd rd then begin
-          let continue_ = ref true in
-          while !continue_ do
-            match Unix.accept t.fd with
-            | cfd, _ -> dispatch t cfd
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-              ->
-                continue_ := false
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-                Reg.incr m_accept_backoffs;
-                backoff := true;
-                continue_ := false
-            | exception Unix.Unix_error _ -> continue_ := false
-          done
-        end
-  done
+  List.iter (fun c -> kill t c) r.conns
 
 (* {2 Lifecycle} *)
 
@@ -520,34 +463,49 @@ let claim_socket_path path =
   | _ -> raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-let nonblock_pipe () =
-  let r, w = Unix.pipe () in
-  (try Unix.set_nonblock r with Unix.Unix_error _ -> ());
-  (try Unix.set_nonblock w with Unix.Unix_error _ -> ());
-  (r, w)
+(* The nonblocking listener: several reactors may wake for one pending
+   connection, and the losers must not block in [accept].  A failed
+   bind or listen closes the socket before re-raising. *)
+let listen_on (addr : address) =
+  let domain, sockaddr =
+    match addr with
+    | `Unix path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+    | `Tcp port -> (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+  in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  try
+    if domain = Unix.PF_INET then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd sockaddr;
+    Unix.listen fd 64;
+    Unix.set_nonblock fd;
+    fd
+  with e ->
+    close_quiet fd;
+    raise e
 
 let start ?(config = default_config) (addr : address) =
-  (* First, so a bad [cache_slots] raises before any fd is open. *)
+  (* First, so a bad [jobs] or [cache_slots] raises before any fd is
+     open. *)
+  if config.jobs < 1 then invalid_arg "Server.start: jobs must be >= 1";
   let cache =
     Ipds_parallel.Memo.create ~capacity:config.cache_slots
       ~metrics_prefix:"serve.cache" ()
   in
   Protocol.ignore_sigpipe ();
-  let fd, sock_path =
+  let sock_path =
     match addr with
     | `Unix path ->
         claim_socket_path path;
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind fd (Unix.ADDR_UNIX path);
-        (fd, Some path)
-    | `Tcp port ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        (fd, None)
+        Some path
+    | `Tcp _ -> None
   in
-  Unix.listen fd 64;
-  (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
+  let fd = listen_on addr in
+  let stop_r, stop_w =
+    try Unix.pipe ~cloexec:true ()
+    with e ->
+      close_quiet fd;
+      raise e
+  in
   let store =
     match config.store_dir with
     | Some dir -> Some (Store.create ~dir)
@@ -568,20 +526,6 @@ let start ?(config = default_config) (addr : address) =
         Fleet_client.fetch_artifact ~exclude:p.peer_self fc)
       config.peers
   in
-  let jobs = max 1 config.jobs in
-  let reactors =
-    Array.init jobs (fun _ ->
-        let wake_r, wake_w = nonblock_pipe () in
-        {
-          rbuf = Bytes.create 65536;
-          wake_r;
-          wake_w;
-          inbox_mutex = Mutex.create ();
-          inbox = Queue.create ();
-          conns = [];
-        })
-  in
-  let stop_r, stop_w = nonblock_pipe () in
   let t =
     {
       config;
@@ -593,17 +537,13 @@ let start ?(config = default_config) (addr : address) =
       stop_flag = Atomic.make false;
       stop_r;
       stop_w;
-      reactors;
       reactor_domains = [||];
-      accept_domain = None;
       inflight = Atomic.make 0;
       live = Atomic.make 0;
-      rr = Atomic.make 0;
     }
   in
   t.reactor_domains <-
-    Array.map (fun r -> Domain.spawn (fun () -> reactor_loop t r)) reactors;
-  t.accept_domain <- Some (Domain.spawn (fun () -> accept_loop t));
+    Array.init config.jobs (fun _ -> Domain.spawn (fun () -> reactor_loop t));
   t
 
 let port t =
@@ -613,24 +553,12 @@ let port t =
 
 let stop t =
   if not (Atomic.exchange t.stop_flag true) then begin
-    (* Self-pipes make shutdown prompt even when every loop is parked
-       in a long select: the accept loop on [stop_r], each reactor on
-       its wake pipe. *)
-    let b = Bytes.make 1 '!' in
-    (try ignore (Unix.write t.stop_w b 0 1) with Unix.Unix_error _ -> ());
-    Array.iter wake t.reactors;
-    (match t.accept_domain with
-    | Some d ->
-        Domain.join d;
-        t.accept_domain <- None
-    | None -> ());
+    (* One byte nobody reads keeps the stop pipe readable, so it wakes
+       every reactor, also one parked in a long select. *)
+    (try ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1)
+     with Unix.Unix_error _ -> ());
     Array.iter Domain.join t.reactor_domains;
     t.reactor_domains <- [||];
-    Array.iter
-      (fun r ->
-        close_quiet r.wake_r;
-        close_quiet r.wake_w)
-      t.reactors;
     close_quiet t.stop_r;
     close_quiet t.stop_w;
     close_quiet t.fd;

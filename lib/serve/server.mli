@@ -4,18 +4,19 @@
     socket: load an artifact (by store key or inline [.ipds] image),
     begin a trace, stream batched events, collect verdicts.  Instead of
     one blocking socket per client, [config.jobs] [Unix.select] reactor
-    domains each own a disjoint set of nonblocking connections; the
-    accept domain distributes sockets round-robin and wakes reactors
-    through self-pipes.  [Branch_events] frames stream straight into
-    the checker (no event-list materialization); replies go through a
+    domains each own a disjoint set of nonblocking connections; every
+    reactor watches the listener itself and accepts one socket per
+    wake-up.  [Branch_events] frames stream straight into the checker
+    (no event-list materialization); replies go through a
     bounded per-connection queue under a global in-flight byte cap, and
     a client that outruns either bound gets one typed [Overloaded]
     error frame and a drained close — backpressure, never unbounded
     buffering.  Past {!max_connections} live connections a new socket
     gets one [Overloaded] frame and is closed.  When [accept] runs out
-    of descriptors (EMFILE/ENFILE) the accept loop stops watching the
-    listener for a fixed back-off instead of spinning, counted in the
-    unstable [serve.accept_backoffs].  Loaded artifacts live in one
+    of descriptors (EMFILE/ENFILE) that reactor stops watching the
+    listener for a fixed back-off instead of spinning, still serving its
+    connections, counted in the unstable [serve.accept_backoffs].
+    Loaded artifacts live in one
     {!Ipds_parallel.Memo} LRU of [config.cache_slots] entries, each as
     the image set the checker reads ({!Session.entry}); a
     [Load_image] or store load decodes only those images, never the
@@ -28,7 +29,7 @@
     Robustness is the contract: malformed, oversized, truncated,
     version-skewed or out-of-sequence frames produce one typed
     [Error] reply (counted in the [serve.*] metrics) and a closed
-    session — never a crash, never a wedged accept loop.  Stable
+    session — never a crash, never a wedged reactor.  Stable
     metrics ([serve.sessions], [serve.frames_in/out], [serve.traces],
     [serve.events], [serve.branches], [serve.alarms],
     [serve.protocol_errors], [serve.state_errors]) sum per-session
@@ -69,7 +70,7 @@ val default_config : config
 val max_connections : int
 (** The admission cap: live connections across all reactors.  It stays
     below FD_SETSIZE, the largest fd [Unix.select] can watch, with room
-    for the listener, the self-pipes and store fds.  Each refused
+    for the listener, the stop pipe and store fds.  Each refused
     socket reads one [Overloaded] error frame, then EOF, and counts in
     [serve.overloaded]. *)
 
@@ -80,22 +81,23 @@ type address = [ `Unix of string | `Tcp of int ]
 type t
 
 val start : ?config:config -> address -> t
-(** Bind, listen and spawn the accept + reactor domains.  SIGPIPE is
+(** Bind, listen and spawn the [config.jobs] reactor domains.  SIGPIPE is
     set to ignored so a client disconnecting mid-reply surfaces as
     [Unix_error EPIPE] in the reactor, not a fatal signal.  A stale
     socket file (one no server answers on) at a [`Unix] path is
     unlinked first; a live server's socket or a non-socket file raises
     [Unix_error (EADDRINUSE, _, _)].  Raises [Unix_error] if the
-    address cannot be bound, and [Invalid_argument] before binding if
+    address cannot be bound (the socket is closed first), and
+    [Invalid_argument] before binding if [config.jobs < 1] or
     [config.cache_slots < 1]. *)
 
 val port : t -> int option
 (** The bound TCP port ([None] for Unix-domain servers). *)
 
 val stop : t -> unit
-(** Stop promptly even mid-poll: self-pipes wake the accept loop and
-    every reactor out of [select] (reactors otherwise sleep up to 30 s
-    when [session_timeout] is 0), queued replies get one best-effort
+(** Stop promptly even mid-poll: one byte on the stop pipe wakes every
+    reactor out of [select] (reactors otherwise sleep up to 30 s when
+    [session_timeout] is 0), queued replies get one best-effort
     flush, every connection is closed, the socket is closed and
     unlinked.  Bounded; idempotent. *)
 

@@ -169,6 +169,8 @@ let () =
         code)
     [
       (2, [ "serve"; "--socket"; path "never.sock"; "--cache-slots"; "0" ]);
+      (2, [ "serve"; "--socket"; path "never.sock"; "--jobs"; "0" ]);
+      (2, [ "fleet"; "--socket"; path "never.sock"; "--jobs"; "0" ]);
       (2, [ "check-remote"; "@telnetd"; "--socket"; sock; "--batch"; "0" ]);
       (124, [ "attack"; "@telnetd"; "--model"; "bogus" ]);
     ];

@@ -14,11 +14,11 @@
       identical stable metrics section;
    D. lifecycle robustness: clients that vanish before reading replies
       must not kill the server (SIGPIPE), stop must return promptly with
-      silent and mid-trace clients even under --timeout 0 (the reactor's
-      self-pipe, not its poll period, bounds shutdown), the socket path
-      must never hijack a non-socket file or a live server's socket (but
-      must reclaim a stale one), and an unresolvable host must surface
-      as the typed connect error;
+      silent and mid-trace clients even under --timeout 0, at --jobs 1
+      and 4 (the stop pipe, not the reactors' poll period, bounds
+      shutdown), the socket path must never hijack a non-socket file or
+      a live server's socket (but must reclaim a stale one), and an
+      unresolvable host must surface as the typed connect error;
    E. backpressure: a client that streams events without reading replies
       past the per-connection reply-queue bound (or the global in-flight
       cap) gets exactly one typed Overloaded error as the final frame
@@ -29,10 +29,11 @@
       session still gets byte-identical verdicts; that child then
       refuses a forged body under the cached image's digest and still
       serves the honest image as a hit;
-   G. descriptor exhaustion: against a child under [ulimit -n 32],
-      more pending connections than it has fds must not make the
-      accept loop spin (its CPU over 1 s stays under 0.2 s), and once
-      they close a fresh session gets byte-identical verdicts. *)
+   G. descriptor exhaustion: against a child under [ulimit -n 32], at
+      --jobs 1 and 2, more pending connections than it has fds must not
+      make any reactor spin on accept (the child's CPU over 1 s stays
+      under 0.2 s), and once they close a fresh session gets
+      byte-identical verdicts. *)
 
 module P = Ipds_serve.Protocol
 module Server = Ipds_serve.Server
@@ -489,26 +490,32 @@ let phase_d () =
       assert_equivalent ~what:"post-disconnect" run (remote_check c run);
       Client.close c);
   (* D2: with session_timeout = 0 a session has no idle policing and
-     the reactor parks in a long select; stop must still return
-     promptly — the self-pipe, not the poll period, bounds shutdown —
-     with both a silent connection and a live mid-trace session open. *)
-  let sock = temp_path "-d0.sock" in
-  let config = { Server.default_config with session_timeout = 0. } in
-  let open_fds = ref [] in
-  let t0 = Unix.gettimeofday () in
-  Server.with_server ~config (`Unix sock) (fun _server ->
-      let fd = raw_connect sock in
-      open_fds := fd :: !open_fds;
-      let c = Client.connect (`Unix sock) in
-      ignore (ok (Client.load_image c ~name:w.W.name image));
-      let tr = ok (Client.trace ~batch:10 c) in
-      List.iter tr.Client.sink (List.filteri (fun i _ -> i < 50) run.events);
-      (* let the reactor absorb both sessions and park in select *)
-      Unix.sleepf 0.2);
-  let elapsed = Unix.gettimeofday () -. t0 in
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !open_fds;
-  if elapsed > 10. then
-    fail "stop with --timeout 0 and parked sessions took %.1fs" elapsed;
+     every reactor parks in a long select; stop must still return
+     promptly — one byte on the stop pipe, not the poll period, bounds
+     shutdown — with both a silent connection and a live mid-trace
+     session open.  At jobs = 4 at least two reactors hold no session
+     and wait on the listener and the stop pipe alone. *)
+  List.iter
+    (fun jobs ->
+      let sock = temp_path (Printf.sprintf "-d0-%d.sock" jobs) in
+      let config = { Server.default_config with jobs; session_timeout = 0. } in
+      let open_fds = ref [] in
+      let t0 = Unix.gettimeofday () in
+      Server.with_server ~config (`Unix sock) (fun _server ->
+          let fd = raw_connect sock in
+          open_fds := fd :: !open_fds;
+          let c = Client.connect (`Unix sock) in
+          ignore (ok (Client.load_image c ~name:w.W.name image));
+          let tr = ok (Client.trace ~batch:10 c) in
+          List.iter tr.Client.sink (List.filteri (fun i _ -> i < 50) run.events);
+          (* let the reactors absorb both sessions and park in select *)
+          Unix.sleepf 0.2);
+      let elapsed = Unix.gettimeofday () -. t0 in
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !open_fds;
+      if elapsed > 10. then
+        fail "stop with --timeout 0, --jobs %d and parked sessions took %.1fs"
+          jobs elapsed)
+    [ 1; 4 ];
   (* D3: socket-path hygiene.  A regular file must never be unlinked... *)
   let precious = temp_path "-precious" in
   let oc = open_out precious in
@@ -687,12 +694,14 @@ let phase_e () =
 
 (* ---------- phase F: connection admission cap ---------- *)
 
-(* The server runs in a re-exec of this binary (argv [serve-child SOCK])
-   so the test's own client fds never land in the server's fd table:
-   the cap must hold on the server's connection count alone.  The child
-   prints READY once listening and stops when its stdin hits EOF. *)
-let serve_child sock =
-  Server.with_server (`Unix sock) (fun _server ->
+(* The server runs in a re-exec of this binary (argv
+   [serve-child SOCK [JOBS]], JOBS reactors, default 1) so the test's
+   own client fds never land in the server's fd table: the cap must
+   hold on the server's connection count alone.  The child prints READY
+   once listening and stops when its stdin hits EOF. *)
+let serve_child ?(jobs = 1) sock =
+  let config = { Server.default_config with jobs } in
+  Server.with_server ~config (`Unix sock) (fun _server ->
       print_string "READY\n";
       flush stdout;
       let buf = Bytes.create 64 in
@@ -707,20 +716,24 @@ let serve_child sock =
 
 (* [fd_limit] starts the child under [ulimit -n] through /bin/sh; the
    shell execs the child, so [pid] is the server's own. *)
-let spawn_server_child ?fd_limit sock =
+let spawn_server_child ?(jobs = 1) ?fd_limit sock =
   let stdin_r, stdin_w = Unix.pipe ~cloexec:true () in
   let stdout_r, stdout_w = Unix.pipe ~cloexec:true () in
+  let jobs = string_of_int jobs in
   let prog, argv =
     match fd_limit with
-    | None -> (Sys.executable_name, [| Sys.executable_name; "serve-child"; sock |])
+    | None ->
+        ( Sys.executable_name,
+          [| Sys.executable_name; "serve-child"; sock; jobs |] )
     | Some n ->
         ( "/bin/sh",
           [|
             "/bin/sh";
             "-c";
-            Printf.sprintf "ulimit -n %d; exec \"$0\" serve-child \"$1\"" n;
+            Printf.sprintf "ulimit -n %d; exec \"$0\" serve-child \"$1\" \"$2\"" n;
             Sys.executable_name;
             sock;
+            jobs;
           |] )
   in
   let pid = Unix.create_process prog argv stdin_r stdout_w Unix.stderr in
@@ -826,42 +839,54 @@ let cpu_seconds pid =
   float_of_int (int_of_string (List.nth fields 11) + int_of_string (List.nth fields 12))
   /. 100.
 
+(* Every reactor watches the listener, so at --jobs 2 each must back
+   off on its own. *)
 let phase_g () =
   section "G: accept out of descriptors -> back off instead of spinning";
   let w = W.find "telnetd" in
   let system = W.system w in
   let image = A.to_bytes system in
   let run = local_run system (W.program w) ~seed:2006 ~tamper:None in
-  let sock = temp_path "-g.sock" in
-  let pid, stdin_w = spawn_server_child ~fd_limit:32 sock in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.close stdin_w;
-      ignore (Unix.waitpid [] pid))
-  @@ fun () ->
-  (* more than 32 fds can hold, fewer than the listen backlog can queue *)
-  let held = Array.init 80 (fun _ -> raw_connect sock) in
-  Unix.sleepf 0.2;
-  let before = cpu_seconds pid in
-  Unix.sleepf 1.0;
-  let burned = cpu_seconds pid -. before in
-  if burned >= 0.2 then
-    fail "G: server burned %.2f s of CPU in 1 s while out of descriptors" burned;
-  Array.iter Unix.close held;
-  await_admission sock;
-  let c = Client.connect (`Unix sock) in
-  ignore (ok (Client.load_image c ~name:w.W.name image));
-  assert_equivalent ~what:"G: fresh session after EMFILE" run (remote_check c run);
-  Client.close c;
-  Printf.printf
-    "G ok: 80 connections against ulimit -n 32, %.2f s CPU over 1 s, then \
-     verdicts identical\n\
-     %!"
-    burned
+  List.iter
+    (fun jobs ->
+      let sock = temp_path (Printf.sprintf "-g%d.sock" jobs) in
+      let pid, stdin_w = spawn_server_child ~jobs ~fd_limit:32 sock in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close stdin_w;
+          ignore (Unix.waitpid [] pid))
+      @@ fun () ->
+      (* more than 32 fds can hold, fewer than the listen backlog can queue *)
+      let held = Array.init 80 (fun _ -> raw_connect sock) in
+      Unix.sleepf 0.2;
+      let before = cpu_seconds pid in
+      Unix.sleepf 1.0;
+      let burned = cpu_seconds pid -. before in
+      if burned >= 0.2 then
+        fail "G: --jobs %d server burned %.2f s of CPU in 1 s while out of \
+              descriptors"
+          jobs burned;
+      Array.iter Unix.close held;
+      await_admission sock;
+      let c = Client.connect (`Unix sock) in
+      ignore (ok (Client.load_image c ~name:w.W.name image));
+      assert_equivalent
+        ~what:(Printf.sprintf "G: --jobs %d fresh session after EMFILE" jobs)
+        run (remote_check c run);
+      Client.close c;
+      Printf.printf
+        "G ok: --jobs %d, 80 connections against ulimit -n 32, %.2f s CPU \
+         over 1 s, then verdicts identical\n\
+         %!"
+        jobs burned)
+    [ 1; 2 ]
 
 let () =
-  if Array.length Sys.argv = 3 && Sys.argv.(1) = "serve-child" then
-    serve_child Sys.argv.(2);
+  (match Sys.argv with
+  | [| _; "serve-child"; sock |] -> serve_child sock
+  | [| _; "serve-child"; sock; jobs |] ->
+      serve_child ~jobs:(int_of_string jobs) sock
+  | _ -> ());
   phase_a ();
   phase_b ();
   phase_c ();

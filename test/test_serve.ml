@@ -553,6 +553,39 @@ let test_cache_slots_exact () =
       check "crond cold" false (load "crond");
       check "crond evicted telnetd" false (load "telnetd"))
 
+(* ---------- a failed start keeps no descriptor ---------- *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_failed_start_closes () =
+  let taken = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close taken) @@ fun () ->
+  Unix.bind taken (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen taken 1;
+  let port =
+    match Unix.getsockname taken with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let before = open_fds () in
+  let refused what config expect =
+    match Serve.Server.start ?config (`Tcp port) with
+    | server ->
+        Serve.Server.stop server;
+        Alcotest.failf "%s: the server started" what
+    | exception e when expect e -> ()
+  in
+  for _ = 1 to 20 do
+    refused "a taken port" None (function
+      | Unix.Unix_error (Unix.EADDRINUSE, _, _) -> true
+      | _ -> false)
+  done;
+  Alcotest.(check int) "descriptors after EADDRINUSE" before (open_fds ());
+  refused "jobs = 0"
+    (Some { Serve.Server.default_config with jobs = 0 })
+    (function Invalid_argument _ -> true | _ -> false);
+  Alcotest.(check int) "descriptors after jobs = 0" before (open_fds ())
+
 (* ---------- the span feed loop against an in-process checker ---------- *)
 
 (* [Session.handle_events_span] must answer each batch exactly as one
@@ -1349,6 +1382,11 @@ let () =
         [
           Alcotest.test_case "cache_slots = 1 keeps one system" `Quick
             test_cache_slots_exact;
+        ] );
+      ( "server-start",
+        [
+          Alcotest.test_case "refused start leaks no descriptor" `Quick
+            test_failed_start_closes;
         ] );
       ( "image-cache",
         [
