@@ -526,9 +526,11 @@ let serve_cmd =
       value & opt int 1
       & info [ "j"; "jobs" ]
           ~doc:
-            "Worker domains serving sessions; 1 handles sessions strictly \
-             sequentially.  Verdicts and the stable serve.* metrics are \
-             identical for any value.")
+            "Reactors serving sessions; 1 handles sessions strictly \
+             sequentially.  The first reactor is a thread of the main \
+             domain and each other one runs on a domain of its own.  \
+             Verdicts and the stable serve.* metrics are identical for \
+             any value.")
   in
   let timeout_arg =
     Arg.(
@@ -862,7 +864,11 @@ let fleet_cmd =
   let jobs_arg =
     Arg.(
       value & opt int 1
-      & info [ "j"; "jobs" ] ~doc:"Reactor domains per shard process.")
+      & info [ "j"; "jobs" ]
+          ~doc:
+            "Reactors per shard process: the first is a thread of the \
+             shard's main domain, each other one runs on a domain of its \
+             own.")
   in
   let timeout_arg =
     Arg.(

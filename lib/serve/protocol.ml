@@ -215,10 +215,10 @@ let rec put_varint b p v =
     put_varint b (p + 1) (v lsr 7)
   end
 
-(* The events a client sends per frame by default.  Per-domain scratch,
-   the encoder's and the decoder's, that a batch grew past
-   [staging_keep] events (for the encoder's bytes, [event_room] bytes
-   each) or names is not kept after that batch. *)
+(* The events a client sends per frame by default.  Scratch that a
+   batch grew past [staging_keep] events (for the encoder's bytes,
+   [event_room] bytes each) or names is not kept after that batch: the
+   encoder's, and each staging's. *)
 let default_batch = 1024
 let staging_keep = 4 * default_batch
 
@@ -444,31 +444,38 @@ let decode_batch b buf ~pos ~len =
 
 let branch_events_tag = 4
 
-(* {3 The domain's staging batch}
+(* {3 Staging}
 
-   Every streamed decode, the server's and {!iter_branch_events}', goes
-   into one batch per domain, so a call allocates none.  It starts with
-   room for [default_batch] events; a payload that needs more grows it,
-   and the batch that grew past [staging_keep] events or names is
-   handed back but no longer kept: the domain starts over from a fresh
-   default batch. *)
+   A staging owns one batch that every span it stages is decoded into,
+   so a decode allocates none.  It starts with room for [default_batch]
+   events; a payload that needs more grows it, and the batch that grew
+   past [staging_keep] events or names is handed back but no longer
+   kept: the staging starts over from a fresh default batch.  Each
+   server reactor owns one; {!iter_branch_events} stages into one per
+   domain. *)
 
-let staging_key = Domain.DLS.new_key (fun () -> batch default_batch)
-let staging_capacity () = batch_capacity (Domain.DLS.get staging_key)
+type staging = { mutable staged : batch }
 
-let trim_staging b =
-  if batch_capacity b > staging_keep || Array.length b.names > staging_keep then
-    Domain.DLS.set staging_key (batch default_batch)
+let staging () = { staged = batch default_batch }
+let staged_capacity s = batch_capacity s.staged
 
-let decode_staged buf ~pos ~len =
-  let b = Domain.DLS.get staging_key in
+let trim_staging s =
+  if staged_capacity s > staging_keep || Array.length s.staged.names > staging_keep
+  then s.staged <- batch default_batch
+
+let stage s buf ~pos ~len =
+  let b = s.staged in
   match decode_batch b buf ~pos ~len with
   | () ->
-      trim_staging b;
+      trim_staging s;
       b
   | exception e ->
-      trim_staging b;
+      trim_staging s;
       raise e
+
+let staging_key = Domain.DLS.new_key staging
+let staging_capacity () = staged_capacity (Domain.DLS.get staging_key)
+let decode_staged buf ~pos ~len = stage (Domain.DLS.get staging_key) buf ~pos ~len
 
 let iter_branch_events buf ~pos ~len ~on_call ~on_ret ~on_branch ~on_other:_ =
   let b = decode_staged buf ~pos ~len in

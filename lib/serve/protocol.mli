@@ -124,7 +124,7 @@ val decode_string : ?max_frame:int -> string -> (frame list, err) result
     The event-loop server separates framing from payload decode: it
     {!scan_at}s its read buffer (header + CRC validation only), then
     either decodes a [Branch_events] span into a flat {!batch} with
-    {!decode_staged} — no event list, no per-event records — and feeds
+    {!stage} — no event list, no per-event records — and feeds
     the checker from it, or falls back to {!decode_span} for the rare
     control frames. *)
 
@@ -156,7 +156,7 @@ exception Malformed_payload of string
 
     The one [Branch_events] decoder fills a flat batch: no event
     records, no per-event closure.  The server stages every span
-    through {!decode_staged}; {!iter_branch_events} and the
+    through its reactor's {!staging}; {!iter_branch_events} and the
     [Branch_events] list that {!decode_span} returns are views of the
     same decode. *)
 
@@ -172,22 +172,30 @@ type batch = {
 
 val default_batch : int
 (** 1024: the events a client sends per frame by default, and the
-    events a domain's staging batch holds from the start. *)
+    events a {!staging} holds from the start. *)
 
 val staging_keep : int
 (** [4 × default_batch].  A staging batch grown past this many events
     or names is not kept once it has been decoded into. *)
 
-val decode_staged : Bytes.t -> pos:int -> len:int -> batch
-(** Decode one [Branch_events] payload span into the calling domain's
-    staging batch and return it.  The batch stays valid until the next
-    decode on this domain, so whoever reads it must not decode another
-    span first.  It grows to fit the payload's counts, which are
-    bounded by the span's bits before any count-sized allocation, so
-    it reaches at most 2 words per 2 payload bits.  If this decode grew
-    it past {!staging_keep} events or names, the domain gets a fresh
-    batch of {!default_batch} events for its next decode, and the big
-    one is garbage once the caller drops it.
+type staging
+(** One batch that every span staged through it is decoded into, and
+    the rule that keeps it small between spans.  A server reactor owns
+    one, as it owns its read buffer. *)
+
+val staging : unit -> staging
+(** A fresh staging of {!default_batch} events. *)
+
+val stage : staging -> Bytes.t -> pos:int -> len:int -> batch
+(** Decode one [Branch_events] payload span into the staging's batch
+    and return it.  The batch stays valid until the next decode into
+    this staging, so whoever reads it must not stage another span
+    first.  It grows to fit the payload's counts, which are bounded by
+    the span's bits before any count-sized allocation, so it reaches
+    at most 2 words per 2 payload bits.  If this decode grew it past
+    {!staging_keep} events or names, the staging gets a fresh batch of
+    {!default_batch} events for its next decode, and the big one is
+    garbage once the caller drops it.
 
     Raises {!Ipds_core.Bitstream.Past_end} on a short payload and
     {!Malformed_payload} for a bad count or length, a callee index
@@ -201,6 +209,15 @@ val decode_staged : Bytes.t -> pos:int -> len:int -> batch
     the closure-per-event walk it replaced; {!encode_frame} of the
     batch 22–25 ns per event against 55–92 ns for the two-walk encoder
     before it. *)
+
+val staged_capacity : staging -> int
+(** Events the staging's batch holds now. *)
+
+val decode_staged : Bytes.t -> pos:int -> len:int -> batch
+(** {!stage} into the calling domain's own staging, shared by every
+    thread of the domain.  Only {!iter_branch_events} stages through
+    it; the server never does, since its first reactor shares a domain
+    with the caller's threads. *)
 
 val staging_capacity : unit -> int
 (** Events the calling domain's staging batch holds now. *)

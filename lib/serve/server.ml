@@ -1,17 +1,22 @@
 (* The event-loop verdict server.
 
-   [config.jobs] [Unix.select] reactor domains, each owning a disjoint
-   set of nonblocking connections.  Every reactor watches the listener
-   and the server's stop pipe in its own select and accepts for itself,
-   one socket per wake-up, so a burst spreads over the reactors that
-   are awake.  Each reactor owns one read buffer that every
-   connection it serves reads into; reads drive {!Protocol.scan_at}
-   over it and hand every frame span to {!Session.handle_span}:
-   [Branch_events] spans are staged into flat arrays and fed to the
-   checker (no event list, no per-event allocation), rare control
-   frames go through the generic decoder.  Between reads a connection
-   keeps only the leftover bytes of a frame split across reads — none
-   in lockstep traffic — so an idle connection holds no input buffer.
+   [config.jobs] [Unix.select] reactors, each owning a disjoint set of
+   nonblocking connections.  Reactor 0 is a thread of the domain that
+   calls {!start}, so a default server ([jobs = 1]) runs on that one
+   domain; reactors 1 … [jobs − 1] each get a domain of their own.
+   Every reactor watches the listener and the server's stop pipe in its
+   own select and accepts for itself, one socket per wake-up, so a
+   burst spreads over the reactors that are awake.  Each reactor owns
+   one read buffer that every connection it serves reads into, and one
+   {!Protocol.staging}: reactor 0 shares its domain with the caller's
+   threads, so no reactor stages through domain-local scratch.  Reads
+   drive {!Protocol.scan_at} over the buffer and hand every frame span
+   to {!Session.handle_span}: [Branch_events] spans are staged into the
+   reactor's flat arrays and fed to the checker (no event list, no
+   per-event allocation), rare control frames go through the generic
+   decoder.  Between reads a connection keeps only the leftover bytes
+   of a frame split across reads — none in lockstep traffic — so an
+   idle connection holds no input buffer.
    Writes never block: replies go through a bounded per-connection
    queue flushed opportunistically and on writability, with a global
    in-flight byte cap on top — when either bound would be exceeded the
@@ -58,7 +63,9 @@ type peer_sharing = {
 }
 
 type config = {
-  jobs : int;  (** reactor domains (≥ 1) *)
+  jobs : int;
+      (** reactors (≥ 1): the first on a thread of the caller's domain,
+          each other on a domain of its own *)
   max_frame : int;  (** payload-size limit, bytes *)
   session_timeout : float;  (** seconds a session may sit idle; 0 = none *)
   cache_slots : int;  (** loaded artifacts' image sets kept in the LRU (≥ 1) *)
@@ -103,6 +110,8 @@ type conn = {
 
 type reactor = {
   rbuf : Bytes.t;  (** the one read buffer of every connection below *)
+  staging : Protocol.staging;
+      (** the one staging of every [Branch_events] span they send *)
   mutable conns : conn list;
   mutable listen_after : float;
       (** accept back-off: the listener stays out of this reactor's
@@ -119,7 +128,8 @@ type t = {
   stop_flag : bool Atomic.t;
   stop_r : Unix.file_descr;
   stop_w : Unix.file_descr;
-  mutable reactor_domains : unit Domain.t array;
+  mutable reactor_thread : Thread.t option;  (** reactor 0 *)
+  mutable reactor_domains : unit Domain.t array;  (** reactors 1 … jobs − 1 *)
   inflight : int Atomic.t;  (** queued reply bytes across all connections *)
   live : int Atomic.t;  (** admitted connections not yet killed *)
 }
@@ -225,7 +235,7 @@ let ensure_capacity conn need =
     conn.inbuf <- bigger
   end
 
-let rec drain_frames t conn =
+let rec drain_frames t r conn =
   if not (conn.dead || conn.closing) then
     match
       Protocol.scan_at ~max_frame:t.config.max_frame conn.inbuf
@@ -245,13 +255,13 @@ let rec drain_frames t conn =
         conn.in_len <- conn.in_len - consumed;
         (match
            Session.handle_span conn.session ~send:(send t conn)
-             ~max_frame:t.config.max_frame tag conn.inbuf ~pos:payload_pos
-             ~len:payload_len
+             ~max_frame:t.config.max_frame ~staging:r.staging tag conn.inbuf
+             ~pos:payload_pos ~len:payload_len
          with
         | `Continue -> ()
         | `Close -> conn.closing <- true);
         if conn.in_len = 0 then conn.in_start <- 0;
-        drain_frames t conn
+        drain_frames t r conn
 
 (* A connection's input moves into the reactor's buffer for the length
    of one read pass, and only a split frame's leftover moves back out.
@@ -301,7 +311,7 @@ let on_readable t r conn =
         conn.last_active <- Unix.gettimeofday ();
         budget := !budget - n;
         conn.in_len <- conn.in_len + n;
-        drain_frames t conn
+        drain_frames t r conn
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         continue_ := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -385,7 +395,14 @@ let scan_timeouts t r =
   end
 
 let reactor_loop t =
-  let r = { rbuf = Bytes.create 65536; conns = []; listen_after = 0. } in
+  let r =
+    {
+      rbuf = Bytes.create 65536;
+      staging = Protocol.staging ();
+      conns = [];
+      listen_after = 0.;
+    }
+  in
   while not (Atomic.get t.stop_flag) do
     let rds =
       t.stop_r
@@ -537,13 +554,15 @@ let start ?(config = default_config) (addr : address) =
       stop_flag = Atomic.make false;
       stop_r;
       stop_w;
+      reactor_thread = None;
       reactor_domains = [||];
       inflight = Atomic.make 0;
       live = Atomic.make 0;
     }
   in
+  t.reactor_thread <- Some (Thread.create reactor_loop t);
   t.reactor_domains <-
-    Array.init config.jobs (fun _ -> Domain.spawn (fun () -> reactor_loop t));
+    Array.init (config.jobs - 1) (fun _ -> Domain.spawn (fun () -> reactor_loop t));
   t
 
 let port t =
@@ -557,6 +576,8 @@ let stop t =
        every reactor, also one parked in a long select. *)
     (try ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1)
      with Unix.Unix_error _ -> ());
+    Option.iter Thread.join t.reactor_thread;
+    t.reactor_thread <- None;
     Array.iter Domain.join t.reactor_domains;
     t.reactor_domains <- [||];
     close_quiet t.stop_r;

@@ -3,15 +3,17 @@
     Sessions speak {!Protocol} over a Unix-domain or loopback TCP
     socket: load an artifact (by store key or inline [.ipds] image),
     begin a trace, stream batched events, collect verdicts.  Instead of
-    one blocking socket per client, [config.jobs] [Unix.select] reactor
-    domains each own a disjoint set of nonblocking connections; every
+    one blocking socket per client, [config.jobs] [Unix.select]
+    reactors each own a disjoint set of nonblocking connections; every
     reactor watches the listener itself and accepts one socket per
-    wake-up.  [Branch_events] frames stream straight into the checker
-    (no event-list materialization); replies go through a
-    bounded per-connection queue under a global in-flight byte cap, and
-    a client that outruns either bound gets one typed [Overloaded]
-    error frame and a drained close — backpressure, never unbounded
-    buffering.  Past {!max_connections} live connections a new socket
+    wake-up.  Reactor 0 runs on a thread of the domain that calls
+    {!start}, and each other reactor on a domain of its own, so a
+    default server adds no domain.  [Branch_events] frames stream
+    straight into the checker (no event-list materialization); replies
+    go through a bounded per-connection queue under a global in-flight
+    byte cap, and a client that outruns either bound gets one typed
+    [Overloaded] error frame and a drained close — backpressure, never
+    unbounded buffering.  Past {!max_connections} live connections a new socket
     gets one [Overloaded] frame and is closed.  When [accept] runs out
     of descriptors (EMFILE/ENFILE) that reactor stops watching the
     listener for a fixed back-off instead of spinning, still serving its
@@ -21,10 +23,11 @@
     the image set the checker reads ({!Session.entry}); a
     [Load_image] or store load decodes only those images, never the
     code section, and a warm [Load_image] hashes nothing
-    ({!Session.create} states the contract).  Each reactor reads every connection it owns into one
-    shared buffer, and between reads a connection keeps only the
-    leftover of a frame split across reads, so an idle connection
-    holds no input buffer.
+    ({!Session.create} states the contract).  Each reactor reads every
+    connection it owns into one shared buffer and stages their
+    [Branch_events] into one {!Protocol.staging}, and between reads a
+    connection keeps only the leftover of a frame split across reads,
+    so an idle connection holds no input buffer.
 
     Robustness is the contract: malformed, oversized, truncated,
     version-skewed or out-of-sequence frames produce one typed
@@ -51,7 +54,9 @@ type peer_sharing = {
     recompile.  Tracked by the [serve.artifact_*] counters. *)
 
 type config = {
-  jobs : int;  (** reactor domains (≥ 1) *)
+  jobs : int;
+      (** reactors (≥ 1): the first on a thread of the caller's domain,
+          each other on a domain of its own *)
   max_frame : int;  (** payload-size limit, bytes *)
   session_timeout : float;  (** seconds a session may sit idle; 0 = none *)
   cache_slots : int;  (** loaded artifacts' image sets kept in the LRU (≥ 1) *)
@@ -81,10 +86,11 @@ type address = [ `Unix of string | `Tcp of int ]
 type t
 
 val start : ?config:config -> address -> t
-(** Bind, listen and spawn the [config.jobs] reactor domains.  SIGPIPE is
-    set to ignored so a client disconnecting mid-reply surfaces as
-    [Unix_error EPIPE] in the reactor, not a fatal signal.  A stale
-    socket file (one no server answers on) at a [`Unix] path is
+(** Bind, listen, start reactor 0 on a thread of the calling domain
+    and spawn a domain for each of the [config.jobs − 1] others.
+    SIGPIPE is set to ignored so a client disconnecting mid-reply
+    surfaces as [Unix_error EPIPE] in the reactor, not a fatal signal.
+    A stale socket file (one no server answers on) at a [`Unix] path is
     unlinked first; a live server's socket or a non-socket file raises
     [Unix_error (EADDRINUSE, _, _)].  Raises [Unix_error] if the
     address cannot be bound (the socket is closed first), and
@@ -98,7 +104,8 @@ val stop : t -> unit
 (** Stop promptly even mid-poll: one byte on the stop pipe wakes every
     reactor out of [select] (reactors otherwise sleep up to 30 s when
     [session_timeout] is 0), queued replies get one best-effort
-    flush, every connection is closed, the socket is closed and
+    flush, every connection is closed, reactor 0's thread and then the
+    other reactors' domains are joined, the socket is closed and
     unlinked.  Bounded; idempotent. *)
 
 val with_server : ?config:config -> address -> (t -> 'a) -> 'a

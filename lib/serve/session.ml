@@ -44,7 +44,7 @@ let now_micros () = int_of_float (Unix.gettimeofday () *. 1e6)
 
 exception State_violation of string
 
-(* Built once per load, then only read, from any reactor domain. *)
+(* Built once per load, then only read, from any reactor. *)
 type images = (string, Image.t) Hashtbl.t
 
 let images_of_list l =
@@ -154,28 +154,28 @@ let decode_image image =
 (* {2 The feed loop}
 
    A [Branch_events] batch arrives as a CRC-validated wire span.  It is
-   first staged whole into the domain's flat {!Protocol.batch} by the
-   one decoder ({!Protocol.decode_staged}), then replayed through one
-   loop with one set of guards, counters and verdict collection.  The
-   event list is never built.
+   first staged whole into the calling reactor's {!Protocol.staging},
+   which the reactor hands over with the span, then replayed through
+   one loop with one set of guards, counters and verdict collection.
+   The event list is never built.
 
    A whole batch lands in the staging before any of it touches the
    checker, so a span that turns out malformed mid-batch mutates
-   nothing.  A batch is staged and fed without yielding, so the one
-   staging batch per domain serves every session that domain runs; a
-   session allocates none.
+   nothing.  A reactor stages and feeds one batch before it reads the
+   next, so its one staging serves every session it runs; a session
+   allocates none.
 
    The staging's bound.  It starts with room for
    {!Protocol.default_batch} events.  A frame's payload is at most
    [max_frame] bytes and an event at least 2 bits, so one frame stages
    at most [4 × max_frame] events at 2 words each: a peak of
-   [64 × max_frame] bytes of event staging per domain, 256 MB at the
+   [64 × max_frame] bytes of event staging per reactor, 256 MB at the
    4 MiB default, held only while that frame is checked.  (Its callee
    names, at least one length byte each, are at most [max_frame] table
    slots and [max_frame] bytes of strings.)  A batch that grew the
    events or the name table past {!Protocol.staging_keep}
-   ([4 × default_batch]) is not kept: the domain's next decode gets a
-   fresh default batch.  So between frames a domain keeps at most that
+   ([4 × default_batch]) is not kept: the reactor's next decode gets a
+   fresh default batch.  So between frames a reactor keeps at most that
    many events at 2 words each, 64 KB, a table of as many names, and
    the names of its last frame. *)
 
@@ -236,10 +236,10 @@ let feed_staged t ~send (st : Protocol.batch) imgs ck =
 (* The span is staged whole (call/ret/branch only: the staged count is
    the batch's event count) before any of it is fed, so a malformed one
    is refused untouched. *)
-let handle_events_span t ~send buf ~pos ~len =
+let handle_events_span t ~send ~staging buf ~pos ~len =
   match (t.images, t.checker) with
   | Some imgs, Some ck -> (
-      match Protocol.decode_staged buf ~pos ~len with
+      match Protocol.stage staging buf ~pos ~len with
       | st -> feed_staged t ~send st imgs ck
       | exception Protocol.Malformed_payload m ->
           send_error ~send Protocol.Malformed m;
@@ -416,9 +416,9 @@ let handle t ~send (f : Protocol.frame) =
 (* One entry point per CRC-validated frame span: [Branch_events] streams
    into the feed loop, every other tag goes through the generic
    decoder. *)
-let handle_span t ~send ~max_frame tag buf ~pos ~len =
+let handle_span t ~send ~max_frame ~staging tag buf ~pos ~len =
   if tag = Protocol.branch_events_tag then
-    handle_events_span t ~send buf ~pos ~len
+    handle_events_span t ~send ~staging buf ~pos ~len
   else
     match Protocol.decode_span ~max_frame tag buf ~pos ~len with
     | Ok f -> handle t ~send f

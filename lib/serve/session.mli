@@ -52,7 +52,7 @@ type t
 type images = (string, Ipds_core.Image.t) Hashtbl.t
 (** What a session checks against: the flat image of each function of
     one loaded artifact, by name.  Built once per load and only read
-    after that, so one set is shared by every session and domain. *)
+    after that, so one set is shared by every session and reactor. *)
 
 type entry
 (** A cache entry: an image set, plus, for an inline image, the exact
@@ -107,13 +107,15 @@ val handle :
 val handle_events_span :
   t ->
   send:(Protocol.frame -> unit) ->
+  staging:Protocol.staging ->
   Bytes.t ->
   pos:int ->
   len:int ->
   [ `Close | `Continue ]
-(** One CRC-validated [Branch_events] payload span, staged whole by
-    {!Protocol.decode_staged} into the domain's staging and then fed:
-    a malformed payload mutates nothing.  Counts only call/ret/branch
+(** One CRC-validated [Branch_events] payload span, staged whole into
+    [staging] by {!Protocol.stage} and then fed: a malformed payload
+    mutates nothing.  The server passes the staging of the reactor
+    that read the span.  Counts only call/ret/branch
     events, the kinds the wire carries.  A [Ret]/[Branch] event against
     an empty checker stack, or a call that would nest deeper than
     {!Ipds_machine.Interp.max_call_depth}, is a typed [Bad_state]
@@ -123,16 +125,17 @@ val handle_span :
   t ->
   send:(Protocol.frame -> unit) ->
   max_frame:int ->
+  staging:Protocol.staging ->
   int ->
   Bytes.t ->
   pos:int ->
   len:int ->
   [ `Close | `Continue ]
-(** [handle_span t ~send ~max_frame tag buf ~pos ~len]: one
+(** [handle_span t ~send ~max_frame ~staging tag buf ~pos ~len]: one
     CRC-validated frame span (from {!Protocol.scan_at}).
-    [Branch_events] goes to {!handle_events_span}; every other tag is
-    decoded and handed to {!handle}, a decode failure being one typed
-    error and [`Close]. *)
+    [Branch_events] goes to {!handle_events_span} with [staging]; every
+    other tag is decoded and handed to {!handle}, a decode failure being
+    one typed error and [`Close]. *)
 
 val close : t -> unit
 (** Flush checker counter deltas of an abandoned trace.  Idempotent. *)

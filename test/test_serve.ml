@@ -280,8 +280,8 @@ let test_crafted_damage () =
 
 (* ---------- the one Branch_events decoder ---------- *)
 
-(* {!P.decode_staged} is the one Branch_events decoder: the server
-   stages every span through it, and {!P.iter_branch_events} and
+(* {!P.stage} is the one Branch_events decoder: the server stages
+   every span through it, and {!P.iter_branch_events} and
    {!P.decode_span}'s event list are views of the same decode.  Damage
    behind a valid CRC must end in a typed rejection or a decode. *)
 
@@ -586,6 +586,53 @@ let test_failed_start_closes () =
     (function Invalid_argument _ -> true | _ -> false);
   Alcotest.(check int) "descriptors after jobs = 0" before (open_fds ())
 
+(* A default server runs on the caller's domain: [Server.start] at
+   [jobs = 1] adds the tasks one blocked [Thread.create] adds, where a
+   domain would add its own task and the runtime's backup thread.  The
+   warm-ups leave the systhreads tick thread behind whichever way the
+   reactor runs, so neither delta counts it. *)
+let tasks () = Array.length (Sys.readdir "/proc/self/task")
+
+(* The task count once joined threads have left: [Thread.join] returns
+   when a thread's OCaml code is done, but its task may still be
+   exiting.  Settled means five reads 10 ms apart agree (2 s at most). *)
+let settled_tasks () =
+  let rec go n stable a =
+    Unix.sleepf 0.01;
+    let b = tasks () in
+    if stable = 4 || n = 0 then b
+    else go (n - 1) (if a = b then stable + 1 else 0) b
+  in
+  go 200 0 (tasks ())
+
+let thread_tasks () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let before = settled_tasks () in
+  let th = Thread.create (fun () -> ignore (Unix.read r (Bytes.create 1) 0 1)) () in
+  let delta = tasks () - before in
+  ignore (Unix.write w (Bytes.make 1 '!') 0 1);
+  Thread.join th;
+  Unix.close r;
+  Unix.close w;
+  delta
+
+let start_tasks () =
+  let before = settled_tasks () in
+  Serve.Server.with_server (`Tcp 0) (fun server ->
+      let port = Option.get (Serve.Server.port server) in
+      (* a reply: the reactor is up, and so is whatever its start adds *)
+      let c = Serve.Client.connect (`Tcp ("127.0.0.1", port)) in
+      let replied = Serve.Client.begin_trace c <> Ok () in
+      Serve.Client.close c;
+      check "the reactor replies" true replied;
+      tasks () - before)
+
+let test_default_one_domain () =
+  ignore (start_tasks ());
+  ignore (thread_tasks ());
+  let thread = thread_tasks () in
+  Alcotest.(check int) "tasks a jobs = 1 start adds" thread (start_tasks ())
+
 (* ---------- the span feed loop against an in-process checker ---------- *)
 
 (* [Session.handle_events_span] must answer each batch exactly as one
@@ -648,9 +695,13 @@ let feed_session batches feed =
   ( List.rev !replies,
     List.map2 ( - ) (List.map Reg.counter_value stable_counters) before )
 
+(* The staging every session in this file is handed, as a reactor
+   hands its own to each session it serves. *)
+let staging = P.staging ()
+
 let feed_span s ~send evs =
   let buf, pos, len = payload_span evs in
-  Session.handle_events_span s ~send buf ~pos ~len
+  Session.handle_events_span s ~send ~staging buf ~pos ~len
 
 let reply_frame bytes =
   match P.decode_string bytes with
@@ -808,12 +859,12 @@ let branches evs =
        evs)
 
 (* Minor words one [handle_events_span] of [evs] allocates, on a fresh
-   trace in a domain whose staging arrays already hold the batch. *)
+   trace, into a staging whose arrays already hold the batch. *)
 let span_words s evs =
   let buf, pos, len = payload_span evs in
   ignore (Session.handle s ~send:ignore P.Begin_trace);
   let w0 = Gc.minor_words () in
-  let r = Session.handle_events_span s ~send:ignore buf ~pos ~len in
+  let r = Session.handle_events_span s ~send:ignore ~staging buf ~pos ~len in
   let w = Gc.minor_words () -. w0 in
   ignore (Session.handle s ~send:ignore P.End_trace);
   if r <> `Continue then Alcotest.fail "the slice was refused";
@@ -861,8 +912,8 @@ let span_session stream =
       match P.scan_at stream ~pos ~len:(Bytes.length stream - pos) with
       | P.Scan_frame { tag; payload_pos; payload_len; next } -> (
           match
-            Session.handle_span s ~send:ignore ~max_frame:P.default_max_frame tag
-              stream ~pos:payload_pos ~len:payload_len
+            Session.handle_span s ~send:ignore ~max_frame:P.default_max_frame
+              ~staging tag stream ~pos:payload_pos ~len:payload_len
           with
           | `Continue -> go next
           | `Close -> Alcotest.fail "the session was closed")
@@ -883,7 +934,7 @@ let test_session_major_words () =
            P.End_trace;
          ])
   in
-  (* the first session in this domain may size its staging arrays *)
+  (* the first session may size the staging's arrays *)
   span_session stream;
   let words = direct_major_words (fun () -> span_session stream) in
   (* the [Load_image] payload decodes to one string of the image's
@@ -1224,11 +1275,11 @@ let test_call_flood () =
                     (summary.P.total_branches > 0)
               | Error e -> Alcotest.failf "clean session: %s" e.P.detail)))
 
-(* Staging is per domain and outlives sessions, so a frame that grows
-   it must not leave it grown: a 256 KB frame of 2^20 Rets (2 bits
-   each) is refused at its first Ret, counted, the domain's staging is
-   back at [Client.default_batch] events, and a clean session is then
-   served. *)
+(* A reactor's staging outlives sessions, so a frame that grows it
+   must not leave it grown: a 256 KB frame of 2^20 Rets (2 bits each)
+   is refused at its first Ret, counted, the staging the session was
+   handed is back at [Client.default_batch] events, and a clean session
+   is then served. *)
 let ret_flood n =
   (* wire v2: varint count, no callee names, then 2-bit op 1 per event *)
   let rec varint v =
@@ -1252,8 +1303,8 @@ let test_ret_flood_staging () =
   ignore (Session.handle s ~send (P.Load_image { name = "telnetd"; image }));
   ignore (Session.handle s ~send P.Begin_trace);
   let r =
-    Session.handle_span s ~send ~max_frame:P.default_max_frame P.branch_events_tag
-      flood ~pos:0 ~len:(Bytes.length flood)
+    Session.handle_span s ~send ~max_frame:P.default_max_frame ~staging
+      P.branch_events_tag flood ~pos:0 ~len:(Bytes.length flood)
   in
   Session.close s;
   check "the session closes" true (r = `Close);
@@ -1264,17 +1315,17 @@ let test_ret_flood_staging () =
   Alcotest.(check int) "one state error counted" 1
     (Reg.counter_value Session.m_state_errors - errors0);
   Alcotest.(check int) "staging back at the default" Serve.Client.default_batch
-    (P.staging_capacity ());
+    (P.staged_capacity staging);
   check "a clean session is served" true
     (same_as_checker [ compact_slice Serve.Client.default_batch ]);
   Alcotest.(check int) "staging still at the default" Serve.Client.default_batch
-    (P.staging_capacity ())
+    (P.staged_capacity staging)
 
 (* The names are bounded the same way.  A decode keeps only its own
    payload's names, and a payload of no events and [2 × staging_keep]
-   empty callee names grows the domain's name table, so the next decode
-   gets a fresh default batch; so does a payload that grows the events
-   and then fails. *)
+   empty callee names grows the staging's name table, so the next
+   decode gets a fresh default batch; so does a payload that grows the
+   events and then fails. *)
 let test_name_flood_staging () =
   let rec varint v =
     if v lsr 7 = 0 then String.make 1 (Char.chr v)
@@ -1284,36 +1335,65 @@ let test_name_flood_staging () =
     { call_main with Ipds_machine.Event.kind = Ipds_machine.Event.Call { callee } }
   in
   let three, pos3, len3 = payload_span [ call "a"; call "b"; call "c" ] in
-  let b = P.decode_staged three ~pos:pos3 ~len:len3 in
+  let b = P.stage staging three ~pos:pos3 ~len:len3 in
   Alcotest.(check (list string)) "three names" [ "a"; "b"; "c" ]
     (Array.to_list (Array.sub b.P.names 0 3));
   let small, pos, len = payload_span [ call_main ] in
-  let before = P.decode_staged small ~pos ~len in
+  let before = P.stage staging small ~pos ~len in
   check "the same batch" true (before == b);
   Alcotest.(check (list string)) "the previous names are cleared"
     [ "main"; ""; "" ]
     (Array.to_list (Array.sub before.P.names 0 3));
   let k = 2 * P.staging_keep in
   let flood = Bytes.of_string ("\x00" ^ varint k ^ String.make k '\x00') in
-  let grown = P.decode_staged flood ~pos:0 ~len:(Bytes.length flood) in
-  check "the flood decoded into the domain's batch" true (grown == before);
+  let grown = P.stage staging flood ~pos:0 ~len:(Bytes.length flood) in
+  check "the flood decoded into the staging's batch" true (grown == before);
   Alcotest.(check int) "its names" k grown.P.k;
-  let after = P.decode_staged small ~pos ~len in
+  let after = P.stage staging small ~pos ~len in
   check "the grown batch is not kept" true (after != grown);
   check "the fresh table is small" true
     (Array.length after.P.names <= P.staging_keep);
   Alcotest.(check int) "staging at the default" P.default_batch
-    (P.staging_capacity ());
+    (P.staged_capacity staging);
   (* a flood that fails to decode is not kept either: 2^20 events, the
      last a call whose index the payload lacks *)
   let n = 1 lsl 20 in
   let bad =
     Bytes.of_string (varint n ^ "\x00" ^ String.make ((n / 4) - 1) '\x55' ^ "\x15")
   in
-  (match P.decode_staged bad ~pos:0 ~len:(Bytes.length bad) with
+  (match P.stage staging bad ~pos:0 ~len:(Bytes.length bad) with
   | _ -> Alcotest.fail "a call without its index decoded"
   | exception Core.Bitstream.Past_end -> ());
   Alcotest.(check int) "a failed flood is not kept" P.default_batch
+    (P.staged_capacity staging)
+
+(* Reactor 0 shares the caller's domain, so it must not stage into the
+   domain's own staging: one session whose single frame grows a staging
+   past [default_batch], but not past [staging_keep], leaves the test
+   thread's staging as it found it. *)
+let test_reactor_staging () =
+  let _, image, _ = Lazy.force telnetd_run in
+  let n = 2 * P.default_batch in
+  let before = P.staging_capacity () in
+  check "the frame outgrows the caller's staging" true
+    (n > before && n <= P.staging_keep);
+  let sock = tmp_sock "staging" in
+  Serve.Server.with_server (`Unix sock) (fun _ ->
+      let c = Serve.Client.connect (`Unix sock) in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          let ok what = function
+            | Ok v -> v
+            | Error e -> Alcotest.failf "%s: %s" what e.P.detail
+          in
+          ignore
+            (ok "load" (Serve.Client.load_image c ~name:"telnetd" (Bytes.of_string image)));
+          ok "begin" (Serve.Client.begin_trace c);
+          ignore (ok "events" (Serve.Client.send_events c (compact_slice n)));
+          let summary = ok "end" (Serve.Client.end_trace c) in
+          Alcotest.(check int) "one frame's events checked" n summary.P.total_events));
+  Alcotest.(check int) "the caller's staging is untouched" before
     (P.staging_capacity ())
 
 let () =
@@ -1354,6 +1434,8 @@ let () =
         [
           Alcotest.test_case "frames split at every byte: same replies" `Quick
             test_split_frames;
+          Alcotest.test_case "reactor stages apart from the caller" `Quick
+            test_reactor_staging;
         ] );
       ( "call-depth",
         [
@@ -1387,6 +1469,8 @@ let () =
         [
           Alcotest.test_case "refused start leaks no descriptor" `Quick
             test_failed_start_closes;
+          Alcotest.test_case "jobs = 1 spawns no domain" `Quick
+            test_default_one_domain;
         ] );
       ( "image-cache",
         [
