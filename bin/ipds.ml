@@ -520,6 +520,13 @@ let port_arg =
     & info [ "port" ] ~docv:"PORT"
         ~doc:"Loopback TCP port of the verdict server (0 picks a free one).")
 
+(* The CLI's own range check on a count flag: usage error, exit 2. *)
+let at_least_1 cmd flag n =
+  if n < 1 then begin
+    Format.eprintf "ipds %s: --%s must be >= 1 (got %d)@." cmd flag n;
+    exit 2
+  end
+
 let serve_cmd =
   let jobs_arg =
     Arg.(
@@ -595,15 +602,8 @@ let serve_cmd =
     obs_init ~command:"serve"
       ~manifest:[ ("jobs", Obs.Json.Int jobs) ]
       obs;
-    if jobs < 1 then begin
-      Format.eprintf "ipds serve: --jobs must be >= 1 (got %d)@." jobs;
-      exit 2
-    end;
-    if cache_slots < 1 then begin
-      Format.eprintf "ipds serve: --cache-slots must be >= 1 (got %d)@."
-        cache_slots;
-      exit 2
-    end;
+    at_least_1 "serve" "jobs" jobs;
+    at_least_1 "serve" "cache-slots" cache_slots;
     let addr =
       match (socket, port) with
       | Some path, None -> `Unix path
@@ -634,10 +634,7 @@ let serve_cmd =
              --peer-port@.";
           exit 2
       | base, port_base, Some n, Some self ->
-          if n < 1 then begin
-            Format.eprintf "ipds serve: --peer-shards must be >= 1 (got %d)@." n;
-            exit 2
-          end;
+          at_least_1 "serve" "peer-shards" n;
           if self < 0 || self >= n then begin
             Format.eprintf
               "ipds serve: --peer-self must be in [0, %d) (got %d)@." n self;
@@ -654,7 +651,6 @@ let serve_cmd =
               Serve.Server.peer_topology =
                 Ipds_fleet.Topology.create ~shards:n peer_base;
               peer_self = self;
-              peer_backoff = Ipds_fleet.Backoff.default;
             }
     in
     let config =
@@ -732,15 +728,8 @@ let check_remote_cmd =
     obs_init ~command:"check-remote"
       ~manifest:[ ("file", Obs.Json.String file); ("seed", Obs.Json.Int seed) ]
       obs;
-    if batch < 1 then begin
-      Format.eprintf "ipds check-remote: --batch must be >= 1 (got %d)@." batch;
-      exit 2
-    end;
-    (match shards with
-    | Some n when n < 1 ->
-        Format.eprintf "ipds check-remote: --shards must be >= 1 (got %d)@." n;
-        exit 2
-    | _ -> ());
+    at_least_1 "check-remote" "batch" batch;
+    Option.iter (at_least_1 "check-remote" "shards") shards;
     let addr =
       match (socket, port) with
       | Some path, None -> `Unix path
@@ -767,15 +756,10 @@ let check_remote_cmd =
                   h p (Unix.error_message err));
             exit 1)
       | Some n -> (
-          let topology =
-            Ipds_fleet.Topology.create ~shards:n
-              (match addr with
-              | `Unix path -> `Unix path
-              | `Tcp (h, p) -> `Tcp (h, p))
-          in
+          let topology = Ipds_fleet.Topology.create ~shards:n addr in
           let fc = Serve.Fleet_client.create topology in
           (* a container built here always has a header to key by *)
-          let key = Option.get (Serve.Fleet_client.image_key image) in
+          let key = Option.get (Serve.Session.image_key image) in
           match Serve.Fleet_client.connect_for_key fc key with
           | Ok routed ->
               Format.printf "routed to shard %d/%d%s@."
@@ -894,19 +878,9 @@ let fleet_cmd =
     obs_init ~command:"fleet"
       ~manifest:[ ("shards", Obs.Json.Int shards) ]
       obs;
-    if shards < 1 then begin
-      Format.eprintf "ipds fleet: --shards must be >= 1 (got %d)@." shards;
-      exit 2
-    end;
-    if jobs < 1 then begin
-      Format.eprintf "ipds fleet: --jobs must be >= 1 (got %d)@." jobs;
-      exit 2
-    end;
-    if cache_slots < 1 then begin
-      Format.eprintf "ipds fleet: --cache-slots must be >= 1 (got %d)@."
-        cache_slots;
-      exit 2
-    end;
+    at_least_1 "fleet" "shards" shards;
+    at_least_1 "fleet" "jobs" jobs;
+    at_least_1 "fleet" "cache-slots" cache_slots;
     let base =
       match (socket, port) with
       | Some path, None -> `Unix path
@@ -942,6 +916,19 @@ let fleet_cmd =
             "--peer-self"; string_of_int i;
           ]
     in
+    (* Every shard setting goes on the argv.  The launcher's events
+       file and cache choice must not reach the shards through the
+       environment: a shard opening IPDS_EVENTS truncates the launcher's
+       stream, and IPDS_CACHE_DIR would undo --no-cache. *)
+    let env =
+      Array.of_list
+        (List.filter
+           (fun kv ->
+             not
+               (String.starts_with ~prefix:"IPDS_EVENTS=" kv
+               || String.starts_with ~prefix:"IPDS_CACHE_DIR=" kv))
+           (Array.to_list (Unix.environment ())))
+    in
     let spawn i =
       let argv =
         Array.of_list
@@ -952,26 +939,18 @@ let fleet_cmd =
               "--cache-slots"; string_of_int cache_slots;
             ])
       in
-      Unix.create_process Sys.executable_name argv Unix.stdin Unix.stdout
-        Unix.stderr
+      Unix.create_process_env Sys.executable_name argv env Unix.stdin
+        Unix.stdout Unix.stderr
     in
     let pids = Array.init shards spawn in
     (* Wait until every shard accepts connections before declaring the
        fleet up; a shard that dies during startup fails the launch. *)
     let ready i =
-      let sockaddr =
-        match Ipds_fleet.Topology.address topology i with
-        | `Unix path -> Unix.ADDR_UNIX path
-        | `Tcp (host, p) ->
-            Unix.ADDR_INET (Unix.inet_addr_of_string host, p)
-      in
-      let fd = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          match Unix.connect fd sockaddr with
-          | () -> true
-          | exception Unix.Unix_error _ -> false)
+      match Serve.Client.connect (Ipds_fleet.Topology.address topology i) with
+      | c ->
+          Serve.Client.close c;
+          true
+      | exception Unix.Unix_error _ -> false
     in
     let deadline = Unix.gettimeofday () +. 10.0 in
     for i = 0 to shards - 1 do

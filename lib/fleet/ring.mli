@@ -1,6 +1,6 @@
 (** Consistent-hash ring for client-side shard routing.
 
-    Node names are hashed to [vnodes] points each with the fleet's
+    Node names are hashed to 64 points each with the fleet's
     {!Hashing.stable_hash}, so every process that builds a ring from the
     same names routes every key identically — no coordination, no proxy
     hop.  Removing a node remaps only the keys that routed to it
@@ -8,13 +8,8 @@
 
 type t
 
-val default_vnodes : int
-(** 64. *)
-
-val create : ?vnodes:int -> string list -> t
+val create : string list -> t
 (** Raises [Invalid_argument] on an empty node list. *)
-
-val nodes : t -> string list
 
 val route : t -> string -> int
 (** Index (into the creation-order node list) owning [key]. *)

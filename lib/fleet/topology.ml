@@ -15,9 +15,6 @@ let create ~shards base =
   if shards < 1 then invalid_arg "Topology.create: shards must be >= 1";
   { base; shards }
 
-let shards t = t.shards
-let base t = t.base
-
 let address t i =
   if i < 0 || i >= t.shards then invalid_arg "Topology.address: bad shard";
   match t.base with
@@ -31,4 +28,4 @@ let shard_name t i =
 
 let names t = List.init t.shards (shard_name t)
 
-let ring ?vnodes t = Ring.create ?vnodes (names t)
+let ring t = Ring.create (names t)

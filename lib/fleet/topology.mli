@@ -13,11 +13,11 @@ type t
 val create : shards:int -> address -> t
 (** [shards] must be ≥ 1. *)
 
-val shards : t -> int
-val base : t -> address
 val address : t -> int -> address
 val shard_name : t -> int -> string
 (** The canonical ring node name of shard [i]. *)
 
 val names : t -> string list
-val ring : ?vnodes:int -> t -> Ring.t
+val ring : t -> Ring.t
+(** The ring over {!names}: every process building it from the same
+    topology routes every key identically. *)

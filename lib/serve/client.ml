@@ -5,7 +5,7 @@
 
 module Event = Ipds_machine.Event
 
-type address = [ `Unix of string | `Tcp of string * int ]
+type address = Ipds_fleet.Topology.address
 
 type t = {
   fd : Unix.file_descr;
@@ -36,17 +36,18 @@ let resolve host =
 
 let connect ?(max_frame = Protocol.default_max_frame) (addr : address) =
   Protocol.ignore_sigpipe ();
-  let fd =
+  let sockaddr =
     match addr with
-    | `Unix path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-    | `Tcp (host, port) ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_INET (resolve host, port));
-        fd
+    | `Unix path -> Unix.ADDR_UNIX path
+    | `Tcp (host, port) -> Unix.ADDR_INET (resolve host, port)
   in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
+  (* a refused connect must not leak the socket: failover and the fleet
+     launcher's readiness probe retry connects in a loop *)
+  (try Unix.connect fd sockaddr
+   with e ->
+     Unix.close fd;
+     raise e);
   { fd; reader = Protocol.reader ~max_frame fd; closed = false }
 
 let close t =

@@ -3,7 +3,8 @@
     [Ipds_machine.Interp.config.sink], so one interpreter run can be
     checked locally and remotely in the same process. *)
 
-type address = [ `Unix of string | `Tcp of string * int ]
+type address = Ipds_fleet.Topology.address
+(** [`Unix path] or [`Tcp (host, port)]: one server, or one fleet shard. *)
 
 type t
 

@@ -5,52 +5,55 @@
    same {!Ipds_fleet.Topology}, so they agree on which shard owns an
    artifact key without coordination.  A shard that cannot be reached
    yields a typed [Unavailable] error; the client then walks the ring's
-   successor order with bounded backoff — any shard can serve any key
-   (the store is shared; sharding is cache affinity, not ownership of
-   truth), so failover costs a cache miss, never an error. *)
+   successor order on the fixed {!Ipds_fleet.Backoff} schedule — any
+   shard can serve any key (the store is shared; sharding is cache
+   affinity, not ownership of truth), so failover costs a cache miss,
+   never an error. *)
 
 module Ring = Ipds_fleet.Ring
 module Topology = Ipds_fleet.Topology
 module Backoff = Ipds_fleet.Backoff
 
-type t = {
-  topology : Topology.t;
-  ring : Ring.t;
-  max_frame : int;
-  backoff : Backoff.t;
-}
+type t = { topology : Topology.t; ring : Ring.t; max_frame : int }
 
-let create ?max_frame ?(backoff = Backoff.default) topology =
-  {
-    topology;
-    ring = Topology.ring topology;
-    max_frame = Option.value max_frame ~default:Protocol.default_max_frame;
-    backoff;
-  }
+let create ?(max_frame = Protocol.default_max_frame) topology =
+  { topology; ring = Topology.ring topology; max_frame }
 
-let topology t = t.topology
 let owner t key = Ring.route t.ring key
 
-let image_key = Session.image_key
-
-let unavailable t shard e =
-  {
-    Protocol.code = Protocol.Unavailable;
-    detail =
-      Printf.sprintf "shard %s unreachable: %s"
-        (Topology.shard_name t.topology shard)
-        (Unix.error_message e);
-  }
-
 let connect_shard t shard =
-  let addr : Client.address =
-    match Topology.address t.topology shard with
-    | `Unix path -> `Unix path
-    | `Tcp (host, port) -> `Tcp (host, port)
-  in
+  let addr = Topology.address t.topology shard in
   match Client.connect ~max_frame:t.max_frame addr with
   | c -> Ok c
-  | exception Unix.Unix_error (e, _, _) -> Error (unavailable t shard e)
+  | exception Unix.Unix_error (e, _, _) ->
+      Error
+        {
+          Protocol.code = Protocol.Unavailable;
+          detail =
+            Printf.sprintf "shard %s unreachable: %s"
+              (Topology.shard_name t.topology shard)
+              (Unix.error_message e);
+        }
+
+(* The one ring walk: try [attempt] on each shard of [order] in turn,
+   sleeping the backoff schedule before every try but the first, until
+   one answers [Ok] or the order or the attempt budget runs out.
+   [Ok (shard, v, skipped)] carries the errors of the shards passed
+   over, in order; exhaustion is the last error. *)
+let walk order attempt =
+  let budget = min Backoff.max_attempts (List.length order) in
+  let rec go k skipped = function
+    | [] ->
+        Error
+          { Protocol.code = Protocol.Unavailable; detail = "no shards to try" }
+    | shard :: rest -> (
+        if k > 0 then Unix.sleepf (Backoff.delay (k - 1));
+        match attempt shard with
+        | Ok v -> Ok (shard, v, List.rev skipped)
+        | Error e when k + 1 >= budget -> Error e
+        | Error e -> go (k + 1) (e :: skipped) rest)
+  in
+  go 0 [] order
 
 type routed = {
   client : Client.t;
@@ -59,83 +62,26 @@ type routed = {
       (** one typed [Unavailable] per dead shard tried before [shard] *)
 }
 
-(* Walk the ring from the key's owner; each attempt beyond the first
-   sleeps the (bounded) backoff schedule.  All shards dead → the last
-   typed error. *)
 let connect_for_key t key =
-  let order = Ring.successors t.ring key in
-  let max_attempts = min (Backoff.max_attempts t.backoff) (List.length order) in
-  let rec go attempt skipped = function
-    | [] -> (
-        match skipped with
-        | e :: _ -> Error e
-        | [] ->
-            Error
-              {
-                Protocol.code = Protocol.Unavailable;
-                detail = "no shards configured";
-              })
-    | shard :: rest -> (
-        if attempt > 0 then Unix.sleepf (Backoff.delay t.backoff (attempt - 1));
-        match connect_shard t shard with
-        | Ok client -> Ok { client; shard; skipped = List.rev skipped }
-        | Error e ->
-            if attempt + 1 >= max_attempts then Error e
-            else go (attempt + 1) (e :: skipped) rest)
-  in
-  go 0 [] order
+  walk (Ring.successors t.ring key) (connect_shard t)
+  |> Result.map (fun (shard, client, skipped) -> { client; shard; skipped })
 
-let with_key t key f =
-  match connect_for_key t key with
-  | Error e -> Error e
-  | Ok routed ->
-      Ok
-        (Fun.protect
-           ~finally:(fun () -> Client.close routed.client)
-           (fun () -> f routed))
-
-(* Artifact sharing: ask the ring owner (then its successors) for the
-   raw container bytes of [key].  Unlike [connect_for_key], a reachable
-   shard can still answer [unknown-artifact] (it is cold too) or
-   [corrupt-artifact] (its copy rotted) — both just mean "try the next
-   peer", with the same bounded backoff budget.  [exclude] lets a shard
-   walk its own ring without asking itself. *)
+(* Unlike a connect, a reachable peer can still answer
+   [unknown-artifact] (it is cold too) or [corrupt-artifact] (its copy
+   rotted); either just moves the walk on. *)
 let fetch_artifact ?exclude t key =
   let order =
-    List.filter
-      (fun shard -> not (exclude = Some shard))
-      (Ring.successors t.ring key)
+    List.filter (fun s -> exclude <> Some s) (Ring.successors t.ring key)
   in
-  let max_attempts = min (Backoff.max_attempts t.backoff) (List.length order) in
-  let rec go attempt last = function
-    | [] -> (
-        match last with
-        | Some e -> Error e
-        | None ->
-            Error
-              {
-                Protocol.code = Protocol.Unavailable;
-                detail = "no peers configured";
-              })
-    | shard :: rest -> (
-        if attempt > 0 then Unix.sleepf (Backoff.delay t.backoff (attempt - 1));
-        let res =
-          match connect_shard t shard with
-          | Error e -> Error e
-          | Ok client ->
-              Fun.protect
-                ~finally:(fun () -> Client.close client)
-                (fun () -> Client.fetch_artifact client key)
-        in
-        match res with
-        | Ok image -> Ok image
-        | Error e ->
-            if attempt + 1 >= max_attempts then Error e
-            else go (attempt + 1) (Some e) rest)
-  in
-  go 0 None order
+  walk order (fun shard ->
+      Result.bind (connect_shard t shard) (fun client ->
+          Fun.protect
+            ~finally:(fun () -> Client.close client)
+            (fun () -> Client.fetch_artifact client key)))
+  |> Result.map (fun (_, image, _) -> image)
 
 let push_artifact t ~key image =
-  match with_key t key (fun r -> Client.push_artifact r.client ~key image) with
-  | Ok r -> r
-  | Error e -> Error e
+  Result.bind (connect_for_key t key) (fun { client; _ } ->
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () -> Client.push_artifact client ~key image))

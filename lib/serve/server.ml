@@ -59,7 +59,6 @@ let m_accept_backoffs = Reg.counter ~stable:false "serve.accept_backoffs"
 type peer_sharing = {
   peer_topology : Ipds_fleet.Topology.t;
   peer_self : int;  (** this server's own shard index (never asked) *)
-  peer_backoff : Ipds_fleet.Backoff.t;
 }
 
 type config = {
@@ -537,8 +536,7 @@ let start ?(config = default_config) (addr : address) =
     Option.map
       (fun p ->
         let fc =
-          Fleet_client.create ~max_frame:config.max_frame
-            ~backoff:p.peer_backoff p.peer_topology
+          Fleet_client.create ~max_frame:config.max_frame p.peer_topology
         in
         Fleet_client.fetch_artifact ~exclude:p.peer_self fc)
       config.peers

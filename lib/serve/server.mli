@@ -43,11 +43,11 @@
 type peer_sharing = {
   peer_topology : Ipds_fleet.Topology.t;
   peer_self : int;  (** this server's own shard index (never asked) *)
-  peer_backoff : Ipds_fleet.Backoff.t;
 }
 (** Fleet artifact sharing: on a [Load_key] local-store miss the server
     fetches the artifact from ring peers ({!Fleet_client.fetch_artifact}
-    excluding [peer_self]), fully verifies it
+    excluding [peer_self], on the fixed {!Ipds_fleet.Backoff} schedule),
+    fully verifies it
     ({!Ipds_artifact.Artifact.of_bytes} + {!Ipds_core.Image.validate} —
     peer bytes are untrusted input), publishes it to its own store and
     serves it — a cold shard warms itself instead of forcing a client

@@ -13,6 +13,8 @@
      - serve --socket in the background, at --jobs 1 and 2, answers
        check-remote --socket with matching verdicts and exits 0 within
        2 s of SIGTERM;
+     - fleet --shards 2 under IPDS_EVENTS keeps its events file to
+       itself: every line parses and the first is the fleet manifest;
      - bad flag values exit with a usage code, not a crash. *)
 
 module J = Ipds_obs.Json
@@ -55,7 +57,7 @@ let env =
 
 let read_file p = In_channel.with_open_bin p In_channel.input_all
 
-let spawn ?(out = "/dev/null") args =
+let spawn ?(out = "/dev/null") ?(env = env) args =
   let fd_out = Unix.openfile out [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o600 in
   let fd_err =
     Unix.openfile (path "stderr") [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o600
@@ -68,6 +70,15 @@ let spawn ?(out = "/dev/null") args =
   Unix.close fd_out;
   Unix.close fd_err;
   pid
+
+(* Polls every 50 ms, for up to 10 s, until [cond ()] holds. *)
+let await cond =
+  let rec go n =
+    if cond () then true
+    else if n = 0 then false
+    else (Unix.sleepf 0.05; go (n - 1))
+  in
+  go 200
 
 let wait pid =
   match snd (Unix.waitpid [] pid) with
@@ -170,12 +181,7 @@ let () =
       let server =
         spawn [ "serve"; "--socket"; sock; "--jobs"; string_of_int jobs ]
       in
-      let rec await n =
-        if Sys.file_exists sock then true
-        else if n = 0 then false
-        else (Unix.sleepf 0.05; await (n - 1))
-      in
-      if await 200 then begin
+      if await (fun () -> Sys.file_exists sock) then begin
         let out = ok "check-remote" [ "check-remote"; "@telnetd"; "--socket"; sock ] in
         expect_in "check-remote" out "remote verdicts match"
       end
@@ -189,6 +195,56 @@ let () =
           ignore (wait server);
           fail "serve --jobs %d: still running 2 s after SIGTERM" jobs)
     [ 1; 2 ];
+  (* the shards of a fleet launched under IPDS_EVENTS must not open the
+     launcher's events file: each would truncate it and write its own
+     serve manifest over the launcher's *)
+  let events = path "fleet.jsonl" and fsock = path "f.sock" in
+  let fout = path "fleet.out" in
+  let fleet =
+    spawn ~out:fout
+      ~env:(Array.append env [| "IPDS_EVENTS=" ^ events |])
+      [ "fleet"; "--shards"; "2"; "--socket"; fsock ]
+  in
+  if
+    await (fun () ->
+        Sys.file_exists (fsock ^ ".0")
+        && Sys.file_exists (fsock ^ ".1")
+        && contains (read_file fout) "shard 1 at")
+  then begin
+    (* the launcher installs its SIGTERM handler just after that line *)
+    Unix.sleepf 0.2;
+    Unix.kill fleet Sys.sigterm;
+    match wait_within 5. fleet with
+    | Some code -> expect (code = 0) "fleet: exit %d on SIGTERM" code
+    | None ->
+        Unix.kill fleet Sys.sigkill;
+        ignore (wait fleet);
+        fail "fleet: still running 5 s after SIGTERM"
+  end
+  else begin
+    Unix.kill fleet Sys.sigkill;
+    ignore (wait fleet);
+    fail "fleet --shards 2: shard sockets never appeared"
+  end;
+  let lines =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_file events))
+  in
+  List.iter
+    (fun l ->
+      match J.of_string l with
+      | _ -> ()
+      | exception J.Parse_error msg -> fail "fleet events: %S does not parse: %s" l msg)
+    lines;
+  (match lines with
+  | first :: _ -> (
+      match J.of_string first with
+      | doc ->
+          expect
+            (Option.bind (J.member "manifest" doc) (J.member "command")
+            = Some (J.String "fleet"))
+            "fleet events: first line %S is not the fleet manifest" first
+      | exception J.Parse_error _ -> ())
+  | [] -> fail "fleet events: file is empty");
   (* bad values: the CLI's own checks exit 2, cmdliner's parse errors 124 *)
   List.iter
     (fun (code, args) ->
@@ -199,7 +255,10 @@ let () =
       (2, [ "serve"; "--socket"; path "never.sock"; "--cache-slots"; "0" ]);
       (2, [ "serve"; "--socket"; path "never.sock"; "--jobs"; "0" ]);
       (2, [ "fleet"; "--socket"; path "never.sock"; "--jobs"; "0" ]);
+      (2, [ "fleet"; "--socket"; path "never.sock"; "--shards"; "0" ]);
+      (2, [ "fleet"; "--socket"; path "never.sock"; "--cache-slots"; "0" ]);
       (2, [ "check-remote"; "@telnetd"; "--socket"; path "s1.sock"; "--batch"; "0" ]);
+      (2, [ "check-remote"; "@telnetd"; "--socket"; path "s1.sock"; "--shards"; "0" ]);
       (124, [ "attack"; "@telnetd"; "--model"; "bogus" ]);
     ];
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));

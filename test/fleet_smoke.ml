@@ -11,14 +11,16 @@
    - with the whole fleet down, connect_for_key is a typed
      [Unavailable] error, not an exception;
    - a cold shard with its own store warms itself from a peer over the
-     fetch frame, with zero compiles. *)
+     fetch frame, with zero compiles;
+   - the fetch walk passes over a first peer that is cold or dead and
+     takes the artifact from the second. *)
 
 module P = Ipds_serve.Protocol
 module Server = Ipds_serve.Server
 module Client = Ipds_serve.Client
 module Fleet_client = Ipds_serve.Fleet_client
 module Topology = Ipds_fleet.Topology
-module Backoff = Ipds_fleet.Backoff
+module Ring = Ipds_fleet.Ring
 module W = Ipds_workloads.Workloads
 module Core = Ipds_core
 module M = Ipds_machine
@@ -117,8 +119,6 @@ let () =
   let store = Store.create ~dir:store_dir in
   let base = temp_path ".sock" in
   let topology = Topology.create ~shards (`Unix base) in
-  (* fast, still-bounded failover so the dead-fleet paths stay quick *)
-  let backoff = Backoff.create ~base:0.005 ~max_delay:0.02 ~max_attempts:4 () in
   let config =
     { Server.default_config with cache_slots = 16; store_dir = Some store_dir }
   in
@@ -140,7 +140,7 @@ let () =
       Array.iteri (fun i _ -> stop_shard i) servers;
       ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote store_dir))))
   @@ fun () ->
-  let fc = Fleet_client.create ~backoff topology in
+  let fc = Fleet_client.create topology in
   (* publish every workload into the shared store and precompute the
      reference runs *)
   let cases =
@@ -234,36 +234,45 @@ let () =
      verdicts -- with zero MiniC compiles anywhere in the process. *)
   let module Reg = Ipds_obs.Registry in
   let cval name = Reg.counter_value (Reg.counter name) in
-  let base5 = temp_path "-share.sock" in
-  let topo5 = Topology.create ~shards:2 (`Unix base5) in
-  let dirs = [| temp_path "-share-store0"; temp_path "-share-store1" |] in
-  let share_config i =
-    {
-      Server.default_config with
-      cache_slots = 16;
-      store_dir = Some dirs.(i);
-      peers =
-        Some
-          {
-            Server.peer_topology = topo5;
-            peer_self = i;
-            peer_backoff = backoff;
-          };
-    }
+  (* [n] shards, each with its own store and peer sharing on, stopped
+     and their stores removed when [k] returns *)
+  let with_sharing_fleet n tag k =
+    let topo = Topology.create ~shards:n (`Unix (temp_path (tag ^ ".sock"))) in
+    let dirs =
+      Array.init n (fun i -> temp_path (Printf.sprintf "%s-store%d" tag i))
+    in
+    let path i =
+      match Topology.address topo i with
+      | `Unix path -> path
+      | `Tcp _ -> fail "unix topology produced a tcp address"
+    in
+    let config i =
+      {
+        Server.default_config with
+        cache_slots = 16;
+        store_dir = Some dirs.(i);
+        peers = Some { Server.peer_topology = topo; peer_self = i };
+      }
+    in
+    let servers =
+      Array.init n (fun i -> Server.start ~config:(config i) (`Unix (path i)))
+    in
+    let stopped = Array.make n false in
+    let stop i =
+      if not stopped.(i) then begin
+        stopped.(i) <- true;
+        Server.stop servers.(i)
+      end
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iteri (fun i _ -> stop i) servers;
+        Array.iter
+          (fun d -> ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d))))
+          dirs)
+      (fun () -> k topo dirs path stop)
   in
-  let path5 i =
-    match Topology.address topo5 i with
-    | `Unix path -> path
-    | `Tcp _ -> fail "unix topology produced a tcp address"
-  in
-  let s5 = Array.init 2 (fun i -> Server.start ~config:(share_config i) (`Unix (path5 i))) in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter Server.stop s5;
-      Array.iter
-        (fun d -> ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote d))))
-        dirs)
-  @@ fun () ->
+  with_sharing_fleet 2 "-share" @@ fun topo5 dirs path5 _ ->
   let w5 = List.hd W.all in
   let system5 = W.system w5 in
   let key5 = "share-" ^ w5.W.name in
@@ -299,7 +308,7 @@ let () =
   (* and client-side push seeds a shard directly: push to shard 0 under
      a new key, then a fetch returns the identical bytes *)
   let image5 = Ipds_artifact.Artifact.to_bytes system5 in
-  let fc5 = Fleet_client.create ~backoff topo5 in
+  let fc5 = Fleet_client.create topo5 in
   (match Fleet_client.push_artifact fc5 ~key:"share-seeded" image5 with
   | Ok true -> ()
   | Ok false -> fail "seeding push reported duplicate on an empty key"
@@ -310,4 +319,42 @@ let () =
   | Error e -> fail "fetch after push failed: %s" e.P.detail);
   Printf.printf
     "4 ok: cold shard warmed over the wire, zero compiles, verdicts identical\n%!";
+
+  section "5: peer fetch skips a cold or dead first peer";
+  (* Three shards with separate stores.  For a key shard 0 owns with
+     shard 1 next on the ring, cold shard 0's fetch walk asks shard 1
+     first and shard 2 second; only shard 2 holds the artifact.  Shard 1
+     answers unknown-artifact in (a) and is stopped in (b); both times
+     shard 0 must still warm itself from shard 2. *)
+  with_sharing_fleet 3 "-skip" @@ fun topo6 dirs6 path6 stop6 ->
+  let ring6 = Topology.ring topo6 in
+  let key_cold, key_dead =
+    match
+      List.filter
+        (fun k -> Ring.successors ring6 k = [ 0; 1; 2 ])
+        (List.init 64 (Printf.sprintf "skip-%d"))
+    with
+    | a :: b :: _ -> (a, b)
+    | _ -> fail "no two keys with ring order 0, 1, 2"
+  in
+  let store2 = Store.create ~dir:dirs6.(2) in
+  let warm ~what key =
+    Store.publish_system store2 key system5;
+    let fetches0 = cval "serve.artifact_fetches" in
+    let peer_loads0 = cval "serve.artifact_peer_loads" in
+    let c = Client.connect (`Unix (path6 0)) in
+    ignore (ok (Client.load_key c key));
+    assert_equivalent ~what run5 (remote_check c run5);
+    Client.close c;
+    if cval "serve.artifact_fetches" - fetches0 <> 1 then
+      fail "%s: expected exactly one peer fetch served, got %d" what
+        (cval "serve.artifact_fetches" - fetches0);
+    if cval "serve.artifact_peer_loads" - peer_loads0 <> 1 then
+      fail "%s: expected exactly one peer-warmed load, got %d" what
+        (cval "serve.artifact_peer_loads" - peer_loads0)
+  in
+  warm ~what:"(a) cold first peer" key_cold;
+  stop6 1;
+  warm ~what:"(b) dead first peer" key_dead;
+  Printf.printf "5 ok: the walk passed a cold and a dead first peer\n%!";
   print_endline "fleet smoke OK"

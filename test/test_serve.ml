@@ -1396,6 +1396,19 @@ let test_reactor_staging () =
   Alcotest.(check int) "the caller's staging is untouched" before
     (P.staging_capacity ())
 
+(* A refused connect closes its socket: ring failover and the fleet
+   launcher's readiness probe retry connects in a loop. *)
+let test_refused_connect_closes () =
+  let before = open_fds () in
+  for _ = 1 to 20 do
+    match Serve.Client.connect (`Unix (tmp_sock "absent")) with
+    | c ->
+        Serve.Client.close c;
+        Alcotest.fail "connected to an absent socket"
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  done;
+  Alcotest.(check int) "descriptors after ENOENT" before (open_fds ())
+
 let () =
   Random.self_init ();
   Alcotest.run "serve-protocol"
@@ -1471,6 +1484,11 @@ let () =
             test_failed_start_closes;
           Alcotest.test_case "jobs = 1 spawns no domain" `Quick
             test_default_one_domain;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "refused connect leaks no descriptor" `Quick
+            test_refused_connect_closes;
         ] );
       ( "image-cache",
         [
