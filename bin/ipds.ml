@@ -942,7 +942,39 @@ let fleet_cmd =
       Unix.create_process_env Sys.executable_name argv env Unix.stdin
         Unix.stdout Unix.stderr
     in
-    let pids = Array.init shards spawn in
+    (* The handlers go in before the first spawn, so a signal at any
+       point after it stops the launcher through [stop_shards] rather
+       than killing it and leaving its shards under init. *)
+    let stop_requested = Atomic.make false in
+    let on_signal _ = Atomic.set stop_requested true in
+    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+    let pids = Array.make shards 0 and alive = Array.make shards false in
+    let rec reap pid =
+      try ignore (Unix.waitpid [] pid) with
+      | Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+      | Unix.Unix_error _ -> ()
+    in
+    (* every exit, failed start-up included, ends here *)
+    let stop_shards () =
+      Array.iteri
+        (fun i pid ->
+          if alive.(i) then
+            try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
+        pids;
+      Array.iteri
+        (fun i pid ->
+          if alive.(i) then begin
+            reap pid;
+            alive.(i) <- false
+          end)
+        pids
+    in
+    let exited i =
+      let gone = alive.(i) && fst (Unix.waitpid [ Unix.WNOHANG ] pids.(i)) <> 0 in
+      if gone then alive.(i) <- false;
+      gone
+    in
     (* Wait until every shard accepts connections before declaring the
        fleet up; a shard that dies during startup fails the launch. *)
     let ready i =
@@ -952,61 +984,51 @@ let fleet_cmd =
           true
       | exception Unix.Unix_error _ -> false
     in
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    for i = 0 to shards - 1 do
-      let rec wait () =
-        if ready i then ()
-        else if fst (Unix.waitpid [ Unix.WNOHANG ] pids.(i)) <> 0 then begin
-          Format.eprintf "ipds fleet: shard %d exited during startup@." i;
-          Array.iter
-            (fun pid ->
-              try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-            pids;
-          exit 1
+    let rec await_shards deadline i =
+      if i = shards || Atomic.get stop_requested then Ok ()
+      else if ready i then await_shards deadline (i + 1)
+      else if exited i then Error (Printf.sprintf "shard %d exited during startup" i)
+      else if Unix.gettimeofday () > deadline then
+        Error (Printf.sprintf "shard %d not accepting after 10s" i)
+      else begin
+        Unix.sleepf 0.05;
+        await_shards deadline i
+      end
+    in
+    let launch () =
+      for i = 0 to shards - 1 do
+        if not (Atomic.get stop_requested) then begin
+          pids.(i) <- spawn i;
+          alive.(i) <- true
         end
-        else if Unix.gettimeofday () > deadline then begin
-          Format.eprintf "ipds fleet: shard %d not accepting after 10s@." i;
-          exit 1
-        end
-        else begin
-          Unix.sleepf 0.05;
-          wait ()
-        end
-      in
-      wait ()
-    done;
-    List.iteri
-      (fun i name -> Format.printf "ipds fleet: shard %d at %s@." i name)
-      (Ipds_fleet.Topology.names topology);
-    let stop_requested = Atomic.make false in
-    let on_signal _ = Atomic.set stop_requested true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    let alive = Array.map (fun _ -> true) pids in
-    while not (Atomic.get stop_requested) do
-      (try ignore (Unix.select [] [] [] 0.2)
-       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      (* A dead shard is only degraded service — clients fail over along
-         the ring — so warn and keep the fleet up. *)
-      Array.iteri
-        (fun i pid ->
-          if alive.(i) && fst (Unix.waitpid [ Unix.WNOHANG ] pid) <> 0 then begin
-            alive.(i) <- false;
-            Format.eprintf
-              "ipds fleet: warning: shard %d died; its keys re-route to ring \
-               successors@."
-              i
-          end)
-        pids
-    done;
-    Format.printf "ipds fleet: shutting down@.";
-    Array.iteri
-      (fun i pid ->
-        if alive.(i) then begin
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-        end)
-      pids
+      done;
+      match await_shards (Unix.gettimeofday () +. 10.0) 0 with
+      | Error msg ->
+          Format.eprintf "ipds fleet: %s@." msg;
+          1
+      | Ok () ->
+          if not (Atomic.get stop_requested) then
+            List.iteri
+              (fun i name -> Format.printf "ipds fleet: shard %d at %s@." i name)
+              (Ipds_fleet.Topology.names topology);
+          while not (Atomic.get stop_requested) do
+            (try ignore (Unix.select [] [] [] 0.2)
+             with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+            (* A dead shard is only degraded service — clients fail over
+               along the ring — so warn and keep the fleet up. *)
+            for i = 0 to shards - 1 do
+              if exited i then
+                Format.eprintf
+                  "ipds fleet: warning: shard %d died; its keys re-route to \
+                   ring successors@."
+                  i
+            done
+          done;
+          Format.printf "ipds fleet: shutting down@.";
+          0
+    in
+    let code = Fun.protect ~finally:stop_shards launch in
+    if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "fleet"

@@ -1,11 +1,22 @@
-(* FIPS 180-4 SHA-256, pure OCaml over [Bytes].
+(* FIPS 180-4 SHA-256 over [Bytes]: one padding routine in OCaml and
+   two compression kernels behind it.
 
-   Same implementation discipline as [Ipds_artifact.Crc32]: everything
-   is eagerly initialised plain-[int] arithmetic (no [lazy], no boxed
-   [Int32] in the compression loop), so the module is domain-safe for
-   any [--jobs > 1] build or artifact path and allocation-free per
-   block.  Native 63-bit ints hold every 32-bit intermediate exactly;
-   sums are masked back to 32 bits where they feed a later step.
+   [compress_hw] is the C kernel in [sha256_stubs.c], which runs whole
+   64-byte blocks through the x86 SHA extensions.  It is used when
+   CPUID reported them at module initialisation ([hardware]); the
+   choice is made there and nowhere else.  [compress_portable] is the
+   OCaml compression below, the only path on every other CPU and the
+   one [portable_bytes] always takes.  Both kernels carry the chaining
+   state as 32 bytes of big-endian words, the digest's own layout, so
+   the digest is the state once the last block is in.
+
+   The portable kernel keeps the discipline of [Ipds_artifact.Crc32]:
+   everything is eagerly initialised plain-[int] arithmetic (no
+   [lazy], no boxed [Int32] in the compression loop), so the module is
+   domain-safe for any [--jobs > 1] build or artifact path and
+   allocation-free per block.  Native 63-bit ints hold every 32-bit
+   intermediate exactly; sums are masked back to 32 bits where they
+   feed a later step.
 
    Message words come in as big-endian 32-bit loads.  A 32-bit rotate
    right by [n] is bits [n .. n + 31] of the word duplicated into the
@@ -147,33 +158,63 @@ let process h w buf pos =
   h.(6) <- (h.(6) + !rg) land mask;
   h.(7) <- (h.(7) + !rh) land mask
 
-let bytes buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
-    invalid_arg "Sha256.bytes: range out of bounds";
-  let h =
+(* [n] blocks of [buf] from [pos] into the state [st] *)
+let compress_portable buf pos n st =
+  let h = Array.init 8 (fun i -> get_u32_be st (4 * i)) in
+  let w = Array.make 64 0 in
+  for b = 0 to n - 1 do
+    process h w buf (pos + (64 * b))
+  done;
+  Array.iteri (fun i x -> Bytes.set_int32_be st (4 * i) (Int32.of_int x)) h
+
+(* The C kernel only reads [buf] and writes [st], so it allocates
+   nothing and the GC never runs during the call. *)
+external compress_hw :
+  Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> Bytes.t -> unit
+  = "ipds_sha256_compress_byte" "ipds_sha256_compress"
+[@@noalloc]
+
+external hw_available : unit -> bool = "ipds_sha256_hw_available"
+
+let hardware = hw_available ()
+
+(* unstable: a server hashes on cache misses, which depend on how
+   sessions interleave in its LRU *)
+let m_bytes = Ipds_obs.Registry.counter ~stable:false "sha256.bytes"
+
+(* FIPS 180-4 §5.3.3 initial hash value, as big-endian words *)
+let iv =
+  let b = Bytes.create digest_length in
+  Array.iteri
+    (fun i x -> Bytes.set_int32_be b (4 * i) (Int32.of_int x))
     [|
       0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
       0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
-    |]
-  in
-  let w = Array.make 64 0 in
+    |];
+  Bytes.unsafe_to_string b
+
+let[@inline] digest compress buf ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
+    invalid_arg "Sha256.bytes: range out of bounds";
+  Ipds_obs.Registry.add m_bytes len;
+  let st = Bytes.of_string iv in
   let full = len / 64 in
-  for b = 0 to full - 1 do
-    process h w buf (pos + (64 * b))
-  done;
+  compress buf pos full st;
   (* padding: 0x80, zeros, 8-byte big-endian bit length (§5.1.1) *)
   let rem = len - (64 * full) in
   let tail = Bytes.make (if rem >= 56 then 128 else 64) '\000' in
   Bytes.blit buf (pos + (64 * full)) tail 0 rem;
   Bytes.set_uint8 tail rem 0x80;
-  let bits = len * 8 and tl = Bytes.length tail in
-  for i = 0 to 7 do
-    Bytes.set_uint8 tail (tl - 1 - i) ((bits lsr (8 * i)) land 0xFF)
-  done;
-  process h w tail 0;
-  if tl = 128 then process h w tail 64;
-  String.init digest_length (fun i ->
-      Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xFF))
+  let tl = Bytes.length tail in
+  Bytes.set_int64_be tail (tl - 8) (Int64.of_int (len * 8));
+  compress tail 0 (tl / 64) st;
+  Bytes.unsafe_to_string st
+
+let portable_bytes buf ~pos ~len = digest compress_portable buf ~pos ~len
+
+let bytes buf ~pos ~len =
+  if hardware then digest compress_hw buf ~pos ~len
+  else digest compress_portable buf ~pos ~len
 
 let to_hex d =
   let hex = "0123456789abcdef" in

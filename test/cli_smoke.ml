@@ -15,6 +15,8 @@
        2 s of SIGTERM;
      - fleet --shards 2 under IPDS_EVENTS keeps its events file to
        itself: every line parses and the first is the fleet manifest;
+     - fleet --shards 2 sent SIGTERM 20 ms after it starts leaves no
+       shard accepting once it has exited;
      - bad flag values exit with a usage code, not a crash. *)
 
 module J = Ipds_obs.Json
@@ -111,6 +113,16 @@ let contains s sub =
     i + n <= String.length s && (String.equal (String.sub s i n) sub || go (i + 1))
   in
   go 0
+
+(* whether a server accepts a connection on the Unix socket [sock] *)
+let accepts sock =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      match Unix.connect fd (Unix.ADDR_UNIX sock) with
+      | () -> true
+      | exception Unix.Unix_error _ -> false)
 
 let ok what args =
   let code, out = run args in
@@ -245,6 +257,29 @@ let () =
             "fleet events: first line %S is not the fleet manifest" first
       | exception J.Parse_error _ -> ())
   | [] -> fail "fleet events: file is empty");
+  (* a fleet stopped during start-up stops its shards: SIGTERM 20 ms in
+     usually lands while the shards are spawned but not yet accepting,
+     and no shard socket may accept once the launcher has exited *)
+  let gsock = path "g.sock" in
+  let fleet = spawn [ "fleet"; "--shards"; "2"; "--socket"; gsock ] in
+  Unix.sleepf 0.02;
+  Unix.kill fleet Sys.sigterm;
+  (match wait_within 5. fleet with
+  | Some _ ->
+      let deadline = Unix.gettimeofday () +. 2. in
+      let rec watch () =
+        match List.find_opt accepts [ gsock ^ ".0"; gsock ^ ".1" ] with
+        | Some sock -> fail "fleet stopped during start-up: %s still accepts" sock
+        | None when Unix.gettimeofday () < deadline ->
+            Unix.sleepf 0.02;
+            watch ()
+        | None -> ()
+      in
+      watch ()
+  | None ->
+      Unix.kill fleet Sys.sigkill;
+      ignore (wait fleet);
+      fail "fleet: still running 5 s after a start-up SIGTERM");
   (* bad values: the CLI's own checks exit 2, cmdliner's parse errors 124 *)
   List.iter
     (fun (code, args) ->

@@ -109,27 +109,41 @@ let test_checker_equivalence () =
 
 (* ---------- SHA-256 ---------- *)
 
+(* Both compression kernels: [bytes] takes the SHA-extension kernel
+   where CPUID reports it, [portable_bytes] always takes the OCaml one.
+   On a CPU without the extensions both are the OCaml kernel, and
+   [main] says so before the run. *)
+let sha_kernels =
+  let module H = Ipds_core.Sha256 in
+  [ ("dispatching", H.bytes); ("portable", H.portable_bytes) ]
+
 (* FIPS 180-4 test vectors: the store's content addresses and the
    object-file digest both stand on this implementation, so it is
    pinned to the published vectors, not just to self-consistency. *)
 let test_sha256_fips_vectors () =
   let module H = Ipds_core.Sha256 in
-  check_str "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    (H.hex_string "");
-  check_str "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (H.hex_string "abc");
-  check_str "two blocks"
-    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (H.hex_string "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-  check_str "million a's"
-    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (H.hex_string (String.make 1_000_000 'a'));
-  (* windowed digest agrees with whole-buffer digest *)
-  let buf = Bytes.of_string "xxabcyy" in
-  check_str "pos/len window" (H.hex_string "abc")
-    (H.to_hex (H.bytes buf ~pos:2 ~len:3));
-  check_int "digest length" 32
-    (String.length (H.bytes (Bytes.create 0) ~pos:0 ~len:0))
+  List.iter
+    (fun (kernel, bytes) ->
+      let hex s =
+        H.to_hex (bytes (Bytes.of_string s) ~pos:0 ~len:(String.length s))
+      in
+      let vector what want s = check_str (kernel ^ ": " ^ what) want (hex s) in
+      vector "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855" "";
+      vector "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        "abc";
+      vector "two blocks"
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+      vector "million a's"
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        (String.make 1_000_000 'a');
+      (* windowed digest agrees with whole-buffer digest *)
+      let buf = Bytes.of_string "xxabcyy" in
+      check_str (kernel ^ ": pos/len window") (hex "abc")
+        (H.to_hex (bytes buf ~pos:2 ~len:3));
+      check_int (kernel ^ ": digest length") 32
+        (String.length (bytes (Bytes.create 0) ~pos:0 ~len:0)))
+    sha_kernels
 
 (* [Sha256.name] length-prefixes every part, so part boundaries are
    part of the preimage: regrouping the same bytes, hiding a separator
@@ -146,18 +160,22 @@ let test_sha256_name_injective () =
     "c3494ca1a2cf8eeb8a11ded316fb55b83c3bbbedb6313cd50415251e5d09e12f"
     (H.name [ "abc" ])
 
-(* The word-loading, unrolled compression against the byte-at-a-time
-   reference: every length 0..1100 at every offset 0..7 covers each
-   padding boundary (55/56/63/64 mod 64) and every load alignment. *)
+(* Both kernels against the byte-at-a-time reference: every length
+   0..1100 at every offset 0..7 covers each padding boundary
+   (55/56/63/64 mod 64) and every load alignment. *)
 let test_sha256_differential () =
   let module H = Ipds_core.Sha256 in
   let rng = Random.State.make [| 180; 4 |] in
   let buf = Bytes.init 1108 (fun _ -> Char.chr (Random.State.int rng 256)) in
   for pos = 0 to 7 do
     for len = 0 to 1100 do
-      let got = H.bytes buf ~pos ~len and want = Sha256_ref.bytes buf ~pos ~len in
-      if not (String.equal got want) then
-        Alcotest.failf "Sha256.bytes ~pos:%d ~len:%d differs from the reference" pos len
+      let want = Sha256_ref.bytes buf ~pos ~len in
+      List.iter
+        (fun (kernel, bytes) ->
+          if not (String.equal (bytes buf ~pos ~len) want) then
+            Alcotest.failf "%s kernel ~pos:%d ~len:%d differs from the reference"
+              kernel pos len)
+        sha_kernels
     done
   done;
   List.iter
@@ -168,6 +186,35 @@ let test_sha256_differential () =
       [ "ipds-func"; "abc"; String.make 200 'x' ];
       List.init 40 (fun i -> String.make i (Char.chr (65 + (i mod 26))));
     ]
+
+(* Seeded windows of up to 16 KiB at offsets 0..63 of a buffer that
+   one random byte write changes between draws, both kernels against
+   the reference.  Lengths are log-uniform, so short messages and
+   their padding cases are drawn as often as long ones.
+   IPDS_SHA_WINDOWS sets the count: 2 000 under runtest, 1 000 000
+   under the opt-in @sha-diff alias. *)
+let test_sha256_windows () =
+  let windows =
+    match Sys.getenv_opt "IPDS_SHA_WINDOWS" with
+    | Some n -> int_of_string n
+    | None -> 2_000
+  in
+  let rng = Random.State.make [| 256; 2006 |] in
+  let buf = Bytes.init (16_384 + 64) (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for i = 1 to windows do
+    Bytes.set buf
+      (Random.State.int rng (Bytes.length buf))
+      (Char.chr (Random.State.int rng 256));
+    let len = Random.State.int rng ((1 lsl Random.State.int rng 15) + 1) in
+    let pos = Random.State.int rng 64 in
+    let want = Sha256_ref.bytes buf ~pos ~len in
+    List.iter
+      (fun (kernel, bytes) ->
+        if not (String.equal (bytes buf ~pos ~len) want) then
+          Alcotest.failf "window %d: %s kernel ~pos:%d ~len:%d differs from the reference"
+            i kernel pos len)
+      sha_kernels
+  done
 
 (* Every function is named by SHA-256, both as built and as loaded back
    from its artifact. *)
@@ -694,6 +741,9 @@ let test_key_sensitivity () =
 
 let () =
   Random.self_init ();
+  if not Ipds_core.Sha256.hardware then
+    print_endline
+      "sha256: this CPU has no SHA extensions; only the portable kernel ran";
   Alcotest.run "artifact"
     [
       ( "roundtrip",
@@ -706,6 +756,7 @@ let () =
           Alcotest.test_case "FIPS 180-4 vectors" `Quick test_sha256_fips_vectors;
           Alcotest.test_case "name is injective" `Quick test_sha256_name_injective;
           Alcotest.test_case "matches the reference" `Quick test_sha256_differential;
+          Alcotest.test_case "seeded windows" `Quick test_sha256_windows;
           Alcotest.test_case "function digests are SHA-256" `Quick
             test_func_digests_sha256;
         ] );
