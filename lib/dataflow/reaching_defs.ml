@@ -68,7 +68,10 @@ let index (f : Mir.Func.t) =
       pos_of.(blk.term_iid) <- Array.length blk.body)
     f.blocks;
   let def_iid = Array.make !ndefs 0 in
-  let reg_defs = Array.map (fun k -> Array.make k 0) per_reg in
+  (* filled in place: an [Array.map] whose first row is young forces a
+     minor collection once [nregs] passes 256 *)
+  let reg_defs = Array.make nregs [||] in
+  Array.iteri (fun r k -> reg_defs.(r) <- Array.make k 0) per_reg;
   Array.fill per_reg 0 nregs 0;
   Array.iter
     (fun (blk : Mir.Block.t) ->

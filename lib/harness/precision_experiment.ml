@@ -118,16 +118,9 @@ let render r =
           (List.sort_uniq compare iterations)));
   Buffer.contents b
 
-let to_json r =
-  let module J = Ipds_obs.Json in
-  let pass_cost =
-    Table.rows_json (fun (p : Pass.report_row) ->
-        [
-          ("pass", J.String p.Pass.r_name);
-          ("units", J.Int p.Pass.r_units);
-          ("wall_seconds", J.Float p.Pass.r_seconds);
-        ])
-  in
+module J = Ipds_obs.Json
+
+let stable_json r =
   J.Obj
     [
       ("attacks", J.Int r.attacks);
@@ -160,6 +153,25 @@ let to_json r =
               ("correlations_after", J.Int s.Refine.correlations_after);
             ])
           r.functions );
-      ("pass_cost_off", pass_cost r.pass_cost_off);
-      ("pass_cost_on", pass_cost r.pass_cost_on);
+    ]
+
+let to_json r =
+  let pass_cost =
+    Table.rows_json (fun (p : Pass.report_row) ->
+        [
+          ("pass", J.String p.Pass.r_name);
+          ("units", J.Int p.Pass.r_units);
+          ("wall_seconds", J.Float p.Pass.r_seconds);
+        ])
+  in
+  J.Obj
+    [
+      (* identical for every pool size *)
+      ("stable", stable_json r);
+      ( "timing_unstable",
+        J.Obj
+          [
+            ("pass_cost_off", pass_cost r.pass_cost_off);
+            ("pass_cost_on", pass_cost r.pass_cost_on);
+          ] );
     ]

@@ -40,5 +40,10 @@ val render : result -> string
     of the precision build and the histogram of iterations to
     fixpoint. *)
 
+val stable_json : result -> Ipds_obs.Json.t
+(** Everything but the pass costs: identical for every pool size. *)
+
 val to_json : result -> Ipds_obs.Json.t
-(** The [BENCH_precision.json] document. *)
+(** The [BENCH_precision.json] document: {!stable_json} as ["stable"],
+    and the pass costs, which carry wall seconds, as
+    ["timing_unstable"]. *)

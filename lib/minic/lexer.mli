@@ -45,7 +45,9 @@ type token =
 
 exception Error of string
 
-val tokens : string -> (token * int) array
-(** Token stream with line numbers.  Comments are [// …] and [/* … */]. *)
+val tokens : string -> token array * int array
+(** Tokens and the line each starts on, in two arrays of one length;
+    the slots after the final [EOF] hold [EOF] too.  Comments are
+    [// …] and [/* … */]. *)
 
 val describe : token -> string

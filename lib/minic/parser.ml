@@ -3,13 +3,14 @@ module L = Lexer
 exception Error of string
 
 type stream = {
-  toks : (L.token * int) array;
+  toks : L.token array;
+  lines : int array;
   mutable pos : int;
 }
 
-let peek s = fst s.toks.(s.pos)
-let peek2 s = if s.pos + 1 < Array.length s.toks then fst s.toks.(s.pos + 1) else L.EOF
-let line s = snd s.toks.(s.pos)
+let peek s = s.toks.(s.pos)
+let peek2 s = if s.pos + 1 < Array.length s.toks then s.toks.(s.pos + 1) else L.EOF
+let line s = s.lines.(s.pos)
 
 let fail s fmt =
   Printf.ksprintf (fun m -> raise (Error (Printf.sprintf "line %d: %s" (line s) m))) fmt
@@ -239,8 +240,9 @@ let decl_after_int s =
 
 let parse src =
   let s =
-    try { toks = L.tokens src; pos = 0 }
-    with L.Error m -> raise (Error m)
+    match L.tokens src with
+    | toks, lines -> { toks; lines; pos = 0 }
+    | exception L.Error m -> raise (Error m)
   in
   let globals = ref [] in
   let funcs = ref [] in
@@ -292,4 +294,7 @@ let parse src =
         :: !funcs
     end
   done;
+  (* the arrays are in the major heap once past 256 words: drop their
+     young tokens so the next minor collection does not promote them *)
+  Array.fill s.toks 0 (Array.length s.toks) L.EOF;
   { Ast.p_globals = List.rev !globals; p_funcs = List.rev !funcs }

@@ -13,22 +13,24 @@ type t = {
 
 let entry t = t.blocks.(0)
 
+(* Ids run block by block, body first and terminator last, so block [b]
+   covers [b.term_iid - |b.body|, b.term_iid]: binary-search the blocks
+   by [term_iid].  [Validate] rejects any other numbering. *)
 let location t iid =
   if iid < 0 || iid >= t.instr_count then raise Not_found;
-  let found = ref None in
-  Array.iter
-    (fun (b : Block.t) ->
-      if !found = None then
-        if b.term_iid = iid then found := Some (Term b.index)
-        else
-          Array.iteri
-            (fun pos (i : Instr.t) ->
-              if i.iid = iid then found := Some (Body (b.index, pos)))
-            b.body)
-    t.blocks;
-  match !found with
-  | Some loc -> loc
-  | None -> raise Not_found
+  let blocks = t.blocks in
+  let lo = ref 0 and hi = ref (Array.length blocks) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if blocks.(mid).Block.term_iid < iid then lo := mid + 1 else hi := mid
+  done;
+  if !lo = Array.length blocks then raise Not_found;
+  let b = blocks.(!lo) in
+  if b.term_iid = iid then Term b.index
+  else
+    let pos = iid - b.term_iid + Array.length b.body in
+    if pos >= 0 && b.body.(pos).Instr.iid = iid then Body (b.index, pos)
+    else raise Not_found
 
 let op_at t iid =
   match location t iid with

@@ -1,8 +1,12 @@
 (** Functions: a CFG of basic blocks plus local declarations.
 
     Instruction ids [0 .. instr_count - 1] cover every body instruction and
-    every terminator, densely.  Use {!instr_at}/{!location} to map between
-    ids and (block, position) coordinates. *)
+    every terminator, densely, numbered block by block in [blocks] order:
+    a block's body first, its terminator last.  So block [b] covers
+    [[b.term_iid - Array.length b.body, b.term_iid]].  {!Builder} and
+    [Opt.Rebuild] number this way and {!Validate} rejects any other
+    numbering.  {!location} maps an id to (block, position) coordinates
+    in O(log blocks). *)
 
 type location =
   | Body of int * int  (** block index, position in [body] *)
@@ -19,8 +23,9 @@ type t = {
 
 val entry : t -> Block.t
 val location : t -> int -> location
-(** [location f iid] finds where instruction [iid] lives.
-    Raises [Not_found] for an out-of-range id. *)
+(** [location f iid] finds where instruction [iid] lives, by a binary
+    search over [blocks] on [term_iid].  Raises [Not_found] for an
+    out-of-range id, and for any id of a function with no blocks. *)
 
 val op_at : t -> int -> Op.t option
 (** The payload at [iid], or [None] if [iid] is a terminator. *)

@@ -12,18 +12,31 @@ let check_func (p : Program.t) (f : Func.t) =
   in
   let nblocks = Array.length f.blocks in
   if nblocks = 0 then err "no blocks";
-  let seen_iids = Hashtbl.create 64 in
+  (* ids seen so far, and whether each came where block order puts it *)
+  let seen = Array.make (max f.instr_count 0) false in
+  let nseen = ref 0 and walked = ref 0 and in_order = ref true in
   let check_iid iid =
+    if iid <> !walked then in_order := false;
+    incr walked;
     if iid < 0 || iid >= f.instr_count then err "instruction id %d out of range" iid
-    else if Hashtbl.mem seen_iids iid then err "duplicate instruction id %d" iid
-    else Hashtbl.add seen_iids iid ()
+    else if seen.(iid) then err "duplicate instruction id %d" iid
+    else begin
+      seen.(iid) <- true;
+      incr nseen
+    end
   in
   let check_reg r =
     if Reg.index r >= f.reg_count then err "register r%d out of range" (Reg.index r)
   in
-  let in_scope v =
-    List.exists (Var.equal v) f.locals || List.exists (Var.equal v) p.globals
+  (* var ids are unique program-wide, so scope is a set of ids *)
+  let scope =
+    let vars = f.locals @ p.globals in
+    let top = List.fold_left (fun m (v : Var.t) -> max m (v.id + 1)) 0 vars in
+    let s = Array.make top false in
+    List.iter (fun (v : Var.t) -> s.(v.id) <- true) vars;
+    s
   in
+  let in_scope (v : Var.t) = v.id < Array.length scope && scope.(v.id) in
   let check_var v = if not (in_scope v) then err "variable %s not in scope" v.Var.name in
   let check_operand o = List.iter check_reg (Operand.regs o) in
   let check_addr = function
@@ -57,9 +70,10 @@ let check_func (p : Program.t) (f : Func.t) =
       List.iter check_reg (Terminator.uses b.term);
       List.iter check_target (Terminator.successors b.term))
     f.blocks;
-  if Hashtbl.length seen_iids <> f.instr_count then
-    err "instruction ids not dense: %d seen, %d expected" (Hashtbl.length seen_iids)
-      f.instr_count;
+  if !nseen <> f.instr_count then
+    err "instruction ids not dense: %d seen, %d expected" !nseen f.instr_count
+  else if !walked = f.instr_count && not !in_order then
+    err "instruction ids not in block order";
   !errs
 
 let check (p : Program.t) =

@@ -9,7 +9,8 @@ val pp_error : Format.formatter -> error -> unit
 
 val check : Program.t -> error list
 (** All violations found: dangling block indices, non-dense instruction
-    ids, out-of-range registers, variables used outside their scope,
+    ids, dense ids not numbered in block order (see {!Func}), out-of-range
+    registers, variables used outside their scope,
     calls to names that are neither defined nor declared, duplicate or
     missing [main], blocks with out-of-range entry. *)
 

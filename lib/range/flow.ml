@@ -12,6 +12,14 @@
 module Mir = Ipds_mir
 module Feas = Ipds_cfg.Feasibility
 
+(* [Array.map2] makes its result from the first element it computes: a
+   young one over 256 registers forces a minor collection.  A copy is
+   made without one, then overwritten in the same order. *)
+let map2 f x y =
+  let r = Array.copy x in
+  Array.iteri (fun i a -> r.(i) <- f a y.(i)) x;
+  r
+
 module Domain = struct
   type t =
     | Unreachable
@@ -26,7 +34,7 @@ module Domain = struct
   let join a b =
     match a, b with
     | Unreachable, x | x, Unreachable -> x
-    | Env x, Env y -> Env (Array.map2 Pred.join x y)
+    | Env x, Env y -> Env (map2 Pred.join x y)
 end
 
 module Solver = Ipds_dataflow.Framework.Forward (Domain)
@@ -147,7 +155,7 @@ let refine_edge (f : Mir.Func.t) ~src ~dst d =
 let widen a b =
   match a, b with
   | Domain.Unreachable, x | x, Domain.Unreachable -> x
-  | Domain.Env x, Domain.Env y -> Domain.Env (Array.map2 Pred.widen x y)
+  | Domain.Env x, Domain.Env y -> Domain.Env (map2 Pred.widen x y)
 
 let analyze ?feas (f : Mir.Func.t) =
   let view =

@@ -344,7 +344,7 @@ let test_report_json () =
       [ { H.Attack_experiment.workload = "telnetd"; attacks = 2; cf_changed = cf; detected } ]
   in
   pin "precision"
-    {|{"attacks":2,"seed":2006,"off":{"rows":[{"workload":"telnetd","attacks":2,"cf_changed":1,"detected":0}],"avg_cf_changed":0.5,"avg_detected":0,"detected_given_cf":0},"on":{"rows":[{"workload":"telnetd","attacks":2,"cf_changed":1,"detected":1}],"avg_cf_changed":0.5,"avg_detected":0.5,"detected_given_cf":1},"lift":[{"workload":"telnetd","attacks":2,"detected_off":0,"detected_on":1,"lift":1}],"workloads_lifted":1,"refine":{"refine.iterations":30,"refine.edges_pruned":10,"refine.correlations_gained":24},"functions":[{"workload":"telnetd","function":"main","iterations":2,"edges_pruned":2,"total_directions":34,"correlations_before":38,"correlations_after":44}],"pass_cost_off":[],"pass_cost_on":[{"pass":"refine","units":24,"wall_seconds":0.024869680404663086}]}|}
+    {|{"stable":{"attacks":2,"seed":2006,"off":{"rows":[{"workload":"telnetd","attacks":2,"cf_changed":1,"detected":0}],"avg_cf_changed":0.5,"avg_detected":0,"detected_given_cf":0},"on":{"rows":[{"workload":"telnetd","attacks":2,"cf_changed":1,"detected":1}],"avg_cf_changed":0.5,"avg_detected":0.5,"detected_given_cf":1},"lift":[{"workload":"telnetd","attacks":2,"detected_off":0,"detected_on":1,"lift":1}],"workloads_lifted":1,"refine":{"refine.iterations":30,"refine.edges_pruned":10,"refine.correlations_gained":24},"functions":[{"workload":"telnetd","function":"main","iterations":2,"edges_pruned":2,"total_directions":34,"correlations_before":38,"correlations_after":44}]},"timing_unstable":{"pass_cost_off":[],"pass_cost_on":[{"pass":"refine","units":24,"wall_seconds":0.024869680404663086}]}}|}
     (H.Precision_experiment.to_json
        {
          H.Precision_experiment.attacks = 2;

@@ -271,6 +271,49 @@ let prop_generated_programs_compile_and_run =
       in
       o.M.Interp.steps <= 5000)
 
+(* [Array.make] over 256 words with a young initial value runs a minor
+   collection first (the runtime's [caml_make_vect]); an [Array.of_list]
+   of freshly lexed tokens is one.  Right after [Gc.minor ()], lexing
+   and parsing a source must not collect: their allocation fits in half
+   the minor heap, so any collection would be a forced one. *)
+let no_minor_gc label f =
+  Gc.minor ();
+  let c0 = (Gc.quick_stat ()).Gc.minor_collections and w0 = Gc.minor_words () in
+  let r = f () in
+  let collections = (Gc.quick_stat ()).Gc.minor_collections - c0 in
+  let words = Gc.minor_words () -. w0 in
+  let half = (Gc.get ()).Gc.minor_heap_size / 2 in
+  if words >= float_of_int half then
+    Alcotest.failf "%s allocated %.0f minor words, not below half the minor heap (%d)" label
+      words half;
+  Alcotest.(check int) (label ^ ": minor collections") 0 collections;
+  r
+
+let test_no_forced_minor_gc () =
+  let module W = Ipds_workloads.Workloads in
+  (* the longest of the first 16 seed-2006 members: longer than any
+     built-in *)
+  let src =
+    List.fold_left
+      (fun a index ->
+        let b = Ipds_gen.Gen.source ~seed:2006 ~index () in
+        if String.length b > String.length a then b else a)
+      "" (List.init 16 Fun.id)
+  in
+  let toks, _ = no_minor_gc "MiniC lex" (fun () -> Minic.Lexer.tokens src) in
+  let ntoks = ref 0 in
+  while toks.(!ntoks) <> Minic.Lexer.EOF do
+    incr ntoks
+  done;
+  check (Printf.sprintf "lexed >= 1000 tokens (%d)" !ntoks) true (!ntoks >= 1000);
+  ignore (no_minor_gc "MiniC parse" (fun () -> Minic.Parser.parse src));
+  List.iter
+    (fun (w : W.t) ->
+      let text = Ipds_mir.Printer.program_to_string (W.program w) in
+      ignore (no_minor_gc ("MIR parse of " ^ w.name) (fun () ->
+          Ipds_mir.Parser.program_of_string text)))
+    W.all
+
 let () =
   Alcotest.run "minic"
     [
@@ -296,6 +339,7 @@ let () =
           Alcotest.test_case "comments" `Quick test_comments;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "dead code" `Quick test_dead_code_after_return;
+          Alcotest.test_case "no forced minor GC" `Quick test_no_forced_minor_gc;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_generated_programs_compile_and_run ] );

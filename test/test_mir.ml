@@ -150,6 +150,81 @@ let test_locations () =
        false
      with Not_found -> true)
 
+(* A scan of every block and instruction: the reference the binary
+   search of [Func.location] is checked against. *)
+let location_ref (f : Mir.Func.t) iid =
+  if iid < 0 || iid >= f.instr_count then raise Not_found;
+  let found = ref None in
+  Array.iter
+    (fun (b : Mir.Block.t) ->
+      if !found = None then
+        if b.term_iid = iid then found := Some (Mir.Func.Term b.index)
+        else
+          Array.iteri
+            (fun pos (i : Mir.Instr.t) ->
+              if i.iid = iid then found := Some (Mir.Func.Body (b.index, pos)))
+            b.body)
+    f.blocks;
+  match !found with Some loc -> loc | None -> raise Not_found
+
+(* [location] and [op_at] agree with the scan at every id of every
+   function, and both raise [Not_found] at -1 and [instr_count]. *)
+let locations_agree ~label (p : Mir.Program.t) =
+  let opt f x = try Some (f x) with Not_found -> None in
+  List.iter
+    (fun (f : Mir.Func.t) ->
+      for iid = -1 to f.instr_count do
+        let want = opt (location_ref f) iid in
+        let want_op =
+          Option.map
+            (function
+              | Mir.Func.Body (b, pos) -> Some f.blocks.(b).body.(pos).op
+              | Mir.Func.Term _ -> None)
+            want
+        in
+        if opt (Mir.Func.location f) iid <> want then
+          Alcotest.failf "%s/%s: location of id %d differs from the scan" label f.name iid;
+        if not (Option.equal (Option.equal ( == )) (opt (Mir.Func.op_at f) iid) want_op)
+        then Alcotest.failf "%s/%s: op_at of id %d differs from the scan" label f.name iid;
+        if (iid = -1 || iid = f.instr_count) && want <> None then
+          Alcotest.failf "%s/%s: id %d found" label f.name iid
+      done)
+    p.funcs
+
+let test_locations_vs_scan () =
+  let both label p =
+    locations_agree ~label p;
+    locations_agree ~label:(label ^ " optimized") (Ipds_opt.Passes.optimize p)
+  in
+  List.iter
+    (fun (w : Ipds_workloads.Workloads.t) ->
+      both w.name (Ipds_workloads.Workloads.program w))
+    Ipds_workloads.Workloads.all;
+  for index = 0 to 199 do
+    both (Printf.sprintf "gen 2006/%d" index) (Ipds_gen.Gen.compile ~seed:2006 ~index ())
+  done;
+  let f = Mir.Program.find_func_exn (simple_program ()) "main" in
+  check "no blocks raises" true
+    (try
+       ignore (Mir.Func.location { f with Mir.Func.blocks = [||] } 0);
+       false
+     with Not_found -> true);
+  (* numbered out of block order, which Validate rejects: a location
+     found is still the right one *)
+  let nop iid = { Mir.Instr.iid; op = Mir.Op.Nop } in
+  let g =
+    {
+      f with
+      Mir.Func.blocks = [| { (Mir.Func.entry f) with body = [| nop 1; nop 0 |]; term_iid = 2 } |];
+      instr_count = 3;
+    }
+  in
+  for iid = 0 to 2 do
+    match Mir.Func.location g iid with
+    | loc -> check (Printf.sprintf "misnumbered id %d" iid) true (loc = location_ref g iid)
+    | exception Not_found -> ()
+  done
+
 let test_layout () =
   let p = simple_program () in
   let layout = Mir.Layout.make p in
@@ -279,9 +354,13 @@ let test_validate_error_classes () =
       var_count = 1;
     }
   in
+  let messages f =
+    List.map (fun (e : Mir.Validate.error) -> e.message) (Mir.Validate.check (prog f))
+  in
+  let check_msgs = Alcotest.(check (list string)) in
   (* dangling block target *)
   let f1 = mk_func [| block [||] (Mir.Terminator.Jump 5) 0 |] 1 0 in
-  check "dangling target caught" true (Mir.Validate.check (prog f1) <> []);
+  check_msgs "dangling target caught" [ "block target 5 out of range" ] (messages f1);
   (* out-of-range register *)
   let f2 =
     mk_func
@@ -289,14 +368,31 @@ let test_validate_error_classes () =
            (Mir.Terminator.Return None) 1 |]
       2 1
   in
-  check "register out of range caught" true (Mir.Validate.check (prog f2) <> []);
+  check_msgs "register out of range caught" [ "register r9 out of range" ] (messages f2);
   (* non-dense instruction ids *)
   let f3 =
     mk_func
       [| block [| { Mir.Instr.iid = 7; op = Mir.Op.Nop } |] (Mir.Terminator.Return None) 1 |]
       2 0
   in
-  check "non-dense iids caught" true (Mir.Validate.check (prog f3) <> [])
+  check_msgs "non-dense iids caught"
+    [ "instruction ids not dense: 1 seen, 2 expected"; "instruction id 7 out of range" ]
+    (messages f3);
+  (* dense ids out of block order: across blocks, then within a body *)
+  let nop iid = { Mir.Instr.iid; op = Mir.Op.Nop } in
+  let f4 =
+    mk_func
+      [|
+        block [| nop 2 |] (Mir.Terminator.Jump 1) 3;
+        { (block [| nop 0 |] (Mir.Terminator.Return None) 1) with Mir.Block.index = 1 };
+      |]
+      4 0
+  in
+  check_msgs "ids out of block order caught" [ "instruction ids not in block order" ]
+    (messages f4);
+  let f5 = mk_func [| block [| nop 1; nop 0 |] (Mir.Terminator.Return None) 2 |] 3 0 in
+  check_msgs "ids out of body order caught" [ "instruction ids not in block order" ]
+    (messages f5)
 
 let test_program_lookups () =
   let p = simple_program () in
@@ -666,6 +762,7 @@ let () =
       ( "layout",
         [
           Alcotest.test_case "locations" `Quick test_locations;
+          Alcotest.test_case "locations against the scan" `Quick test_locations_vs_scan;
           Alcotest.test_case "layout" `Quick test_layout;
         ] );
       ( "parser",
