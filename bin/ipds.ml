@@ -246,7 +246,7 @@ let analyze_cmd =
     List.iter
       (fun (_, (i : Core.System.func_info)) ->
         Format.printf "%a@.%a@.@."
-          Ipds_correlation.Analysis.pp_result i.result Core.Tables.pp i.tables)
+          Ipds_correlation.Analysis.pp_result i.result Core.Image.pp i.image)
       system.Core.System.funcs;
     print_feasibility_summary system;
     let stats = Core.System.size_stats system in

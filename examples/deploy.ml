@@ -54,10 +54,10 @@ let () =
   let loaded = Ipds_artifact.Artifact.of_bytes image in
   List.iter
     (fun (name, (info : Core.System.func_info)) ->
-      let s = Core.Tables.sizes info.Core.System.tables in
+      let s = Core.Image.sizes info.Core.System.image in
       Printf.printf "loader:   %s at 0x%x — BSV %d / BCV %d / BAT %d bits\n" name
-        info.Core.System.entry_pc s.Core.Tables.bsv_bits s.Core.Tables.bcv_bits
-        s.Core.Tables.bat_bits)
+        info.Core.System.entry_pc s.Core.Image.bsv_bits s.Core.Image.bcv_bits
+        s.Core.Image.bat_bits)
     loaded.Core.System.funcs;
 
   (* 3. hardware: benign run, then a tamper with trap-on-alarm *)

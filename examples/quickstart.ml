@@ -30,7 +30,7 @@ let () =
   List.iter
     (fun (_, (info : Core.System.func_info)) ->
       Format.printf "%a@.%a@." Ipds_correlation.Analysis.pp_result info.result
-        Core.Tables.pp info.tables)
+        Core.Image.pp info.image)
     system.Core.System.funcs;
 
   print_endline "3. Benign run under the runtime checker:";

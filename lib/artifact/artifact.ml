@@ -59,7 +59,7 @@ type func_meta = {
 let encode_meta w name (i : Core.System.func_info) =
   push_str w name;
   W.push w ~width:32 i.Core.System.entry_pc;
-  W.push w ~width:16 i.Core.System.tables.Core.Tables.n_branches;
+  W.push w ~width:16 i.Core.System.image.Core.Image.n_branches;
   push_str w i.Core.System.digest;
   let checked = i.Core.System.result.Corr.Analysis.checked in
   W.push w ~width:16 (List.length checked);
@@ -100,33 +100,32 @@ let to_bytes (sys : Core.System.t) =
            (fun i (_, (info : Core.System.func_info)) ->
              ( fsect i,
                Core.Encode.function_image ~entry_pc:info.Core.System.entry_pc
-                 info.Core.System.tables ))
+                 info.Core.System.image ))
            sys.Core.System.funcs)
 
 (* ---------- load ---------- *)
 
 (* Rebuild the analysis-result view of one function from its decoded
-   tables: the collision-free hash maps BAT slots back to branch iids,
+   image: the collision-free hash maps BAT slots back to branch iids,
    so edge and entry actions are fully recoverable; [depends] (pure
    provenance) is not and loads empty. *)
-let reconstruct ~layout (f : Mir.Func.t) ~entry_pc ~digest
-    ~(tables : Core.Tables.t) ~image ~checked ~n_branches =
+let reconstruct ~layout (f : Mir.Func.t) ~entry_pc ~digest ~(image : Core.Image.t)
+    ~checked ~n_branches =
   let fname = f.Mir.Func.name in
   let branch_iids = List.map fst (Mir.Func.branches f) in
   if
-    tables.Core.Tables.n_branches <> List.length branch_iids
+    image.Core.Image.n_branches <> List.length branch_iids
     || n_branches <> List.length branch_iids
   then corrupt "%s: branch count disagrees with code section" fname;
-  let slot iid =
-    Core.Hash.apply tables.Core.Tables.hash (Mir.Layout.pc layout ~fname ~iid)
-  in
+  let space = image.Core.Image.space in
+  let slot iid = Core.Image.slot_of_pc image (Mir.Layout.pc layout ~fname ~iid) in
   let inv = Hashtbl.create 16 in
   List.iter
     (fun iid ->
       let s = slot iid in
       if Hashtbl.mem inv s then
         corrupt "%s: shipped hash parameters collide on branch PCs" fname;
-      if s < 0 || s >= Array.length tables.Core.Tables.bcv then
+      if s < 0 || s >= space then
         corrupt "%s: branch slot %d outside hash space" fname s;
       Hashtbl.add inv s iid)
     branch_iids;
@@ -139,38 +138,30 @@ let reconstruct ~layout (f : Mir.Func.t) ~entry_pc ~digest
     (fun iid ->
       if not (List.mem iid branch_iids) then
         corrupt "%s: checked iid %d is not a branch" fname iid;
-      if not tables.Core.Tables.bcv.(slot iid) then
+      if not (Core.Image.checked image (slot iid)) then
         corrupt "%s: checked iid %d missing from BCV" fname iid)
     checked;
-  let bcv_population =
-    Array.fold_left (fun a b -> if b then a + 1 else a) 0 tables.Core.Tables.bcv
-  in
-  if bcv_population <> List.length (List.sort_uniq compare checked) then
+  let bcv_population = ref 0 in
+  for s = 0 to space - 1 do
+    if Core.Image.checked image s then incr bcv_population
+  done;
+  if !bcv_population <> List.length (List.sort_uniq compare checked) then
     corrupt "%s: BCV population disagrees with checked list" fname;
-  let entries_to_actions entries =
-    List.map
-      (fun (e : Core.Tables.bat_entry) ->
-        (iid_of_slot e.Core.Tables.target_slot, e.Core.Tables.action))
-      entries
+  let row_actions row =
+    let rw = image.Core.Image.rows.(row) in
+    List.init (Core.Image.row_len rw) (fun k ->
+        let w = image.Core.Image.nodes.(Core.Image.row_off rw + k) in
+        (iid_of_slot (Core.Image.node_slot w), Core.Image.node_action w))
   in
   let edge_actions = ref [] in
-  Array.iteri
-    (fun row entries ->
-      match entries with
-      | [] -> ()
-      | _ ->
-          edge_actions :=
-            ((iid_of_slot (row / 2), row mod 2 = 1), entries_to_actions entries)
-            :: !edge_actions)
-    tables.Core.Tables.bat;
+  for row = 0 to (2 * space) - 1 do
+    if Core.Image.row_len image.Core.Image.rows.(row) > 0 then
+      edge_actions :=
+        ((iid_of_slot (row / 2), row mod 2 = 1), row_actions row) :: !edge_actions
+  done;
   {
     Core.System.entry_pc;
     digest;
-    tables =
-      {
-        tables with
-        Core.Tables.slot_of_iid = Core.Tables.slot_map branch_iids slot;
-      };
     image;
     result =
       {
@@ -178,7 +169,7 @@ let reconstruct ~layout (f : Mir.Func.t) ~entry_pc ~digest
         depends = [];
         checked;
         edge_actions = List.rev !edge_actions;
-        entry_actions = entries_to_actions tables.Core.Tables.entry_row;
+        entry_actions = row_actions (Core.Image.entry_row_index image);
       };
     (* refinement stats are build-time telemetry, not part of the format *)
     refine = None;
@@ -252,7 +243,7 @@ let of_bytes bytes =
           corrupt "%s: entry pc disagrees with layout" meta.m_name;
         ( meta.m_name,
           reconstruct ~layout f ~entry_pc:meta.m_entry_pc ~digest:meta.m_digest
-            ~tables:(Core.Image.to_tables image) ~image ~checked:meta.m_checked
+            ~image ~checked:meta.m_checked
             ~n_branches:meta.m_branches ))
       funcs
   in
@@ -269,7 +260,7 @@ let func_image (info : Core.System.func_info) =
         ("meta", W.contents w);
         ( "tables",
           Core.Encode.function_image ~entry_pc:info.Core.System.entry_pc
-            info.Core.System.tables );
+            info.Core.System.image );
       ]
 
 let func_of_image ~digest ~layout (f : Mir.Func.t) bytes =
@@ -284,8 +275,10 @@ let func_of_image ~digest ~layout (f : Mir.Func.t) bytes =
         let r = R.of_bytes (sect "meta") in
         decode_meta r)
   in
-  let tpc, tables, image =
-    in_section "tables" (fun () -> Core.Encode.decode_function (sect "tables"))
+  let tpc, image =
+    in_section "tables" (fun () ->
+        let b = sect "tables" in
+        Core.Encode.decode_image b ~pos:0 ~len:(Bytes.length b))
   in
   if not (String.equal meta.m_name f.Mir.Func.name) then
     corrupt "function blob is for %s, wanted %s" meta.m_name f.Mir.Func.name;
@@ -295,8 +288,8 @@ let func_of_image ~digest ~layout (f : Mir.Func.t) bytes =
     corrupt "%s: meta/tables disagree on entry pc" meta.m_name;
   if Mir.Layout.func_base layout meta.m_name <> meta.m_entry_pc then
     corrupt "%s: entry pc disagrees with current layout" meta.m_name;
-  reconstruct ~layout f ~entry_pc:meta.m_entry_pc ~digest:meta.m_digest ~tables
-    ~image ~checked:meta.m_checked ~n_branches:meta.m_branches
+  reconstruct ~layout f ~entry_pc:meta.m_entry_pc ~digest:meta.m_digest ~image
+    ~checked:meta.m_checked ~n_branches:meta.m_branches
 
 (* ---------- files ---------- *)
 
@@ -321,7 +314,7 @@ type func_summary = {
   entry_pc : int;
   n_branches : int;
   digest : string;
-  sizes : Ipds_core.Tables.sizes;
+  sizes : Ipds_core.Image.sizes;
 }
 
 type inspection = {
@@ -346,9 +339,9 @@ let inspect_bytes bytes =
                  {
                    fname = name;
                    entry_pc = i.Core.System.entry_pc;
-                   n_branches = i.Core.System.tables.Core.Tables.n_branches;
+                   n_branches = i.Core.System.image.Core.Image.n_branches;
                    digest = i.Core.System.digest;
-                   sizes = Core.Tables.sizes i.Core.System.tables;
+                   sizes = Core.Image.sizes i.Core.System.image;
                  })
                sys.Core.System.funcs)
       | exception Object_file.Corrupt _ -> None
@@ -379,6 +372,6 @@ let pp_inspection ppf t =
             "  func %-16s entry 0x%x  %3d branches  digest %s  BSV %d / BCV %d / BAT %d bits@."
             f.fname f.entry_pc f.n_branches
             (String.sub f.digest 0 (min 12 (String.length f.digest)))
-            f.sizes.Core.Tables.bsv_bits f.sizes.Core.Tables.bcv_bits
-            f.sizes.Core.Tables.bat_bits)
+            f.sizes.Core.Image.bsv_bits f.sizes.Core.Image.bcv_bits
+            f.sizes.Core.Image.bat_bits)
         funcs

@@ -24,16 +24,19 @@
     version check and load as a full cache miss.
 
     Loading rebuilds an {!Ipds_core.System.t} without running the MiniC
-    front end or the correlation analysis: tables are decoded, the BAT
-    edge/entry actions are reconstructed from the collision-free hash
-    (slots map back to branch iids), and every redundant field is
+    front end or the correlation analysis: each function's
+    {!Ipds_core.Image.t} is decoded, the checked set and the BAT
+    edge/entry actions are reconstructed from its BCV bits, rows and
+    nodes through the collision-free hash (slots map back to branch
+    iids), and every redundant field is
     cross-checked against the code section — disagreement raises
     {!Object_file.Corrupt}.  The one lossy field is
     [result.depends] (analysis provenance, not needed by the runtime),
     which loads as [[]].
 
-    Guarantee (tested): [load (save sys)] yields bit-identical
-    {!Ipds_core.Tables.sizes} and a checker with identical verdicts. *)
+    Guarantee (tested): [load (save sys)] yields structurally equal
+    images (so bit-identical {!Ipds_core.Image.sizes}) and a checker
+    with identical verdicts. *)
 
 exception Corrupt of string
 (** Alias of {!Object_file.Corrupt}: any integrity failure — bad magic,
@@ -89,7 +92,7 @@ type func_summary = {
   entry_pc : int;
   n_branches : int;
   digest : string;
-  sizes : Ipds_core.Tables.sizes;
+  sizes : Ipds_core.Image.sizes;
 }
 
 type inspection = {

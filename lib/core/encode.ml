@@ -1,12 +1,9 @@
 module W = Bitstream.Writer
 module R = Bitstream.Reader
 
-let rec ceil_log2 n = if n <= 1 then 0 else 1 + ceil_log2 ((n + 1) / 2)
-
-let action_code = function
-  | Ipds_correlation.Action.Set_taken -> 1
-  | Ipds_correlation.Action.Set_not_taken -> 2
-  | Ipds_correlation.Action.Set_unknown -> 3
+(* Wire action codes (1=T, 2=NT, 3=unknown); the image's status codes
+   are (1, 2, 0). *)
+let wire_code status = if status = 0 then 3 else status
 
 let action_of_code = function
   | 1 -> Ipds_correlation.Action.Set_taken
@@ -14,72 +11,49 @@ let action_of_code = function
   | 3 -> Ipds_correlation.Action.Set_unknown
   | c -> invalid_arg (Printf.sprintf "Encode: bad action code %d" c)
 
-(* Rows in image order: the 2*space BAT edge rows, then the entry row. *)
-let rows (t : Tables.t) = Array.to_list t.bat @ [ t.entry_row ]
-
-(* Linearize the rows into a node pool: per node
-   (target_slot, action, next index; 0 = null), heads point at the first
-   node of each row. *)
-let pool (t : Tables.t) =
-  let nodes = ref [] in
-  let count = ref 0 in
-  let heads =
-    List.map
-      (fun row ->
-        match row with
-        | [] -> 0
-        | entries ->
-            let head = !count + 1 in
-            let n = List.length entries in
-            List.iteri
-              (fun i (e : Tables.bat_entry) ->
-                incr count;
-                let next = if i = n - 1 then 0 else !count + 1 in
-                nodes := (e.Tables.target_slot, e.Tables.action, next) :: !nodes)
-              entries;
-            head)
-      (rows t)
-  in
-  (heads, List.rev !nodes)
-
-let widths (t : Tables.t) =
-  let _, nodes = pool t in
-  let n_nodes = List.length nodes in
-  let ptr_bits = max 1 (ceil_log2 (n_nodes + 1)) in
-  let slot_bits = max 1 t.hash.Hash.space_bits in
-  (ptr_bits, slot_bits, n_nodes)
-
 let payload_bits t =
-  let space = Hash.space t.Tables.hash in
-  let ptr_bits, slot_bits, n_nodes = widths t in
-  space + (((2 * space) + 1) * ptr_bits) + (n_nodes * (slot_bits + 2 + ptr_bits))
+  let s = Image.sizes t in
+  s.Image.bcv_bits + s.Image.bat_bits
 
-let write_function w ~entry_pc (t : Tables.t) =
-  let name = t.fname in
+(* The CSR rows as the paper's linked lists: node [i] of the image is
+   pool node [i + 1] (0 = null), a row's head points at its first node
+   and each node at the next one in its row. *)
+let write_function w ~entry_pc (t : Image.t) =
+  let name = t.Image.fname in
   W.push w ~width:16 (String.length name);
   W.push_string w name;
   W.push w ~width:32 entry_pc;
-  W.push w ~width:8 t.hash.Hash.shift1;
-  W.push w ~width:8 t.hash.Hash.shift2;
-  W.push w ~width:8 t.hash.Hash.space_bits;
-  W.push w ~width:16 t.n_branches;
-  let heads, nodes = pool t in
-  let ptr_bits, slot_bits, n_nodes = widths t in
+  W.push w ~width:8 t.Image.shift1;
+  W.push w ~width:8 t.Image.shift2;
+  W.push w ~width:8 t.Image.space_bits;
+  W.push w ~width:16 t.Image.n_branches;
+  let n_nodes = Array.length t.Image.nodes in
+  let ptr_bits = Image.ptr_bits ~n_nodes in
+  let slot_bits = max 1 t.Image.space_bits in
   W.push w ~width:16 n_nodes;
   (* packed payload *)
-  Array.iter (fun b -> W.push w ~width:1 (if b then 1 else 0)) t.bcv;
-  List.iter (fun h -> W.push w ~width:ptr_bits h) heads;
-  List.iter
-    (fun (slot, action, next) ->
-      W.push w ~width:slot_bits slot;
-      W.push w ~width:2 (action_code action);
-      W.push w ~width:ptr_bits next)
-    nodes
+  for slot = 0 to t.Image.space - 1 do
+    W.push w ~width:1 (Bool.to_int (Image.checked t slot))
+  done;
+  Array.iter
+    (fun rw ->
+      W.push w ~width:ptr_bits
+        (if Image.row_len rw = 0 then 0 else Image.row_off rw + 1))
+    t.Image.rows;
+  Array.iter
+    (fun rw ->
+      let off = Image.row_off rw and len = Image.row_len rw in
+      for i = off to off + len - 1 do
+        let node = t.Image.nodes.(i) in
+        W.push w ~width:slot_bits (Image.node_slot node);
+        W.push w ~width:2 (wire_code (Image.node_code node));
+        W.push w ~width:ptr_bits (if i = off + len - 1 then 0 else i + 2)
+      done)
+    t.Image.rows
 
 (* Decode straight into the flat {!Image.t}: one pass pulls the header
    and node pool into flat int arrays, then each linked row is chased
-   once into the CSR arrays.  The list-view [Tables.t] is derived from
-   the image (load-time only); no per-query bit-pulling remains. *)
+   once into the CSR arrays; no per-query bit-pulling remains. *)
 let read_function r =
   let name_len = R.pull r ~width:16 in
   let name = R.pull_string r name_len in
@@ -91,7 +65,7 @@ let read_function r =
   let n_nodes = R.pull r ~width:16 in
   let hash = Hash.make ~shift1 ~shift2 ~space_bits in
   let space = Hash.space hash in
-  let ptr_bits = max 1 (ceil_log2 (n_nodes + 1)) in
+  let ptr_bits = Image.ptr_bits ~n_nodes in
   let slot_bits = max 1 space_bits in
   let bcv = Array.make (max 1 ((space + 31) lsr 5)) 0 in
   for slot = 0 to space - 1 do
@@ -140,7 +114,3 @@ let function_image ~entry_pc t =
   W.contents w
 
 let decode_image buf ~pos ~len = read_function (R.of_span buf ~pos ~len)
-
-let decode_function bytes =
-  let entry_pc, image = decode_image bytes ~pos:0 ~len:(Bytes.length bytes) in
-  (entry_pc, Image.to_tables image, image)

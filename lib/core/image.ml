@@ -1,8 +1,8 @@
 (* The compiled flat per-function image: everything the checker's
    per-branch hot path touches, in unboxed int arrays.  Built once from
-   {!Tables.t} at system load (or decoded straight from an artifact
-   section); the list-based [Tables.t] stays the build/inspect
-   representation. *)
+   the analysis result by the [tables] pass (or decoded straight from
+   an artifact section); it is the only in-memory form of a function's
+   tables. *)
 
 type t = {
   fname : string;
@@ -67,6 +67,12 @@ let node_word ~target_slot ~code =
 let node_slot w = w lsr 16
 let node_code w = (w land 0xff) lsr (((w lsr 16) land 3) * 2)
 
+let node_action w =
+  match node_code w with
+  | 1 -> Ipds_correlation.Action.Set_taken
+  | 2 -> Ipds_correlation.Action.Set_not_taken
+  | _ -> Ipds_correlation.Action.Set_unknown
+
 (* checked slots start Unknown (code 0), unchecked slots carry the
    never-check marker (code 3); 0xff = four unchecked slots *)
 let init_bsv_of ~space bcv =
@@ -96,84 +102,84 @@ let empty =
     init_bsv = Bytes.make 1 '\xff';
   }
 
-let status_code_of_action = function
-  | Ipds_correlation.Action.Set_taken -> 1
-  | Ipds_correlation.Action.Set_not_taken -> 2
-  | Ipds_correlation.Action.Set_unknown -> 0
-
-let action_of_status_code = function
-  | 1 -> Ipds_correlation.Action.Set_taken
-  | 2 -> Ipds_correlation.Action.Set_not_taken
-  | _ -> Ipds_correlation.Action.Set_unknown
-
-let of_tables (tb : Tables.t) =
-  let space = Hash.space tb.Tables.hash in
+(* Rows tile [nodes] in the order {!Encode} serializes them: edge rows
+   by index, then the entry row. *)
+let build ~layout (r : Ipds_correlation.Analysis.result) =
+  let fname = r.func.Ipds_mir.Func.name in
+  let branch_iids = List.map fst (Ipds_mir.Func.branches r.func) in
+  let pc_of iid = Ipds_mir.Layout.pc layout ~fname ~iid in
+  let hash = Hash.find (List.map pc_of branch_iids) in
+  let slot iid = Hash.apply hash (pc_of iid) in
+  let space = Hash.space hash in
   let bcv = Array.make (max 1 ((space + 31) lsr 5)) 0 in
-  Array.iteri
-    (fun slot b ->
-      if b then bcv.(slot lsr 5) <- bcv.(slot lsr 5) lor (1 lsl (slot land 31)))
-    tb.Tables.bcv;
-  (* Rows in image order: the 2*space edge rows, then the entry row —
-     the same linearization {!Encode} serializes, so a decoded image is
-     structurally identical to one built from the decoded tables. *)
-  let row_of i =
-    if i < 2 * space then tb.Tables.bat.(i) else tb.Tables.entry_row
-  in
-  let n_nodes = ref 0 in
-  for i = 0 to 2 * space do
-    n_nodes := !n_nodes + List.length (row_of i)
-  done;
+  List.iter
+    (fun iid ->
+      let s = slot iid in
+      bcv.(s lsr 5) <- bcv.(s lsr 5) lor (1 lsl (s land 31)))
+    r.checked;
+  let row_actions = Array.make ((2 * space) + 1) [] in
+  List.iter
+    (fun ((bs, dir), actions) ->
+      row_actions.((slot bs * 2) + Bool.to_int dir) <- actions)
+    r.edge_actions;
+  row_actions.(2 * space) <- r.entry_actions;
+  let n_nodes = Array.fold_left (fun n row -> n + List.length row) 0 row_actions in
   let rows = Array.make ((2 * space) + 1) 0 in
-  let nodes = Array.make !n_nodes 0 in
+  let nodes = Array.make n_nodes 0 in
   let pos = ref 0 in
-  for i = 0 to 2 * space do
-    let off = !pos in
-    List.iter
-      (fun (e : Tables.bat_entry) ->
-        nodes.(!pos) <-
-          node_word ~target_slot:e.Tables.target_slot
-            ~code:(status_code_of_action e.Tables.action);
-        incr pos)
-      (row_of i);
-    rows.(i) <- row_word ~off ~len:(!pos - off)
-  done;
+  Array.iteri
+    (fun i row ->
+      let off = !pos in
+      List.iter
+        (fun (tgt, action) ->
+          nodes.(!pos) <-
+            node_word ~target_slot:(slot tgt)
+              ~code:(Status.to_code (Status.of_action action));
+          incr pos)
+        row;
+      rows.(i) <- row_word ~off ~len:(!pos - off))
+    row_actions;
   {
-    fname = tb.Tables.fname;
-    shift1 = tb.Tables.hash.Hash.shift1;
-    shift2 = tb.Tables.hash.Hash.shift2;
-    space_bits = tb.Tables.hash.Hash.space_bits;
+    fname;
+    shift1 = hash.Hash.shift1;
+    shift2 = hash.Hash.shift2;
+    space_bits = hash.Hash.space_bits;
     mask = space - 1;
     space;
-    n_branches = tb.Tables.n_branches;
+    n_branches = List.length branch_iids;
     bcv;
     rows;
     nodes;
     init_bsv = init_bsv_of ~space bcv;
   }
 
-(* The inspect-side view of a decoded image; node order is preserved, so
-   [to_tables (of_tables t)] equals [t] up to the debug field. *)
-let to_tables t =
-  let hash = Hash.make ~shift1:t.shift1 ~shift2:t.shift2 ~space_bits:t.space_bits in
-  let bcv = Array.init t.space (fun slot -> checked t slot) in
-  let row i =
-    let rw = t.rows.(i) in
-    List.init (row_len rw) (fun k ->
-        let w = t.nodes.(row_off rw + k) in
-        {
-          Tables.target_slot = node_slot w;
-          action = action_of_status_code (node_code w);
-        })
-  in
-  {
-    Tables.fname = t.fname;
-    hash;
-    n_branches = t.n_branches;
-    bcv;
-    bat = Array.init (2 * t.space) row;
-    entry_row = row (2 * t.space);
-    slot_of_iid = [||];
-  }
+let hash t = Hash.make ~shift1:t.shift1 ~shift2:t.shift2 ~space_bits:t.space_bits
+
+type sizes = {
+  bsv_bits : int;
+  bcv_bits : int;
+  bat_bits : int;
+}
+
+let rec ceil_log2 n = if n <= 1 then 0 else 1 + ceil_log2 ((n + 1) / 2)
+let ptr_bits ~n_nodes = max 1 (ceil_log2 (n_nodes + 1))
+
+(* The serialized linked-list BAT (paper Fig. 8): a head pointer per
+   row plus (target slot, 2-bit action, next pointer) per node. *)
+let sizes t =
+  let n_nodes = Array.length t.nodes in
+  let ptr_bits = ptr_bits ~n_nodes in
+  let slot_bits = max 1 t.space_bits in
+  let head_bits = ((2 * t.space) + 1) * ptr_bits in
+  let node_bits = n_nodes * (slot_bits + 2 + ptr_bits) in
+  { bsv_bits = 2 * t.space; bcv_bits = t.space; bat_bits = head_bits + node_bits }
+
+let pp ppf t =
+  Format.fprintf ppf "@[<v>tables %s: %d branches, %a@," t.fname t.n_branches
+    Hash.pp (hash t);
+  let s = sizes t in
+  Format.fprintf ppf "  bsv %d bits, bcv %d bits, bat %d bits@]" s.bsv_bits
+    s.bcv_bits s.bat_bits
 
 (* Structural sanity for images decoded from untrusted bytes: the rows
    tile [nodes] exactly in index order, every node's target slot is

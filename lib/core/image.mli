@@ -1,11 +1,16 @@
-(** Compiled flat per-function checker image.
+(** Per-function BSV/BCV/BAT tables (paper §5.1–5.2), in the one flat
+    form the compiler builds, the artifact ships and the checker runs.
 
-    {!Tables.t} is the build/inspect representation: BAT rows are entry
-    lists and the BCV a [bool array].  The checker's hot path instead
-    runs over this flat image — BCV as an int-array bitset, the BAT as
-    packed CSR row words + packed node arrays, and the hash parameters
-    inlined as plain ints — so verifying and updating a committed branch
-    touches no list node and allocates nothing.
+    Slots are hash positions of branch PCs under a collision-free
+    function-specific hash.  The BCV is an int-array bitset; the BAT is
+    packed CSR row words over a packed node array — one row per
+    (slot, direction), plus one extra row of entry actions applied when
+    an activation starts — with the hash parameters inlined as plain
+    ints, so verifying and updating a committed branch touches no list
+    node and allocates nothing.  {!Encode} serializes the rows as the
+    paper's linked lists ("the BAT table implements a link list");
+    {!sizes} reports the exact bit cost of that layout, which is what
+    Figure 8 measures (paper averages: BSV 34, BCV 17, BAT 393).
 
     Node words pack
     [(target_slot lsl 16) lor (keep_mask lsl 8) lor set_mask]: the two
@@ -38,15 +43,33 @@ type t = private {
           unchecked ones; length {!bsv_bytes} *)
 }
 
-val of_tables : Tables.t -> t
-(** Compile the list representation.  Node order follows the
-    serialization order of {!Encode} (edge rows then entry row, entries
-    in list order), so images built from tables and images decoded from
-    artifacts are structurally equal. *)
+val build :
+  layout:Ipds_mir.Layout.t -> Ipds_correlation.Analysis.result -> t
+(** The function's tables, straight from its analysis: {!Hash.find}
+    over the branch PCs in branch order, the BCV from [checked], one row
+    per committed edge and the entry row, entries in action-list order.
+    When [edge_actions] lists a (branch, direction) twice, the last
+    entry wins. *)
 
-val to_tables : t -> Tables.t
-(** The inspect-side list view (debug [slot_of_iid] comes back empty).
-    [to_tables (of_tables t)] equals [t] up to that field. *)
+val hash : t -> Hash.params
+(** The inlined hash parameters, as shipped. *)
+
+type sizes = {
+  bsv_bits : int;
+  bcv_bits : int;
+  bat_bits : int;
+}
+
+val sizes : t -> sizes
+(** BSV: 2 bits/slot.  BCV: 1 bit/slot.  BAT: head pointers for
+    [2*space + 1] rows plus nodes of (target-slot, 2-bit action, next
+    pointer); pointer width is {!ptr_bits}.  O(1). *)
+
+val ptr_bits : n_nodes:int -> int
+(** Width of a serialized node pointer: [ceil log2 (n_nodes + 1)], at
+    least 1. *)
+
+val pp : Format.formatter -> t -> unit
 
 val empty : t
 (** A zero-branch placeholder (used to blank arena slots). *)
@@ -64,6 +87,9 @@ val bsv_bytes : t -> int
 val node_word : target_slot:int -> code:int -> int
 val node_slot : int -> int
 val node_code : int -> int
+
+val node_action : int -> Ipds_correlation.Action.t
+(** The BAT action a node word installs. *)
 
 val row_word : off:int -> len:int -> int
 val row_off : int -> int

@@ -5,7 +5,6 @@ module Pass = Ipds_pass.Pass
 type func_info = {
   entry_pc : int;
   digest : string;
-  tables : Tables.t;
   image : Image.t;
   result : Corr.Analysis.result;
   refine : Corr.Refine.stats option;
@@ -66,7 +65,7 @@ let pass_refine =
 
 let pass_tables =
   Pass.v ~name:"tables" ~scope:Pass.Function (fun (layout, result) ->
-      Tables.build ~layout result)
+      Image.build ~layout result)
 
 type func_cache = {
   lookup :
@@ -104,13 +103,12 @@ let build ?options ?pool ?func_cache program =
                   let result, stats = Pass.run pass_refine (options, pw, f) in
                   (result, Some stats)
             in
-            let tables = Pass.run pass_tables (layout, result) in
+            let image = Pass.run pass_tables (layout, result) in
             let info =
               {
                 entry_pc = Mir.Layout.func_base layout name;
                 digest;
-                tables;
-                image = Image.of_tables tables;
+                image;
                 result;
                 refine;
               }
@@ -160,27 +158,25 @@ let info t name =
 
 let mem t name = Hashtbl.mem t.by_name name
 
-let tables t name = (info t name).tables
 let image t name = (info t name).image
 let new_checker t = Checker.create ~lookup:(image t)
-let new_ref_checker t = Checker_ref.create ~lookup:(tables t)
 
 type size_stats = {
-  per_func : (string * Tables.sizes) list;
+  per_func : (string * Image.sizes) list;
   avg_bsv_bits : float;
   avg_bcv_bits : float;
   avg_bat_bits : float;
 }
 
 let size_stats t =
-  let per_func = List.map (fun (n, i) -> (n, Tables.sizes i.tables)) t.funcs in
+  let per_func = List.map (fun (n, i) -> (n, Image.sizes i.image)) t.funcs in
   let n = float_of_int (max 1 (List.length per_func)) in
   let sum f = float_of_int (List.fold_left (fun acc (_, s) -> acc + f s) 0 per_func) in
   {
     per_func;
-    avg_bsv_bits = sum (fun s -> s.Tables.bsv_bits) /. n;
-    avg_bcv_bits = sum (fun s -> s.Tables.bcv_bits) /. n;
-    avg_bat_bits = sum (fun s -> s.Tables.bat_bits) /. n;
+    avg_bsv_bits = sum (fun s -> s.Image.bsv_bits) /. n;
+    avg_bcv_bits = sum (fun s -> s.Image.bcv_bits) /. n;
+    avg_bat_bits = sum (fun s -> s.Image.bat_bits) /. n;
   }
 
 let checked_branch_count t =

@@ -13,11 +13,10 @@ type func_info = {
   digest : string;
       (** 64-char hex SHA-256 name of everything the per-function stage
           can observe; keys the incremental per-function artifact cache *)
-  tables : Tables.t;
   image : Image.t;
-      (** compiled flat checker image; built once here (or decoded
-          straight from the artifact section) so every checker shares
-          it *)
+      (** the function's BSV/BCV/BAT tables in their one flat form;
+          built once by the [tables] pass (or decoded straight from the
+          artifact section) so every checker shares it *)
   result : Ipds_correlation.Analysis.result;
   refine : Ipds_correlation.Refine.stats option;
       (** present iff this build ran the refine pass (precision on);
@@ -107,21 +106,14 @@ val mem : t -> string -> bool
     this to distinguish calls to defined functions (which push checker
     frames) from extern calls (which the inline checker never sees). *)
 
-val tables : t -> string -> Tables.t
-(** Raises [Invalid_argument] for unknown functions. *)
-
 val image : t -> string -> Image.t
 (** Raises [Invalid_argument] for unknown functions. *)
 
 val new_checker : t -> Checker.t
 (** A fresh checker over this system's flat images. *)
 
-val new_ref_checker : t -> Checker_ref.t
-(** A fresh reference (list-based) checker — the differential oracle
-    of the flat checker's tests. *)
-
 type size_stats = {
-  per_func : (string * Tables.sizes) list;
+  per_func : (string * Image.sizes) list;
   avg_bsv_bits : float;
   avg_bcv_bits : float;
   avg_bat_bits : float;

@@ -74,7 +74,7 @@ let check_func (p : Program.t) (f : Func.t) =
     err "instruction ids not dense: %d seen, %d expected" !nseen f.instr_count
   else if !walked = f.instr_count && not !in_order then
     err "instruction ids not in block order";
-  !errs
+  List.rev !errs
 
 let check (p : Program.t) =
   let errs = ref [] in
@@ -90,7 +90,7 @@ let check (p : Program.t) =
     | n :: rest -> if List.mem n rest then err "duplicate function %s" n else dups rest
   in
   dups names;
-  List.concat_map (check_func p) p.funcs @ !errs
+  List.concat_map (check_func p) p.funcs @ List.rev !errs
 
 let check_exn p =
   match check p with

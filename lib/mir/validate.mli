@@ -12,7 +12,10 @@ val check : Program.t -> error list
     ids, dense ids not numbered in block order (see {!Func}), out-of-range
     registers, variables used outside their scope,
     calls to names that are neither defined nor declared, duplicate or
-    missing [main], blocks with out-of-range entry. *)
+    missing [main], blocks with out-of-range entry.  Each function's
+    errors come in the order they were found (a cause before its
+    consequences), functions in program order, then the program-wide
+    ones. *)
 
 val check_exn : Program.t -> unit
 (** Raises [Invalid_argument] with the first error rendered. *)

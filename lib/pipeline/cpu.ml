@@ -100,7 +100,7 @@ let observer t (e : Event.t) =
       | Some checker, Some unit_, Some system
         when Ipds_mir.Program.is_defined system.Ipds_core.System.program callee ->
           ignore (Ipds_core.Checker.on_call checker callee);
-          let sizes = Ipds_core.Tables.sizes (Ipds_core.System.tables system callee) in
+          let sizes = Ipds_core.Image.sizes (Ipds_core.System.image system callee) in
           Ipds_unit.on_call unit_ ~cycle:t.cycles ~sizes
       | _, _, _ -> ())
   | Event.Ret -> (

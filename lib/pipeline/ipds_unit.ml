@@ -140,9 +140,9 @@ let rec spill_to_fit t ~cycle =
 let on_call t ~cycle ~sizes =
   let f =
     {
-      bsv = sizes.Ipds_core.Tables.bsv_bits;
-      bcv = sizes.Ipds_core.Tables.bcv_bits;
-      bat = sizes.Ipds_core.Tables.bat_bits;
+      bsv = sizes.Ipds_core.Image.bsv_bits;
+      bcv = sizes.Ipds_core.Image.bcv_bits;
+      bat = sizes.Ipds_core.Image.bat_bits;
       resident = true;
     }
   in

@@ -17,7 +17,7 @@ val on_branch : t -> cycle:float -> verify:bool -> bat_nodes:int -> float
     returns the stall (in cycles) the CPU incurs, 0. when the queue has
     room. *)
 
-val on_call : t -> cycle:float -> sizes:Ipds_core.Tables.sizes -> unit
+val on_call : t -> cycle:float -> sizes:Ipds_core.Image.sizes -> unit
 (** Push a function's tables onto the stacks, spilling as needed. *)
 
 val on_return : t -> cycle:float -> unit

@@ -68,13 +68,12 @@ let test_roundtrip_all_workloads () =
           check_int "entry pc" i1.entry_pc i2.entry_pc;
           (* Fig. 8 invariant: bit-identical table sizes *)
           check "table sizes bit-identical" true
-            (Core.Tables.sizes i1.tables = Core.Tables.sizes i2.tables);
+            (Core.Image.sizes i1.image = Core.Image.sizes i2.image);
+          (* list tables rebuilt from the reconstructed analysis result
+             equal those of the original *)
           check "tables identical" true
-            ({ i1.tables with Core.Tables.slot_of_iid = [||] }
-            = { i2.tables with Core.Tables.slot_of_iid = [||] });
-          check "slot map identical" true
-            (i1.tables.Core.Tables.slot_of_iid
-            = i2.tables.Core.Tables.slot_of_iid);
+            (Tables_ref.build ~layout:sys.Core.System.layout i1.result
+            = Tables_ref.build ~layout:sys2.Core.System.layout i2.result);
           check "flat image identical" true (i1.image = i2.image);
           check "analysis result survives (minus provenance)" true
             (same_result i1.result i2.result))

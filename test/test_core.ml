@@ -73,28 +73,86 @@ exit:
 
 let test_tables_structure () =
   let sys = figure4_system () in
-  let t = Core.System.tables sys "main" in
-  check_int "three branches" 3 t.Core.Tables.n_branches;
+  let t = Core.System.image sys "main" in
+  check_int "three branches" 3 t.Core.Image.n_branches;
   check "bcv marks three slots" true
-    (Array.to_list t.Core.Tables.bcv |> List.filter (fun b -> b) |> List.length = 3);
+    (List.length (List.filter (Core.Image.checked t) (List.init t.Core.Image.space Fun.id))
+    = 3);
   (* every BAT target slot must be BCV-marked (pruning invariant) *)
   check "bat targets all checked" true
     (Array.for_all
-       (fun row ->
-         List.for_all (fun (e : Core.Tables.bat_entry) -> t.Core.Tables.bcv.(e.target_slot)) row)
-       t.Core.Tables.bat)
+       (fun w -> Core.Image.checked t (Core.Image.node_slot w))
+       t.Core.Image.nodes)
 
 let test_sizes () =
   let sys = figure4_system () in
-  let t = Core.System.tables sys "main" in
-  let s = Core.Tables.sizes t in
-  let space = Core.Hash.space t.Core.Tables.hash in
-  check_int "bsv is 2 bits per slot" (2 * space) s.Core.Tables.bsv_bits;
-  check_int "bcv is 1 bit per slot" space s.Core.Tables.bcv_bits;
-  check "bat counts headers and nodes" true (s.Core.Tables.bat_bits > 0);
+  let t = Core.System.image sys "main" in
+  let s = Core.Image.sizes t in
+  let space = Core.Hash.space (Core.Image.hash t) in
+  check_int "bsv is 2 bits per slot" (2 * space) s.Core.Image.bsv_bits;
+  check_int "bcv is 1 bit per slot" space s.Core.Image.bcv_bits;
+  check "bat counts headers and nodes" true (s.Core.Image.bat_bits > 0);
   let stats = Core.System.size_stats sys in
   check "avg matches single function" true
-    (int_of_float stats.Core.System.avg_bsv_bits = s.Core.Tables.bsv_bits)
+    (int_of_float stats.Core.System.avg_bsv_bits = s.Core.Image.bsv_bits)
+
+(* Every function's image against list tables built independently from
+   the same analysis result: the same tables, and the same Figure 8
+   accounting as the list walk.  11 built-ins and 200 seed-2006
+   generated members, at both precisions. *)
+let test_sizes_match_reference () =
+  let on = { Corr.Analysis.default_options with precision = Corr.Analysis.precision_on } in
+  let check_system label sys =
+    List.iter
+      (fun (name, tables) ->
+        let image = Core.System.image sys name in
+        check (label ^ "/" ^ name ^ ": image equals list tables") true
+          (Tables_ref.equal_image tables image);
+        if Core.Image.sizes image <> Tables_ref.sizes tables then
+          Alcotest.failf "%s/%s: Image.sizes differs from the list accounting" label
+            name)
+      (Tables_ref.of_system sys)
+  in
+  List.iter
+    (fun (plabel, options) ->
+      List.iter
+        (fun w ->
+          check_system
+            (w.Ipds_workloads.Workloads.name ^ "/" ^ plabel)
+            (Core.System.build ~options (Ipds_workloads.Workloads.program w)))
+        Ipds_workloads.Workloads.all;
+      for index = 0 to 199 do
+        check_system
+          (Printf.sprintf "gen 2006/%d/%s" index plabel)
+          (Core.System.build ~options (Ipds_gen.Gen.compile ~seed:2006 ~index ()))
+      done)
+    [ ("off", Corr.Analysis.default_options); ("on", on) ]
+
+(* When the analysis lists a (branch, dir) edge twice, the last entry
+   is the row, as in the list tables. *)
+let test_last_edge_entry_wins () =
+  let sys = figure4_system () in
+  let info = Core.System.info sys "main" in
+  let r = info.Core.System.result in
+  match r.Corr.Analysis.edge_actions with
+  | [] -> Alcotest.fail "figure 4 has no edge actions"
+  | (edge, actions) :: _ ->
+      let flipped =
+        List.map
+          (fun (tgt, a) ->
+            ( tgt,
+              match a with
+              | Corr.Action.Set_taken -> Corr.Action.Set_not_taken
+              | Corr.Action.Set_not_taken | Corr.Action.Set_unknown ->
+                  Corr.Action.Set_taken ))
+          actions
+      in
+      let r = { r with edge_actions = r.edge_actions @ [ (edge, flipped) ] } in
+      let layout = sys.Core.System.layout in
+      check "image equals list tables" true
+        (Tables_ref.equal_image (Tables_ref.build ~layout r) (Core.Image.build ~layout r));
+      check "image differs from the first entry's" false
+        (Core.Image.build ~layout r = info.Core.System.image)
 
 (* ---------- checker semantics ---------- *)
 
@@ -234,7 +292,7 @@ let prop_bitstream_roundtrip =
         (fun (Gen.Bits_field (width, v)) -> Core.Bitstream.Reader.pull r ~width = v)
         ops)
 
-let strip_debug (t : Core.Tables.t) = { t with Core.Tables.slot_of_iid = [||] }
+let decode img = Core.Encode.decode_image img ~pos:0 ~len:(Bytes.length img)
 
 let test_encode_roundtrip_workloads () =
   List.iter
@@ -242,24 +300,34 @@ let test_encode_roundtrip_workloads () =
       let sys = Core.System.build (Ipds_workloads.Workloads.program w) in
       List.iter
         (fun (_, (info : Core.System.func_info)) ->
-          let img = Core.Encode.function_image ~entry_pc:info.entry_pc info.tables in
-          let entry_pc, decoded, _ = Core.Encode.decode_function img in
+          let img = Core.Encode.function_image ~entry_pc:info.entry_pc info.image in
+          let entry_pc, decoded = decode img in
           check "entry pc survives" true (entry_pc = info.entry_pc);
-          check "tables survive" true (decoded = strip_debug info.tables))
+          check "tables survive" true (decoded = info.image))
         sys.Core.System.funcs)
     Ipds_workloads.Workloads.all
 
+(* The bytes the encoder writes: a byte-aligned header (16-bit name
+   length, the name, 32-bit entry PC, three 8-bit hash parameters,
+   16-bit branch and node counts), then exactly [payload_bits] packed
+   bits, zero-padded to a byte. *)
 let test_payload_matches_size_accounting () =
   List.iter
     (fun w ->
       let sys = Core.System.build (Ipds_workloads.Workloads.program w) in
       List.iter
-        (fun (_, (info : Core.System.func_info)) ->
-          let s = Core.Tables.sizes info.tables in
+        (fun (name, (info : Core.System.func_info)) ->
+          let s = Core.Image.sizes info.image in
+          let payload = Core.Encode.payload_bits info.image in
           check_int
             (w.Ipds_workloads.Workloads.name ^ " payload bits")
-            (s.Core.Tables.bcv_bits + s.Core.Tables.bat_bits)
-            (Core.Encode.payload_bits info.tables))
+            (s.Core.Image.bcv_bits + s.Core.Image.bat_bits)
+            payload;
+          let header_bits = 16 + (8 * String.length name) + 32 + 24 + 16 + 16 in
+          check_int
+            (w.Ipds_workloads.Workloads.name ^ " image bytes")
+            ((header_bits + payload + 7) / 8)
+            (Bytes.length (Core.Encode.function_image ~entry_pc:info.entry_pc info.image)))
         sys.Core.System.funcs)
     Ipds_workloads.Workloads.all
 
@@ -273,9 +341,8 @@ let test_checker_from_image () =
   let images =
     List.map
       (fun (name, (info : Core.System.func_info)) ->
-        let _, _, image =
-          Core.Encode.decode_function
-            (Core.Encode.function_image ~entry_pc:info.entry_pc info.tables)
+        let _, image =
+          decode (Core.Encode.function_image ~entry_pc:info.entry_pc info.image)
         in
         (name, image))
       sys.Core.System.funcs
@@ -338,12 +405,12 @@ let test_trace_log () =
 let test_encode_malformed () =
   check "truncated image rejected" true
     (try
-       ignore (Core.Encode.decode_function (Bytes.make 2 '\255'));
+       ignore (decode (Bytes.make 2 '\255'));
        false
      with Core.Bitstream.Past_end -> true);
   check "empty image rejected" true
     (try
-       ignore (Core.Encode.decode_function Bytes.empty);
+       ignore (decode Bytes.empty);
        false
      with Core.Bitstream.Past_end -> true)
 
@@ -428,15 +495,14 @@ let prop_encode_roundtrip_random =
       List.length shipped.Core.System.funcs = List.length sys.Core.System.funcs
       && List.for_all
            (fun (name, (info : Core.System.func_info)) ->
-             let pc, tables, _ =
-               Core.Encode.decode_function
-                 (Core.Encode.function_image ~entry_pc:info.entry_pc info.tables)
+             let pc, image =
+               decode (Core.Encode.function_image ~entry_pc:info.entry_pc info.image)
              in
              let s = Core.System.info shipped name in
              pc = info.entry_pc
-             && tables = strip_debug info.tables
+             && image = info.image
              && s.Core.System.entry_pc = info.entry_pc
-             && strip_debug s.Core.System.tables = strip_debug info.tables)
+             && s.Core.System.image = info.image)
            sys.Core.System.funcs)
 
 let prop_checker_matches_oracle =
@@ -560,6 +626,9 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_tables_structure;
           Alcotest.test_case "sizes" `Quick test_sizes;
+          Alcotest.test_case "sizes match the list accounting" `Quick
+            test_sizes_match_reference;
+          Alcotest.test_case "last edge entry wins" `Quick test_last_edge_entry_wins;
         ] );
       ( "encode",
         [

@@ -1,6 +1,8 @@
 (* Differential tests for the flat-image checker: {!Ipds_core.Checker}
-   (arena frames, packed verdicts, locally accumulated counters) against
-   {!Ipds_core.Checker_ref}, the preserved pre-flat implementation.  The
+   (arena frames, packed verdicts, locally accumulated counters) over
+   {!Ipds_core.Image.build}'s images against {!Checker_ref}, the
+   preserved pre-flat implementation, over list tables built
+   independently from the same analysis results by {!Tables_ref}.  The
    two must agree per-branch (checked / alarm / BAT nodes), on the final
    alarm list, and on the stable [checker.*] counter totals — on random
    programs (tampered and untampered) and on all ten workloads.  Also
@@ -95,34 +97,35 @@ let replay_flat system evs =
   (c, obs, List.map2 (fun a b -> a - b) after before)
 
 let replay_ref system evs =
-  let c = Core.System.new_ref_checker system in
+  let tables = Tables_ref.of_system system in
+  let c = Checker_ref.create ~lookup:(fun f -> List.assoc f tables) in
   let obs =
     List.filter_map
       (fun ev ->
         match ev with
         | Call f ->
             if Core.System.mem system f then
-              ignore (Core.Checker_ref.on_call c f);
+              ignore (Checker_ref.on_call c f);
             None
         | Ret ->
             (* the flat checker refuses a frameless return without
                raising; mirror that here *)
-            if Core.Checker_ref.depth c > 0 then Core.Checker_ref.on_return c;
+            if Checker_ref.depth c > 0 then Checker_ref.on_return c;
             None
         | Branch (pc, taken) ->
-            if Core.Checker_ref.depth c = 0 then
+            if Checker_ref.depth c = 0 then
               (* the flat checker's protocol-violation verdict *)
               Some { b_checked = false; b_alarm = false; b_nodes = 0 }
             else
-              let i = Core.Checker_ref.on_branch c ~pc ~taken in
+              let i = Checker_ref.on_branch c ~pc ~taken in
               Some
                 {
-                  b_checked = i.Core.Checker_ref.was_checked;
+                  b_checked = i.Checker_ref.was_checked;
                   b_alarm =
-                    (match i.Core.Checker_ref.alarm with
+                    (match i.Checker_ref.alarm with
                     | Some _ -> true
                     | None -> false);
-                  b_nodes = i.Core.Checker_ref.bat_nodes;
+                  b_nodes = i.Checker_ref.bat_nodes;
                 })
       evs
   in
@@ -131,19 +134,19 @@ let replay_ref system evs =
 let runs_agree system evs =
   let flat, fobs, deltas = replay_flat system evs in
   let refc, robs = replay_ref system evs in
-  let counts = Core.Checker_ref.counts refc in
+  let counts = Checker_ref.counts refc in
   fobs = robs
-  && Core.Checker.alarms flat = Core.Checker_ref.alarms refc
-  && Core.Checker.branches_seen flat = Core.Checker_ref.branches_seen refc
+  && Core.Checker.alarms flat = Checker_ref.alarms refc
+  && Core.Checker.branches_seen flat = Checker_ref.branches_seen refc
   && deltas
      = [
-         counts.Core.Checker_ref.calls;
-         counts.Core.Checker_ref.returns;
-         counts.Core.Checker_ref.branches;
-         counts.Core.Checker_ref.checked;
-         counts.Core.Checker_ref.verdict_ok;
-         counts.Core.Checker_ref.verdict_alarm;
-         counts.Core.Checker_ref.bat_updates;
+         counts.Checker_ref.calls;
+         counts.Checker_ref.returns;
+         counts.Checker_ref.branches;
+         counts.Checker_ref.checked;
+         counts.Checker_ref.verdict_ok;
+         counts.Checker_ref.verdict_alarm;
+         counts.Checker_ref.bat_updates;
        ]
 
 (* Same comparison, with labelled assertions for the workload suite. *)
@@ -154,25 +157,25 @@ let check_runs label system evs =
     (List.length fobs);
   check (label ^ ": per-branch verdicts") true (fobs = robs);
   check (label ^ ": alarm lists") true
-    (Core.Checker.alarms flat = Core.Checker_ref.alarms refc);
+    (Core.Checker.alarms flat = Checker_ref.alarms refc);
   check_int
     (label ^ ": branches_seen")
-    (Core.Checker_ref.branches_seen refc)
+    (Checker_ref.branches_seen refc)
     (Core.Checker.branches_seen flat);
-  let counts = Core.Checker_ref.counts refc in
+  let counts = Checker_ref.counts refc in
   List.iter2
     (fun name (delta, expect) ->
       check_int (label ^ ": " ^ name) expect delta)
     counter_names
     (List.combine deltas
        [
-         counts.Core.Checker_ref.calls;
-         counts.Core.Checker_ref.returns;
-         counts.Core.Checker_ref.branches;
-         counts.Core.Checker_ref.checked;
-         counts.Core.Checker_ref.verdict_ok;
-         counts.Core.Checker_ref.verdict_alarm;
-         counts.Core.Checker_ref.bat_updates;
+         counts.Checker_ref.calls;
+         counts.Checker_ref.returns;
+         counts.Checker_ref.branches;
+         counts.Checker_ref.checked;
+         counts.Checker_ref.verdict_ok;
+         counts.Checker_ref.verdict_alarm;
+         counts.Checker_ref.bat_updates;
        ])
 
 (* ---------- property: random programs, tampered + untampered ---------- *)

@@ -376,8 +376,11 @@ let test_validate_error_classes () =
       2 0
   in
   check_msgs "non-dense iids caught"
-    [ "instruction ids not dense: 1 seen, 2 expected"; "instruction id 7 out of range" ]
+    [ "instruction id 7 out of range"; "instruction ids not dense: 1 seen, 2 expected" ]
     (messages f3);
+  Alcotest.check_raises "check_exn names the out-of-range id"
+    (Invalid_argument "Validate: main: instruction id 7 out of range") (fun () ->
+      Mir.Validate.check_exn (prog f3));
   (* dense ids out of block order: across blocks, then within a body *)
   let nop iid = { Mir.Instr.iid; op = Mir.Op.Nop } in
   let f4 =

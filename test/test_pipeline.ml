@@ -93,7 +93,7 @@ let test_unit_queue_fills_and_stalls () =
   check "stall cycles recorded" true (s.P.Ipds_unit.stall_cycles > 0.);
   check "queue bounded" true (s.P.Ipds_unit.max_queue <= unit_config.P.Config.ipds_queue_entries + 1)
 
-let big_sizes bits = { Core.Tables.bsv_bits = bits; bcv_bits = bits; bat_bits = bits }
+let big_sizes bits = { Core.Image.bsv_bits = bits; bcv_bits = bits; bat_bits = bits }
 
 let test_unit_spill_fill () =
   let u = P.Ipds_unit.create unit_config in
