@@ -103,22 +103,20 @@ let address_taken t = t.address_taken
    escape set and address-taken set, rendered as a preimage for
    content-addressed per-function caching — two programs whose slices
    agree give the function identical alias answers. *)
-let func_fingerprint t ~fname =
-  let buf = Buffer.create 256 in
+let func_fingerprint buf t ~fname =
   (match Hashtbl.find_opt t.regs fname with
   | None -> Buffer.add_string buf "no-regs"
   | Some arr ->
       Array.iter
         (fun s ->
-          Buffer.add_string buf (Pt_set.render s);
+          Pt_set.render buf s;
           Buffer.add_char buf ';')
         arr);
   Buffer.add_string buf "|escaped:";
-  Buffer.add_string buf (Pt_set.render t.escaped);
+  Pt_set.render buf t.escaped;
   Buffer.add_string buf "|taken:";
   Mir.Var.Set.iter
     (fun v ->
       Buffer.add_string buf (string_of_int v.Mir.Var.id);
       Buffer.add_char buf ',')
-    t.address_taken;
-  Buffer.contents buf
+    t.address_taken

@@ -22,9 +22,9 @@ val address_taken : t -> Ipds_mir.Var.Set.t
 (** Variables whose address is ever taken; the possible targets of an
     unknown dereference. *)
 
-val func_fingerprint : t -> fname:string -> string
-(** The slice of the solution observable from one function, rendered
-    as a string: its register points-to sets, the program-wide escape
+val func_fingerprint : Buffer.t -> t -> fname:string -> unit
+(** Appends the slice of the solution observable from one function,
+    rendered as text: its register points-to sets, the program-wide escape
     set and the address-taken set.  Part of the preimage of the
     per-function content digest that keys the incremental artifact
     cache. *)

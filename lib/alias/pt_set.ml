@@ -29,17 +29,29 @@ let is_empty t =
 
 let subsumes_anything t = t.unknown || not (Int_set.is_empty t.params)
 
+(* Appends the id of every element [iter] visits, comma-separated. *)
+let add_ids buf iter id set =
+  let sep = ref false in
+  iter
+    (fun x ->
+      if !sep then Buffer.add_char buf ',';
+      sep := true;
+      Buffer.add_string buf (string_of_int (id x)))
+    set
+
+let add_ints buf set = add_ids buf Int_set.iter Fun.id set
+let add_var_ids buf set = add_ids buf Mir.Var.Set.iter (fun (v : Mir.Var.t) -> v.id) set
+
 (* Canonical rendering for content digests: variable ids (program-wide
    unique) rather than names, so renamings that change binding structure
    cannot collide. *)
-let render t =
-  Printf.sprintf "v[%s]p[%s]%c"
-    (String.concat ","
-       (List.map
-          (fun v -> string_of_int v.Mir.Var.id)
-          (Mir.Var.Set.elements t.vars)))
-    (String.concat "," (List.map string_of_int (Int_set.elements t.params)))
-    (if t.unknown then '?' else '.')
+let render buf t =
+  Buffer.add_string buf "v[";
+  add_var_ids buf t.vars;
+  Buffer.add_string buf "]p[";
+  add_ints buf t.params;
+  Buffer.add_char buf ']';
+  Buffer.add_char buf (if t.unknown then '?' else '.')
 
 let pp ppf t =
   let items =

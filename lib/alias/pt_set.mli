@@ -23,7 +23,14 @@ val subsumes_anything : t -> bool
 (** True when a dereference through this set may touch arbitrary
     address-taken memory ([unknown] or any parameter pointee). *)
 
-val render : t -> string
-(** Canonical digest-stable rendering (variable ids, sorted). *)
+val render : Buffer.t -> t -> unit
+(** Appends the canonical digest-stable rendering (variable ids, sorted):
+    ["v[ids]p[positions]"] and ['?'] when [unknown], else ['.']. *)
+
+val add_ints : Buffer.t -> Int_set.t -> unit
+(** Appends the elements in increasing order, comma-separated. *)
+
+val add_var_ids : Buffer.t -> Ipds_mir.Var.Set.t -> unit
+(** Appends the variables' ids in set order, comma-separated. *)
 
 val pp : Format.formatter -> t -> unit

@@ -51,16 +51,15 @@ let pp ppf t =
     Format.fprintf ppf "writes{%s}" (String.concat ", " (args @ globals @ foreign))
   end
 
-let fingerprint t =
-  Printf.sprintf "a[%s]g[%s]f[%s]%c"
-    (String.concat "," (List.map string_of_int (Int_set.elements t.args)))
-    (String.concat ","
-       (List.map (fun v -> string_of_int v.Mir.Var.id)
-          (Mir.Var.Set.elements t.globals)))
-    (String.concat ","
-       (List.map (fun v -> string_of_int v.Mir.Var.id)
-          (Mir.Var.Set.elements t.foreign_vars)))
-    (if t.any then '*' else '.')
+let fingerprint buf t =
+  Buffer.add_string buf "a[";
+  Pt_set.add_ints buf t.args;
+  Buffer.add_string buf "]g[";
+  Pt_set.add_var_ids buf t.globals;
+  Buffer.add_string buf "]f[";
+  Pt_set.add_var_ids buf t.foreign_vars;
+  Buffer.add_char buf ']';
+  Buffer.add_char buf (if t.any then '*' else '.')
 
 type mode =
   [ `Faithful

@@ -27,9 +27,10 @@ val writes_nothing : t
 val is_pure : t -> bool
 val pp : Format.formatter -> t -> unit
 
-val fingerprint : t -> string
-(** Canonical digest-stable rendering (variable ids, sorted) — part of
-    the per-function content digest keying the incremental cache. *)
+val fingerprint : Buffer.t -> t -> unit
+(** Appends the canonical digest-stable rendering (variable ids, sorted)
+    — part of the per-function content digest keying the incremental
+    cache. *)
 
 type mode =
   [ `Faithful

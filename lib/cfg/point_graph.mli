@@ -7,7 +7,13 @@
 
     This is the graph on which the correlation analysis asks its
     path-sensitivity questions, e.g. "can a may-store of [v] execute
-    between this load and that branch?". *)
+    between this load and that branch?".
+
+    Successors and predecessors are stored as compressed rows (an offset
+    array and one int array of edges each).  A query walks them
+    depth-first with an int stack the graph owns and reuses, so it
+    allocates only the [bool array] it returns.  Queries on one graph
+    must therefore not run concurrently. *)
 
 type t
 
@@ -18,20 +24,25 @@ val make : ?branch_ok:(int -> bool -> bool) -> Ipds_mir.Func.t -> t
     ({!Feasibility.branch_ok}).  Jump/return edges are never filtered. *)
 
 val n_points : t -> int
+
 val succs : t -> int -> int list
+(** Successors of a point; a terminator's in successor-block order. *)
+
 val preds : t -> int -> int list
 
 val first_point : t -> int -> int
 (** First instruction id executed when entering a block (its terminator if
     the body is empty). *)
 
-val reachable_from : t -> ?avoid:(int -> bool) -> int list -> bool array
-(** [reachable_from t ~avoid starts] marks every point reachable from the
-    points in [starts] (which are themselves marked, unless avoided) along
-    edges that never pass through a point satisfying [avoid]. *)
+val reach_after : t -> ?also:int -> int -> avoid:int -> bool array
+(** [reach_after t ~also p ~avoid] marks every point reachable from [p]
+    in one or more steps along edges that never enter [avoid] or [also]:
+    neither is marked, nor anything reached only through them.  [p]
+    itself is marked only if it lies on such a cycle.  An argument that
+    is not a point (the default [also] is [-1]) avoids nothing. *)
 
-val co_reachable_to : t -> ?avoid:(int -> bool) -> int -> bool array
-(** [co_reachable_to t ~avoid target] marks every point [p] from which
-    [target] is reachable in one or more steps without passing through an
-    avoided point strictly between; [target] itself is marked only if it
-    lies on a cycle. *)
+val co_reach : t -> int -> avoid:int -> bool array
+(** [co_reach t p ~avoid] marks every point from which [p] is reachable
+    in one or more steps without entering [avoid] on the way ([avoid]
+    itself is not marked); [p] itself is marked only if it lies on such
+    a cycle. *)

@@ -32,13 +32,10 @@ let walk (f : Mir.Func.t) start_block =
 
 let after_edge (f : Mir.Func.t) ~branch_iid ~taken =
   let blk =
-    match
-      Array.find_opt
-        (fun (b : Mir.Block.t) -> b.term_iid = branch_iid)
-        f.blocks
-    with
-    | Some b -> b
-    | None -> invalid_arg "Region.after_edge: not a terminator iid"
+    match Mir.Func.location f branch_iid with
+    | Mir.Func.Term b -> f.blocks.(b)
+    | Mir.Func.Body _ | (exception Not_found) ->
+        invalid_arg "Region.after_edge: not a terminator iid"
   in
   match blk.term with
   | Mir.Terminator.Branch { if_true; if_false; _ } ->

@@ -78,16 +78,19 @@ type pin = {
   pin_taken : bool;
 }
 
+(* Query memos, keyed by [p * n + a] over the graph's [n] points. *)
+module Memo = Hashtbl.Make (Int)
+
 type st = {
   ctx : Context.t;
   opts : options;
   mutable kills_cache : int list Cell.Map.t;
-  (* reachable_from (succs p) avoiding a: keyed (p, a) *)
-  reach_cache : (int * int, bool array) Hashtbl.t;
-  (* co_reachable_to p avoiding a: keyed (p, a) *)
-  coreach_cache : (int * int, bool array) Hashtbl.t;
-  (* reachable_from (succs d) avoiding d and s: keyed (d, s) *)
-  intercept_cache : (int * int, bool array) Hashtbl.t;
+  (* reach_after p avoiding a: keyed (p, a) *)
+  reach_cache : bool array Memo.t;
+  (* co_reach p avoiding a: keyed (p, a) *)
+  coreach_cache : bool array Memo.t;
+  (* reach_after d avoiding d and s: keyed (d, s) *)
+  intercept_cache : bool array Memo.t;
   (* every exact-target store (s, cell, traced stored operand), in
      instruction order: traced once per function, not per edge *)
   stores : (int * Cell.t * Trace.source) list Lazy.t;
@@ -101,36 +104,23 @@ let kills_of st cell =
       st.kills_cache <- Cell.Map.add cell k st.kills_cache;
       k
 
-let reach_from_after st p ~avoid =
-  match Hashtbl.find_opt st.reach_cache (p, avoid) with
-  | Some a -> a
+let memo st cache p a query =
+  let key = (p * Pg.n_points st.ctx.Context.pgraph) + a in
+  match Memo.find_opt cache key with
+  | Some marks -> marks
   | None ->
-      let a =
-        Pg.reachable_from st.ctx.Context.pgraph
-          ~avoid:(fun q -> q = avoid)
-          (Pg.succs st.ctx.Context.pgraph p)
-      in
-      Hashtbl.replace st.reach_cache (p, avoid) a;
-      a
+      let marks = query st.ctx.Context.pgraph in
+      Memo.replace cache key marks;
+      marks
+
+let reach_from_after st p ~avoid =
+  memo st st.reach_cache p avoid (fun pg -> Pg.reach_after pg p ~avoid)
 
 let reach_from_def st d ~avoid =
-  match Hashtbl.find_opt st.intercept_cache (d, avoid) with
-  | Some a -> a
-  | None ->
-      let pg = st.ctx.Context.pgraph in
-      let a =
-        Pg.reachable_from pg ~avoid:(fun q -> q = avoid || q = d) (Pg.succs pg d)
-      in
-      Hashtbl.replace st.intercept_cache (d, avoid) a;
-      a
+  memo st st.intercept_cache d avoid (fun pg -> Pg.reach_after pg ~also:d d ~avoid)
 
 let coreach_to st p ~avoid =
-  match Hashtbl.find_opt st.coreach_cache (p, avoid) with
-  | Some a -> a
-  | None ->
-      let a = Pg.co_reachable_to st.ctx.Context.pgraph ~avoid:(fun q -> q = avoid) p in
-      Hashtbl.replace st.coreach_cache (p, avoid) a;
-      a
+  memo st st.coreach_cache p avoid (fun pg -> Pg.co_reach pg p ~avoid)
 
 (* No may-kill of [cell] (other than [exempt]) can execute strictly
    between [src] and [dst] on any path that does not revisit [src]. *)
@@ -437,9 +427,9 @@ let st_of ctx options =
     ctx;
     opts = options;
     kills_cache = Cell.Map.empty;
-    reach_cache = Hashtbl.create 64;
-    coreach_cache = Hashtbl.create 64;
-    intercept_cache = Hashtbl.create 64;
+    reach_cache = Memo.create 8;
+    coreach_cache = Memo.create 8;
+    intercept_cache = Memo.create 8;
     stores = lazy (exact_stores ctx);
   }
 

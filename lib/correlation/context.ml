@@ -57,15 +57,18 @@ let slice_fingerprint pw (func : Mir.Func.t) =
       | Mir.Op.Store _ | Mir.Op.Addr_of _ | Mir.Op.Input _ | Mir.Op.Output _
       | Mir.Op.Nop ->
           ());
-  let callee_part =
-    List.map
-      (fun c -> c ^ "=" ^ Alias.Summary.fingerprint (pw.summaries c))
-      (List.sort String.compare !callees)
-  in
-  String.concat "\x00"
-    (Alias.Points_to.func_fingerprint pw.points_to ~fname:func.Mir.Func.name
-    :: string_of_int pw.prog.Mir.Program.var_count
-    :: callee_part)
+  let buf = Buffer.create 1024 in
+  Alias.Points_to.func_fingerprint buf pw.points_to ~fname:func.Mir.Func.name;
+  Buffer.add_char buf '\x00';
+  Buffer.add_string buf (string_of_int pw.prog.Mir.Program.var_count);
+  List.iter
+    (fun c ->
+      Buffer.add_char buf '\x00';
+      Buffer.add_string buf c;
+      Buffer.add_char buf '=';
+      Alias.Summary.fingerprint buf (pw.summaries c))
+    (List.sort String.compare !callees);
+  Buffer.contents buf
 
 let kills_of_cell t cell =
   let out = ref [] in

@@ -110,22 +110,123 @@ let test_reachability_avoiding () =
   let pg = Pg.make f in
   (* From the entry branch, avoiding block a's instruction (iid 2), the
      join is still reachable through b. *)
-  let reach = Pg.reachable_from pg ~avoid:(fun p -> p = 2) (Pg.succs pg 1) in
+  let reach = Pg.reach_after pg 1 ~avoid:2 in
   check "join reachable avoiding a" true reach.(6);
   (* Avoiding both side blocks' first instructions cuts join off. *)
-  let reach2 = Pg.reachable_from pg ~avoid:(fun p -> p = 2 || p = 4) (Pg.succs pg 1) in
+  let reach2 = Pg.reach_after pg ~also:4 1 ~avoid:2 in
   check "join unreachable avoiding both sides" false reach2.(6)
 
 let test_co_reachability () =
   let f = diamond_loop () in
   let pg = Pg.make f in
   let join_branch = f.Mir.Func.blocks.(3).Mir.Block.term_iid in
-  let co = Pg.co_reachable_to pg join_branch in
+  let co = Pg.co_reach pg join_branch ~avoid:(-1) in
   check "entry load co-reaches join branch" true co.(0);
   check "join branch on its own cycle" true co.(join_branch);
   let exit_term = f.Mir.Func.blocks.(4).Mir.Block.term_iid in
-  let co_exit = Pg.co_reachable_to pg exit_term in
+  let co_exit = Pg.co_reach pg exit_term ~avoid:(-1) in
   check "exit term not on cycle" false co_exit.(exit_term)
+
+(* The naive fixpoint for one avoided point [a]: row [p] of the result
+   holds, as a bit set of 62 points a word, every point reachable from
+   [p] in one or more steps over [edges] without entering [a].  Each
+   edge [p -> q] with [q <> a] adds [q] and row [q] to row [p], until a
+   pass over all edges changes nothing; passes alternate direction, so
+   forward and backward graphs converge alike. *)
+let closure (edges : int array array) ~a =
+  let n = Array.length edges in
+  let m = Array.make_matrix n ((n + 61) / 62) 0 in
+  let changed = ref true and pass = ref 0 in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      let p = if !pass land 1 = 0 then n - 1 - i else i in
+      let row = m.(p) in
+      Array.iter
+        (fun q ->
+          if q <> a then begin
+            let w = q / 62 in
+            let with_q = row.(w) lor (1 lsl (q mod 62)) in
+            if with_q <> row.(w) then begin
+              row.(w) <- with_q;
+              changed := true
+            end;
+            Array.iteri
+              (fun w bits ->
+                if bits land lnot row.(w) <> 0 then begin
+                  row.(w) <- row.(w) lor bits;
+                  changed := true
+                end)
+              m.(q)
+          end)
+        edges.(p)
+    done;
+    incr pass
+  done;
+  m
+
+(* Every query of [Pg.make ?branch_ok f], for every start point and
+   every avoided point (and none), against the naive fixpoint over
+   [Pg.succs] and [Pg.preds].  With [~also:p], [reach_after] must only
+   unmark [p]: a path back through [p] goes on along the edges the walk
+   started from. *)
+let queries_agree ?branch_ok ~label (f : Mir.Func.t) =
+  let pg = Pg.make ?branch_ok f in
+  let n = Pg.n_points pg in
+  let succs = Array.init n (Pg.succs pg) and preds = Array.init n (Pg.preds pg) in
+  Array.iteri
+    (fun p qs ->
+      List.iter
+        (fun q ->
+          if not (List.mem p preds.(q)) then
+            Alcotest.failf "%s: edge %d -> %d missing from preds" label p q)
+        qs)
+    succs;
+  if Array.fold_left (fun k l -> k + List.length l) 0 preds
+     <> Array.fold_left (fun k l -> k + List.length l) 0 succs
+  then Alcotest.failf "%s: preds and succs differ in edge count" label;
+  let succs = Array.map Array.of_list succs and preds = Array.map Array.of_list preds in
+  for a = -1 to n - 1 do
+    let reach = closure succs ~a and coreach = closure preds ~a in
+    for p = 0 to n - 1 do
+      (* [got] marks the points of [row] but [except]. *)
+      let agree what (got : bool array) row ~except =
+        for q = 0 to n - 1 do
+          if got.(q) <> (q <> except && row.(q / 62) land (1 lsl (q mod 62)) <> 0) then
+            Alcotest.failf "%s: %s from %d avoiding %d differs from the fixpoint at %d"
+              label what p a q
+        done
+      in
+      agree "reach_after" (Pg.reach_after pg p ~avoid:a) reach.(p) ~except:(-1);
+      agree "reach_after ~also:p" (Pg.reach_after pg ~also:p p ~avoid:a) reach.(p) ~except:p;
+      agree "co_reach" (Pg.co_reach pg p ~avoid:a) coreach.(p) ~except:(-1)
+    done
+  done
+
+(* Drops about a third of the branch directions, as a refined
+   feasibility view does. *)
+let some_branches iid taken = (iid + Bool.to_int taken) mod 3 <> 0
+
+let test_queries_builtins () =
+  List.iter
+    (fun (w : Ipds_workloads.Workloads.t) ->
+      List.iter
+        (fun (f : Mir.Func.t) ->
+          let label = w.name ^ "/" ^ f.Mir.Func.name in
+          queries_agree ~label f;
+          queries_agree ~branch_ok:some_branches ~label:(label ^ " (pruned)") f)
+        (Ipds_workloads.Workloads.program w).Mir.Program.funcs)
+    Ipds_workloads.Workloads.all
+
+let prop_queries_random =
+  QCheck2.Test.make ~name:"point-graph queries match a naive fixpoint (random MIR)"
+    ~count:100 Gen.mir_program (fun p ->
+      List.iter
+        (fun (f : Mir.Func.t) ->
+          queries_agree ~label:f.Mir.Func.name f;
+          queries_agree ~branch_ok:some_branches ~label:f.Mir.Func.name f)
+        p.Mir.Program.funcs;
+      true)
 
 let test_regions () =
   let f = diamond_loop () in
@@ -147,7 +248,17 @@ let test_regions () =
     Region.after_edge f ~branch_iid:f.Mir.Func.blocks.(3).Mir.Block.term_iid
       ~taken:false
   in
-  check "not-taken join edge exits" true (exit_region.Region.stop = Region.Exits)
+  check "not-taken join edge exits" true (exit_region.Region.stop = Region.Exits);
+  List.iter
+    (fun (iid, msg) ->
+      Alcotest.check_raises msg (Invalid_argument ("Region.after_edge: " ^ msg)) (fun () ->
+          ignore (Region.after_edge f ~branch_iid:iid ~taken:true)))
+    [
+      (0, "not a terminator iid");
+      (f.Mir.Func.instr_count, "not a terminator iid");
+      (-1, "not a terminator iid");
+      (f.Mir.Func.blocks.(1).Mir.Block.term_iid, "not a conditional branch");
+    ]
 
 let test_region_jmp_cycle () =
   let src =
@@ -190,6 +301,8 @@ let () =
           Alcotest.test_case "point graph" `Quick test_point_graph;
           Alcotest.test_case "reachability avoiding" `Quick test_reachability_avoiding;
           Alcotest.test_case "co-reachability" `Quick test_co_reachability;
+          Alcotest.test_case "queries against a fixpoint" `Quick test_queries_builtins;
+          QCheck_alcotest.to_alcotest prop_queries_random;
         ] );
       ( "regions",
         [

@@ -38,6 +38,74 @@ let prop_hash_collision_free =
       let slots = List.map (Core.Hash.apply p) pcs in
       List.length (List.sort_uniq compare slots) = List.length pcs)
 
+(* [Hash.find] is the first collision-free candidate of a direct scan
+   (space sizes up from the smallest power of two holding every PC,
+   then shift1, then shift2, each 1..12), and [attempts_for] is its
+   1-based position in that scan. *)
+let hash_matches_scan ~label pcs =
+  let n = List.length pcs in
+  let rec smallest bits = if 1 lsl bits >= n then bits else smallest (bits + 1) in
+  let separates p =
+    List.length (List.sort_uniq compare (List.map (Core.Hash.apply p) pcs)) = n
+  in
+  let rec scan bits k =
+    let rec pairs s1 s2 k =
+      if s1 > 12 then scan (bits + 1) k
+      else if s2 > 12 then pairs (s1 + 1) 1 k
+      else
+        let p = Core.Hash.make ~shift1:s1 ~shift2:s2 ~space_bits:bits in
+        if separates p then (p, k + 1) else pairs s1 (s2 + 1) (k + 1)
+    in
+    pairs 1 1 k
+  in
+  if n > 0 then begin
+    let want, attempts = scan (max 1 (smallest 0)) 0 in
+    if Core.Hash.find pcs <> want then
+      Alcotest.failf "%s: Hash.find is not the first separating candidate" label;
+    check_int (label ^ ": attempts") attempts (Core.Hash.attempts_for pcs)
+  end
+
+let test_hash_first_candidate () =
+  let programs =
+    List.map
+      (fun w -> (w.Ipds_workloads.Workloads.name, Ipds_workloads.Workloads.program w))
+      Ipds_workloads.Workloads.all
+    @ List.init 200 (fun index ->
+          (Printf.sprintf "gen 2006/%d" index, Ipds_gen.Gen.compile ~seed:2006 ~index ()))
+  in
+  List.iter
+    (fun (name, program) ->
+      let layout = Mir.Layout.make program in
+      List.iter
+        (fun (f : Mir.Func.t) ->
+          hash_matches_scan ~label:(name ^ "/" ^ f.name) (Mir.Layout.branch_pcs layout f))
+        program.Mir.Program.funcs)
+    programs;
+  let rng = Random.State.make [| 2006 |] in
+  for trial = 0 to 299 do
+    let spread = 1 + Random.State.int rng (if trial mod 2 = 0 then 64 else 1 lsl 20) in
+    let pcs =
+      List.sort_uniq compare
+        (List.init (1 + Random.State.int rng 80) (fun _ ->
+             0x1000 + (4 * Random.State.int rng spread)))
+    in
+    hash_matches_scan ~label:(Printf.sprintf "random %d" trial) (List.rev pcs)
+  done
+
+let test_hash_duplicates () =
+  List.iter
+    (fun pcs ->
+      List.iter
+        (fun (what, search) ->
+          match search pcs with
+          | (_ : int) -> Alcotest.failf "%s accepted a repeated PC word" what
+          | exception Invalid_argument _ -> ())
+        [
+          ("find", fun pcs -> Core.Hash.space (Core.Hash.find pcs));
+          ("attempts_for", Core.Hash.attempts_for);
+        ])
+    [ [ 0x1000; 0x1000 ]; [ 0x1000; 0x1004; 0x1008; 0x1004 ]; [ 0x1000; 0x1002 ] ]
+
 (* ---------- tables & sizes ---------- *)
 
 let figure4_system () =
@@ -621,6 +689,9 @@ let () =
           Alcotest.test_case "empty" `Quick test_hash_empty;
           Alcotest.test_case "collision free" `Quick test_hash_collision_free_known;
           QCheck_alcotest.to_alcotest prop_hash_collision_free;
+          Alcotest.test_case "first candidate in scan order" `Quick
+            test_hash_first_candidate;
+          Alcotest.test_case "repeated PCs refused" `Quick test_hash_duplicates;
         ] );
       ( "tables",
         [
