@@ -114,7 +114,8 @@ let obs_term =
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
             "Write a JSON summary of the run (manifest, deterministic \
-             metrics, runtime metrics and span timers) to $(docv) on exit.")
+             metrics, runtime metrics with the wall-clock timers) to \
+             $(docv) on exit.")
   in
   let events =
     Arg.(

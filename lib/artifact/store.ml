@@ -9,8 +9,8 @@ let dir t = t.dir
 
    Backed by the observability registry: event counts are stable (the
    multiset of cache interactions is fixed by the memoised build set),
-   wall-clock goes to spans.  [counters]/[reset_counters] remain as the
-   store's public read/reset view over those metrics. *)
+   wall-clock goes to unstable timers.  [counters]/[reset_counters]
+   remain as the store's public read/reset view over those metrics. *)
 
 let m_hits = Ipds_obs.Registry.counter "store.hits"
 let m_misses = Ipds_obs.Registry.counter "store.misses"
@@ -23,8 +23,8 @@ let m_collisions = Ipds_obs.Registry.counter "store.collisions"
 let m_publish_failed = Ipds_obs.Registry.counter "store.publish_failed"
 let m_bytes_read = Ipds_obs.Registry.counter "store.bytes_read"
 let m_bytes_written = Ipds_obs.Registry.counter "store.bytes_written"
-let span_load = "store.load"
-let span_publish = "store.publish"
+let t_load = Ipds_obs.Registry.timer "store.load.ns"
+let t_publish = Ipds_obs.Registry.timer "store.publish.ns"
 
 type counters = {
   hits : int;
@@ -44,7 +44,9 @@ type counters = {
 
 let counters () =
   let v = Ipds_obs.Registry.counter_value in
-  let seconds name = snd (Ipds_obs.Span.get name) in
+  let seconds h =
+    float_of_int (Ipds_obs.Registry.histogram_value h).sum /. 1e9
+  in
   {
     hits = v m_hits;
     misses = v m_misses;
@@ -57,8 +59,8 @@ let counters () =
     publish_failed = v m_publish_failed;
     bytes_read = v m_bytes_read;
     bytes_written = v m_bytes_written;
-    load_seconds = seconds span_load;
-    store_seconds = seconds span_publish;
+    load_seconds = seconds t_load;
+    store_seconds = seconds t_publish;
   }
 
 let reset_counters () =
@@ -76,8 +78,8 @@ let reset_counters () =
       m_bytes_read;
       m_bytes_written;
     ];
-  Ipds_obs.Span.clear span_load;
-  Ipds_obs.Span.clear span_publish
+  Ipds_obs.Registry.histogram_reset t_load;
+  Ipds_obs.Registry.histogram_reset t_publish
 
 (* ---------- keys & paths ---------- *)
 
@@ -173,7 +175,7 @@ let load_decoded t key decode =
   end
   else
     let path = path_of_key t key in
-    Ipds_obs.Span.time span_load (fun () ->
+    Ipds_obs.Registry.time t_load (fun () ->
         match
           load_entry path ~decode ~m_hit:m_hits ~m_miss:m_misses
             ~m_bad:m_corrupt ~corrupt_kind:"store.corrupt"
@@ -188,7 +190,7 @@ let fetch_image t key =
   if not (valid_key key) then `Miss
   else
     let path = path_of_key t key in
-    Ipds_obs.Span.time span_load (fun () ->
+    Ipds_obs.Registry.time t_load (fun () ->
         match
           load_entry path
             ~decode:(fun bytes ->
@@ -256,7 +258,7 @@ let publish_image_at path bytes =
 let publish_image t key bytes =
   if not (valid_key key) then `Failed "malformed key"
   else
-    Ipds_obs.Span.time span_publish (fun () ->
+    Ipds_obs.Registry.time t_publish (fun () ->
         publish_image_at (path_of_key t key) bytes)
 
 let publish_system t key sys =
@@ -281,7 +283,7 @@ let fn_path t digest =
 
 let load_func t ~digest ~layout f =
   let path = fn_path t digest in
-  Ipds_obs.Span.time span_load (fun () ->
+  Ipds_obs.Registry.time t_load (fun () ->
       match
         load_entry path
           ~decode:(Artifact.func_of_image ~digest ~layout f)
@@ -293,7 +295,7 @@ let load_func t ~digest ~layout f =
 
 let publish_func t ~digest info =
   let path = fn_path t digest in
-  Ipds_obs.Span.time span_publish (fun () ->
+  Ipds_obs.Registry.time t_publish (fun () ->
       ignore (publish_image_at path (Artifact.func_image info)))
 
 let func_cache ?(precision = false) t =

@@ -43,4 +43,7 @@ val attempts_for : int list -> int
     reported by the compile-time experiment.  Raises [Invalid_argument]
     where {!find} does. *)
 
+val ceil_log2 : int -> int
+(** The least [k] with [2^k >= n] ([0] for [n <= 1]). *)
+
 val pp : Format.formatter -> params -> unit

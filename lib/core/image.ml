@@ -161,8 +161,7 @@ type sizes = {
   bat_bits : int;
 }
 
-let rec ceil_log2 n = if n <= 1 then 0 else 1 + ceil_log2 ((n + 1) / 2)
-let ptr_bits ~n_nodes = max 1 (ceil_log2 (n_nodes + 1))
+let ptr_bits ~n_nodes = max 1 (Hash.ceil_log2 (n_nodes + 1))
 
 (* The serialized linked-list BAT (paper Fig. 8): a head pointer per
    row plus (target slot, 2-bit action, next pointer) per node. *)

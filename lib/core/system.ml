@@ -76,12 +76,13 @@ type func_cache = {
 let builds = Atomic.make 0
 let build_count () = Atomic.get builds
 let m_builds = Ipds_obs.Registry.counter "system.builds"
+let t_build = Ipds_obs.Registry.timer "core.build.ns"
 
 let build ?options ?pool ?func_cache program =
   let options = Option.value options ~default:Corr.Analysis.default_options in
   Atomic.incr builds;
   Ipds_obs.Registry.incr m_builds;
-  Ipds_obs.Span.time "core.build" (fun () ->
+  Ipds_obs.Registry.time t_build (fun () ->
       let layout = Pass.run pass_layout program in
       let pw = Pass.run pass_prepare (options, program) in
       let compile_func (f : Mir.Func.t) =

@@ -472,8 +472,6 @@ let static_infeasible ?(options = default_options) ctx =
     (Mir.Func.branches f);
   List.sort compare !out
 
-let analyze pw func = analyze_func pw func
-
 let analyze_program ?(options = default_options) prog =
   let pw = Context.prepare ~mode:options.summary_mode prog in
   List.map

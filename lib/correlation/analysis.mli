@@ -33,9 +33,6 @@ type result = {
       (** actions applied when an activation of the function starts *)
 }
 
-val analyze : Context.program_wide -> Ipds_mir.Func.t -> result
-(** [analyze_func] with default options (historical entry point). *)
-
 type precision =
   | Off  (** single pass on the unpruned CFG: the historical behaviour *)
   | Refine of { cap : int }

@@ -41,7 +41,6 @@ let with_passes f =
             {
               r with
               Pass.r_units = r.Pass.r_units - b.Pass.r_units;
-              r_runs = r.Pass.r_runs - b.Pass.r_runs;
               r_seconds = r.Pass.r_seconds -. b.Pass.r_seconds;
             })
       (Pass.report ()) )

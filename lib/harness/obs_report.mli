@@ -2,12 +2,13 @@
 
     [metrics_json] carries only stable metrics — the deterministic
     object that must be byte-identical across job counts — while
-    [runtime_json] carries unstable metrics and span timers, which
-    legitimately vary run to run. *)
+    [runtime_json] carries the unstable ones, wall-clock timers
+    included, which legitimately vary run to run. *)
 
 val metrics_json : unit -> Ipds_obs.Json.t
 (** Stable-metric snapshot: identical for [--jobs 1] and [--jobs N]. *)
 
 val runtime_json : unit -> Ipds_obs.Json.t
-(** [{"metrics":{…unstable…},"spans":{…}}] — scheduling and wall-clock
-    dependent, excluded from the determinism guarantee. *)
+(** [{"metrics":{…unstable…}}], the [*.ns] timer histograms among
+    them — scheduling and wall-clock dependent, excluded from the
+    determinism guarantee. *)

@@ -18,6 +18,10 @@
     [metrics] object is built from and what the [--jobs 1] vs
     [--jobs N] byte-identity guarantee covers.
 
+    Wall-clock timers are unstable histograms too ({!timer}, {!time}):
+    the registry is the one place a timing goes, and reports show them
+    in their unstable [runtime] section, never in the stable object.
+
     Snapshots taken while other domains are still incrementing are
     internally consistent per cell but not a point-in-time cut; the
     harness only snapshots at phase boundaries when workers are idle. *)
@@ -67,6 +71,20 @@ type histogram_view = {
 }
 
 val histogram_value : histogram -> histogram_view
+val histogram_reset : histogram -> unit
+
+(** {2 Wall-clock timers} *)
+
+val timer : string -> histogram
+(** The unstable histogram [name] over the one fixed nanosecond bound
+    array every timer shares: powers of four from 2{^10} ns (~1 µs) to
+    2{^36} ns (~69 s).  By convention the name ends in [.ns]. *)
+
+val time : histogram -> (unit -> 'a) -> 'a
+(** Run the thunk and observe its wall-clock duration in nanoseconds
+    (clamped at 0), also when it raises; the exception is re-raised
+    with its backtrace.  Takes no lock and allocates nothing of its
+    own. *)
 
 (** {2 Snapshots} *)
 
@@ -86,5 +104,6 @@ val snapshot_json : ?stability:[ `Stable | `Unstable | `All ] -> unit -> Json.t
     with [le:null] on the overflow bucket. *)
 
 val reset : unit -> unit
-(** Zero every registered metric (the registrations survive).  For
-    tests and long-lived processes starting a fresh run. *)
+(** Zero every registered metric, timers included (the registrations
+    survive).  For tests and long-lived processes starting a fresh
+    run. *)

@@ -341,7 +341,7 @@ let const_prop = per_func const_prop_func
 let copy_prop = per_func copy_prop_func
 let dce = per_func dce_func
 
-let optimize ?(rounds = 4) p =
+let optimize p =
   let step p = dce (copy_prop (const_prop (redundant_load_elim p))) in
   let rec go n p = if n = 0 then p else go (n - 1) (step p) in
-  go rounds p
+  go 4 p

@@ -31,5 +31,5 @@ val redundant_load_elim : Ipds_mir.Program.t -> Ipds_mir.Program.t
     and to IPDS — the effect the paper attributes to compiler
     optimization. *)
 
-val optimize : ?rounds:int -> Ipds_mir.Program.t -> Ipds_mir.Program.t
-(** Default 4 rounds of rle → const-prop → copy-prop → dce. *)
+val optimize : Ipds_mir.Program.t -> Ipds_mir.Program.t
+(** 4 rounds of rle → const-prop → copy-prop → dce. *)

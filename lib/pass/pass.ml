@@ -3,11 +3,9 @@ type scope =
   | Function
 
 type ('a, 'b) t = {
-  name : string;
-  scope : scope;
   f : 'a -> 'b;
   units : Ipds_obs.Registry.counter;
-  span : string;
+  timer : Ipds_obs.Registry.histogram;
 }
 
 (* Registration order is pipeline order: core's passes are created by
@@ -27,41 +25,29 @@ let register name scope =
   | None -> registry := (name, scope) :: !registry);
   Mutex.unlock registry_mutex
 
+let counter name =
+  Ipds_obs.Registry.counter (Printf.sprintf "pass.%s.units" name)
+
+let timer name = Ipds_obs.Registry.timer (Printf.sprintf "pass.%s.ns" name)
+
 let v ~name ~scope f =
   register name scope;
-  {
-    name;
-    scope;
-    f;
-    units = Ipds_obs.Registry.counter (Printf.sprintf "pass.%s.units" name);
-    span = "pass." ^ name;
-  }
+  { f; units = counter name; timer = timer name }
 
 let scope_name = function Program -> "program" | Function -> "function"
-let name t = t.name
-let scope t = t.scope
 
 let run t x =
   Ipds_obs.Registry.incr t.units;
-  Ipds_obs.Span.time t.span (fun () -> t.f x)
-
-let map ?pool t xs =
-  match t.scope with
-  | Program ->
-      invalid_arg (Printf.sprintf "Pass.map: %s is a program-wide pass" t.name)
-  | Function -> Ipds_parallel.Pool.map' pool (run t) xs
+  Ipds_obs.Registry.time t.timer (fun () -> t.f x)
 
 type report_row = {
   r_name : string;
   r_scope : scope;
   r_units : int;
-  r_runs : int;
   r_seconds : float;
 }
 
-let units name =
-  Ipds_obs.Registry.counter_value
-    (Ipds_obs.Registry.counter (Printf.sprintf "pass.%s.units" name))
+let units name = Ipds_obs.Registry.counter_value (counter name)
 
 let report () =
   Mutex.lock registry_mutex;
@@ -69,9 +55,9 @@ let report () =
   Mutex.unlock registry_mutex;
   List.map
     (fun (name, scope) ->
-      let runs, seconds = Ipds_obs.Span.get ("pass." ^ name) in
-      { r_name = name; r_scope = scope; r_units = units name; r_runs = runs;
-        r_seconds = seconds })
+      let ns = (Ipds_obs.Registry.histogram_value (timer name)).sum in
+      { r_name = name; r_scope = scope; r_units = units name;
+        r_seconds = float_of_int ns /. 1e9 })
     entries
 
 let render_report rows =

@@ -6,12 +6,12 @@
     function (correlation analysis, table construction) and are what
     {!Ipds_core.System.build} fans out over a domain pool.
 
-    Every execution is observed: wall-clock accumulates in the
-    {!Ipds_obs.Span} timer ["pass.<name>"] (scheduling-dependent, so it
-    lives in the runtime section of reports) and the number of units
-    processed in the {e stable} counter ["pass.<name>.units"] — the unit
-    multiset is fixed by the build set, so unit counts are byte-identical
-    for any [--jobs] value.
+    Every execution is observed: wall-clock goes to the unstable
+    registry timer ["pass.<name>.ns"] ({!Ipds_obs.Registry.time};
+    scheduling-dependent, so it lives in the runtime section of reports)
+    and the number of units processed to the {e stable} counter
+    ["pass.<name>.units"] — the unit multiset is fixed by the build set,
+    so unit counts are byte-identical for any [--jobs] value.
 
     Pass names are registered at creation (module initialisation), so
     {!report} lists the full pipeline with stable names even for passes
@@ -30,18 +30,10 @@ val v : name:string -> scope:scope -> ('a -> 'b) -> ('a, 'b) t
 val scope_name : scope -> string
 (** ["program"] or ["function"]. *)
 
-val name : ('a, 'b) t -> string
-val scope : ('a, 'b) t -> scope
-
 val run : ('a, 'b) t -> 'a -> 'b
-(** Run on one unit of work: time under the pass's span, count one unit.
-    Safe to call concurrently from any domain — per-function passes are
-    executed through [run] from inside pool tasks. *)
-
-val map : ?pool:Ipds_parallel.Pool.t -> ('a, 'b) t -> 'a list -> 'b list
-(** Fan a [Function]-scope pass over its units, order-preserving and
-    deterministic: [map ?pool p xs] equals [List.map (run p) xs] for any
-    pool.  [Program]-scope passes refuse with [Invalid_argument]. *)
+(** Run on one unit of work: time under the pass's timer, count one
+    unit.  Safe to call concurrently from any domain — per-function
+    passes are executed through [run] from inside pool tasks. *)
 
 (** {2 Reporting} *)
 
@@ -49,8 +41,7 @@ type report_row = {
   r_name : string;
   r_scope : scope;
   r_units : int;  (** stable: units processed so far in this process *)
-  r_runs : int;  (** span entries (= units); unstable timing metadata *)
-  r_seconds : float;  (** accumulated wall-clock; unstable *)
+  r_seconds : float;  (** accumulated wall-clock, the timer's sum; unstable *)
 }
 
 val report : unit -> report_row list

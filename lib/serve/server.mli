@@ -47,9 +47,9 @@ type peer_sharing = {
 (** Fleet artifact sharing: on a [Load_key] local-store miss the server
     fetches the artifact from ring peers ({!Fleet_client.fetch_artifact}
     excluding [peer_self], on the fixed {!Ipds_fleet.Backoff} schedule),
-    fully verifies it
-    ({!Ipds_artifact.Artifact.of_bytes} + {!Ipds_core.Image.validate} —
-    peer bytes are untrusted input), publishes it to its own store and
+    fully verifies it with {!Ipds_artifact.Artifact.of_bytes}, which runs
+    {!Ipds_core.Image.validate} on every image once (peer bytes are
+    untrusted input), publishes it to its own store and
     serves it — a cold shard warms itself instead of forcing a client
     recompile.  Tracked by the [serve.artifact_*] counters. *)
 

@@ -91,23 +91,19 @@ let image_key image =
 
 (* Full verification of untrusted container bytes before they are
    published to the store (a pushed artifact or one fetched from a
-   peer): container digest, section CRCs, the complete decode with its
-   cross-checks against the code section, and structural validation of
-   every flat image.  Anything less would let a forged frame publish
-   unservable — or wrong — artifacts for [ipds inspect] and every other
-   store reader. *)
+   peer), all of it in [Artifact.of_bytes]: container digest, section
+   CRCs, every flat image built through [Image.make] (and so through
+   [Image.validate], once), and the complete decode with its
+   cross-checks against the code section.  Anything less would let a
+   forged frame publish unservable — or wrong — artifacts for
+   [ipds inspect] and every other store reader. *)
 let verify_image bytes =
   match Artifact.of_bytes bytes with
-  | sys -> (
-      match
-        List.map
-          (fun (name, (i : System.func_info)) ->
-            Image.validate i.System.image;
-            (name, i.System.image))
-          sys.System.funcs
-      with
-      | images -> Ok images
-      | exception Invalid_argument m -> Error m)
+  | sys ->
+      Ok
+        (List.map
+           (fun (name, (i : System.func_info)) -> (name, i.System.image))
+           sys.System.funcs)
   | exception Artifact.Corrupt m -> Error m
 
 let send_error ~send code detail =

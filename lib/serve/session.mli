@@ -84,8 +84,9 @@ val create :
     fleet hook consulted on a [Load_key] local-store miss: it returns
     the raw container bytes of the key from a warm peer.  Those bytes
     are published to the local store, so the session first verifies
-    them in full ({!Ipds_artifact.Artifact.of_bytes} +
-    {!Ipds_core.Image.validate}), as it does a [Push_artifact]; a cold
+    them in full with {!Ipds_artifact.Artifact.of_bytes}, whose every
+    image passes {!Ipds_core.Image.validate} once, as it does a
+    [Push_artifact]; a cold
     shard then warms itself instead of answering [unknown-artifact]. *)
 
 val image_key : string -> string option

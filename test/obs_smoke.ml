@@ -7,7 +7,8 @@
      - the metrics object: the expected stable keys exist with the
        expected JSON shapes, nothing unstable leaked in, and the
        attack.* counters reconcile exactly with the campaign's totals;
-     - the runtime section carries the unstable metrics instead. *)
+     - the runtime section carries the unstable metrics instead, the
+       wall-clock timers among them. *)
 
 module H = Ipds_harness
 module J = Ipds_obs.Json
@@ -163,14 +164,27 @@ let check_metrics (summary : H.Attack_experiment.summary) =
   recon "attack.injected" (fun (r : H.Attack_experiment.row) -> r.attacks);
   recon "attack.cf_changed" (fun r -> r.cf_changed);
   recon "attack.detected" (fun r -> r.detected);
-  (* the runtime section exists and holds the pool metrics instead *)
+  (* the runtime section exists and holds the pool metrics and the
+     wall-clock timers instead *)
   let runtime = H.Obs_report.runtime_json () in
-  (match J.member "metrics" runtime with
+  match J.member "metrics" runtime with
   | Some rm ->
       expect (J.member "pool.maps" rm <> None)
-        "runtime metrics lack pool.maps (jobs > 1 ran a pool)"
-  | None -> fail "runtime section lacks metrics");
-  expect (J.member "spans" runtime <> None) "runtime section lacks spans"
+        "runtime metrics lack pool.maps (jobs > 1 ran a pool)";
+      let timer = "pass.analyze.ns" in
+      (match J.member timer rm with
+      | Some doc ->
+          expect (shape_ok (`Histogram, doc))
+            "timer %s is not a histogram" timer;
+          expect
+            (match J.member "count" doc with
+            | Some (J.Int n) -> n >= 1
+            | _ -> false)
+            "timer %s counted no run" timer
+      | None -> fail "runtime metrics lack the timer %s" timer);
+      expect (J.member timer metrics = None)
+        "timer %s leaked into the stable object" timer
+  | None -> fail "runtime section lacks metrics"
 
 let () =
   let events_path =
@@ -180,6 +194,9 @@ let () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove events_path with Sys_error _ -> ())
     (fun () ->
+      (* the campaign must compile its systems, so that the pass timers
+         run: no ambient artifact store may serve them *)
+      Ipds_artifact.Store.set_ambient_dir None;
       Obs.Manifest.set_string "tool" "obs_smoke";
       Obs.Manifest.set_int "seed" 11;
       Obs.Manifest.set_int "jobs" 2;

@@ -327,7 +327,6 @@ let test_report_json () =
       Ipds_pass.Pass.r_name = name;
       r_scope = scope;
       r_units = units;
-      r_runs = units;
       r_seconds = seconds;
     }
   in

@@ -1,6 +1,7 @@
 (* The observability layer: registry semantics (idempotent registration,
-   deterministic merge across domains, stability filtering), span timers,
-   manifests, the JSONL event sink, and the JSON printer and parser. *)
+   deterministic merge across domains, stability filtering, wall-clock
+   timers), manifests, the JSONL event sink, and the JSON printer and
+   parser. *)
 
 module R = Ipds_obs.Registry
 module J = Ipds_obs.Json
@@ -92,22 +93,27 @@ let test_snapshot_json_shape () =
   check "counter renders as bare int" true
     (contains s "\"test.jsonshape.counter\":5")
 
-(* ---------- spans ---------- *)
+(* ---------- timers ---------- *)
 
 let test_spans () =
-  Ipds_obs.Span.clear "test.span";
-  check "unknown span" true (Ipds_obs.Span.get "test.span" = (0, 0.));
-  let r = Ipds_obs.Span.time "test.span" (fun () -> 42) in
+  let h = R.timer "test.timer.ns" in
+  R.histogram_reset h;
+  check_int "fresh timer is empty" 0 (R.histogram_value h).R.count;
+  let r = R.time h (fun () -> 42) in
   check_int "passes result through" 42 r;
-  (match Ipds_obs.Span.time "test.span" (fun () -> failwith "boom") with
+  (match R.time h (fun () -> failwith "boom") with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected exception to propagate");
-  let count, seconds = Ipds_obs.Span.get "test.span" in
-  check_int "both entries counted (incl. raising one)" 2 count;
-  check "non-negative time" true (seconds >= 0.);
-  Ipds_obs.Span.record "test.span" 1.5;
-  let _, seconds' = Ipds_obs.Span.get "test.span" in
-  check "record accumulates" true (seconds' >= 1.5)
+  let v = R.histogram_value h in
+  check_int "both entries counted (incl. raising one)" 2 v.R.count;
+  check "non-negative time" true (v.R.sum >= 0);
+  check_int "every entry in a bucket" 2 (Array.fold_left ( + ) 0 v.R.counts);
+  check "timer is unstable" false
+    (List.mem_assoc "test.timer.ns" (R.snapshot ~stability:`Stable ()));
+  check "timer is in the unstable snapshot" true
+    (List.mem_assoc "test.timer.ns" (R.snapshot ~stability:`Unstable ()));
+  R.reset ();
+  check_int "Registry.reset zeroes the timer" 0 (R.histogram_value h).R.count
 
 (* ---------- manifest ---------- *)
 

@@ -468,35 +468,38 @@ let test_push_rejects_garbage_and_collision () =
       expect_err "colliding push rejected" P.Corrupt_artifact
         (Serve.Client.push_artifact client ~key (img "httpd")))
 
+(* [good] with section [name] replaced by [payload], every CRC and the
+   container digest re-sealed. *)
+let reseal_with name payload good =
+  let module Obj = Ipds_artifact.Object_file in
+  Obj.to_bytes
+    ~sections:
+      (List.map
+         (fun (n, p) -> if String.equal n name then (n, payload) else (n, p))
+         (Obj.of_bytes good))
+
+let verify_rejects () =
+  Ipds_obs.Registry.counter_value Ipds_serve.Session.m_artifact_verify_rejects
+
 (* A pushed container whose code section holds an integer literal past
    the int range: refused as a typed corrupt-artifact, counted once as
    a verification reject, and the server goes on serving. *)
 let test_push_rejects_overlong_literal () =
-  let module Obj = Ipds_artifact.Object_file in
   let good =
     Ipds_artifact.Artifact.to_bytes
       (Core.System.cached_build (W.program (W.find "telnetd")))
   in
   let bad =
-    Obj.to_bytes
-      ~sections:
-        (List.map
-           (fun (name, payload) ->
-             if String.equal name "code" then
-               ( name,
-                 Bytes.of_string
-                   "func main() {\n e:\n  r0 = 99999999999999999999999\n  halt\n}\n" )
-             else (name, payload))
-           (Obj.of_bytes good))
-  in
-  let rejects () =
-    Ipds_obs.Registry.counter_value Ipds_serve.Session.m_artifact_verify_rejects
+    reseal_with "code"
+      (Bytes.of_string
+         "func main() {\n e:\n  r0 = 99999999999999999999999\n  halt\n}\n")
+      good
   in
   with_store_server (fun client addr ->
-      let r0 = rejects () in
+      let r0 = verify_rejects () in
       expect_err "overlong literal push rejected" P.Corrupt_artifact
         (Serve.Client.push_artifact client ~key:"e2e-overlong-key" bad);
-      Alcotest.(check int) "one verification reject" 1 (rejects () - r0);
+      Alcotest.(check int) "one verification reject" 1 (verify_rejects () - r0);
       let c = Serve.Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Serve.Client.close c)
@@ -507,6 +510,69 @@ let test_push_rejects_overlong_literal () =
           match Serve.Client.load_key c "e2e-overlong-key" with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "load_key after the reject: %s" e.P.detail))
+
+(* Set [width] bits of [b] at bit offset [pos], LSB first, as
+   [Ipds_core.Bitstream] lays fields out. *)
+let set_bits b ~pos ~width v =
+  for k = 0 to width - 1 do
+    let i = (pos + k) / 8 and m = 1 lsl ((pos + k) mod 8) in
+    let c = Bytes.get_uint8 b i in
+    Bytes.set_uint8 b i
+      (if (v lsr k) land 1 = 1 then c lor m else c land lnot m)
+  done
+
+(* A pushed container whose [f0] table fails only [Image.validate]: its
+   first BAT node is re-pointed at a branch slot the BCV leaves
+   unchecked, which every cross-check against the code section
+   accepts, and every CRC and the container digest are re-sealed.  The
+   one validation [Image.make] runs inside [Artifact.of_bytes] must
+   refuse it: typed, counted once, and nothing published. *)
+let test_push_rejects_invalid_image () =
+  let module Image = Core.Image in
+  let sys = Core.System.cached_build (W.program (W.find "xinetd")) in
+  let good = Ipds_artifact.Artifact.to_bytes sys in
+  let f0 =
+    Bytes.copy (List.assoc "f0" (Ipds_artifact.Object_file.of_bytes good))
+  in
+  let _, image = Core.Encode.decode_image f0 ~pos:0 ~len:(Bytes.length f0) in
+  let func =
+    Ipds_mir.Program.find_func_exn sys.Core.System.program image.Image.fname
+  in
+  let unchecked =
+    List.map (Image.slot_of_pc image)
+      (Ipds_mir.Layout.branch_pcs sys.Core.System.layout func)
+    |> List.filter (fun slot -> not (Image.checked image slot))
+  in
+  let n_nodes = Array.length image.Image.nodes in
+  check "f0 has a node and an unchecked branch" true
+    (n_nodes > 0 && unchecked <> []);
+  (* [Encode]'s header, BCV bits and row heads come before the nodes;
+     the first node written is [nodes.(0)], its slot field first *)
+  let header = 16 + (8 * String.length image.Image.fname) + 32 + 24 + 16 + 16 in
+  let space = image.Image.space in
+  set_bits f0
+    ~pos:(header + space + (((2 * space) + 1) * Image.ptr_bits ~n_nodes))
+    ~width:(max 1 image.Image.space_bits)
+    (List.hd unchecked);
+  let bad = reseal_with "f0" f0 good in
+  let key = "e2e-invalid-image-key" in
+  with_store_server (fun client addr ->
+      let r0 = verify_rejects () in
+      let reply = Serve.Client.push_artifact client ~key bad in
+      expect_err "invalid image push rejected" P.Corrupt_artifact reply;
+      (match reply with
+      | Error e ->
+          check "refused by Image.validate" true
+            (String.ends_with ~suffix:"node targets an unchecked slot"
+               e.P.detail)
+      | Ok _ -> ());
+      Alcotest.(check int) "one verification reject" 1 (verify_rejects () - r0);
+      let c = Serve.Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          expect_err "nothing published" P.Unknown_artifact
+            (Serve.Client.fetch_artifact c key)))
 
 let test_fetch_typed_misses () =
   with_store_server (fun client _ ->
@@ -1485,6 +1551,8 @@ let () =
           Alcotest.test_case "typed fetch misses" `Quick test_fetch_typed_misses;
           Alcotest.test_case "overlong literal push rejected" `Quick
             test_push_rejects_overlong_literal;
+          Alcotest.test_case "invalid image push rejected" `Quick
+            test_push_rejects_invalid_image;
         ] );
       ( "server-cache",
         [
