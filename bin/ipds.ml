@@ -528,6 +528,14 @@ let at_least_1 cmd flag n =
     exit 2
   end
 
+(* The same for a duration in seconds, where 0 has a meaning of its
+   own (NaN is refused too). *)
+let non_negative cmd flag x =
+  if not (x >= 0.) then begin
+    Format.eprintf "ipds %s: --%s must be >= 0 (got %g)@." cmd flag x;
+    exit 2
+  end
+
 let serve_cmd =
   let jobs_arg =
     Arg.(
@@ -605,6 +613,8 @@ let serve_cmd =
       obs;
     at_least_1 "serve" "jobs" jobs;
     at_least_1 "serve" "cache-slots" cache_slots;
+    at_least_1 "serve" "max-frame" max_frame;
+    non_negative "serve" "timeout" timeout;
     let addr =
       match (socket, port) with
       | Some path, None -> `Unix path
@@ -882,6 +892,7 @@ let fleet_cmd =
     at_least_1 "fleet" "shards" shards;
     at_least_1 "fleet" "jobs" jobs;
     at_least_1 "fleet" "cache-slots" cache_slots;
+    non_negative "fleet" "timeout" timeout;
     let base =
       match (socket, port) with
       | Some path, None -> `Unix path

@@ -5,14 +5,6 @@ type target =
   | Exact of Cell.t
   | Within of Mir.Var.Set.t
 
-let pp_target ppf = function
-  | No_target -> Format.pp_print_string ppf "nothing"
-  | Exact c -> Cell.pp ppf c
-  | Within vs ->
-      Format.fprintf ppf "within{%s}"
-        (String.concat ", "
-           (List.map (fun v -> v.Mir.Var.name) (Mir.Var.Set.elements vs)))
-
 type t = {
   program : Mir.Program.t;
   points_to : Points_to.t;

@@ -7,8 +7,6 @@ type target =
   | Exact of Cell.t  (** exactly this cell *)
   | Within of Ipds_mir.Var.Set.t  (** some cell of one of these variables *)
 
-val pp_target : Format.formatter -> target -> unit
-
 type t
 (** Per-function access oracle. *)
 

@@ -15,7 +15,8 @@ val reg : t -> fname:string -> Ipds_mir.Reg.t -> Pt_set.t
 (** Flow-insensitive points-to set of a register in a function. *)
 
 val escaped : t -> Pt_set.t
-(** Pointer values that may be stored in memory somewhere in the
+(** Test seam: test_alias checks that a pointer stored to memory lands in this
+    set.  Pointer values that may be stored in memory somewhere in the
     program (what a load may hand back as a pointer). *)
 
 val address_taken : t -> Ipds_mir.Var.Set.t

@@ -52,11 +52,3 @@ let render buf t =
   add_ints buf t.params;
   Buffer.add_char buf ']';
   Buffer.add_char buf (if t.unknown then '?' else '.')
-
-let pp ppf t =
-  let items =
-    List.map (fun v -> v.Mir.Var.name) (Mir.Var.Set.elements t.vars)
-    @ List.map (Printf.sprintf "param%d") (Int_set.elements t.params)
-    @ (if t.unknown then [ "?" ] else [])
-  in
-  Format.fprintf ppf "{%s}" (String.concat ", " items)

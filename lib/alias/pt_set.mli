@@ -19,9 +19,13 @@ val of_param : int -> t
 val union : t -> t -> t
 val equal : t -> t -> bool
 val is_empty : t -> bool
+(** Test seam: test_alias checks loads of plain data and the empty set. *)
+
 val subsumes_anything : t -> bool
-(** True when a dereference through this set may touch arbitrary
-    address-taken memory ([unknown] or any parameter pointee). *)
+(** Test seam: test_alias checks which sets count as wildcards; {!Access}
+    decides the same inline.  True when a dereference through this set
+    may touch arbitrary address-taken memory ([unknown] or any parameter
+    pointee). *)
 
 val render : Buffer.t -> t -> unit
 (** Appends the canonical digest-stable rendering (variable ids, sorted):
@@ -32,5 +36,3 @@ val add_ints : Buffer.t -> Int_set.t -> unit
 
 val add_var_ids : Buffer.t -> Ipds_mir.Var.Set.t -> unit
 (** Appends the variables' ids in set order, comma-separated. *)
-
-val pp : Format.formatter -> t -> unit

@@ -35,22 +35,6 @@ let equal a b =
   && Mir.Var.Set.equal a.foreign_vars b.foreign_vars
   && Bool.equal a.any b.any
 
-let pp ppf t =
-  if t.any then Format.pp_print_string ppf "writes_all"
-  else if is_pure t then Format.pp_print_string ppf "pure"
-  else begin
-    let args = List.map (Printf.sprintf "arg%d") (Int_set.elements t.args) in
-    let globals =
-      List.map (fun v -> v.Mir.Var.name) (Mir.Var.Set.elements t.globals)
-    in
-    let foreign =
-      List.map
-        (fun v -> "foreign:" ^ v.Mir.Var.name)
-        (Mir.Var.Set.elements t.foreign_vars)
-    in
-    Format.fprintf ppf "writes{%s}" (String.concat ", " (args @ globals @ foreign))
-  end
-
 let fingerprint buf t =
   Buffer.add_string buf "a[";
   Pt_set.add_ints buf t.args;

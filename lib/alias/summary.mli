@@ -23,9 +23,8 @@ type t = {
   any : bool;  (** may write any address-taken or global memory *)
 }
 
-val writes_nothing : t
 val is_pure : t -> bool
-val pp : Format.formatter -> t -> unit
+(** Test seam: test_alias checks which helpers and externs summarise as pure. *)
 
 val fingerprint : Buffer.t -> t -> unit
 (** Appends the canonical digest-stable rendering (variable ids, sorted)
@@ -36,8 +35,6 @@ type mode =
   [ `Faithful
   | `Precise_globals
   ]
-
-val of_extern : Ipds_mir.Extern.summary -> t
 
 val compute : Ipds_mir.Program.t -> Points_to.t -> mode:mode -> string -> t
 (** [compute p pt ~mode] returns a total summary lookup for every callee

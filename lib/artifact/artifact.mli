@@ -16,12 +16,13 @@
 
     Function granularity is what makes the incremental cache work: each
     function's tables live in their own section keyed (via the index) by
-    the {!Ipds_core.System.func_digest} content digest, and the same
-    per-function encoding is reused for the standalone blobs of the
-    store's function tier ({!func_image}/{!func_of_image}).  Older
-    containers (v1's monolithic ["tables"] section, v2's MD5 whole-file
-    digest, v3's MD5 function digests in ["index"]) fail the container
-    version check and load as a full cache miss.
+    the per-function content digest ({!Ipds_core.System.func_info}
+    [.digest]), and the same per-function encoding is reused for the
+    standalone blobs of the store's function tier
+    ({!func_image}/{!func_of_image}).  Older containers (v1's
+    monolithic ["tables"] section, v2's MD5 whole-file digest, v3's MD5
+    function digests in ["index"]) fail the container version check
+    and load as a full cache miss.
 
     Loading rebuilds an {!Ipds_core.System.t} without running the MiniC
     front end or the correlation analysis: each function's
@@ -102,8 +103,10 @@ type inspection = {
 }
 
 val inspect_bytes : Bytes.t -> inspection
-(** Raises {!Corrupt} only if the container header is unreadable;
-    per-section damage is reported in {!Object_file.info}. *)
+(** Test seam: test_artifact checks per-section damage reports without a file;
+    the CLI goes through {!inspect_file}.  Raises {!Corrupt} only if the
+    container header is unreadable; per-section damage is reported in
+    {!Object_file.info}. *)
 
 val inspect_file : string -> inspection
 val pp_inspection : Format.formatter -> inspection -> unit

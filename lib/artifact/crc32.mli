@@ -11,3 +11,4 @@ val bytes : Bytes.t -> pos:int -> len:int -> int32
 
 val all : Bytes.t -> int32
 val string : string -> int32
+(** Test seam: test_serve computes expected frame trailers with it. *)

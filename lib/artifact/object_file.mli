@@ -31,7 +31,8 @@ val magic : string
 val format_version : int
 
 val header_bytes : int
-(** Fixed header size (everything before the section table). *)
+(** Test seam: tests forge and edit containers at known offsets.  Fixed header
+    size (everything before the section table). *)
 
 val to_bytes : sections:(string * Bytes.t) list -> Bytes.t
 (** Section names must be 1–8 bytes and unique; raises

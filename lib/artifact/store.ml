@@ -267,8 +267,8 @@ let publish_system t key sys =
 (* ---------- function tier ----------
 
    Single-function blobs under <dir>/fn/, addressed by the function's
-   content digest ({!Ipds_core.System.func_digest}) plus the artifact
-   format version.  [System.build] consults this tier through
+   content digest (the [digest] field of its [System.func_info]) plus
+   the artifact format version.  [System.build] consults this tier through
    {!func_cache} before running the analyze/tables passes, so after a
    one-function edit only that function is re-analyzed. *)
 

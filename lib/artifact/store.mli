@@ -47,7 +47,9 @@ val valid_key : string -> bool
     a typed miss/failure, never an exception from path construction. *)
 
 val path_of_key : t -> string -> string
-(** Raises [Invalid_argument] when the key fails {!valid_key}. *)
+(** Test seam: the store-fault and pass smoke tests corrupt or block an
+    entry's file on disk.  Raises [Invalid_argument] when the key fails
+    {!valid_key}. *)
 
 val load_system : t -> string -> Ipds_core.System.t option
 (** [None] on absent, truncated, corrupt, version-skewed or
@@ -91,10 +93,10 @@ val publish_image :
 
     Single-function blobs under [<dir>/fn/], addressed by the
     {!Ipds_core.Sha256.name} of the artifact format version and the
-    digest {!Ipds_core.System.func_digest} assigns each function.  This
-    is what makes rebuilds incremental at function granularity: a
-    whole-program miss still hits here for every function whose digest
-    is unchanged. *)
+    content digest [System.build] assigns each function
+    ({!Ipds_core.System.func_info}[.digest]).  This is what makes
+    rebuilds incremental at function granularity: a whole-program miss
+    still hits here for every function whose digest is unchanged. *)
 
 val func_cache : ?precision:bool -> t -> Ipds_core.System.func_cache
 (** The tier as [Ipds_core.System.build ~func_cache] hooks.  A lookup
@@ -102,7 +104,7 @@ val func_cache : ?precision:bool -> t -> Ipds_core.System.func_cache
     damaged, version-skewed or unreadable blob also counts as
     [fn_corrupt], like {!load_system}).  With [~precision:true] every
     function-tier miss additionally counts as [fn_precision_misses]:
-    since precision is part of {!Ipds_core.System.func_digest}, flipping
+    since precision is part of each function's content digest, flipping
     the precision config shows up as a clean sweep of these misses
     rather than stale hits. *)
 
@@ -138,7 +140,11 @@ type counters = {
 }
 
 val counters : unit -> counters
+(** Test seam: the cache, pass, precision and store-fault smoke tests read raw
+    counter deltas; reports use {!ambient_json}. *)
+
 val reset_counters : unit -> unit
+(** Test seam: test_artifact zeroes the counters between its cases. *)
 
 val ambient_json : unit -> Ipds_obs.Json.t
 (** The ambient store's counters as a report section:

@@ -38,5 +38,6 @@ val run :
   ?config:Ipds_machine.Interp.config ->
   Ipds_mir.Program.t ->
   Ipds_machine.Interp.outcome
-(** [Interp.run] with [config] (default {!Ipds_machine.Interp.default_config}
-    with trace recording off) — convenience for driving variant pairs. *)
+(** Test seam: test_baseline runs variant pairs through it.  [Interp.run]
+    with [config] (default {!Ipds_machine.Interp.default_config} with trace
+    recording off) — convenience for driving variant pairs. *)

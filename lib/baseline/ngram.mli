@@ -15,11 +15,16 @@ val train : n:int -> string list list -> t
     shorter than [n] contribute their full sequence as one window. *)
 
 val n : t -> int
+(** Test seam: test_baseline checks the window length a model was trained
+    with. *)
+
 val size : t -> int
-(** Distinct windows in the database. *)
+(** Test seam: test_baseline checks how many distinct windows training stored.
+    Distinct windows in the database. *)
 
 val anomalies : t -> string list -> int
-(** Number of windows of the trace absent from the database. *)
+(** Test seam: test_baseline checks the window count behind {!flags}.  Number
+    of windows of the trace absent from the database. *)
 
 val flags : t -> string list -> bool
 (** [anomalies > 0]. *)

@@ -40,14 +40,3 @@ let succs t b = t.succs.(b)
 let preds t b = t.preds.(b)
 let reverse_postorder t = t.rpo
 let reachable t = t.reachable
-
-let pp ppf t =
-  let f = t.func in
-  Format.fprintf ppf "@[<v>cfg %s:" f.Mir.Func.name;
-  Array.iteri
-    (fun b ss ->
-      Format.fprintf ppf "@,  %s -> %s"
-        (Mir.Func.label_of_block f b)
-        (String.concat ", " (List.map (Mir.Func.label_of_block f) ss)))
-    t.succs;
-  Format.fprintf ppf "@]"

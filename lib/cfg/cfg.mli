@@ -14,5 +14,3 @@ val reverse_postorder : t -> int array
 
 val reachable : t -> bool array
 (** Per-block reachability from the entry block. *)
-
-val pp : Format.formatter -> t -> unit

@@ -133,7 +133,6 @@ let pruned_directions t =
 let total_directions t =
   2 * List.length (Mir.Func.branches (Cfg.func t.cfg))
 
-let cfg t = t.cfg
 let branch_ok t iid taken = not (is_pruned t iid taken)
 
 let view t =
@@ -193,12 +192,3 @@ let invariant_monotone ~earlier ~later =
   && Array.for_all2
        (fun e l -> (not e) || l)
        earlier.pruned later.pruned
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>feasibility %s: %d/%d directions pruned"
-    (Cfg.func t.cfg).Mir.Func.name t.n_pruned (total_directions t);
-  List.iter
-    (fun (iid, taken) ->
-      Format.fprintf ppf "@,  pruned (%d,%c)" iid (if taken then 'T' else 'N'))
-    (pruned_directions t);
-  Format.fprintf ppf "@]"

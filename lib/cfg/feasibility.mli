@@ -52,8 +52,6 @@ val pruned_directions : t -> (int * bool) list
 val total_directions : t -> int
 (** [2 *] number of conditional branches of the function. *)
 
-val cfg : t -> Cfg.t
-
 val branch_ok : t -> int -> bool -> bool
 (** [branch_ok t iid taken] — the direction survives (is not pruned).
     Shape expected by {!Point_graph.make}'s [?branch_ok] filter. *)
@@ -65,7 +63,12 @@ val view_of_cfg : Cfg.t -> view
 (** {2 Soundness invariants as predicates} *)
 
 val invariant_subview : t -> bool
-val invariant_entry_preserved : t -> bool
-val invariant_monotone : earlier:t -> later:t -> bool
+(** Test seam: the refine property tests assert the pruned view is a subgraph
+    of the full one. *)
 
-val pp : Format.formatter -> t -> unit
+val invariant_entry_preserved : t -> bool
+(** Test seam: the refine property tests assert the pruned view keeps the
+    entry block. *)
+
+val invariant_monotone : earlier:t -> later:t -> bool
+(** Test seam: the refine property tests assert that pruning only grows. *)

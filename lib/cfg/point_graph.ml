@@ -66,7 +66,6 @@ let n_points t = t.n
 let row off adj p = Array.to_list (Array.sub adj off.(p) (off.(p + 1) - off.(p)))
 let succs t p = row t.succ_off t.succ p
 let preds t p = row t.pred_off t.pred p
-let first_point t b = t.first.(b)
 
 (* Depth-first over the rows [off]/[adj] from the row of [from], never
    entering [a] or [b]; a point is marked when it is pushed, so the

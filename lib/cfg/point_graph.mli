@@ -26,13 +26,13 @@ val make : ?branch_ok:(int -> bool -> bool) -> Ipds_mir.Func.t -> t
 val n_points : t -> int
 
 val succs : t -> int -> int list
-(** Successors of a point; a terminator's in successor-block order. *)
+(** Test seam: test_cfg checks the successor lists the CSR arrays hold; the
+    analysis walks the arrays.  Successors of a point; a terminator's in
+    successor-block order. *)
 
 val preds : t -> int -> int list
-
-val first_point : t -> int -> int
-(** First instruction id executed when entering a block (its terminator if
-    the body is empty). *)
+(** Test seam: test_cfg checks the predecessor lists the CSR arrays hold; the
+    analysis walks the arrays. *)
 
 val reach_after : t -> ?also:int -> int -> avoid:int -> bool array
 (** [reach_after t ~also p ~avoid] marks every point reachable from [p]

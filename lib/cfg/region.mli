@@ -33,4 +33,6 @@ val from_entry : Ipds_mir.Func.t -> t
     branch. *)
 
 val all_edges : Ipds_mir.Func.t -> ((int * bool) * t) list
-(** Regions for every (branch, direction) edge of the function. *)
+(** Test seam: test_cfg enumerates every edge's region at once; the analysis
+    asks one edge at a time.  Regions for every (branch, direction) edge of
+    the function. *)

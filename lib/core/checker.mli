@@ -45,7 +45,8 @@ val verdict_ok : verdict -> bool
 (** Neither alarm nor violation. *)
 
 val verdict_expected : verdict -> Status.t
-(** The expected status consulted ([Unknown] for unchecked branches). *)
+(** Test seam: test_core checks the expected status a verdict consulted.  The
+    expected status consulted ([Unknown] for unchecked branches). *)
 
 val verdict_bat_nodes : verdict -> int
 (** BAT nodes applied by the update. *)
@@ -82,6 +83,8 @@ val last_alarm : t -> alarm option
     recorded). *)
 
 val branches_seen : t -> int
+(** Test seam: tests check how many branches a checker verified, without
+    reading the registry. *)
 
 val flush : t -> unit
 (** Flush locally accumulated [checker.*] counter deltas to the
@@ -89,13 +92,10 @@ val flush : t -> unit
     call it explicitly when a trace is abandoned mid-flight (the
     interpreter, pipeline and verdict server all do). *)
 
-val status_at : t -> int -> Status.t option
-(** Status of [slot] in the top activation; [None] with no active frame
-    or out-of-range slot. *)
-
 val expected_of_pc : t -> int -> Status.t option
 (** Status the top activation holds for [pc]'s slot. *)
 
 val current_statuses : t -> (int * Status.t) list
-(** (slot, status) of the top activation, for inspection/debugging;
-    empty with no active frame.  Reads the packed BSV directly. *)
+(** Test seam: test_core reads the top activation's BSV after a violation.
+    (slot, status) of the top activation, for inspection/debugging; empty with
+    no active frame.  Reads the packed BSV directly. *)

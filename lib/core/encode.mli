@@ -24,6 +24,7 @@ val decode_image : Bytes.t -> pos:int -> len:int -> int * Image.t
     on a malformed one. *)
 
 val payload_bits : Image.t -> int
-(** Packed BCV+BAT bits: [sizes.bcv_bits + sizes.bat_bits] of
-    {!Image.sizes}, which is what {!function_image} writes after its
-    header (tested). *)
+(** Test seam: test_core checks the packed image length against
+    {!Image.sizes}.  Packed BCV+BAT bits: [sizes.bcv_bits + sizes.bat_bits] of
+    {!Image.sizes}, which is what {!function_image} writes after its header
+    (tested). *)

@@ -54,10 +54,6 @@ let slot_of_pc t pc =
 let checked t slot =
   Array.unsafe_get t.bcv (slot lsr 5) land (1 lsl (slot land 31)) <> 0
 
-(* BSV slab cost of one activation of this function: 2 bits per slot,
-   4 slots per byte. *)
-let bsv_bytes t = (t.space + 3) lsr 2
-
 let node_word ~target_slot ~code =
   let shift = (target_slot land 3) * 2 in
   (target_slot lsl 16)

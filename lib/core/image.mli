@@ -40,7 +40,7 @@ type t = private {
       (** [(target_slot lsl 16) lor (keep_mask lsl 8) lor set_mask] *)
   init_bsv : Bytes.t;
       (** fresh-activation slab image: code 0 for checked slots, 3 for
-          unchecked ones; length {!bsv_bytes} *)
+          unchecked ones; 2 bits per slot, 4 slots per byte *)
 }
 
 val build :
@@ -52,7 +52,8 @@ val build :
     entry wins. *)
 
 val hash : t -> Hash.params
-(** The inlined hash parameters, as shipped. *)
+(** Test seam: test_core and the list-table oracle rebuild an image's hash
+    function.  The inlined hash parameters, as shipped. *)
 
 type sizes = {
   bsv_bits : int;
@@ -81,8 +82,6 @@ val checked : t -> int -> bool
 (** Is [slot] set in the BCV? *)
 
 val entry_row_index : t -> int
-val bsv_bytes : t -> int
-(** Bytes of 2-bit-packed BSV one activation of this function needs. *)
 
 val node_word : target_slot:int -> code:int -> int
 val node_slot : int -> int
@@ -91,7 +90,6 @@ val node_code : int -> int
 val node_action : int -> Ipds_correlation.Action.t
 (** The BAT action a node word installs. *)
 
-val row_word : off:int -> len:int -> int
 val row_off : int -> int
 val row_len : int -> int
 (** Pack/unpack one [rows] word. *)

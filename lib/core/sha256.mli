@@ -1,10 +1,10 @@
 (** SHA-256 (FIPS 180-4), pure OCaml over [Bytes].
 
-    The one content hash of the tree.  It names every function
-    ({!System.func_digest}), every store entry and function-tier blob,
-    and is the whole-file digest of each object-file container, which
-    is also the identity an artifact fetched from a fleet peer is
-    verified against.  An inline image on the wire is named by that
+    The one content hash of the tree.  It names every function (each
+    {!System.func_info}'s content digest), every store entry and
+    function-tier blob, and is the whole-file digest of each
+    object-file container, which is also the identity an artifact
+    fetched from a fleet peer is verified against.  An inline image on the wire is named by that
     header digest as the container claims it; the verdict server
     hashes the image only on a cache miss, when it verifies the
     claim.  CRC-32 guards
@@ -38,12 +38,13 @@ val bytes : Bytes.t -> pos:int -> len:int -> string
     [Invalid_argument] when the range is out of bounds. *)
 
 val hardware : bool
-(** Whether {!bytes} compresses through the SHA-extension kernel on
-    this CPU. *)
+(** Test seam: test_artifact reports when only the portable kernel ran.
+    Whether {!bytes} compresses through the SHA-extension kernel on this CPU. *)
 
 val portable_bytes : Bytes.t -> pos:int -> len:int -> string
-(** {!bytes} through the portable OCaml kernel whatever the CPU, so the
-    tests can check both paths on a host that has the extensions. *)
+(** Test seam: tests check the portable kernel on a host that has the
+    extensions.  {!bytes} through the portable OCaml kernel whatever the CPU,
+    so the tests can check both paths on a host that has the extensions. *)
 
 val to_hex : string -> string
 (** Lowercase hex of a raw digest (or any string). *)

@@ -27,11 +27,6 @@ let of_code = function
   | 2 -> Not_taken
   | _ -> Unknown
 
-let equal a b =
-  match a, b with
-  | Taken, Taken | Not_taken, Not_taken | Unknown, Unknown -> true
-  | (Taken | Not_taken | Unknown), _ -> false
-
 let pp ppf = function
   | Taken -> Format.pp_print_string ppf "T"
   | Not_taken -> Format.pp_print_string ppf "NT"

@@ -7,7 +7,9 @@ type t =
   | Unknown
 
 val matches : t -> bool -> bool
-(** [matches expected actual] — [Unknown] matches any direction. *)
+(** Test seam: test_core and the checker oracle compare a direction with an
+    expected status; the flat checker compares packed codes.  [matches
+    expected actual] — [Unknown] matches any direction. *)
 
 val of_action : Ipds_correlation.Action.t -> t
 
@@ -19,6 +21,5 @@ val to_code : t -> int
 val of_code : int -> t
 (** Inverse of {!to_code}; unassigned codes decode to [Unknown]. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_char : t -> char

@@ -12,7 +12,11 @@ type func_info = {
   entry_pc : int;
   digest : string;
       (** 64-char hex SHA-256 name of everything the per-function stage
-          can observe; keys the incremental per-function artifact cache *)
+          can observe (printed body, base PC, program-wide slice
+          preimage, options): two builds give a function the same
+          digest exactly when its analysis and tables are byte-identical,
+          unless SHA-256 collides.  Keys the incremental per-function
+          artifact cache *)
   image : Image.t;
       (** the function's BSV/BCV/BAT tables in their one flat form;
           built once by the [tables] pass (or decoded straight from the
@@ -41,17 +45,6 @@ val make :
   t
 (** The only way to assemble a [t] by hand (artifact loading); derives
     [by_name] from [funcs]. *)
-
-val func_digest :
-  options:Ipds_correlation.Analysis.options ->
-  layout:Ipds_mir.Layout.t ->
-  Ipds_correlation.Context.program_wide ->
-  Ipds_mir.Func.t ->
-  string
-(** {!Sha256.name} of (printed body, base PC, program-wide slice
-    preimage, options).  Two builds assign a function the same digest
-    exactly when its analysis and tables are guaranteed byte-identical,
-    unless SHA-256 collides. *)
 
 type func_cache = {
   lookup :
@@ -99,7 +92,8 @@ val seed_cache :
     entry already exists; does not bump {!build_count}. *)
 
 val info : t -> string -> func_info
-(** Raises [Invalid_argument] for unknown functions. *)
+(** Test seam: tests look up one function's digest and image by name.  Raises
+    [Invalid_argument] for unknown functions. *)
 
 val mem : t -> string -> bool
 (** Is the function defined in this system?  The verdict server uses

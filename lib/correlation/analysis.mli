@@ -51,8 +51,6 @@ type options = {
 val default_options : options
 (** Precision defaults to [Off]. *)
 
-val default_refine_cap : int
-
 val precision_on : precision
 (** [Refine] with the default per-function iteration cap. *)
 
@@ -87,7 +85,11 @@ val static_infeasible : ?options:options -> Context.t -> (int * bool) list
 
 val analyze_program :
   ?options:options -> Ipds_mir.Program.t -> (string * result) list
-(** Analyze every defined function. *)
+(** Test seam: tests analyze every function without building tables.  Analyze
+    every defined function. *)
 
 val actions_for : result -> edge -> (int * Action.t) list
+(** Test seam: test_correlation and the checker model read the actions of one
+    edge; {!Ipds_core.Image} packs them all. *)
+
 val pp_result : Format.formatter -> result -> unit

@@ -46,7 +46,7 @@ let for_func ?feas pw (func : Mir.Func.t) =
    depends on.  Editing a function without disturbing any of these
    leaves every other function's digest — and cached analysis — valid.
    The result is the preimage itself, NUL-separated (no part holds a
-   NUL); {!Ipds_core.System.func_digest} hashes it once. *)
+   NUL); the function's content digest in [System.build] hashes it once. *)
 let slice_fingerprint pw (func : Mir.Func.t) =
   let callees = ref [] in
   Mir.Func.iter_instrs func (fun _ op ->

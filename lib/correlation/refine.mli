@@ -17,8 +17,6 @@ type stats = {
   pruned : (int * bool) list;  (** the pruned directions, sorted *)
 }
 
-val correlations_gained : stats -> int
-
 val analyze :
   ?options:Analysis.options ->
   Context.program_wide ->

@@ -10,10 +10,10 @@
     one, and the [--precision off] solution is independent of the
     worklist order.
 
-    The worklist is priority-ordered by reverse postorder (the same
-    order {!Ipds_cfg.Dominators} iterates in), not FIFO insertion
-    order; [?visits] reports how many block visits the solve took, and
-    every solve also accumulates its visits into the stable obs counter
+    The worklist is priority-ordered by reverse postorder (the order
+    of {!Ipds_cfg.Cfg.reverse_postorder}), not FIFO insertion order;
+    [?visits] reports how many block visits the solve took, and every
+    solve also accumulates its visits into the stable obs counter
     ["dataflow.block_visits"]. *)
 
 module type DOMAIN = sig

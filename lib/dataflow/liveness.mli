@@ -8,7 +8,9 @@ val compute : ?feas:Ipds_cfg.Feasibility.t -> Ipds_cfg.Cfg.t -> t
     [feas] is given; otherwise over the raw CFG. *)
 
 val live_in : t -> int -> Ipds_mir.Reg.t -> bool
-(** [live_in t block reg] — is [reg] live at the start of [block]? *)
+(** Test seam: test_dataflow checks the block-entry solution; the analysis
+    asks {!live_before}.  [live_in t block reg] — is [reg] live at the start
+    of [block]? *)
 
 val live_before : t -> iid:int -> Ipds_mir.Reg.t -> bool
 (** Is the register live just before instruction [iid]? *)

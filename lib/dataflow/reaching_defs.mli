@@ -26,8 +26,9 @@ val compute : ?feas:Ipds_cfg.Feasibility.t -> Ipds_cfg.Cfg.t -> t
     [feas] is given; otherwise over the raw CFG. *)
 
 val before : t -> iid:int -> Ipds_mir.Reg.t -> Def_set.t
-(** Definitions of the register reaching the point just before [iid]
-    executes. *)
+(** Test seam: test_dataflow and test_refine check whole definition sets; the
+    analysis asks {!unique_def}.  Definitions of the register reaching the
+    point just before [iid] executes. *)
 
 val unique_def : t -> iid:int -> Ipds_mir.Reg.t -> def option
 (** [Some d] iff exactly one definition reaches. *)

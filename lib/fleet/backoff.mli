@@ -10,4 +10,5 @@ val max_attempts : int
 (** 8. *)
 
 val total_bound : unit -> float
-(** Sum of all possible delays — the worst-case total sleep. *)
+(** Test seam: test_fleet checks the worst-case total sleep.  Sum of all
+    possible delays — the worst-case total sleep. *)

@@ -15,6 +15,7 @@ val route : t -> string -> int
 (** Index (into the creation-order node list) owning [key]. *)
 
 val route_name : t -> string -> string
+(** Test seam: test_fleet checks that removing a node moves only its keys. *)
 
 val successors : t -> string -> int list
 (** All distinct node indices in ring order from [key]'s point; head is

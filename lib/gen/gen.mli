@@ -33,20 +33,14 @@ type spec = {
   max_depth : int;  (** statement nesting bound in generated bodies *)
 }
 
-val default_spec : spec
-
-val ast : ?spec:spec -> seed:int -> index:int -> unit -> Ipds_minic.Ast.program
-(** The program as syntax.  [index] is stamped into the server's
-    version banner, so distinct indices always yield distinct
-    programs. *)
-
 val source : ?spec:spec -> seed:int -> index:int -> unit -> string
-(** [ast] rendered through {!Printer.program} — the canonical form fed
-    to {!Ipds_minic.Minic.compile} so generated members exercise the
-    full front end. *)
+(** The program's syntax rendered through {!Printer.program} — the
+    canonical form fed to {!Ipds_minic.Minic.compile} so generated
+    members exercise the full front end. *)
 
 val compile : ?spec:spec -> seed:int -> index:int -> unit -> Ipds_mir.Program.t
-(** [Minic.compile (source ...)]. *)
+(** Test seam: tests compile generated members without spelling out the front
+    end.  [Minic.compile (source ...)]. *)
 
 val population :
   ?spec:spec ->

@@ -2,14 +2,11 @@
 
     The output is deliberately conservative — every compound expression
     is parenthesized — so the result of [program] always re-parses with
-    {!Ipds_minic.Minic.parse} to the same tree modulo redundant
+    the MiniC parser to the same tree modulo redundant
     grouping.  The generator ({!Gen}) goes through this printer rather
     than handing an AST straight to the lowering passes: each generated
     program then exercises the whole front end (lexer, parser, scope
     checks) exactly like the hand-written workload sources do. *)
-
-val expr : Buffer.t -> Ipds_minic.Ast.expr -> unit
-val stmt : Buffer.t -> indent:int -> Ipds_minic.Ast.stmt -> unit
 
 val program : Ipds_minic.Ast.program -> string
 (** Render a full translation unit (globals, then functions). *)

@@ -49,7 +49,9 @@ val run : ?config:config -> ?pool:Ipds_parallel.Pool.t -> unit -> result
     campaign raises an alarm. *)
 
 val stable_json : result -> Ipds_obs.Json.t
-(** The deterministic report object (byte-identical across job counts). *)
+(** Test seam: the attack and bench-stable smoke tests compare the stable
+    object alone.  The deterministic report object (byte-identical across job
+    counts). *)
 
 val render : result -> string
 (** Every table — workloads and population per universe, the DME

@@ -27,7 +27,8 @@ val run :
   ?seed:int ->
   Ipds_workloads.Workloads.t ->
   row
-(** Defaults: 3-grams, 40 training runs, 50 held-out runs, 100 attacks. *)
+(** Test seam: test_baseline and test_harness run one workload's rows.
+    Defaults: 3-grams, 40 training runs, 50 held-out runs, 100 attacks. *)
 
 val run_all :
   ?n:int ->

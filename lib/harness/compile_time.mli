@@ -9,6 +9,8 @@ type row = {
 }
 
 val run : Ipds_workloads.Workloads.t -> row
+(** Test seam: test_harness pins one workload's row. *)
+
 val run_all : unit -> row list
 val render : row list -> string
 

@@ -32,6 +32,7 @@ type row = {
 }
 
 val run : ?attacks:int -> ?holdout:int -> ?seed:int -> Ipds_workloads.Workloads.t -> row
+(** Test seam: test_baseline runs one workload's row. *)
 
 val run_all :
   ?attacks:int ->

@@ -24,9 +24,9 @@ val measure :
     [ipds perf] command is [~repeats:1]. *)
 
 val run : ?seed:int -> ?repeats:int -> Ipds_workloads.Workloads.t -> row
-(** {!measure} on the workload's default build, seed 42 by default;
-    [repeats] runs of the benign driver are concatenated into one trace
-    (default 5) to smooth the timing. *)
+(** Test seam: test_harness runs one workload's row.  {!measure} on the
+    workload's default build, seed 42 by default; [repeats] runs of the benign
+    driver are concatenated into one trace (default 5) to smooth the timing. *)
 
 val run_all :
   ?seed:int -> ?repeats:int -> ?pool:Ipds_parallel.Pool.t -> unit -> row list

@@ -41,7 +41,8 @@ val render : result -> string
     fixpoint. *)
 
 val stable_json : result -> Ipds_obs.Json.t
-(** Everything but the pass costs: identical for every pool size. *)
+(** Test seam: the bench-stable check compares the stable object alone.
+    Everything but the pass costs: identical for every pool size. *)
 
 val to_json : result -> Ipds_obs.Json.t
 (** The [BENCH_precision.json] document: {!stable_json} as ["stable"],

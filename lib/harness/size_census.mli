@@ -10,6 +10,8 @@ type row = {
 }
 
 val run : Ipds_workloads.Workloads.t -> row
+(** Test seam: test_harness pins one workload's row. *)
+
 val run_all : unit -> row list
 val render : row list -> string
 val to_json : row list -> Ipds_obs.Json.t

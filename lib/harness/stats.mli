@@ -7,13 +7,18 @@
 val mean : float list -> float option
 
 val mean_exn : float list -> float
-(** Raises [Invalid_argument] on an empty sample. *)
+(** Test seam: test_harness checks that an empty sample raises.  Raises
+    [Invalid_argument] on an empty sample. *)
 
 val stddev : float list -> float
-(** Sample standard deviation (n-1); 0 for fewer than two samples. *)
+(** Test seam: test_harness checks the sample deviation that {!mean_sd}
+    prints.  Sample standard deviation (n-1); 0 for fewer than two samples. *)
 
 val mean_sd : float list -> string
 (** ["12.3% ± 1.1%"] formatting for fractions; ["n/a"] for no samples. *)
 
 val minimum : float list -> float option
+(** Test seam: test_harness checks the empty and non-empty cases. *)
+
 val maximum : float list -> float option
+(** Test seam: test_harness checks the empty and non-empty cases. *)

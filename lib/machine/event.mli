@@ -31,3 +31,4 @@ type t = {
 }
 
 val pp : Format.formatter -> t -> unit
+(** Test seam: test_machine prints events in failure messages. *)

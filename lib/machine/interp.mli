@@ -42,7 +42,7 @@ type config = {
           each is emitted only after the action it describes has taken
           effect (a call that faults pushing its frame is never
           emitted), so a checker replaying the sink stream — locally via
-          {!Replay.feed} or remotely over the verdict server — reaches
+          {!Replay.feed_all} or remotely over the verdict server — reaches
           exactly the same verdicts as an inline [checker].  The initial
           activation of [main] arrives as a call event. *)
   record_trace : bool;

@@ -25,13 +25,17 @@ val enter : t -> shape -> int
 (** Push a frame of the shape's function; returns its id (> 0). *)
 
 val push_frame : t -> Ipds_mir.Func.t -> int
-(** [enter t (shape f)]. *)
+(** Test seam: test_machine and the interpreter oracle push a frame without
+    the interpreter.  [enter t (shape f)]. *)
 
 val pop_frame : t -> unit
 val depth : t -> int
+(** Test seam: test_machine checks the frame stack depth. *)
+
 val frame_alive : t -> int -> bool
 val active_frame : t -> int
-(** Id of the innermost frame; raises if none. *)
+(** Test seam: test_machine checks frame ids across nested activations.  Id of
+    the innermost frame; raises if none. *)
 
 val cells : t -> frame:int -> Ipds_mir.Var.t -> Value.t array
 (** The variable's cells, shared with memory (writes land); [[||]] when

@@ -4,14 +4,12 @@
     same verdicts, in the same order, as checking inline — the contract
     the remote verdict server is built on. *)
 
-val feed : Ipds_core.Checker.t -> defined:(string -> bool) -> Event.t -> unit
-(** Apply one event: [Call] to a defined function pushes a checker
-    frame, [Ret] pops one, [Branch] is verified; everything else is
-    ignored.  [defined] decides whether a callee has tables (extern
-    calls appear in the stream but are not checked).  Trusts its input:
-    a [Ret] with an empty checker stack raises, as {!Ipds_core.Checker}
-    does — callers that cannot trust the stream must guard with
-    {!Ipds_core.Checker.depth}. *)
-
 val feed_all :
   Ipds_core.Checker.t -> defined:(string -> bool) -> Event.t list -> unit
+(** Apply each event in order: [Call] to a defined function pushes a
+    checker frame, [Ret] pops one, [Branch] is verified; everything
+    else is ignored.  [defined] decides whether a callee has tables
+    (extern calls appear in the stream but are not checked).  Trusts
+    its input: a [Ret] with an empty checker stack raises, as
+    {!Ipds_core.Checker} does — callers that cannot trust the stream
+    must guard with {!Ipds_core.Checker.depth}. *)

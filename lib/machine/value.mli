@@ -19,4 +19,6 @@ type t =
 
 val zero : t
 val truthy : t -> bool
+(** Test seam: test_machine checks which values branch as true. *)
+
 val pp : Format.formatter -> t -> unit

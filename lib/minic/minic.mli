@@ -4,4 +4,3 @@ exception Error of string
 (** Wraps lexer, parser and codegen failures with a description. *)
 
 val compile : string -> Ipds_mir.Program.t
-val parse : string -> Ast.program

@@ -3,10 +3,6 @@ type t =
   | Index of Var.t * Operand.t
   | Indirect of Reg.t
 
-let base_var = function
-  | Direct v | Index (v, _) -> Some v
-  | Indirect _ -> None
-
 let regs = function
   | Direct _ -> []
   | Index (_, i) -> Operand.regs i

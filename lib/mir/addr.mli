@@ -15,8 +15,5 @@ type t =
   | Index of Var.t * Operand.t
   | Indirect of Reg.t
 
-val base_var : t -> Var.t option
-(** The statically known base variable, if any. *)
-
 val regs : t -> Reg.t list
 (** Registers read when computing the address. *)

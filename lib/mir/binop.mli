@@ -20,3 +20,4 @@ val eval : t -> int -> int -> int
 val all : t list
 val to_string : t -> string
 val of_string : string -> t option
+(** Test seam: test_mir and the MIR text oracle parse operator names. *)

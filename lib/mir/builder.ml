@@ -98,11 +98,6 @@ let const fb n =
   emit fb (Op.Const (r, n));
   r
 
-let move fb o =
-  let r = fresh fb in
-  emit fb (Op.Move (r, o));
-  r
-
 let binop fb op a b =
   let r = fresh fb in
   emit fb (Op.Binop (r, op, a, b));

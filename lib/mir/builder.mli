@@ -52,13 +52,14 @@ val emit : fb -> Op.t -> unit
 (** Conveniences returning fresh result registers: *)
 
 val const : fb -> int -> Reg.t
-val move : fb -> Operand.t -> Reg.t
 val binop : fb -> Binop.t -> Operand.t -> Operand.t -> Reg.t
 val load : fb -> Addr.t -> Reg.t
 val store : fb -> Addr.t -> Operand.t -> unit
 val addr_of : fb -> Var.t -> Operand.t -> Reg.t
 val call : fb -> string -> Operand.t list -> Reg.t
 val call_void : fb -> string -> Operand.t list -> unit
+(** Test seam: test_mir builds a call whose result is discarded. *)
+
 val input : fb -> int -> Reg.t
 val output : fb -> Operand.t -> unit
 

@@ -18,3 +18,4 @@ val swap : t -> t
 val all : t list
 val to_string : t -> string
 val of_string : string -> t option
+(** Test seam: the MIR text oracle parses comparison names. *)

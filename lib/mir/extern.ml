@@ -3,12 +3,6 @@ type summary =
   | Writes_args of int list
   | Writes_anything
 
-let equal a b =
-  match a, b with
-  | Pure, Pure | Writes_anything, Writes_anything -> true
-  | Writes_args xs, Writes_args ys -> List.equal Int.equal xs ys
-  | (Pure | Writes_args _ | Writes_anything), _ -> false
-
 (* The interpreter in Ipds_machine.Interp gives these executable semantics;
    the summaries here are what the correlation analysis relies on. *)
 let default_table =

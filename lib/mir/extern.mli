@@ -14,8 +14,6 @@ type summary =
   | Writes_anything
       (** may modify any memory-resident variable (unknown library code) *)
 
-val equal : summary -> summary -> bool
-
 val default_table : (string * summary) list
 (** Summaries for the MiniC runtime / libc-like externals used by the
     workloads. *)

@@ -22,6 +22,8 @@ type t = {
 }
 
 val entry : t -> Block.t
+(** Test seam: test_mir and test_opt read a function's entry block. *)
+
 val location : t -> int -> location
 (** [location f iid] finds where instruction [iid] lives, by a binary
     search over [blocks] on [term_iid].  Raises [Not_found] for an

@@ -46,33 +46,7 @@ let func_of_pc t address =
       else None)
     t.entries
 
-let code_bytes t = t.total
-
 let entries t = List.map (fun e -> (e.e_name, e.e_base, e.e_count)) t.entries
-
-let of_entries list =
-  let entries =
-    List.map
-      (fun (e_name, e_base, e_count) ->
-        if e_count < 0 then
-          invalid_arg (Printf.sprintf "Layout.of_entries: negative count for %s" e_name);
-        { e_name; e_base; e_count })
-      list
-  in
-  let names = List.map (fun e -> e.e_name) entries in
-  if List.length (List.sort_uniq compare names) <> List.length names then
-    invalid_arg "Layout.of_entries: duplicate function names";
-  let next =
-    List.fold_left
-      (fun next e ->
-        if e.e_base < next || e.e_base <> align e.e_base 64 then
-          invalid_arg
-            (Printf.sprintf "Layout.of_entries: bad base 0x%x for %s" e.e_base
-               e.e_name);
-        e.e_base + (e.e_count * instr_bytes))
-      base_address entries
-  in
-  { entries; total = max 0 (next - base_address) }
 
 let branch_pcs t (f : Func.t) =
   List.map (fun (iid, _) -> pc t ~fname:f.Func.name ~iid) (Func.branches f)

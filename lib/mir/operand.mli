@@ -6,7 +6,6 @@ type t =
 
 val reg : Reg.t -> t
 val imm : int -> t
-val equal : t -> t -> bool
 
 val regs : t -> Reg.t list
 (** Registers read by the operand ([[]] for immediates). *)

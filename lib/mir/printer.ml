@@ -1,9 +1,10 @@
 (* One Buffer writer for MIR text.  The artifact code section and every
-   [System.func_digest] hash this text, so its bytes are format.  The
-   layout is a Format v-box of indent 0 holding one of indent 1 per
-   function and one of indent 2 per block: locals and labels at column
-   1, instructions at column 3, a blank line between functions, no break
-   inside a line even past column 78.  Writers append and return [b]. *)
+   per-function content digest of [System.build] hash this text, so its
+   bytes are format.  The layout is a Format v-box of indent 0 holding
+   one of indent 1 per function and one of indent 2 per block: locals
+   and labels at column 1, instructions at column 3, a blank line
+   between functions, no break inside a line even past column 78.
+   Writers append and return [b]. *)
 
 let str s b =
   Buffer.add_string b s;

@@ -11,9 +11,9 @@ type t = {
 val find_func : t -> string -> Func.t option
 val find_func_exn : t -> string -> Func.t
 val find_var : t -> int -> Var.t option
-(** Look a variable up by id across globals and every function's locals. *)
+(** Test seam: test_mir looks variables up by id.  Look a variable up by id
+    across globals and every function's locals. *)
 
-val all_vars : t -> Var.t list
 val extern_summary : t -> string -> Extern.summary
 (** Summary for a callee that is not a defined function (conservative
     [Writes_anything] if undeclared). *)

@@ -33,9 +33,11 @@ val write_file : ?indent:int -> string -> t -> unit
 exception Parse_error of string
 
 val of_string : string -> t
-(** Parse one JSON document (the whole string).  Numbers without [.],
-    [e] or [E] parse as [Int], everything else as [Float]; raises
-    {!Parse_error} on malformed input. *)
+(** Test seam: tests parse the reports this module writes.  Parse one JSON
+    document (the whole string).  Numbers without [.], [e] or [E] parse as
+    [Int], everything else as [Float]; raises {!Parse_error} on malformed
+    input. *)
 
 val member : string -> t -> t option
-(** Field lookup on [Obj]; [None] on other constructors. *)
+(** Test seam: tests read fields of the reports this module writes.  Field
+    lookup on [Obj]; [None] on other constructors. *)

@@ -16,3 +16,4 @@ val to_json : unit -> Json.t
 (** An object with fields sorted by name. *)
 
 val reset : unit -> unit
+(** Test seam: test_obs starts each case from a fresh manifest. *)

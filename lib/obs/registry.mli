@@ -50,7 +50,8 @@ val gauge_max : gauge -> int -> unit
     one offered; values are clamped at 0 from below. *)
 
 val gauge_value : gauge -> int
-val gauge_reset : gauge -> unit
+(** Test seam: test_obs checks max-merge and clamping; reports read gauges
+    through {!snapshot_json}. *)
 
 (** {2 Fixed-bucket histograms} *)
 
@@ -95,7 +96,8 @@ type value =
 
 val snapshot :
   ?stability:[ `Stable | `Unstable | `All ] -> unit -> (string * value) list
-(** Sorted by metric name; [stability] defaults to [`All]. *)
+(** Test seam: tests read metric values by name; reports use {!snapshot_json}.
+    Sorted by metric name; [stability] defaults to [`All]. *)
 
 val snapshot_json : ?stability:[ `Stable | `Unstable | `All ] -> unit -> Json.t
 (** Counters render as bare integers; gauges as
@@ -104,6 +106,6 @@ val snapshot_json : ?stability:[ `Stable | `Unstable | `All ] -> unit -> Json.t
     with [le:null] on the overflow bucket. *)
 
 val reset : unit -> unit
-(** Zero every registered metric, timers included (the registrations
-    survive).  For tests and long-lived processes starting a fresh
-    run. *)
+(** Test seam: tests start from zeroed metrics; processes count from start-up.
+    Zero every registered metric, timers included (the registrations survive).
+    For tests and long-lived processes starting a fresh run. *)

@@ -17,4 +17,5 @@ val program : Ipds_mir.Program.t -> Ipds_mir.Program.t
 (** Promote every eligible local of every function. *)
 
 val promoted_vars : Ipds_mir.Program.t -> Ipds_mir.Var.t list
-(** The locals {!program} would promote (for reporting/tests). *)
+(** Test seam: test_opt checks which locals promotion picks.  The locals
+    {!program} would promote (for reporting/tests). *)

@@ -175,8 +175,6 @@ let snapshot t =
 let within_capacity t stamps =
   match t.capacity with None -> true | Some cap -> List.length stamps <= cap
 
-let capacity_ok t = within_capacity t (fst (snapshot t))
-
 let check_invariants t =
   let stamps, size = snapshot t in
   [

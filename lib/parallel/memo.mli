@@ -12,7 +12,7 @@
     completing a load past the bound evicts the least-recently-used
     loaded entry.  An in-flight load is never evicted and does not
     count against the bound.  The structural contract is exported as
-    predicates ({!capacity_ok}, {!check_invariants}) that tests assert
+    predicates ({!check_invariants}) that tests assert
     after arbitrary concurrent interleavings. *)
 
 type ('k, 'v) t
@@ -39,25 +39,28 @@ val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** {!fetch} with a loader that cannot fail. *)
 
 val computed : ('k, 'v) t -> int
-(** How many loads actually ran to completion — the harness's
-    "compiled/built at most once per configuration" counters. *)
+(** Test seam: test_parallel checks exactly-once loading; reports read
+    [memo.computed] from the registry.  How many loads actually ran to
+    completion — the harness's "compiled/built at most once per configuration"
+    counters. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
-(** Loaded and resident (not in flight, not evicted). *)
+(** Test seam: test_parallel checks residency after eviction.  Loaded and
+    resident (not in flight, not evicted). *)
 
 type stats = { hits : int; misses : int; evictions : int; size : int }
 (** [misses] counts loads started, failed ones included; [size] the
     resident loaded entries.  An exact cut, taken under the lock. *)
 
 val stats : ('k, 'v) t -> stats
+(** Test seam: test_parallel checks hits, misses and evictions; reports read
+    them from the registry. *)
 
 (** {2 Invariants as predicates} *)
 
-val capacity_ok : ('k, 'v) t -> bool
-(** No more than [capacity] loaded entries are resident. *)
-
 val check_invariants : ('k, 'v) t -> (string * bool) list
-(** {!capacity_ok}, plus [size_exact] (the resident count the eviction
-    policy relies on matches the table) and [recency_distinct] (no two
-    resident entries share a last-use stamp, so the LRU victim is
-    unique); labelled. *)
+(** Test seam: test_parallel asserts the structural contract after concurrent
+    interleavings.  [capacity_ok] (no more than [capacity] loaded entries are
+    resident), plus [size_exact] (the resident count the eviction policy
+    relies on matches the table) and [recency_distinct] (no two resident
+    entries share a last-use stamp, so the LRU victim is unique); labelled. *)

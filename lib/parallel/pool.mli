@@ -12,28 +12,22 @@
 
 type t
 
-val create : ?jobs:int -> unit -> t
-(** [jobs] defaults to {!default_jobs}; values below 1 are clamped. *)
-
 val jobs : t -> int
-(** The parallelism the pool was created with (workers + caller). *)
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map.  If one or more applications raise,
-    the exception of the smallest-index element is re-raised (with its
-    backtrace) after every task of this call has settled — so the
-    raised exception does not depend on domain scheduling. *)
+(** Test seam: test_parallel checks the clamped job count.  The parallelism
+    the pool was created with (workers + caller). *)
 
 val map' : t option -> ('a -> 'b) -> 'a list -> 'b list
 (** [map' None] is [List.map] (no pool anywhere in scope);
-    [map' (Some t)] is [map t]. *)
-
-val shutdown : t -> unit
-(** Drains nothing (all maps have returned by construction), stops the
-    workers and joins them.  Idempotent. *)
+    [map' (Some t)] is an order-preserving parallel map over [t].  If
+    one or more applications raise, the exception of the
+    smallest-index element is re-raised (with its backtrace) after
+    every task of this call has settled — so the raised exception does
+    not depend on domain scheduling. *)
 
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [create], run, [shutdown] (also on exception). *)
+(** Test seam: tests fix the pool size; the CLI goes through {!with_opt}.
+    Start a pool of [jobs] (default {!default_jobs}; values below 1 are
+    clamped), run, then stop and join its workers, also on exception. *)
 
 val with_opt : jobs:int -> (t option -> 'a) -> 'a
 (** Turn a job count into the optional pool every harness driver takes:

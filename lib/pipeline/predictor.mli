@@ -4,8 +4,6 @@
 type t
 
 val create : history_bits:int -> t
-val predict : t -> pc:int -> bool
-val update : t -> pc:int -> taken:bool -> unit
 val observe : t -> pc:int -> taken:bool -> bool
 (** Predict then update; returns whether the prediction was correct. *)
 

@@ -21,6 +21,7 @@ val compose_sub_from : int -> affine -> affine
 (** [w' = k - w] *)
 
 val compose_neg : affine -> affine
+(** Test seam: test_range checks negation composes into the affine form. *)
 
 val compose_mul : affine -> int -> affine option
 (** [w' = w * k]; [None] for [k = 0] (the result is constant, not

@@ -176,23 +176,6 @@ let env_at_term t b =
   | Domain.Unreachable -> None
   | Domain.Env env -> Some env
 
-let pred_before t ~iid reg =
-  let f = t.func in
-  let blk_idx, pos =
-    match Mir.Func.location f iid with
-    | Mir.Func.Body (b, p) -> (b, p)
-    | Mir.Func.Term b -> (b, Array.length f.blocks.(b).Mir.Block.body)
-  in
-  match t.block_in.(blk_idx) with
-  | Domain.Unreachable -> Pred.Never
-  | Domain.Env env0 ->
-      let env = ref env0 in
-      let blk = f.blocks.(blk_idx) in
-      for p = 0 to pos - 1 do
-        env := step !env blk.Mir.Block.body.(p)
-      done;
-      !env.(Mir.Reg.index reg)
-
 let infeasible_directions t =
   let f = t.func in
   let already iid taken =

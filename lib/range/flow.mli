@@ -15,10 +15,6 @@ val analyze : ?feas:Ipds_cfg.Feasibility.t -> Ipds_mir.Func.t -> t
 (** Solve over the feasibility-pruned view when [feas] is given (more
     pruning can expose more forced branches), else over the raw CFG. *)
 
-val pred_before : t -> iid:int -> Ipds_mir.Reg.t -> Pred.t
-(** Facts holding just before instruction [iid] executes; [Never] when
-    the point is unreachable. *)
-
 val infeasible_directions : t -> (int * bool) list
 (** Branch directions [(term_iid, taken)] no execution can take:
     the direction's exact inverse image meets the incoming facts at

@@ -12,6 +12,8 @@ type t =
 val top : t
 val is_top : t -> bool
 val mem : int -> t -> bool
+(** Test seam: test_range checks set membership of single values. *)
+
 val subset : t -> t -> bool
 (** [subset a b] — [a]'s set is contained in [b]'s ([b] subsumes [a]). *)
 
@@ -35,3 +37,4 @@ val widen : t -> t -> t
     changes; chains stabilize. *)
 
 val pp : Format.formatter -> t -> unit
+(** Test seam: test_range prints predicates in failure messages. *)

@@ -18,8 +18,10 @@ val close : t -> unit
 (** Idempotent. *)
 
 val load_key : t -> string -> (bool, Protocol.err) result
-(** Load an artifact from the server's store; [Ok cached] tells whether
-    it was already resident in the server's LRU. *)
+(** Test seam: the serve and fleet smoke tests load stored artifacts by key;
+    {!Fleet_client} routes loads itself.  Load an artifact from the server's
+    store; [Ok cached] tells whether it was already resident in the server's
+    LRU. *)
 
 val load_image : t -> name:string -> Bytes.t -> (bool, Protocol.err) result
 (** Ship inline [.ipds] bytes; [Ok cached] as for {!load_key}.  The

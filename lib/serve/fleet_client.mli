@@ -14,7 +14,8 @@ val create : ?max_frame:int -> Ipds_fleet.Topology.t -> t
     reply frame read from a shard. *)
 
 val owner : t -> string -> int
-(** The ring owner of [key]. *)
+(** Test seam: the fleet smoke test checks that a routed connection reached
+    the ring owner.  The ring owner of [key]. *)
 
 type routed = {
   client : Client.t;
@@ -39,5 +40,6 @@ val fetch_artifact :
     verification of the returned bytes. *)
 
 val push_artifact : t -> key:string -> Bytes.t -> (bool, Protocol.err) result
-(** {!Client.push_artifact} to the key's ring owner (with connect
-    failover): seed a fleet with a locally-built artifact. *)
+(** Test seam: the fleet smoke test seeds a fleet with a built artifact.
+    {!Client.push_artifact} to the key's ring owner (with connect failover):
+    seed a fleet with a locally-built artifact. *)

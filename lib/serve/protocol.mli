@@ -39,13 +39,18 @@
     [pc = 0] except on a branch. *)
 
 val magic : string
+(** Test seam: test_serve forges frames byte by byte. *)
+
 val version : int
+(** Test seam: tests stamp a stale version on an otherwise valid frame. *)
 
 val header_bytes : int
-(** Bytes before the payload (magic + version + tag + length). *)
+(** Test seam: tests forge and edit frames at known offsets.  Bytes before the
+    payload (magic + version + tag + length). *)
 
 val trailer_bytes : int
-(** The CRC-32 trailer. *)
+(** Test seam: tests forge and edit frames at known offsets.  The CRC-32
+    trailer. *)
 
 val default_max_frame : int
 (** Default payload-size limit (4 MiB). *)
@@ -116,8 +121,9 @@ val decode_at : ?max_frame:int -> Bytes.t -> pos:int -> len:int -> decoded
 (** Decode one frame from [buf[pos, pos+len)].  Never raises. *)
 
 val decode_string : ?max_frame:int -> string -> (frame list, err) result
-(** Decode a complete byte stream; a stream ending mid-frame is
-    [Error {code = Truncated; _}].  Never raises. *)
+(** Test seam: tests decode a whole byte stream at once; the server scans
+    spans with {!scan_at}.  Decode a complete byte stream; a stream ending
+    mid-frame is [Error {code = Truncated; _}].  Never raises. *)
 
 (** {2 Incremental scanning and streaming batch decode}
 
@@ -175,8 +181,9 @@ val default_batch : int
     events a {!staging} holds from the start. *)
 
 val staging_keep : int
-(** [4 × default_batch].  A staging batch grown past this many events
-    or names is not kept once it has been decoded into. *)
+(** Test seam: test_serve sizes a batch past the bound a staging keeps.  [4 ×
+    default_batch].  A staging batch grown past this many events or names is
+    not kept once it has been decoded into. *)
 
 type staging
 (** One batch that every span staged through it is decoded into, and
@@ -211,16 +218,13 @@ val stage : staging -> Bytes.t -> pos:int -> len:int -> batch
     before it. *)
 
 val staged_capacity : staging -> int
-(** Events the staging's batch holds now. *)
-
-val decode_staged : Bytes.t -> pos:int -> len:int -> batch
-(** {!stage} into the calling domain's own staging, shared by every
-    thread of the domain.  Only {!iter_branch_events} stages through
-    it; the server never does, since its first reactor shares a domain
-    with the caller's threads. *)
+(** Test seam: test_serve checks a staging shrinks back after an oversized
+    batch.  Events the staging's batch holds now. *)
 
 val staging_capacity : unit -> int
-(** Events the calling domain's staging batch holds now. *)
+(** Test seam: test_serve checks the calling domain's staging shrinks back
+    after an oversized batch.  Events the calling domain's staging batch holds
+    now. *)
 
 val iter_branch_events :
   Bytes.t ->
@@ -231,11 +235,14 @@ val iter_branch_events :
   on_branch:(pc:int -> taken:bool -> unit) ->
   on_other:(unit -> unit) ->
   int
-(** Decode one [Branch_events] payload span with {!decode_staged},
+(** Decode one [Branch_events] payload span with {!stage} into the
+    calling domain's own staging, shared by every thread of the domain,
     then hand its events to the callbacks in order; returns the event
     count.  No callback runs unless the whole span decodes, and no
     callback may decode a span on the same domain.  [on_other] is never
-    called (v2 carries no other kind).  Raises as {!decode_staged}. *)
+    called (v2 carries no other kind).  Raises as {!stage}.  The server
+    never decodes through this, since its first reactor shares a domain
+    with the caller's threads. *)
 
 (** {2 Socket transport} *)
 

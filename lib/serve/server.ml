@@ -500,9 +500,10 @@ let listen_on (addr : address) =
     raise e
 
 let start ?(config = default_config) (addr : address) =
-  (* First, so a bad [jobs] or [cache_slots] raises before any fd is
-     open. *)
+  (* First, so a bad [jobs], [max_frame] or [cache_slots] raises before
+     any fd is open.  A [max_frame] below 1 would refuse every frame. *)
   if config.jobs < 1 then invalid_arg "Server.start: jobs must be >= 1";
+  if config.max_frame < 1 then invalid_arg "Server.start: max_frame must be >= 1";
   let cache =
     Ipds_parallel.Memo.create ~capacity:config.cache_slots
       ~metrics_prefix:"serve.cache" ()

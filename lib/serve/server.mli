@@ -73,11 +73,11 @@ val default_config : config
     peer sharing. *)
 
 val max_connections : int
-(** The admission cap: live connections across all reactors.  It stays
-    below FD_SETSIZE, the largest fd [Unix.select] can watch, with room
-    for the listener, the stop pipe and store fds.  Each refused
-    socket reads one [Overloaded] error frame, then EOF, and counts in
-    [serve.overloaded]. *)
+(** Test seam: the serve smoke test holds exactly this many connections open.
+    The admission cap: live connections across all reactors.  It stays below
+    FD_SETSIZE, the largest fd [Unix.select] can watch, with room for the
+    listener, the stop pipe and store fds.  Each refused socket reads one
+    [Overloaded] error frame, then EOF, and counts in [serve.overloaded]. *)
 
 type address = [ `Unix of string | `Tcp of int ]
 (** [`Tcp port] binds the loopback interface; port 0 picks a free one
@@ -94,8 +94,8 @@ val start : ?config:config -> address -> t
     unlinked first; a live server's socket or a non-socket file raises
     [Unix_error (EADDRINUSE, _, _)].  Raises [Unix_error] if the
     address cannot be bound (the socket is closed first), and
-    [Invalid_argument] before binding if [config.jobs < 1] or
-    [config.cache_slots < 1]. *)
+    [Invalid_argument] before binding if [config.jobs < 1],
+    [config.max_frame < 1] or [config.cache_slots < 1]. *)
 
 val port : t -> int option
 (** The bound TCP port ([None] for Unix-domain servers). *)
@@ -109,4 +109,5 @@ val stop : t -> unit
     unlinked.  Bounded; idempotent. *)
 
 val with_server : ?config:config -> address -> (t -> 'a) -> 'a
-(** [start], run, [stop] (also on exception). *)
+(** Test seam: tests run a server for the extent of one function.  [start],
+    run, [stop] (also on exception). *)

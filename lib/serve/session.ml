@@ -30,13 +30,32 @@ let m_branches = Reg.counter "serve.branches"
 let m_alarms = Reg.counter "serve.alarms"
 let m_protocol_errors = Reg.counter "serve.protocol_errors"
 let m_state_errors = Reg.counter "serve.state_errors"
+
+(* [Branch_events] batches refused with [bad-state] because a call would
+   push the checker past [Interp.max_call_depth] frames; the session
+   closes.  Bounds a session's checker stack. *)
 let m_call_depth_refusals = Reg.counter "serve.call_depth_refusals"
+
+(* [Fetch_artifact] frames answered with verified artifact bytes. *)
 let m_artifact_fetches = Reg.counter "serve.artifact_fetches"
+
+(* [Push_artifact] frames accepted (stored or byte-identical dup). *)
 let m_artifact_pushes = Reg.counter "serve.artifact_pushes"
+
+(* Inbound images (pushed or peer-fetched) that failed full verification
+   and were rejected with [corrupt-artifact]. *)
 let m_artifact_verify_rejects = Reg.counter "serve.artifact_verify_rejects"
+
+(* Local-store misses satisfied by fetching a verified artifact from a
+   fleet peer.  Unstable: depends on which shard warmed first. *)
 let m_artifact_peer_loads = Reg.counter ~stable:false "serve.artifact_peer_loads"
+
+(* [Load_image] frames whose header digest named a cached entry but whose
+   bytes differed from it; each was decoded and verified on its own.
+   Unstable: whether an entry is resident depends on timing. *)
 let m_image_digest_mismatches =
   Reg.counter ~stable:false "serve.image_digest_mismatches"
+
 let m_timeouts = Reg.counter ~stable:false "serve.timeouts"
 let m_batch_micros = Reg.histogram ~stable:false "serve.batch_micros"
 

@@ -6,46 +6,12 @@
 
 module Reg = Ipds_obs.Registry
 
-(** Stable counters (per-session deterministic work; byte-identical
-    across jobs/scheduling) — the server bumps the frame counters
-    itself since framing is transport-side. *)
-
-val m_sessions : Reg.counter
 val m_frames_in : Reg.counter
 val m_frames_out : Reg.counter
-val m_traces : Reg.counter
-val m_events : Reg.counter
-val m_branches : Reg.counter
-val m_alarms : Reg.counter
-val m_protocol_errors : Reg.counter
-val m_state_errors : Reg.counter
-
-val m_call_depth_refusals : Reg.counter
-(** [Branch_events] batches refused with [bad-state] because a call
-    would push the checker past {!Ipds_machine.Interp.max_call_depth}
-    frames; the session closes.  Bounds a session's checker stack. *)
-
-val m_artifact_fetches : Reg.counter
-(** [Fetch_artifact] frames answered with verified artifact bytes. *)
-
-val m_artifact_pushes : Reg.counter
-(** [Push_artifact] frames accepted (stored or byte-identical dup). *)
-
-val m_artifact_verify_rejects : Reg.counter
-(** Inbound images (pushed or peer-fetched) that failed full
-    verification and were rejected with [corrupt-artifact]. *)
-
-val m_artifact_peer_loads : Reg.counter
-(** Local-store misses satisfied by fetching a verified artifact from a
-    fleet peer.  Unstable: depends on which shard warmed first. *)
-
-val m_image_digest_mismatches : Reg.counter
-(** [Load_image] frames whose header digest named a cached entry but
-    whose bytes differed from it; each was decoded and verified on its
-    own.  Unstable: whether an entry is resident depends on timing. *)
-
-val m_timeouts : Reg.counter
-(** Unstable (timing-dependent). *)
+(** The stable [serve.frames_in]/[serve.frames_out] counters, bumped by
+    the server itself since framing is transport-side.  Every other
+    [serve.*] metric is counted here and read through
+    {!Ipds_obs.Registry.snapshot}. *)
 
 type t
 
@@ -78,7 +44,7 @@ val create :
     are [String.equal] to the stored payload.  Other bytes under the
     same header digest are decoded and verified on their own, served
     uncached ([cached = false]) or refused as [corrupt-artifact], and
-    counted in {!m_image_digest_mismatches}; they never get another
+    counted in [serve.image_digest_mismatches]; they never get another
     image's tables.  A payload shorter than the container header has no
     key and goes straight to the decode, which refuses it.  [peer_fetch] is the
     fleet hook consulted on a [Load_key] local-store miss: it returns
@@ -101,9 +67,9 @@ val send_error : send:(Protocol.frame -> unit) -> Protocol.error_code -> string 
 
 val handle :
   t -> send:(Protocol.frame -> unit) -> Protocol.frame -> [ `Close | `Continue ]
-(** The frame state machine on a decoded frame.  A decoded
-    [Branch_events] is a typed [Bad_state] error: batches go through
-    {!handle_events_span}. *)
+(** Test seam: tests drive the frame state machine without a socket.  The
+    frame state machine on a decoded frame.  A decoded [Branch_events] is a
+    typed [Bad_state] error: batches go through {!handle_events_span}. *)
 
 val handle_events_span :
   t ->
@@ -113,14 +79,14 @@ val handle_events_span :
   pos:int ->
   len:int ->
   [ `Close | `Continue ]
-(** One CRC-validated [Branch_events] payload span, staged whole into
-    [staging] by {!Protocol.stage} and then fed: a malformed payload
-    mutates nothing.  The server passes the staging of the reactor
-    that read the span.  Counts only call/ret/branch
-    events, the kinds the wire carries.  A [Ret]/[Branch] event against
-    an empty checker stack, or a call that would nest deeper than
-    {!Ipds_machine.Interp.max_call_depth}, is a typed [Bad_state]
-    error and closes the session. *)
+(** Test seam: test_serve feeds staged batches without a socket.  One
+    CRC-validated [Branch_events] payload span, staged whole into [staging] by
+    {!Protocol.stage} and then fed: a malformed payload mutates nothing.  The
+    server passes the staging of the reactor that read the span.  Counts only
+    call/ret/branch events, the kinds the wire carries.  A [Ret]/[Branch]
+    event against an empty checker stack, or a call that would nest deeper
+    than {!Ipds_machine.Interp.max_call_depth}, is a typed [Bad_state] error
+    and closes the session. *)
 
 val handle_span :
   t ->

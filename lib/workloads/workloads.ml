@@ -95,14 +95,13 @@ let cache : (string * bool, Ipds_mir.Program.t) Ipds_parallel.Memo.t =
 let compiles = Atomic.make 0
 let m_compiles = Ipds_obs.Registry.counter "workloads.compiles"
 
-let compiled ?(promote = true) w =
+let program ?(promote = true) w =
   Ipds_parallel.Memo.find_or_add cache (w.name, promote) (fun () ->
       Atomic.incr compiles;
       Ipds_obs.Registry.incr m_compiles;
       let p = Ipds_minic.Minic.compile w.source in
       if promote then Ipds_opt.Promote.program p else p)
 
-let program = compiled
 let compile_count () = Atomic.get compiles
 
 (* Two-tier system cache: the in-memory memo collapses repeats within a
@@ -128,7 +127,7 @@ let system ?(promote = true) ?options ?pool w =
           let key = Ipds_artifact.Store.key ~source:w.source ~promote ~options in
           let sys =
             Ipds_artifact.Incremental.system ~options ?pool store ~key (fun () ->
-                compiled ~promote w)
+                program ~promote w)
           in
           (* A disk hit skipped the compile: seed both memos so later
              [program]/[cached_build] lookups stay in memory. *)
@@ -138,7 +137,7 @@ let system ?(promote = true) ?options ?pool w =
           Ipds_core.System.seed_cache ~options sys.Ipds_core.System.program sys;
           sys
       | None ->
-          let p = compiled ~promote w in
+          let p = program ~promote w in
           Ipds_core.System.cached_build ~options ?pool p)
 
 let tamper_model w =

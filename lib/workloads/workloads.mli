@@ -22,19 +22,17 @@ val find : string -> t
 (** Raises [Not_found]. *)
 
 val firewall : seed:int -> nrules:int -> t
-(** A fresh firewall-policy family member ([fwpolicyd-s<seed>-r<n>],
-    see {!Firewall.generate}); distinct names keep the per-name
-    compile/system memos sound. *)
+(** Test seam: test_workloads checks that family members are distinct and
+    reproducible.  A fresh firewall-policy family member
+    ([fwpolicyd-s<seed>-r<n>], see {!Firewall.generate}); distinct names keep
+    the per-name compile/system memos sound. *)
 
-val compiled : ?promote:bool -> t -> Ipds_mir.Program.t
+val program : ?promote:bool -> t -> Ipds_mir.Program.t
 (** Compiled MIR, memoised per [(workload, promote)] — domain-safe and
     exactly-once: concurrent callers for the same configuration block on
     the single in-flight compile.  [promote] (default true) applies
     register promotion ({!Ipds_opt.Promote}), matching the paper's
     register-allocated binaries; pass [false] for the -O0 ablation. *)
-
-val program : ?promote:bool -> t -> Ipds_mir.Program.t
-(** Alias of {!compiled} (historical name). *)
 
 val compile_count : unit -> int
 (** How many MiniC compiles have actually run in this process — the
@@ -53,7 +51,7 @@ val system :
     the ambient artifact store ({!Ipds_artifact.Store.ambient}), then a
     real compile + analysis fanned over [pool] with the store's
     function tier consulted per function; the result is published back
-    to the store.  A disk hit also seeds {!compiled} and
+    to the store.  A disk hit also seeds {!program} and
     {!Ipds_core.System.cached_build}, so a warm process performs zero
     MiniC compiles and zero analyses for cached configurations.
     Exactly-once and domain-safe per [(workload, promote, options)];

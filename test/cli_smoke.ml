@@ -289,9 +289,12 @@ let () =
     [
       (2, [ "serve"; "--socket"; path "never.sock"; "--cache-slots"; "0" ]);
       (2, [ "serve"; "--socket"; path "never.sock"; "--jobs"; "0" ]);
+      (2, [ "serve"; "--socket"; path "never.sock"; "--max-frame"; "0" ]);
+      (2, [ "serve"; "--socket"; path "never.sock"; "--timeout=-1" ]);
       (2, [ "fleet"; "--socket"; path "never.sock"; "--jobs"; "0" ]);
       (2, [ "fleet"; "--socket"; path "never.sock"; "--shards"; "0" ]);
       (2, [ "fleet"; "--socket"; path "never.sock"; "--cache-slots"; "0" ]);
+      (2, [ "fleet"; "--socket"; path "never.sock"; "--timeout=-1" ]);
       (2, [ "check-remote"; "@telnetd"; "--socket"; path "s1.sock"; "--batch"; "0" ]);
       (2, [ "check-remote"; "@telnetd"; "--socket"; path "s1.sock"; "--shards"; "0" ]);
       (124, [ "attack"; "@telnetd"; "--model"; "bogus" ]);

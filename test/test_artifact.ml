@@ -364,18 +364,6 @@ let test_images_differential () =
   done;
   check "the tamper plans raised alarms to compare" true (!alarms_seen > 0)
 
-(* [image] re-sealed with [code] as its code section: every CRC and the
-   container digest are recomputed, so the result passes every check
-   but the parse. *)
-let with_code code image =
-  Obj.to_bytes
-    ~sections:
-      (List.map
-         (fun (name, payload) ->
-           if String.equal name "code" then (name, Bytes.of_string code)
-           else (name, payload))
-         (Obj.of_bytes image))
-
 (* The deliberate split between the two load paths.  A container whose
    code section is rewritten and re-digested still loads for checking
    through [Load_image], which never reads code; the same bytes are
@@ -383,7 +371,9 @@ let with_code code image =
    them to the store. *)
 let test_code_section_split () =
   let good = A.to_bytes (system_of (W.find "telnetd")) in
-  let rewritten = with_code "not a program" good in
+  let rewritten =
+    Reseal.container ~section:"code" (Bytes.of_string "not a program") good
+  in
   check "of_bytes rejects the rewritten code" true
     (match A.of_bytes rewritten with
     | _ -> false
@@ -423,7 +413,11 @@ let test_code_section_split () =
 let overlong_literal_code = "func main() {\n e:\n  r0 = 99999999999999999999999\n  halt\n}\n"
 
 let test_overlong_literal_is_corrupt () =
-  let bad = with_code overlong_literal_code (A.to_bytes (system_of (W.find "telnetd"))) in
+  let bad =
+    Reseal.container ~section:"code"
+      (Bytes.of_string overlong_literal_code)
+      (A.to_bytes (system_of (W.find "telnetd")))
+  in
   check_str "of_bytes raises Corrupt"
     "code section: line 3: integer literal out of range"
     (match A.of_bytes bad with

@@ -1,9 +1,8 @@
-(* Tests for CFG construction, dominators, the instruction-level point
-   graph, and branch-edge regions. *)
+(* Tests for CFG construction, the instruction-level point graph, and
+   branch-edge regions. *)
 
 module Mir = Ipds_mir
 module Cfg = Ipds_cfg.Cfg
-module Dom = Ipds_cfg.Dominators
 module Pg = Ipds_cfg.Point_graph
 module Region = Ipds_cfg.Region
 
@@ -68,30 +67,6 @@ island:
   let cfg = Cfg.make f in
   check "island unreachable" false (Cfg.reachable cfg).(1);
   check_int "rpo excludes island" 1 (Array.length (Cfg.reverse_postorder cfg))
-
-let test_dominators () =
-  let f = diamond_loop () in
-  let cfg = Cfg.make f in
-  let dom = Dom.compute cfg in
-  check "entry dominates all" true
-    (List.for_all (fun b -> Dom.dominates dom 0 b) [ 0; 1; 2; 3; 4 ]);
-  check "a does not dominate join" false (Dom.dominates dom 1 3);
-  check "join dominates exit" true (Dom.dominates dom 3 4);
-  check "idom of join is entry" true (Dom.idom dom 3 = Some 0);
-  check "idom of entry is none" true (Dom.idom dom 0 = None);
-  check "dominance is reflexive" true (Dom.dominates dom 3 3)
-
-let test_dominates_point () =
-  let f = diamond_loop () in
-  let cfg = Cfg.make f in
-  let dom = Dom.compute cfg in
-  (* iid 0 = load in entry, iid 1 = branch in entry, iid 8 = load in join *)
-  check "earlier instr dominates later in same block" true
-    (Dom.dominates_point dom f 0 1);
-  check "later does not dominate earlier" false (Dom.dominates_point dom f 1 0);
-  check "entry load dominates join load" true (Dom.dominates_point dom f 0 8);
-  check "side block instr does not dominate join" false
-    (Dom.dominates_point dom f 2 6)
 
 let test_point_graph () =
   let f = diamond_loop () in
@@ -290,11 +265,6 @@ let () =
           Alcotest.test_case "succs/preds" `Quick test_succs_preds;
           Alcotest.test_case "rpo/reachable" `Quick test_rpo_reachable;
           Alcotest.test_case "unreachable block" `Quick test_unreachable_block;
-        ] );
-      ( "dominators",
-        [
-          Alcotest.test_case "block dominance" `Quick test_dominators;
-          Alcotest.test_case "point dominance" `Quick test_dominates_point;
         ] );
       ( "points",
         [

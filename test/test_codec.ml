@@ -271,11 +271,6 @@ let golden_error_codes =
     (P.Unavailable, 13, "unavailable");
   ]
 
-(* Re-seal a frame's CRC after its bytes were edited. *)
-let reseal b =
-  let body = Bytes.length b - P.trailer_bytes in
-  Bytes.set_int32_le b body (Ipds_artifact.Crc32.bytes b ~pos:0 ~len:body)
-
 let test_golden_error_codes () =
   List.iter
     (fun (code, wire, name) ->
@@ -291,7 +286,7 @@ let test_golden_error_codes () =
     (fun byte ->
       let b = P.encode_frame (P.Error { P.code = P.Unavailable; detail = "d" }) in
       Bytes.set_uint8 b P.header_bytes byte;
-      reseal b;
+      Reseal.frame b;
       match P.decode_string (Bytes.to_string b) with
       | Error e ->
           check_str "out-of-range code" "malformed" (P.error_code_to_string e.P.code);

@@ -264,10 +264,10 @@ let test_checker_verify_update () =
   let v2 = Core.Checker.on_branch checker ~pc:(pc 3) ~taken:false in
   check "subsumption violation must alarm" true (Core.Checker.verdict_alarm v2);
   check "verdict carries expected status" true
-    (Core.Status.equal (Core.Checker.verdict_expected v2) Core.Status.Taken);
+    (Core.Checker.verdict_expected v2 = Core.Status.Taken);
   (match Core.Checker.last_alarm checker with
   | Some a ->
-      check "alarm expected taken" true (Core.Status.equal a.Core.Checker.expected Core.Status.Taken);
+      check "alarm expected taken" true (a.Core.Checker.expected = Core.Status.Taken);
       check "alarm actual not taken" false a.Core.Checker.actual_taken
   | None -> Alcotest.fail "subsumption violation must alarm");
   check_int "alarm recorded" 1 (Core.Checker.alarm_count checker);
@@ -329,7 +329,7 @@ let test_checker_misc () =
   check_int "one branch seen" 1 (Core.Checker.branches_seen checker);
   let statuses = Core.Checker.current_statuses checker in
   check "some status is pinned" true
-    (List.exists (fun (_, s) -> not (Core.Status.equal s Core.Status.Unknown)) statuses);
+    (List.exists (fun (_, s) -> s <> Core.Status.Unknown) statuses);
   (* alarm sequence numbers are commit indices *)
   let v = Core.Checker.on_branch checker ~pc:(pc 3) ~taken:false in
   check "expected alarm" true (Core.Checker.verdict_alarm v);

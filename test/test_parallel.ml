@@ -15,29 +15,32 @@ let ( let* ) = Q.bind
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* The pool's parallel map, as every caller reaches it. *)
+let map p = Pool.map' (Some p)
+
 let test_map_order_and_values () =
   Pool.with_pool ~jobs:4 (fun p ->
       let xs = List.init 100 Fun.id in
       check "squares in order" true
-        (Pool.map p (fun x -> x * x) xs = List.map (fun x -> x * x) xs))
+        (map p (fun x -> x * x) xs = List.map (fun x -> x * x) xs))
 
 let test_edge_inputs () =
   Pool.with_pool ~jobs:3 (fun p ->
-      check "empty input" true (Pool.map p (fun x -> x + 1) [] = []);
-      check "singleton input" true (Pool.map p string_of_int [ 7 ] = [ "7" ]))
+      check "empty input" true (map p (fun x -> x + 1) [] = []);
+      check "singleton input" true (map p string_of_int [ 7 ] = [ "7" ]))
 
 let test_jobs_one_spawns_nothing () =
   (* jobs:1 must work purely on the calling domain *)
   Pool.with_pool ~jobs:1 (fun p ->
       check_int "jobs" 1 (Pool.jobs p);
-      check "map works" true (Pool.map p succ [ 1; 2; 3 ] = [ 2; 3; 4 ]))
+      check "map works" true (map p succ [ 1; 2; 3 ] = [ 2; 3; 4 ]))
 
 exception Boom of int
 
 let test_exception_propagation () =
   Pool.with_pool ~jobs:4 (fun p ->
       (match
-         Pool.map p
+         map p
            (fun x -> if x mod 3 = 0 then raise (Boom x) else x)
            (List.init 20 (fun i -> i + 1))
        with
@@ -46,15 +49,15 @@ let test_exception_propagation () =
           (* smallest failing index wins, independent of scheduling *)
           check_int "first failing element" 3 n);
       (* the pool survives a failed map *)
-      check "pool still usable" true (Pool.map p succ [ 1; 2 ] = [ 2; 3 ]))
+      check "pool still usable" true (map p succ [ 1; 2 ] = [ 2; 3 ]))
 
 let test_nested_map () =
   (* the harness nests: workloads fan out, each workload's attempts fan
      out on the same pool; the waiting parent must help, not deadlock *)
   Pool.with_pool ~jobs:2 (fun p ->
       let result =
-        Pool.map p
-          (fun i -> List.fold_left ( + ) 0 (Pool.map p (fun j -> (10 * i) + j) [ 1; 2; 3 ]))
+        map p
+          (fun i -> List.fold_left ( + ) 0 (map p (fun j -> (10 * i) + j) [ 1; 2; 3 ]))
           [ 1; 2; 3; 4 ]
       in
       check "nested sums" true (result = [ 36; 66; 96; 126 ]))
@@ -62,7 +65,7 @@ let test_nested_map () =
 let test_map' () =
   check "map' None is List.map" true (Pool.map' None succ [ 1; 2 ] = [ 2; 3 ]);
   Pool.with_pool ~jobs:2 (fun p ->
-      check "map' Some uses the pool" true (Pool.map' (Some p) succ [ 1; 2 ] = [ 2; 3 ]))
+      check "map' Some uses the pool" true (map p succ [ 1; 2 ] = [ 2; 3 ]))
 
 let test_default_jobs_positive () =
   check "default_jobs >= 1" true (Pool.default_jobs () >= 1)
@@ -77,7 +80,7 @@ let test_memo_exactly_once () =
     42
   in
   Pool.with_pool ~jobs:4 (fun p ->
-      let vs = Pool.map p (fun _ -> Memo.find_or_add memo "k" compute) (List.init 16 Fun.id) in
+      let vs = map p (fun _ -> Memo.find_or_add memo "k" compute) (List.init 16 Fun.id) in
       check "all callers see the value" true (List.for_all (( = ) 42) vs));
   check_int "computed once" 1 (Atomic.get runs);
   check_int "memo counts it" 1 (Memo.computed memo)

@@ -11,6 +11,13 @@ module Q = QCheck2.Gen
 let ( let* ) = Q.bind
 let check = Alcotest.(check bool)
 
+(* The counter [serve.<name>], read through the registry snapshot as a
+   metrics report reads it. *)
+let serve_counter name =
+  match List.assoc_opt ("serve." ^ name) (Ipds_obs.Registry.snapshot ()) with
+  | Some (Ipds_obs.Registry.Counter n) -> n
+  | _ -> Alcotest.failf "no counter serve.%s" name
+
 (* ---------- generators ---------- *)
 
 let status : Core.Status.t Q.t =
@@ -233,27 +240,6 @@ let prop_truncation_never_raises =
 
 (* ---------- hand-crafted damage the flip test cannot reach ---------- *)
 
-(* Rebuild a frame with an arbitrary tag/payload but a VALID CRC, to
-   exercise the paths behind the checksum. *)
-let forge ~tag payload =
-  let plen = String.length payload in
-  let b = Bytes.create (P.header_bytes + plen + P.trailer_bytes) in
-  Bytes.blit_string P.magic 0 b 0 4;
-  Bytes.set b 4 (Char.chr P.version);
-  Bytes.set b 5 (Char.chr tag);
-  for i = 0 to 3 do
-    Bytes.set b (6 + i) (Char.chr ((plen lsr (8 * i)) land 0xFF))
-  done;
-  Bytes.blit_string payload 0 b P.header_bytes plen;
-  let crc =
-    Int32.to_int (Ipds_artifact.Crc32.bytes b ~pos:0 ~len:(P.header_bytes + plen))
-    land 0xFFFF_FFFF
-  in
-  for i = 0 to 3 do
-    Bytes.set b (P.header_bytes + plen + i) (Char.chr ((crc lsr (8 * i)) land 0xFF))
-  done;
-  Bytes.to_string b
-
 let expect_code name code s =
   match P.decode_string s with
   | Error e -> Alcotest.(check string) name (P.error_code_to_string code) (P.error_code_to_string e.P.code)
@@ -262,11 +248,11 @@ let expect_code name code s =
 
 let test_crafted_damage () =
   (* unknown tag, valid CRC *)
-  expect_code "unknown tag" P.Unknown_frame (forge ~tag:9 "");
+  expect_code "unknown tag" P.Unknown_frame (Reseal.forge ~tag:9 "");
   (* known tag, valid CRC, garbage payload: string length field lies *)
-  expect_code "malformed payload" P.Malformed (forge ~tag:1 "\xff\xff\xff\xff\xff\xff\xff\xff");
+  expect_code "malformed payload" P.Malformed (Reseal.forge ~tag:1 "\xff\xff\xff\xff\xff\xff\xff\xff");
   (* empty payload where one is required *)
-  expect_code "short payload" P.Malformed (forge ~tag:4 "");
+  expect_code "short payload" P.Malformed (Reseal.forge ~tag:4 "");
   (* oversized length honoured before the CRC is even checked *)
   (let big = P.encode_frame (P.Load_image { name = "n"; image = String.make 4096 'x' }) in
    match P.decode_string ~max_frame:64 (Bytes.to_string big) with
@@ -274,7 +260,7 @@ let test_crafted_damage () =
    | Ok _ -> Alcotest.fail "oversized frame decoded Ok"
    | exception e -> Alcotest.failf "oversized raised %s" (Printexc.to_string e));
   (* wrong version byte *)
-  (let s = Bytes.of_string (forge ~tag:3 "") in
+  (let s = Bytes.of_string (Reseal.forge ~tag:3 "") in
    Bytes.set s 4 (Char.chr (P.version + 1));
    expect_code "version skew" P.Bad_version (Bytes.to_string s))
 
@@ -468,18 +454,8 @@ let test_push_rejects_garbage_and_collision () =
       expect_err "colliding push rejected" P.Corrupt_artifact
         (Serve.Client.push_artifact client ~key (img "httpd")))
 
-(* [good] with section [name] replaced by [payload], every CRC and the
-   container digest re-sealed. *)
-let reseal_with name payload good =
-  let module Obj = Ipds_artifact.Object_file in
-  Obj.to_bytes
-    ~sections:
-      (List.map
-         (fun (n, p) -> if String.equal n name then (n, payload) else (n, p))
-         (Obj.of_bytes good))
-
 let verify_rejects () =
-  Ipds_obs.Registry.counter_value Ipds_serve.Session.m_artifact_verify_rejects
+  serve_counter "artifact_verify_rejects"
 
 (* A pushed container whose code section holds an integer literal past
    the int range: refused as a typed corrupt-artifact, counted once as
@@ -490,7 +466,7 @@ let test_push_rejects_overlong_literal () =
       (Core.System.cached_build (W.program (W.find "telnetd")))
   in
   let bad =
-    reseal_with "code"
+    Reseal.container ~section:"code"
       (Bytes.of_string
          "func main() {\n e:\n  r0 = 99999999999999999999999\n  halt\n}\n")
       good
@@ -554,7 +530,7 @@ let test_push_rejects_invalid_image () =
     ~pos:(header + space + (((2 * space) + 1) * Image.ptr_bits ~n_nodes))
     ~width:(max 1 image.Image.space_bits)
     (List.hd unchecked);
-  let bad = reseal_with "f0" f0 good in
+  let bad = Reseal.container ~section:"f0" f0 good in
   let key = "e2e-invalid-image-key" in
   with_store_server (fun client addr ->
       let r0 = verify_rejects () in
@@ -650,7 +626,12 @@ let test_failed_start_closes () =
   refused "jobs = 0"
     (Some { Serve.Server.default_config with jobs = 0 })
     (function Invalid_argument _ -> true | _ -> false);
-  Alcotest.(check int) "descriptors after jobs = 0" before (open_fds ())
+  Alcotest.(check int) "descriptors after jobs = 0" before (open_fds ());
+  (* a server that would refuse every frame as oversized *)
+  refused "max_frame = 0"
+    (Some { Serve.Server.default_config with max_frame = 0 })
+    (function Invalid_argument _ -> true | _ -> false);
+  Alcotest.(check int) "descriptors after max_frame = 0" before (open_fds ())
 
 (* A default server runs on the caller's domain: [Server.start] at
    [jobs = 1] adds the tasks one blocked [Thread.create] adds, where a
@@ -735,17 +716,16 @@ let telnetd_run =
      (Array.of_list (List.rev !events), image, cache))
 
 let stable_counters =
-  Session.
-    [
-      m_sessions; m_traces; m_events; m_branches; m_alarms; m_protocol_errors;
-      m_state_errors;
-    ]
+  [
+    "sessions"; "traces"; "events"; "branches"; "alarms"; "protocol_errors";
+    "state_errors";
+  ]
 
 (* Replies and stable counter deltas of one session that feeds
    [batches] through [feed], then ends the trace if it is still open. *)
 let feed_session batches feed =
   let _, image, cache = Lazy.force telnetd_run in
-  let before = List.map Reg.counter_value stable_counters in
+  let before = List.map serve_counter stable_counters in
   let replies = ref [] in
   let send f = replies := Bytes.to_string (P.encode_frame f) :: !replies in
   let s = Session.create ~store:None ~cache () in
@@ -759,7 +739,7 @@ let feed_session batches feed =
   go batches;
   Session.close s;
   ( List.rev !replies,
-    List.map2 ( - ) (List.map Reg.counter_value stable_counters) before )
+    List.map2 ( - ) (List.map serve_counter stable_counters) before )
 
 (* The staging every session in this file is handed, as a reactor
    hands its own to each session it serves. *)
@@ -1035,10 +1015,8 @@ let telnetd_image () =
 (* The telnetd container with one more section, [pad], last in its
    table. *)
 let padded_image pad =
-  let sections =
-    Object_file.of_bytes (Bytes.of_string (telnetd_image ())) @ [ ("pad", pad) ]
-  in
-  Bytes.to_string (Object_file.to_bytes ~sections)
+  Bytes.to_string
+    (Reseal.container ~section:"pad" pad (Bytes.of_string (telnetd_image ())))
 
 let loaded_as what want got =
   check what true (got = want)
@@ -1051,8 +1029,8 @@ let test_image_hit () =
   loaded_as "same bytes again hit" (`Cached true)
     (load_inline cache (Bytes.to_string (Bytes.of_string image)))
 
-let mismatches () = Reg.counter_value Session.m_image_digest_mismatches
-let protocol_errors () = Reg.counter_value Session.m_protocol_errors
+let mismatches () = serve_counter "image_digest_mismatches"
+let protocol_errors () = serve_counter "protocol_errors"
 
 let test_forged_body () =
   let cache = Ipds_parallel.Memo.create ~capacity:4 () in
@@ -1294,7 +1272,7 @@ let call_main =
     kind = Ipds_machine.Event.Call { callee = "main" };
   }
 
-let depth_refusals () = Reg.counter_value Session.m_call_depth_refusals
+let depth_refusals () = serve_counter "call_depth_refusals"
 
 let test_call_depth_bound () =
   let r0 = depth_refusals () in
@@ -1375,7 +1353,7 @@ let test_ret_flood_staging () =
   let flood = ret_flood (1 lsl 20) in
   check "at least 256 KB" true (Bytes.length flood >= 256 * 1024);
   let _, image, cache = Lazy.force telnetd_run in
-  let errors0 = Reg.counter_value Session.m_state_errors in
+  let errors0 = serve_counter "state_errors" in
   let s = Session.create ~store:None ~cache () in
   let replies = ref [] in
   let send f = replies := f :: !replies in
@@ -1392,7 +1370,7 @@ let test_ret_flood_staging () =
       Alcotest.(check string) "refusal" "Ret with an empty checker stack" detail
   | _ -> Alcotest.fail "expected a Bad_state reply");
   Alcotest.(check int) "one state error counted" 1
-    (Reg.counter_value Session.m_state_errors - errors0);
+    (serve_counter "state_errors" - errors0);
   Alcotest.(check int) "staging back at the default" Serve.Client.default_batch
     (P.staged_capacity staging);
   check "a clean session is served" true
