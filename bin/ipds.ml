@@ -64,7 +64,7 @@ let load_system ?(jobs = 1) ?options path =
       else Mir.Parser.program_of_string src
     in
     Ipds_parallel.Pool.with_opt ~jobs (fun pool ->
-        Core.System.cached_build ?options ?pool program)
+        Core.System.build ?options ?pool program)
   end
 
 let file_arg =
@@ -355,11 +355,10 @@ let attack_cmd =
         ]
       obs;
     let system = load_system file in
-    let program = system.Core.System.program in
     match
       Ipds_parallel.Pool.with_opt ~jobs (fun pool ->
-          Ipds_harness.Attack_experiment.campaign ~system ?pool ~attacks ~seed
-            ~model ~name:file program)
+          Ipds_harness.Attack_experiment.campaign ?pool ~attacks ~seed ~model
+            ~name:file system)
     with
     | row ->
         Format.printf "attacks injected: %d@." row.Ipds_harness.Attack_experiment.attacks;

@@ -73,14 +73,12 @@ type func_cache = {
   publish : digest:string -> func_info -> unit;
 }
 
-let builds = Atomic.make 0
-let build_count () = Atomic.get builds
 let m_builds = Ipds_obs.Registry.counter "system.builds"
+let build_count () = Ipds_obs.Registry.counter_value m_builds
 let t_build = Ipds_obs.Registry.timer "core.build.ns"
 
 let build ?options ?pool ?func_cache program =
   let options = Option.value options ~default:Corr.Analysis.default_options in
-  Atomic.incr builds;
   Ipds_obs.Registry.incr m_builds;
   Ipds_obs.Registry.time t_build (fun () ->
       let layout = Pass.run pass_layout program in
@@ -125,30 +123,6 @@ let build ?options ?pool ?func_cache program =
         Ipds_parallel.Pool.map' pool compile_func program.Mir.Program.funcs
       in
       make ~program ~layout ~funcs)
-
-(* The memo is keyed by the option fingerprint and the printed program
-   themselves — not by the structural [(Program.t, options)] pair, whose
-   deep compare walked the whole IR on every lookup and whose
-   closure-bearing [options] made hashing fragile.  The key never leaves
-   the process, so it is not hashed and cannot collide: the fingerprint
-   holds no NUL, so the first NUL ends it. *)
-let cache : (string, t) Ipds_parallel.Memo.t = Ipds_parallel.Memo.create ()
-
-let build_key ~options program =
-  Corr.Analysis.options_fingerprint options
-  ^ "\x00"
-  ^ Mir.Printer.program_to_string program
-
-let cached_build ?options ?pool program =
-  let options = Option.value options ~default:Corr.Analysis.default_options in
-  Ipds_parallel.Memo.find_or_add cache (build_key ~options program) (fun () ->
-      build ~options ?pool program)
-
-let seed_cache ?options program t =
-  let options = Option.value options ~default:Corr.Analysis.default_options in
-  ignore
-    (Ipds_parallel.Memo.find_or_add cache (build_key ~options program)
-       (fun () -> t))
 
 let info t name =
   (* exception-style find: no [Some] box on the checker's call hot path *)

@@ -70,26 +70,9 @@ val build :
     sequential build for any job count) and consults [func_cache]
     before analyzing each function. *)
 
-val cached_build :
-  ?options:Ipds_correlation.Analysis.options ->
-  ?pool:Ipds_parallel.Pool.t ->
-  Ipds_mir.Program.t ->
-  t
-(** Like {!build} but memoised — domain-safe and exactly-once, so every
-    experiment in a bench run shares one analysis + table construction
-    per configuration.  The memo key is the option fingerprint and the
-    printed program themselves, unhashed, so omitted [options] and
-    explicit default options share an entry and no two programs can. *)
-
 val build_count : unit -> int
-(** How many (non-cached) builds have actually run in this process. *)
-
-val seed_cache :
-  ?options:Ipds_correlation.Analysis.options -> Ipds_mir.Program.t -> t -> unit
-(** Pre-populate the {!cached_build} memo with a system obtained
-    elsewhere (an on-disk artifact), so later [cached_build] calls for
-    the same program return it without analyzing.  A no-op when an
-    entry already exists; does not bump {!build_count}. *)
+(** How many builds have run in this process: the [system.builds]
+    registry counter, which {!Ipds_obs.Registry.reset} zeroes. *)
 
 val info : t -> string -> func_info
 (** Test seam: tests look up one function's digest and image by name.  Raises

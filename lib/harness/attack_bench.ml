@@ -45,11 +45,12 @@ let run ?(config = default_config) ?pool () =
     Ipds_gen.Gen.population ?pool ~seed:config.seed ~count:config.pop_members ()
   in
   let pop_distinct = List.length (List.sort_uniq String.compare members) in
-  let programs =
+  (* one build per member, shared by every universe's campaign *)
+  let systems =
     List.mapi
       (fun i src ->
         ( Printf.sprintf "gen-%d-%03d" config.seed i,
-          Ipds_minic.Minic.compile src ))
+          Ipds_core.System.build ?pool (Ipds_minic.Minic.compile src) ))
       members
   in
   let pop_universes =
@@ -57,10 +58,10 @@ let run ?(config = default_config) ?pool () =
       (fun u ->
         let rows =
           List.map
-            (fun (name, p) ->
+            (fun (name, system) ->
               A.campaign ?pool ~attacks:config.pop_attacks ~seed:config.seed
-                ~model:(A.model_of_universe u) ~name p)
-            programs
+                ~model:(A.model_of_universe u) ~name system)
+            systems
         in
         (u, A.summarize rows))
       config.universes

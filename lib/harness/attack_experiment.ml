@@ -171,13 +171,8 @@ let classify a =
 let run_attempt ~system ~program ~model ~seed ~name i =
   classify (attempt ~system ~model program (attempt_rng ~seed ~name ~attempt:i))
 
-let campaign ?system ?pool ?(attacks = 100) ?(seed = 2006) ~model ~name
-    program =
-  let system =
-    match system with
-    | Some s -> s
-    | None -> Core.System.cached_build program
-  in
+let campaign ?pool ?(attacks = 100) ?(seed = 2006) ~model ~name system =
+  let program = system.Core.System.program in
   (* Some attempts pick a victim whose old value equals the attack value
      (no-op); keep evaluating fresh attempts until [attacks] real
      injections have happened, within a bounded number of attempts.
@@ -232,10 +227,9 @@ let campaign ?system ?pool ?(attacks = 100) ?(seed = 2006) ~model ~name
 
 let run ?pool ?(universe = `Mem) ?attacks ?seed (w : W.t) =
   (* artifact-aware: on a warm cache this skips compile + analysis *)
-  let system = W.system w in
-  campaign ~system ?pool ?attacks ?seed
+  campaign ?pool ?attacks ?seed
     ~model:(model_of_universe ~workload:w universe)
-    ~name:w.W.name system.Core.System.program
+    ~name:w.W.name (W.system w)
 
 let summarize rows =
   let frac num den = if den = 0 then 0. else float_of_int num /. float_of_int den in

@@ -118,20 +118,18 @@ val attempt :
 val classify : attempt -> attempt_outcome
 
 val campaign :
-  ?system:Ipds_core.System.t ->
   ?pool:Ipds_parallel.Pool.t ->
   ?attacks:int ->
   ?seed:int ->
   model:model ->
   name:string ->
-  Ipds_mir.Program.t ->
+  Ipds_core.System.t ->
   row
-(** Attack campaign against an explicit program under an explicit tamper
-    model.  [name] labels the row and salts the attack RNG.  The
-    program's IPDS tables come from [system] when given (e.g. loaded
-    from an on-disk artifact, or built another way by a {!Sweep}
-    variant) and from {!Ipds_core.System.cached_build} with the default
-    analysis options otherwise. *)
+(** Attack campaign against a system's program under an explicit tamper
+    model, checked against the system's IPDS tables (however they were
+    obtained: {!Ipds_workloads.Workloads.system}, an on-disk artifact,
+    or another build of a {!Sweep} variant).  [name] labels the row and
+    salts the attack RNG. *)
 
 val run :
   ?pool:Ipds_parallel.Pool.t ->

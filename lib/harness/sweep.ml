@@ -22,8 +22,8 @@ let run_variant ?attacks ?seed ?pool (v : variant) =
     Pool.map' pool
       (fun w ->
         let system = v.system w in
-        ( Attack_experiment.campaign ~system ?pool ?attacks ?seed
-            ~model:(v.model w) ~name:w.W.name system.Core.System.program,
+        ( Attack_experiment.campaign ?pool ?attacks ?seed ~model:(v.model w)
+            ~name:w.W.name system,
           system ))
       W.all
   in
@@ -67,17 +67,13 @@ let ablation =
   ]
 
 (* O0/O1 are memoised (and cached on disk) by Workloads; the O2 pipeline
-   is memoised here so the optimization passes also run once per
-   workload per process, and its tables come from the in-memory build
-   memo only. *)
-let o2_programs : (string, Ipds_mir.Program.t) Ipds_parallel.Memo.t =
-  Ipds_parallel.Memo.create ()
-
+   is built here, once per workload: [run_variant] asks for each
+   workload's system once, and no caller runs [opt_levels] twice in one
+   process. *)
 let o2 w =
-  Core.System.cached_build
-    (Ipds_parallel.Memo.find_or_add o2_programs w.W.name (fun () ->
-         Ipds_opt.Promote.program
-           (Ipds_opt.Passes.optimize (W.program ~promote:false w))))
+  Core.System.build
+    (Ipds_opt.Promote.program
+       (Ipds_opt.Passes.optimize (W.program ~promote:false w)))
 
 let opt_levels =
   [

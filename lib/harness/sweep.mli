@@ -52,7 +52,9 @@ val ablation : variant list
 val opt_levels : variant list
 (** O0 (everything memory-resident), O1 (register promotion, the
     default elsewhere), O2 (constant/copy propagation and dead-code
-    elimination, then promotion). *)
+    elimination, then promotion).  O0 and O1 come from
+    {!Ipds_workloads.Workloads.system}; O2 is built afresh on every
+    {!run}, outside that memo. *)
 
 val models : variant list
 (** The memory-write models of {!Attack_experiment.models} (overflow and

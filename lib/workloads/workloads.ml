@@ -92,25 +92,22 @@ let find name = List.find (fun w -> String.equal w.name name) all
 let cache : (string * bool, Ipds_mir.Program.t) Ipds_parallel.Memo.t =
   Ipds_parallel.Memo.create ()
 
-let compiles = Atomic.make 0
 let m_compiles = Ipds_obs.Registry.counter "workloads.compiles"
 
 let program ?(promote = true) w =
   Ipds_parallel.Memo.find_or_add cache (w.name, promote) (fun () ->
-      Atomic.incr compiles;
       Ipds_obs.Registry.incr m_compiles;
       let p = Ipds_minic.Minic.compile w.source in
       if promote then Ipds_opt.Promote.program p else p)
 
-let compile_count () = Atomic.get compiles
+let compile_count () = Ipds_obs.Registry.counter_value m_compiles
 
-(* Two-tier system cache: the in-memory memo collapses repeats within a
-   process; on a miss, the ambient artifact store (IPDS_CACHE_DIR /
-   --cache-dir) is consulted before compiling and analyzing anything.
-   A disk hit seeds both the program memo above and the System memo, so
-   every later [program]/[cached_build] lookup for this configuration
-   stays in memory and the whole warm process performs zero MiniC
-   compiles and zero analyses. *)
+(* The process's one memo of built systems.  On a miss, the ambient
+   artifact store (IPDS_CACHE_DIR / --cache-dir) is consulted before
+   compiling and analyzing anything.  A disk hit seeds the program memo
+   above, so a later [program] lookup for this configuration stays in
+   memory and the whole warm process performs zero MiniC compiles and
+   zero analyses. *)
 let systems :
     ( string * bool * Ipds_correlation.Analysis.options,
       Ipds_core.System.t )
@@ -129,16 +126,11 @@ let system ?(promote = true) ?options ?pool w =
             Ipds_artifact.Incremental.system ~options ?pool store ~key (fun () ->
                 program ~promote w)
           in
-          (* A disk hit skipped the compile: seed both memos so later
-             [program]/[cached_build] lookups stay in memory. *)
           ignore
             (Ipds_parallel.Memo.find_or_add cache (w.name, promote) (fun () ->
                  sys.Ipds_core.System.program));
-          Ipds_core.System.seed_cache ~options sys.Ipds_core.System.program sys;
           sys
-      | None ->
-          let p = program ~promote w in
-          Ipds_core.System.cached_build ~options ?pool p)
+      | None -> Ipds_core.System.build ~options ?pool (program ~promote w))
 
 let tamper_model w =
   match w.vulnerability with

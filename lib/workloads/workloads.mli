@@ -38,7 +38,8 @@ val compile_count : unit -> int
 (** How many MiniC compiles have actually run in this process — the
     bench smoke test asserts it stays at one per configuration, and the
     cache smoke test asserts it stays at zero on a warm run (artifact
-    loads do not count). *)
+    loads do not count).  It reads the [workloads.compiles] registry
+    counter, which {!Ipds_obs.Registry.reset} zeroes. *)
 
 val system :
   ?promote:bool ->
@@ -51,10 +52,11 @@ val system :
     the ambient artifact store ({!Ipds_artifact.Store.ambient}), then a
     real compile + analysis fanned over [pool] with the store's
     function tier consulted per function; the result is published back
-    to the store.  A disk hit also seeds {!program} and
-    {!Ipds_core.System.cached_build}, so a warm process performs zero
-    MiniC compiles and zero analyses for cached configurations.
-    Exactly-once and domain-safe per [(workload, promote, options)];
-    the result is byte-identical for every [pool]. *)
+    to the store.  A disk hit also seeds {!program}, so a warm process
+    performs zero MiniC compiles and zero analyses for cached
+    configurations.  This is the process's one memo of built systems:
+    exactly-once and domain-safe per [(workload, promote, options)], so
+    omitted [options] and explicit default options share one build; the
+    result is byte-identical for every [pool]. *)
 
 val tamper_model : t -> [ `Stack_overflow | `Arbitrary_write ]

@@ -64,7 +64,7 @@ let () =
   Unix.mkdir dir 0o755;
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let store = Store.create ~dir in
-  let image = A.to_bytes (Core.System.cached_build (W.program (W.find "telnetd"))) in
+  let image = A.to_bytes (W.system (W.find "telnetd")) in
   let c0 () = Store.counters () in
 
   section "1: truncated entry -> corrupt miss, repaired by republish";
@@ -130,7 +130,7 @@ let () =
   | _ -> fail "publish into a blocked prefix did not fail");
   (* the system-level wrapper must swallow the same failure, counted *)
   Store.publish_system store key
-    (Core.System.cached_build (W.program (W.find "telnetd")));
+    (W.system (W.find "telnetd"));
   let after = c0 () in
   if after.Store.publish_failed - before.Store.publish_failed <> 2 then
     fail "expected 2 counted publish failures, got %d"

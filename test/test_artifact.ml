@@ -15,10 +15,6 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-(* Build without touching the ambient store so these tests are
-   insensitive to IPDS_CACHE_DIR in the environment. *)
-let system_of w = Core.System.cached_build (W.program w)
-
 let with_temp_dir f =
   let dir =
     Filename.concat
@@ -51,7 +47,7 @@ let same_result (r1 : Ipds_correlation.Analysis.result)
 let test_roundtrip_all_workloads () =
   List.iter
     (fun w ->
-      let sys = system_of w in
+      let sys = W.system w in
       let sys2 = A.of_bytes (A.to_bytes sys) in
       check_str "program text survives"
         (Ipds_mir.Printer.program_to_string sys.Core.System.program)
@@ -85,7 +81,7 @@ let test_roundtrip_all_workloads () =
 let test_checker_equivalence () =
   List.iter
     (fun w ->
-      let sys = system_of w in
+      let sys = W.system w in
       let sys2 = A.of_bytes (A.to_bytes sys) in
       let drive sys =
         let checker = Core.System.new_checker sys in
@@ -226,7 +222,7 @@ let test_func_digests_sha256 () =
   in
   List.iter
     (fun w ->
-      let sys = system_of w in
+      let sys = W.system w in
       let loaded = A.of_bytes (A.to_bytes sys) in
       List.iter
         (fun (fname, (info : Core.System.func_info)) ->
@@ -251,7 +247,7 @@ let decoders =
   ]
 
 let test_every_byte_flip_detected () =
-  let sys = system_of (W.find "telnetd") in
+  let sys = W.system (W.find "telnetd") in
   let good = A.to_bytes sys in
   List.iter
     (fun (what, decode) ->
@@ -271,7 +267,7 @@ let test_every_byte_flip_detected () =
     decoders
 
 let test_truncation_detected () =
-  let sys = system_of (W.find "crond") in
+  let sys = W.system (W.find "crond") in
   let good = A.to_bytes sys in
   List.iter
     (fun (what, decode) ->
@@ -370,7 +366,7 @@ let test_images_differential () =
    refused by [Push_artifact], which verifies fully before publishing
    them to the store. *)
 let test_code_section_split () =
-  let good = A.to_bytes (system_of (W.find "telnetd")) in
+  let good = A.to_bytes (W.system (W.find "telnetd")) in
   let rewritten =
     Reseal.container ~section:"code" (Bytes.of_string "not a program") good
   in
@@ -416,7 +412,7 @@ let test_overlong_literal_is_corrupt () =
   let bad =
     Reseal.container ~section:"code"
       (Bytes.of_string overlong_literal_code)
-      (A.to_bytes (system_of (W.find "telnetd")))
+      (A.to_bytes (W.system (W.find "telnetd")))
   in
   check_str "of_bytes raises Corrupt"
     "code section: line 3: integer literal out of range"
@@ -438,7 +434,7 @@ let test_overlong_literal_is_corrupt () =
       check_int "counted misses" 2 c.Store.misses)
 
 let test_inspect_reports_damage () =
-  let sys = system_of (W.find "telnetd") in
+  let sys = W.system (W.find "telnetd") in
   let good = A.to_bytes sys in
   let ins = A.inspect_bytes good in
   check "digest ok on good file" true ins.A.file.Obj.digest_ok;
@@ -461,7 +457,7 @@ let test_inspect_reports_damage () =
 
 let test_file_roundtrip_and_sniff () =
   with_temp_dir (fun dir ->
-      let sys = system_of (W.find "atftpd") in
+      let sys = W.system (W.find "atftpd") in
       let path = Filename.concat dir "a.ipds" in
       A.save_file path sys;
       check "magic sniffed" true (A.is_artifact_file path);
@@ -481,7 +477,7 @@ let test_store_hit_miss_corrupt () =
       Store.reset_counters ();
       let store = Store.create ~dir in
       let w = W.find "sysklogd" in
-      let sys = system_of w in
+      let sys = W.system w in
       let key =
         Store.key ~source:w.W.source ~promote:true
           ~options:Ipds_correlation.Analysis.default_options
@@ -546,7 +542,7 @@ let test_version_skew_clean_miss () =
             Store.key ~source:w.W.source ~promote:true
               ~options:Ipds_correlation.Analysis.default_options
           in
-          Store.publish_system store key (system_of w);
+          Store.publish_system store key (W.system w);
           let path = Store.path_of_key store key in
           let buf = read_file path in
           (* rewrite the format-version field (u32 LE at offset 8) *)
@@ -575,8 +571,8 @@ let test_collision_table () =
   with_temp_dir (fun dir ->
       Store.reset_counters ();
       let store = Store.create ~dir in
-      let img_a = A.to_bytes (system_of (W.find "telnetd")) in
-      let img_b = A.to_bytes (system_of (W.find "httpd")) in
+      let img_a = A.to_bytes (W.system (W.find "telnetd")) in
+      let img_b = A.to_bytes (W.system (W.find "httpd")) in
       let key = "collision-table-probe" in
       check "first publish stores" true (Store.publish_image store key img_a = `Stored);
       check "identical republish is duplicate" true
@@ -609,7 +605,7 @@ let test_read_fault_is_corrupt_not_miss () =
       Store.reset_counters ();
       let store = Store.create ~dir in
       let key = "fault-probe-entry" in
-      ignore (Store.publish_image store key (A.to_bytes (system_of (W.find "crond"))));
+      ignore (Store.publish_image store key (A.to_bytes (W.system (W.find "crond"))));
       let path = Store.path_of_key store key in
       Sys.remove path;
       Unix.mkdir path 0o755;
@@ -634,11 +630,11 @@ let test_publish_failure_counted () =
       let key = "pf-probe" in
       let prefix_dir = Filename.concat dir (String.sub key 0 2) in
       write_file prefix_dir (Bytes.of_string "squatter");
-      (match Store.publish_image store key (A.to_bytes (system_of (W.find "atftpd"))) with
+      (match Store.publish_image store key (A.to_bytes (W.system (W.find "atftpd"))) with
       | `Failed _ -> ()
       | `Stored | `Duplicate | `Collision ->
           Alcotest.fail "publish into a blocked prefix dir must fail");
-      Store.publish_system store key (system_of (W.find "atftpd"));
+      Store.publish_system store key (W.system (W.find "atftpd"));
       let c = Store.counters () in
       check_int "both failed publishes counted" 2 c.Store.publish_failed)
 
@@ -708,11 +704,11 @@ let test_jobs_determinism () =
       check (w.W.name ^ ": Fig. 8 numbers identical") true
         (Core.System.size_stats seq = Core.System.size_stats par);
       let fig7 sys =
-        Ipds_harness.Attack_experiment.campaign ~system:sys ~attacks:4 ~seed:3
+        Ipds_harness.Attack_experiment.campaign ~attacks:4 ~seed:3
           ~model:
             (W.tamper_model w
               :> [ `Stack_overflow | `Arbitrary_write | `Cond_flip | `Insn_skip ])
-          ~name:w.W.name program
+          ~name:w.W.name sys
       in
       check (w.W.name ^ ": Fig. 7 row identical") true (fig7 seq = fig7 par))
     [ W.find "telnetd"; W.find "httpd" ]
@@ -734,6 +730,8 @@ let test_key_sensitivity () =
 
 let () =
   Random.self_init ();
+  (* [W.system] builds instead of loading from IPDS_CACHE_DIR *)
+  Store.set_ambient_dir None;
   if not Ipds_core.Sha256.hardware then
     print_endline
       "sha256: this CPU has no SHA extensions; only the portable kernel ran";

@@ -336,7 +336,7 @@ let golden_artifacts_on =
 let check_artifacts ?options ~label golden =
   List.iter
     (fun (w : W.t) ->
-      let sys = Core.System.cached_build ?options (W.program w) in
+      let sys = W.system ?options w in
       let got = sha (Ipds_artifact.Artifact.to_bytes sys) in
       match List.assoc_opt w.W.name golden with
       | Some want -> check_str (label ^ " " ^ w.W.name) want got

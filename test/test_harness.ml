@@ -204,10 +204,8 @@ let test_golden_campaign_rows () =
      changed injected/detected count. *)
   let check_row name model attacks seed exp_detected =
     let w = W.find (String.sub name 1 (String.length name - 1)) in
-    let system = W.system w in
     let r =
-      H.Attack_experiment.campaign ~system ~attacks ~seed ~model ~name
-        system.Ipds_core.System.program
+      H.Attack_experiment.campaign ~attacks ~seed ~model ~name (W.system w)
     in
     check_int (name ^ " injected") attacks r.H.Attack_experiment.attacks;
     check_int (name ^ " detected") exp_detected r.H.Attack_experiment.detected
@@ -245,6 +243,27 @@ let test_branch_fault_universes () =
          H.Attack_experiment.universe_of_name (H.Attack_experiment.universe_name u)
          = Some u)
        [ `Mem; `Cond_flip; `Insn_skip ])
+
+(* Each generated member is built once, and every universe attacks that
+   one system; the built-in workloads come warm from [W.system]. *)
+let test_population_builds () =
+  List.iter (fun w -> ignore (W.system w)) W.all;
+  let config =
+    {
+      H.Attack_bench.default_config with
+      attacks = 2;
+      pop_members = 3;
+      pop_attacks = 2;
+      dme_attacks = 2;
+      dme_holdout = 2;
+    }
+  in
+  let b0 = Ipds_core.System.build_count () in
+  let r = H.Attack_bench.run ~config () in
+  check_int "distinct members" 3 r.H.Attack_bench.pop_distinct;
+  check_int "three universes" 3 (List.length r.H.Attack_bench.pop_universes);
+  check_int "system.builds moved by pop_members" 3
+    (Ipds_core.System.build_count () - b0)
 
 let test_summarize () =
   let rows =
@@ -495,6 +514,8 @@ let () =
             test_run_all_jobs_deterministic;
           Alcotest.test_case "summarize" `Quick test_summarize;
           Alcotest.test_case "zero-false-positive rule" `Quick test_check_sound;
+          Alcotest.test_case "population builds once" `Slow
+            test_population_builds;
         ] );
       ( "others",
         [

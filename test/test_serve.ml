@@ -401,7 +401,7 @@ let test_push_fetch_roundtrip () =
   with_store_server (fun client _ ->
       let image =
         Ipds_artifact.Artifact.to_bytes
-          (Core.System.cached_build (W.program (W.find "telnetd")))
+          (W.system (W.find "telnetd"))
       in
       let key = "e2e-roundtrip-key" in
       (match Serve.Client.push_artifact client ~key image with
@@ -422,7 +422,7 @@ let test_push_rejects_forgery () =
   with_store_server (fun client _ ->
       let image =
         Ipds_artifact.Artifact.to_bytes
-          (Core.System.cached_build (W.program (W.find "crond")))
+          (W.system (W.find "crond"))
       in
       (* flip one payload byte: the container digest no longer matches,
          so the server must refuse to publish — typed, not an exception,
@@ -445,7 +445,7 @@ let test_push_rejects_garbage_and_collision () =
   with_store_server (fun client _ ->
       let img w =
         Ipds_artifact.Artifact.to_bytes
-          (Core.System.cached_build (W.program (W.find w)))
+          (W.system (W.find w))
       in
       let key = "e2e-collision-key" in
       (match Serve.Client.push_artifact client ~key (img "telnetd") with
@@ -463,7 +463,7 @@ let verify_rejects () =
 let test_push_rejects_overlong_literal () =
   let good =
     Ipds_artifact.Artifact.to_bytes
-      (Core.System.cached_build (W.program (W.find "telnetd")))
+      (W.system (W.find "telnetd"))
   in
   let bad =
     Reseal.container ~section:"code"
@@ -505,7 +505,7 @@ let set_bits b ~pos ~width v =
    refuse it: typed, counted once, and nothing published. *)
 let test_push_rejects_invalid_image () =
   let module Image = Core.Image in
-  let sys = Core.System.cached_build (W.program (W.find "xinetd")) in
+  let sys = W.system (W.find "xinetd") in
   let good = Ipds_artifact.Artifact.to_bytes sys in
   let f0 =
     Bytes.copy (List.assoc "f0" (Ipds_artifact.Object_file.of_bytes good))
@@ -580,7 +580,7 @@ let test_cache_slots_exact () =
       let load w =
         let image =
           Ipds_artifact.Artifact.to_bytes
-            (Core.System.cached_build (W.program (W.find w)))
+            (W.system (W.find w))
         in
         let client = Serve.Client.connect (`Unix sock) in
         Fun.protect
@@ -883,6 +883,36 @@ let test_decoded_batch_refused () =
   match !replies with
   | P.Error { P.code = P.Bad_state; _ } :: _ -> ()
   | _ -> Alcotest.fail "expected a Bad_state reply"
+
+(* [serve.alarms] counts exactly the alarms the Verdicts replies carry.
+   The benign run raises none, so the trace flips every branch
+   direction, and it goes in several batches. *)
+let test_alarms_counted () =
+  let events, _, _ = Lazy.force telnetd_run in
+  let flip (e : Ipds_machine.Event.t) =
+    match e.Ipds_machine.Event.kind with
+    | Ipds_machine.Event.Branch b ->
+        {
+          e with
+          Ipds_machine.Event.kind =
+            Ipds_machine.Event.Branch { b with taken = not b.taken };
+        }
+    | _ -> e
+  in
+  let batches =
+    batches_of [ 300; 300; 300 ] (List.map flip (Array.to_list events))
+  in
+  let replies, deltas = feed_session batches feed_span in
+  let replied =
+    List.fold_left
+      (fun n r ->
+        match reply_frame r with P.Verdicts vs -> n + List.length vs | _ -> n)
+      0 replies
+  in
+  check (Printf.sprintf "%d alarms replied" replied) true (replied > 0);
+  Alcotest.(check int)
+    "serve.alarms delta" replied
+    (List.assoc "alarms" (List.combine stable_counters deltas))
 
 (* ---------- wire v2 on a real run ---------- *)
 
@@ -1499,6 +1529,8 @@ let () =
             `Quick test_compact_batch;
           Alcotest.test_case "warm session: no large allocation" `Quick
             test_session_major_words;
+          Alcotest.test_case "serve.alarms counts replied alarms" `Quick
+            test_alarms_counted;
         ] );
       ( "reactor-input",
         [

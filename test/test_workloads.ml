@@ -86,6 +86,19 @@ let test_every_server_analyzable () =
         <= Core.System.total_branch_count system))
     W.all
 
+(* [W.system] is the process's one memo of built systems: a repeat, and
+   explicit default options, reuse the first build.  A fresh family
+   member keeps the memo cold whatever ran before. *)
+let test_system_memo () =
+  Ipds_artifact.Store.set_ambient_dir None;
+  let w = W.firewall ~seed:44 ~nrules:3 in
+  let b0 = Core.System.build_count () in
+  let s1 = W.system w in
+  let s2 = W.system w in
+  let s3 = W.system ~options:Ipds_correlation.Analysis.default_options w in
+  check "one system" true (s1 == s2 && s2 == s3);
+  check_int "system.builds moved by one" 1 (Core.System.build_count () - b0)
+
 let test_tamper_model_mapping () =
   check "wu-ftpd is format-string" true (W.tamper_model (W.find "wu-ftpd") = `Arbitrary_write);
   check "telnetd is overflow" true (W.tamper_model (W.find "telnetd") = `Stack_overflow)
@@ -151,5 +164,6 @@ let () =
           Alcotest.test_case "tamper models" `Quick test_tamper_model_mapping;
           Alcotest.test_case "memory-resident state" `Quick test_memory_resident_state_remains;
           Alcotest.test_case "detectable attacks exist" `Slow test_detectable_attack_exists;
+          Alcotest.test_case "system memo: one build" `Quick test_system_memo;
         ] );
     ]
