@@ -7,6 +7,7 @@
      ipds perf     FILE          timing model, baseline vs IPDS
      ipds compile  FILE -o F     analyze and save a .ipds object file
      ipds inspect  FILE          section/CRC report of a .ipds file
+     ipds bench    [TARGET...]   regenerate the paper's tables and figures
      ipds serve                  run the streaming verdict server
      ipds fleet --shards N       run N servers sharded by artifact key
      ipds check-remote FILE      verify remote checking against in-process
@@ -17,8 +18,9 @@
    else as textual MIR.  Built-in workloads can be named with '@name'
    (e.g. @telnetd).  --cache-dir/--no-cache control the content-addressed
    artifact cache (default: IPDS_CACHE_DIR).  --metrics-out FILE writes a
-   JSON {manifest, metrics, runtime} summary on exit; --events FILE (or
-   IPDS_EVENTS) streams structured JSONL events. *)
+   JSON {manifest, metrics, runtime} summary on exit (ipds bench adds
+   {results}); --events FILE (or IPDS_EVENTS) streams structured JSONL
+   events. *)
 
 module Mir = Ipds_mir
 module Core = Ipds_core
@@ -114,8 +116,8 @@ let obs_term =
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
             "Write a JSON summary of the run (manifest, deterministic \
-             metrics, runtime metrics with the wall-clock timers) to \
-             $(docv) on exit.")
+             metrics, runtime metrics with the wall-clock timers; bench \
+             adds each target's results) to $(docv) on exit.")
   in
   let events =
     Arg.(
@@ -138,10 +140,14 @@ let obs_term =
   in
   Term.(const make $ metrics_out $ events)
 
-(* Called at the start of each command body, after the manifest extras
-   (seed, attack count…) are known, so the event stream's manifest
-   header is complete. *)
-let obs_init ?(manifest = []) ~command obs =
+(* Called in each command body once its flags are checked, so a refused
+   invocation opens no stream and writes no report, and once the
+   manifest extras (seed, attack count…) are known, so the event
+   stream's manifest header is complete.  The one run report: [metrics] holds the stable
+   registry metrics (byte-identical for any --jobs), [runtime] the
+   unstable ones (pool activity, the wall-clock [*.ns] timers), and
+   [results], when given, what the command computed. *)
+let obs_init ?(manifest = []) ?results ~command obs =
   Obs.Manifest.set_string "tool" "ipds";
   Obs.Manifest.set_string "command" command;
   Obs.Manifest.set_int "artifact_format_version"
@@ -150,16 +156,18 @@ let obs_init ?(manifest = []) ~command obs =
   (match obs.events with Some _ as p -> Obs.Events.set_path p | None -> ());
   at_exit (fun () ->
       Obs.Events.close ();
-      match obs.metrics_out with
-      | None -> ()
-      | Some path ->
+      Option.iter
+        (fun path ->
+          let snapshot stability = Obs.Registry.snapshot_json ~stability () in
           Obs.Json.write_file path
             (Obs.Json.Obj
-               [
-                 ("manifest", Obs.Manifest.to_json ());
-                 ("metrics", Ipds_harness.Obs_report.metrics_json ());
-                 ("runtime", Ipds_harness.Obs_report.runtime_json ());
-               ]))
+               ([
+                  ("manifest", Obs.Manifest.to_json ());
+                  ("metrics", snapshot `Stable);
+                  ("runtime", Obs.Json.Obj [ ("metrics", snapshot `Unstable) ]);
+                ]
+               @ Option.fold ~none:[] ~some:(fun r -> [ ("results", r ()) ]) results)))
+        obs.metrics_out)
 
 let seed_arg =
   Arg.(value & opt int 2006 & info [ "seed" ] ~doc:"PRNG seed for inputs/attacks.")
@@ -167,20 +175,36 @@ let seed_arg =
 let steps_arg =
   Arg.(value & opt int 500_000 & info [ "max-steps" ] ~doc:"Execution step cap.")
 
+(* The CLI's own checks on a flag value: a usage error, exit 2. *)
+let usage_error cmd fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "ipds %s: %s@." cmd msg;
+      exit 2)
+    fmt
+
+let at_least_1 cmd flag n =
+  if n < 1 then usage_error cmd "--%s must be >= 1 (got %d)" flag n
+
+(* The same for a duration in seconds, where 0 has a meaning of its
+   own (NaN is refused too). *)
+let non_negative cmd flag x =
+  if not (x >= 0.) then usage_error cmd "--%s must be >= 0 (got %g)" flag x
+
 (* ---------- analyze ---------- *)
 
-(* --jobs for the compile-side commands: fans the per-function passes
-   out; output is byte-identical for any value. *)
-let build_jobs_arg =
+(* --jobs for the commands that fan work over a domain pool (the
+   per-function analysis passes, a campaign, a bench target); output is
+   byte-identical for any value.  Each body checks it with [at_least_1]. *)
+let jobs_arg =
   Arg.(
     value
     & opt int (Ipds_parallel.Pool.default_jobs ())
     & info [ "j"; "jobs" ]
         ~doc:
-          "Worker domains for the per-function analysis passes (default: \
-           cores - 1, or the IPDS_JOBS environment variable); 1 is strictly \
-           sequential.  The resulting tables and artifacts are byte-identical \
-           for any value.")
+          "Worker domains (default: cores - 1, or the IPDS_JOBS environment \
+           variable); 1 is strictly sequential.  Tables, artifacts and \
+           results are byte-identical for any value.")
 
 (* --precision for the compile-side commands.  [off] is the historical
    single-pass analysis (byte-identical artifacts and cache keys); [on]
@@ -239,6 +263,7 @@ let print_pass_report () =
 
 let analyze_cmd =
   let run () obs file jobs precision =
+    at_least_1 "analyze" "jobs" jobs;
     obs_init ~command:"analyze"
       ~manifest:
         [ ("file", Obs.Json.String file); ("jobs", Obs.Json.Int jobs) ]
@@ -261,7 +286,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Run the compile-side correlation analysis and show the tables.")
     Term.(
-      const run $ cache_term $ obs_term $ file_arg $ build_jobs_arg
+      const run $ cache_term $ obs_term $ file_arg $ jobs_arg
       $ precision_arg)
 
 (* ---------- run ---------- *)
@@ -334,17 +359,8 @@ let attack_cmd =
              live cell), cond-flip (invert one committed branch), insn-skip \
              (skip one committed branch).")
   in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt int (Ipds_parallel.Pool.default_jobs ())
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Worker domains for the campaign (default: cores - 1, or the \
-             IPDS_JOBS environment variable); 1 is strictly sequential.  \
-             Results are identical for any value.")
-  in
   let run () obs file seed attacks model jobs =
+    at_least_1 "attack" "jobs" jobs;
     obs_init ~command:"attack"
       ~manifest:
         [
@@ -454,6 +470,7 @@ let compile_cmd =
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output .ipds object file.")
   in
   let run () obs file out jobs precision =
+    at_least_1 "compile" "jobs" jobs;
     obs_init ~command:"compile"
       ~manifest:
         [ ("file", Obs.Json.String file); ("jobs", Obs.Json.Int jobs) ]
@@ -477,7 +494,7 @@ let compile_cmd =
           'ipds run/attack/perf' load it back without re-running the front \
           end or the analysis.")
     Term.(
-      const run $ cache_term $ obs_term $ file_arg $ out_arg $ build_jobs_arg
+      const run $ cache_term $ obs_term $ file_arg $ out_arg $ jobs_arg
       $ precision_arg)
 
 let inspect_cmd =
@@ -502,6 +519,290 @@ let inspect_cmd =
           bits.")
     Term.(const run $ image_arg)
 
+(* ---------- bench ----------
+
+   Regenerates every table and figure of the paper's evaluation (§6),
+   plus the extension experiments built on them.  Each target is one
+   call into Ipds_harness, whose modules own both the table and the
+   JSON of their rows; this section holds only the dispatch table.
+   Every campaign over the built-in workloads runs through one driver,
+   Ipds_harness.Sweep: fig7 is the "mem" universe at three seeds,
+   attacks runs universe variants, and ablation, opt-levels, models and
+   precision are variant lists.  The verdict server and the flat
+   checker are measured by perfbench, not here. *)
+
+module H = Ipds_harness
+module J = Obs.Json
+
+let section title = Printf.printf "\n=== %s ===\n%!" title
+
+(* One harness report: its section, its table and notes, its JSON. *)
+let show title ?(notes = []) render to_json run =
+  section title;
+  let x = run () in
+  print_endline (render x);
+  List.iter print_endline notes;
+  to_json x
+
+(* A target's own report file. *)
+let write_out path data =
+  J.write_file ~indent:2 path data;
+  Printf.printf "wrote %s\n" path;
+  data
+
+(* The Fig-7 campaign: the "mem" universe over every workload, at three
+   seeds; the first is the reported table, the spread across seeds
+   quantifies sampling noise. *)
+let fig7 ~attacks ~seed ?pool () =
+  section (Printf.sprintf "Figure 7: detection rate (%d attacks/server)" attacks);
+  let seeds = if seed = 2006 then [ 2006; 7; 99 ] else [ seed; seed + 1; seed + 2 ] in
+  let summaries =
+    List.map
+      (fun seed ->
+        (List.hd (H.Sweep.run ~attacks ~seed ?pool [ H.Sweep.universe `Mem ]))
+          .H.Sweep.summary)
+      seeds
+  in
+  print_endline (H.Attack_experiment.render (List.hd summaries));
+  let series f = H.Stats.mean_sd (List.map f summaries) in
+  Printf.printf "across seeds: cf-changed %s, detected %s, detected|cf %s\n"
+    (series (fun s -> s.H.Attack_experiment.avg_cf_changed))
+    (series (fun s -> s.H.Attack_experiment.avg_detected))
+    (series (fun s -> s.H.Attack_experiment.detected_given_cf));
+  print_endline
+    "paper: 49.4% of tamperings change control flow; 29.3% detected overall; \
+     59.3% of control-flow-changing detected";
+  J.Obj
+    (List.map2
+       (fun seed s ->
+         (Printf.sprintf "seed_%d" seed, H.Attack_experiment.summary_json s))
+       seeds summaries)
+
+type bench_opts = {
+  attacks : int option;  (* None: per-target historical default *)
+  seed : int;
+  precision_out : string;
+  attacks_out : string;
+  universes : H.Attack_experiment.universe list;  (* for the attacks target *)
+}
+
+(* Every target, by name, in the order a run with no target runs them:
+   the one table that both argument validation and dispatch read. *)
+let bench_targets : (string * (bench_opts -> Ipds_parallel.Pool.t option -> J.t)) list =
+  let att o default = Option.value o.attacks ~default in
+  let sweep title ?(per_variant = false) variants ~default o pool =
+    let attacks = att o default in
+    show
+      (Printf.sprintf "%s (%d attacks/server)" title attacks)
+      (fun rows ->
+        String.concat ""
+          (H.Sweep.render rows
+          :: List.map
+               (fun (r : H.Sweep.row) ->
+                 Printf.sprintf "\n\n-- %s --\n%s" r.label
+                   (H.Attack_experiment.render r.summary))
+               (if per_variant then rows else [])))
+      H.Sweep.to_json
+      (fun () -> H.Sweep.run ~attacks ~seed:o.seed ?pool variants)
+  in
+  [
+    ( "table1",
+      fun _ _ ->
+        section "Table 1: simulated processor parameters";
+        Format.printf "%a@." P.Config.pp P.Config.default;
+        J.Null );
+    ( "fig8",
+      fun _ _ ->
+        show "Figure 8: average table sizes (bits)"
+          ~notes:[ "paper averages: BSV 34, BCV 17, BAT 393" ]
+          H.Size_census.render H.Size_census.to_json H.Size_census.run_all );
+    ("fig7", fun o pool -> fig7 ~attacks:(att o 100) ~seed:o.seed ?pool ());
+    ( "fig9",
+      fun _ pool ->
+        show "Figure 9: performance normalized to no-IPDS baseline"
+          ~notes:
+            [
+              "paper: average degradation 0.79%";
+              "paper: average detection latency 11.7 cycles";
+            ]
+          H.Perf_experiment.render H.Perf_experiment.to_json
+          (H.Perf_experiment.run_all ?pool) );
+    ( "compile-time",
+      fun _ _ ->
+        show "Compile time per benchmark (paper: up to a few seconds)"
+          (fun (rows, passes) ->
+            Printf.sprintf "%s\nPer-pass breakdown (pipeline order):\n%s"
+              (H.Compile_time.render rows)
+              (Ipds_pass.Pass.render_report passes))
+          (fun (rows, passes) -> H.Compile_time.to_json rows passes)
+          (fun () -> H.Compile_time.(with_passes run_all)) );
+    ("ablation", sweep "Ablation" H.Sweep.ablation ~default:40);
+    ( "opt-levels",
+      sweep
+        "Optimization levels (paper: \"compiler optimizations can remove some \
+         correlations\")"
+        H.Sweep.opt_levels ~default:40 );
+    ( "baseline",
+      fun o pool ->
+        let attacks = att o 100 in
+        show
+          (Printf.sprintf
+             "Baseline comparison: 3-gram syscall-trace detector vs IPDS (%d \
+              attacks/server)"
+             attacks)
+          H.Baseline_experiment.render H.Baseline_experiment.to_json
+          (H.Baseline_experiment.run_all ~attacks ~seed:o.seed ?pool) );
+    ( "models",
+      sweep "Attack models (paper §3): overflow vs arbitrary write"
+        ~per_variant:true H.Sweep.models ~default:100 );
+    ( "ctx",
+      fun _ _ ->
+        show "Context switches: save/restore cost vs switch period (sshd)"
+          H.Ctx_experiment.render H.Ctx_experiment.to_json (fun () ->
+            H.Ctx_experiment.run (W.find "sshd")) );
+    ( "precision",
+      fun o pool ->
+        let attacks = att o 100 in
+        show
+          (Printf.sprintf
+             "Feasible-path refinement: detection lift (%d attacks/server)" attacks)
+          H.Precision_experiment.render
+          (fun r -> write_out o.precision_out (H.Precision_experiment.to_json r))
+          (H.Precision_experiment.run ~attacks ~seed:o.seed ?pool) );
+    ( "attacks",
+      fun o pool ->
+        let attacks = att o 40 in
+        let config =
+          {
+            H.Attack_bench.default_config with
+            universes = o.universes;
+            attacks;
+            seed = o.seed;
+            dme_attacks = attacks;
+          }
+        in
+        show
+          (Printf.sprintf "Attack universes (%d attacks/server, universes: %s)"
+             attacks
+             (String.concat ","
+                (List.map H.Attack_experiment.universe_name o.universes)))
+          H.Attack_bench.render
+          (fun r -> write_out o.attacks_out (H.Attack_bench.to_json r))
+          (H.Attack_bench.run ~config ?pool) );
+  ]
+
+(* One target under its [bench.<target>.ns] timer, between a
+   [bench.phase_start] and a [bench.phase_end] event. *)
+let timed name f =
+  if Obs.Events.enabled () then
+    Obs.Events.emit ~kind:"bench.phase_start" [ ("target", J.String name) ];
+  let t0 = Unix.gettimeofday () in
+  let data = Obs.Registry.time (Obs.Registry.timer ("bench." ^ name ^ ".ns")) f in
+  if Obs.Events.enabled () then
+    Obs.Events.emit ~kind:"bench.phase_end"
+      [
+        ("target", J.String name);
+        ("wall_seconds", J.Float (Unix.gettimeofday () -. t0));
+      ];
+  data
+
+let bench_cmd =
+  let targets_arg =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"TARGET"
+          ~doc:
+            (Printf.sprintf
+               "Targets to run, in the order given: any of %s.  None, or \
+                $(b,full), runs them all in that order."
+               (String.concat ", " (List.map fst bench_targets))))
+  in
+  let attacks_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "attacks" ] ~docv:"N"
+          ~doc:"Attacks per server for the campaign targets (default: per \
+                target, 100 or 40).")
+  in
+  let universes_arg =
+    Arg.(
+      value
+      & opt (list string) [ "mem"; "cond-flip"; "insn-skip" ]
+      & info [ "universes" ] ~docv:"LIST"
+          ~doc:"Comma-separated attack universes for the attacks target.")
+  in
+  let precision_out_arg =
+    Arg.(
+      value
+      & opt string "BENCH_precision.json"
+      & info [ "precision-out" ] ~docv:"FILE"
+          ~doc:"Report file of the precision target.")
+  in
+  let attacks_out_arg =
+    Arg.(
+      value
+      & opt string "BENCH_attacks.json"
+      & info [ "attacks-out" ] ~docv:"FILE"
+          ~doc:
+            "Report file of the attacks target; its $(i,stable) section is \
+             byte-identical for any --jobs.")
+  in
+  let run () obs targets seed jobs attacks universes precision_out attacks_out =
+    (* every bad name is refused before the first (possibly long) target *)
+    at_least_1 "bench" "jobs" jobs;
+    let universes =
+      List.map
+        (fun name ->
+          match H.Attack_experiment.universe_of_name name with
+          | Some u -> u
+          | None ->
+              usage_error "bench"
+                "unknown attack universe: %s (expected mem, cond-flip or \
+                 insn-skip)"
+                name)
+        universes
+    in
+    let targets =
+      match targets with
+      | [] | [ "full" ] -> List.map fst bench_targets
+      | ts -> ts
+    in
+    List.iter
+      (fun t ->
+        if not (List.mem_assoc t bench_targets) then
+          usage_error "bench" "unknown target: %s" t)
+      targets;
+    let results = ref [] in
+    obs_init ~command:"bench"
+      ~manifest:
+        [
+          ("seed", J.Int seed);
+          ("jobs", J.Int jobs);
+          ("attacks", Option.fold ~none:J.Null ~some:(fun n -> J.Int n) attacks);
+          ("targets", J.List (List.map (fun t -> J.String t) targets));
+        ]
+      ~results:(fun () -> J.Obj (List.rev !results))
+      obs;
+    let o = { attacks; seed; precision_out; attacks_out; universes } in
+    Ipds_parallel.Pool.with_opt ~jobs (fun pool ->
+        List.iter
+          (fun name ->
+            let data = timed name (fun () -> List.assoc name bench_targets o pool) in
+            results := (name, data) :: !results)
+          targets)
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Regenerate the tables and figures of the paper's evaluation (Figs. \
+          7-9, Table 1, compile time, the baselines) and the extension \
+          experiments; with --metrics-out, the report holds each target's \
+          results.")
+    Term.(
+      const run $ cache_term $ obs_term $ targets_arg $ seed_arg $ jobs_arg
+      $ attacks_arg $ universes_arg $ precision_out_arg $ attacks_out_arg)
+
 (* ---------- serve / check-remote ---------- *)
 
 module Serve = Ipds_serve
@@ -520,20 +821,39 @@ let port_arg =
     & info [ "port" ] ~docv:"PORT"
         ~doc:"Loopback TCP port of the verdict server (0 picks a free one).")
 
-(* The CLI's own range check on a count flag: usage error, exit 2. *)
-let at_least_1 cmd flag n =
-  if n < 1 then begin
-    Format.eprintf "ipds %s: --%s must be >= 1 (got %d)@." cmd flag n;
-    exit 2
-  end
+(* The one --socket/--port choice of serve, check-remote and fleet (and
+   of serve's --peer-socket/--peer-port, named by [flags]). *)
+let address cmd ?(flags = ("socket", "port")) ~host socket port =
+  match (socket, port) with
+  | Some path, None -> `Unix path
+  | None, Some p -> `Tcp (host, p)
+  | None, None ->
+      usage_error cmd "one of --%s or --%s is required" (fst flags) (snd flags)
+  | Some _, Some _ ->
+      usage_error cmd "--%s and --%s are mutually exclusive" (fst flags)
+        (snd flags)
 
-(* The same for a duration in seconds, where 0 has a meaning of its
-   own (NaN is refused too). *)
-let non_negative cmd flag x =
-  if not (x >= 0.) then begin
-    Format.eprintf "ipds %s: --%s must be >= 0 (got %g)@." cmd flag x;
-    exit 2
-  end
+let address_name = function
+  | `Unix path -> path
+  | `Tcp (host, p) -> Printf.sprintf "%s:%d" host p
+
+(* SIGINT and SIGTERM set the returned flag instead of killing the
+   process, so a server or fleet stops through its own shutdown path. *)
+let stop_on_signal () =
+  let stop = Atomic.make false in
+  let on_signal _ = Atomic.set stop true in
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  stop
+
+(* Wakes every 0.2 s, or on a signal, and runs [tick] until [stop] is
+   set. *)
+let wait_for_stop ?(tick = ignore) stop =
+  while not (Atomic.get stop) do
+    (try ignore (Unix.select [] [] [] 0.2)
+     with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    tick ()
+  done
 
 let serve_cmd =
   let jobs_arg =
@@ -607,55 +927,26 @@ let serve_cmd =
   in
   let run () obs socket port jobs timeout max_frame cache_slots peer_socket
       peer_port peer_shards peer_self =
-    obs_init ~command:"serve"
-      ~manifest:[ ("jobs", Obs.Json.Int jobs) ]
-      obs;
     at_least_1 "serve" "jobs" jobs;
     at_least_1 "serve" "cache-slots" cache_slots;
     at_least_1 "serve" "max-frame" max_frame;
     non_negative "serve" "timeout" timeout;
-    let addr =
-      match (socket, port) with
-      | Some path, None -> `Unix path
-      | None, Some p -> `Tcp p
-      | None, None ->
-          Format.eprintf "ipds serve: one of --socket or --port is required@.";
-          exit 2
-      | Some _, Some _ ->
-          Format.eprintf "ipds serve: --socket and --port are mutually exclusive@.";
-          exit 2
-    in
+    let addr = address "serve" ~host:"127.0.0.1" socket port in
     let peers =
-      match (peer_socket, peer_port, peer_shards, peer_self) with
-      | None, None, None, None -> None
-      | _, _, None, _ | _, _, _, None ->
-          Format.eprintf
-            "ipds serve: peer sharing needs all of --peer-socket/--peer-port, \
-             --peer-shards and --peer-self@.";
-          exit 2
-      | Some _, Some _, _, _ ->
-          Format.eprintf
-            "ipds serve: --peer-socket and --peer-port are mutually \
-             exclusive@.";
-          exit 2
-      | None, None, Some _, Some _ ->
-          Format.eprintf
-            "ipds serve: peer sharing needs one of --peer-socket or \
-             --peer-port@.";
-          exit 2
-      | base, port_base, Some n, Some self ->
-          at_least_1 "serve" "peer-shards" n;
-          if self < 0 || self >= n then begin
-            Format.eprintf
-              "ipds serve: --peer-self must be in [0, %d) (got %d)@." n self;
-            exit 2
-          end;
+      match (peer_shards, peer_self) with
+      | None, None when peer_socket = None && peer_port = None -> None
+      | None, _ | _, None ->
+          usage_error "serve"
+            "peer sharing needs all of --peer-socket/--peer-port, \
+             --peer-shards and --peer-self"
+      | Some n, Some self ->
           let peer_base =
-            match (base, port_base) with
-            | Some path, None -> `Unix path
-            | None, Some p -> `Tcp ("127.0.0.1", p)
-            | _ -> assert false
+            address "serve" ~flags:("peer-socket", "peer-port")
+              ~host:"127.0.0.1" peer_socket peer_port
           in
+          at_least_1 "serve" "peer-shards" n;
+          if self < 0 || self >= n then
+            usage_error "serve" "--peer-self must be in [0, %d) (got %d)" n self;
           Some
             {
               Serve.Server.peer_topology =
@@ -663,6 +954,7 @@ let serve_cmd =
               peer_self = self;
             }
     in
+    obs_init ~command:"serve" ~manifest:[ ("jobs", Obs.Json.Int jobs) ] obs;
     let config =
       {
         Serve.Server.default_config with
@@ -675,30 +967,20 @@ let serve_cmd =
       }
     in
     let server =
-      try Serve.Server.start ~config addr
+      try
+        Serve.Server.start ~config
+          (match addr with `Unix path -> `Unix path | `Tcp (_, p) -> `Tcp p)
       with Unix.Unix_error (err, _, _) ->
-        (match addr with
-        | `Unix path ->
-            Format.eprintf "ipds serve: cannot listen on %s: %s@." path
-              (Unix.error_message err)
-        | `Tcp p ->
-            Format.eprintf "ipds serve: cannot listen on port %d: %s@." p
-              (Unix.error_message err));
+        Format.eprintf "ipds serve: cannot listen on %s: %s@."
+          (address_name addr) (Unix.error_message err);
         exit 1
     in
     (match addr with
     | `Unix path -> Format.printf "ipds serve: listening on %s@." path
-    | `Tcp _ ->
-        Format.printf "ipds serve: listening on 127.0.0.1:%d@."
+    | `Tcp (host, _) ->
+        Format.printf "ipds serve: listening on %s:%d@." host
           (Option.value (Serve.Server.port server) ~default:0));
-    let stop_requested = Atomic.make false in
-    let on_signal _ = Atomic.set stop_requested true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    while not (Atomic.get stop_requested) do
-      try ignore (Unix.select [] [] [] 0.2)
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done;
+    wait_for_stop (stop_on_signal ());
     Format.printf "ipds serve: shutting down@.";
     Serve.Server.stop server
   in
@@ -735,20 +1017,12 @@ let check_remote_cmd =
              over along the ring if it is down.")
   in
   let run () obs file socket host port seed max_steps batch shards =
+    at_least_1 "check-remote" "batch" batch;
+    Option.iter (at_least_1 "check-remote" "shards") shards;
+    let addr = address "check-remote" ~host socket port in
     obs_init ~command:"check-remote"
       ~manifest:[ ("file", Obs.Json.String file); ("seed", Obs.Json.Int seed) ]
       obs;
-    at_least_1 "check-remote" "batch" batch;
-    Option.iter (at_least_1 "check-remote" "shards") shards;
-    let addr =
-      match (socket, port) with
-      | Some path, None -> `Unix path
-      | None, Some p -> `Tcp (host, p)
-      | _ ->
-          Format.eprintf
-            "ipds check-remote: exactly one of --socket or --port is required@.";
-          exit 2
-    in
     let system = load_system file in
     let program = system.Core.System.program in
     let image = Bytes.to_string (A.to_bytes system) in
@@ -757,13 +1031,8 @@ let check_remote_cmd =
       | None -> (
           try Serve.Client.connect addr
           with Unix.Unix_error (err, _, _) ->
-            (match addr with
-            | `Unix path ->
-                Format.eprintf "ipds check-remote: cannot connect to %s: %s@."
-                  path (Unix.error_message err)
-            | `Tcp (h, p) ->
-                Format.eprintf "ipds check-remote: cannot connect to %s:%d: %s@."
-                  h p (Unix.error_message err));
+            Format.eprintf "ipds check-remote: cannot connect to %s: %s@."
+              (address_name addr) (Unix.error_message err);
             exit 1)
       | Some n -> (
           let topology = Ipds_fleet.Topology.create ~shards:n addr in
@@ -885,26 +1154,18 @@ let fleet_cmd =
              peers over the wire instead of answering unknown-artifact.")
   in
   let run () obs socket port shards jobs timeout cache_slots share_artifacts =
-    obs_init ~command:"fleet"
-      ~manifest:[ ("shards", Obs.Json.Int shards) ]
-      obs;
     at_least_1 "fleet" "shards" shards;
     at_least_1 "fleet" "jobs" jobs;
     at_least_1 "fleet" "cache-slots" cache_slots;
     non_negative "fleet" "timeout" timeout;
     let base =
-      match (socket, port) with
-      | Some path, None -> `Unix path
-      | None, Some p when p > 0 -> `Tcp ("127.0.0.1", p)
-      | None, Some _ ->
-          Format.eprintf
-            "ipds fleet: --port must be an explicit base port (shard i \
-             listens on port+i)@.";
-          exit 2
-      | _ ->
-          Format.eprintf "ipds fleet: one of --socket or --port is required@.";
-          exit 2
+      match address "fleet" ~host:"127.0.0.1" socket port with
+      | `Tcp (_, p) when p <= 0 ->
+          usage_error "fleet"
+            "--port must be an explicit base port (shard i listens on port+i)"
+      | base -> base
     in
+    obs_init ~command:"fleet" ~manifest:[ ("shards", Obs.Json.Int shards) ] obs;
     let topology = Ipds_fleet.Topology.create ~shards base in
     let addr_args i =
       match Ipds_fleet.Topology.address topology i with
@@ -956,10 +1217,7 @@ let fleet_cmd =
     (* The handlers go in before the first spawn, so a signal at any
        point after it stops the launcher through [stop_shards] rather
        than killing it and leaving its shards under init. *)
-    let stop_requested = Atomic.make false in
-    let on_signal _ = Atomic.set stop_requested true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+    let stop_requested = stop_on_signal () in
     let pids = Array.make shards 0 and alive = Array.make shards false in
     let rec reap pid =
       try ignore (Unix.waitpid [] pid) with
@@ -1022,19 +1280,16 @@ let fleet_cmd =
             List.iteri
               (fun i name -> Format.printf "ipds fleet: shard %d at %s@." i name)
               (Ipds_fleet.Topology.names topology);
-          while not (Atomic.get stop_requested) do
-            (try ignore (Unix.select [] [] [] 0.2)
-             with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            (* A dead shard is only degraded service — clients fail over
-               along the ring — so warn and keep the fleet up. *)
-            for i = 0 to shards - 1 do
-              if exited i then
-                Format.eprintf
-                  "ipds fleet: warning: shard %d died; its keys re-route to \
-                   ring successors@."
-                  i
-            done
-          done;
+          (* A dead shard is only degraded service — clients fail over
+             along the ring — so warn and keep the fleet up. *)
+          wait_for_stop stop_requested ~tick:(fun () ->
+              for i = 0 to shards - 1 do
+                if exited i then
+                  Format.eprintf
+                    "ipds fleet: warning: shard %d died; its keys re-route to \
+                     ring successors@."
+                    i
+              done);
           Format.printf "ipds fleet: shutting down@.";
           0
     in
@@ -1081,6 +1336,7 @@ let () =
             trace_cmd;
             compile_cmd;
             inspect_cmd;
+            bench_cmd;
             serve_cmd;
             check_remote_cmd;
             fleet_cmd;

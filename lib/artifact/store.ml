@@ -7,10 +7,9 @@ let dir t = t.dir
 
 (* ---------- counters ----------
 
-   Backed by the observability registry: event counts are stable (the
-   multiset of cache interactions is fixed by the memoised build set),
-   wall-clock goes to unstable timers.  [counters]/[reset_counters]
-   remain as the store's public read/reset view over those metrics. *)
+   Registry metrics: event counts are stable (the multiset of cache
+   interactions is fixed by the memoised build set), wall-clock goes to
+   unstable timers.  Reports and tests read them as [store.*]. *)
 
 let m_hits = Ipds_obs.Registry.counter "store.hits"
 let m_misses = Ipds_obs.Registry.counter "store.misses"
@@ -25,61 +24,6 @@ let m_bytes_read = Ipds_obs.Registry.counter "store.bytes_read"
 let m_bytes_written = Ipds_obs.Registry.counter "store.bytes_written"
 let t_load = Ipds_obs.Registry.timer "store.load.ns"
 let t_publish = Ipds_obs.Registry.timer "store.publish.ns"
-
-type counters = {
-  hits : int;
-  misses : int;
-  corrupt : int;
-  fn_hits : int;
-  fn_misses : int;
-  fn_precision_misses : int;
-  fn_corrupt : int;
-  collisions : int;
-  publish_failed : int;
-  bytes_read : int;
-  bytes_written : int;
-  load_seconds : float;
-  store_seconds : float;
-}
-
-let counters () =
-  let v = Ipds_obs.Registry.counter_value in
-  let seconds h =
-    float_of_int (Ipds_obs.Registry.histogram_value h).sum /. 1e9
-  in
-  {
-    hits = v m_hits;
-    misses = v m_misses;
-    corrupt = v m_corrupt;
-    fn_hits = v m_fn_hits;
-    fn_misses = v m_fn_misses;
-    fn_precision_misses = v m_fn_precision_misses;
-    fn_corrupt = v m_fn_corrupt;
-    collisions = v m_collisions;
-    publish_failed = v m_publish_failed;
-    bytes_read = v m_bytes_read;
-    bytes_written = v m_bytes_written;
-    load_seconds = seconds t_load;
-    store_seconds = seconds t_publish;
-  }
-
-let reset_counters () =
-  List.iter Ipds_obs.Registry.counter_reset
-    [
-      m_hits;
-      m_misses;
-      m_corrupt;
-      m_fn_hits;
-      m_fn_misses;
-      m_fn_precision_misses;
-      m_fn_corrupt;
-      m_collisions;
-      m_publish_failed;
-      m_bytes_read;
-      m_bytes_written;
-    ];
-  Ipds_obs.Registry.histogram_reset t_load;
-  Ipds_obs.Registry.histogram_reset t_publish
 
 (* ---------- keys & paths ---------- *)
 
@@ -339,47 +283,3 @@ let ambient () =
   in
   Mutex.unlock ambient_mutex;
   v
-
-let ambient_json () =
-  let module J = Ipds_obs.Json in
-  match ambient () with
-  | None -> J.Obj [ ("enabled", J.Bool false) ]
-  | Some store ->
-      let c = counters () in
-      J.Obj
-        [
-          ("enabled", J.Bool true);
-          ("dir", J.String store.dir);
-          ("artifact_hits", J.Int c.hits);
-          ("artifact_misses", J.Int c.misses);
-          ("corrupt_entries", J.Int c.corrupt);
-          ("fn_hits", J.Int c.fn_hits);
-          ("fn_misses", J.Int c.fn_misses);
-          ("fn_precision_misses", J.Int c.fn_precision_misses);
-          ("fn_corrupt_entries", J.Int c.fn_corrupt);
-          ("collisions", J.Int c.collisions);
-          ("publish_failures", J.Int c.publish_failed);
-          ("bytes_read", J.Int c.bytes_read);
-          ("bytes_written", J.Int c.bytes_written);
-          ("load_wall_seconds", J.Float c.load_seconds);
-          ("store_wall_seconds", J.Float c.store_seconds);
-        ]
-
-let ambient_summary () =
-  Option.map
-    (fun store ->
-      let c = counters () in
-      Printf.sprintf
-        "artifact cache %s: %d hits, %d misses (%d corrupt), fn tier %d hits, \
-         %d misses (%d corrupt), %d KiB read, %d KiB written, load %.3fs, \
-         store %.3fs%s"
-        store.dir c.hits c.misses c.corrupt c.fn_hits c.fn_misses c.fn_corrupt
-        (c.bytes_read / 1024) (c.bytes_written / 1024) c.load_seconds
-        c.store_seconds
-        (* faults are rare enough that a healthy run shows none *)
-        (if c.collisions > 0 || c.publish_failed > 0 then
-           Printf.sprintf
-             "\nartifact cache faults: %d collisions, %d failed publishes"
-             c.collisions c.publish_failed
-         else ""))
-    (ambient ())

@@ -20,9 +20,14 @@
     [IPDS_CACHE_DIR] environment variable and is overridden by the
     [--cache-dir] / [--no-cache] CLI flags.
 
-    All counters are process-wide and domain-safe — the bench harness
-    reports them in its [--json] output and the cache smoke test asserts
-    a warm run is all hits. *)
+    Every cache interaction is counted in a process-wide, domain-safe
+    [store.*] registry metric ([store.hits], [store.misses],
+    [store.corrupt], [store.fn_hits], [store.fn_misses],
+    [store.fn_precision_misses], [store.fn_corrupt],
+    [store.collisions], [store.publish_failed], [store.bytes_read],
+    [store.bytes_written]; the [store.load.ns] and [store.publish.ns]
+    timers), which a run report's [metrics] and [runtime] sections
+    carry. *)
 
 type t
 
@@ -55,7 +60,7 @@ val load_system : t -> string -> Ipds_core.System.t option
 (** [None] on absent, truncated, corrupt, version-skewed or
     malformed-key entries (counted as misses); never raises on bad
     cache contents.  A read failure on an entry that {e exists}
-    (EACCES, EIO, ...) additionally counts as [corrupt] and emits a
+    (EACCES, EIO, ...) additionally counts as [store.corrupt] and emits a
     [store.corrupt] event carrying the errno — an unreadable cache is
     damage to surface, not a cold miss to recompile forever. *)
 
@@ -65,7 +70,7 @@ val load_images : t -> string -> (string * Ipds_core.Image.t) list option
 
 val publish_system : t -> string -> Ipds_core.System.t -> unit
 (** Atomic; IO errors (read-only dir, disk full) are counted as
-    [publish_failed] and emitted as [store.publish_failed] events but
+    [store.publish_failed] and emitted as [store.publish_failed] events but
     do not raise — the cache is an optimisation, not a correctness
     dependency. *)
 
@@ -100,10 +105,10 @@ val publish_image :
 
 val func_cache : ?precision:bool -> t -> Ipds_core.System.func_cache
 (** The tier as [Ipds_core.System.build ~func_cache] hooks.  A lookup
-    misses on an absent or corrupt blob (counted as [fn_misses]; a
+    misses on an absent or corrupt blob (counted as [store.fn_misses]; a
     damaged, version-skewed or unreadable blob also counts as
-    [fn_corrupt], like {!load_system}).  With [~precision:true] every
-    function-tier miss additionally counts as [fn_precision_misses]:
+    [store.fn_corrupt], like {!load_system}).  With [~precision:true] every
+    function-tier miss additionally counts as [store.fn_precision_misses]:
     since precision is part of each function's content digest, flipping
     the precision config shows up as a clean sweep of these misses
     rather than stale hits. *)
@@ -117,40 +122,3 @@ val set_ambient_dir : string option -> unit
 val ambient : unit -> t option
 (** The configured store, initialised from [IPDS_CACHE_DIR] on first
     use unless {!set_ambient_dir} was called. *)
-
-(** {2 Counters} *)
-
-type counters = {
-  hits : int;
-  misses : int;  (** absent entries and corrupt/skewed entries alike *)
-  corrupt : int;  (** the subset of misses caused by damaged entries *)
-  fn_hits : int;  (** function-tier hits (functions not re-analyzed) *)
-  fn_misses : int;  (** function-tier misses (functions analyzed fresh) *)
-  fn_precision_misses : int;
-      (** the subset of [fn_misses] incurred under a precision-enabled
-          digest (see {!func_cache}) *)
-  fn_corrupt : int;  (** the subset of [fn_misses] from damaged blobs *)
-  collisions : int;
-      (** publishes that found a different valid entry at the key *)
-  publish_failed : int;  (** publishes lost to IO errors *)
-  bytes_read : int;
-  bytes_written : int;
-  load_seconds : float;  (** wall-clock spent loading artifacts (warm path) *)
-  store_seconds : float;  (** wall-clock spent encoding + publishing *)
-}
-
-val counters : unit -> counters
-(** Test seam: the cache, pass, precision and store-fault smoke tests read raw
-    counter deltas; reports use {!ambient_json}. *)
-
-val reset_counters : unit -> unit
-(** Test seam: test_artifact zeroes the counters between its cases. *)
-
-val ambient_json : unit -> Ipds_obs.Json.t
-(** The ambient store's counters as a report section:
-    [{"enabled":false}] without an ambient store, else its [dir] and
-    every counter. *)
-
-val ambient_summary : unit -> string option
-(** One line of the ambient store's counters, plus a line of faults when
-    there were any; [None] without an ambient store. *)

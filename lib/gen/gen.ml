@@ -11,7 +11,19 @@ type spec = {
 
 let default_spec = { helpers = 3; dispatch = 5; max_depth = 3 }
 
-let m_programs = Ipds_obs.Registry.counter "gen.programs"
+(* A run report lists every registered metric, so [gen.programs] is
+   registered by the first generated program: a binary that links the
+   generator but generates nothing reports no gen.* metric. *)
+let m_programs = Atomic.make None
+
+let count_program () =
+  Ipds_obs.Registry.incr
+    (match Atomic.get m_programs with
+    | Some c -> c
+    | None ->
+        let c = Ipds_obs.Registry.counter "gen.programs" in
+        Atomic.set m_programs (Some c);
+        c)
 
 (* All generation state for one program.  [scalars] are readable,
    [targets] assignable — loop counters and [main]'s bookkeeping
@@ -375,7 +387,7 @@ let ast ?(spec = default_spec) ~seed ~index () =
       ([], []) (List.init nhelpers Fun.id)
   in
   let main = main_func spec rng ~index ~globals ~arrays ~callees in
-  Ipds_obs.Registry.incr m_programs;
+  count_program ();
   {
     Ast.p_globals =
       List.map (fun g -> { Ast.d_name = g; d_size = None }) globals

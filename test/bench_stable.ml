@@ -5,8 +5,8 @@
    that moves a stable number fails here, naming the first path that
    differs, until the file is regenerated in the same commit:
 
-     dune exec bench/main.exe -- --no-cache --attacks 100 precision
-     dune exec bench/main.exe -- --no-cache --attacks 40 attacks
+     dune exec bin/ipds.exe -- bench --no-cache --attacks 100 precision
+     dune exec bin/ipds.exe -- bench --no-cache --attacks 40 attacks
 
    Usage: bench_stable BENCH_precision.json BENCH_attacks.json *)
 

@@ -60,53 +60,59 @@ let results ~jobs =
   ^ "\n"
   ^ Ipds_harness.Size_census.render census
 
+(* The counter [store.<name>], read through the registry as a run
+   report reads it. *)
+let store name =
+  match List.assoc_opt ("store." ^ name) (Ipds_obs.Registry.snapshot ()) with
+  | Some (Ipds_obs.Registry.Counter n) -> n
+  | _ -> failwith ("no counter store." ^ name)
+
 let run_phase () =
   Store.set_ambient_dir (Some !cache_dir);
   write_file !out (results ~jobs:!jobs);
-  let c = Store.counters () in
   let n = List.length W.all in
   let compiles = W.compile_count () in
   let builds = Core.System.build_count () in
   (match !phase with
   | "cold" ->
-      if c.Store.hits <> 0 then fail "cold run hit the cache %d times" c.Store.hits;
-      if c.Store.misses <> n then
-        fail "cold run: %d misses, want %d" c.Store.misses n;
-      if c.Store.bytes_written = 0 then fail "cold run published nothing";
+      if store "hits" <> 0 then fail "cold run hit the cache %d times" (store "hits");
+      if store "misses" <> n then
+        fail "cold run: %d misses, want %d" (store "misses") n;
+      if store "bytes_written" = 0 then fail "cold run published nothing";
       if compiles <> n then fail "cold run: %d compiles, want %d" compiles n
   | "warm" ->
       (* the acceptance criterion: a warm process does no front-end or
          analysis work at all *)
       if compiles <> 0 then fail "warm run ran %d MiniC compiles" compiles;
       if builds <> 0 then fail "warm run ran %d analyses" builds;
-      if c.Store.misses <> 0 then fail "warm run missed %d times" c.Store.misses;
-      if c.Store.hits <> n then fail "warm run: %d hits, want %d" c.Store.hits n
+      if store "misses" <> 0 then fail "warm run missed %d times" (store "misses");
+      if store "hits" <> n then fail "warm run: %d hits, want %d" (store "hits") n
   | "corrupt" ->
       (* exactly one artifact was damaged: it must be detected, counted,
          and rebuilt; everything else still hits *)
-      if c.Store.corrupt <> 1 then
-        fail "corrupt run: corrupt=%d, want 1" c.Store.corrupt;
-      if c.Store.misses <> 1 then
-        fail "corrupt run: %d misses, want 1" c.Store.misses;
-      if c.Store.hits <> n - 1 then
-        fail "corrupt run: %d hits, want %d" c.Store.hits (n - 1);
+      if store "corrupt" <> 1 then
+        fail "corrupt run: corrupt=%d, want 1" (store "corrupt");
+      if store "misses" <> 1 then
+        fail "corrupt run: %d misses, want 1" (store "misses");
+      if store "hits" <> n - 1 then
+        fail "corrupt run: %d hits, want %d" (store "hits") (n - 1);
       if compiles <> 1 then fail "corrupt run: %d compiles, want 1" compiles;
       if builds <> 1 then fail "corrupt run: %d analyses, want 1" builds
   | "skew" ->
       (* one whole-program entry and every fn/ blob are previous-format
          leftovers at paths this format reads: each lookup of one is a
          counted corrupt miss, and only that one program is rebuilt *)
-      if c.Store.corrupt <> 1 then
-        fail "skew run: corrupt=%d, want 1" c.Store.corrupt;
-      if c.Store.misses <> 1 then
-        fail "skew run: %d misses, want 1" c.Store.misses;
-      if c.Store.hits <> n - 1 then
-        fail "skew run: %d hits, want %d" c.Store.hits (n - 1);
-      if c.Store.fn_hits <> 0 then
-        fail "skew run: %d hits on stale fn blobs" c.Store.fn_hits;
-      if c.Store.fn_misses = 0 || c.Store.fn_corrupt <> c.Store.fn_misses then
+      if store "corrupt" <> 1 then
+        fail "skew run: corrupt=%d, want 1" (store "corrupt");
+      if store "misses" <> 1 then
+        fail "skew run: %d misses, want 1" (store "misses");
+      if store "hits" <> n - 1 then
+        fail "skew run: %d hits, want %d" (store "hits") (n - 1);
+      if store "fn_hits" <> 0 then
+        fail "skew run: %d hits on stale fn blobs" (store "fn_hits");
+      if store "fn_misses" = 0 || store "fn_corrupt" <> store "fn_misses" then
         fail "skew run: fn_corrupt=%d of %d fn misses, want all of them"
-          c.Store.fn_corrupt c.Store.fn_misses;
+          (store "fn_corrupt") (store "fn_misses");
       if compiles <> 1 then fail "skew run: %d compiles, want 1" compiles;
       if builds <> 1 then fail "skew run: %d analyses, want 1" builds
   | p -> fail "unknown phase %S" p);

@@ -10,6 +10,8 @@
      - attack (jobs 2; mem is the alias of arbitrary), perf and trace;
      - --metrics-out writes {manifest, metrics, runtime} and --events
        names the attack model;
+     - bench --metrics-out adds the results of each target, fig8's
+       equal to the in-process size census;
      - serve --socket in the background, at --jobs 1 and 2, answers
        check-remote --socket with matching verdicts and exits 0 within
        2 s of SIGTERM;
@@ -17,7 +19,9 @@
        itself: every line parses and the first is the fleet manifest;
      - fleet --shards 2 sent SIGTERM 20 ms after it starts leaves no
        shard accepting once it has exited;
-     - bad flag values exit with a usage code, not a crash. *)
+     - bad flag values exit with a usage code, not a crash, and a bad
+       bench flag or target stops bench before its first target; a
+       refused serve writes no --metrics-out report. *)
 
 module J = Ipds_obs.Json
 
@@ -184,6 +188,26 @@ let () =
         = Some (J.String "analyze"))
         "metrics-out: manifest does not name the command"
   | exception J.Parse_error msg -> fail "metrics-out does not parse: %s" msg);
+  let report = path "bench.json" in
+  ignore
+    (ok "bench --metrics-out"
+       [ "bench"; "fig8"; "table1"; "--no-cache"; "--metrics-out"; report ]);
+  (match J.of_string (read_file report) with
+  | doc ->
+      List.iter
+        (fun k -> expect (J.member k doc <> None) "bench report: no %s section" k)
+        [ "manifest"; "metrics"; "runtime"; "results" ];
+      expect
+        (Option.bind (J.member "manifest" doc) (J.member "command")
+        = Some (J.String "bench"))
+        "bench report: manifest does not name the command";
+      let census = Ipds_harness.Size_census.(to_json (run_all ())) in
+      expect
+        (Option.map J.to_string
+           (Option.bind (J.member "results" doc) (J.member "fig8"))
+        = Some (J.to_string census))
+        "bench report: results.fig8 is not the size census"
+  | exception J.Parse_error msg -> fail "bench report does not parse: %s" msg);
   (* a server in the background, checked against in-process verdicts;
      SIGTERM may land on any of its threads, reactor 0's among them,
      and must still stop it cleanly within 2 s *)
@@ -280,13 +304,22 @@ let () =
       Unix.kill fleet Sys.sigkill;
       ignore (wait fleet);
       fail "fleet: still running 5 s after a start-up SIGTERM");
-  (* bad values: the CLI's own checks exit 2, cmdliner's parse errors 124 *)
+  (* bad values: the CLI's own checks exit 2, cmdliner's parse errors
+     124; bench refuses every bad value before it prints its first
+     target's table *)
   List.iter
     (fun (code, args) ->
-      let got, _ = run args in
+      let got, out = run args in
       expect (got = code) "%s: exit %d, expected %d" (String.concat " " args) got
-        code)
+        code;
+      if List.hd args = "bench" then
+        expect (out = "") "%s: a target ran: %S" (String.concat " " args) out)
     [
+      (2, [ "attack"; "@telnetd"; "--jobs"; "0" ]);
+      (2, [ "analyze"; "@telnetd"; "-j"; "0" ]);
+      (2, [ "bench"; "table1"; "--jobs"; "0" ]);
+      (2, [ "bench"; "table1"; "no-such-target" ]);
+      (2, [ "bench"; "table1"; "--universes"; "bogus" ]);
       (2, [ "serve"; "--socket"; path "never.sock"; "--cache-slots"; "0" ]);
       (2, [ "serve"; "--socket"; path "never.sock"; "--jobs"; "0" ]);
       (2, [ "serve"; "--socket"; path "never.sock"; "--max-frame"; "0" ]);
@@ -299,6 +332,14 @@ let () =
       (2, [ "check-remote"; "@telnetd"; "--socket"; path "s1.sock"; "--shards"; "0" ]);
       (124, [ "attack"; "@telnetd"; "--model"; "bogus" ]);
     ];
+  (* a refused invocation starts no run, so it writes no report *)
+  let refused = path "refused.json" in
+  ignore
+    (run
+       [ "serve"; "--socket"; path "never.sock"; "--jobs"; "0"; "--metrics-out"; refused ]);
+  expect
+    (not (Sys.file_exists refused))
+    "serve --jobs 0: a refused invocation wrote its --metrics-out report";
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
   if !failures > 0 then begin
     Printf.eprintf "cli smoke: %d failure(s)\n%!" !failures;

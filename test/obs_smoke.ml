@@ -135,7 +135,7 @@ let shape_ok = function
   | _ -> false
 
 let check_metrics (summary : H.Attack_experiment.summary) =
-  let metrics = H.Obs_report.metrics_json () in
+  let metrics = Obs.Registry.snapshot_json ~stability:`Stable () in
   List.iter
     (fun (name, shape) ->
       match J.member name metrics with
@@ -164,27 +164,23 @@ let check_metrics (summary : H.Attack_experiment.summary) =
   recon "attack.injected" (fun (r : H.Attack_experiment.row) -> r.attacks);
   recon "attack.cf_changed" (fun r -> r.cf_changed);
   recon "attack.detected" (fun r -> r.detected);
-  (* the runtime section exists and holds the pool metrics and the
-     wall-clock timers instead *)
-  let runtime = H.Obs_report.runtime_json () in
-  match J.member "metrics" runtime with
-  | Some rm ->
-      expect (J.member "pool.maps" rm <> None)
-        "runtime metrics lack pool.maps (jobs > 1 ran a pool)";
-      let timer = "pass.analyze.ns" in
-      (match J.member timer rm with
-      | Some doc ->
-          expect (shape_ok (`Histogram, doc))
-            "timer %s is not a histogram" timer;
-          expect
-            (match J.member "count" doc with
-            | Some (J.Int n) -> n >= 1
-            | _ -> false)
-            "timer %s counted no run" timer
-      | None -> fail "runtime metrics lack the timer %s" timer);
-      expect (J.member timer metrics = None)
-        "timer %s leaked into the stable object" timer
-  | None -> fail "runtime section lacks metrics"
+  (* the unstable metrics, a run report's runtime section, hold the
+     pool metrics and the wall-clock timers instead *)
+  let rm = Obs.Registry.snapshot_json ~stability:`Unstable () in
+  expect (J.member "pool.maps" rm <> None)
+    "runtime metrics lack pool.maps (jobs > 1 ran a pool)";
+  let timer = "pass.analyze.ns" in
+  (match J.member timer rm with
+  | Some doc ->
+      expect (shape_ok (`Histogram, doc)) "timer %s is not a histogram" timer;
+      expect
+        (match J.member "count" doc with
+        | Some (J.Int n) -> n >= 1
+        | _ -> false)
+        "timer %s counted no run" timer
+  | None -> fail "runtime metrics lack the timer %s" timer);
+  expect (J.member timer metrics = None)
+    "timer %s leaked into the stable object" timer
 
 let () =
   let events_path =

@@ -80,7 +80,7 @@ let src_v2 = source 99
 let options = Ipds_correlation.Analysis.default_options
 
 type snap = {
-  s : Store.counters;
+  store : string -> int;  (* the counter store.<name> *)
   analyze : int;
   tables : int;
   digests : int;
@@ -88,8 +88,13 @@ type snap = {
 }
 
 let snap () =
+  let metrics = Ipds_obs.Registry.snapshot () in
   {
-    s = Store.counters ();
+    store =
+      (fun name ->
+        match List.assoc_opt ("store." ^ name) metrics with
+        | Some (Ipds_obs.Registry.Counter n) -> n
+        | _ -> fail "no counter store.%s" name);
     analyze = Pass.units "analyze";
     tables = Pass.units "tables";
     digests = Pass.units "digest";
@@ -122,10 +127,10 @@ let () =
   let t0 = snap () in
   let cold = Incremental.system ~options store ~key:(key src_v1) (fun () -> prog1) in
   let t1 = snap () in
-  expect "cold: artifact misses" (t1.s.Store.misses - t0.s.Store.misses) 1;
-  expect "cold: artifact hits" (t1.s.Store.hits - t0.s.Store.hits) 0;
-  expect "cold: fn misses" (t1.s.Store.fn_misses - t0.s.Store.fn_misses) n;
-  expect "cold: fn hits" (t1.s.Store.fn_hits - t0.s.Store.fn_hits) 0;
+  expect "cold: artifact misses" (t1.store "misses" - t0.store "misses") 1;
+  expect "cold: artifact hits" (t1.store "hits" - t0.store "hits") 0;
+  expect "cold: fn misses" (t1.store "fn_misses" - t0.store "fn_misses") n;
+  expect "cold: fn hits" (t1.store "fn_hits" - t0.store "fn_hits") 0;
   expect "cold: analyze units" (t1.analyze - t0.analyze) n;
   expect "cold: tables units" (t1.tables - t0.tables) n;
   expect "cold: digest units" (t1.digests - t0.digests) n;
@@ -137,8 +142,8 @@ let () =
         fail "warm run re-ran the front end")
   in
   let t2 = snap () in
-  expect "warm: artifact hits" (t2.s.Store.hits - t1.s.Store.hits) 1;
-  expect "warm: fn lookups" (t2.s.Store.fn_hits - t1.s.Store.fn_hits) 0;
+  expect "warm: artifact hits" (t2.store "hits" - t1.store "hits") 1;
+  expect "warm: fn lookups" (t2.store "fn_hits" - t1.store "fn_hits") 0;
   expect "warm: analyze units" (t2.analyze - t1.analyze) 0;
   expect "warm: builds" (t2.builds - t1.builds) 0;
   if not (Bytes.equal (A.to_bytes warm) (A.to_bytes cold)) then
@@ -152,9 +157,9 @@ let () =
             prog2))
   in
   let t3 = snap () in
-  expect "edited: artifact misses" (t3.s.Store.misses - t2.s.Store.misses) 1;
-  expect "edited: fn hits" (t3.s.Store.fn_hits - t2.s.Store.fn_hits) (n - 1);
-  expect "edited: fn misses" (t3.s.Store.fn_misses - t2.s.Store.fn_misses) 1;
+  expect "edited: artifact misses" (t3.store "misses" - t2.store "misses") 1;
+  expect "edited: fn hits" (t3.store "fn_hits" - t2.store "fn_hits") (n - 1);
+  expect "edited: fn misses" (t3.store "fn_misses" - t2.store "fn_misses") 1;
   expect "edited: analyze units" (t3.analyze - t2.analyze) 1;
   expect "edited: tables units" (t3.tables - t2.tables) 1;
   expect "edited: digest units" (t3.digests - t2.digests) n;
@@ -189,8 +194,8 @@ let () =
     Incremental.system ~options store ~key:(key src_v1) (fun () -> prog1)
   in
   let t4 = snap () in
-  expect "skew: corrupt misses" (t4.s.Store.corrupt - t3.s.Store.corrupt) 1;
-  expect "skew: fn hits" (t4.s.Store.fn_hits - t3.s.Store.fn_hits) n;
+  expect "skew: corrupt misses" (t4.store "corrupt" - t3.store "corrupt") 1;
+  expect "skew: fn hits" (t4.store "fn_hits" - t3.store "fn_hits") n;
   expect "skew: analyze units" (t4.analyze - t3.analyze) 0;
   if not (Bytes.equal (A.to_bytes rebuilt) (A.to_bytes cold)) then
     fail "post-skew rebuild differs from the cold artifact";

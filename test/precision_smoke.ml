@@ -61,6 +61,13 @@ let results ~options =
        W.all)
   ^ "\n"
 
+(* The counter [store.<name>], read through the registry as a run
+   report reads it. *)
+let store name =
+  match List.assoc_opt ("store." ^ name) (Ipds_obs.Registry.snapshot ()) with
+  | Some (Ipds_obs.Registry.Counter n) -> n
+  | _ -> failwith ("no counter store." ^ name)
+
 let run_phase () =
   Store.set_ambient_dir (Some !cache_dir);
   let options =
@@ -70,45 +77,44 @@ let run_phase () =
     | p -> fail "unknown phase %S" p
   in
   write_file !out (results ~options);
-  let c = Store.counters () in
   let n = List.length W.all in
   let compiles = W.compile_count () in
   let builds = Core.System.build_count () in
   (match !phase with
   | "cold-off" ->
-      if c.Store.hits <> 0 then fail "cold-off hit the cache %d times" c.Store.hits;
-      if c.Store.misses <> n then
-        fail "cold-off: %d system misses, want %d" c.Store.misses n;
+      if store "hits" <> 0 then fail "cold-off hit the cache %d times" (store "hits");
+      if store "misses" <> n then
+        fail "cold-off: %d system misses, want %d" (store "misses") n;
       if compiles <> n then fail "cold-off: %d compiles, want %d" compiles n;
-      if c.Store.fn_precision_misses <> 0 then
+      if store "fn_precision_misses" <> 0 then
         fail "cold-off counted %d precision misses with precision off"
-          c.Store.fn_precision_misses
+          (store "fn_precision_misses")
   | "cold-on" ->
       (* the cache-soundness criterion: flipping precision on must be a
          clean miss on both tiers — an off-mode fn/ entry served here
          would be a stale (unrefined) analysis under an on-mode key *)
-      if c.Store.hits <> 0 then
+      if store "hits" <> 0 then
         fail "cold-on was served %d whole-system entries from the off run"
-          c.Store.hits;
-      if c.Store.misses <> n then
-        fail "cold-on: %d system misses, want %d" c.Store.misses n;
-      if c.Store.fn_hits <> 0 then
-        fail "cold-on was served %d stale fn/ entries" c.Store.fn_hits;
+          (store "hits");
+      if store "misses" <> n then
+        fail "cold-on: %d system misses, want %d" (store "misses") n;
+      if store "fn_hits" <> 0 then
+        fail "cold-on was served %d stale fn/ entries" (store "fn_hits");
       if builds <> n then fail "cold-on: %d analyses, want %d" builds n;
-      if c.Store.fn_precision_misses = 0 then
+      if store "fn_precision_misses" = 0 then
         fail "cold-on counted no fn_precision_misses";
-      if c.Store.fn_precision_misses <> c.Store.fn_misses then
+      if store "fn_precision_misses" <> (store "fn_misses") then
         fail "cold-on: fn_precision_misses=%d but fn_misses=%d"
-          c.Store.fn_precision_misses c.Store.fn_misses
+          (store "fn_precision_misses") (store "fn_misses")
   | "warm-on" | "warm-off" ->
       if compiles <> 0 then fail "%s ran %d MiniC compiles" !phase compiles;
       if builds <> 0 then fail "%s ran %d analyses" !phase builds;
-      if c.Store.misses <> 0 then fail "%s missed %d times" !phase c.Store.misses;
-      if c.Store.hits <> n then
-        fail "%s: %d hits, want %d" !phase c.Store.hits n;
-      if c.Store.fn_precision_misses <> 0 then
+      if store "misses" <> 0 then fail "%s missed %d times" !phase (store "misses");
+      if store "hits" <> n then
+        fail "%s: %d hits, want %d" !phase (store "hits") n;
+      if store "fn_precision_misses" <> 0 then
         fail "%s counted %d fn_precision_misses on a pure system-tier run"
-          !phase c.Store.fn_precision_misses
+          !phase (store "fn_precision_misses")
   | p -> fail "unknown phase %S" p);
   exit 0
 

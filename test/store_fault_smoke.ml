@@ -65,7 +65,12 @@ let () =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let store = Store.create ~dir in
   let image = A.to_bytes (W.system (W.find "telnetd")) in
-  let c0 () = Store.counters () in
+  (* the counter [store.<name>], read through the registry *)
+  let counter name =
+    match List.assoc_opt ("store." ^ name) (Ipds_obs.Registry.snapshot ()) with
+    | Some (Ipds_obs.Registry.Counter n) -> n
+    | _ -> fail "no counter store.%s" name
+  in
 
   section "1: truncated entry -> corrupt miss, repaired by republish";
   let key = "fault-truncated" in
@@ -75,11 +80,11 @@ let () =
   let path = Store.path_of_key store key in
   let whole = read_file path in
   write_file path (String.sub whole 0 (String.length whole / 3));
-  let before = c0 () in
+  let before = counter "corrupt" in
   if Store.load_system store key <> None then
     fail "truncated entry served as a hit";
-  let after = c0 () in
-  if after.Store.corrupt - before.Store.corrupt < 1 then
+  let after = counter "corrupt" in
+  if after - before < 1 then
     fail "truncated entry not counted corrupt";
   (match Store.publish_image store key image with
   | `Stored -> ()
@@ -97,25 +102,25 @@ let () =
   let path = Store.path_of_key store key in
   Sys.remove path;
   Unix.mkdir path 0o755;
-  let before = c0 () in
+  let before = counter "corrupt" in
   if Store.load_system store key <> None then fail "EISDIR entry served as a hit";
   (match Store.fetch_image store key with
   | `Corrupt _ -> ()
   | `Image _ -> fail "EISDIR entry fetched as an image"
   | `Miss -> fail "read fault downgraded to a plain miss");
-  let after = c0 () in
-  if after.Store.corrupt - before.Store.corrupt < 2 then
+  let after = counter "corrupt" in
+  if after - before < 2 then
     fail "read faults not counted corrupt (got %d)"
-      (after.Store.corrupt - before.Store.corrupt);
+      (after - before);
   if not is_root then begin
     let key = "fault-eacces" in
     ignore (Store.publish_image store key image);
     Unix.chmod (Store.path_of_key store key) 0o000;
-    let before = c0 () in
+    let before = counter "corrupt" in
     if Store.load_system store key <> None then
       fail "unreadable entry served as a hit";
-    let after = c0 () in
-    if after.Store.corrupt - before.Store.corrupt < 1 then
+    let after = counter "corrupt" in
+    if after - before < 1 then
       fail "EACCES not counted corrupt"
   end;
   Printf.printf "2 ok%s\n%!" (if is_root then " (chmod leg skipped: root)" else "");
@@ -124,28 +129,28 @@ let () =
   let key = "pf-blocked" in
   (* a regular file squats where the 2-char shard directory belongs *)
   write_file (Filename.concat dir (String.sub key 0 2)) "squatter";
-  let before = c0 () in
+  let before = counter "publish_failed" in
   (match Store.publish_image store key image with
   | `Failed _ -> ()
   | _ -> fail "publish into a blocked prefix did not fail");
   (* the system-level wrapper must swallow the same failure, counted *)
   Store.publish_system store key
     (W.system (W.find "telnetd"));
-  let after = c0 () in
-  if after.Store.publish_failed - before.Store.publish_failed <> 2 then
+  let after = counter "publish_failed" in
+  if after - before <> 2 then
     fail "expected 2 counted publish failures, got %d"
-      (after.Store.publish_failed - before.Store.publish_failed);
+      (after - before);
   if not is_root then begin
     let ro = temp_path "-ro-store" in
     Unix.mkdir ro 0o555;
     Fun.protect ~finally:(fun () -> rm_rf ro) @@ fun () ->
     let ro_store = Store.create ~dir:ro in
-    let before = c0 () in
+    let before = counter "publish_failed" in
     (match Store.publish_image ro_store "ro-probe" image with
     | `Failed _ -> ()
     | _ -> fail "publish into a read-only dir did not fail");
-    let after = c0 () in
-    if after.Store.publish_failed - before.Store.publish_failed <> 1 then
+    let after = counter "publish_failed" in
+    if after - before <> 1 then
       fail "read-only publish failure not counted"
   end;
   Printf.printf "3 ok%s\n%!" (if is_root then " (read-only-dir leg skipped: root)" else "");

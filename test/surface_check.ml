@@ -6,7 +6,7 @@
      comment directly after the declaration begins with "Test seam:".
 
    Every .ml and .mli under the directories given on the command line
-   (lib bin bench perfbench examples test) is read with its comments
+   (lib bin perfbench examples test) is read with its comments
    stripped, and any occurrence of a bare identifier counts as a use:
    the check follows no module path, alias or open.  So it never fails
    an export that has a caller, but an unrelated identifier with the

@@ -15,6 +15,13 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
+(* The counter [store.<name>], read through the registry as a run
+   report reads it. *)
+let store_counter name =
+  match List.assoc_opt ("store." ^ name) (Ipds_obs.Registry.snapshot ()) with
+  | Some (Ipds_obs.Registry.Counter n) -> n
+  | _ -> Alcotest.failf "no counter store.%s" name
+
 let with_temp_dir f =
   let dir =
     Filename.concat
@@ -420,7 +427,7 @@ let test_overlong_literal_is_corrupt () =
     | _ -> "decoded"
     | exception A.Corrupt m -> m);
   with_temp_dir (fun dir ->
-      Store.reset_counters ();
+      Ipds_obs.Registry.reset ();
       let store = Store.create ~dir in
       let key = "overlong-literal-probe" in
       check "publish_image stores it" true (Store.publish_image store key bad = `Stored);
@@ -429,9 +436,8 @@ let test_overlong_literal_is_corrupt () =
         (match Store.fetch_image store key with
         | `Corrupt _ -> true
         | `Image _ | `Miss -> false);
-      let c = Store.counters () in
-      check_int "counted corrupt" 2 c.Store.corrupt;
-      check_int "counted misses" 2 c.Store.misses)
+      check_int "counted corrupt" 2 (store_counter "corrupt");
+      check_int "counted misses" 2 (store_counter "misses"))
 
 let test_inspect_reports_damage () =
   let sys = W.system (W.find "telnetd") in
@@ -474,7 +480,7 @@ let test_file_roundtrip_and_sniff () =
 
 let test_store_hit_miss_corrupt () =
   with_temp_dir (fun dir ->
-      Store.reset_counters ();
+      Ipds_obs.Registry.reset ();
       let store = Store.create ~dir in
       let w = W.find "sysklogd" in
       let sys = W.system w in
@@ -501,11 +507,11 @@ let test_store_hit_miss_corrupt () =
       output_bytes oc buf;
       close_out oc;
       check "corrupt entry is a miss" true (Store.load_system store key = None);
-      let c = Store.counters () in
-      check_int "hits" 1 c.Store.hits;
-      check_int "misses" 2 c.Store.misses;
-      check_int "corrupt misses" 1 c.Store.corrupt;
-      check "bytes accounted" true (c.Store.bytes_read > 0 && c.Store.bytes_written > 0))
+      check_int "hits" 1 (store_counter "hits");
+      check_int "misses" 2 (store_counter "misses");
+      check_int "corrupt misses" 1 (store_counter "corrupt");
+      check "bytes accounted" true
+        (store_counter "bytes_read" > 0 && store_counter "bytes_written" > 0))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -535,7 +541,7 @@ let test_version_skew_clean_miss () =
   List.iter
     (fun version ->
       with_temp_dir (fun dir ->
-          Store.reset_counters ();
+          Ipds_obs.Registry.reset ();
           let store = Store.create ~dir in
           let w = W.find "telnetd" in
           let key =
@@ -558,9 +564,8 @@ let test_version_skew_clean_miss () =
                 has_sub msg "version");
           check (v ^ "entry is a clean store miss") true
             (Store.load_system store key = None);
-          let c = Store.counters () in
-          check_int (v ^ "skew counted corrupt") 1 c.Store.corrupt;
-          check_int (v ^ "skew counted miss") 1 c.Store.misses))
+          check_int (v ^ "skew counted corrupt") 1 (store_counter "corrupt");
+          check_int (v ^ "skew counted miss") 1 (store_counter "misses")))
     [ 1; 2; 3 ]
 
 (* The collision-detection table: an occupied key is byte-compared on
@@ -569,7 +574,7 @@ let test_version_skew_clean_miss () =
    repaired. *)
 let test_collision_table () =
   with_temp_dir (fun dir ->
-      Store.reset_counters ();
+      Ipds_obs.Registry.reset ();
       let store = Store.create ~dir in
       let img_a = A.to_bytes (W.system (W.find "telnetd")) in
       let img_b = A.to_bytes (W.system (W.find "httpd")) in
@@ -590,9 +595,8 @@ let test_collision_table () =
       (match Store.fetch_image store key with
       | `Image got -> check "repair restored bytes" true (Bytes.equal got img_a)
       | `Miss | `Corrupt _ -> Alcotest.fail "repair did not restore the entry");
-      let c = Store.counters () in
-      check_int "exactly one collision counted" 1 c.Store.collisions;
-      check_int "no publish failures" 0 c.Store.publish_failed)
+      check_int "exactly one collision counted" 1 (store_counter "collisions");
+      check_int "no publish failures" 0 (store_counter "publish_failed"))
 
 (* Regression: [load_system] used to treat {e any} [Sys_error] as a
    plain miss, so an unreadable-but-present cache (EACCES, EIO, a
@@ -602,7 +606,7 @@ let test_collision_table () =
    tests run as root (unlike chmod 0). *)
 let test_read_fault_is_corrupt_not_miss () =
   with_temp_dir (fun dir ->
-      Store.reset_counters ();
+      Ipds_obs.Registry.reset ();
       let store = Store.create ~dir in
       let key = "fault-probe-entry" in
       ignore (Store.publish_image store key (A.to_bytes (W.system (W.find "crond"))));
@@ -611,13 +615,11 @@ let test_read_fault_is_corrupt_not_miss () =
       Unix.mkdir path 0o755;
       check "read fault is a miss, not a crash" true
         (Store.load_system store key = None);
-      let c = Store.counters () in
-      check_int "read fault counted corrupt" 1 c.Store.corrupt;
+      check_int "read fault counted corrupt" 1 (store_counter "corrupt");
       (* and a genuinely absent entry stays a plain (non-corrupt) miss *)
       check "absent entry misses" true
         (Store.load_system store "fault-probe-absent" = None);
-      let c2 = Store.counters () in
-      check_int "absent entry not counted corrupt" 1 c2.Store.corrupt)
+      check_int "absent entry not counted corrupt" 1 (store_counter "corrupt"))
 
 (* Regression: [publish_system] used to swallow [Sys_error] silently.
    A publish lost to an IO error must be counted.  The fault: a
@@ -625,7 +627,7 @@ let test_read_fault_is_corrupt_not_miss () =
    file creation fails with ENOTDIR — again deterministic as root. *)
 let test_publish_failure_counted () =
   with_temp_dir (fun dir ->
-      Store.reset_counters ();
+      Ipds_obs.Registry.reset ();
       let store = Store.create ~dir in
       let key = "pf-probe" in
       let prefix_dir = Filename.concat dir (String.sub key 0 2) in
@@ -635,8 +637,7 @@ let test_publish_failure_counted () =
       | `Stored | `Duplicate | `Collision ->
           Alcotest.fail "publish into a blocked prefix dir must fail");
       Store.publish_system store key (W.system (W.find "atftpd"));
-      let c = Store.counters () in
-      check_int "both failed publishes counted" 2 c.Store.publish_failed)
+      check_int "both failed publishes counted" 2 (store_counter "publish_failed"))
 
 (* Regression: [path_of_key] used to [String.sub key 0 2] without
    validation, so a short or hostile key (now remotely reachable via
@@ -653,7 +654,6 @@ let test_malformed_keys_rejected () =
   check "hex digest valid" true (Store.valid_key (String.make 64 'a'));
   check "human key valid" true (Store.valid_key "fleet-telnetd_v1.2");
   with_temp_dir (fun dir ->
-      Store.reset_counters ();
       let store = Store.create ~dir in
       check "malformed key loads as None, no raise" true
         (Store.load_system store "x" = None);

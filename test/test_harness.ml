@@ -192,10 +192,18 @@ let test_attack_experiment_deterministic () =
 
 let test_run_all_jobs_deterministic () =
   (* The tentpole guarantee: per-attempt splittable seeding makes the
-     campaign bit-for-bit identical for any domain count. *)
+     campaign bit-for-bit identical for any domain count.  Both
+     campaigns use one configuration per workload, so the memos must
+     collapse them to at most one compile and one build each. *)
+  let compiles = W.compile_count () and builds = Ipds_core.System.build_count () in
   let sequential = fig7 ~attacks:5 ~seed:11 ~jobs:1 in
   let parallel = fig7 ~attacks:5 ~seed:11 ~jobs:4 in
-  check "jobs=1 equals jobs=4" true (sequential = parallel)
+  check "jobs=1 equals jobs=4" true (sequential = parallel);
+  let workloads = List.length W.all in
+  check "at most one compile per workload" true
+    (W.compile_count () - compiles <= workloads);
+  check "at most one build per workload" true
+    (Ipds_core.System.build_count () - builds <= workloads)
 
 let test_golden_campaign_rows () =
   (* Frozen `ipds attack` CLI rows (name salts include the CLI's "@"
