@@ -71,7 +71,8 @@ val build :
     before analyzing each function. *)
 
 val build_count : unit -> int
-(** How many builds have run in this process: the [system.builds]
+(** Test seam: the smoke tests and test_harness count the builds a run
+    makes.  How many builds have run in this process: the [system.builds]
     registry counter, which {!Ipds_obs.Registry.reset} zeroes. *)
 
 val info : t -> string -> func_info

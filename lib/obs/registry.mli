@@ -37,6 +37,7 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
 val counter_reset : counter -> unit
+(** Test seam: test_obs zeroes one counter; {!reset} zeroes them all. *)
 
 (** {2 Gauges (monotone max)} *)
 
@@ -73,6 +74,7 @@ type histogram_view = {
 
 val histogram_value : histogram -> histogram_view
 val histogram_reset : histogram -> unit
+(** Test seam: test_obs empties one timer; {!reset} empties them all. *)
 
 (** {2 Wall-clock timers} *)
 

@@ -35,11 +35,11 @@ val program : ?promote:bool -> t -> Ipds_mir.Program.t
     register-allocated binaries; pass [false] for the -O0 ablation. *)
 
 val compile_count : unit -> int
-(** How many MiniC compiles have actually run in this process — the
-    bench smoke test asserts it stays at one per configuration, and the
-    cache smoke test asserts it stays at zero on a warm run (artifact
-    loads do not count).  It reads the [workloads.compiles] registry
-    counter, which {!Ipds_obs.Registry.reset} zeroes. *)
+(** Test seam: how many MiniC compiles have actually run in this
+    process.  test_harness asserts at most one per configuration, and
+    the cache smoke test asserts none on a warm run (artifact loads do
+    not count).  It reads the [workloads.compiles] registry counter,
+    which {!Ipds_obs.Registry.reset} zeroes. *)
 
 val system :
   ?promote:bool ->
