@@ -1,4 +1,7 @@
-(* Slice-by-8: eight 256-entry tables, where [table.(k * 256 + n)] is
+(* Two kernels behind one entry point (see crc32.mli): the PCLMULQDQ
+   fold in crc32_stubs.c, where CPUID reports it, and this slice-by-8.
+
+   Slice-by-8: eight 256-entry tables, where [table.(k * 256 + n)] is
    the CRC contribution of byte [n] followed by [k] zero bytes, fold
    eight input bytes per step with two 32-bit loads; the byte loop
    finishes the tail.
@@ -40,12 +43,15 @@ let get_u32_le buf i =
   let v = get32u buf i in
   Int32.to_int (if Sys.big_endian then swap32 v else v) land 0xFFFF_FFFF
 
-let bytes buf ~pos ~len =
+let check_range buf ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length buf then
-    invalid_arg "Crc32.bytes: range out of bounds";
+    invalid_arg "Crc32.bytes: range out of bounds"
+
+(* The register [c] advanced over [len] bytes from [pos]. *)
+let slice8 c buf ~pos ~len =
   let t = table in
   let tb i = Array.unsafe_get t i in
-  let c = ref 0xFFFF_FFFF in
+  let c = ref c in
   let i = ref pos in
   let stop8 = pos + (len land lnot 7) in
   while !i < stop8 do
@@ -64,7 +70,35 @@ let bytes buf ~pos ~len =
   for j = stop8 to pos + len - 1 do
     c := tb ((!c lxor Char.code (Bytes.unsafe_get buf j)) land 0xFF) lxor (!c lsr 8)
   done;
-  Int32.of_int (!c lxor 0xFFFF_FFFF)
+  !c
+
+(* The C kernel only reads [buf], so it allocates nothing and the GC
+   never runs during the call. *)
+external fold_hw :
+  Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "ipds_crc32_fold_byte" "ipds_crc32_fold"
+[@@noalloc]
+
+external hw_available : unit -> bool = "ipds_crc32_hw_available"
+
+let hardware = hw_available ()
+
+let finish c = Int32.of_int (c lxor 0xFFFF_FFFF)
+
+let portable_bytes buf ~pos ~len =
+  check_range buf ~pos ~len;
+  finish (slice8 0xFFFF_FFFF buf ~pos ~len)
+
+(* The folding kernel takes the 16-byte-multiple prefix of a range of
+   at least 64 bytes; the tables finish the rest. *)
+let bytes buf ~pos ~len =
+  check_range buf ~pos ~len;
+  if hardware && len >= 64 then begin
+    let folded = len land lnot 15 in
+    let c = fold_hw buf pos folded 0xFFFF_FFFF in
+    finish (slice8 c buf ~pos:(pos + folded) ~len:(len - folded))
+  end
+  else finish (slice8 0xFFFF_FFFF buf ~pos ~len)
 
 let all buf = bytes buf ~pos:0 ~len:(Bytes.length buf)
 (* [bytes] only reads its input, so a string is checked in place *)

@@ -166,8 +166,7 @@ let set_top t (img : Image.t) off =
   t.top_rows <- img.Image.rows;
   t.top_nodes <- img.Image.nodes
 
-let on_call t fname =
-  let img = t.lookup fname in
+let push t (img : Image.t) =
   if t.depth = Array.length t.images then grow_frames t;
   let init = img.Image.init_bsv in
   let bytes = Bytes.length init in
@@ -183,6 +182,8 @@ let on_call t fname =
   let n = apply_row t img off (2 * img.Image.space) in
   t.d_cb <- t.d_cb + (n lsl 32);
   n
+
+let on_call t fname = push t (t.lookup fname)
 
 let on_return t =
   if t.depth = 0 then false

@@ -55,7 +55,14 @@ type t
 
 val create : lookup:(string -> Image.t) -> t
 val on_call : t -> string -> int
-(** Push an activation; returns the number of entry actions applied. *)
+(** [push] the image [lookup] gives for the function's name. *)
+
+val push : t -> Image.t -> int
+(** Push an activation of the function whose image this is; returns
+    the number of entry actions applied.  The one push path: {!on_call}
+    looks the image up and comes here, and a caller that resolved the
+    image already (the verdict server, once per callee name per batch)
+    calls it directly. *)
 
 val on_return : t -> bool
 (** Pop an activation.  [false] — and no state change — when the stack

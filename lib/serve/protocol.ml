@@ -1,6 +1,7 @@
 (* The verdict-server wire format: length-prefixed binary frames with a
    versioned magic and a CRC-32 trailer, payloads bit-packed with
-   {!Ipds_core.Bitstream}.
+   {!Ipds_core.Bitstream}, except the event bits of [Branch_events],
+   which the C kernels of wire_stubs.c pack and unpack.
 
    Frame layout (integers little-endian):
 
@@ -183,11 +184,12 @@ let pull_verdict ~limit r : Ipds_core.Checker.alarm =
    Only the checker's call/ret/branch stream; the layout and the wire
    normal form of a decoded event are in protocol.mli.  The header
    (counts, callee names) is all 8-bit fields from bit 0, so the event
-   bits start on a byte boundary: the encoder writes them in one pass
-   while it builds the name table, then writes the header in front;
-   the decoder reads the header and then the events into flat arrays.
-   Both keep the bit accumulator, its bit count and the byte position
-   in local variables. *)
+   bits start on a byte boundary.  Both directions go through the flat
+   {!batch} layout: the encoder walks the event list into an op/arg
+   array and its name table, then one C kernel packs the array's event
+   bits and the header is written in front; the decoder reads the
+   header, then one C kernel unpacks the event bits into the batch's
+   array (wire_stubs.c). *)
 
 let rec pull_varint_from r acc shift =
   let g = Bs.Reader.pull r ~width:8 in
@@ -197,11 +199,6 @@ let rec pull_varint_from r acc shift =
   else pull_varint_from r acc (shift + 7)
 
 let pull_varint r = pull_varint_from r 0 0
-
-(* Signed deltas as small unsigned varints: 0, -1, 1, -2, ... *)
-let zigzag d = (d lsl 1) lxor (d asr 62)
-let unzigzag z = (z lsr 1) lxor -(z land 1)
-
 let rec varint_bytes v = if v lsr 7 = 0 then 1 else 1 + varint_bytes (v lsr 7)
 
 (* A varint at byte [p] of [b]; returns the position after it. *)
@@ -225,24 +222,68 @@ let staging_keep = 4 * default_batch
 (* An event is at most 2 + 8 × 9 bits. *)
 let event_room = 10
 
-(* The encoder's per-domain scratch: the event bits, and the callee
-   table in first-occurrence order with its index. *)
+(* The two kernels.  [pack ev n body pos] writes the event bits of
+   [ev]'s first [n] events into [body] from [pos], the last byte
+   zero-padded, and returns the position past them; it needs
+   [event_room * n + 8] bytes of room from [pos].  [unpack ev buf p
+   limit n k] reads [n] events from byte [p] up to [limit] into [ev],
+   which has room for them; it reads eight bytes at once only where
+   [p + 8 <= limit], and returns 0, or the first refusal in payload
+   order: 1 past the end, 2 a varint over nine groups, 3 a callee
+   index outside the [k] names. *)
+external pack :
+  int array -> (int[@untagged]) -> Bytes.t -> (int[@untagged]) -> (int[@untagged])
+  = "ipds_wire_pack_byte" "ipds_wire_pack"
+[@@noalloc]
+
+external unpack :
+  int array ->
+  Bytes.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "ipds_wire_unpack_byte" "ipds_wire_unpack"
+[@@noalloc]
+
+(* The encoder's per-domain scratch: the events in the flat batch
+   layout, the bytes they pack into, the callee table in
+   first-occurrence order with its index, and the recent callee strings
+   by address. *)
 module Names = Hashtbl.Make (String)
 
+(* A batch's calls pass a few physical strings, one per call site, so
+   up to [recent_slots] of them are remembered by address with their
+   index, and a string found there is not hashed again. *)
+let recent_slots = 16
+
 type encoder = {
+  mutable ev : int array;
   mutable body : Bytes.t;
   mutable table : string array;
   mutable k : int;
   index : int Names.t;
+  recent : string array;
+  recent_index : int array;
+  mutable recent_n : int;
 }
 
 let fresh_encoder () =
-  { body = Bytes.create 4096; table = Array.make 64 ""; k = 0; index = Names.create 16 }
+  {
+    ev = Array.make (2 * default_batch) 0;
+    body = Bytes.create ((event_room * default_batch) + 8);
+    table = Array.make 64 "";
+    k = 0;
+    index = Names.create 16;
+    recent = Array.make recent_slots "";
+    recent_index = Array.make recent_slots 0;
+    recent_n = 0;
+  }
 
 let encoder_key = Domain.DLS.new_key fresh_encoder
 
 (* [callee]'s index in the table, adding it on first sight. *)
-let callee_index t callee =
+let table_index t callee =
   match Names.find t.index callee with
   | i -> i
   | exception Not_found ->
@@ -257,68 +298,67 @@ let callee_index t callee =
       t.k <- i + 1;
       i
 
+let rec recent_slot t callee j =
+  if j = t.recent_n then -1
+  else if Array.unsafe_get t.recent j == callee then j
+  else recent_slot t callee (j + 1)
+
+let callee_index t callee =
+  let j = recent_slot t callee 0 in
+  if j >= 0 then Array.unsafe_get t.recent_index j
+  else begin
+    let i = table_index t callee in
+    if t.recent_n < recent_slots then begin
+      t.recent.(t.recent_n) <- callee;
+      t.recent_index.(t.recent_n) <- i;
+      t.recent_n <- t.recent_n + 1
+    end;
+    i
+  end
+
+let grow_events (t : encoder) =
+  let bigger = Array.make (2 * Array.length t.ev) 0 in
+  Array.blit t.ev 0 bigger 0 (Array.length t.ev);
+  t.ev <- bigger;
+  bigger
+
+(* The call/ret/branch events of [l] into [ev], which is [t.ev], from
+   event [i], the names into [t.table]; returns the event count.  One
+   match per event, storing in each arm, into an array held in an
+   argument: this ran about twice as fast as matching for the op and
+   again for the argument, or storing through [t.ev]. *)
+let rec fill_events t ev i l =
+  if (2 * i) + 2 > Array.length ev then fill_events t (grow_events t) i l
+  else
+    match l with
+    | [] -> i
+    | (e : Event.t) :: rest -> (
+        match e.Event.kind with
+        | Event.Call { callee } ->
+            Array.unsafe_set ev (2 * i) 0;
+            Array.unsafe_set ev ((2 * i) + 1) (callee_index t callee);
+            fill_events t ev (i + 1) rest
+        | Event.Ret ->
+            Array.unsafe_set ev (2 * i) 1;
+            Array.unsafe_set ev ((2 * i) + 1) 0;
+            fill_events t ev (i + 1) rest
+        | Event.Branch { taken; _ } ->
+            Array.unsafe_set ev (2 * i) (if taken then 2 else 3);
+            Array.unsafe_set ev ((2 * i) + 1) e.Event.pc;
+            fill_events t ev (i + 1) rest
+        | _ -> fill_events t ev i rest)
+
 (* The event bits of [evs] into [t.body] from byte 0, the names into
-   [t.table]; returns the event count and the body's length in bytes
-   (the last byte zero-padded).  The bit state lives in local
-   variables, not in a record. *)
+   [t.table]; returns the event count and the body's length in bytes. *)
 let encode_events t evs =
   Names.reset t.index;
   t.k <- 0;
-  let l = ref evs and p = ref 0 and acc = ref 0 and nb = ref 0 in
-  let prev = ref 0 and n = ref 0 and more_events = ref true in
-  while !more_events do
-    match !l with
-    | [] -> more_events := false
-    | (e : Event.t) :: rest ->
-        l := rest;
-        let op = ref 1 and arg = ref 0 in
-        (match e.Event.kind with
-        | Event.Call { callee } ->
-            op := 0;
-            arg := callee_index t callee
-        | Event.Ret -> ()
-        | Event.Branch { taken; _ } ->
-            op := if taken then 2 else 3;
-            arg := zigzag (e.Event.pc - !prev);
-            prev := e.Event.pc
-        | _ -> op := -1);
-        if !op >= 0 then begin
-          if !p > Bytes.length t.body - event_room then begin
-            let bigger = Bytes.create (2 * Bytes.length t.body) in
-            Bytes.blit t.body 0 bigger 0 !p;
-            t.body <- bigger
-          end;
-          let body = t.body in
-          incr n;
-          (* the 2-bit op; [nb] < 8 before, so at most one byte is due *)
-          acc := !acc lor (!op lsl !nb);
-          nb := !nb + 2;
-          if !nb >= 8 then begin
-            Bytes.unsafe_set body !p (Char.unsafe_chr (!acc land 0xFF));
-            incr p;
-            acc := !acc lsr 8;
-            nb := !nb - 8
-          end;
-          if !op <> 1 then begin
-            (* the varint's 8-bit groups, each shifted by [nb] *)
-            let v = ref !arg and more = ref true in
-            while !more do
-              let g = if !v lsr 7 = 0 then !v else !v land 0x7F lor 0x80 in
-              more := !v lsr 7 <> 0;
-              v := !v lsr 7;
-              Bytes.unsafe_set body !p
-                (Char.unsafe_chr ((!acc lor (g lsl !nb)) land 0xFF));
-              incr p;
-              acc := g lsr (8 - !nb)
-            done
-          end
-        end
-  done;
-  if !nb > 0 then begin
-    Bytes.unsafe_set t.body !p (Char.unsafe_chr !acc);
-    incr p
-  end;
-  (!n, !p)
+  t.recent_n <- 0;
+  let n = fill_events t t.ev 0 evs in
+  let room = (event_room * n) + 8 in
+  if Bytes.length t.body < room then
+    t.body <- Bytes.create (max room (2 * Bytes.length t.body));
+  (n, pack t.ev n t.body 0)
 
 (* {3 The decoder}
 
@@ -336,84 +376,8 @@ let batch capacity =
   { ev = Array.make (2 * capacity) 0; n = 0; names = Array.make 64 ""; k = 0 }
 
 let batch_capacity b = Array.length b.ev / 2
-
-(* Raised from the event loop without a call (a call anywhere in the
-   loop would move its locals to the stack). *)
 let varint_too_long = Malformed_payload "varint too long"
 let bad_callee_index = Malformed_payload "bad callee index"
-
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external swap64 : int64 -> int64 = "%bswap_int64"
-
-(* Six bytes little-endian from [i]; reads eight, so [i + 8] must be
-   inside the caller's checked range. *)
-let get_u48_le buf i =
-  let v = get64u buf i in
-  Int64.to_int (if Sys.big_endian then swap64 v else v) land 0xFFFF_FFFF_FFFF
-
-(* The event bits of [n] events from byte [p0] up to [limit], refilled
-   six bytes at a time while eight are left, then byte by byte.  A
-   field runs past the end exactly when the bytes left plus the [nb]
-   pending bits are fewer than its width, where {!Bs.Reader} raises;
-   [nb] < 8 at every refill, so the accumulator stays under 56 bits. *)
-let decode_events ev buf p0 limit n k =
-  let p = ref p0 and acc = ref 0 and nb = ref 0 and prev = ref 0 in
-  for i = 0 to n - 1 do
-    if !nb < 2 then begin
-      if !p + 8 <= limit then begin
-        acc := !acc lor (get_u48_le buf !p lsl !nb);
-        nb := !nb + 48;
-        p := !p + 6
-      end
-      else begin
-        if !p >= limit then raise_notrace Bs.Past_end;
-        acc := !acc lor (Char.code (Bytes.unsafe_get buf !p) lsl !nb);
-        nb := !nb + 8;
-        incr p
-      end
-    end;
-    let op = !acc land 3 in
-    acc := !acc lsr 2;
-    nb := !nb - 2;
-    let arg =
-      if op = 1 then 0
-      else begin
-        let v = ref 0 and shift = ref 0 and more = ref true in
-        while !more do
-          if !nb < 8 then begin
-            if !p + 8 <= limit then begin
-              acc := !acc lor (get_u48_le buf !p lsl !nb);
-              nb := !nb + 48;
-              p := !p + 6
-            end
-            else begin
-              if !p >= limit then raise_notrace Bs.Past_end;
-              acc := !acc lor (Char.code (Bytes.unsafe_get buf !p) lsl !nb);
-              nb := !nb + 8;
-              incr p
-            end
-          end;
-          let g = !acc land 0xFF in
-          acc := !acc lsr 8;
-          nb := !nb - 8;
-          v := !v lor ((g land 0x7F) lsl !shift);
-          if g land 0x80 = 0 then more := false
-          else if !shift = 56 then raise_notrace varint_too_long
-          else shift := !shift + 7
-        done;
-        if op = 0 then begin
-          if !v < 0 || !v >= k then raise_notrace bad_callee_index;
-          !v
-        end
-        else begin
-          prev := !prev + unzigzag !v;
-          !prev
-        end
-      end
-    in
-    Array.unsafe_set ev (2 * i) op;
-    Array.unsafe_set ev ((2 * i) + 1) arg
-  done
 
 (* The one [Branch_events] decoder.  Counts are bounded by the bits
    left before anything count-sized is allocated: an event takes at
@@ -439,8 +403,11 @@ let decode_batch b buf ~pos ~len =
   if 2 * n > Array.length b.ev then b.ev <- Array.make (2 * n) 0;
   (* every header field is 8 bits wide: the reader is byte-aligned *)
   let limit = pos + len in
-  decode_events b.ev buf (limit - (Bs.Reader.bits_left r / 8)) limit n k;
-  b.n <- n
+  match unpack b.ev buf (limit - (Bs.Reader.bits_left r / 8)) limit n k with
+  | 0 -> b.n <- n
+  | 1 -> raise Bs.Past_end
+  | 2 -> raise varint_too_long
+  | _ -> raise bad_callee_index
 
 let branch_events_tag = 4
 
@@ -634,7 +601,8 @@ let encode_branch_events evs =
         Bytes.blit t.body 0 b !p body_len)
   in
   if
-    Bytes.length t.body > event_room * staging_keep
+    Array.length t.ev > 2 * staging_keep
+    || Bytes.length t.body > (event_room * staging_keep) + 8
     || Array.length t.table > staging_keep
   then Domain.DLS.set encoder_key (fresh_encoder ());
   b

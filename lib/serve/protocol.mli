@@ -2,7 +2,8 @@
     versioned magic and a CRC-32 trailer, payloads bit-packed with
     {!Ipds_core.Bitstream} — the same codec as the [.ipds] tables, for
     writing and for reading (readers run over the payload span in the
-    receive buffer).
+    receive buffer) — except the event bits of a [Branch_events]
+    payload, which two C kernels pack and unpack in the same layout.
 
     Frame layout (integers little-endian):
     {v
@@ -209,13 +210,13 @@ val stage : staging -> Bytes.t -> pos:int -> len:int -> batch
     outside the name table or a varint over nine groups — the first of
     these in payload order.  After a raise the batch holds no events.
 
-    Measured on a recorded 1 090-event telnetd batch (2-vCPU Xeon VM,
-    one pinned CPU, median of 15 rounds, three runs alternating with
-    the code before it): 18–20 ns per event through
-    {!iter_branch_events} with empty callbacks, against 28–30 ns for
-    the closure-per-event walk it replaced; {!encode_frame} of the
-    batch 22–25 ns per event against 55–92 ns for the two-walk encoder
-    before it. *)
+    Measured on a recorded 1 128-event telnetd batch (2-vCPU Xeon VM
+    with PCLMULQDQ, one pinned CPU, median of 15 rounds of 400 calls,
+    three runs alternating with the OCaml bit loops these kernels
+    replaced): 4.9–5.2 ns per event through {!stage} against 8.8–9.4,
+    10–11 ns through {!iter_branch_events} with empty callbacks against
+    14–15, and {!encode_frame} of the batch, CRC included, 10.5–11 ns
+    per event against 19–20. *)
 
 val staged_capacity : staging -> int
 (** Test seam: test_serve checks a staging shrinks back after an oversized

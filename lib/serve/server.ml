@@ -8,7 +8,8 @@
    own select and accepts for itself, one socket per wake-up, so a
    burst spreads over the reactors that are awake.  Each reactor owns
    one read buffer that every connection it serves reads into, and one
-   {!Protocol.staging}: reactor 0 shares its domain with the caller's
+   {!Session.scratch} (a {!Protocol.staging} and the batch's resolved
+   callee images): reactor 0 shares its domain with the caller's
    threads, so no reactor stages through domain-local scratch.  Reads
    drive {!Protocol.scan_at} over the buffer and hand every frame span
    to {!Session.handle_span}: [Branch_events] spans are staged into the
@@ -109,8 +110,9 @@ type conn = {
 
 type reactor = {
   rbuf : Bytes.t;  (** the one read buffer of every connection below *)
-  staging : Protocol.staging;
-      (** the one staging of every [Branch_events] span they send *)
+  scratch : Session.scratch;
+      (** the one staging of every [Branch_events] span they send, and
+          its resolved callees *)
   mutable conns : conn list;
   mutable listen_after : float;
       (** accept back-off: the listener stays out of this reactor's
@@ -254,11 +256,18 @@ let rec drain_frames t r conn =
         conn.in_len <- conn.in_len - consumed;
         (match
            Session.handle_span conn.session ~send:(send t conn)
-             ~max_frame:t.config.max_frame ~staging:r.staging tag conn.inbuf
+             ~max_frame:t.config.max_frame ~scratch:r.scratch tag conn.inbuf
              ~pos:payload_pos ~len:payload_len
          with
         | `Continue -> ()
-        | `Close -> conn.closing <- true);
+        | `Close -> conn.closing <- true
+        | exception e ->
+            (* A fault in one session must not end the reactor, whose
+               other clients would wait forever: that connection gets
+               one typed error and closes, the rest are still served. *)
+            Session.send_error ~send:(send t conn) Protocol.Server_error
+              ("internal error: " ^ Printexc.to_string e);
+            conn.closing <- true);
         if conn.in_len = 0 then conn.in_start <- 0;
         drain_frames t r conn
 
@@ -397,7 +406,7 @@ let reactor_loop t =
   let r =
     {
       rbuf = Bytes.create 65536;
-      staging = Protocol.staging ();
+      scratch = Session.scratch (Protocol.staging ());
       conns = [];
       listen_after = 0.;
     }

@@ -170,9 +170,12 @@ let decode_image image =
 
    A [Branch_events] batch arrives as a CRC-validated wire span.  It is
    first staged whole into the calling reactor's {!Protocol.staging},
-   which the reactor hands over with the span, then replayed through
-   one loop with one set of guards, counters and verdict collection.
-   The event list is never built.
+   which the reactor hands over with the span in its {!scratch}, then
+   replayed through one loop with one set of guards, counters and
+   verdict collection.  The event list is never built.  Each of the
+   batch's callee names is looked up in the session's images once,
+   into the scratch, and every call pushes the checker frame of the
+   image found there.
 
    A whole batch lands in the staging before any of it touches the
    checker, so a span that turns out malformed mid-batch mutates
@@ -194,7 +197,32 @@ let decode_image image =
    many events at 2 words each, 64 KB, a table of as many names, and
    the names of its last frame. *)
 
-let feed_staged t ~send (st : Protocol.batch) imgs ck =
+type scratch = {
+  staging : Protocol.staging;
+  mutable callees : Image.t option array;
+      (** the image of each callee name of the batch being fed, [None]
+          for an extern: one table lookup per name per batch, not one
+          per call *)
+}
+
+let scratch staging = { staging; callees = Array.make 64 None }
+
+let resolve_callees sc (st : Protocol.batch) imgs =
+  let k = st.Protocol.k in
+  if k > Array.length sc.callees then sc.callees <- Array.make k None;
+  for j = 0 to k - 1 do
+    sc.callees.(j) <- Hashtbl.find_opt imgs st.Protocol.names.(j)
+  done;
+  sc.callees
+
+(* A batch's images are not held past it, and a table grown past
+   {!Protocol.staging_keep} names is not kept, as in the staging. *)
+let release_callees sc k =
+  if Array.length sc.callees > Protocol.staging_keep then
+    sc.callees <- Array.make 64 None
+  else Array.fill sc.callees 0 k None
+
+let feed_staged t ~send sc (st : Protocol.batch) imgs ck =
   let t0 = now_micros () in
   (* O(1) against the checker's running count — a long trace's batch
      loop never rescans its alarm history, so framing cost amortizes
@@ -202,25 +230,25 @@ let feed_staged t ~send (st : Protocol.batch) imgs ck =
   let alarms_before = Checker.alarm_count ck in
   let branches_before = t.tr_branches in
   let ev = st.Protocol.ev in
+  let callees = resolve_callees sc st imgs in
   let feed () =
     for i = 0 to st.Protocol.n - 1 do
       let arg = ev.((2 * i) + 1) in
       match ev.(2 * i) with
-      | 0 ->
-          let callee = st.Protocol.names.(arg) in
-          (* extern calls have no tables and no frame *)
-          if Hashtbl.mem imgs callee then begin
-            (* no run nests deeper than the interpreter allows, and
-               each checker frame costs server memory *)
-            if Checker.depth ck >= Ipds_machine.Interp.max_call_depth then begin
-              Reg.incr m_call_depth_refusals;
-              raise
-                (State_violation
-                   (Printf.sprintf "call past the maximum depth %d"
-                      Ipds_machine.Interp.max_call_depth))
-            end;
-            ignore (Checker.on_call ck callee)
-          end
+      | 0 -> (
+          match callees.(arg) with
+          | None -> (* extern calls have no tables and no frame *) ()
+          | Some img ->
+              (* no run nests deeper than the interpreter allows, and
+                 each checker frame costs server memory *)
+              if Checker.depth ck >= Ipds_machine.Interp.max_call_depth then begin
+                Reg.incr m_call_depth_refusals;
+                raise
+                  (State_violation
+                     (Printf.sprintf "call past the maximum depth %d"
+                        Ipds_machine.Interp.max_call_depth))
+              end;
+              ignore (Checker.push ck img))
       | 1 ->
           if Checker.depth ck = 0 then
             raise (State_violation "Ret with an empty checker stack");
@@ -232,8 +260,10 @@ let feed_staged t ~send (st : Protocol.batch) imgs ck =
           ignore (Checker.on_branch ck ~pc:arg ~taken:(op = 2))
     done
   in
-  match feed () with
-  | () ->
+  let fed = match feed () with () -> Ok () | exception State_violation m -> Error m in
+  release_callees sc st.Protocol.k;
+  match fed with
+  | Ok () ->
       t.tr_events <- t.tr_events + st.Protocol.n;
       Reg.add m_events st.Protocol.n;
       Reg.add m_branches (t.tr_branches - branches_before);
@@ -244,18 +274,18 @@ let feed_staged t ~send (st : Protocol.batch) imgs ck =
       Reg.observe m_batch_micros (now_micros () - t0);
       send (Protocol.Verdicts fresh);
       `Continue
-  | exception State_violation m ->
+  | Error m ->
       send_error ~send Protocol.Bad_state m;
       `Close
 
 (* The span is staged whole (call/ret/branch only: the staged count is
    the batch's event count) before any of it is fed, so a malformed one
    is refused untouched. *)
-let handle_events_span t ~send ~staging buf ~pos ~len =
+let handle_events_span t ~send ~scratch buf ~pos ~len =
   match (t.images, t.checker) with
   | Some imgs, Some ck -> (
-      match Protocol.stage staging buf ~pos ~len with
-      | st -> feed_staged t ~send st imgs ck
+      match Protocol.stage scratch.staging buf ~pos ~len with
+      | st -> feed_staged t ~send scratch st imgs ck
       | exception Protocol.Malformed_payload m ->
           send_error ~send Protocol.Malformed m;
           `Close
@@ -431,9 +461,9 @@ let handle t ~send (f : Protocol.frame) =
 (* One entry point per CRC-validated frame span: [Branch_events] streams
    into the feed loop, every other tag goes through the generic
    decoder. *)
-let handle_span t ~send ~max_frame ~staging tag buf ~pos ~len =
+let handle_span t ~send ~max_frame ~scratch tag buf ~pos ~len =
   if tag = Protocol.branch_events_tag then
-    handle_events_span t ~send ~staging buf ~pos ~len
+    handle_events_span t ~send ~scratch buf ~pos ~len
   else
     match Protocol.decode_span ~max_frame tag buf ~pos ~len with
     | Ok f -> handle t ~send f

@@ -71,18 +71,28 @@ val handle :
     frame state machine on a decoded frame.  A decoded [Branch_events] is a
     typed [Bad_state] error: batches go through {!handle_events_span}. *)
 
+type scratch
+(** A reactor's scratch for the feed loop, owned by it as its read
+    buffer is: the {!Protocol.staging} its [Branch_events] spans are
+    decoded into, and the image each callee name of the batch being
+    fed resolves to, looked up once per name per batch. *)
+
+val scratch : Protocol.staging -> scratch
+(** Scratch that stages through the given staging. *)
+
 val handle_events_span :
   t ->
   send:(Protocol.frame -> unit) ->
-  staging:Protocol.staging ->
+  scratch:scratch ->
   Bytes.t ->
   pos:int ->
   len:int ->
   [ `Close | `Continue ]
 (** Test seam: test_serve feeds staged batches without a socket.  One
-    CRC-validated [Branch_events] payload span, staged whole into [staging] by
-    {!Protocol.stage} and then fed: a malformed payload mutates nothing.  The
-    server passes the staging of the reactor that read the span.  Counts only
+    CRC-validated [Branch_events] payload span, staged whole into the
+    scratch's staging by {!Protocol.stage} and then fed: a malformed payload
+    mutates nothing.  The server passes the scratch of the reactor that read
+    the span.  Counts only
     call/ret/branch events, the kinds the wire carries.  A [Ret]/[Branch]
     event against an empty checker stack, or a call that would nest deeper
     than {!Ipds_machine.Interp.max_call_depth}, is a typed [Bad_state] error
@@ -92,15 +102,15 @@ val handle_span :
   t ->
   send:(Protocol.frame -> unit) ->
   max_frame:int ->
-  staging:Protocol.staging ->
+  scratch:scratch ->
   int ->
   Bytes.t ->
   pos:int ->
   len:int ->
   [ `Close | `Continue ]
-(** [handle_span t ~send ~max_frame ~staging tag buf ~pos ~len]: one
+(** [handle_span t ~send ~max_frame ~scratch tag buf ~pos ~len]: one
     CRC-validated frame span (from {!Protocol.scan_at}).
-    [Branch_events] goes to {!handle_events_span} with [staging]; every
+    [Branch_events] goes to {!handle_events_span} with [scratch]; every
     other tag is decoded and handed to {!handle}, a decode failure being
     one typed error and [`Close]. *)
 

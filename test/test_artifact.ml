@@ -687,6 +687,11 @@ let test_crc_domain_stress () =
     (List.for_all2 (fun d got -> got = reference d)
        (List.init 8 Fun.id) per_domain)
 
+(* Both CRC-32 kernels against the byte-at-a-time reference.  On a
+   CPU without PCLMULQDQ both are the slice-by-8, and [main] says so
+   before the run. *)
+let test_crc_kernels () = Option.iter Alcotest.fail (Crc32_ref.kernels_difference ())
+
 (* The pass-pipeline invariant: fanning the per-function passes over a
    domain pool is invisible in the output — byte-identical .ipds
    artifacts and identical Fig. 7/Fig. 8 numbers for any job count. *)
@@ -735,6 +740,8 @@ let () =
   if not Ipds_core.Sha256.hardware then
     print_endline
       "sha256: this CPU has no SHA extensions; only the portable kernel ran";
+  if not Ipds_artifact.Crc32.hardware then
+    print_endline "crc32: this CPU has no PCLMULQDQ; only the portable kernel ran";
   Alcotest.run "artifact"
     [
       ( "roundtrip",
@@ -782,7 +789,10 @@ let () =
           Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
         ] );
       ( "crc32",
-        [ Alcotest.test_case "domain stress" `Quick test_crc_domain_stress ] );
+        [
+          Alcotest.test_case "domain stress" `Quick test_crc_domain_stress;
+          Alcotest.test_case "both kernels = reference" `Quick test_crc_kernels;
+        ] );
       ( "determinism",
         [
           Alcotest.test_case "jobs 1 vs 4 byte-identical" `Quick

@@ -605,6 +605,89 @@ let test_wire_damage () =
       done)
     [ ("fixture", fixture_events); ("telnetd slice", slice); ("many callees", many) ]
 
+(* The cases the C kernels treat specially, each against the
+   reference: the extreme pcs and the nine-group varints their deltas
+   take, a ten-group varint, a callee index equal to the name count,
+   and a payload long enough for the 8-byte loads cut 1–8 bytes short
+   (every cut runs the tail of the unpack's byte-at-a-time refill). *)
+let test_wire_kernel_edges () =
+  let branch pc = ev "f" 0 pc (Event.Branch { taken = pc land 1 = 0; target_pc = 0 }) in
+  let call callee = ev "f" 0 0 (Event.Call { callee }) in
+  let extremes =
+    List.map branch [ max_int; min_int; 0; min_int; max_int; -1; max_int; 1 ]
+  in
+  check "extreme pcs: bytes and events" true (codecs_agree extremes);
+  (* the delta min_int − 0 zigzags to 2^63 − 1: nine full groups, so
+     2 + 72 event bits in 10 bytes after the 2-byte header *)
+  let nine = events_payload [ branch min_int ] in
+  check "nine-group varint" true (Bytes.length nine = 12 && decoders_agree nine);
+  let header ~n names =
+    let w = Bs.Writer.create () in
+    let varint v =
+      let rec go v =
+        if v lsr 7 = 0 then Bs.Writer.push w ~width:8 v
+        else begin
+          Bs.Writer.push w ~width:8 (v land 0x7F lor 0x80);
+          go (v lsr 7)
+        end
+      in
+      go v
+    in
+    varint n;
+    varint (List.length names);
+    List.iter
+      (fun s ->
+        varint (String.length s);
+        Bs.Writer.push_string w s)
+      names;
+    (w, varint)
+  in
+  let refused want payload =
+    let len = Bytes.length payload in
+    check ("refused: " ^ want) true
+      (Wire_ref.decode payload ~pos:0 ~len = Error want && decoders_agree payload)
+  in
+  (let w, _ = header ~n:1 [] in
+   Bs.Writer.push w ~width:2 2;
+   for _ = 1 to 9 do
+     Bs.Writer.push w ~width:8 0xFF
+   done;
+   Bs.Writer.push w ~width:8 0x01;
+   refused "varint too long" (Bs.Writer.contents w));
+  (let w, varint = header ~n:2 [ "f"; "g" ] in
+   Bs.Writer.push w ~width:2 0;
+   varint 1;
+   Bs.Writer.push w ~width:2 0;
+   varint 2;
+   refused "bad callee index" (Bs.Writer.contents w));
+  let long =
+    List.init 200 (fun i ->
+        if i mod 7 = 0 then call (Printf.sprintf "f%d" (i mod 3))
+        else if i mod 5 = 0 then ev "f" 0 0 Event.Ret
+        else branch (0x1000 + (i * 4 * (i mod 11))))
+  in
+  let payload = events_payload long in
+  let len = Bytes.length payload in
+  (* zero bytes past the span read as calls of name 0: a decoder that
+     loads past the span's end decodes them instead of refusing *)
+  let within_zeros cut =
+    let l = Bytes.length cut in
+    let buf = Bytes.make (l + 16) '\000' in
+    Bytes.blit cut 0 buf 5 l;
+    decode_list buf ~pos:5 ~len:l = Error "payload ends prematurely"
+    && decode_iter buf ~pos:5 ~len:l = Error "payload ends prematurely"
+  in
+  for short = 1 to 8 do
+    let cut = Bytes.sub payload 0 (len - short) in
+    check
+      (Printf.sprintf "cut %d bytes short" short)
+      true
+      (decoders_agree cut
+      && within_zeros cut
+      && Wire_ref.decode cut ~pos:0 ~len:(len - short)
+         = Error "payload ends prematurely")
+  done
+
 let () =
   Alcotest.run "codec"
     [
@@ -621,6 +704,7 @@ let () =
           Alcotest.test_case "seeded batches" `Quick test_wire_random;
           Alcotest.test_case "built-in runs" `Quick test_wire_builtins;
           Alcotest.test_case "truncations and edits" `Quick test_wire_damage;
+          Alcotest.test_case "C kernel edge cases" `Quick test_wire_kernel_edges;
         ] );
       ( "golden",
         [

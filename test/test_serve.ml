@@ -741,13 +741,14 @@ let feed_session batches feed =
   ( List.rev !replies,
     List.map2 ( - ) (List.map serve_counter stable_counters) before )
 
-(* The staging every session in this file is handed, as a reactor
-   hands its own to each session it serves. *)
+(* The staging every session in this file is handed, in the scratch a
+   reactor hands to each session it serves. *)
 let staging = P.staging ()
+let scratch = Session.scratch staging
 
 let feed_span s ~send evs =
   let buf, pos, len = payload_span evs in
-  Session.handle_events_span s ~send ~staging buf ~pos ~len
+  Session.handle_events_span s ~send ~scratch buf ~pos ~len
 
 let reply_frame bytes =
   match P.decode_string bytes with
@@ -940,7 +941,7 @@ let span_words s evs =
   let buf, pos, len = payload_span evs in
   ignore (Session.handle s ~send:ignore P.Begin_trace);
   let w0 = Gc.minor_words () in
-  let r = Session.handle_events_span s ~send:ignore ~staging buf ~pos ~len in
+  let r = Session.handle_events_span s ~send:ignore ~scratch buf ~pos ~len in
   let w = Gc.minor_words () -. w0 in
   ignore (Session.handle s ~send:ignore P.End_trace);
   if r <> `Continue then Alcotest.fail "the slice was refused";
@@ -989,7 +990,7 @@ let span_session stream =
       | P.Scan_frame { tag; payload_pos; payload_len; next } -> (
           match
             Session.handle_span s ~send:ignore ~max_frame:P.default_max_frame
-              ~staging tag stream ~pos:payload_pos ~len:payload_len
+              ~scratch tag stream ~pos:payload_pos ~len:payload_len
           with
           | `Continue -> go next
           | `Close -> Alcotest.fail "the session was closed")
@@ -1173,6 +1174,8 @@ let test_crc32_differential () =
         Alcotest.failf "CRC-32 differs from the reference at pos %d len %d" pos len
     done
   done
+
+let test_crc32_kernels () = Option.iter Alcotest.fail (Crc32_ref.kernels_difference ())
 
 (* ---------- frames split across reads ---------- *)
 
@@ -1390,7 +1393,7 @@ let test_ret_flood_staging () =
   ignore (Session.handle s ~send (P.Load_image { name = "telnetd"; image }));
   ignore (Session.handle s ~send P.Begin_trace);
   let r =
-    Session.handle_span s ~send ~max_frame:P.default_max_frame ~staging
+    Session.handle_span s ~send ~max_frame:P.default_max_frame ~scratch
       P.branch_events_tag flood ~pos:0 ~len:(Bytes.length flood)
   in
   Session.close s;
@@ -1597,5 +1600,7 @@ let () =
         [
           Alcotest.test_case "slice-by-8 = byte-at-a-time" `Quick
             test_crc32_differential;
+          Alcotest.test_case "both kernels = byte-at-a-time" `Quick
+            test_crc32_kernels;
         ] );
     ]
